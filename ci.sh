@@ -37,6 +37,12 @@ fi
 go build ./...
 go test -race ./...
 
+# bench/ is its own module (repro/bench, replace repro => ../), so the root
+# gate above does not compile it: build and smoke-test it here, so that a
+# signature change in stencil/grid/service that breaks the benchmark fails
+# CI and not the pipeline that builds it from source.
+(cd bench && go test ./...)
+
 # Disabled-tracing overhead guard: a nil *obs.Recorder must stay
 # allocation-free (test-asserted) and under the ns/op bound recorded in
 # BENCH_obs.json, so instrumented code paths stay free when untraced.

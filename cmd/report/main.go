@@ -115,6 +115,8 @@ func main() {
 	fmt.Fprintln(w, "at `GET /v1/stream`. See README \"Live telemetry\" and \"Observability\".")
 	fmt.Fprintln(w)
 
+	fmt.Fprint(w, stepAccount)
+
 	fmt.Fprintln(w, "## Scaling out the serving layer")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "The paper's discipline — keep communication concurrent with compute so")
@@ -230,6 +232,65 @@ func main() {
 	fmt.Fprintln(w, "(`advectlint -json`, archived by `ci.sh`), and every rule is pinned by")
 	fmt.Fprintln(w, "fixtures under `internal/lint/testdata`. See README \"Static analysis\".")
 }
+
+// stepAccount is the measured account of one functional timestep on the
+// reference host. It is recorded, not recomputed: the numbers come from
+// `bash bench/run.sh -workload W -trace 1` (seed 201), one run on the commit
+// before and one on the commit of the factored row kernel.
+const stepAccount = `## Where does a step go?
+
+Every functional schedule spends a step in three places: the stencil row
+kernel, the per-step copy sweep with the periodic-halo or exchange pass,
+and hand-offs (barriers, mailboxes, fork-join). The account below is for the
+2-vCPU reference host, tasks × threads = 2, wall-clock, one traced run of
+` + "`bench/`" + ` per column (` + "`-workload steady_large|halo_small -trace 1 -seed 201`" + `);
+"before" is the unrolled 27-term loop (53 executed flop/pt), "after" the
+row kernel factored through the tensor product of Table I (22 executed
+flop/pt, bounds-check free). GF stays nominal — 53 flop/pt ÷ time.
+
+**Kernel** (` + "`stencil.*`" + `, probes at 128³ unless named; the same in both workloads' runs):
+
+| metric | before | after |
+|---|---|---|
+| ` + "`stencil.whole_ns_per_pt.n128`" + ` | 11.4 ns | 3.3 ns |
+| ` + "`stencil.thirds_ns_per_pt.n128`" + ` (InteriorThirds) | 10.9 ns | 3.2 ns |
+| ` + "`stencil.slabs_ns_per_pt.n128`" + ` (BoundarySlabs) | 21.7 ns | 19.6 ns |
+| ` + "`stencil.apply_gf.n16 / n64 / n128`" + ` (nominal) | 4.6 / 3.3 / 4.7 GF | 13.7 / 16.0 / 16.1 GF |
+| ` + "`stencil.roofline_frac.n128`" + ` | 0.064 | 0.218 |
+
+**A step** (` + "`impl.step_ms.*`" + `, ms):
+
+| schedule | 128³ before | 128³ after | 16³ before | 16³ after |
+|---|---|---|---|---|
+| single (t2) | 17.2 | 7.19 | 0.076 | 0.036 |
+| single (t1) | 26.7 | 9.76 | 0.074 | 0.033 |
+| bulk | 13.99 | 5.12 | 0.092 | 0.059 |
+| nonblocking | 15.3 | 6.16 | 0.090 | 0.073 |
+| threaded | 16.8 | 6.56 | 0.107 | 0.077 |
+| wide-halo | 14.8 | 5.52 | 0.074 | 0.057 |
+| gpu-streams (emulated) | 89.5 | 80.4 | 0.217 | 0.229 |
+| hybrid-overlap (emulated) | 93.5 | 84.9 | 0.167 | 0.159 |
+
+**Kernel share of a bulk step** (` + "`impl.kernel_share.bulk`" + `, one Apply sweep ÷ 2
+tasks ÷ bulk step): 0.84 → 0.64 at 128³ (0.58, 0.64 and 0.68 over three
+traced runs of the change; the predicted ≤ 0.6 is inside that scatter, not
+below it), 0.19 → 0.11 at 16³. Message and byte counts per step and the
+emulated device's virtual throughput (` + "`mpi.msgs_per_step.*`" + `,
+` + "`mpi.bytes_per_step.*`, `gpusim.sim_gf.*`" + `) repeat exactly; allocations per
+step are unchanged.
+
+What is left of a 128³ bulk step (5.1 ms) after 3.4 ms of kernel is the
+copy sweep (16 B/pt, ≈ 1 ms per task at the 21–24 GB/s
+` + "`grid.copy_interior_gb_s.n128`" + ` reads) and the exchange with its strided
+x-faces: a third of the step, and the largest item a buffer swap would
+remove (ROADMAP item 2 (ii)). The cut kernel is the other finding: boundary
+slabs still cost 20 ns/pt against 3.3 for the whole domain — their ±x walls
+are one-point rows, each touching nine cache lines for one output — so
+nonblocking and threaded now trail bulk by more than before
+(` + "`impl.overlap_ratio.nonblocking`" + ` 1.06 → 0.85 at 128³): the fixed price of
+cutting the domain is a larger share of a cheaper step.
+
+`
 
 // warmerTable replays an 8-point stepped sweep through a real
 // session.Warmer, assuming background pre-execution keeps up (every

@@ -17,15 +17,26 @@ type Decomp struct {
 	P Dims // task-grid extents, P.X ≤ P.Y ≤ P.Z
 }
 
-// NewDecomp chooses the task-grid factorization of ntasks that minimizes the
-// largest subdomain's communication surface, subject to the paper's
-// constraints. It panics if ntasks is out of range.
+// NewDecomp is Decompose for callers that have already validated ntasks
+// against the grid; it panics where Decompose returns an error.
 func NewDecomp(n Dims, ntasks int) Decomp {
+	d, err := Decompose(n, ntasks)
+	if err != nil {
+		panic(err.Error())
+	}
+	return d
+}
+
+// Decompose chooses the task-grid factorization of ntasks that minimizes the
+// largest subdomain's communication surface, subject to the paper's
+// constraints. It fails if ntasks is out of range or has no factorization
+// that fits the grid (a prime factor larger than every extent).
+func Decompose(n Dims, ntasks int) (Decomp, error) {
 	if ntasks <= 0 {
-		panic(fmt.Sprintf("grid: bad task count %d", ntasks))
+		return Decomp{}, fmt.Errorf("grid: bad task count %d", ntasks)
 	}
 	if ntasks > n.Volume() {
-		panic(fmt.Sprintf("grid: %d tasks exceed %d grid points", ntasks, n.Volume()))
+		return Decomp{}, fmt.Errorf("grid: %d tasks exceed %d grid points", ntasks, n.Volume())
 	}
 	best := Dims{}
 	bestScore := -1
@@ -49,9 +60,9 @@ func NewDecomp(n Dims, ntasks int) Decomp {
 		}
 	}
 	if bestScore < 0 {
-		panic(fmt.Sprintf("grid: no feasible decomposition of %v into %d tasks", n, ntasks))
+		return Decomp{}, fmt.Errorf("grid: no feasible decomposition of %v into %d tasks", n, ntasks)
 	}
-	return Decomp{N: n, P: best}
+	return Decomp{N: n, P: best}, nil
 }
 
 // Tasks returns the total number of tasks.

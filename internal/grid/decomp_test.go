@@ -171,6 +171,20 @@ func TestDecompPanics(t *testing.T) {
 	}()
 }
 
+func TestDecomposeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		n      Dims
+		ntasks int
+	}{{Uniform(4), 0}, {Uniform(2), 9}, {Uniform(4), 5}, {Uniform(8), 2 * 11}} {
+		if _, err := Decompose(tc.n, tc.ntasks); err == nil {
+			t.Errorf("Decompose(%v, %d) succeeded", tc.n, tc.ntasks)
+		}
+	}
+	if d, err := Decompose(Uniform(8), 7); err != nil || d != NewDecomp(Uniform(8), 7) {
+		t.Fatalf("Decompose(8³, 7) = %v, %v", d, err)
+	}
+}
+
 func TestFactorTriples(t *testing.T) {
 	got := factorTriples(12)
 	want := [][3]int{{1, 1, 12}, {1, 2, 6}, {1, 3, 4}, {2, 2, 3}}

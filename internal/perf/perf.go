@@ -140,7 +140,10 @@ func newLayout(cfg Config) (layout, error) {
 	if tasks > minDim*minDim*minDim {
 		return layout{}, fmt.Errorf("perf: %d tasks too many for %v", tasks, cfg.N)
 	}
-	d := grid.NewDecomp(cfg.N, tasks)
+	d, err := grid.Decompose(cfg.N, tasks)
+	if err != nil {
+		return layout{}, fmt.Errorf("perf: %w", err)
+	}
 	sub := grid.Dims{
 		X: ceilDiv(cfg.N.X, d.P.X),
 		Y: ceilDiv(cfg.N.Y, d.P.Y),

@@ -73,6 +73,11 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate(Config{M: yona, Kind: core.HybridOverlap, Cores: 12, Threads: 1, BoxThickness: 300}); err == nil {
 		t.Fatal("absurd thickness accepted")
 	}
+	// 18456 = 2³·3·769 tasks: 769 exceeds every extent of the paper's grid,
+	// so no task grid fits. An error, not grid.NewDecomp's panic.
+	if _, err := Evaluate(Config{M: jag, Kind: core.BulkSync, Cores: 18456, Threads: 1}); err == nil {
+		t.Fatal("task count with no feasible decomposition accepted")
+	}
 }
 
 // --- Section V-E calibration anchors (Yona, one node) ----------------------

@@ -57,7 +57,14 @@ type ExperimentResult struct {
 // rendered result document. rec is the job's span recorder (nil for
 // untraced jobs); the runner records its per-rank phases into it, so the
 // spans land on the same timeline as the service-level request lifecycle.
-func execute(ctx context.Context, req Request, rec *obs.Recorder, jobID string) (json.RawMessage, error) {
+// A panic below here is a bug in a runner or a model, and it is reported as
+// the job's error: one request must not end the daemon's other jobs.
+func execute(ctx context.Context, req Request, rec *obs.Recorder, jobID string) (doc json.RawMessage, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			doc, err = nil, fmt.Errorf("service: job %s panicked: %v", jobID, p)
+		}
+	}()
 	switch req.Type {
 	case TypeSimulate:
 		return executeSimulate(ctx, req.Simulate, rec, jobID)

@@ -327,6 +327,10 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 		s.warmFromSubmit(req)
 		return j, nil
 	}
+	// Stamped before the push: once queued, the job belongs to whichever
+	// worker claims it, and runJob reads queuedAt and appends to rec.
+	j.queuedAt = j.rec.Clock()
+	j.rec.Add(obs.RankService, -1, obs.PhaseHTTPReceive, "", 0, j.queuedAt)
 	if !s.queue.TryPush(j) {
 		s.metrics.CountJob(req.Type, outcomeRejected)
 		s.engine.ObserveShed(now)
@@ -334,8 +338,6 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 			"queue_depth", s.queue.Depth())...)
 		return nil, ErrQueueFull
 	}
-	j.queuedAt = j.rec.Clock()
-	j.rec.Add(obs.RankService, -1, obs.PhaseHTTPReceive, "", 0, j.queuedAt)
 	s.store.Add(j)
 	s.metrics.CountJob(req.Type, outcomeSubmitted)
 	s.tele.RecordDepth(now, s.queue.Depth())

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -649,5 +650,64 @@ func TestPprofMounting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof with the flag: want 200, got %v", resp.Status)
+	}
+}
+
+// TestSubmitRaceWithWorkers submits uncached jobs while two workers drain
+// the queue, so a worker can claim a job before SubmitTraced returns: under
+// -race it fails if anything the worker reads is written after the push.
+func TestSubmitRaceWithWorkers(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, QueueCap: 64})
+	var jobs []*Job
+	for i := 0; i < 50; i++ {
+		j, err := s.Submit(Request{Type: TypePredict, Predict: &PredictRequest{
+			Machine: "JaguarPF", Kind: "bulk", Cores: 12 * (i + 1), Threads: 1,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, j := range jobs {
+		for !j.State().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", j.ID(), j.State())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if v := j.View(); v.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", v.ID, v.State, v.Error)
+		}
+	}
+}
+
+// TestInfeasiblePredictFailsJob: a task count with a prime factor larger
+// than the grid has no decomposition. The job must fail with the reason and
+// the daemon must keep serving.
+func TestInfeasiblePredictFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	_, v := postJob(t, ts, `{"type":"predict","predict":{"machine":"JaguarPF","kind":"bulk","cores":18456}}`)
+	if v := waitState(t, ts, v.ID, StateFailed); !strings.Contains(v.Error, "no feasible decomposition") {
+		t.Fatalf("error %q does not name the cause", v.Error)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the failed job: %v", resp.Status)
+	}
+	_, v = postJob(t, ts, `{"type":"predict","predict":{"machine":"JaguarPF","kind":"bulk","cores":18432}}`)
+	waitState(t, ts, v.ID, StateDone)
+}
+
+// TestExecuteRecoversPanic: a panic below execute is a bug, but it must
+// cost one job, not the process.
+func TestExecuteRecoversPanic(t *testing.T) {
+	_, err := execute(context.Background(), Request{Type: TypePredict}, nil, "job-x")
+	if err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("execute on a request with no body: err = %v, want a recovered panic", err)
 	}
 }

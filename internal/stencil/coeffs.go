@@ -1,9 +1,17 @@
 // Package stencil implements the paper's numerical method (§II): explicit
 // Lax–Wendroff time integration of linear advection with constant uniform
 // velocity, using a 3×3×3 stencil whose 27 coefficients are given in
-// Table I. Each application costs 53 floating-point operations per point
-// (27 multiplications and 26 additions), the figure the paper uses to
-// convert measured time into GF.
+// Table I. Written out, each application costs 53 floating-point operations
+// per point (27 multiplications and 26 additions), the figure the paper uses
+// to convert measured time into GF.
+//
+// Every GF number in this repository is nominal in that sense: 53 flop per
+// point divided by time, the paper's convention, whatever the kernel
+// executes. The row kernel (applyRow) executes 22: the Table I coefficients
+// are the tensor product a_ijk = qx_i·qy_j·qz_k of three one-dimensional
+// Lax–Wendroff stencils, so it sums the nine y-z neighbours of each x once
+// and combines three such column sums per point. Op.Point keeps the literal
+// 27-term sum as the oracle the kernel is tested against.
 package stencil
 
 import (
@@ -13,14 +21,25 @@ import (
 	"repro/internal/grid"
 )
 
-// FlopsPerPoint is the operation count of Eq. 2 used for all GF numbers:
-// 27 multiplications and 26 additions.
+// FlopsPerPoint is the nominal operation count of Eq. 2 used for all GF
+// numbers and by the gpusim cost model: 27 multiplications and 26 additions.
 const FlopsPerPoint = 53
 
 // Coeffs holds the 27 stencil coefficients a_ijk of Eq. 2, indexed by
-// At(i, j, k) with i, j, k ∈ {-1, 0, +1}.
+// At(i, j, k) with i, j, k ∈ {-1, 0, +1}, and the three one-dimensional
+// factors (q-1, q0, q+1) per dimension whose tensor product they are; the
+// row kernel computes with the factors, Op.Point with the 27.
 type Coeffs struct {
-	a [27]float64
+	a          [27]float64
+	qx, qy, qz [3]float64
+}
+
+// setFactors sets the 1-D factors to the Lax–Wendroff weights of velocity c
+// at ratio nu.
+func (a *Coeffs) setFactors(c grid.Velocity, nu float64) {
+	a.qx[0], a.qx[1], a.qx[2] = LW1D(c.X * nu)
+	a.qy[0], a.qy[1], a.qy[2] = LW1D(c.Y * nu)
+	a.qz[0], a.qz[1], a.qz[2] = LW1D(c.Z * nu)
 }
 
 // At returns a_ijk for offsets i, j, k ∈ {-1, 0, +1}.
@@ -43,10 +62,12 @@ func idx27(i, j, k int) int {
 // TableI computes the 27 coefficients exactly as printed in the paper's
 // Table I, as functions of the velocity components and ν = Δ/δ. The
 // expressions are transcribed literally; TestTensorIdentity verifies they
-// equal the tensor product of three one-dimensional Lax–Wendroff stencils.
+// equal the tensor product of three one-dimensional Lax–Wendroff stencils,
+// which are kept beside them as the factors.
 func TableI(c grid.Velocity, nu float64) *Coeffs {
 	cx, cy, cz, v := c.X, c.Y, c.Z, nu
 	var a Coeffs
+	a.setFactors(c, nu)
 	set := func(i, j, k int, val float64) { a.a[idx27(i, j, k)] = val }
 
 	set(-1, -1, -1, cx*cy*cz*v*v*v*(1+cx*v)*(1+cy*v)*(1+cz*v)/8)
@@ -83,10 +104,23 @@ func TableI(c grid.Velocity, nu float64) *Coeffs {
 
 // FromFlat rebuilds a coefficient set from the flat layout produced by
 // Flat. The GPU implementations use it to read the coefficients back out
-// of simulated constant memory, as the CUDA kernels do.
+// of simulated constant memory, as the CUDA kernels do. The 1-D factors are
+// recovered as marginal sums — Σ_jk a_ijk = qx_i because each factor sums
+// to 1 — which reproduces them to a few ulp, not to the bit. NewOp rejects
+// a flat set that is not a tensor product.
 func FromFlat(flat [27]float64) *Coeffs {
 	var c Coeffs
 	c.a = flat
+	for k := 0; k < 3; k++ {
+		for j := 0; j < 3; j++ {
+			for i := 0; i < 3; i++ {
+				v := flat[i+3*j+9*k]
+				c.qx[i] += v
+				c.qy[j] += v
+				c.qz[k] += v
+			}
+		}
+	}
 	return &c
 }
 
@@ -102,15 +136,12 @@ func LW1D(sigma float64) (qm1, q0, qp1 float64) {
 // roundoff; the reproduction keeps both forms so the literal transcription
 // of the paper's table is itself under test.
 func TensorProduct(c grid.Velocity, nu float64) *Coeffs {
-	var qx, qy, qz [3]float64
-	qx[0], qx[1], qx[2] = LW1D(c.X * nu)
-	qy[0], qy[1], qy[2] = LW1D(c.Y * nu)
-	qz[0], qz[1], qz[2] = LW1D(c.Z * nu)
 	var a Coeffs
+	a.setFactors(c, nu)
 	for k := -1; k <= 1; k++ {
 		for j := -1; j <= 1; j++ {
 			for i := -1; i <= 1; i++ {
-				a.a[idx27(i, j, k)] = qx[i+1] * qy[j+1] * qz[k+1]
+				a.a[idx27(i, j, k)] = a.qx[i+1] * a.qy[j+1] * a.qz[k+1]
 			}
 		}
 	}

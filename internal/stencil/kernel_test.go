@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/grid"
@@ -14,80 +15,167 @@ func testOp(f *grid.Field) *Op {
 	return NewOp(TableI(c, MaxStableNu(c)), f)
 }
 
+// randomField is randomFieldOn with halo width 1 and a fixed seed.
 func randomField(n grid.Dims) *grid.Field {
-	f := grid.NewField(n, 1)
-	// Deterministic pseudo-random fill.
-	s := uint64(12345)
-	f.Fill(func(i, j, k int) float64 {
-		s = s*6364136223846793005 + 1442695040888963407
-		return float64(s>>11) / float64(1<<53)
-	})
+	return randomFieldOn(n, 1, rand.New(rand.NewSource(12345)))
+}
+
+// randomFieldOn draws every point of the field, halo included, from rng,
+// scaled to [-3, 3) so that tolerances stated relative to max|s| are not
+// tolerances relative to 1.
+func randomFieldOn(n grid.Dims, halo int, rng *rand.Rand) *grid.Field {
+	f := grid.NewField(n, halo)
+	d := f.Data()
+	for i := range d {
+		d[i] = 6*rng.Float64() - 3
+	}
 	return f
 }
 
-func TestApplyMatchesPoint(t *testing.T) {
-	n := grid.Dims{X: 6, Y: 5, Z: 4}
-	src := randomField(n)
-	src.CopyPeriodicHalos()
-	dst := grid.NewField(n, 1)
-	op := testOp(src)
-	op.Apply(src, dst, Whole(n))
-	for k := 0; k < n.Z; k++ {
-		for j := 0; j < n.Y; j++ {
-			for i := 0; i < n.X; i++ {
-				want := op.Point(src, i, j, k)
-				if got := dst.At(i, j, k); got != want {
-					t.Fatalf("Apply(%d,%d,%d) = %v, want %v", i, j, k, got, want)
-				}
+func maxAbs(f *grid.Field) float64 {
+	var m float64
+	for _, v := range f.Data() {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
+}
+
+// extended is the interior grown by e points on every side: the region a
+// wide-halo burst computes on a field of halo width e+1.
+func extended(n grid.Dims, e int) grid.Subdomain {
+	return grid.Subdomain{
+		Lo:   grid.Dims{X: -e, Y: -e, Z: -e},
+		Size: grid.Dims{X: n.X + 2*e, Y: n.Y + 2*e, Z: n.Z + 2*e},
+	}
+}
+
+// forEach calls fn for every point of sub.
+func forEach(sub grid.Subdomain, fn func(i, j, k int)) {
+	hi := sub.Hi()
+	for k := sub.Lo.Z; k < hi.Z; k++ {
+		for j := sub.Lo.Y; j < hi.Y; j++ {
+			for i := sub.Lo.X; i < hi.X; i++ {
+				fn(i, j, k)
 			}
+		}
+	}
+}
+
+// TestApplyMatchesPoint holds the factored row kernel to the literal
+// 27-term sum of Eq. 2 within 4 ulp of the largest input, on every way the
+// schedules cut a task: whole, interior, wide-halo regions reaching into the
+// halo, and box walls whose rows are one (T=1, the boundary slabs) and two
+// (T=2) points long.
+func TestApplyMatchesPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260929))
+	for _, n := range []grid.Dims{{X: 6, Y: 5, Z: 4}, {X: 9, Y: 4, Z: 7}, {X: 1, Y: 3, Z: 2}, {X: 2, Y: 8, Z: 5}} {
+		for halo := 1; halo <= 3; halo++ {
+			src := randomFieldOn(n, halo, rng)
+			dst := grid.NewField(n, halo)
+			op := testOp(src)
+			tol := 4 * 0x1p-52 * maxAbs(src)
+			subs := []grid.Subdomain{Whole(n), Interior(n), extended(n, halo-1)}
+			subs = append(subs, BoundarySlabs(n)...)
+			subs = append(subs, grid.BoxSplit{Local: n, T: 2}.Walls()...)
+			for _, sub := range subs {
+				op.Apply(src, dst, sub)
+				forEach(sub, func(i, j, k int) {
+					want := op.Point(src, i, j, k)
+					if got := dst.At(i, j, k); !(math.Abs(got-want) <= tol) {
+						t.Fatalf("%v halo %d %v: Apply(%d,%d,%d) = %v, want %v ± %g", n, halo, sub, i, j, k, got, want, tol)
+					}
+				})
+			}
+		}
+	}
+}
+
+// The two tests below pin what lets the overlap schedules reproduce the
+// single-task field exactly: a point's value does not depend on the
+// subdomain or row range it was computed in.
+
+func TestApplyCutsMatchWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []grid.Dims{{X: 7, Y: 6, Z: 5}, {X: 3, Y: 9, Z: 8}, {X: 12, Y: 3, Z: 4}} {
+		src := randomFieldOn(n, 1, rng)
+		op := testOp(src)
+		want := grid.NewField(n, 1)
+		op.Apply(src, want, Whole(n))
+		got := grid.NewField(n, 1)
+		for _, sub := range InteriorThirds(n) {
+			op.Apply(src, got, sub)
+		}
+		for _, sub := range BoundarySlabs(n) {
+			op.Apply(src, got, sub)
+		}
+		if nm := grid.DiffNorms(got, want); nm.LInf != 0 {
+			t.Fatalf("%v: thirds+slabs differ from whole: %+v", n, nm)
 		}
 	}
 }
 
 func TestApplyRowsMatchesApply(t *testing.T) {
-	n := grid.Dims{X: 7, Y: 6, Z: 5}
-	src := randomField(n)
-	src.CopyPeriodicHalos()
-	op := testOp(src)
-	want := grid.NewField(n, 1)
-	op.Apply(src, want, Whole(n))
-
-	got := grid.NewField(n, 1)
-	sub := Whole(n)
-	rows := Rows(sub)
-	// Apply in awkward chunks to exercise the row decoding.
-	for lo := 0; lo < rows; lo += 4 {
-		hi := lo + 4
-		if hi > rows {
-			hi = rows
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []grid.Dims{{X: 7, Y: 6, Z: 5}, {X: 1, Y: 9, Z: 8}} {
+		src := randomFieldOn(n, 1, rng)
+		op := testOp(src)
+		want := grid.NewField(n, 1)
+		op.Apply(src, want, Whole(n))
+		rows := Rows(Whole(n))
+		for trial := 0; trial < 20; trial++ {
+			got := grid.NewField(n, 1)
+			for lo := 0; lo < rows; {
+				hi := min(lo+1+rng.Intn(2*n.Y), rows)
+				op.ApplyRows(src, got, Whole(n), lo, hi)
+				lo = hi
+			}
+			if nm := grid.DiffNorms(got, want); nm.LInf != 0 {
+				t.Fatalf("%v: ApplyRows over a random partition differs from Apply: %+v", n, nm)
+			}
 		}
-		op.ApplyRows(src, got, sub, lo, hi)
-	}
-	if nm := grid.DiffNorms(got, want); nm.LInf != 0 {
-		t.Fatalf("ApplyRows differs from Apply: %+v", nm)
 	}
 }
 
+// TestApplySubdomainOnly checks that nothing outside sub is written, halo
+// and the points just left of each row included.
 func TestApplySubdomainOnly(t *testing.T) {
 	n := grid.Dims{X: 6, Y: 6, Z: 6}
 	src := randomField(n)
-	src.CopyPeriodicHalos()
 	op := testOp(src)
-	dst := grid.NewField(n, 1)
-	sub := grid.Subdomain{Lo: grid.Dims{X: 1, Y: 2, Z: 3}, Size: grid.Dims{X: 3, Y: 2, Z: 2}}
-	op.Apply(src, dst, sub)
-	for k := 0; k < n.Z; k++ {
-		for j := 0; j < n.Y; j++ {
-			for i := 0; i < n.X; i++ {
-				want := 0.0
-				if sub.Contains(i, j, k) {
-					want = op.Point(src, i, j, k)
-				}
-				if got := dst.At(i, j, k); got != want {
-					t.Fatalf("(%d,%d,%d) = %v, want %v", i, j, k, got, want)
-				}
-			}
+	const sentinel = -77.0
+	for _, sub := range []grid.Subdomain{
+		{Lo: grid.Dims{X: 1, Y: 2, Z: 3}, Size: grid.Dims{X: 3, Y: 2, Z: 2}},
+		{Lo: grid.Dims{X: 0, Y: 0, Z: 0}, Size: grid.Dims{X: 1, Y: 6, Z: 6}},
+		{Lo: grid.Dims{X: 5, Y: 1, Z: 0}, Size: grid.Dims{X: 1, Y: 4, Z: 6}},
+	} {
+		dst := grid.NewField(n, 1)
+		d := dst.Data()
+		for i := range d {
+			d[i] = sentinel
 		}
+		op.Apply(src, dst, sub)
+		forEach(extended(n, 1), func(i, j, k int) {
+			got := dst.At(i, j, k)
+			if sub.Contains(i, j, k) == (got == sentinel) {
+				t.Fatalf("%v: (%d,%d,%d) = %v", sub, i, j, k, got)
+			}
+		})
+	}
+}
+
+func TestApplyNoAllocs(t *testing.T) {
+	n := grid.Dims{X: 8, Y: 6, Z: 5}
+	src := randomField(n)
+	dst := grid.NewField(n, 1)
+	op := testOp(src)
+	slabs := BoundarySlabs(n)
+	if a := testing.AllocsPerRun(10, func() {
+		op.Apply(src, dst, Interior(n))
+		for _, sub := range slabs {
+			op.Apply(src, dst, sub)
+		}
+	}); a != 0 {
+		t.Fatalf("Apply allocates %v times per sweep", a)
 	}
 }
 
@@ -195,14 +283,7 @@ func TestInteriorAndBoundaryTile(t *testing.T) {
 	slabs := BoundarySlabs(n)
 	seen := make(map[[3]int]int)
 	mark := func(s grid.Subdomain) {
-		hi := s.Hi()
-		for k := s.Lo.Z; k < hi.Z; k++ {
-			for j := s.Lo.Y; j < hi.Y; j++ {
-				for i := s.Lo.X; i < hi.X; i++ {
-					seen[[3]int{i, j, k}]++
-				}
-			}
-		}
+		forEach(s, func(i, j, k int) { seen[[3]int{i, j, k}]++ })
 	}
 	mark(in)
 	for _, s := range slabs {
