@@ -35,7 +35,9 @@ if go list ./... | grep -q testdata; then
 fi
 
 go build ./...
-go test -race ./...
+# An explicit timeout: a hung test should cost minutes and print its
+# goroutines, not sit out the ten-minute default per package.
+go test -race -timeout 5m ./...
 
 # bench/ is its own module (repro/bench, replace repro => ../), so the root
 # gate above does not compile it: build and smoke-test it here, so that a

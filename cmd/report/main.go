@@ -116,6 +116,7 @@ func main() {
 	fmt.Fprintln(w)
 
 	fmt.Fprint(w, stepAccount)
+	fmt.Fprint(w, runAccount)
 
 	fmt.Fprintln(w, "## Scaling out the serving layer")
 	fmt.Fprintln(w)
@@ -289,6 +290,110 @@ are one-point rows, each touching nine cache lines for one output — so
 nonblocking and threaded now trail bulk by more than before
 (` + "`impl.overlap_ratio.nonblocking`" + ` 1.06 → 0.85 at 128³): the fixed price of
 cutting the domain is a larger share of a cheaper step.
+
+`
+
+// runAccount is the measured account of the fixed cost of one Run — set-up,
+// gather, verification — on the reference host. Like stepAccount it is
+// recorded, not recomputed: medians of three runs per commit of
+// `bash bench/run.sh -workload steady_large -trace 1` (seeds 401–403, the two
+// commits alternating), one such pair for serve_mix (seed 411), and the
+// end-to-end medians of ten (serve_mix) and six (the others) untraced pairs.
+const runAccount = `## Where does a Run go?
+
+A ` + "`Run`" + ` is its time steps plus a fixed cost: allocate and fill the fields,
+gather the result, verify it. Before this account was taken that fixed cost
+was most of a short run: one evaluation of the initial Gaussian through
+` + "`Field.Fill(func…)`" + ` cost 42–61 ns per point (three ` + "`math.Mod`" + ` and one
+` + "`math.Exp`" + ` behind a closure) — twelve or more time steps of the factored
+kernel — and a verified two-task job made five such passes (fill, the initial
+mass on a throw-away global field, the distributed norms twice, the gathered
+norms once more), an unverified one still two. "Before" is that commit;
+"after" fills and takes norms from per-axis tables of the squared offsets
+(` + "`grid.GaussianTable`" + `: bit-identical values, no ` + "`Mod`" + ` and one ` + "`Exp`" + ` per point, split
+by row range over threads and ranks), computes the initial mass only when
+verifying and as an Allreduce of the ranks' own sums, takes the distributed
+norms in one pass, gathers by row copy, returns the single-task field instead
+of a clone of it, and commits a step by swapping the two fields' storage
+instead of the copy sweep. Results did not move: the SHA-256 of the final
+field of all ten kinds on a small non-cubic problem, and the emulated
+devices' virtual times, equal the values recorded before
+(` + "`internal/impl/testdata/golden_runs.json`" + `).
+
+**Fixed cost of an unverified 128³ Run** (` + "`impl.overhead_ms.*`" + ` = wall time of the
+call − barrier-bracketed stepping, ms; tasks × threads = 2; median of three
+traced runs per commit, whose spread is up to ±40 % on this shared host):
+
+| schedule | before | after |
+|---|---|---|
+| single | 131.7 | 17.9 |
+| bulk | 173.5 | 25.7 |
+| nonblocking | 179.8 | 29.9 |
+| threaded | 243.0 | 27.2 |
+| wide-halo | 187.0 | 26.0 |
+| gpu (emulated) | 154.9 | 73.7 |
+| gpu-bulk | 229.8 | 58.5 |
+| gpu-streams | 216.1 | 63.6 |
+| hybrid-bulk | 263.1 | 48.3 |
+| hybrid-overlap | 277.9 | 63.2 |
+
+**What it is made of:**
+
+| metric | before | after |
+|---|---|---|
+| ` + "`grid.fill_ns_per_pt`" + ` (64³) | 47.2 ns (42–61) | 13.1 ns (8.5–13.3) |
+| ` + "`impl.alloc_mb_per_run.single`" + ` (128³, 32 steps; repeats exactly) | 52.7 MB | 35.2 MB |
+| ` + "`impl.alloc_mb_per_run.bulk`" + ` | 113.4 MB | 79.0 MB |
+| ` + "`impl.alloc_mb_per_run.gpu_streams`" + ` | 260.5 MB | 154.7 MB |
+| ` + "`impl.alloc_mb_per_run.hybrid_overlap`" + ` | 285.3 MB | 183.8 MB |
+| ` + "`grid.pack_gb_s.x / unpack_gb_s.x`" + ` (strided x faces) | 1.5 / 3.0 GB/s | 2.8 / 3.5 GB/s |
+| ` + "`impl.overhead_ms.bulk`" + ` at 48³ (the serve_mix job shape) | 12.4 ms | 3.4 ms |
+| ` + "`service.run_direct_ms_p50`" + ` (48³ × 10, verified, 2 tasks) | 38.2 ms | 12.8 ms |
+| ` + "`service.exec_ms_p50`" + ` (the same inside advectd, two clients) | 57.0 ms | 20.7 ms |
+
+` + "`mpi.gather_ms.n128_t2`" + ` times ` + "`mpi.Comm.Gather`" + ` itself, which did not change (the
+probe read 5.7 and 2.6 ms here, 2.9 and 4.2 ms in an earlier pair: the host);
+the runners' gather around it lost its per-point ` + "`At`" + `/` + "`Set`" + ` loops and rank 0's
+two copies of its own rows. Message and byte counts per step and the emulated
+devices' throughput (` + "`mpi.msgs_per_step.*`" + `, ` + "`mpi.bytes_per_step.*`" + `,
+` + "`gpusim.sim_gf.*`" + `) repeat exactly. Allocations per step fell by 1–4 for the
+CPU schedules (the copy sweep's fork-join) and read 2 higher for the two
+hybrid runners (104.7 against 102.7; their step loop did not change).
+
+**A 128³ step without the copy sweep** (` + "`impl.step_ms.*`" + `, ms, same runs):
+
+| schedule | before | after |
+|---|---|---|
+| single (t2) | 6.54 | 4.45 |
+| single (t1) | 10.1 | 7.64 |
+| bulk | 7.51 | 5.43 |
+| nonblocking | 6.54 | 5.91 |
+| threaded | 8.04 | 6.74 |
+| wide-halo | 7.65 | 5.93 |
+
+**End to end** (untraced pairs, nominal-host medians; the change won every pair
+on every timing, ` + "`ops_failed`" + ` 0 in all 44 runs):
+
+| workload | metric | before | after |
+|---|---|---|---|
+| serve_mix (48³ × 10 jobs through advectd) | ` + "`job_ms_p50`" + ` | 52.4 ms | 20.9 ms |
+| | ` + "`jobs_per_s`" + ` | 69.3 | 158.3 |
+| | ` + "`mlups.bulk`" + ` | 29.6 | 85.3 |
+| | ` + "`rss_mb`" + ` | 24.2 | 24.3 |
+| steady_large (128³ × 16) | ` + "`mlups.single / bulk / nonblocking / threaded / wide_halo`" + ` | 101 / 75.5 / 74.6 / 62.0 / 75.2 | 227 / 178 / 172 / 174 / 174 |
+| | ` + "`setup_s`" + ` | 0.90 s | 0.33 s |
+| | ` + "`rss_mb`" + ` | 151 | 134 |
+| halo_small (16³ × 2400) | ` + "`mlups.single / bulk / nonblocking / threaded / wide_halo`" + ` | 112 / 83.5 / 62.4 / 61.7 / 83.9 | 134 / 94.7 / 66.3 / 69.2 / 93.7 |
+| | ` + "`rss_mb`" + ` | 11.01 | 10.96 |
+
+On halo_small 2400 steps amortise the set-up, so what shows is the step loop:
+one fork-join and one pass over two 46 KB fields fewer per step, 6–20 %.
+At 128³ the overlap schedules now finish a run within 3 % of bulk (they
+trailed it by up to 18 %): most of that gap was the fixed cost — four closure
+passes over a rank's points and a serial global one weigh more on the
+schedules whose steps are cheapest to begin with — not the boundary slabs,
+whose 17–20 ns per point are still there in ` + "`impl.step_ms`" + ` (nonblocking
+5.9 ms against bulk 5.4).
 
 `
 

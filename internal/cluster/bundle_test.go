@@ -49,7 +49,7 @@ func startFlightCluster(t *testing.T, cfg Config, rules flight.Rules, ids ...str
 
 func fetchClusterBundle(t *testing.T, tc *testCluster) ClusterBundle {
 	t.Helper()
-	resp, err := http.Get(tc.gw.URL + "/v1/debug/bundle")
+	resp, err := testClient.Get(tc.gw.URL + "/v1/debug/bundle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
 		FailThreshold:  3,
 	}, rules, "n1", "n2")
 
-	resp, err := http.Get(tc.gw.URL + "/v1/stream?interval=1h")
+	resp, err := http.Get(tc.gw.URL + "/v1/stream?interval=1h") // open for the whole test: no request timeout fits an event stream
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,13 @@ import (
 	"repro/internal/service"
 )
 
+// testClient is what every test request goes through, instead of
+// http.DefaultClient, which has no timeout: a request a gateway or node never
+// answers (seen with TestClusterBundlePartialOnNodeDown on a loaded host)
+// then fails at its own line in seconds instead of hanging the package to
+// the test timeout.
+var testClient = &http.Client{Timeout: 30 * time.Second}
+
 // startNode boots one in-process advectd node with a cluster identity.
 // The caller owns shutdown — register the server with a testCluster (or
 // close it explicitly) so teardown happens after the gateway stops; the
@@ -87,7 +94,7 @@ type gwView struct {
 
 func (tc *testCluster) submit(t *testing.T, body string) (int, gwView) {
 	t.Helper()
-	resp, err := http.Post(tc.gw.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	resp, err := testClient.Post(tc.gw.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +114,7 @@ func (tc *testCluster) waitDone(t *testing.T, id string) gwView {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get(tc.gw.URL + "/v1/jobs/" + id)
+		resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +138,7 @@ func (tc *testCluster) waitDone(t *testing.T, id string) gwView {
 
 func (tc *testCluster) clusterStats(t *testing.T) ClusterStats {
 	t.Helper()
-	resp, err := http.Get(tc.gw.URL + "/v1/stats")
+	resp, err := testClient.Get(tc.gw.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func (tc *testCluster) clusterStats(t *testing.T) ClusterStats {
 
 func nodeJobCount(t *testing.T, ts *httptest.Server) int {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs")
+	resp, err := testClient.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +213,7 @@ func TestClusterRoutesToOwner(t *testing.T) {
 		if done.Node != v.Node {
 			t.Errorf("job %s moved from %s to %s without a failure", v.ID, v.Node, done.Node)
 		}
-		resp, err := http.Get(tc.gw.URL + "/v1/jobs/" + v.ID + "/result")
+		resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + v.ID + "/result")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +257,7 @@ func TestClusterCacheAffinityAcrossJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(tc.gw.URL+"/v1/nodes", "application/json", strings.NewReader(string(memberDoc)))
+	resp, err := testClient.Post(tc.gw.URL+"/v1/nodes", "application/json", strings.NewReader(string(memberDoc)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +443,7 @@ func TestClusterShedsWhenAllReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(gw.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	resp, err := testClient.Post(gw.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestClusterDrainGraceful(t *testing.T) {
 	}
 	victim := inflight[0].Node
 
-	resp, err := http.Post(tc.gw.URL+"/v1/nodes/"+victim+"/drain", "application/json", nil)
+	resp, err := testClient.Post(tc.gw.URL+"/v1/nodes/"+victim+"/drain", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestClusterDrainGraceful(t *testing.T) {
 	}
 
 	// The gateway stays healthy on the remaining up nodes.
-	resp, err = http.Get(tc.gw.URL + "/healthz")
+	resp, err = testClient.Get(tc.gw.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

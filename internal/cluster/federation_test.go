@@ -71,7 +71,7 @@ func TestClusterFederatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestGatewayHealthzDegraded(t *testing.T) {
 	gw := httptest.NewServer(r.Handler())
 	t.Cleanup(gw.Close)
 
-	resp, err := http.Get(gw.URL + "/healthz")
+	resp, err := testClient.Get(gw.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestGatewayHealthzDegraded(t *testing.T) {
 	r.Members().ReportFailure("a", "gone", time.Now())
 	r.rebuildRing()
 
-	resp, err = http.Get(gw.URL + "/healthz")
+	resp, err = testClient.Get(gw.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestGatewayHealthzDegraded(t *testing.T) {
 		t.Fatalf("healthz = %d with every member down, want 503", resp.StatusCode)
 	}
 
-	resp, err = http.Post(gw.URL+"/v1/jobs", "application/json",
+	resp, err = testClient.Post(gw.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"type":"simulate","simulate":{"kind":"bulk","n":16,"steps":2}}`))
 	if err != nil {
 		t.Fatal(err)

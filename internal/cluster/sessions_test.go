@@ -61,7 +61,7 @@ type gwSession struct {
 
 func (tc *testCluster) createSession(t *testing.T, body string) (int, gwSession) {
 	t.Helper()
-	resp, err := http.Post(tc.gw.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+	resp, err := testClient.Post(tc.gw.URL+"/v1/sessions", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func (tc *testCluster) getSession(t *testing.T, id string) gwSession {
 // corpse and 502 until the forwarding pointer exists).
 func (tc *testCluster) pollSession(t *testing.T, id string) (gwSession, int) {
 	t.Helper()
-	resp, err := http.Get(tc.gw.URL + "/v1/sessions/" + id)
+	resp, err := testClient.Get(tc.gw.URL + "/v1/sessions/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestClusterSessionRoutingAndProxy(t *testing.T) {
 	}
 
 	// Fork through the gateway: the child runs on the parent's shard.
-	resp, err := http.Post(tc.gw.URL+"/v1/sessions/"+v.ID+"/fork", "application/json",
+	resp, err := testClient.Post(tc.gw.URL+"/v1/sessions/"+v.ID+"/fork", "application/json",
 		strings.NewReader(`{"at_step":20,"total_steps":60,"threads":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestClusterSessionRoutingAndProxy(t *testing.T) {
 	})
 
 	// Checkpoint bytes read through the gateway, headers intact.
-	cr, err := http.Get(tc.gw.URL + "/v1/sessions/" + v.ID + "/checkpoint")
+	cr, err := testClient.Get(tc.gw.URL + "/v1/sessions/" + v.ID + "/checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestClusterSessionRoutingAndProxy(t *testing.T) {
 	}
 
 	// The merged list shows all three sessions with node labels.
-	lr, err := http.Get(tc.gw.URL + "/v1/sessions")
+	lr, err := testClient.Get(tc.gw.URL + "/v1/sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestClusterSessionRoutingAndProxy(t *testing.T) {
 	}
 
 	// Pause/resume proxy: conflict on a finished session comes back 409.
-	pr, err := http.Post(tc.gw.URL+"/v1/sessions/"+v.ID+"/pause", "application/json", nil)
+	pr, err := testClient.Post(tc.gw.URL+"/v1/sessions/"+v.ID+"/pause", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestClusterSessionRoutingAndProxy(t *testing.T) {
 	}
 
 	// Unknown ids are the gateway's 404, not a proxied one.
-	nr, err := http.Get(tc.gw.URL + "/v1/sessions/nope")
+	nr, err := testClient.Get(tc.gw.URL + "/v1/sessions/nope")
 	if err != nil {
 		t.Fatal(err)
 	}

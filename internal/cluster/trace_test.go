@@ -129,7 +129,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 	}
 
 	spansAt := func(base string) *obs.TraceContext {
-		resp, err := http.Get(base + "/v1/jobs/" + v.ID + "/spans")
+		resp, err := testClient.Get(base + "/v1/jobs/" + v.ID + "/spans")
 		if err != nil {
 			return nil
 		}
@@ -179,7 +179,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 	// abandoned copy directly so it stops competing for CPU with the
 	// survivor's re-run (this host may have a single core).
 	waitFor(t, 60*time.Second, "fingerprint re-homed", func() bool {
-		resp, err := http.Get(tc.gw.URL + "/v1/jobs/" + v.ID)
+		resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + v.ID)
 		if err != nil {
 			return false
 		}
@@ -195,7 +195,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		return cur.Node == survivor
 	})
 	if req, err := http.NewRequest(http.MethodDelete, tc.nodes[owner].URL+"/v1/jobs/"+v.ID, nil); err == nil {
-		if resp, err := http.DefaultClient.Do(req); err == nil {
+		if resp, err := testClient.Do(req); err == nil {
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
@@ -214,7 +214,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		t.Fatalf("trace id changed across failover: %s -> %s", v.TraceID, c.TraceID)
 	}
 
-	resp, err := http.Get(tc.gw.URL + "/v1/jobs/" + v.ID + "/trace")
+	resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + v.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 
 	// The routing the trace describes is also on the gateway's /metrics:
 	// two accepted submissions (original + resubmission), one reroute.
-	mresp, err := http.Get(tc.gw.URL + "/metrics?format=json")
+	mresp, err := testClient.Get(tc.gw.URL + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		t.Errorf("gateway counters submits=%d reroutes=%d, want 2 and 1",
 			m.Counters.Submits, m.Counters.Reroutes)
 	}
-	presp, err := http.Get(tc.gw.URL + "/metrics")
+	presp, err := testClient.Get(tc.gw.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,14 +210,6 @@ func (p Problem) Normalize() (Problem, error) {
 	return p, nil
 }
 
-// InitialValue returns the starting value at global point (i, j, k).
-func (p Problem) InitialValue(i, j, k int) float64 {
-	if p.Initial != nil {
-		return p.Initial.At(i, j, k)
-	}
-	return p.Wave.Eval(p.N, i, j, k)
-}
-
 // Flops returns the floating-point operations one full time step performs
 // (53 per grid point, paper §II).
 func (p Problem) Flops() float64 {

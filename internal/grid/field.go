@@ -20,6 +20,14 @@ type Field struct {
 // NewField allocates a zeroed field with the given interior extents and halo
 // width.
 func NewField(n Dims, halo int) *Field {
+	f, size := shape(n, halo)
+	f.data = make([]float64, size)
+	return f
+}
+
+// shape returns a field of the given extents without storage, and the
+// number of values its storage must hold.
+func shape(n Dims, halo int) (f *Field, size int) {
 	if n.X <= 0 || n.Y <= 0 || n.Z <= 0 {
 		panic(fmt.Sprintf("grid: non-positive field dims %v", n))
 	}
@@ -27,15 +35,9 @@ func NewField(n Dims, halo int) *Field {
 		panic("grid: negative halo width")
 	}
 	wx, wy, wz := n.X+2*halo, n.Y+2*halo, n.Z+2*halo
-	f := &Field{
-		N:    n,
-		Halo: halo,
-		sy:   wx,
-		sz:   wx * wy,
-		data: make([]float64, wx*wy*wz),
-	}
+	f = &Field{N: n, Halo: halo, sy: wx, sz: wx * wy}
 	f.off = halo*f.sz + halo*f.sy + halo
-	return f
+	return f, wx * wy * wz
 }
 
 // NewFieldOn wraps existing storage as a field with the given interior
@@ -43,10 +45,10 @@ func NewField(n Dims, halo int) *Field {
 // implementations use this to view simulated device memory as a field so
 // kernel bodies can share the host-side indexing and stencil code.
 func NewFieldOn(n Dims, halo int, data []float64) *Field {
-	f := NewField(n, halo)
-	if len(data) != len(f.data) {
+	f, size := shape(n, halo)
+	if len(data) != size {
 		panic(fmt.Sprintf("grid: NewFieldOn: storage %d != required %d for %v halo %d",
-			len(data), len(f.data), n, halo))
+			len(data), size, n, halo))
 	}
 	f.data = data
 	return f
@@ -97,10 +99,18 @@ func (f *Field) CopyInteriorFrom(src *Field) {
 	if f.N != src.N {
 		panic(fmt.Sprintf("grid: interior mismatch %v vs %v", f.N, src.N))
 	}
-	for k := 0; k < f.N.Z; k++ {
-		for j := 0; j < f.N.Y; j++ {
-			copy(f.data[f.Idx(0, j, k):f.Idx(f.N.X, j, k)],
-				src.data[src.Idx(0, j, k):src.Idx(src.N.X, j, k)])
+	f.CopyBox(Dims{}, src, Subdomain{Size: src.N})
+}
+
+// CopyBox copies the points of box (in src's coordinates) from src to f,
+// where they start at lo, one x-row at a time.
+func (f *Field) CopyBox(lo Dims, src *Field, box Subdomain) {
+	nx := box.Size.X
+	for k := 0; k < box.Size.Z; k++ {
+		for j := 0; j < box.Size.Y; j++ {
+			d := f.Idx(lo.X, lo.Y+j, lo.Z+k)
+			s := src.Idx(box.Lo.X, box.Lo.Y+j, box.Lo.Z+k)
+			copy(f.data[d:d+nx], src.data[s:s+nx])
 		}
 	}
 }
@@ -251,16 +261,23 @@ func (f *Field) copyPlane(dim, fix int, lo, hi [3]int, buf []float64, pack bool)
 	n := 0
 	switch dim {
 	case 0:
+		// One value per x-row: walk each z plane's column by the y stride.
+		ny := hi[1] - lo[1]
 		for k := lo[2]; k < hi[2]; k++ {
-			for j := lo[1]; j < hi[1]; j++ {
-				p := f.Idx(fix, j, k)
-				if pack {
-					buf[n] = f.data[p]
-				} else {
-					f.data[p] = buf[n]
+			p := f.Idx(fix, lo[1], k)
+			b := buf[n : n+ny]
+			if pack {
+				for j := range b {
+					b[j] = f.data[p]
+					p += f.sy
 				}
-				n++
+			} else {
+				for j := range b {
+					f.data[p] = b[j]
+					p += f.sy
+				}
 			}
+			n += ny
 		}
 	case 1:
 		for k := lo[2]; k < hi[2]; k++ {

@@ -1,6 +1,9 @@
 package grid
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Velocity is the constant uniform advection velocity c = {cx, cy, cz} of
 // the test case (paper §II, Eq. 1).
@@ -33,12 +36,16 @@ func DefaultGaussian(n Dims) Gaussian {
 
 // Eval returns the Gaussian evaluated at grid point (i, j, k) in an n-point
 // periodic domain, using the minimal-image distance so the wave is smooth
-// across the periodic boundaries.
+// across the periodic boundaries. It is Analytic at t = 0, bit for bit.
+//
+// Eval, Analytic and NormsAgainst are the oracles GaussianTable is tested
+// against. The float64 conversions round every product where it stands, so
+// a target that fuses multiply-adds computes the same bits as the tables.
 func (g Gaussian) Eval(n Dims, i, j, k int) float64 {
 	dx := periodicDelta(float64(i)-g.Center[0], float64(n.X))
 	dy := periodicDelta(float64(j)-g.Center[1], float64(n.Y))
 	dz := periodicDelta(float64(k)-g.Center[2], float64(n.Z))
-	r2 := dx*dx + dy*dy + dz*dz
+	r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 	return math.Exp(-r2 / (2 * g.Sigma * g.Sigma))
 }
 
@@ -47,16 +54,103 @@ func (g Gaussian) Eval(n Dims, i, j, k int) float64 {
 // Velocities are in grid units per unit time and t is in the same time units
 // used for the step size Δ.
 func (g Gaussian) Analytic(n Dims, c Velocity, t float64, i, j, k int) float64 {
-	dx := periodicDelta(float64(i)-c.X*t-g.Center[0], float64(n.X))
-	dy := periodicDelta(float64(j)-c.Y*t-g.Center[1], float64(n.Y))
-	dz := periodicDelta(float64(k)-c.Z*t-g.Center[2], float64(n.Z))
-	r2 := dx*dx + dy*dy + dz*dz
+	dx := periodicDelta(float64(i)-float64(c.X*t)-g.Center[0], float64(n.X))
+	dy := periodicDelta(float64(j)-float64(c.Y*t)-g.Center[1], float64(n.Y))
+	dz := periodicDelta(float64(k)-float64(c.Z*t)-g.Center[2], float64(n.Z))
+	r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 	return math.Exp(-r2 / (2 * g.Sigma * g.Sigma))
+}
+
+// GaussianTable evaluates the wave translated by c·t over a box of global
+// grid indices from per-axis tables of the squared minimal-image offsets:
+// three math.Mod per table entry instead of three per point, and one
+// math.Exp per point. The three squares are summed in Analytic's order, so
+// every value is Analytic's (at t = 0, Eval's) bit for bit. Fill and
+// DiffSums take a range of the box's x-rows, flattened as (k, j) like
+// stencil.Rows, so a thread team splits one box and a rank set splits the
+// grid.
+type GaussianTable struct {
+	x2, y2, z2 []float64
+	den        float64 // 2σ²
+}
+
+// Table builds the tables of the wave at time t (t = 0: the initial
+// condition, whatever c) over box, which is in global indices of the
+// n-point periodic grid and may straddle its wrap.
+func (g Gaussian) Table(n Dims, c Velocity, t float64, box Subdomain) *GaussianTable {
+	axis := func(lo, size int, shift, center, period float64) []float64 {
+		sq := make([]float64, size)
+		for i := range sq {
+			d := periodicDelta(float64(lo+i)-shift-center, period)
+			sq[i] = d * d
+		}
+		return sq
+	}
+	return &GaussianTable{
+		x2:  axis(box.Lo.X, box.Size.X, c.X*t, g.Center[0], float64(n.X)),
+		y2:  axis(box.Lo.Y, box.Size.Y, c.Y*t, g.Center[1], float64(n.Y)),
+		z2:  axis(box.Lo.Z, box.Size.Z, c.Z*t, g.Center[2], float64(n.Z)),
+		den: 2 * g.Sigma * g.Sigma,
+	}
+}
+
+// Rows returns the number of x-rows of the table's box.
+func (t *GaussianTable) Rows() int { return len(t.y2) * len(t.z2) }
+
+// row returns the y and z terms of x-row r and the row's storage in f, whose
+// interior must be the table's box.
+func (t *GaussianTable) row(f *Field, r int) (y2, z2 float64, row []float64) {
+	j, k := r%len(t.y2), r/len(t.y2)
+	p := f.Idx(0, j, k)
+	return t.y2[j], t.z2[k], f.data[p : p+len(t.x2)]
+}
+
+func (t *GaussianTable) check(f *Field) {
+	if f.N.X != len(t.x2) || f.N.Y != len(t.y2) || f.N.Z != len(t.z2) {
+		panic(fmt.Sprintf("grid: field %v is not the table's box %dx%dx%d", f.N, len(t.x2), len(t.y2), len(t.z2)))
+	}
+}
+
+// Fill sets the x-rows [lo, hi) of f's interior to the wave.
+func (t *GaussianTable) Fill(f *Field, lo, hi int) {
+	t.check(f)
+	for r := lo; r < hi; r++ {
+		y2, z2, row := t.row(f, r)
+		for i, x2 := range t.x2 {
+			row[i] = math.Exp(-(x2 + y2 + z2) / t.den)
+		}
+	}
+}
+
+// DiffSums returns Σd² and max|d| of d = f − wave over the x-rows [lo, hi)
+// of f's interior, in one pass. Over all rows it accumulates in
+// NormsAgainst's order.
+func (t *GaussianTable) DiffSums(f *Field, lo, hi int) (sumSq, maxAbs float64) {
+	t.check(f)
+	for r := lo; r < hi; r++ {
+		y2, z2, row := t.row(f, r)
+		for i, x2 := range t.x2 {
+			d := row[i] - math.Exp(-(x2+y2+z2)/t.den)
+			sumSq += float64(d * d)
+			if ad := math.Abs(d); ad > maxAbs {
+				maxAbs = ad
+			}
+		}
+	}
+	return sumSq, maxAbs
+}
+
+// Norms returns the norms of f − wave over the whole box, equal to
+// NormsAgainst with Analytic bit for bit.
+func (t *GaussianTable) Norms(f *Field) Norms {
+	sumSq, maxAbs := t.DiffSums(f, 0, t.Rows())
+	return Norms{L2: math.Sqrt(sumSq / float64(f.N.Volume())), LInf: maxAbs}
 }
 
 // FillGaussian sets the interior of f to the initial condition.
 func FillGaussian(f *Field, g Gaussian) {
-	f.Fill(func(i, j, k int) float64 { return g.Eval(f.N, i, j, k) })
+	t := g.Table(f.N, Velocity{}, 0, Subdomain{Size: f.N})
+	t.Fill(f, 0, t.Rows())
 }
 
 // periodicDelta maps d into the minimal-image interval [-p/2, p/2).
@@ -110,7 +204,7 @@ func NormsAgainst(f *Field, fn func(i, j, k int) float64) Norms {
 		for j := 0; j < f.N.Y; j++ {
 			for i := 0; i < f.N.X; i++ {
 				d := f.At(i, j, k) - fn(i, j, k)
-				sum += d * d
+				sum += float64(d * d)
 				if ad := math.Abs(d); ad > maxAbs {
 					maxAbs = ad
 				}

@@ -33,11 +33,7 @@ func (bulkSync) Run(p core.Problem, o core.Options) (*core.Result, error) {
 				rc.op.ApplyRows(rc.cur, rc.nxt, whole, lo, hi)
 			})
 			sp.End()
-			sp = rc.span(s, obs.PhaseCopy, "")
-			rc.team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-				copyRows(rc.nxt, rc.cur, whole, lo, hi)
-			})
-			sp.End()
+			commitStep(rc.o.Rec, rc.c.Rank(), s, rc.cur, rc.nxt)
 		}
 	})
 }
@@ -84,6 +80,7 @@ func runMPI(kind core.Kind, p core.Problem, o core.Options, steps func(rankCtx))
 		mu       sync.Mutex
 		final    *grid.Field
 		elapsed  time.Duration
+		mass0    float64
 		msgs     float64
 		values   float64
 		distL2   float64
@@ -94,7 +91,7 @@ func runMPI(kind core.Kind, p core.Problem, o core.Options, steps func(rankCtx))
 		team := par.NewTeam(o.Threads)
 		defer team.Close()
 		cur := grid.NewField(sub.Size, 1)
-		fillLocal(cur, p, sub)
+		m0 := initField(c, team, cur, p, o, sub)
 		nxt := grid.NewField(sub.Size, 1)
 		rc := rankCtx{
 			p: p, o: o, c: c, d: d, sub: sub, team: team,
@@ -115,8 +112,7 @@ func runMPI(kind core.Kind, p core.Problem, o core.Options, steps func(rankCtx))
 
 		var dnorms grid.Norms
 		if o.Verify {
-			tFinal := p.T0 + p.Nu*float64(p.Steps)
-			dnorms = distributedNorms(c, team, p, sub, cur, tFinal)
+			dnorms = distributedNorms(c, team, p, sub, cur)
 		}
 		g := gather(c, d, cur)
 		st := c.Stats()
@@ -124,8 +120,7 @@ func runMPI(kind core.Kind, p core.Problem, o core.Options, steps func(rankCtx))
 		msgs += float64(st.SentMessages)
 		values += float64(st.SentValues)
 		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
+			final, elapsed, mass0 = g, dt, m0
 			distL2, distLInf = dnorms.L2, dnorms.LInf
 		}
 		mu.Unlock()
@@ -146,6 +141,6 @@ func runMPI(kind core.Kind, p core.Problem, o core.Options, steps func(rankCtx))
 		res.Stats["dist.l2"] = distL2
 		res.Stats["dist.linf"] = distLInf
 	}
-	finishResult(res, p, o, elapsed, globalMass(p))
+	finishResult(res, p, o, elapsed, mass0)
 	return res, nil
 }

@@ -1,0 +1,262 @@
+package impl
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/grid"
+)
+
+// goldenRun is what one run of the golden set must reproduce: the SHA-256
+// of the final field's interior and the simulated time to the bit, the
+// verification numbers to 1e-12 (their summation order is not part of the
+// contract: ranks and threads may split the sums).
+type goldenRun struct {
+	Name       string  `json:"name"`
+	Hash       string  `json:"hash"`
+	L2         float64 `json:"l2"`
+	LInf       float64 `json:"linf"`
+	MassDrift  float64 `json:"mass_drift"`
+	DistL2     float64 `json:"dist_l2,omitempty"`
+	DistLInf   float64 `json:"dist_linf,omitempty"`
+	SimSeconds float64 `json:"sim_seconds,omitempty"`
+
+	mass float64 // |Σu| of the final field: the scale of MassDrift's roundoff
+}
+
+// goldenFile is testdata/golden_runs.json. ExpCanary is the hash of the
+// initial wave as grid.Gaussian.Eval computes it on the recording host:
+// math.Exp on amd64 takes an FMA path where the CPU has one, so a host
+// without it produces other last bits and the runs that start from the
+// wave cannot be compared there.
+type goldenFile struct {
+	ExpCanary string      `json:"exp_canary"`
+	Runs      []goldenRun `json:"runs"`
+}
+
+type goldenCase struct {
+	name string
+	kind core.Kind
+	p    core.Problem
+	o    core.Options
+}
+
+// interiorHash is the SHA-256 of a field's extents and interior values in
+// storage order. Halos are left out: their contents after a run are not a
+// result.
+func interiorHash(f *grid.Field) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, n := range []int{f.N.X, f.N.Y, f.N.Z} {
+		binary.LittleEndian.PutUint64(buf[:], uint64(n))
+		h.Write(buf[:])
+	}
+	for k := 0; k < f.N.Z; k++ {
+		for j := 0; j < f.N.Y; j++ {
+			for i := 0; i < f.N.X; i++ {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f.At(i, j, k)))
+				h.Write(buf[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenProblem is small, non-cubic, with an off-centre wave that sits
+// between grid points and a velocity of mixed signs.
+func goldenProblem(steps int) core.Problem {
+	return core.Problem{
+		N:     grid.Dims{X: 20, Y: 14, Z: 12},
+		C:     grid.Velocity{X: 1, Y: -0.5, Z: 0.25},
+		Steps: steps,
+		Wave:  grid.Gaussian{Center: [3]float64{6.3, 9.1, 2.7}, Sigma: 2.2},
+	}
+}
+
+// restartField is a checkpoint-like initial state built without math.Exp.
+func restartField(n grid.Dims) *grid.Field {
+	f := grid.NewField(n, 1)
+	f.Fill(func(i, j, k int) float64 {
+		x := float64((i*7+j*3+k*5)%17) / 17
+		return x*x - 0.25*x + float64(i+j+k)/64
+	})
+	return f
+}
+
+func goldenCases() []goldenCase {
+	var out []goldenCase
+	for _, k := range append(core.Kinds(), core.WideHaloExt) {
+		o := core.Options{Tasks: 2, Threads: 2, BlockX: 8, BlockY: 4, HaloWidth: 3, Verify: true}
+		if !k.UsesMPI() {
+			o.Tasks = 1
+		}
+		// 0 and 1 step, an even and an odd count; with W = 3 the wide-halo
+		// runs end in a short burst of 1 and of 2 steps.
+		for _, steps := range []int{0, 1, 4, 5} {
+			out = append(out, goldenCase{fmt.Sprintf("%v/steps%d", k, steps), k, goldenProblem(steps), o})
+		}
+		p := goldenProblem(3)
+		p.Initial, p.T0 = restartField(p.N), 1.25
+		out = append(out, goldenCase{fmt.Sprintf("%v/restart", k), k, p, o})
+	}
+	// Decompositions cut in two and in three dimensions, for the gather.
+	for _, tasks := range []int{4, 8} {
+		o := core.Options{Tasks: tasks, Threads: 1, Verify: true}
+		out = append(out, goldenCase{fmt.Sprintf("bulk/tasks%d", tasks), core.BulkSync, goldenProblem(3), o})
+	}
+	return out
+}
+
+func expCanary() string {
+	p, _ := goldenProblem(0).Normalize()
+	f := grid.NewField(p.N, 1)
+	f.Fill(func(i, j, k int) float64 { return p.Wave.Eval(p.N, i, j, k) })
+	return interiorHash(f)
+}
+
+func runGolden(t *testing.T, c goldenCase) goldenRun {
+	t.Helper()
+	res := run(t, c.kind, c.p, c.o)
+	return goldenRun{
+		Name: c.name, Hash: interiorHash(res.Final),
+		L2: res.Norms.L2, LInf: res.Norms.LInf, MassDrift: res.MassDrift,
+		DistL2: res.Stats["dist.l2"], DistLInf: res.Stats["dist.linf"],
+		SimSeconds: res.Stats["sim.seconds"],
+		mass:       math.Abs(res.Final.InteriorSum()),
+	}
+}
+
+// TestGoldenRuns pins every kind's results to the values recorded before
+// the run scaffolds were rebuilt (table-driven fill and norms, swap instead
+// of the copy sweep, row-copy gather): final fields and simulated times to
+// the bit, norms and mass drift to 1e-12. Regenerate with UPDATE_GOLDEN=1
+// go test ./internal/impl only for an intended change of results.
+func TestGoldenRuns(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden values were recorded on amd64; other targets fuse multiply-adds")
+	}
+	path := filepath.Join("testdata", "golden_runs.json")
+	cases := goldenCases()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		gf := goldenFile{ExpCanary: expCanary()}
+		for _, c := range cases {
+			gf.Runs = append(gf.Runs, runGolden(t, c))
+		}
+		b, err := json.MarshalIndent(gf, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	var gf goldenFile
+	if err := json.Unmarshal(b, &gf); err != nil {
+		t.Fatal(err)
+	}
+	if len(gf.Runs) != len(cases) {
+		t.Fatalf("golden file has %d runs, the case list %d", len(gf.Runs), len(cases))
+	}
+	sameExp := gf.ExpCanary == expCanary()
+	if !sameExp {
+		t.Log("math.Exp differs from the recording host's: only the restart runs are compared")
+	}
+	near := func(got, want, scale float64) bool { return math.Abs(got-want) <= 1e-12*scale }
+	for i, c := range cases {
+		want := gf.Runs[i]
+		if want.Name != c.name {
+			t.Fatalf("golden run %d is %q, case list has %q", i, want.Name, c.name)
+		}
+		if c.p.Initial == nil && !sameExp {
+			continue
+		}
+		got := runGolden(t, c)
+		if got.Hash != want.Hash {
+			t.Errorf("%s: final field hash %.16s, golden %.16s", c.name, got.Hash, want.Hash)
+		}
+		if got.SimSeconds != want.SimSeconds {
+			t.Errorf("%s: sim.seconds %v, golden %v", c.name, got.SimSeconds, want.SimSeconds)
+		}
+		if !near(got.L2, want.L2, want.L2) || !near(got.LInf, want.LInf, want.LInf) ||
+			!near(got.DistL2, want.DistL2, want.DistL2) || !near(got.DistLInf, want.DistLInf, want.DistLInf) ||
+			!near(got.MassDrift, want.MassDrift, got.mass) {
+			t.Errorf("%s: verification numbers moved:\n got  %+v\n want %+v", c.name, got, want)
+		}
+	}
+}
+
+// TestVerifyDoesNotChangeTheField: an unverified run skips the mass and
+// norm passes and must still return the verified run's field.
+func TestVerifyDoesNotChangeTheField(t *testing.T) {
+	for _, c := range goldenCases() {
+		if c.p.Steps != 4 {
+			continue
+		}
+		want := interiorHash(run(t, c.kind, c.p, c.o).Final)
+		c.o.Verify = false
+		res := run(t, c.kind, c.p, c.o)
+		if got := interiorHash(res.Final); got != want {
+			t.Errorf("%s: unverified field %.16s, verified %.16s", c.name, got, want)
+		}
+		if res.Norms != (grid.Norms{}) || res.MassDrift != 0 {
+			t.Errorf("%s: unverified run reports norms %+v drift %g", c.name, res.Norms, res.MassDrift)
+		}
+	}
+}
+
+// TestRunAllocatesItsFieldsAndTheGather bounds the bytes one unverified Run
+// allocates at 48³ by what the answer needs: the two state fields per rank,
+// and for the MPI scaffold the global field with the gather's two copies of
+// every non-root rank's interior, plus 15 % for exchange buffers, messages
+// and bookkeeping. A global-sized temporary (the cloned final field, a
+// throw-away field for the initial mass) does not fit under it.
+func TestRunAllocatesItsFieldsAndTheGather(t *testing.T) {
+	p := core.DefaultProblem(48, 1)
+	fieldBytes := func(n grid.Dims) float64 { return float64(8 * (n.X + 2) * (n.Y + 2) * (n.Z + 2)) }
+	d := grid.NewDecomp(p.N, 2)
+	bulk := fieldBytes(p.N)
+	for r := 0; r < d.Tasks(); r++ {
+		bulk += 2 * fieldBytes(d.Sub(r).Size)
+		if r != 0 {
+			bulk += 2 * 8 * float64(d.Sub(r).Size.Volume())
+		}
+	}
+	for _, c := range []struct {
+		kind  core.Kind
+		o     core.Options
+		bound float64
+	}{
+		{core.SingleTask, core.Options{Threads: 2}, 2 * fieldBytes(p.N)},
+		{core.BulkSync, core.Options{Tasks: 2}, bulk},
+	} {
+		run(t, c.kind, p, c.o)
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run(t, c.kind, p, c.o)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if got > 1.15*c.bound {
+			t.Errorf("%v: %.2f MB per run, fields and gather are %.2f MB", c.kind, got/1e6, c.bound/1e6)
+		}
+	}
+}

@@ -53,6 +53,7 @@ func runMPIGPU(kind core.Kind, p core.Problem, o core.Options, steps func(gpuRan
 		mu      sync.Mutex
 		final   *grid.Field
 		elapsed time.Duration
+		mass0   float64
 		simSec  float64
 		msgs    float64
 		values  float64
@@ -67,7 +68,7 @@ func runMPIGPU(kind core.Kind, p core.Problem, o core.Options, steps func(gpuRan
 		}
 
 		local := grid.NewField(sub.Size, 1)
-		fillLocal(local, p, sub)
+		m0 := initField(c, nil, local, p, o, sub)
 		shadow := local.Clone()
 
 		var host gpusim.HostClock
@@ -101,8 +102,7 @@ func runMPIGPU(kind core.Kind, p core.Problem, o core.Options, steps func(gpuRan
 			simSec = simDt // slowest rank bounds the simulated step time
 		}
 		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
+			final, elapsed, mass0 = g, dt, m0
 		}
 		mu.Unlock()
 	})
@@ -131,6 +131,6 @@ func runMPIGPU(kind core.Kind, p core.Problem, o core.Options, steps func(gpuRan
 	if simSec > 0 {
 		res.Stats["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
 	}
-	finishResult(res, p, o, elapsed, globalMass(p))
+	finishResult(res, p, o, elapsed, mass0)
 	return res, nil
 }

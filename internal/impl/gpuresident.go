@@ -8,6 +8,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/stencil"
 )
 
 // newDeviceFor builds the simulated device selected by the options.
@@ -70,8 +71,7 @@ func (gpuResident) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	traces := poolTraces([]*gpusim.Device{dev}, o)
 
 	initial := grid.NewField(p.N, 1)
-	initial.Fill(func(i, j, k int) float64 { return p.InitialValue(i, j, k) })
-	mass0 := initial.InteriorSum()
+	mass0 := initField(nil, nil, initial, p, o, stencil.Whole(p.N))
 
 	var host gpusim.HostClock
 	st, h := newDevState(dev, 0, p, p.N, 0, initial)

@@ -70,6 +70,7 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 		mu      sync.Mutex
 		final   *grid.Field
 		elapsed time.Duration
+		mass0   float64
 		simSec  float64
 		msgs    float64
 		values  float64
@@ -92,7 +93,7 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 		team.SetRecorder(o.Rec, c.Rank())
 
 		cpuCur := grid.NewField(local, 1)
-		fillLocal(cpuCur, p, sub)
+		m0 := initField(c, team, cpuCur, p, o, sub)
 		cpuNxt := grid.NewField(local, 1)
 		op := opFor(p, cpuCur)
 		ex := newExchanger(c, d, cpuCur)
@@ -104,9 +105,7 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 
 		// Device state over the inner block.
 		blockInit := grid.NewField(inner.Size, 1)
-		blockInit.Fill(func(i, j, k int) float64 {
-			return cpuCur.At(inner.Lo.X+i, inner.Lo.Y+j, inner.Lo.Z+k)
-		})
+		blockInit.CopyBox(grid.Dims{}, cpuCur, inner)
 		var host gpusim.HostClock
 		st, h0 := newDevState(dev, 0, p, inner.Size, 1, blockInit)
 		host.Set(h0)
@@ -235,7 +234,9 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 			}
 
 			// Commit the step: flip the GPU buffers; copy the CPU-owned
-			// regions of the next state into the current state.
+			// regions of the next state into the current state. The CPU side
+			// copies where the other step loops swap: it owns a few walls of
+			// the fields, and the block's outer layer lands in them by copy.
 			st.flip()
 			sp := span(step, obs.PhaseCopy, "")
 			for _, wsub := range walls {
@@ -255,13 +256,7 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 		// Assemble the rank's full local field: CPU shell + GPU block.
 		blockFinal := grid.NewField(inner.Size, 1)
 		host.Set(st.download(host.Now(), blockFinal))
-		for k := 0; k < inner.Size.Z; k++ {
-			for j := 0; j < inner.Size.Y; j++ {
-				for i := 0; i < inner.Size.X; i++ {
-					cpuCur.Set(inner.Lo.X+i, inner.Lo.Y+j, inner.Lo.Z+k, blockFinal.At(i, j, k))
-				}
-			}
-		}
+		cpuCur.CopyBox(inner.Lo, blockFinal, stencil.Whole(inner.Size))
 		g := gather(c, d, cpuCur)
 		stats := c.Stats()
 		mu.Lock()
@@ -271,8 +266,7 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 			simSec = simDt
 		}
 		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
+			final, elapsed, mass0 = g, dt, m0
 		}
 		mu.Unlock()
 	})
@@ -303,6 +297,6 @@ func (h hybridRunner) Run(p core.Problem, o core.Options) (*core.Result, error) 
 	if simSec > 0 {
 		res.Stats["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
 	}
-	finishResult(res, p, o, elapsed, globalMass(p))
+	finishResult(res, p, o, elapsed, mass0)
 	return res, nil
 }

@@ -35,45 +35,54 @@ func init() {
 	core.Register(core.HybridOverlap, func() core.Runner { return hybridRunner{overlap: true} })
 }
 
-// fillLocal initializes a rank's local field from the global initial
-// condition (the Gaussian wave, or a checkpointed state): local point
-// (i,j,k) is global point sub.Lo + (i,j,k).
-func fillLocal(f *grid.Field, p core.Problem, sub grid.Subdomain) {
-	f.Fill(func(i, j, k int) float64 {
-		return p.InitialValue(sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k)
-	})
+// initField is the start of every Run: it fills f, a rank's local field
+// over the box sub of the global grid, with the initial state — the rows of
+// a checkpointed field, or the Gaussian wave through its per-axis tables —
+// threaded over the team (the GPU set-ups have none and pass nil). Only a
+// verified run reads the initial mass, so only then is it computed, as the
+// Allreduce of the ranks' own sums (c is nil for a single task); no run
+// builds a global-sized temporary.
+func initField(c *mpi.Comm, team *par.Team, f *grid.Field, p core.Problem, o core.Options, sub grid.Subdomain) (mass0 float64) {
+	if p.Initial != nil {
+		f.CopyBox(grid.Dims{}, p.Initial, sub)
+	} else {
+		tab := p.Wave.Table(p.N, p.C, 0, sub)
+		if team == nil {
+			tab.Fill(f, 0, tab.Rows())
+		} else {
+			team.ParallelFor(tab.Rows(), par.Static, 0, func(lo, hi int) { tab.Fill(f, lo, hi) })
+		}
+	}
+	if !o.Verify {
+		return 0
+	}
+	mass := []float64{f.InteriorSum()}
+	if c != nil {
+		c.Allreduce(mpi.OpSum, mass)
+	}
+	return mass[0]
 }
 
 // gather assembles the global field on rank 0 from each rank's local
-// interior; other ranks return nil.
+// interior, row by row; other ranks return nil. Rank 0 copies its own rows
+// straight from local.
 func gather(c *mpi.Comm, d grid.Decomp, local *grid.Field) *grid.Field {
-	flat := make([]float64, local.N.Volume())
-	n := 0
-	for k := 0; k < local.N.Z; k++ {
-		for j := 0; j < local.N.Y; j++ {
-			for i := 0; i < local.N.X; i++ {
-				flat[n] = local.At(i, j, k)
-				n++
-			}
-		}
+	var flat []float64
+	if c.Rank() != 0 {
+		flat = make([]float64, local.N.Volume())
+		grid.NewFieldOn(local.N, 0, flat).CopyInteriorFrom(local)
 	}
 	parts := c.Gather(0, flat)
 	if c.Rank() != 0 {
 		return nil
 	}
 	global := grid.NewField(d.N, 1)
-	for r := 0; r < d.Tasks(); r++ {
-		sub := d.Sub(r)
-		src := parts[r]
-		n := 0
-		for k := 0; k < sub.Size.Z; k++ {
-			for j := 0; j < sub.Size.Y; j++ {
-				for i := 0; i < sub.Size.X; i++ {
-					global.Set(sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k, src[n])
-					n++
-				}
-			}
+	for r, part := range parts {
+		sub, src := d.Sub(r), local
+		if r != 0 {
+			src = grid.NewFieldOn(sub.Size, 0, part)
 		}
+		global.CopyBox(sub.Lo, src, stencil.Whole(sub.Size))
 	}
 	return global
 }
@@ -85,22 +94,14 @@ func finishResult(res *core.Result, p core.Problem, o core.Options, elapsed time
 		res.GF = p.Flops() * float64(p.Steps) / s / 1e9
 	}
 	if o.Verify && res.Final != nil {
-		tFinal := p.T0 + p.Nu*float64(p.Steps)
-		res.Norms = grid.NormsAgainst(res.Final, func(i, j, k int) float64 {
-			return p.Wave.Analytic(p.N, p.C, tFinal, i, j, k)
-		})
+		res.Norms = analyticTable(p, stencil.Whole(p.N)).Norms(res.Final)
 		res.MassDrift = math.Abs(res.Final.InteriorSum() - initialMass)
 	}
 }
 
-// globalMass returns the initial mass of the problem, for drift checks.
-func globalMass(p core.Problem) float64 {
-	if p.Initial != nil {
-		return p.Initial.InteriorSum()
-	}
-	f := grid.NewField(p.N, 1)
-	grid.FillGaussian(f, p.Wave)
-	return f.InteriorSum()
+// analyticTable is the exact solution at the end of the run over box.
+func analyticTable(p core.Problem, box grid.Subdomain) *grid.GaussianTable {
+	return p.Wave.Table(p.N, p.C, p.T0+p.Nu*float64(p.Steps), box)
 }
 
 // checkMPIOptions validates distributed-run options against the problem.
@@ -128,46 +129,27 @@ func opFor(p core.Problem, f *grid.Field) *stencil.Op {
 
 // distributedNorms computes the error norms against the analytic solution
 // the way a real MPI code does (paper §IV-A records norms): each rank
-// reduces its own subdomain with the thread team, then the squared sums
-// and maxima are combined across ranks with Allreduce. Every rank returns
-// the same global norms.
-func distributedNorms(c *mpi.Comm, team *par.Team, p core.Problem, sub grid.Subdomain, local *grid.Field, tFinal float64) grid.Norms {
-	rows := sub.Size.Y * sub.Size.Z
-	sumsq := team.ReduceSum(rows, func(lo, hi int) float64 {
-		var s float64
-		for r := lo; r < hi; r++ {
-			k := r / sub.Size.Y
-			j := r % sub.Size.Y
-			for i := 0; i < sub.Size.X; i++ {
-				d := local.At(i, j, k) - p.Wave.Analytic(p.N, p.C, tFinal,
-					sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k)
-				s += d * d
-			}
-		}
-		return s
+// reduces its own subdomain with the thread team, in one pass, then the
+// squared sums and maxima are combined across ranks with Allreduce. Every
+// rank returns the same global norms.
+func distributedNorms(c *mpi.Comm, team *par.Team, p core.Problem, sub grid.Subdomain, local *grid.Field) grid.Norms {
+	tab := analyticTable(p, sub)
+	sums := make([]float64, team.Size())
+	maxs := make([]float64, team.Size())
+	team.Run(func(tid int) {
+		lo, hi := par.StaticChunk(tab.Rows(), team.Size(), tid)
+		sums[tid], maxs[tid] = tab.DiffSums(local, lo, hi)
 	})
-	maxAbs := team.ReduceMax(rows, func(lo, hi int) float64 {
-		var m float64
-		for r := lo; r < hi; r++ {
-			k := r / sub.Size.Y
-			j := r % sub.Size.Y
-			for i := 0; i < sub.Size.X; i++ {
-				d := math.Abs(local.At(i, j, k) - p.Wave.Analytic(p.N, p.C, tFinal,
-					sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k))
-				if d > m {
-					m = d
-				}
-			}
-		}
-		return m
-	})
-	vals := []float64{sumsq}
-	c.Allreduce(mpi.OpSum, vals)
-	maxv := []float64{maxAbs}
-	c.Allreduce(mpi.OpMax, maxv)
+	sumSq, maxAbs := []float64{0}, []float64{0}
+	for tid := range sums {
+		sumSq[0] += sums[tid]
+		maxAbs[0] = math.Max(maxAbs[0], maxs[tid])
+	}
+	c.Allreduce(mpi.OpSum, sumSq)
+	c.Allreduce(mpi.OpMax, maxAbs)
 	return grid.Norms{
-		L2:   math.Sqrt(vals[0] / float64(p.N.Volume())),
-		LInf: maxv[0],
+		L2:   math.Sqrt(sumSq[0] / float64(p.N.Volume())),
+		LInf: maxAbs[0],
 	}
 }
 

@@ -48,12 +48,7 @@ func (nonblockingOverlap) Run(p core.Problem, o core.Options) (*core.Result, err
 				})
 			}
 			sp.End()
-			whole := stencil.Whole(rc.cur.N)
-			sp = rc.span(s, obs.PhaseCopy, "")
-			rc.team.ParallelFor(stencil.Rows(whole), par.Static, 0, func(lo, hi int) {
-				copyRows(rc.nxt, rc.cur, whole, lo, hi)
-			})
-			sp.End()
+			commitStep(rc.o.Rec, rc.c.Rank(), s, rc.cur, rc.nxt)
 		}
 	})
 }

@@ -54,6 +54,7 @@ func (wideHalo) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		mu      sync.Mutex
 		final   *grid.Field
 		elapsed time.Duration
+		mass0   float64
 		msgs    float64
 		values  float64
 	)
@@ -62,7 +63,7 @@ func (wideHalo) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		team := par.NewTeam(o.Threads)
 		defer team.Close()
 		cur := grid.NewField(sub.Size, W)
-		fillLocal(cur, p, sub)
+		m0 := initField(c, team, cur, p, o, sub)
 		nxt := grid.NewField(sub.Size, W)
 		op := opFor(p, cur)
 		ex := newExchanger(c, d, cur)
@@ -102,11 +103,10 @@ func (wideHalo) Run(p core.Problem, o core.Options) (*core.Result, error) {
 					op.ApplyRows(cur, nxt, region, lo, hi)
 				})
 				sp.End()
-				sp = o.Rec.Begin(rank, done, obs.PhaseCopy, "")
-				team.ParallelFor(rows, par.Static, 0, func(lo, hi int) {
-					copyRows(nxt, cur, region, lo, hi)
-				})
-				sp.End()
+				// Beyond region the swapped-in storage is stale; the next
+				// inner step reads only region, the next burst's exchange
+				// rewrites the whole halo.
+				commitStep(o.Rec, rank, done, cur, nxt)
 				done++
 			}
 		}
@@ -119,8 +119,7 @@ func (wideHalo) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		msgs += float64(st.SentMessages)
 		values += float64(st.SentValues)
 		if c.Rank() == 0 {
-			final = g
-			elapsed = dt
+			final, elapsed, mass0 = g, dt, m0
 		}
 		mu.Unlock()
 	})
@@ -135,6 +134,6 @@ func (wideHalo) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		"mpi.messages": msgs,
 		"mpi.values":   values,
 	}}
-	finishResult(res, p, o, elapsed, globalMass(p))
+	finishResult(res, p, o, elapsed, mass0)
 	return res, nil
 }

@@ -101,11 +101,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.SubmitTraced(req, tc)
 	switch {
 	case err == nil:
+		// 200 means served from the result cache, nothing else: a job a
+		// worker finished before this line is still the 202 it was admitted as.
+		v := j.View()
 		status := http.StatusAccepted
-		if j.State() == StateDone { // served from the result cache
+		if v.CacheHit {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, j.View())
+		writeJSON(w, status, v)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter().Seconds()+0.5)))
 		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})

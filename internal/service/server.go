@@ -395,9 +395,11 @@ func (s *Server) runJob(j *Job) {
 		s.finishBackground(j, doc, err, elapsed, now)
 		return
 	}
+	// The terminal state is published last: a client that has seen it may
+	// read /v1/stats, /metrics or resubmit at once, and must find its own
+	// job counted and its result cached.
 	switch {
 	case err == nil:
-		j.finish(StateDone, doc, "", now)
 		s.cache.Put(j.cacheKey, doc)
 		s.metrics.CountJob(j.req.Type, outcomeDone)
 		s.metrics.ObserveLatency(j.req.Type, elapsed)
@@ -418,14 +420,15 @@ func (s *Server) runJob(j *Job) {
 				fmt.Sprintf("%d spans over %d ranks", rep.Spans, len(rep.Ranks)))
 		}
 		s.observeJob(now, j, elapsed, rep)
+		j.finish(StateDone, doc, "", now)
 		s.log.Info("job finished", jobArgs(j, "state", StateDone, "duration", elapsed)...)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateCancelled, nil, err.Error(), now)
 		s.metrics.CountJob(j.req.Type, outcomeCancelled)
+		j.finish(StateCancelled, nil, err.Error(), now)
 		s.log.Info("job finished", jobArgs(j, "state", StateCancelled, "duration", elapsed)...)
 	default:
-		j.finish(StateFailed, nil, err.Error(), now)
 		s.metrics.CountJob(j.req.Type, outcomeFailed)
+		j.finish(StateFailed, nil, err.Error(), now)
 		s.log.Error("job finished", jobArgs(j, "state", StateFailed, "duration", elapsed, "error", err)...)
 	}
 	s.publishJob(j)
@@ -438,21 +441,21 @@ func (s *Server) runJob(j *Job) {
 // telemetry windows or the anomaly engine.
 func (s *Server) finishBackground(j *Job, doc json.RawMessage, err error, elapsed time.Duration, now time.Time) {
 	s.releaseWarm(j.cacheKey)
-	switch {
+	switch { // as in runJob, the state is published last
 	case err == nil:
-		j.finish(StateDone, doc, "", now)
 		s.cache.Put(j.cacheKey, doc)
 		s.warmer.MarkWarmed(j.cacheKey)
 		s.metrics.CountJob(j.req.Type, outcomeDone)
+		j.finish(StateDone, doc, "", now)
 		s.log.Info("job finished", jobArgs(j, "state", StateDone, "duration", elapsed, "background", true)...)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateCancelled, nil, err.Error(), now)
 		s.metrics.CountJob(j.req.Type, outcomeCancelled)
 		s.warmer.NoteShed()
+		j.finish(StateCancelled, nil, err.Error(), now)
 		s.log.Info("job finished", jobArgs(j, "state", StateCancelled, "duration", elapsed, "background", true)...)
 	default:
-		j.finish(StateFailed, nil, err.Error(), now)
 		s.metrics.CountJob(j.req.Type, outcomeFailed)
+		j.finish(StateFailed, nil, err.Error(), now)
 		s.log.Warn("job finished", jobArgs(j, "state", StateFailed, "duration", elapsed, "background", true, "error", err)...)
 	}
 	s.publishJob(j)

@@ -92,7 +92,10 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create: %v", resp.Status)
 	}
-	if v.State != session.StateRunning || v.TotalSteps != 40 || v.Segment != 10 {
+	// The session runs from the moment it exists, so the create response
+	// guarantees its shape, not how far it has got: eight-point segments can
+	// all be done before the view is taken.
+	if (v.State != session.StateRunning && v.State != session.StateDone) || v.TotalSteps != 40 || v.Segment != 10 {
 		t.Fatalf("fresh session %+v", v)
 	}
 	done := waitSessionState(t, ts, v.ID, session.StateDone)
@@ -132,7 +135,7 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	if fr.StatusCode != http.StatusAccepted {
 		t.Fatalf("fork: %v", fr.Status)
 	}
-	if child.ParentFP != done.Fingerprint || child.ParentStep != 20 || child.DoneSteps != 20 {
+	if child.ParentFP != done.Fingerprint || child.ParentStep != 20 || child.DoneSteps < 20 || child.DoneSteps%10 != 0 {
 		t.Fatalf("fork child %+v", child)
 	}
 	childDone := waitSessionState(t, ts, child.ID, session.StateDone)
@@ -189,7 +192,7 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	if resp2.StatusCode != http.StatusAccepted {
 		t.Fatalf("seeded create: %v", resp2.Status)
 	}
-	if v2.DoneSteps != 40 || v2.Resumes != 1 {
+	if v2.DoneSteps < 40 || v2.DoneSteps%10 != 0 || v2.Resumes != 1 {
 		t.Fatalf("seeded session %+v", v2)
 	}
 	if got := waitSessionState(t, ts2, v2.ID, session.StateDone); got.DoneSteps != 80 {

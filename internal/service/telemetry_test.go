@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -151,6 +152,45 @@ func TestStatsAgreesWithOverlapReport(t *testing.T) {
 	}
 	if stats.Workers.Total < 1 || stats.Queue.Capacity != 4 {
 		t.Fatalf("gauges %+v / %+v implausible", stats.Workers, stats.Queue)
+	}
+}
+
+// TestDoneJobIsAlreadyCounted: the worker records a job in every window and
+// counter before it publishes the terminal state, so a client that sees
+// "done" and reads /v1/stats or /metrics at once finds its own job there.
+// The state is polled in-process without sleeping and the documents taken
+// as the handlers take them, which leaves the worker no time to catch up;
+// under -race it also checks the snapshots against the worker's writes.
+func TestDoneJobIsAlreadyCounted(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+	deadline := time.Now().Add(60 * time.Second)
+	for i := uint64(1); i <= 25; i++ {
+		j, err := s.Submit(Request{Type: TypeSimulate, Simulate: &SimulateRequest{
+			Kind: "nonblocking", N: 8, Steps: int(i), Tasks: 2, Trace: true, // distinct steps: never cached
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !j.State().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", j.ID(), j.State())
+			}
+			runtime.Gosched()
+		}
+		if v := j.View(); v.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", v.ID, v.State, v.Error)
+		}
+		stats, metrics := s.StatsSnapshot(), s.MetricsSnapshot()
+		if stats.Overlap.Jobs != i || stats.Exec[TypeSimulate].Count != i || stats.Points.Count != i {
+			t.Fatalf("job %d seen done, windows have %d traced, %d executed, %d point samples",
+				i, stats.Overlap.Jobs, stats.Exec[TypeSimulate].Count, stats.Points.Count)
+		}
+		if got := metrics.Jobs[TypeSimulate][outcomeDone]; got != i {
+			t.Fatalf("job %d seen done, /metrics counts %d", i, got)
+		}
+		if _, hit := s.cache.Get(j.cacheKey); !hit {
+			t.Fatalf("job %d seen done, its result is not cached", i)
+		}
 	}
 }
 
