@@ -45,47 +45,37 @@ go test -race -timeout 5m ./...
 # CI and not the pipeline that builds it from source.
 (cd bench && go test ./...)
 
+# ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
+# request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
+# ns/op bound recorded as KEY in FILE.
+ns_gate() {
+    go test -run "$2" -count=1 "$1"
+    max_ns=$(sed -n "s/.*\"$5\": *\([0-9.]*\).*/\1/p" "$4")
+    bench_out=$(go test -run '^$' -bench "$3" -benchtime 1000000x "$1")
+    echo "$bench_out"
+    ns=$(echo "$bench_out" | awk -v b="$3" 'index($1, b) == 1 {print $3}')
+    awk -v ns="$ns" -v max="$max_ns" -v what="$6" 'BEGIN {
+        if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
+        if (ns + 0 > max + 0) { printf "%s %s ns/op exceeds bound %s\n", what, ns, max; exit 1 }
+    }'
+}
+
 # Disabled-tracing overhead guard: a nil *obs.Recorder must stay
-# allocation-free (test-asserted) and under the ns/op bound recorded in
-# BENCH_obs.json, so instrumented code paths stay free when untraced.
-go test -run TestDisabledRecorderAllocatesNothing -count=1 ./internal/obs
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_obs.json)
-bench_out=$(go test -run '^$' -bench BenchmarkRecorderDisabled -benchtime 1000000x ./internal/obs)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkRecorderDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-tracing path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+# allocation-free, so instrumented code paths stay free when untraced.
+ns_gate ./internal/obs TestDisabledRecorderAllocatesNothing BenchmarkRecorderDisabled \
+    BENCH_obs.json disabled_max_ns_per_op "disabled-tracing path"
 
 # Disabled-telemetry overhead guard: the same contract for the rolling
-# windows behind /v1/stats — a nil *telemetry.Window must stay
-# allocation-free (enabled Observe too, test-asserted) and under the
-# ns/op bound recorded in BENCH_telemetry.json.
-go test -run TestWindowObserveAllocatesNothing -count=1 ./internal/telemetry
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_telemetry.json)
-bench_out=$(go test -run '^$' -bench BenchmarkWindowDisabled -benchtime 1000000x ./internal/telemetry)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkWindowDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-telemetry path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+# windows behind /v1/stats — a nil *telemetry.Window (enabled Observe too,
+# test-asserted).
+ns_gate ./internal/telemetry TestWindowObserveAllocatesNothing BenchmarkWindowDisabled \
+    BENCH_telemetry.json disabled_max_ns_per_op "disabled-telemetry path"
 
 # Disabled-flight-recorder overhead guard: with -flight negative a nil
 # *flight.Recorder and *flight.Engine ride every job and log line; the
-# whole disabled surface (Add/Job/ObserveJob/ObserveShed/Sweep) must stay
-# allocation-free (test-asserted) and under the ns/op bound recorded in
-# BENCH_flight.json.
-go test -run TestFlightDisabledAllocatesNothing -count=1 ./internal/flight
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_flight.json)
-bench_out=$(go test -run '^$' -bench BenchmarkFlightDisabled -benchtime 1000000x ./internal/flight)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkFlightDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-flight path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+# whole disabled surface (Add/Job/ObserveJob/ObserveShed/Sweep).
+ns_gate ./internal/flight TestFlightDisabledAllocatesNothing BenchmarkFlightDisabled \
+    BENCH_flight.json disabled_max_ns_per_op "disabled-flight path"
 
 # Cluster crash-safety gate: a 3-node cluster must survive losing a node
 # mid-run (every accepted job completes exactly once, fingerprint-deduped)
@@ -95,18 +85,10 @@ awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
 go test -race -run 'TestClusterKillNodeMidRun|TestClusterDrainGraceful' -count=1 ./internal/cluster
 
 # Disabled-cluster-tracing overhead guard: an untraced submission carries
-# a nil *submissionTrace through the whole gateway routing path; it must
-# stay allocation-free (test-asserted) and under the ns/op bound recorded
-# in BENCH_gateway.json, so cluster tracing costs nothing when off.
-go test -run TestGatewayTraceDisabledAllocatesNothing -count=1 ./internal/cluster
-max_ns=$(sed -n 's/.*"disabled_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_gateway.json)
-bench_out=$(go test -run '^$' -bench BenchmarkGatewayTraceDisabled -benchtime 1000000x ./internal/cluster)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkGatewayTraceDisabled/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "disabled-cluster-tracing path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+# a nil *submissionTrace through the whole gateway routing path, so cluster
+# tracing costs nothing when off.
+ns_gate ./internal/cluster TestGatewayTraceDisabledAllocatesNothing BenchmarkGatewayTraceDisabled \
+    BENCH_gateway.json disabled_max_ns_per_op "disabled-cluster-tracing path"
 
 # Cluster trace golden gate: one traced job through a 2-node cluster with
 # a mid-run failover must yield a single Chrome trace whose per-process
@@ -118,26 +100,11 @@ go test -run TestClusterTraceFailoverGolden -count=1 ./internal/cluster
 
 # Session hot-path guards: the status snapshot behind GET
 # /v1/sessions/{id} and the sweep warmer's per-submission idle detector
-# both ride interactive paths; each must stay allocation-bounded
-# (test-asserted) and under the ns/op bound recorded in
-# BENCH_session.json.
-go test -run 'TestSessionStatusAllocationBounded|TestWarmerIdleAllocationFree' -count=1 ./internal/session
-max_ns=$(sed -n 's/.*"status_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_session.json)
-bench_out=$(go test -run '^$' -bench BenchmarkSessionStatus -benchtime 1000000x ./internal/session)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkSessionStatus/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "session status path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
-max_ns=$(sed -n 's/.*"warmer_idle_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_session.json)
-bench_out=$(go test -run '^$' -bench BenchmarkWarmerIdle -benchtime 1000000x ./internal/session)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkWarmerIdle/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "warmer idle path %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+# both ride interactive paths.
+ns_gate ./internal/session TestSessionStatusAllocationBounded BenchmarkSessionStatus \
+    BENCH_session.json status_max_ns_per_op "session status path"
+ns_gate ./internal/session TestWarmerIdleAllocationFree BenchmarkWarmerIdle \
+    BENCH_session.json warmer_idle_max_ns_per_op "warmer idle path"
 
 # Session durability gate: a mid-run daemon crash must resume from the
 # last durable checkpoint and finish bitwise-identical to an
@@ -149,14 +116,6 @@ go test -run 'TestSessionDurabilityAcrossRestart' -count=1 ./internal/service
 go test -race -run 'TestClusterSessionFailover' -count=1 ./internal/cluster
 
 # Ring hot-path guard: consistent-hash Lookup runs on every gateway
-# submission and must stay allocation-free (test-asserted) and under the
-# ns/op bound recorded in BENCH_cluster.json.
-go test -run TestRingLookupAllocationFree -count=1 ./internal/cluster
-max_ns=$(sed -n 's/.*"lookup_max_ns_per_op": *\([0-9.]*\).*/\1/p' BENCH_cluster.json)
-bench_out=$(go test -run '^$' -bench BenchmarkRingLookup -benchtime 1000000x ./internal/cluster)
-echo "$bench_out"
-ns=$(echo "$bench_out" | awk '/^BenchmarkRingLookup/ {print $3}')
-awk -v ns="$ns" -v max="$max_ns" 'BEGIN {
-    if (ns == "" || max == "") { print "could not read benchmark or baseline"; exit 1 }
-    if (ns + 0 > max + 0) { printf "ring lookup %s ns/op exceeds bound %s\n", ns, max; exit 1 }
-}'
+# submission.
+ns_gate ./internal/cluster TestRingLookupAllocationFree BenchmarkRingLookup \
+    BENCH_cluster.json lookup_max_ns_per_op "ring lookup"

@@ -250,6 +250,12 @@ func runFig2(w io.Writer) error {
 	full, _ := loc.PaperLoC(core.HybridOverlap)
 	fmt.Fprintf(w, "\npaper ratio full-overlap / single-task: %.2fx (text: exactly 4x, 860 vs 215)\n",
 		float64(full)/float64(single))
+	if a, i := rows[core.SingleTask].Ours, rows[core.HybridOverlap].Ours; a > 0 {
+		fmt.Fprintf(w, "this repo's ratio: %.2fx — every Go bar carries the run scaffold all schedules share, most of the\n"+
+			"single-task count, so the ratios are compressed; no two bars are equal and they order as the paper's do,\n"+
+			"but for the single-GPU code, which pays for device plumbing that CUDA Fortran provides\n",
+			float64(i)/float64(a))
+	}
 	return nil
 }
 

@@ -1,108 +1,27 @@
 package impl
 
-import (
-	"repro/internal/core"
-	"repro/internal/gpusim"
-	"repro/internal/obs"
-	"repro/internal/stencil"
-)
+import "repro/internal/gpusim"
 
-// gpuBulkSync is §IV-F: multi-GPU with CPUs performing MPI communication,
-// bulk synchronously. Each task keeps its whole subdomain on the GPU.
-// Per step the CPU exchanges boundary data with its neighbors through a
-// host-side shadow of the boundary shell, uploads the assembled halo shell
-// in one large contiguous buffer ("we need the buffers to allow
-// communication between CPU and GPU to be in large contiguous chunks"),
+// stepGPUBulk is §IV-F: multi-GPU with CPUs performing MPI communication,
+// bulk synchronously. Each task keeps its whole subdomain on the GPU. Per
+// step the CPU exchanges boundary data with its neighbors through the
+// host-side shadow of the boundary shell, uploads the assembled halo shell,
 // runs the face and interior kernels, and downloads the freshly computed
 // boundary for the next step's exchange. Nothing overlaps: every phase
-// completes before the next begins.
-type gpuBulkSync struct{}
+// completes before the next begins, on a single stream.
+func stepGPUBulk(r *rank, _ int) {
+	g, s := r.geom.(*devShell), r.streams[0]
+	r.ex.exchangeAll()
 
-func (gpuBulkSync) Kind() core.Kind { return core.GPUBulkSync }
+	g.packHalo(r, "shell")
+	r.memcpy(gpusim.HostToDevice, g.haloBuf, g.hostHalo)
+	r.haloUnpackKernel(s, "halo unpack", g.halo, g.haloBuf)
+	r.wallKernel(s, "faces", g.outer, g.outerBuf)
+	r.interiorKernel(s, g.interior)
+	r.sync(s)
+	r.memcpy(gpusim.DeviceToHost, g.outerBuf, g.hostOuter)
 
-func (gpuBulkSync) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	return runGPUMPI(core.GPUBulkSync, p, o, false)
-}
-
-// gpuStreams is §IV-G: the same data layout as §IV-F, but the interior
-// kernel is issued to one CUDA stream before the CPU performs MPI
-// communication, and the halo upload, boundary kernels, and boundary
-// download go to a second stream — so the interior computation can overlap
-// the MPI communication, the PCIe transfers, and (on devices with
-// concurrent kernels) the boundary computation. The CPU ends the step by
-// synchronizing the two streams.
-type gpuStreams struct{}
-
-func (gpuStreams) Kind() core.Kind { return core.GPUStreams }
-
-func (gpuStreams) Run(p core.Problem, o core.Options) (*core.Result, error) {
-	return runGPUMPI(core.GPUStreams, p, o, true)
-}
-
-// runGPUMPI is the shared body of §IV-F and §IV-G.
-func runGPUMPI(kind core.Kind, p core.Problem, o core.Options, overlap bool) (*core.Result, error) {
-	return runMPIGPU(kind, p, o, func(rc gpuRankCtx) {
-		n := rc.sub.Size
-		wallSubs := stencil.BoundarySlabs(n)
-		hSubs := haloSlabs(n, 1)
-		interior := stencil.Interior(n)
-
-		wallBuf := rc.dev.Alloc(subsVolume(wallSubs))
-		haloBuf := rc.dev.Alloc(subsVolume(hSubs))
-		defer rc.dev.Free(wallBuf)
-		defer rc.dev.Free(haloBuf)
-		hostWall := make([]float64, wallBuf.Len())
-		hostHalo := make([]float64, haloBuf.Len())
-
-		s1 := rc.dev.NewStream("interior")
-		s2 := s1
-		if overlap {
-			s2 = rc.dev.NewStream("boundary")
-		}
-
-		for step := 0; step < rc.p.Steps; step++ {
-			checkCancelRank(rc.o)
-			rc.ex.setStep(step)
-			if overlap {
-				// §IV-G: interior kernel first, so it runs while the CPU
-				// communicates.
-				sp := rc.span(step, obs.PhaseLaunch, "interior")
-				rc.host.Set(launchInteriorStep(rc.st, s1, rc.host.Now(), interior, rc.o.BlockX, rc.o.BlockY))
-				sp.End()
-			}
-
-			// CPU-side MPI exchange over the shadow shell.
-			rc.ex.exchangeAll()
-
-			// Upload the assembled halo shell and run the boundary work.
-			sp := rc.span(step, obs.PhaseHaloPack, "shell")
-			packSubs(rc.shadow, hSubs, hostHalo)
-			sp.End()
-			if overlap {
-				rc.host.Set(rc.dev.MemcpyAsync(rc.host.Now(), s2, gpusim.HostToDevice, haloBuf, hostHalo))
-			} else {
-				rc.host.Set(rc.dev.Memcpy(rc.host.Now(), gpusim.HostToDevice, haloBuf, hostHalo))
-			}
-			rc.host.Set(launchHaloUnpack(rc.st, s2, rc.host.Now(), "halo unpack", hSubs, haloBuf, rc.o.BlockX, rc.o.BlockY))
-			rc.host.Set(launchWallCompute(rc.st, s2, rc.host.Now(), "faces", wallSubs, wallBuf, rc.o.BlockX, rc.o.BlockY))
-
-			if overlap {
-				rc.host.Set(rc.dev.MemcpyAsync(rc.host.Now(), s2, gpusim.DeviceToHost, wallBuf, hostWall))
-			} else {
-				// §IV-F: interior kernel after the boundary work, still on
-				// the single stream.
-				rc.host.Set(launchInteriorStep(rc.st, s1, rc.host.Now(), interior, rc.o.BlockX, rc.o.BlockY))
-				rc.host.Set(s1.Synchronize(rc.host.Now()))
-				rc.host.Set(rc.dev.Memcpy(rc.host.Now(), gpusim.DeviceToHost, wallBuf, hostWall))
-			}
-
-			// End of step: synchronize the streams, land the new boundary
-			// in the shadow shell, flip the state buffers.
-			rc.host.Set(rc.dev.Synchronize(rc.host.Now(), s1, s2))
-			sp = rc.span(step, obs.PhaseHaloUnpack, "shell")
-			unpackSubs(rc.shadow, wallSubs, hostWall)
-			sp.End()
-			rc.st.flip()
-		}
-	})
+	// Land the new boundary in the shadow shell, flip the state buffers.
+	g.landOuter(r, r.cur, "shell")
+	r.st.flip()
 }

@@ -1,136 +1,176 @@
 package impl
 
 import (
-	"sync"
-	"time"
-
-	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/stencil"
 )
 
-// gpuRankCtx is the per-rank state of the GPU MPI implementations
-// (§IV-F, §IV-G): the task's whole subdomain lives on the device, and the
-// CPU keeps a host-side shadow field whose shell holds the boundary data
-// in flight between GPU and network.
-type gpuRankCtx struct {
-	p   core.Problem
-	o   core.Options
-	c   *mpi.Comm
-	d   grid.Decomp
-	sub grid.Subdomain
-
-	dev    *gpusim.Device
-	st     *devState
-	shadow *grid.Field
-	ex     *exchanger
-	host   *gpusim.HostClock
+// devShell is the boundary traffic between a rank's host state and its
+// device domain, shared by §IV-F…I: every step the halo shell around the
+// domain goes up and the domain's freshly computed outer layer comes down,
+// each in one large contiguous buffer ("we need the buffers to allow
+// communication between CPU and GPU to be in large contiguous chunks").
+// In §IV-F/G the device domain is the whole subdomain and the host state
+// is a shadow whose shell holds the data in flight between GPU and network;
+// in §IV-H/I it is the block inside the CPU's box.
+type devShell struct {
+	interior            grid.Subdomain   // device points whose stencil reads no halo
+	halo, outer         []grid.Subdomain // halo shell and outer layer, device coordinates
+	haloHost, outerHost []grid.Subdomain // the same regions in the host state's coordinates
+	haloBuf, outerBuf   *gpusim.Buffer
+	hostHalo, hostOuter []float64
 }
 
-// span opens a wall-clock span attributed to this rank (no-op when the run
-// carries no recorder).
-func (rc gpuRankCtx) span(step int, ph obs.Phase, label string) obs.Active {
-	return rc.o.Rec.Begin(rc.c.Rank(), step, ph, label)
+func newDevShell(r *rank) *devShell {
+	n := r.box.Size
+	g := &devShell{interior: stencil.Interior(n), halo: haloSlabs(n, 1), outer: stencil.BoundarySlabs(n)}
+	g.haloHost, g.outerHost = offsetSubs(g.halo, r.box.Lo), offsetSubs(g.outer, r.box.Lo)
+	g.haloBuf, g.outerBuf = r.alloc(subsVolume(g.halo)), r.alloc(subsVolume(g.outer))
+	g.hostHalo, g.hostOuter = make([]float64, g.haloBuf.Len()), make([]float64, g.outerBuf.Len())
+	return g
 }
 
-// runMPIGPU is the shared scaffold of §IV-F and §IV-G: world setup,
-// device state per rank, barrier-bracketed timing, gathering, and stats.
-func runMPIGPU(kind core.Kind, p core.Problem, o core.Options, steps func(gpuRankCtx)) (*core.Result, error) {
-	p, err := p.Normalize()
-	if err != nil {
-		return nil, err
+// packHalo stages the halo shell of the host state for its upload.
+func (g *devShell) packHalo(r *rank, label string) {
+	sp := r.span(obs.PhaseHaloPack, label)
+	packSubs(r.cur, g.haloHost, g.hostHalo)
+	sp.End()
+}
+
+// landOuter scatters the downloaded outer layer of the device domain into
+// the host field f.
+func (g *devShell) landOuter(r *rank, f *grid.Field, label string) {
+	sp := r.span(obs.PhaseHaloUnpack, label)
+	unpackSubs(f, g.outerHost, g.hostOuter)
+	sp.End()
+}
+
+// prepareGPUMPI is the set-up of §IV-F and §IV-G.
+func prepareGPUMPI(r *rank) { r.geom = newDevShell(r) }
+
+// interiorKernel enqueues the interior kernel of the multi-GPU
+// implementations: the tiling of the single-GPU kernel without the
+// periodicity logic, restricted to sub (whose stencil must not read beyond
+// the device state's storage).
+func (r *rank) interiorKernel(s *gpusim.Stream, sub grid.Subdomain) {
+	if sub.Empty() {
+		return
 	}
-	o = o.Normalize()
-	if err := checkMPIOptions(p, o); err != nil {
-		return nil, err
-	}
-	d := grid.NewDecomp(p.N, o.Tasks)
-	w := mpi.NewWorld(o.Tasks)
-
-	var (
-		mu      sync.Mutex
-		final   *grid.Field
-		elapsed time.Duration
-		mass0   float64
-		simSec  float64
-		msgs    float64
-		values  float64
-	)
-	pool := devicePool(o, o.Tasks)
-	traces := poolTraces(pool, o)
-	runErr := safeWorldRun(w, func(c *mpi.Comm) {
-		sub := d.Sub(c.Rank())
-		dev := deviceFor(pool, o, c.Rank())
-		if err := checkBlock(dev, sub.Size, o.BlockX, o.BlockY); err != nil {
-			panic(err)
-		}
-
-		local := grid.NewField(sub.Size, 1)
-		m0 := initField(c, nil, local, p, o, sub)
-		shadow := local.Clone()
-
-		var host gpusim.HostClock
-		st, h := newDevState(dev, 0, p, sub.Size, 1, local)
-		host.Set(h)
-		defer st.free()
-
-		rc := gpuRankCtx{
-			p: p, o: o, c: c, d: d, sub: sub,
-			dev: dev, st: st, shadow: shadow,
-			ex:   newExchanger(c, d, shadow),
-			host: &host,
-		}
-		rc.ex.setObs(o.Rec)
-
-		c.Barrier()
-		simStart := host.Now()
-		t0 := time.Now()
-		steps(rc)
-		c.Barrier()
-		dt := time.Since(t0)
-		simDt := (host.Now() - simStart).Seconds()
-
-		host.Set(st.download(host.Now(), local))
-		g := gather(c, d, local)
-		stats := c.Stats()
-		mu.Lock()
-		msgs += float64(stats.SentMessages)
-		values += float64(stats.SentValues)
-		if simDt > simSec {
-			simSec = simDt // slowest rank bounds the simulated step time
-		}
-		if c.Rank() == 0 {
-			final, elapsed, mass0 = g, dt, m0
-		}
-		mu.Unlock()
+	bx, by := min(r.o.BlockX, sub.Size.X), min(r.o.BlockY, sub.Size.Y)
+	cur, nxt, op := r.st.cur, r.st.nxt, r.st.op
+	r.launch(s, "interior", gpusim.StencilLaunch(sub.Size.X, sub.Size.Y, sub.Size.Z, bx, by), func() {
+		runTiledKernel(op, cur, nxt, sub, r.o.BlockX, r.o.BlockY, false)
 	})
+}
 
-	if runErr != nil {
-		return nil, cancelOr(o, runErr)
+// haloUnpackKernel enqueues a memory-only kernel that scatters a staged
+// halo buffer into the current state's halo shell (the halo-thread copies
+// of the paper's boundary-face kernels). It must be enqueued before the
+// wall-compute kernels of the same step: wall points at edges read halo
+// values belonging to other faces' slabs.
+func (r *rank) haloUnpackKernel(s *gpusim.Stream, name string, subs []grid.Subdomain, buf *gpusim.Buffer) {
+	cur := r.st.cur
+	r.launch(s, name, r.copyLaunch(subsVolume(subs)), func() { unpackSubs(cur, subs, buf.Data()) })
+}
+
+// wallKernel enqueues a boundary-face compute kernel (§IV-F): it computes
+// the listed wall slabs into the next state and, if outBuf is not nil,
+// packs the freshly computed values into the outgoing buffer for the CPU
+// to download for the next exchange.
+func (r *rank) wallKernel(s *gpusim.Stream, name string, subs []grid.Subdomain, outBuf *gpusim.Buffer) {
+	// Cost: treat the walls as one thin launch over their combined area.
+	l := r.copyLaunch(subsVolume(subs))
+	l.FlopsPerPoint = stencil.FlopsPerPoint
+	cur, nxt, op := r.st.cur, r.st.nxt, r.st.op
+	r.launch(s, name, l, func() {
+		for _, sub := range subs {
+			if !sub.Empty() {
+				op.Apply(cur, nxt, sub)
+			}
+		}
+		if outBuf != nil {
+			packSubs(nxt, subs, outBuf.Data())
+		}
+	})
+}
+
+// copyLaunch builds a cost-model launch for a memory-movement kernel over
+// the given number of points.
+func (r *rank) copyLaunch(points int) gpusim.Launch {
+	bx, by := r.o.BlockX, r.o.BlockY
+	rows := max(1, (points+bx-1)/bx)
+	return gpusim.Launch{
+		GridX: 1, GridY: (rows + by - 1) / by,
+		BlockX: bx, BlockY: by,
+		ZSlabs:        1,
+		Points:        points,
+		BytesPerPoint: 16,
 	}
-	var kernels, bytesPCI float64
-	for _, dev := range pool {
-		kernels += float64(dev.Kernels)
-		bytesPCI += float64(dev.BytesH2D + dev.BytesD2H)
+}
+
+// packSubs copies the listed subdomains of f (halo coordinates allowed)
+// into buf in order; unpackSubs is its inverse.
+func packSubs(f *grid.Field, subs []grid.Subdomain, buf []float64) { moveSubs(f, subs, buf, true) }
+
+func unpackSubs(f *grid.Field, subs []grid.Subdomain, buf []float64) { moveSubs(f, subs, buf, false) }
+
+func moveSubs(f *grid.Field, subs []grid.Subdomain, buf []float64, pack bool) {
+	n := 0
+	for _, s := range subs {
+		hi, w := s.Hi(), s.Size.X
+		for k := s.Lo.Z; k < hi.Z; k++ {
+			for j := s.Lo.Y; j < hi.Y; j++ {
+				row := f.Idx(s.Lo.X, j, k)
+				if pack {
+					copy(buf[n:n+w], f.Data()[row:row+w])
+				} else {
+					copy(f.Data()[row:row+w], buf[n:n+w])
+				}
+				n += w
+			}
+		}
 	}
-	res := &core.Result{Kind: kind, Final: final, Stats: map[string]float64{
-		"tasks":        float64(o.Tasks),
-		"blockx":       float64(o.BlockX),
-		"blocky":       float64(o.BlockY),
-		"mpi.messages": msgs,
-		"mpi.bytes":    values * 8,
-		"gpu.kernels":  kernels,
-		"pcie.bytes":   bytesPCI,
-		"sim.seconds":  simSec,
-	}}
-	for k, v := range mergedOverlapStats(traces) {
-		res.Stats[k] = v
+}
+
+// subsVolume sums the point counts of the subdomains. The slabs of a domain
+// one point thin have negative extents; they hold no points.
+func subsVolume(subs []grid.Subdomain) int {
+	v := 0
+	for _, s := range subs {
+		if !s.Empty() {
+			v += s.Volume()
+		}
 	}
-	if simSec > 0 {
-		res.Stats["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
+	return v
+}
+
+// haloSlabs returns the six slabs tiling the halo shell of an n-point
+// domain with halo width h, in the dimension-serialized convention: the z
+// slabs span the fully widened xy range (corners and edges included), the
+// y slabs the x-widened range, the x slabs the interior range. After a
+// standard three-phase exchange these slabs hold exactly the received halo
+// data.
+func haloSlabs(n grid.Dims, h int) []grid.Subdomain {
+	return []grid.Subdomain{
+		{Lo: grid.Dims{X: -h, Y: -h, Z: -h}, Size: grid.Dims{X: n.X + 2*h, Y: n.Y + 2*h, Z: h}},
+		{Lo: grid.Dims{X: -h, Y: -h, Z: n.Z}, Size: grid.Dims{X: n.X + 2*h, Y: n.Y + 2*h, Z: h}},
+		{Lo: grid.Dims{X: -h, Y: -h, Z: 0}, Size: grid.Dims{X: n.X + 2*h, Y: h, Z: n.Z}},
+		{Lo: grid.Dims{X: -h, Y: n.Y, Z: 0}, Size: grid.Dims{X: n.X + 2*h, Y: h, Z: n.Z}},
+		{Lo: grid.Dims{X: -h, Y: 0, Z: 0}, Size: grid.Dims{X: h, Y: n.Y, Z: n.Z}},
+		{Lo: grid.Dims{X: n.X, Y: 0, Z: 0}, Size: grid.Dims{X: h, Y: n.Y, Z: n.Z}},
 	}
-	finishResult(res, p, o, elapsed, mass0)
-	return res, nil
+}
+
+// offsetSubs translates subdomains by delta.
+func offsetSubs(subs []grid.Subdomain, delta grid.Dims) []grid.Subdomain {
+	out := make([]grid.Subdomain, len(subs))
+	for i, s := range subs {
+		out[i] = grid.Subdomain{
+			Lo:   grid.Dims{X: s.Lo.X + delta.X, Y: s.Lo.Y + delta.Y, Z: s.Lo.Z + delta.Z},
+			Size: s.Size,
+		}
+	}
+	return out
 }

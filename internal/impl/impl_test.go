@@ -2,6 +2,7 @@ package impl
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -251,23 +252,45 @@ func TestZeroStepsIsIdentity(t *testing.T) {
 	agree(t, "zero-steps", res.Final, initial)
 }
 
+// TestErrorPaths: every bad option is a plain error from the scaffold's
+// validation, before a world or a goroutine exists.
 func TestErrorPaths(t *testing.T) {
-	small := core.DefaultProblem(2, 1)
-	if _, err := (singleTask{}).Run(small, core.Options{}); err == nil {
-		t.Fatal("tiny grid accepted")
-	}
-	p := core.DefaultProblem(10, 1)
-	if _, err := (bulkSync{}).Run(p, core.Options{Tasks: 100}); err == nil {
-		t.Fatal("oversubscribed tasks accepted")
-	}
-	if _, err := (gpuResident{}).Run(p, core.Options{Tasks: 2}); err == nil {
-		t.Fatal("multi-task GPU-resident accepted")
-	}
-	if _, err := (hybridRunner{}).Run(p, core.Options{Tasks: 1, BoxThickness: 5}); err == nil {
-		t.Fatal("shell consuming whole domain accepted")
-	}
-	if _, err := (gpuResident{}).Run(p, core.Options{BlockX: 64, BlockY: 64, GPU: core.GPUC1060}); err == nil {
-		t.Fatal("oversized block accepted")
+	p10 := core.DefaultProblem(10, 1)
+	uneven := core.DefaultProblem(9, 1)
+	for _, c := range []struct {
+		name string
+		kind core.Kind
+		p    core.Problem
+		o    core.Options
+		want string
+	}{
+		{"tiny grid", core.SingleTask, core.DefaultProblem(2, 1), core.Options{}, "too small"},
+		{"negative steps", core.BulkSync, core.DefaultProblem(10, -1), core.Options{}, "negative step count"},
+		{"oversubscribed tasks", core.BulkSync, p10, core.Options{Tasks: 100}, "tasks too many"},
+		{"multi-task GPU-resident", core.GPUResident, p10, core.Options{Tasks: 2}, "single task"},
+		{"shell consuming the domain", core.HybridBulkSync, p10, core.Options{BoxThickness: 5}, "leaves no GPU interior"},
+		// 9 points in z split 5 + 4 over two tasks: thickness 2 fits rank
+		// 0 and consumes rank 1.
+		{"shell consuming the last rank", core.HybridOverlap, uneven, core.Options{Tasks: 2, BoxThickness: 2}, "rank 1: "},
+		{"oversized block, gpu", core.GPUResident, p10, core.Options{BlockX: 64, BlockY: 64, GPU: core.GPUC1060}, "block 64x64 invalid"},
+		{"oversized block, gpu-bulk", core.GPUBulkSync, p10, core.Options{Tasks: 2, BlockX: 64, BlockY: 64, GPU: core.GPUC1060}, "block 64x64 invalid"},
+		{"oversized block, gpu-streams", core.GPUStreams, p10, core.Options{Tasks: 2, BlockX: 64, BlockY: 64, GPU: core.GPUC1060}, "block 64x64 invalid"},
+		{"oversized block, hybrid-overlap", core.HybridOverlap, p10, core.Options{Tasks: 2, BlockX: 64, BlockY: 64, GPU: core.GPUC1060}, "block 64x64 invalid"},
+		{"halo wider than a subdomain", core.WideHaloExt, core.DefaultProblem(8, 1), core.Options{Tasks: 8, HaloWidth: 5}, "halo width 5 exceeds rank 0"},
+	} {
+		r, err := core.New(c.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Run(c.p, c.o)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+		// A rank's panic comes back through the poisoned world with the
+		// rank's name on it; a validation error never met a world.
+		if err != nil && strings.Contains(err.Error(), "mpi: rank") {
+			t.Errorf("%s: error %v was raised inside a rank", c.name, err)
+		}
 	}
 }
 
@@ -377,5 +400,60 @@ func TestTasksPerGPUHybridAgrees(t *testing.T) {
 	agree(t, "hybrid shared device", res.Final, want)
 	if res.Stats["gpu.kernels"] == 0 {
 		t.Fatal("no kernels recorded from the shared pool")
+	}
+}
+
+// TestStatsKeys pins the one stats vocabulary the scaffold reports: what
+// every kind, every multi-task kind and every device kind carries, plus the
+// schedule's own keys — and nothing else.
+func TestStatsKeys(t *testing.T) {
+	common := []string{"tasks", "threads"}
+	mpi := []string{"mpi.messages", "mpi.values", "mpi.bytes", "mpi.msgs/step"}
+	device := []string{"blockx", "blocky", "gpu.kernels", "pcie.bytes", "sim.seconds", "sim.gf"}
+	dist := []string{"dist.l2", "dist.linf"} // verified runs only
+	want := map[core.Kind][][]string{
+		core.SingleTask:         {common},
+		core.BulkSync:           {common, mpi, dist},
+		core.NonblockingOverlap: {common, mpi, dist},
+		core.ThreadedOverlap:    {common, mpi, dist},
+		core.GPUResident:        {common, device},
+		core.GPUBulkSync:        {common, mpi, device},
+		core.GPUStreams:         {common, mpi, device},
+		core.HybridBulkSync:     {common, mpi, device, {"thickness"}},
+		core.HybridOverlap:      {common, mpi, device, {"thickness"}},
+		core.WideHaloExt:        {common, mpi, {"halo.width"}},
+	}
+	p := core.DefaultProblem(12, 2)
+	for _, k := range allKinds {
+		o := core.Options{Tasks: 2, Threads: 2, BlockX: 8, BlockY: 4, Verify: true, TraceOverlap: true}
+		if !k.UsesMPI() {
+			o.Tasks = 1
+		}
+		got := run(t, k, p, o).Stats
+		traced := 0
+		for key := range got {
+			if strings.HasPrefix(key, "trace.") {
+				traced++
+				delete(got, key)
+			}
+		}
+		if (traced > 0) != k.UsesGPU() {
+			t.Errorf("%v: %d trace.* keys, device kind %v", k, traced, k.UsesGPU())
+		}
+		for _, group := range want[k] {
+			for _, key := range group {
+				if _, ok := got[key]; !ok {
+					t.Errorf("%v: stats lack %q", k, key)
+				}
+				delete(got, key)
+			}
+		}
+		if len(got) != 0 {
+			t.Errorf("%v: unexpected stats %v", k, got)
+		}
+		o.Verify = false
+		if _, ok := run(t, k, p, o).Stats["dist.l2"]; ok {
+			t.Errorf("%v: unverified run reports dist.l2", k)
+		}
 	}
 }

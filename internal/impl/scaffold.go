@@ -1,0 +1,408 @@
+package impl
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/gpusim"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/stencil"
+)
+
+// rank is one task's state, built by the scaffold from what the schedule
+// declares and handed to its step. A field a schedule did not ask for is
+// nil.
+type rank struct {
+	p   core.Problem
+	o   core.Options
+	id  int            // the rank in the world, which spans are attributed to
+	sub grid.Subdomain // this rank's box of the global grid
+
+	// The local domain and its cut for the overlap schedules: the points
+	// whose stencil reads no halo, and the six slabs of those that do.
+	whole, interior grid.Subdomain
+	boundary        []grid.Subdomain
+
+	cur  *grid.Field // host state over the subdomain, halos included
+	nxt  *grid.Field // cpu: the state the step computes into
+	op   *stencil.Op // cpu: Eq. 2 over cur's shape
+	team *par.Team   // cpu: the task's threads
+	ex   *exchanger  // multi-task kinds: the halo exchange of cur
+
+	dev     *gpusim.Device
+	box     grid.Subdomain // the device-resident part of the local domain
+	st      *devState
+	streams []*gpusim.Stream
+	bufs    []*gpusim.Buffer // every device allocation, freed when the rank ends
+	host    gpusim.HostClock // this task's virtual time across device calls
+
+	step int // the time step under way, for span attribution
+	geom any // what the schedule's prepare keeps across steps
+}
+
+// rankOut is what a rank leaves behind for the result.
+type rankOut struct {
+	final   *grid.Field // rank 0: the gathered global state
+	elapsed time.Duration
+	sim     float64 // simulated seconds of the step loop (device kinds)
+	mass0   float64
+	norms   grid.Norms
+	comm    mpi.Stats
+}
+
+// Run is the scaffold every schedule runs through: normalise, validate
+// before any goroutine starts, decompose, start a world of o.Tasks ranks
+// (one for §IV-A and §IV-E), build each rank's state, time the step loop
+// the way the paper does, gather on rank 0, and report one stats
+// vocabulary.
+func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
+	p, err := p.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	o = o.Normalize()
+	single := !sch.kind.UsesMPI()
+	if single {
+		// §IV-A is a single task by definition and ignores a task count;
+		// §IV-E refuses one, as a caller asking for tasks wants §IV-F.
+		if sch.device != noDevice && o.Tasks != 1 {
+			return nil, fmt.Errorf("impl: GPU-resident implementation is single task, got %d", o.Tasks)
+		}
+		o.Tasks = 1
+	}
+	d, err := sch.check(p, o)
+	if err != nil {
+		return nil, err
+	}
+	halo := 1
+	if sch.wide {
+		halo = o.HaloWidth
+	}
+	var pool []*gpusim.Device
+	if sch.device != noDevice {
+		pool = devicePool(o)
+	}
+	traces := poolTraces(pool, o)
+
+	outs := make([]rankOut, o.Tasks)
+	runErr := safeWorldRun(mpi.NewWorld(o.Tasks), func(c *mpi.Comm) {
+		r := &rank{p: p, o: o, id: c.Rank(), sub: d.Sub(c.Rank())}
+		n := r.sub.Size
+		r.whole, r.interior, r.boundary = stencil.Whole(n), stencil.Interior(n), stencil.BoundarySlabs(n)
+		if sch.cpu {
+			r.team = par.NewTeam(o.Threads)
+			defer r.team.Close()
+			r.team.SetRecorder(o.Rec, r.id)
+		}
+		r.cur = grid.NewField(n, halo)
+		mass0 := initField(c, r.team, r.cur, p, o, r.sub)
+		if sch.cpu {
+			r.nxt = grid.NewField(n, halo)
+			r.op = stencil.NewOp(stencil.TableI(p.C, p.Nu), r.cur)
+		}
+		if !single {
+			r.ex = newExchanger(c, d, r.cur)
+			r.ex.setObs(o.Rec)
+		}
+		if sch.device != noDevice {
+			defer r.freeDevice()
+			r.attachDevice(sch, pool[r.id/tasksPerGPU(o)])
+		}
+		if sch.prepare != nil {
+			sch.prepare(r)
+		}
+
+		// "We perform a barrier immediately before measuring the start
+		// time and the end time", and "the CPU and GPU synchronize
+		// immediately before timer calls": the initial upload and the
+		// final download are outside the timing, as in the paper.
+		c.Barrier()
+		r.sync(r.streams...)
+		simStart, t0 := r.host.Now(), time.Now()
+		for s := 0; s < p.Steps; s++ {
+			checkCancelRank(o)
+			r.setStep(s)
+			sch.step(r, s)
+		}
+		c.Barrier()
+		r.sync(r.streams...)
+		out := &outs[r.id]
+		out.elapsed, out.sim, out.mass0 = time.Since(t0), (r.host.Now() - simStart).Seconds(), mass0
+
+		if sch.device != noDevice {
+			r.download()
+		}
+		if sch.norms && o.Verify {
+			out.norms = distributedNorms(c, r.team, p, r.sub, r.cur)
+		}
+		out.final = gather(c, d, r.cur)
+		out.comm = c.Stats()
+	})
+	if runErr != nil {
+		return nil, cancelOr(o, runErr)
+	}
+
+	res := &core.Result{Kind: sch.kind, Final: outs[0].final, Stats: map[string]float64{
+		"tasks":   float64(o.Tasks),
+		"threads": float64(o.Threads),
+	}}
+	st := res.Stats
+	if !single {
+		var msgs, values float64
+		for _, out := range outs {
+			msgs += float64(out.comm.SentMessages)
+			values += float64(out.comm.SentValues)
+		}
+		st["mpi.messages"], st["mpi.values"], st["mpi.bytes"] = msgs, values, values*8
+		st["mpi.msgs/step"] = msgs / float64(max(1, p.Steps))
+	}
+	if sch.device != noDevice {
+		var kernels, pcie, simSec float64
+		for _, dev := range pool {
+			kernels += float64(dev.Kernels)
+			pcie += float64(dev.BytesH2D + dev.BytesD2H)
+		}
+		for _, out := range outs {
+			simSec = max(simSec, out.sim) // the slowest rank bounds the simulated time
+		}
+		st["blockx"], st["blocky"] = float64(o.BlockX), float64(o.BlockY)
+		st["gpu.kernels"], st["pcie.bytes"], st["sim.seconds"] = kernels, pcie, simSec
+		if simSec > 0 {
+			st["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
+		}
+		for k, v := range mergedOverlapStats(traces) {
+			st[k] = v
+		}
+	}
+	if sch.wide {
+		st["halo.width"] = float64(o.HaloWidth)
+	}
+	if sch.device == innerBlock {
+		st["thickness"] = float64(o.BoxThickness)
+	}
+	if sch.norms && o.Verify {
+		st["dist.l2"], st["dist.linf"] = outs[0].norms.L2, outs[0].norms.LInf
+	}
+	finishResult(res, p, o, outs[0].elapsed, outs[0].mass0)
+	return res, nil
+}
+
+// check validates the options against the problem for every rank — task
+// count, halo width, box split, block size — and returns the decomposition.
+// It runs before the world exists, so a bad option is a plain error and no
+// goroutine ever starts.
+func (sch schedule) check(p core.Problem, o core.Options) (grid.Decomp, error) {
+	if o.Tasks > min(p.N.X, p.N.Y, p.N.Z) {
+		return grid.Decomp{}, fmt.Errorf("impl: %d tasks too many for grid %v (subdomains thinner than the stencil)", o.Tasks, p.N)
+	}
+	d, err := grid.Decompose(p.N, o.Tasks)
+	if err != nil {
+		return d, fmt.Errorf("impl: %w", err)
+	}
+	for r := 0; r < o.Tasks; r++ {
+		n := d.Sub(r).Size
+		if w := o.HaloWidth; sch.wide && (n.X < w || n.Y < w || n.Z < w) {
+			return d, fmt.Errorf("impl: halo width %d exceeds rank %d subdomain %v", w, r, n)
+		}
+		if sch.device == innerBlock {
+			// Every rank must be able to carve a GPU block out of its subdomain.
+			box, err := grid.NewBoxSplit(n, o.BoxThickness)
+			if err != nil {
+				return d, fmt.Errorf("impl: rank %d: %w", r, err)
+			}
+			n = box.Inner().Size
+		}
+		if sch.device != noDevice {
+			if err := gpusim.StencilLaunch(n.X, n.Y, n.Z, o.BlockX, o.BlockY).Validate(deviceProps(o)); err != nil {
+				return d, fmt.Errorf("impl: block %dx%d invalid: %w", o.BlockX, o.BlockY, err)
+			}
+		}
+	}
+	return d, nil
+}
+
+// span opens a wall-clock span of the step under way, attributed to this
+// rank (no-op when the run carries no recorder).
+func (r *rank) span(ph obs.Phase, label string) obs.Active {
+	return r.o.Rec.Begin(r.id, r.step, ph, label)
+}
+
+// setStep tags the spans of step s: the rank's own, the exchanger's
+// pack/unpack/exchange windows and the communicator's mpi.* spans.
+func (r *rank) setStep(s int) {
+	r.step = s
+	if r.ex != nil {
+		r.ex.setStep(s)
+	}
+}
+
+// compute applies Eq. 2 from cur into nxt over each non-empty sub under one
+// span, every sub threaded over its collapsed (k, j) rows — the paper's
+// collapse(2) with a static schedule.
+func (r *rank) compute(ph obs.Phase, label string, subs ...grid.Subdomain) {
+	sp := r.span(ph, label)
+	for _, sub := range subs {
+		if sub.Empty() {
+			continue
+		}
+		r.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
+			r.op.ApplyRows(r.cur, r.nxt, sub, lo, hi)
+		})
+	}
+	sp.End()
+}
+
+// commit ends a CPU time step: the new state becomes the current state.
+// This is the one deliberate departure from the paper's codes, which copy
+// the new state over the current one with a third threaded sweep; swapping
+// the two fields' storage costs nothing and changes no value, because every
+// halo point a step reads is rewritten by that step's own periodic copy or
+// exchange. The span that marked the copy stays, labelled "swap", as the
+// step-commit marker of the traces. internal/perf still charges the copy:
+// it models the paper's codes.
+func (r *rank) commit() {
+	sp := r.span(obs.PhaseCopy, "swap")
+	r.cur.Swap(r.nxt)
+	sp.End()
+}
+
+// initField is the start of every Run: it fills f, a rank's local field
+// over the box sub of the global grid, with the initial state — the rows of
+// a checkpointed field, or the Gaussian wave through its per-axis tables —
+// threaded over the team (the GPU-only schedules have none). Only a
+// verified run reads the initial mass, so only then is it computed, as the
+// Allreduce of the ranks' own sums; no run builds a global-sized temporary.
+func initField(c *mpi.Comm, team *par.Team, f *grid.Field, p core.Problem, o core.Options, sub grid.Subdomain) (mass0 float64) {
+	if p.Initial != nil {
+		f.CopyBox(grid.Dims{}, p.Initial, sub)
+	} else {
+		tab := p.Wave.Table(p.N, p.C, 0, sub)
+		if team == nil {
+			tab.Fill(f, 0, tab.Rows())
+		} else {
+			team.ParallelFor(tab.Rows(), par.Static, 0, func(lo, hi int) { tab.Fill(f, lo, hi) })
+		}
+	}
+	if !o.Verify {
+		return 0
+	}
+	mass := []float64{f.InteriorSum()}
+	c.Allreduce(mpi.OpSum, mass)
+	return mass[0]
+}
+
+// gather assembles the global field on rank 0 from each rank's local
+// interior, row by row; other ranks return nil. Rank 0 copies its own rows
+// straight from local, and a world of one rank has nothing to assemble: its
+// local field is the global one.
+func gather(c *mpi.Comm, d grid.Decomp, local *grid.Field) *grid.Field {
+	if c.Size() == 1 {
+		return local
+	}
+	var flat []float64
+	if c.Rank() != 0 {
+		flat = make([]float64, local.N.Volume())
+		grid.NewFieldOn(local.N, 0, flat).CopyInteriorFrom(local)
+	}
+	parts := c.Gather(0, flat)
+	if c.Rank() != 0 {
+		return nil
+	}
+	global := grid.NewField(d.N, 1)
+	for r, part := range parts {
+		sub, src := d.Sub(r), local
+		if r != 0 {
+			src = grid.NewFieldOn(sub.Size, 0, part)
+		}
+		global.CopyBox(sub.Lo, src, stencil.Whole(sub.Size))
+	}
+	return global
+}
+
+// finishResult fills the verification and throughput fields of a result.
+func finishResult(res *core.Result, p core.Problem, o core.Options, elapsed time.Duration, initialMass float64) {
+	res.Elapsed = elapsed
+	if s := elapsed.Seconds(); s > 0 {
+		res.GF = p.Flops() * float64(p.Steps) / s / 1e9
+	}
+	if o.Verify && res.Final != nil {
+		res.Norms = analyticTable(p, stencil.Whole(p.N)).Norms(res.Final)
+		res.MassDrift = math.Abs(res.Final.InteriorSum() - initialMass)
+	}
+}
+
+// analyticTable is the exact solution at the end of the run over box.
+func analyticTable(p core.Problem, box grid.Subdomain) *grid.GaussianTable {
+	return p.Wave.Table(p.N, p.C, p.T0+p.Nu*float64(p.Steps), box)
+}
+
+// distributedNorms computes the error norms against the analytic solution
+// the way a real MPI code does (paper §IV-A records norms): each rank
+// reduces its own subdomain with the thread team, in one pass, then the
+// squared sums and maxima are combined across ranks with Allreduce. Every
+// rank returns the same global norms.
+func distributedNorms(c *mpi.Comm, team *par.Team, p core.Problem, sub grid.Subdomain, local *grid.Field) grid.Norms {
+	tab := analyticTable(p, sub)
+	sums := make([]float64, team.Size())
+	maxs := make([]float64, team.Size())
+	team.Run(func(tid int) {
+		lo, hi := par.StaticChunk(tab.Rows(), team.Size(), tid)
+		sums[tid], maxs[tid] = tab.DiffSums(local, lo, hi)
+	})
+	sumSq, maxAbs := []float64{0}, []float64{0}
+	for tid := range sums {
+		sumSq[0] += sums[tid]
+		maxAbs[0] = math.Max(maxAbs[0], maxs[tid])
+	}
+	c.Allreduce(mpi.OpSum, sumSq)
+	c.Allreduce(mpi.OpMax, maxAbs)
+	return grid.Norms{
+		L2:   math.Sqrt(sumSq[0] / float64(p.N.Volume())),
+		LInf: maxAbs[0],
+	}
+}
+
+// checkCancelRank polls the run's cancellation context from inside a rank
+// goroutine and panics with the context error when it fires. The panic
+// poisons the world (unblocking ranks already waiting in an exchange), and
+// safeWorldRun converts it back into an error; cancelOr then maps whatever
+// rank's panic won the race onto the context error, so callers see a clean
+// cancellation instead of a poisoned-world message.
+func checkCancelRank(o core.Options) {
+	if err := o.CheckCancel(); err != nil {
+		panic(err)
+	}
+}
+
+// cancelOr maps a world-poisoning failure back onto the cancellation that
+// caused it: when the options context is cancelled, any rank error —
+// whichever rank's panic was observed first — is reported as the context
+// error. Genuine failures pass through unchanged.
+func cancelOr(o core.Options, err error) error {
+	if cerr := o.CheckCancel(); cerr != nil {
+		return fmt.Errorf("impl: run cancelled: %w", cerr)
+	}
+	return err
+}
+
+// safeWorldRun executes the world and converts a rank panic (which
+// mpi.World.Run re-panics after poisoning the world) into an error, so the
+// public Run API reports failures instead of crashing the caller.
+func safeWorldRun(w *mpi.World, fn func(*mpi.Comm)) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if e, ok := p.(error); ok {
+				err = e
+				return
+			}
+			err = fmt.Errorf("impl: %v", p)
+		}
+	}()
+	w.Run(fn)
+	return nil
+}

@@ -15,13 +15,9 @@ import (
 // spans are attributed to the group's first rank — with the default one
 // task per GPU that is simply the owning rank.
 func poolTraces(pool []*gpusim.Device, o core.Options) []*vtime.Trace {
-	per := o.TasksPerGPU
-	if per < 1 {
-		per = 1
-	}
 	if o.Rec != nil {
 		for i, dev := range pool {
-			dev.SetObserver(o.Rec, i*per)
+			dev.SetObserver(o.Rec, i*tasksPerGPU(o))
 		}
 	}
 	if !o.TraceOverlap {

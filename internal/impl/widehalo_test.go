@@ -29,7 +29,11 @@ func TestWideHaloSendsFewerMessages(t *testing.T) {
 
 func TestWideHaloRejectsThinSubdomains(t *testing.T) {
 	p := core.DefaultProblem(8, 1)
-	if _, err := (wideHalo{}).Run(p, core.Options{Tasks: 8, HaloWidth: 5}); err == nil {
+	r, err := core.New(core.WideHaloExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(p, core.Options{Tasks: 8, HaloWidth: 5}); err == nil {
 		t.Fatal("oversized halo width accepted")
 	}
 }

@@ -89,18 +89,20 @@ func CountFile(path string) (int, error) {
 }
 
 // implFiles maps each implementation to the source files that make it up,
-// mirroring the paper's whole-program accounting: every implementation
-// includes the shared scaffolding it cannot run without.
+// mirroring the paper's whole-program accounting: the scaffold every
+// schedule runs through, the shared substrate this one cannot run without
+// (the halo exchange; the device state and its kernels; the boundary traffic
+// of the multi-GPU codes; the box geometry), and its own file.
 var implFiles = map[core.Kind][]string{
-	core.SingleTask:         {"impl.go", "single.go"},
-	core.BulkSync:           {"impl.go", "single.go", "exchange.go", "bulk.go"},
-	core.NonblockingOverlap: {"impl.go", "single.go", "exchange.go", "bulk.go", "nonblocking.go"},
-	core.ThreadedOverlap:    {"impl.go", "single.go", "exchange.go", "bulk.go", "threaded.go"},
-	core.GPUResident:        {"impl.go", "single.go", "gpu.go", "gpuresident.go"},
-	core.GPUBulkSync:        {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "gpumpi.go", "gpubulk.go"},
-	core.GPUStreams:         {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "gpumpi.go", "gpubulk.go"},
-	core.HybridBulkSync:     {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "hybrid.go"},
-	core.HybridOverlap:      {"impl.go", "single.go", "exchange.go", "gpu.go", "gpuresident.go", "hybrid.go"},
+	core.SingleTask:         {"impl.go", "scaffold.go", "single.go"},
+	core.BulkSync:           {"impl.go", "scaffold.go", "exchange.go", "bulk.go"},
+	core.NonblockingOverlap: {"impl.go", "scaffold.go", "exchange.go", "nonblocking.go"},
+	core.ThreadedOverlap:    {"impl.go", "scaffold.go", "exchange.go", "threaded.go"},
+	core.GPUResident:        {"impl.go", "scaffold.go", "device.go", "trace.go", "gpuresident.go"},
+	core.GPUBulkSync:        {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "gpubulk.go"},
+	core.GPUStreams:         {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "gpustreams.go"},
+	core.HybridBulkSync:     {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "hybrid.go", "hybridbulk.go"},
+	core.HybridOverlap:      {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "hybrid.go", "hybridoverlap.go"},
 }
 
 // implDir locates this repository's internal/impl source directory.

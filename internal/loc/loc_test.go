@@ -113,15 +113,41 @@ func TestOursLoCCounts(t *testing.T) {
 			t.Fatalf("%v: suspiciously few lines (%d)", k, n)
 		}
 	}
-	// Relative ordering must mirror the paper's qualitative finding: the
-	// overlap implementations cost more code than their bulk parents.
-	single, _ := OursLoC(core.SingleTask)
-	bulk, _ := OursLoC(core.BulkSync)
-	nb, _ := OursLoC(core.NonblockingOverlap)
-	hybrid, _ := OursLoC(core.HybridOverlap)
-	if !(single < bulk && bulk < nb && bulk < hybrid) {
-		t.Fatalf("LoC ordering broken: single=%d bulk=%d nonblocking=%d hybrid=%d",
-			single, bulk, nb, hybrid)
+	// Relative ordering must mirror the paper's qualitative finding: every
+	// schedule has its own count, and within each family more overlap
+	// machinery costs more code than the bulk parent.
+	n := map[core.Kind]int{}
+	seen := map[int]core.Kind{}
+	for _, k := range core.Kinds() {
+		n[k], _ = OursLoC(k)
+		if other, dup := seen[n[k]]; dup {
+			t.Errorf("%v and %v both count %d lines: Figure 2 cannot tell them apart", other, k, n[k])
+		}
+		seen[n[k]] = k
+	}
+	for _, pair := range [][2]core.Kind{
+		{core.SingleTask, core.BulkSync},
+		{core.BulkSync, core.NonblockingOverlap},
+		{core.BulkSync, core.ThreadedOverlap},
+		{core.GPUResident, core.GPUBulkSync},
+		{core.GPUBulkSync, core.GPUStreams},
+		{core.GPUStreams, core.HybridBulkSync},
+		{core.HybridBulkSync, core.HybridOverlap},
+	} {
+		if n[pair[0]] >= n[pair[1]] {
+			t.Errorf("%v (%d lines) should cost less than %v (%d)", pair[0], n[pair[0]], pair[1], n[pair[1]])
+		}
+	}
+	// The single-GPU code counts the device state and its one kernel, not
+	// the boundary kernels of the multi-GPU codes: its growth over
+	// single-task stays below what the paper's MPI costs (bulk, +57 %) —
+	// the paper's own figure is +6 %, ours pays for the device plumbing
+	// CUDA Fortran provides.
+	paperSingle, _ := PaperLoC(core.SingleTask)
+	paperBulk, _ := PaperLoC(core.BulkSync)
+	gpuGrowth := float64(n[core.GPUResident]-n[core.SingleTask]) / float64(n[core.SingleTask])
+	if bulkSized := float64(paperBulk-paperSingle) / float64(paperSingle); gpuGrowth >= bulkSized {
+		t.Errorf("gpu grows %.0f%% over single, a bulk-sized growth is %.0f%%", 100*gpuGrowth, 100*bulkSized)
 	}
 }
 

@@ -55,6 +55,7 @@ type Team struct {
 	closed  bool
 	barrier *Barrier
 	mu      sync.Mutex
+	failed  atomic.Pointer[any] // first panic of the region under way
 
 	// Span recording (see SetRecorder). label is only touched by the
 	// goroutine launching regions, per the Team usage contract.
@@ -93,12 +94,27 @@ func (t *Team) worker(tid int) {
 	for {
 		select {
 		case fn := <-t.jobs[tid]:
-			fn(tid)
-			t.wg.Done()
+			t.call(fn, tid)
 		case <-t.done:
 			return
 		}
 	}
+}
+
+// call runs one worker's share of a region. A panic in it is kept for Run
+// to raise on the goroutine that launched the region: a worker is not a
+// goroutine anyone can recover on, so a panic left to unwind it would end
+// the process — and the master's share of an overlap region is an MPI
+// exchange, which panics by design when a peer rank has failed.
+func (t *Team) call(fn func(tid int), tid int) {
+	defer t.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			first := p // p itself must not escape: it would cost every call an allocation
+			t.failed.CompareAndSwap(nil, &first)
+		}
+	}()
+	fn(tid)
 }
 
 // Size returns the number of workers in the team.
@@ -116,7 +132,8 @@ func (t *Team) Close() {
 
 // Run executes fn(tid) on every worker concurrently and returns when all
 // have finished — one OpenMP parallel region. fn may call t.Barrier() to
-// synchronize within the region.
+// synchronize within the region. If fn panics on a worker, Run panics with
+// the first such value once every worker has finished.
 func (t *Team) Run(fn func(tid int)) {
 	label := t.label
 	if label == "" {
@@ -129,6 +146,9 @@ func (t *Team) Run(fn func(tid int)) {
 	}
 	t.wg.Wait()
 	a.End()
+	if p := t.failed.Swap(nil); p != nil {
+		panic(*p)
+	}
 }
 
 // Barrier blocks until every worker of the enclosing Run region has reached

@@ -213,6 +213,32 @@ func TestNewTeamPanics(t *testing.T) {
 	NewTeam(0)
 }
 
+// TestWorkerPanicReachesCaller: a panic in one worker's share of a region —
+// the master's exchange in §IV-D when a peer rank has failed — surfaces on
+// the goroutine that launched the region, after the other workers finished,
+// and leaves the team usable.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	team := NewTeam(3)
+	defer team.Close()
+	var done atomic.Int32
+	func() {
+		defer func() {
+			if p := recover(); p != "master failed" {
+				t.Fatalf("recovered %v, want the worker's panic", p)
+			}
+		}()
+		team.RunWithMaster(func() { panic("master failed") }, 30, 1, func(lo, hi int) {
+			done.Add(int32(hi - lo))
+		})
+	}()
+	if done.Load() != 30 {
+		t.Fatalf("workers finished %d of 30 iterations before the panic was raised", done.Load())
+	}
+	if got := team.ReduceSum(10, func(lo, hi int) float64 { return float64(hi - lo) }); got != 10 {
+		t.Fatalf("team unusable after a panicked region: sum %v", got)
+	}
+}
+
 func TestBarrierStandalone(t *testing.T) {
 	b := NewBarrier(3)
 	var phase atomic.Int32
@@ -312,5 +338,18 @@ func TestReduceEmpty(t *testing.T) {
 	defer team.Close()
 	if s := team.ReduceSum(0, func(lo, hi int) float64 { return 99 }); s != 0 {
 		t.Fatalf("empty ReduceSum = %v", s)
+	}
+}
+
+// TestRegionAllocations pins what a parallel region costs the allocator: the
+// region's closure and ParallelFor's own — nothing per worker, so that
+// keeping a worker's panic for the caller stays free when nothing panics.
+func TestRegionAllocations(t *testing.T) {
+	team := NewTeam(3)
+	defer team.Close()
+	var sink atomic.Int64
+	body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	if n := testing.AllocsPerRun(200, func() { team.ParallelFor(30, Static, 0, body) }); n > 2 {
+		t.Fatalf("a static ParallelFor region allocates %.1f times, want at most 2", n)
 	}
 }

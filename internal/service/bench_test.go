@@ -11,8 +11,9 @@ import (
 
 // The service benchmarks measure the end-to-end request path for a predict
 // job — POST /v1/jobs through admission, and for the uncached variant
-// through the queue, a worker, and the performance model. The committed
-// baseline lives in BENCH_service.json.
+// through the queue, a worker, and the performance model. Recorded numbers
+// for the same paths come from bench/ (service.cached_ms_p50,
+// service.predict_uncached_ms_p50 in BENCHMARK.json).
 
 func benchServer(b *testing.B) (*Server, *httptest.Server) {
 	b.Helper()

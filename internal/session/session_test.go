@@ -111,6 +111,12 @@ func TestManagerRunsToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, StateDone)
+	// The state lands before its record is persisted and its event sent.
+	waitFor(t, "the done event", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(events) > 0 && events[len(events)-1] == EventDone
+	})
 	v := s.View()
 	if v.DoneSteps != 20 || v.TotalSteps != 20 || v.Segments != 4 || v.LastCheckpoint != 20 {
 		t.Fatalf("final view wrong: %+v", v)
