@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/service"
 )
 
 // NodeBundle is one member's contribution to the cluster postmortem: its
@@ -60,7 +62,7 @@ func (r *Router) FederatedBundle(ctx context.Context) ClusterBundle {
 			Counters: r.Counters(),
 			Members:  members,
 			Ring:     ringDoc{Nodes: ring.Nodes(), VNodes: ring.VNodes()},
-			InFlight: r.inFlight(),
+			InFlight: r.live(r.jobs),
 		},
 		Nodes: make([]NodeBundle, len(members)),
 	}
@@ -78,16 +80,16 @@ func (r *Router) FederatedBundle(ctx context.Context) ClusterBundle {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			status, _, body, err := r.client.get(ctx, url+"/v1/debug/bundle")
+			resp, err := r.client.do(ctx, http.MethodGet, url+"/v1/debug/bundle", nil, "")
 			switch {
 			case err != nil:
 				out.Nodes[i].Error = "bundle fetch failed: " + err.Error()
-			case status != http.StatusOK:
-				out.Nodes[i].Error = fmt.Sprintf("bundle fetch failed: status %d", status)
-			case !json.Valid(body):
+			case resp.status != http.StatusOK:
+				out.Nodes[i].Error = fmt.Sprintf("bundle fetch failed: status %d", resp.status)
+			case !json.Valid(resp.body):
 				out.Nodes[i].Error = "bundle fetch failed: invalid JSON"
 			default:
-				out.Nodes[i].Bundle = body
+				out.Nodes[i].Bundle = resp.body
 			}
 		}(i, m.URL)
 	}
@@ -98,5 +100,5 @@ func (r *Router) FederatedBundle(ctx context.Context) ClusterBundle {
 // handleBundle serves the cluster postmortem. Always 200: collection
 // failures are explicit per-node entries, never a gateway error.
 func (r *Router) handleBundle(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.FederatedBundle(req.Context()))
+	service.WriteJSON(w, http.StatusOK, r.FederatedBundle(req.Context()))
 }

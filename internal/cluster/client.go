@@ -35,27 +35,33 @@ func newNodeClient(timeout time.Duration) *nodeClient {
 	}
 }
 
-// submitResult is one node's answer to a forwarded POST /v1/jobs.
-type submitResult struct {
-	Status     int
-	RetryAfter time.Duration // parsed Retry-After on 429/503; 0 if absent
-	Body       []byte        // the node's response document as sent
-	View       service.View  // decoded body on 200/202
+// nodeResponse is a node's whole answer to one request.
+type nodeResponse struct {
+	status int
+	header http.Header
+	body   []byte
 }
 
-// submit forwards an already-encoded request body to a node. A non-empty
-// traceHeader rides along as X-Advect-Trace, handing the gateway's span
-// log to the owner.
-func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, traceHeader string) (*submitResult, error) {
+// do is the one outbound request: every conversation but the SSE stream
+// goes through it, under the request timeout. A non-empty body is sent as
+// JSON; a non-empty trace rides along as X-Advect-Trace, handing the
+// gateway's span log to the node.
+func (c *nodeClient) do(ctx context.Context, method, url string, body []byte, trace string) (*nodeResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/jobs", bytes.NewReader(body))
+	var rd io.Reader
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceHeader != "" {
-		req.Header.Set(obs.TraceHeader, traceHeader)
+	if len(body) > 0 {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if trace != "" {
+		req.Header.Set(obs.TraceHeader, trace)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -66,15 +72,57 @@ func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, tr
 	if err != nil {
 		return nil, err
 	}
-	res := &submitResult{Status: resp.StatusCode, Body: data}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-			res.RetryAfter = time.Duration(secs) * time.Second
+	return &nodeResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// expect checks that the node answered want and, with a non-nil v, decodes
+// the JSON body into it; what names the conversation in the error.
+func (r *nodeResponse) expect(what string, want int, v any) error {
+	if r.status != want {
+		return fmt.Errorf("%s: status %d", what, r.status)
+	}
+	if v == nil {
+		return nil
+	}
+	if err := json.Unmarshal(r.body, v); err != nil {
+		return fmt.Errorf("decode %s: %w", what, err)
+	}
+	return nil
+}
+
+// relay copies the node's answer to the client unchanged: status, content
+// type, body, and the session checkpoint headers — the replication
+// metadata a puller needs to seed a successor session.
+func (r *nodeResponse) relay(w http.ResponseWriter) {
+	for _, h := range []string{service.SessionStepHeader, service.SessionFPHeader} {
+		if v := r.header.Get(h); v != "" {
+			w.Header().Set(h, v)
 		}
 	}
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		if err := json.Unmarshal(data, &res.View); err != nil {
-			return nil, fmt.Errorf("decode submit response: %w", err)
+	service.WriteRaw(w, r.status, r.header.Get("Content-Type"), r.body)
+}
+
+// submitResult is one node's answer to a forwarded POST /v1/jobs.
+type submitResult struct {
+	Status     int
+	RetryAfter time.Duration // parsed Retry-After on 429/503; 0 if absent
+	Body       []byte        // the node's response document as sent
+	View       service.View  // decoded body on 200/202
+}
+
+// submit forwards an already-encoded request body to a node.
+func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, trace string) (*submitResult, error) {
+	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/jobs", body, trace)
+	if err != nil {
+		return nil, err
+	}
+	res := &submitResult{Status: resp.status, Body: resp.body}
+	if secs, err := strconv.Atoi(resp.header.Get("Retry-After")); err == nil && secs >= 0 {
+		res.RetryAfter = time.Duration(secs) * time.Second
+	}
+	if resp.status == http.StatusOK || resp.status == http.StatusAccepted {
+		if err := resp.expect("submit response", resp.status, &res.View); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -83,50 +131,23 @@ func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, tr
 // peek asks a node's cache for a key: (doc, true, nil) on a hit,
 // (nil, false, nil) on a clean miss.
 func (c *nodeClient) peek(ctx context.Context, baseURL, key string) (json.RawMessage, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/cache/"+key, nil)
-	if err != nil {
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/cache/"+key, nil, "")
+	if err != nil || resp.status == http.StatusNotFound {
 		return nil, false, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
+	if err := resp.expect("cache peek", http.StatusOK, nil); err != nil {
 		return nil, false, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("cache peek: status %d", resp.StatusCode)
-	}
-	doc, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, err
-	}
-	return doc, true, nil
+	return resp.body, true, nil
 }
 
 // seed replicates a result document into a node's cache.
 func (c *nodeClient) seed(ctx context.Context, baseURL, key string, doc json.RawMessage) error {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, baseURL+"/v1/cache/"+key, bytes.NewReader(doc))
+	resp, err := c.do(ctx, http.MethodPut, baseURL+"/v1/cache/"+key, doc, "")
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("cache seed: status %d", resp.StatusCode)
-	}
-	return nil
+	return resp.expect("cache seed", http.StatusNoContent, nil)
 }
 
 // spans fetches a job's raw span log (its wire trace context) from a
@@ -134,28 +155,15 @@ func (c *nodeClient) seed(ctx context.Context, baseURL, key string, doc json.Raw
 // timeout: the only caller is the dead-node harvest, where a node that
 // stopped answering health checks should not stall the reroute sweep.
 func (c *nodeClient) spans(ctx context.Context, baseURL, id string) (*obs.TraceContext, error) {
-	to := c.timeout
-	if to > 2*time.Second {
-		to = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, to)
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/jobs/"+id+"/spans", nil)
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/jobs/"+id+"/spans", nil, "")
 	if err != nil {
 		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("spans: status %d", resp.StatusCode)
 	}
 	var doc obs.TraceContext
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decode spans: %w", err)
+	if err := resp.expect("spans", http.StatusOK, &doc); err != nil {
+		return nil, err
 	}
 	return &doc, nil
 }
@@ -164,22 +172,17 @@ func (c *nodeClient) spans(ctx context.Context, baseURL, id string) (*obs.TraceC
 // answer; an error means the probe failed (connection refused, timeout,
 // garbage) and counts toward the down threshold.
 func (c *nodeClient) health(ctx context.Context, baseURL string) (NodeState, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/healthz", nil, "")
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
 	var doc struct {
 		Status string `json:"status"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return "", fmt.Errorf("decode healthz: %w", err)
+	// A draining node answers 503 with the same document, so any status
+	// is read.
+	if err := resp.expect("healthz", resp.status, &doc); err != nil {
+		return "", err
 	}
 	switch doc.Status {
 	case "ok":
@@ -192,168 +195,37 @@ func (c *nodeClient) health(ctx context.Context, baseURL string) (NodeState, err
 
 // drain asks a node to begin its graceful drain.
 func (c *nodeClient) drain(ctx context.Context, baseURL string) error {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/drain", nil)
+	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/drain", nil, "")
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("drain: status %d", resp.StatusCode)
-	}
-	return nil
+	return resp.expect("drain", http.StatusAccepted, nil)
 }
 
 // stats fetches a node's rolling-window telemetry snapshot.
 func (c *nodeClient) stats(ctx context.Context, baseURL string) (service.TelemetryStats, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
 	var doc service.TelemetryStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
-	if err != nil {
-		return doc, err
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/stats", nil, "")
+	if err == nil {
+		err = resp.expect("stats", http.StatusOK, &doc)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return doc, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return doc, fmt.Errorf("stats: status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return doc, fmt.Errorf("decode stats: %w", err)
-	}
-	return doc, nil
-}
-
-// postJSON forwards a POST with an optional JSON body (session create,
-// pause/resume/fork proxies) and returns the node's answer unchanged.
-func (c *nodeClient) postJSON(ctx context.Context, url string, body []byte) (int, string, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	var rd io.Reader
-	if len(body) > 0 {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, rd)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), data, nil
+	return doc, err
 }
 
 // checkpoint pulls a session's newest durable checkpoint from its owner:
 // the raw bytes plus the step it stands at (from the response header).
 // (nil, 0, nil) means the session exists but has no durable checkpoint yet.
 func (c *nodeClient) checkpoint(ctx context.Context, baseURL, id string) ([]byte, int64, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/sessions/"+id+"/checkpoint", nil)
-	if err != nil {
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/sessions/"+id+"/checkpoint", nil, "")
+	if err != nil || resp.status == http.StatusNotFound {
 		return nil, 0, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
+	if err := resp.expect("checkpoint", http.StatusOK, nil); err != nil {
 		return nil, 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, 0, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, 0, fmt.Errorf("checkpoint: status %d", resp.StatusCode)
-	}
-	step, err := strconv.ParseInt(resp.Header.Get(service.SessionStepHeader), 10, 64)
+	step, err := strconv.ParseInt(resp.header.Get(service.SessionStepHeader), 10, 64)
 	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: bad %s header: %w", service.SessionStepHeader, err)
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, step, nil
-}
-
-// get proxies a read (status, result, trace, list) and returns the node's
-// status code, content type, and body unchanged.
-func (c *nodeClient) get(ctx context.Context, url string) (int, string, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), body, nil
-}
-
-// getFull proxies a read like get but hands back the full response
-// header set, for endpoints whose metadata rides custom headers (the
-// session checkpoint surface).
-func (c *nodeClient) getFull(ctx context.Context, url string) (int, http.Header, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, body, nil
-}
-
-// del proxies a DELETE (job cancel).
-func (c *nodeClient) del(ctx context.Context, url string) (int, string, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, url, nil)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), body, nil
+	return resp.body, step, nil
 }

@@ -57,6 +57,33 @@ func TestClusterFederatedStats(t *testing.T) {
 	if stats.Gateway.Submits == 0 {
 		t.Errorf("gateway counters missing from federated stats")
 	}
+
+	// A running job shows in the worker gauges of its node and of the merged
+	// view, whose utilization is re-derived from the summed workers (two
+	// nodes of two), not copied from one node.
+	status, slow := tc.submit(t, `{"type":"simulate","simulate":{"kind":"bulk","n":64,"steps":4000,"tasks":2}}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("slow submit: status %d", status)
+	}
+	waitFor(t, 60*time.Second, "a busy worker in the merged view", func() bool {
+		stats = tc.clusterStats(t)
+		return stats.Cluster.Workers.Busy > 0
+	})
+	w := stats.Cluster.Workers
+	if w.Total != 4 || w.Utilization != float64(w.Busy)/4 {
+		t.Errorf("merged worker gauges %+v, want utilization busy/4", w)
+	}
+	for _, ns := range stats.Nodes {
+		if nw := ns.Stats.Workers; nw.Utilization != float64(nw.Busy)/2 {
+			t.Errorf("node %s worker gauges %+v, want utilization busy/2", ns.ID, nw)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, tc.gw.URL+"/v1/jobs/"+slow.ID, nil)
+	resp, err := testClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 }
 
 // TestClusterFederatedStream: the gateway SSE stream multiplexes every

@@ -1,98 +1,64 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/session"
 )
 
-// errorDoc matches the per-node JSON error envelope, extended with routing
-// attribution: which shard (or shards, for a cluster-wide shed) the
-// gateway was talking to when the request failed, and how many dispatches
-// it spent.
-type errorDoc struct {
-	Error    string   `json:"error"`
-	Node     string   `json:"node,omitempty"`
-	Nodes    []string `json:"nodes,omitempty"`
-	Attempts int      `json:"attempts,omitempty"`
-}
-
-// routes builds the gateway HTTP API. The job surface mirrors a single
-// advectd node — clients talk to the cluster exactly as they would to one
-// process — plus cluster-level membership and drain controls.
-//
-//	POST   /v1/jobs               submit (routed to the owner shard)
-//	GET    /v1/jobs               merged job list across nodes
-//	GET    /v1/jobs/{id}          job status (proxied, node-labelled)
-//	GET    /v1/jobs/{id}/result   result document (proxied)
-//	GET    /v1/jobs/{id}/trace    stitched Chrome trace (proxied)
-//	GET    /v1/jobs/{id}/spans    raw span log / wire trace context (proxied)
-//	DELETE /v1/jobs/{id}          cancel (proxied)
-//	POST   /v1/sessions           create a resumable session (routed by fingerprint)
-//	GET    /v1/sessions           merged session list across nodes
-//	GET    /v1/sessions/{id}      session status (proxied, follows failover)
-//	POST   /v1/sessions/{id}/pause   pause (proxied)
-//	POST   /v1/sessions/{id}/resume  resume (proxied)
-//	POST   /v1/sessions/{id}/fork    fork from a retained checkpoint (proxied)
-//	GET    /v1/sessions/{id}/checkpoint  raw checkpoint bytes (proxied)
-//	GET    /v1/stats              federated rolling-window telemetry
-//	GET    /v1/stream             federated SSE stream (node-labelled)
-//	GET    /v1/kinds              implementation catalogue (any up node)
-//	GET    /v1/experiments        experiment catalogue (any up node)
-//	GET    /v1/cluster            membership, ring, and routing counters
-//	POST   /v1/nodes              join a new node ({"id": ..., "url": ...})
-//	POST   /v1/nodes/{id}/drain   drain one node and rebalance its shard
-//	GET    /v1/debug/bundle       cluster postmortem (every node's bundle, node-stamped)
-//	GET    /metrics               gateway Prometheus exposition (?format=json)
-//	GET    /healthz               gateway liveness (503 with no routable nodes)
-func (r *Router) routes() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", r.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", r.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", r.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", r.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/spans", r.handleSpans)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", r.handleCancel)
-	mux.HandleFunc("POST /v1/sessions", r.handleSessionCreate)
-	mux.HandleFunc("GET /v1/sessions", r.handleSessionList)
-	mux.HandleFunc("GET /v1/sessions/{id}", r.handleSessionStatus)
-	mux.HandleFunc("POST /v1/sessions/{id}/pause", r.handleSessionVerb("pause"))
-	mux.HandleFunc("POST /v1/sessions/{id}/resume", r.handleSessionVerb("resume"))
-	mux.HandleFunc("POST /v1/sessions/{id}/fork", r.handleSessionFork)
-	mux.HandleFunc("GET /v1/sessions/{id}/checkpoint", r.handleSessionCheckpoint)
-	mux.HandleFunc("GET /v1/stats", r.handleStats)
-	mux.HandleFunc("GET /v1/stream", r.handleStream)
-	mux.HandleFunc("GET /v1/kinds", r.handleCatalogue("/v1/kinds"))
-	mux.HandleFunc("GET /v1/experiments", r.handleCatalogue("/v1/experiments"))
-	mux.HandleFunc("GET /v1/cluster", r.handleCluster)
-	mux.HandleFunc("POST /v1/nodes", r.handleNodeJoin)
-	mux.HandleFunc("POST /v1/nodes/{id}/drain", r.handleNodeDrain)
-	mux.HandleFunc("GET /v1/debug/bundle", r.handleBundle)
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	if r.cfg.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+// routes is the gateway's HTTP surface, one entry per route: the API
+// reference is this list (README and DESIGN.md point here). The job and
+// session surface mirrors a single advectd node — clients talk to the
+// cluster exactly as they would to one process — plus cluster-level
+// membership and drain controls. Every /{id} route under /v1/jobs and
+// /v1/sessions goes through forward; what is written here per route is
+// its answer for a lost entry and, in its handler, what it adds to the
+// owner's answer.
+func (r *Router) routes() []service.Route {
+	return []service.Route{
+		{Pattern: "POST /v1/jobs", Doc: "submit (routed to the owner shard)", Handler: r.handleSubmit},
+		{Pattern: "GET /v1/jobs", Doc: "merged job list across nodes", Handler: handleList(r, "jobs", labelView)},
+		{Pattern: "GET /v1/jobs/{id}", Doc: "job status (proxied, node-labelled)",
+			Handler: r.handleJobView(lostAnswer{status: http.StatusOK})},
+		{Pattern: "GET /v1/jobs/{id}/result", Doc: "result document (proxied)", Handler: r.handleResult},
+		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "stitched Chrome trace (proxied)",
+			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusNotFound})},
+		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "raw span log / wire trace context, what the dead-node harvest reads (proxied)",
+			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusNotFound, node: true})},
+		{Pattern: "DELETE /v1/jobs/{id}", Doc: "cancel (proxied, node-labelled)",
+			Handler: r.handleJobView(lostAnswer{status: http.StatusConflict, prefix: "job already failed: "})},
+		{Pattern: "POST /v1/sessions", Doc: "create a resumable session (routed by fingerprint)", Handler: r.handleSessionCreate},
+		{Pattern: "GET /v1/sessions", Doc: "merged session list across nodes", Handler: handleList(r, "sessions", labelSession)},
+		{Pattern: "GET /v1/sessions/{id}", Doc: "session status (proxied, follows failover)", Handler: r.handleSessionStatus},
+		{Pattern: "POST /v1/sessions/{id}/pause", Doc: "pause (proxied)",
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict))},
+		{Pattern: "POST /v1/sessions/{id}/resume", Doc: "resume (proxied)",
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict))},
+		{Pattern: "POST /v1/sessions/{id}/fork", Doc: "fork from a retained checkpoint (proxied, child recorded)", Handler: r.handleSessionFork},
+		{Pattern: "GET /v1/sessions/{id}/checkpoint", Doc: "raw checkpoint bytes, the replication surface (proxied)",
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusNotFound))},
+		{Pattern: "GET /v1/stats", Doc: "federated rolling-window telemetry", Handler: r.handleStats},
+		{Pattern: "GET /v1/stream", Doc: "federated SSE stream (node-labelled)", Handler: r.handleStream},
+		{Pattern: "GET /v1/kinds", Doc: "implementation catalogue (any up node)", Handler: r.handleCatalogue("/v1/kinds")},
+		{Pattern: "GET /v1/experiments", Doc: "experiment catalogue (any up node)", Handler: r.handleCatalogue("/v1/experiments")},
+		{Pattern: "GET /v1/cluster", Doc: "membership, ring, and routing counters", Handler: r.handleCluster},
+		{Pattern: "POST /v1/nodes", Doc: `join a new node ({"id": ..., "url": ...})`, Handler: r.handleNodeJoin},
+		{Pattern: "POST /v1/nodes/{id}/drain", Doc: "drain one node and rebalance its shard", Handler: r.handleNodeDrain},
+		{Pattern: "GET /v1/debug/bundle", Doc: "cluster postmortem (every node's bundle, node-stamped)", Handler: r.handleBundle},
+		{Pattern: "GET /metrics", Doc: "gateway Prometheus exposition (?format=json)", Handler: r.handleMetrics},
+		{Pattern: "GET /healthz", Doc: "gateway liveness (503 with no routable nodes)", Handler: r.handleHealthz},
 	}
-	return mux
 }
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var jobReq service.Request
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jobReq); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad request body: " + err.Error()})
+	if err := service.DecodeBody(w, req, service.MaxDocBytes, &jobReq); err != nil {
+		service.WriteBadBody(w, err)
 		return
 	}
 	view, nodeID, err := r.Submit(req.Context(), jobReq)
@@ -101,22 +67,20 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		var bad *badRequest
 		switch {
 		case errors.As(err, &bad):
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			_, _ = w.Write(bad.Body)
+			service.WriteRaw(w, http.StatusBadRequest, "application/json", bad.Body)
 		case errors.As(err, &shed):
 			ra := shed.RetryAfter
 			if ra < time.Second {
 				ra = time.Second
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds()+0.5)))
-			writeJSON(w, http.StatusTooManyRequests, errorDoc{
+			service.WriteJSON(w, http.StatusTooManyRequests, service.ErrorDoc{
 				Error: err.Error(), Nodes: shed.Nodes, Attempts: shed.Attempts,
 			})
 		case errors.Is(err, ErrNoNodes):
-			writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
+			service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
 		default:
-			writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+			service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
 		}
 		return
 	}
@@ -124,7 +88,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if view.State == service.StateDone { // owner answered from its cache
 		status = http.StatusOK
 	}
-	writeJSON(w, status, labelledViewOf(view, nodeID))
+	service.WriteJSON(w, status, labelledView{View: view, Node: nodeID})
 }
 
 // labelledView decorates a node's job view with the shard that holds it.
@@ -133,234 +97,142 @@ type labelledView struct {
 	Node string `json:"node"`
 }
 
-func labelledViewOf(v service.View, node string) labelledView {
-	return labelledView{View: v, Node: node}
+func labelView(v service.View, node string) any    { return labelledView{View: v, Node: node} }
+func labelSession(v session.View, node string) any { return labelledSession{View: v, Node: node} }
+
+// lostAnswer is what a proxied route says for an entry whose shard died
+// and could not be re-homed; each route keeps the status and wording it
+// has always had. Status 200 is the status routes' answer: the entry's
+// view, state failed, with the loss as its error.
+type lostAnswer struct {
+	status int
+	prefix string // put before the recorded loss in the error document
+	node   bool   // name the dead shard in the error document
 }
 
-func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolve(req.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
-		return
-	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id": e.id, "state": service.StateFailed, "error": e.lost, "node": e.node,
+func sessionLost(status int) lostAnswer {
+	return lostAnswer{status: status, prefix: "session lost: "}
+}
+
+// forward is the proxy path of every /v1/<kind>/{id}... route: resolve the
+// id through the failover chain, answer for an id the gateway never routed
+// (404) or an entry that is lost, relay the client's method, query string
+// and body to the entry's current owner under the owner's id, and map a
+// transport failure to a shard-attributed 502. ok is false once it has
+// answered; otherwise the caller adds what the route adds and relays the
+// owner's answer.
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, t *table, lost lostAnswer) (*entry, *nodeResponse, bool) {
+	id := req.PathValue("id")
+	e, why, ok := r.resolve(t, id)
+	switch {
+	case !ok:
+		service.WriteJSON(w, http.StatusNotFound, service.ErrorDoc{Error: "unknown " + t.noun})
+		return nil, nil, false
+	case why != "" && lost.status == http.StatusOK:
+		// Both tiers' views spell the failed state the same.
+		service.WriteJSON(w, http.StatusOK, map[string]any{
+			"id": e.id, "state": service.StateFailed, "error": why, "node": e.node,
 		})
-		return
+		return nil, nil, false
+	case why != "":
+		doc := service.ErrorDoc{Error: lost.prefix + why}
+		if lost.node {
+			doc.Node = e.node
+		}
+		service.WriteJSON(w, lost.status, doc)
+		return nil, nil, false
 	}
-	status, _, body, err := r.client.get(req.Context(), r.members.URL(e.node)+"/v1/jobs/"+e.id)
+	body, err := service.ReadBody(w, req, service.MaxDocBytes)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
+		service.WriteBadBody(w, err)
+		return nil, nil, false
 	}
-	if status == http.StatusOK {
-		var v service.View
-		if json.Unmarshal(body, &v) == nil {
-			r.observeState(e, v.State)
-			writeJSON(w, status, labelledViewOf(v, e.node))
-			return
+	url := r.members.URL(e.node) + t.prefix + e.id + strings.TrimPrefix(req.URL.Path, t.prefix+id)
+	if req.URL.RawQuery != "" {
+		url += "?" + req.URL.RawQuery
+	}
+	resp, err := r.client.do(req.Context(), req.Method, url, body, "")
+	if err != nil {
+		service.WriteJSON(w, http.StatusBadGateway,
+			service.ErrorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
+		return nil, nil, false
+	}
+	return e, resp, true
+}
+
+// proxy serves a route that adds nothing to the owner's answer.
+func (r *Router) proxy(t *table, lost lostAnswer) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if _, resp, ok := r.forward(w, req, t, lost); ok {
+			resp.relay(w)
 		}
 	}
-	passThrough(w, status, "application/json", body)
+}
+
+// handleJobView serves job status and cancel, whose 200 answer is the
+// job's view: it is re-emitted with the shard attached, and a terminal
+// state releases the entry.
+func (r *Router) handleJobView(lost lostAnswer) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		e, resp, ok := r.forward(w, req, r.jobs, lost)
+		if !ok {
+			return
+		}
+		var v service.View
+		if resp.expect("job", http.StatusOK, &v) != nil {
+			resp.relay(w)
+			return
+		}
+		if v.State.Terminal() {
+			r.finish(e)
+		}
+		service.WriteJSON(w, resp.status, labelledView{View: v, Node: e.node})
+	}
 }
 
 func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolve(req.PathValue("id"))
+	e, resp, ok := r.forward(w, req, r.jobs, lostAnswer{status: http.StatusInternalServerError})
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
-		return
-	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: e.lost})
-		return
-	}
-	url := r.members.URL(e.node) + "/v1/jobs/" + e.id + "/result"
-	if raw := req.URL.RawQuery; raw != "" {
-		url += "?" + raw
-	}
-	status, ctype, body, err := r.client.get(req.Context(), url)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
 		return
 	}
 	// The node's result handler encodes the job state in its status code:
 	// 200 done, 500 failed, 410 cancelled, 202 still pending.
-	switch status {
-	case http.StatusOK:
-		r.observeState(e, service.StateDone)
-	case http.StatusInternalServerError:
-		r.observeState(e, service.StateFailed)
-	case http.StatusGone:
-		r.observeState(e, service.StateCancelled)
+	switch resp.status {
+	case http.StatusOK, http.StatusInternalServerError, http.StatusGone:
+		r.finish(e)
 	}
-	passThrough(w, status, ctype, body)
+	resp.relay(w)
 }
 
-func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolve(req.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
-		return
-	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: e.lost})
-		return
-	}
-	status, ctype, body, err := r.client.get(req.Context(), r.members.URL(e.node)+"/v1/jobs/"+e.id+"/trace")
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
-	}
-	passThrough(w, status, ctype, body)
-}
-
-// handleSpans proxies a job's raw span log (the wire trace context) from
-// its shard, the same document the dead-node harvest reads.
-func (r *Router) handleSpans(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolve(req.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
-		return
-	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: e.lost, Node: e.node})
-		return
-	}
-	status, ctype, body, err := r.client.get(req.Context(), r.members.URL(e.node)+"/v1/jobs/"+e.id+"/spans")
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
-	}
-	passThrough(w, status, ctype, body)
-}
-
-func (r *Router) handleCancel(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolve(req.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
-		return
-	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: "job already failed: " + e.lost})
-		return
-	}
-	status, ctype, body, err := r.client.del(req.Context(), r.members.URL(e.node)+"/v1/jobs/"+e.id)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
-	}
-	if status == http.StatusOK {
-		var v service.View
-		if json.Unmarshal(body, &v) == nil {
-			r.observeState(e, v.State)
-			writeJSON(w, status, labelledViewOf(v, e.node))
-			return
+// handleList merges every reachable shard's list document (GET /v1/<kind>
+// answers {"<kind>": [...]}), each element labelled with its shard.
+func handleList[V any](r *Router, kind string, label func(V, string) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		out := []any{}
+		for _, id := range r.members.Peekable() {
+			resp, err := r.client.do(req.Context(), http.MethodGet, r.members.URL(id)+"/v1/"+kind, nil, "")
+			var doc map[string][]V
+			if err != nil || resp.expect(kind, http.StatusOK, &doc) != nil {
+				continue
+			}
+			for _, v := range doc[kind] {
+				out = append(out, label(v, id))
+			}
 		}
+		service.WriteJSON(w, http.StatusOK, map[string]any{kind: out})
 	}
-	passThrough(w, status, ctype, body)
-}
-
-func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
-	type nodeJobs struct {
-		Jobs []service.View `json:"jobs"`
-	}
-	var out []labelledView
-	for _, id := range r.members.Peekable() {
-		status, _, body, err := r.client.get(req.Context(), r.members.URL(id)+"/v1/jobs")
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var doc nodeJobs
-		if json.Unmarshal(body, &doc) != nil {
-			continue
-		}
-		for _, v := range doc.Jobs {
-			out = append(out, labelledViewOf(v, id))
-		}
-	}
-	if out == nil {
-		out = []labelledView{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.FederatedStats(req.Context()))
+	service.WriteJSON(w, http.StatusOK, r.FederatedStats(req.Context()))
 }
 
 // handleStream is the federated live feed: every node's SSE events,
 // node-labelled, multiplexed through the gateway hub, plus a periodic
 // merged cluster-stats event the per-node streams cannot provide.
 func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: "streaming unsupported"})
-		return
-	}
-	interval := r.cfg.StreamInterval
-	if q := req.URL.Query().Get("interval"); q != "" {
-		d, err := time.ParseDuration(q)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad interval: " + err.Error()})
-			return
-		}
-		interval = d
-	}
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-
-	events, cancel := r.hub.Subscribe(64)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	writeCluster := func() bool {
-		data, err := json.Marshal(r.FederatedStats(req.Context()))
-		if err != nil {
-			return false
-		}
-		return writeSSE(w, "cluster", data)
-	}
-	if !writeCluster() {
-		return
-	}
-	fl.Flush()
-
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	// Heartbeats are SSE comment lines (leading ':'), ignored by clients
-	// per spec; they keep idle federated streams alive through proxies.
-	hb := time.NewTicker(r.cfg.HeartbeatInterval)
-	defer hb.Stop()
-	for {
-		select {
-		case <-req.Context().Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				return // hub closed: gateway stopping
-			}
-			if !writeSSE(w, ev.Name, ev.Data) {
-				return
-			}
-			fl.Flush()
-		case <-tick.C:
-			if !writeCluster() {
-				return
-			}
-			fl.Flush()
-		case <-hb.C:
-			if _, err := w.Write([]byte(": heartbeat\n\n")); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	service.ServeStream(w, req, r.hub, r.cfg.StreamInterval, r.cfg.HeartbeatInterval, "cluster",
+		func() any { return r.FederatedStats(req.Context()) })
 }
 
 // handleCatalogue proxies a static catalogue endpoint (identical on every
@@ -368,41 +240,39 @@ func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleCatalogue(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		for _, id := range r.members.Peekable() {
-			status, ctype, body, err := r.client.get(req.Context(), r.members.URL(id)+path)
-			if err != nil || status != http.StatusOK {
+			resp, err := r.client.do(req.Context(), http.MethodGet, r.members.URL(id)+path, nil, "")
+			if err != nil || resp.status != http.StatusOK {
 				continue
 			}
-			passThrough(w, status, ctype, body)
+			resp.relay(w)
 			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: ErrNoNodes.Error()})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: ErrNoNodes.Error()})
 	}
 }
 
 func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 	ring := r.ring.Load()
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"members":       r.members.Snapshot(),
 		"ring":          map[string]any{"nodes": ring.Nodes(), "vnodes": ring.VNodes()},
 		"gateway":       r.Counters(),
-		"in_flight":     r.inFlight(),
-		"live_sessions": r.liveSessions(),
+		"in_flight":     r.live(r.jobs),
+		"live_sessions": r.live(r.sessions),
 	})
 }
 
 func (r *Router) handleNodeJoin(w http.ResponseWriter, req *http.Request) {
 	var mem Member
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&mem); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad member document: " + err.Error()})
+	if err := service.DecodeBody(w, req, service.MaxDocBytes, &mem); err != nil {
+		service.WriteBadBody(w, err)
 		return
 	}
 	if err := r.AddMember(mem); err != nil {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error()})
+		service.WriteJSON(w, http.StatusConflict, service.ErrorDoc{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"status": "joined", "node": mem.ID})
+	service.WriteJSON(w, http.StatusCreated, map[string]any{"status": "joined", "node": mem.ID})
 }
 
 func (r *Router) handleNodeDrain(w http.ResponseWriter, req *http.Request) {
@@ -412,10 +282,10 @@ func (r *Router) handleNodeDrain(w http.ResponseWriter, req *http.Request) {
 		if r.members.URL(id) == "" {
 			status = http.StatusNotFound
 		}
-		writeJSON(w, status, errorDoc{Error: err.Error()})
+		service.WriteJSON(w, status, service.ErrorDoc{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"status": "draining", "node": id})
+	service.WriteJSON(w, http.StatusAccepted, map[string]any{"status": "draining", "node": id})
 }
 
 // handleMetrics serves the gateway's own observability: cumulative routing
@@ -423,14 +293,7 @@ func (r *Router) handleNodeDrain(w http.ResponseWriter, req *http.Request) {
 // the Prometheus text format by default or JSON on request.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	m := r.Metrics(time.Now())
-	if req.URL.Query().Get("format") == "json" ||
-		strings.Contains(req.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, m)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(m.Prometheus()))
+	service.WriteMetrics(w, req, m, m.Prometheus)
 }
 
 // handleHealthz reports gateway liveness: healthy while at least one
@@ -447,38 +310,8 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	}
 	if states[NodeUp] == 0 {
 		doc["status"] = "degraded"
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		service.WriteJSON(w, http.StatusServiceUnavailable, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// passThrough copies a node response to the client unchanged.
-func passThrough(w http.ResponseWriter, status int, ctype string, body []byte) {
-	if ctype != "" {
-		w.Header().Set("Content-Type", ctype)
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// writeJSON serializes a response document (indented, matching the nodes).
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
-// writeSSE emits one Server-Sent Event frame.
-func writeSSE(w http.ResponseWriter, name string, data []byte) bool {
-	if _, err := w.Write([]byte("event: " + name + "\ndata: ")); err != nil {
-		return false
-	}
-	if _, err := w.Write(data); err != nil {
-		return false
-	}
-	_, err := w.Write([]byte("\n\n"))
-	return err == nil
+	service.WriteJSON(w, http.StatusOK, doc)
 }

@@ -125,18 +125,37 @@ type GatewayCounters struct {
 	CheckpointSyncs uint64 `json:"checkpoint_syncs"`
 }
 
-// jobEntry is the gateway's record of one accepted job: where it lives,
-// its routing fingerprint, and the encoded request (kept so the job can be
-// re-submitted if its node dies).
-type jobEntry struct {
-	id       string // node-issued job id (globally unique via NodeID prefix)
+// entry is the gateway's record of one routed job or session: the shard
+// that holds it, its routing fingerprint, and the encoded request (kept so
+// the work can be re-submitted elsewhere if its node dies). When that
+// happens the old entry forwards to its successor, so the id the client
+// holds keeps answering. A session entry also carries the newest
+// checkpoint the sync sweep has replicated off the owner — the bytes that
+// seed the successor. id, node, fp, body and the trace fields never change
+// after the entry is tabled; the rest is guarded by Router.mu.
+type entry struct {
+	id       string // node-issued id (globally unique via the NodeID prefix)
 	node     string
 	fp       string
-	body     []byte
+	body     []byte // encoded request; empty for a fork, which cannot be replayed
 	terminal bool
-	lost     string           // non-empty: node died and the re-submit failed
-	replaced *jobEntry        // forwarding pointer after a reroute
-	trace    *submissionTrace // gateway trace state; nil for untraced jobs
+	lost     string // non-empty: the node died and re-homing failed
+	replaced *entry // forwarding pointer after a reroute or resume
+
+	trace   *submissionTrace // a traced job's gateway trace state, else nil
+	traceID string           // a session's cluster-wide correlation id
+
+	ckpt     []byte // a session's newest replicated checkpoint bytes
+	ckptStep int64
+}
+
+// table holds one kind of routed entry, jobs or sessions, by the id the
+// gateway handed the client: everything the proxied routes under
+// /v1/<kind>/{id} need to find the current owner and to word an error.
+type table struct {
+	noun    string // "job", "session"
+	prefix  string // "/v1/jobs/", "/v1/sessions/": where a node serves the kind
+	entries map[string]*entry
 }
 
 // Router is the cluster gateway: it owns the hash ring, the membership
@@ -153,11 +172,11 @@ type Router struct {
 	tele    *GatewayTelemetry
 	mux     *http.ServeMux
 
-	mu        sync.Mutex
-	jobs      map[string]*jobEntry
-	byFP      map[string]*jobEntry // in-flight job per fingerprint (dedup)
-	sessTable map[string]*sessionEntry
-	counters  GatewayCounters
+	mu       sync.Mutex
+	jobs     *table
+	sessions *table
+	byFP     map[string]*entry // in-flight job per fingerprint (dedup)
+	counters GatewayCounters
 
 	runCtx  context.Context
 	stopRun context.CancelFunc
@@ -170,18 +189,18 @@ type Router struct {
 func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	r := &Router{
-		cfg:       cfg,
-		log:       cfg.Logger,
-		client:    newNodeClient(cfg.RequestTimeout),
-		members:   NewMembership(cfg.Members, cfg.FailThreshold, time.Now()),
-		hub:       telemetry.NewHub(),
-		tele:      NewGatewayTelemetry(cfg.StatsWindow),
-		jobs:      map[string]*jobEntry{},
-		byFP:      map[string]*jobEntry{},
-		sessTable: map[string]*sessionEntry{},
+		cfg:      cfg,
+		log:      cfg.Logger,
+		client:   newNodeClient(cfg.RequestTimeout),
+		members:  NewMembership(cfg.Members, cfg.FailThreshold, time.Now()),
+		hub:      telemetry.NewHub(),
+		tele:     NewGatewayTelemetry(cfg.StatsWindow),
+		jobs:     &table{noun: "job", prefix: "/v1/jobs/", entries: map[string]*entry{}},
+		sessions: &table{noun: "session", prefix: "/v1/sessions/", entries: map[string]*entry{}},
+		byFP:     map[string]*entry{},
 	}
 	r.rebuildRing()
-	r.mux = r.routes()
+	r.mux = service.Mount(r.routes(), cfg.EnablePprof)
 	return r
 }
 
@@ -192,22 +211,34 @@ func (r *Router) Start(ctx context.Context) {
 		return
 	}
 	r.runCtx, r.stopRun = context.WithCancel(ctx)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.healthLoop(r.runCtx)
-	}()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.sessionSyncLoop(r.runCtx)
-	}()
+	r.spawn(func() { r.every(r.cfg.HealthInterval, r.sweepHealth) })
+	r.spawn(func() { r.every(r.cfg.SessionSyncInterval, r.syncSessions) })
 	for _, m := range r.members.Snapshot() {
-		r.wg.Add(1)
-		go func(m MemberStatus) {
-			defer r.wg.Done()
-			r.streamReader(r.runCtx, m.Member)
-		}(m)
+		r.spawn(func() { r.streamReader(r.runCtx, m.Member) })
+	}
+}
+
+// spawn runs one background loop that Stop waits for.
+func (r *Router) spawn(loop func()) {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		loop()
+	}()
+}
+
+// every runs sweep at the given cadence until the gateway stops: the health
+// sweep and the checkpoint replication sweep are both this loop.
+func (r *Router) every(interval time.Duration, sweep func(context.Context)) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-r.runCtx.Done():
+			return
+		case <-tick.C:
+			sweep(r.runCtx)
+		}
 	}
 }
 
@@ -460,9 +491,9 @@ func (r *Router) ensureCached(ctx context.Context, targetID, targetURL, fp strin
 // same trace instead of starting a fresh one.
 func (r *Router) recordAccepted(res *submitResult, nodeID, fp string, body []byte, failover bool, tr *submissionTrace) {
 	terminal := res.View.State.Terminal() // cache hits arrive already done
-	e := &jobEntry{id: res.View.ID, node: nodeID, fp: fp, body: body, terminal: terminal, trace: tr}
+	e := &entry{id: res.View.ID, node: nodeID, fp: fp, body: body, terminal: terminal, trace: tr}
 	r.mu.Lock()
-	r.jobs[e.id] = e
+	r.jobs.entries[e.id] = e
 	if !terminal {
 		r.byFP[fp] = e
 	}
@@ -473,30 +504,58 @@ func (r *Router) recordAccepted(res *submitResult, nodeID, fp string, body []byt
 	r.mu.Unlock()
 }
 
-// resolve follows an id through any reroute forwarding chain.
-func (r *Router) resolve(id string) (*jobEntry, bool) {
+// resolve follows an id through any forwarding chain to the entry that
+// holds the work now, and reports why that entry was lost, if it was.
+func (r *Router) resolve(t *table, id string) (e *entry, lost string, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.jobs[id]
+	e, ok = t.entries[id]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	for e.replaced != nil {
 		e = e.replaced
 	}
-	return e, true
+	return e, e.lost, true
 }
 
-// observeState marks a job terminal once a proxied poll shows it finished,
-// releasing its fingerprint from the in-flight dedup table.
-func (r *Router) observeState(e *jobEntry, state service.State) {
-	if !state.Terminal() {
-		return
-	}
+// finish marks an entry terminal once a proxied answer shows the work
+// finished: the sync sweep stops replicating it, and a job releases its
+// fingerprint from the in-flight dedup table.
+func (r *Router) finish(e *entry) {
 	r.mu.Lock()
 	e.terminal = true
 	if r.byFP[e.fp] == e {
 		delete(r.byFP, e.fp)
+	}
+	r.mu.Unlock()
+}
+
+// unfinished selects the entries the gateway still tracks work for — not
+// terminal (a lost entry is), not forwarded — on one node, or on every node
+// when node is empty. For a node that just died these are its orphans.
+func (r *Router) unfinished(t *table, node string) []*entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*entry
+	for _, e := range t.entries {
+		if (node == "" || e.node == node) && !e.terminal && e.replaced == nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// live counts the entries of a table not yet observed terminal.
+func (r *Router) live(t *table) int { return len(r.unfinished(t, "")) }
+
+// lose records that a dead node's entries could not be re-homed; every
+// proxied route answers for them from then on.
+func (r *Router) lose(entries []*entry, why string) {
+	r.mu.Lock()
+	for _, e := range entries {
+		e.lost = why
+		e.terminal = true
 	}
 	r.mu.Unlock()
 }
@@ -506,20 +565,6 @@ func (r *Router) addCounter(f func(*GatewayCounters)) {
 	r.mu.Lock()
 	f(&r.counters)
 	r.mu.Unlock()
-}
-
-// healthLoop sweeps every member at the configured cadence.
-func (r *Router) healthLoop(ctx context.Context) {
-	tick := time.NewTicker(r.cfg.HealthInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			r.sweepHealth(ctx)
-		}
-	}
 }
 
 // sweepHealth probes each member once and applies the state transitions:
@@ -569,14 +614,12 @@ func (r *Router) sweepHealth(ctx context.Context) {
 // already finished is never redone). Accepted jobs are therefore never
 // lost, and no fingerprint executes twice because of the reroute.
 func (r *Router) rerouteDead(ctx context.Context, deadID string) {
-	r.mu.Lock()
-	groups := map[string][]*jobEntry{}
-	for _, e := range r.jobs {
-		if e.node == deadID && !e.terminal && e.replaced == nil && e.lost == "" {
-			groups[e.fp] = append(groups[e.fp], e)
-		}
+	groups := map[string][]*entry{}
+	for _, e := range r.unfinished(r.jobs, deadID) {
+		groups[e.fp] = append(groups[e.fp], e)
 	}
-	alive := map[string]*jobEntry{}
+	r.mu.Lock()
+	alive := map[string]*entry{}
 	for fp := range groups {
 		if cur, ok := r.byFP[fp]; ok && cur.node != deadID && !cur.terminal && cur.replaced == nil {
 			alive[fp] = cur
@@ -611,19 +654,13 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 		}
 		res, nodeID, err := r.routeBody(ctx, fp, entries[0].body, tr)
 		if err != nil {
-			msg := fmt.Sprintf("node %s died and re-submit failed: %v", deadID, err)
-			r.mu.Lock()
-			for _, e := range entries {
-				e.lost = msg
-				e.terminal = true
-			}
-			r.mu.Unlock()
+			r.lose(entries, fmt.Sprintf("node %s died and re-submit failed: %v", deadID, err))
 			r.log.Error("reroute failed", traceArgs(tr, "node", deadID,
 				"fingerprint", fp, "error", err)...)
 			continue
 		}
 		r.mu.Lock()
-		tgt := r.jobs[res.View.ID]
+		tgt := r.jobs.entries[res.View.ID]
 		for _, e := range entries {
 			e.replaced = tgt
 		}
@@ -652,11 +689,7 @@ func (r *Router) AddMember(mem Member) error {
 	}
 	r.rebuildRing()
 	if r.started.Load() && r.runCtx != nil && r.runCtx.Err() == nil {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.streamReader(r.runCtx, mem)
-		}()
+		r.spawn(func() { r.streamReader(r.runCtx, mem) })
 	}
 	r.log.Info("member added", "node", mem.ID, "url", mem.URL)
 	return nil

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"time"
 
@@ -11,25 +10,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/session"
 )
-
-// sessionEntry is the gateway's record of one resumable session: the shard
-// that owns it, its routing fingerprint, the encoded create request (kept
-// so the session can be re-created elsewhere), and the newest checkpoint
-// the sync loop has replicated off the owner. When the owner dies the
-// replicated bytes seed a successor session on a survivor and the old id
-// forwards to it, exactly like a rerouted job.
-type sessionEntry struct {
-	id       string
-	node     string
-	fp       string
-	body     []byte // encoded SessionRequest, checkpoint field empty
-	traceID  string
-	terminal bool
-	lost     string        // non-empty: owner died and the resume failed
-	replaced *sessionEntry // forwarding pointer after a failover resume
-	ckpt     []byte        // newest replicated checkpoint bytes
-	ckptStep int64
-}
 
 // labelledSession decorates a node's session view with the shard that
 // owns it.
@@ -42,18 +22,17 @@ type labelledSession struct {
 // fingerprint. A session with no trace id gets one minted here, so the
 // trajectory stays one logical trace however many owners it passes
 // through. Shards that cannot take the session (draining, sessions
-// disabled) fail over to the next ring successor.
+// disabled) fail over to the next ring successor. The body bound is the
+// default node limit's: the gateway does not know its members' -maxn.
 func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	var sreq service.SessionRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad request body: " + err.Error()})
+	if err := service.DecodeBody(w, req, service.DefaultLimits().SessionBodyBytes(), &sreq); err != nil {
+		service.WriteBadBody(w, err)
 		return
 	}
 	fp, err := service.SessionFingerprint(sreq)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorDoc{Error: err.Error()})
 		return
 	}
 	if sreq.TraceID == "" {
@@ -61,166 +40,85 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	}
 	body, err := json.Marshal(sreq)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+		service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
 		return
 	}
-	e, status, respBody, err := r.routeSession(req.Context(), fp, sreq.TraceID, body)
+	e, resp, err := r.routeSession(req.Context(), fp, sreq.TraceID, body)
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
-		return
-	}
-	if e == nil { // a shard answered with a client error; pass it through
-		passThrough(w, status, "application/json", respBody)
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
 		return
 	}
 	var v session.View
-	if json.Unmarshal(respBody, &v) == nil {
-		writeJSON(w, status, labelledSession{View: v, Node: e.node})
+	if e == nil || json.Unmarshal(resp.body, &v) != nil {
+		resp.relay(w) // a shard answered with a client error; pass it through
 		return
 	}
-	passThrough(w, status, "application/json", respBody)
+	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
 }
 
 // routeSession walks the ring from the fingerprint's owner until a shard
 // accepts the session. 4xx answers are the client's problem and stop the
-// walk; 503 (draining or sessions disabled) and transport errors move to
-// the next successor. On acceptance the session lands in the gateway
-// table so status polls, the checkpoint sync loop, and dead-owner resumes
-// can find it.
-func (r *Router) routeSession(ctx context.Context, fp, traceID string, body []byte) (*sessionEntry, int, []byte, error) {
+// walk (nil entry, the shard's answer); 503 (draining or sessions
+// disabled) and transport errors move to the next successor. On acceptance
+// the session lands in the gateway table so status polls, the checkpoint
+// sync sweep, and dead-owner resumes can find it.
+func (r *Router) routeSession(ctx context.Context, fp, traceID string, body []byte) (*entry, *nodeResponse, error) {
 	ring := r.ring.Load()
 	n := len(ring.Nodes())
-	if n == 0 {
-		return nil, 0, nil, ErrNoNodes
-	}
 	for attempt := 0; attempt < n; attempt++ {
 		nodeID := ring.LookupOffset(fp, attempt)
 		if r.members.State(nodeID) != NodeUp {
 			continue
 		}
-		baseURL := r.members.URL(nodeID)
-		status, _, respBody, err := r.client.postJSON(ctx, baseURL+"/v1/sessions", body)
+		resp, err := r.client.do(ctx, http.MethodPost, r.members.URL(nodeID)+"/v1/sessions", body, "")
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, 0, nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 			r.log.Warn("session forward failed", "node", nodeID, "error", err, "trace_id", traceID)
 			r.members.ReportFailure(nodeID, err.Error(), time.Now())
 			continue
 		}
-		switch status {
+		switch resp.status {
 		case http.StatusAccepted, http.StatusOK:
 			var v session.View
-			if err := json.Unmarshal(respBody, &v); err != nil {
-				return nil, 0, nil, err
+			if err := json.Unmarshal(resp.body, &v); err != nil {
+				return nil, nil, err
 			}
-			e := &sessionEntry{id: v.ID, node: nodeID, fp: fp, body: body, traceID: traceID}
+			e := &entry{id: v.ID, node: nodeID, fp: fp, body: body, traceID: traceID}
 			r.mu.Lock()
-			r.sessTable[e.id] = e
+			r.sessions.entries[e.id] = e
 			r.counters.SessionRoutes++
 			r.mu.Unlock()
 			r.log.Info("session routed", "node", nodeID, "session", v.ID,
 				"fingerprint", fp, "trace_id", traceID, "failover", attempt > 0)
-			return e, status, respBody, nil
+			return e, resp, nil
 		case http.StatusServiceUnavailable:
 			r.log.Info("shard cannot host session, failing over", "node", nodeID, "trace_id", traceID)
-			continue
 		default:
-			return nil, status, respBody, nil
+			return nil, resp, nil
 		}
 	}
-	return nil, 0, nil, ErrNoNodes
+	return nil, nil, ErrNoNodes
 }
 
-// resolveSession follows a session id through any failover forwarding
-// chain.
-func (r *Router) resolveSession(id string) (*sessionEntry, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.sessTable[id]
-	if !ok {
-		return nil, false
-	}
-	for e.replaced != nil {
-		e = e.replaced
-	}
-	return e, true
-}
-
-// handleSessionStatus proxies a session poll to its current owner,
-// following the failover chain, and marks the entry terminal once the
-// owner reports it finished so the sync loop stops replicating it.
+// handleSessionStatus proxies a session poll to its current owner and
+// marks the entry terminal once the owner reports it finished, so the sync
+// sweep stops replicating it.
 func (r *Router) handleSessionStatus(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolveSession(req.PathValue("id"))
+	e, resp, ok := r.forward(w, req, r.sessions, lostAnswer{status: http.StatusOK})
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
 		return
 	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id": e.id, "state": session.StateFailed, "error": e.lost, "node": e.node,
-		})
+	var v session.View
+	if resp.expect("session", http.StatusOK, &v) != nil {
+		resp.relay(w)
 		return
 	}
-	status, _, body, err := r.client.get(req.Context(), r.members.URL(e.node)+"/v1/sessions/"+e.id)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
+	if v.State.Terminal() {
+		r.finish(e)
 	}
-	if status == http.StatusOK {
-		var v session.View
-		if json.Unmarshal(body, &v) == nil {
-			r.observeSessionState(e, v.State)
-			writeJSON(w, status, labelledSession{View: v, Node: e.node})
-			return
-		}
-	}
-	passThrough(w, status, "application/json", body)
-}
-
-// handleSessionList merges every reachable shard's session list,
-// node-labelled, mirroring the merged job list.
-func (r *Router) handleSessionList(w http.ResponseWriter, req *http.Request) {
-	type nodeSessions struct {
-		Sessions []session.View `json:"sessions"`
-	}
-	out := []labelledSession{}
-	for _, id := range r.members.Peekable() {
-		status, _, body, err := r.client.get(req.Context(), r.members.URL(id)+"/v1/sessions")
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var doc nodeSessions
-		if json.Unmarshal(body, &doc) != nil {
-			continue
-		}
-		for _, v := range doc.Sessions {
-			out = append(out, labelledSession{View: v, Node: id})
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
-}
-
-// handleSessionVerb proxies pause/resume to the session's current owner.
-func (r *Router) handleSessionVerb(verb string) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		e, ok := r.resolveSession(req.PathValue("id"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
-			return
-		}
-		if e.lost != "" {
-			writeJSON(w, http.StatusConflict, errorDoc{Error: "session lost: " + e.lost})
-			return
-		}
-		status, ctype, body, err := r.client.postJSON(req.Context(),
-			r.members.URL(e.node)+"/v1/sessions/"+e.id+"/"+verb, nil)
-		if err != nil {
-			writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-			return
-		}
-		passThrough(w, status, ctype, body)
-	}
+	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
 }
 
 // handleSessionFork proxies a fork to the parent's owner and records the
@@ -228,112 +126,29 @@ func (r *Router) handleSessionVerb(verb string) http.HandlerFunc {
 // read its retained checkpoints), so the child is tracked and replicated
 // like any other session on that node.
 func (r *Router) handleSessionFork(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolveSession(req.PathValue("id"))
+	e, resp, ok := r.forward(w, req, r.sessions, sessionLost(http.StatusConflict))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
 		return
 	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: "session lost: " + e.lost})
-		return
-	}
-	body, err := readBody(req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
-		return
-	}
-	status, ctype, respBody, err := r.client.postJSON(req.Context(),
-		r.members.URL(e.node)+"/v1/sessions/"+e.id+"/fork", body)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
-	}
-	if status == http.StatusAccepted {
-		var v session.View
-		if json.Unmarshal(respBody, &v) == nil {
-			child := &sessionEntry{id: v.ID, node: e.node, fp: v.Fingerprint, traceID: v.TraceID}
-			r.mu.Lock()
-			r.sessTable[child.id] = child
-			r.mu.Unlock()
-			writeJSON(w, status, labelledSession{View: v, Node: e.node})
-			return
-		}
-	}
-	passThrough(w, status, ctype, respBody)
-}
-
-// handleSessionCheckpoint proxies the raw-checkpoint read (the replication
-// surface) from the session's current owner.
-func (r *Router) handleSessionCheckpoint(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.resolveSession(req.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
-		return
-	}
-	if e.lost != "" {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "session lost: " + e.lost})
-		return
-	}
-	url := r.members.URL(e.node) + "/v1/sessions/" + e.id + "/checkpoint"
-	if raw := req.URL.RawQuery; raw != "" {
-		url += "?" + raw
-	}
-	status, hdr, body, err := r.client.getFull(req.Context(), url)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
-		return
-	}
-	// Forward the step/fingerprint headers — they are the replication
-	// metadata a puller needs to seed a successor session.
-	for _, h := range []string{service.SessionStepHeader, service.SessionFPHeader} {
-		if v := hdr.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	passThrough(w, status, hdr.Get("Content-Type"), body)
-}
-
-// observeSessionState marks an entry terminal once a poll shows the
-// session finished, releasing it from the sync loop.
-func (r *Router) observeSessionState(e *sessionEntry, st session.State) {
-	if !st.Terminal() {
+	var v session.View
+	if resp.expect("fork", http.StatusAccepted, &v) != nil {
+		resp.relay(w)
 		return
 	}
 	r.mu.Lock()
-	e.terminal = true
+	r.sessions.entries[v.ID] = &entry{id: v.ID, node: e.node, fp: v.Fingerprint, traceID: v.TraceID}
 	r.mu.Unlock()
+	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
 }
 
-// sessionSyncLoop periodically replicates every live session's newest
-// checkpoint off its owner into the gateway table. The replica is what
+// syncSessions replicates every live session's newest checkpoint off its
+// owner into the gateway table, one pull per session. The replica is what
 // makes a dead owner's sessions resumable elsewhere: advectd nodes do not
-// talk to each other, so the gateway is the transport.
-func (r *Router) sessionSyncLoop(ctx context.Context) {
-	tick := time.NewTicker(r.cfg.SessionSyncInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			r.syncSessions(ctx)
-		}
-	}
-}
-
-// syncSessions pulls one checkpoint per live session. Fetch errors are
+// talk to each other, so the gateway is the transport. Fetch errors are
 // left alone — the health sweep owns declaring nodes dead, and a stale
 // replica still resumes the session, just further back.
 func (r *Router) syncSessions(ctx context.Context) {
-	r.mu.Lock()
-	var live []*sessionEntry
-	for _, e := range r.sessTable {
-		if !e.terminal && e.replaced == nil && e.lost == "" {
-			live = append(live, e)
-		}
-	}
-	r.mu.Unlock()
-	for _, e := range live {
+	for _, e := range r.unfinished(r.sessions, "") {
 		if r.members.State(e.node) != NodeUp {
 			continue
 		}
@@ -358,23 +173,11 @@ func (r *Router) syncSessions(ctx context.Context) {
 // companion of rerouteDead, for work that is a trajectory rather than a
 // job.
 func (r *Router) resumeDeadSessions(ctx context.Context, deadID string) {
-	r.mu.Lock()
-	var orphans []*sessionEntry
-	for _, e := range r.sessTable {
-		if e.node == deadID && !e.terminal && e.replaced == nil && e.lost == "" {
-			orphans = append(orphans, e)
-		}
-	}
-	r.mu.Unlock()
-
-	for _, e := range orphans {
+	for _, e := range r.unfinished(r.sessions, deadID) {
 		if len(e.body) == 0 {
 			// A fork recorded from its parent's shard: the gateway holds no
 			// create request to replay, so the child cannot be re-homed.
-			r.mu.Lock()
-			e.lost = "node " + deadID + " died holding a forked session"
-			e.terminal = true
-			r.mu.Unlock()
+			r.lose([]*entry{e}, "node "+deadID+" died holding a forked session")
 			continue
 		}
 		var sreq service.SessionRequest
@@ -389,16 +192,13 @@ func (r *Router) resumeDeadSessions(ctx context.Context, deadID string) {
 		if err != nil {
 			continue
 		}
-		succ, _, _, err := r.routeSession(ctx, e.fp, e.traceID, body)
+		succ, _, err := r.routeSession(ctx, e.fp, e.traceID, body)
 		if err != nil || succ == nil {
 			msg := "node " + deadID + " died and the session resume failed"
 			if err != nil {
 				msg += ": " + err.Error()
 			}
-			r.mu.Lock()
-			e.lost = msg
-			e.terminal = true
-			r.mu.Unlock()
+			r.lose([]*entry{e}, msg)
 			r.log.Error("session resume failed", "session", e.id, "node", deadID,
 				"trace_id", e.traceID, "error", err)
 			continue
@@ -411,23 +211,4 @@ func (r *Router) resumeDeadSessions(ctx context.Context, deadID string) {
 			"to", succ.node, "successor", succ.id, "checkpoint_step", ckptStep,
 			"trace_id", e.traceID)
 	}
-}
-
-// liveSessions counts gateway session entries not yet observed terminal.
-func (r *Router) liveSessions() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, e := range r.sessTable {
-		if !e.terminal && e.replaced == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// readBody slurps a request body for re-encoding-free proxying.
-func readBody(req *http.Request) ([]byte, error) {
-	defer req.Body.Close()
-	return io.ReadAll(req.Body)
 }

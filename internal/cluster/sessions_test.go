@@ -314,3 +314,55 @@ func TestClusterSessionRoutingAndProxy(t *testing.T) {
 		t.Errorf("unknown session via gateway: status %d, want 404", nr.StatusCode)
 	}
 }
+
+// TestGatewayBodiesAreBounded: the gateway reads request documents through
+// the same limits as the nodes it fronts — 1 MiB for job, fork and member
+// documents — while a seeded session create, whose checkpoint is larger
+// than that, still passes through to its shard.
+func TestGatewayBodiesAreBounded(t *testing.T) {
+	tc := startSessionCluster(t, Config{SessionSyncInterval: time.Hour}, "n1")
+	status, v := tc.createSession(t, `{"simulate":{"kind":"single","n":48,"steps":1}}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("create: status %d", status)
+	}
+	waitFor(t, 60*time.Second, "session done", func() bool {
+		return tc.getSession(t, v.ID).State == session.StateDone
+	})
+	cr, err := testClient.Get(tc.gw.URL + "/v1/sessions/" + v.ID + "/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := io.ReadAll(cr.Body)
+	cr.Body.Close()
+	seeded, err := json.Marshal(service.SessionRequest{
+		Simulate: &service.SimulateRequest{Kind: "single", N: 48, Steps: 2}, Checkpoint: ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seeded) <= service.MaxDocBytes {
+		t.Fatalf("seeded create is %d bytes; the test needs one over the %d-byte document limit", len(seeded), service.MaxDocBytes)
+	}
+	if status, _ := tc.createSession(t, string(seeded)); status != http.StatusAccepted {
+		t.Errorf("seeded create through the gateway (%d bytes): status %d, want 202", len(seeded), status)
+	}
+
+	// Leading whitespace keeps each document valid JSON: only its size is
+	// wrong.
+	pad := strings.Repeat(" ", service.MaxDocBytes)
+	for path, body := range map[string]string{
+		"/v1/jobs":                       pad + fastBody(0),
+		"/v1/nodes":                      pad + `{"id":"n9","url":"http://127.0.0.1:1"}`,
+		"/v1/sessions/" + v.ID + "/fork": pad + `{"total_steps":3}`,
+	} {
+		resp, err := testClient.Post(tc.gw.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}

@@ -2,14 +2,10 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/service"
-	"repro/internal/session"
-	"repro/internal/telemetry"
 )
 
 // NodeStats is one member's contribution to the federated stats document.
@@ -24,8 +20,9 @@ type NodeStats struct {
 
 // ClusterStats is the gateway's GET /v1/stats document: every reachable
 // node's rolling-window snapshot side by side, plus one merged cluster
-// view built with telemetry.Merge (counts/sums exact, quantiles
-// count-weighted estimates) and the gateway's own routing counters.
+// view folded with service.TelemetryStats.Merge (counts/sums exact,
+// quantiles count-weighted estimates) and the gateway's own routing
+// counters.
 type ClusterStats struct {
 	Now     time.Time              `json:"now"`
 	Nodes   []NodeStats            `json:"nodes"`
@@ -66,151 +63,16 @@ func (r *Router) FederatedStats(ctx context.Context) ClusterStats {
 		}(i, m.URL)
 	}
 	wg.Wait()
-	first := true
+	// The cluster view is a fold of the node documents over the zero
+	// document, which belongs to no node.
 	for _, ns := range out.Nodes {
-		if ns.Stats == nil {
-			continue
+		if ns.Stats != nil {
+			out.Cluster = out.Cluster.Merge(*ns.Stats)
 		}
-		if first {
-			out.Cluster = *ns.Stats
-			first = false
-			continue
-		}
-		out.Cluster = mergeTelemetry(out.Cluster, *ns.Stats)
 	}
-	out.Cluster.Node = "" // the merged view belongs to no single node
 	out.Gateway = r.Counters()
 	out.GatewayWindow = r.tele.Stats(out.Now)
-	out.InFlight = r.inFlight()
-	out.LiveSessions = r.liveSessions()
-	return out
-}
-
-// inFlight counts gateway job entries not yet observed terminal.
-func (r *Router) inFlight() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, e := range r.jobs {
-		if !e.terminal && e.replaced == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// mergeTelemetry folds two per-node stats documents into a cluster view:
-// gauges add (cluster queue depth is the sum of shard depths), rolling
-// windows merge via telemetry.Merge, and the overlap window re-derives its
-// fleet-level fraction from the summed comm/hidden seconds so it stays
-// consistent with the per-job reports, exactly as each node's own window
-// does.
-func mergeTelemetry(a, b service.TelemetryStats) service.TelemetryStats {
-	out := a
-	if b.Now.After(out.Now) {
-		out.Now = b.Now
-	}
-	if b.WindowSec > out.WindowSec {
-		out.WindowSec = b.WindowSec
-	}
-	out.Queue.Depth = a.Queue.Depth + b.Queue.Depth
-	out.Queue.Capacity = a.Queue.Capacity + b.Queue.Capacity
-	out.Workers.Busy = a.Workers.Busy + b.Workers.Busy
-	out.Workers.Total = a.Workers.Total + b.Workers.Total
-	out.QueueDepth = telemetry.Merge(a.QueueDepth, b.QueueDepth)
-	out.QueueWait = telemetry.Merge(a.QueueWait, b.QueueWait)
-	exec := make(map[string]telemetry.Stats, len(a.Exec))
-	for typ, s := range a.Exec {
-		exec[typ] = s
-	}
-	for typ, s := range b.Exec {
-		exec[typ] = telemetry.Merge(exec[typ], s)
-	}
-	out.Exec = exec
-	out.Overlap = service.OverlapWindow{
-		Jobs:      a.Overlap.Jobs + b.Overlap.Jobs,
-		CommSec:   a.Overlap.CommSec + b.Overlap.CommSec,
-		HiddenSec: a.Overlap.HiddenSec + b.Overlap.HiddenSec,
-		PerJob:    telemetry.Merge(a.Overlap.PerJob, b.Overlap.PerJob),
-	}
-	if out.Overlap.CommSec > 0 {
-		out.Overlap.Fraction = out.Overlap.HiddenSec / out.Overlap.CommSec
-	}
-	out.Points = telemetry.Merge(a.Points, b.Points)
-	out.PointsPerSec = out.Points.SumPerSec
-	out.Anomalies = mergeAnomalies(a.Anomalies, b.Anomalies)
-	out.Sessions = mergeSessions(a.Sessions, b.Sessions)
-	out.Warmer = mergeWarmer(a.Warmer, b.Warmer)
-	return out
-}
-
-// mergeSessions folds two nodes' session summaries; every field is a
-// count, so the cluster view is the sum.
-func mergeSessions(a, b *session.Stats) *session.Stats {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &session.Stats{
-		Active: a.Active + b.Active, Paused: a.Paused + b.Paused,
-		Done: a.Done + b.Done, Failed: a.Failed + b.Failed,
-		Created: a.Created + b.Created, Recovered: a.Recovered + b.Recovered,
-		Resumes: a.Resumes + b.Resumes, Forks: a.Forks + b.Forks,
-		Segments: a.Segments + b.Segments,
-	}
-}
-
-// mergeWarmer folds two nodes' sweep-warmer summaries the same way.
-func mergeWarmer(a, b *session.WarmerStats) *session.WarmerStats {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &session.WarmerStats{
-		Observed: a.Observed + b.Observed, Predictions: a.Predictions + b.Predictions,
-		Warmed: a.Warmed + b.Warmed, Shed: a.Shed + b.Shed, Hits: a.Hits + b.Hits,
-		Tracks: a.Tracks + b.Tracks, Resets: a.Resets + b.Resets,
-	}
-}
-
-// mergedAnomalyCap bounds the merged recent-anomaly history; each node
-// already bounds its own, so this only trims pathological fan-ins.
-const mergedAnomalyCap = 64
-
-// mergeAnomalies folds two nodes' anomaly summaries: counts add, and the
-// recent histories interleave by time (newest kept when over the cap).
-func mergeAnomalies(a, b *flight.AnomalyStats) *flight.AnomalyStats {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := &flight.AnomalyStats{
-		Total:  a.Total + b.Total,
-		Frozen: a.Frozen + b.Frozen,
-	}
-	if len(a.ByRule)+len(b.ByRule) > 0 {
-		out.ByRule = make(map[string]int, len(a.ByRule)+len(b.ByRule))
-		for k, v := range a.ByRule {
-			out.ByRule[k] += v
-		}
-		for k, v := range b.ByRule {
-			out.ByRule[k] += v
-		}
-	}
-	out.Recent = make([]flight.Anomaly, 0, len(a.Recent)+len(b.Recent))
-	out.Recent = append(out.Recent, a.Recent...)
-	out.Recent = append(out.Recent, b.Recent...)
-	sort.SliceStable(out.Recent, func(i, j int) bool {
-		return out.Recent[i].Time.Before(out.Recent[j].Time)
-	})
-	if len(out.Recent) > mergedAnomalyCap {
-		out.Recent = out.Recent[len(out.Recent)-mergedAnomalyCap:]
-	}
+	out.InFlight = r.live(r.jobs)
+	out.LiveSessions = r.live(r.sessions)
 	return out
 }

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -176,7 +174,7 @@ func (r *Router) Metrics(now time.Time) GatewayMetrics {
 		Now:      now,
 		Counters: r.Counters(),
 		Window:   r.tele.Stats(now),
-		InFlight: r.inFlight(),
+		InFlight: r.live(r.jobs),
 		Proc:     telemetry.ReadProc(),
 	}
 }
@@ -185,50 +183,36 @@ func (r *Router) Metrics(now time.Time) GatewayMetrics {
 // format, every series prefixed advectgw_.
 func (m GatewayMetrics) Prometheus() string {
 	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP advectgw_%s %s\n# TYPE advectgw_%s counter\n", name, help, name)
-		fmt.Fprintf(&b, "advectgw_%s %d\n", name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP advectgw_%s %s\n# TYPE advectgw_%s gauge\n", name, help, name)
-		fmt.Fprintf(&b, "advectgw_%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	counter("submits_total", "Submissions accepted somewhere in the cluster.", m.Counters.Submits)
-	counter("failovers_total", "Submissions that left the owner shard for a ring successor.", m.Counters.Failovers)
-	counter("brief_retries_total", "Short Retry-After hints honored on the owner in place.", m.Counters.BriefRetries)
-	counter("peek_hits_total", "Sibling-cache probes that found the result.", m.Counters.PeekHits)
-	counter("seeds_total", "Results replicated onto the owner after a peek hit.", m.Counters.Seeds)
-	counter("reroutes_total", "Fingerprints re-submitted after a node death.", m.Counters.Reroutes)
-	counter("deduped_total", "Dead-node jobs aliased onto an in-flight twin.", m.Counters.Deduped)
-	counter("shed_total", "Submissions rejected cluster-wide.", m.Counters.Shed)
-	gauge("in_flight_jobs", "Accepted jobs not yet observed terminal.", float64(m.InFlight))
+	w := telemetry.NewPromWriter(&b, "advectgw")
+	w.Counter("submits_total", "Submissions accepted somewhere in the cluster.", m.Counters.Submits)
+	w.Counter("failovers_total", "Submissions that left the owner shard for a ring successor.", m.Counters.Failovers)
+	w.Counter("brief_retries_total", "Short Retry-After hints honored on the owner in place.", m.Counters.BriefRetries)
+	w.Counter("peek_hits_total", "Sibling-cache probes that found the result.", m.Counters.PeekHits)
+	w.Counter("seeds_total", "Results replicated onto the owner after a peek hit.", m.Counters.Seeds)
+	w.Counter("reroutes_total", "Fingerprints re-submitted after a node death.", m.Counters.Reroutes)
+	w.Counter("deduped_total", "Dead-node jobs aliased onto an in-flight twin.", m.Counters.Deduped)
+	w.Counter("shed_total", "Submissions rejected cluster-wide.", m.Counters.Shed)
+	w.Gauge("in_flight_jobs", "Accepted jobs not yet observed terminal.", float64(m.InFlight))
 
-	fmt.Fprintf(&b, "# HELP advectgw_route_latency_seconds Routing latency of accepted submissions over the window.\n")
-	fmt.Fprintf(&b, "# TYPE advectgw_route_latency_seconds gauge\n")
-	for _, q := range []struct {
-		label string
-		v     float64
-	}{{"0.5", m.Window.Route.P50}, {"0.95", m.Window.Route.P95}, {"0.99", m.Window.Route.P99}} {
-		fmt.Fprintf(&b, "advectgw_route_latency_seconds{quantile=%q} %s\n",
-			q.label, strconv.FormatFloat(q.v, 'g', -1, 64))
-	}
-	gauge("routes_per_sec", "Accepted submissions per second over the window.", m.Window.Route.PerSec)
-	gauge("route_attempts_mean", "Mean dispatch attempts per accepted submission over the window.", m.Window.Attempts.Mean)
-	gauge("peek_hit_rate", "Fraction of sibling-cache fan-outs that hit over the window.", m.Window.PeekHitRate)
-	gauge("retries_per_sec", "Brief in-place retries per second over the window.", m.Window.Retries.PerSec)
-	gauge("failovers_per_sec", "Failovers per second over the window.", m.Window.Failovers.PerSec)
-	gauge("reroutes_per_sec", "Dead-node reroutes per second over the window.", m.Window.Reroutes.PerSec)
+	w.Family("route_latency_seconds", "gauge", "Routing latency of accepted submissions over the window.")
+	w.Float("route_latency_seconds", m.Window.Route.P50, "quantile", "0.5")
+	w.Float("route_latency_seconds", m.Window.Route.P95, "quantile", "0.95")
+	w.Float("route_latency_seconds", m.Window.Route.P99, "quantile", "0.99")
+	w.Gauge("routes_per_sec", "Accepted submissions per second over the window.", m.Window.Route.PerSec)
+	w.Gauge("route_attempts_mean", "Mean dispatch attempts per accepted submission over the window.", m.Window.Attempts.Mean)
+	w.Gauge("peek_hit_rate", "Fraction of sibling-cache fan-outs that hit over the window.", m.Window.PeekHitRate)
+	w.Gauge("retries_per_sec", "Brief in-place retries per second over the window.", m.Window.Retries.PerSec)
+	w.Gauge("failovers_per_sec", "Failovers per second over the window.", m.Window.Failovers.PerSec)
+	w.Gauge("reroutes_per_sec", "Dead-node reroutes per second over the window.", m.Window.Reroutes.PerSec)
 
-	fmt.Fprintf(&b, "# HELP advectgw_node_route_p99_seconds Per-node p99 routing latency over the window.\n")
-	fmt.Fprintf(&b, "# TYPE advectgw_node_route_p99_seconds gauge\n")
+	w.Family("node_route_p99_seconds", "gauge", "Per-node p99 routing latency over the window.")
 	nodes := make([]string, 0, len(m.Window.RoutePerNode))
 	for node := range m.Window.RoutePerNode {
 		nodes = append(nodes, node)
 	}
 	sort.Strings(nodes)
 	for _, node := range nodes {
-		fmt.Fprintf(&b, "advectgw_node_route_p99_seconds{node=%q} %s\n",
-			node, strconv.FormatFloat(m.Window.RoutePerNode[node].P99, 'g', -1, 64))
+		w.Float("node_route_p99_seconds", m.Window.RoutePerNode[node].P99, "node", node)
 	}
 	m.Proc.WriteProm(&b, "advectgw")
 	return b.String()

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -124,6 +125,36 @@ type AnomalyStats struct {
 	// Recent is the retained anomaly history, oldest first, bounded by
 	// Rules.MaxAnomalies.
 	Recent []Anomaly `json:"recent,omitempty"`
+}
+
+// mergedAnomalyCap bounds the merged recent-anomaly history; each node
+// already bounds its own, so this only trims pathological fan-ins.
+const mergedAnomalyCap = 64
+
+// Merge folds another node's summary into the cluster view: counts add,
+// and the recent histories interleave by time (newest kept when over the
+// cap).
+func (a AnomalyStats) Merge(b AnomalyStats) AnomalyStats {
+	out := AnomalyStats{Total: a.Total + b.Total, Frozen: a.Frozen + b.Frozen}
+	if len(a.ByRule)+len(b.ByRule) > 0 {
+		out.ByRule = make(map[string]int, len(a.ByRule)+len(b.ByRule))
+		for k, v := range a.ByRule {
+			out.ByRule[k] += v
+		}
+		for k, v := range b.ByRule {
+			out.ByRule[k] += v
+		}
+	}
+	out.Recent = make([]Anomaly, 0, len(a.Recent)+len(b.Recent))
+	out.Recent = append(out.Recent, a.Recent...)
+	out.Recent = append(out.Recent, b.Recent...)
+	sort.SliceStable(out.Recent, func(i, j int) bool {
+		return out.Recent[i].Time.Before(out.Recent[j].Time)
+	})
+	if len(out.Recent) > mergedAnomalyCap {
+		out.Recent = out.Recent[len(out.Recent)-mergedAnomalyCap:]
+	}
+	return out
 }
 
 // JobSample is one finished job as the engine sees it.

@@ -93,5 +93,5 @@ func (s *Server) DebugBundle() BundleDoc {
 // answer at all has a bundle, even if flight is disabled (empty ring, no
 // anomalies).
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DebugBundle())
+	WriteJSON(w, http.StatusOK, s.DebugBundle())
 }

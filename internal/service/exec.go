@@ -18,9 +18,7 @@ import (
 // field is deliberately omitted — results are status documents, not
 // multi-megabyte state dumps. Overlap and TraceURL are present only when
 // the request set trace: the report summarizes how much communication was
-// hidden; the URL serves the stitched Chrome trace-event JSON (the blob
-// itself is no longer embedded — pass ?embed_trace=1 to the result
-// endpoint for the legacy inline form).
+// hidden; the URL serves the stitched Chrome trace-event JSON.
 type SimulateResult struct {
 	Kind       string             `json:"kind"`
 	ElapsedSec float64            `json:"elapsed_sec"`

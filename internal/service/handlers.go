@@ -1,14 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -16,80 +12,41 @@ import (
 	"repro/internal/obs"
 )
 
-// errorDoc is the JSON error envelope.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-// routes builds the HTTP API.
-//
-//	POST   /v1/jobs             submit a job (202 queued; 200 on a cache hit)
-//	GET    /v1/jobs             list jobs
-//	GET    /v1/jobs/{id}        job status
-//	GET    /v1/jobs/{id}/result result document (202 while pending)
-//	GET    /v1/jobs/{id}/trace  stitched Chrome trace of a traced job
-//	GET    /v1/jobs/{id}/spans  raw span log as a trace context (cluster harvest)
-//	DELETE /v1/jobs/{id}        cancel
-//	POST   /v1/sessions         start a resumable checkpointed session (202)
-//	GET    /v1/sessions         list sessions
-//	GET    /v1/sessions/{id}    session status (done/total steps, checkpoint, hash)
-//	POST   /v1/sessions/{id}/pause   pause (rolls back to the last durable checkpoint)
-//	POST   /v1/sessions/{id}/resume  resume a paused session
-//	POST   /v1/sessions/{id}/fork    branch from a retained checkpoint with mutated options
-//	GET    /v1/sessions/{id}/checkpoint  raw newest checkpoint bytes (cluster replication)
-//	GET    /v1/stats            rolling-window telemetry (last N seconds)
-//	GET    /v1/stream           live SSE stream of job events and stats
-//	GET    /v1/kinds            implementation catalogue
-//	GET    /v1/experiments      experiment catalogue
-//	GET    /v1/cache/{key}      peek the result cache (cluster affinity probe)
-//	PUT    /v1/cache/{key}      seed the result cache (cluster replication)
-//	POST   /v1/drain            begin a graceful drain (cluster rebalance)
-//	GET    /v1/debug/bundle     postmortem bundle (flight ring, anomalies, profiles)
-//	GET    /metrics             Prometheus text (JSON with ?format=json)
-//	GET    /healthz             liveness (503 while draining)
-//	GET    /debug/pprof/        Go profiling endpoints (Config.EnablePprof)
-func (s *Server) routes() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleSpans)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	mux.HandleFunc("GET /v1/sessions", s.handleSessionList)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
-	mux.HandleFunc("POST /v1/sessions/{id}/pause", s.handleSessionPause)
-	mux.HandleFunc("POST /v1/sessions/{id}/resume", s.handleSessionResume)
-	mux.HandleFunc("POST /v1/sessions/{id}/fork", s.handleSessionFork)
-	mux.HandleFunc("GET /v1/sessions/{id}/checkpoint", s.handleSessionCheckpoint)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/kinds", s.handleKinds)
-	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCachePeek)
-	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
-	mux.HandleFunc("POST /v1/drain", s.handleDrain)
-	mux.HandleFunc("GET /v1/debug/bundle", s.handleBundle)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+// routes is the node's HTTP surface, one entry per route: the API
+// reference is this list (README and DESIGN.md point here).
+func (s *Server) routes() []Route {
+	return []Route{
+		{Pattern: "POST /v1/jobs", Doc: "submit a job (202 queued; 200 on a cache hit; 429 + Retry-After when full)", Handler: s.handleSubmit},
+		{Pattern: "GET /v1/jobs", Doc: "list jobs", Handler: s.handleList},
+		{Pattern: "GET /v1/jobs/{id}", Doc: "job status", Handler: s.handleStatus},
+		{Pattern: "GET /v1/jobs/{id}/result", Doc: "result document (202 while pending, 500 failed, 410 cancelled)", Handler: s.handleResult},
+		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "stitched Chrome trace of a traced job", Handler: s.handleTrace},
+		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "raw span log as a trace context (cluster harvest)", Handler: s.handleSpans},
+		{Pattern: "DELETE /v1/jobs/{id}", Doc: "cancel", Handler: s.handleCancel},
+		{Pattern: "POST /v1/sessions", Doc: "start a resumable checkpointed session (202)", Handler: s.handleSessionCreate},
+		{Pattern: "GET /v1/sessions", Doc: "list sessions", Handler: s.handleSessionList},
+		{Pattern: "GET /v1/sessions/{id}", Doc: "session status (done/total steps, checkpoint, hash)", Handler: s.handleSessionStatus},
+		{Pattern: "POST /v1/sessions/{id}/pause", Doc: "pause (rolls back to the last durable checkpoint)", Handler: s.handleSessionPause},
+		{Pattern: "POST /v1/sessions/{id}/resume", Doc: "resume a paused session", Handler: s.handleSessionResume},
+		{Pattern: "POST /v1/sessions/{id}/fork", Doc: "branch from a retained checkpoint with mutated options", Handler: s.handleSessionFork},
+		{Pattern: "GET /v1/sessions/{id}/checkpoint", Doc: "raw checkpoint bytes, newest or ?step= (cluster replication)", Handler: s.handleSessionCheckpoint},
+		{Pattern: "GET /v1/stats", Doc: "rolling-window telemetry (last N seconds)", Handler: s.handleStats},
+		{Pattern: "GET /v1/stream", Doc: "live SSE stream of job events and stats (?interval=)", Handler: s.handleStream},
+		{Pattern: "GET /v1/kinds", Doc: "implementation catalogue", Handler: s.handleKinds},
+		{Pattern: "GET /v1/experiments", Doc: "experiment catalogue", Handler: s.handleExperiments},
+		{Pattern: "GET /v1/cache/{key}", Doc: "peek the result cache (cluster affinity probe)", Handler: s.handleCachePeek},
+		{Pattern: "PUT /v1/cache/{key}", Doc: "seed the result cache (cluster replication)", Handler: s.handleCachePut},
+		{Pattern: "POST /v1/drain", Doc: "begin a graceful drain (cluster rebalance)", Handler: s.handleDrain},
+		{Pattern: "GET /v1/debug/bundle", Doc: "postmortem bundle (flight ring, anomalies, profiles)", Handler: s.handleBundle},
+		{Pattern: "GET /metrics", Doc: "Prometheus text (JSON with ?format=json)", Handler: s.handleMetrics},
+		{Pattern: "GET /healthz", Doc: "liveness (503 while draining)", Handler: s.handleHealthz},
 	}
-	return mux
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad request body: " + err.Error()})
+	if err := DecodeBody(w, r, MaxDocBytes, &req); err != nil {
+		WriteBadBody(w, err)
 		return
 	}
 	// A malformed trace context never fails the submission — tracing is
@@ -108,24 +65,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if v.CacheHit {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, v)
+		WriteJSON(w, status, v)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter().Seconds()+0.5)))
-		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusTooManyRequests, ErrorDoc{Error: err.Error()})
 	case errors.Is(err, ErrDraining):
 		// Retry-After on the drain 503 mirrors the 429 contract: a gateway
 		// reads it to decide between failing over to another shard (always,
 		// for a drain) and how long a standalone client should back off —
 		// roughly the time the drain needs to finish and a restart to land.
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.DrainTimeout.Seconds()+0.5)))
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorDoc{Error: err.Error()})
 	default:
 		var re *RequestError
 		if errors.As(err, &re) {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorDoc{Error: err.Error()})
 	}
 }
 
@@ -135,58 +92,56 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		views = append(views, j.View())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
+}
+
+// lookupJob finds the job a /v1/jobs/{id}... request names, or answers 404
+// for it.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	j, ok := s.store.Get(r.PathValue("id"))
+	if !ok {
+		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "unknown job"})
+	}
+	return j, ok
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
-		return
+	if j, ok := s.lookupJob(w, r); ok {
+		WriteJSON(w, http.StatusOK, j.View())
 	}
-	writeJSON(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
 		return
 	}
 	if doc, ok := j.Result(); ok {
-		// ?embed_trace=1 restores the legacy inline form for clients that
-		// predate GET /v1/jobs/{id}/trace.
-		if r.URL.Query().Get("embed_trace") == "1" && j.Trace() != nil {
-			doc = embedTrace(doc, j.Trace())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(doc)
+		WriteRaw(w, http.StatusOK, "application/json", doc)
 		return
 	}
 	v := j.View()
 	switch v.State {
 	case StateFailed:
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: v.Error})
+		WriteJSON(w, http.StatusInternalServerError, ErrorDoc{Error: v.Error})
 	case StateCancelled:
-		writeJSON(w, http.StatusGone, errorDoc{Error: "job cancelled"})
+		WriteJSON(w, http.StatusGone, ErrorDoc{Error: "job cancelled"})
 	default: // queued or running: poll again
-		writeJSON(w, http.StatusAccepted, v)
+		WriteJSON(w, http.StatusAccepted, v)
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
 		return
 	}
 	if !j.Cancel(time.Now()) {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: "job already finished"})
+		WriteJSON(w, http.StatusConflict, ErrorDoc{Error: "job already finished"})
 		return
 	}
 	s.log.Info("job cancelled", jobArgs(j)...)
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {
@@ -199,7 +154,7 @@ func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {
 	for _, k := range append(core.Kinds(), core.WideHaloExt) {
 		kinds = append(kinds, kindDoc{ID: k.String(), Section: k.Section(), Describe: k.Describe()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"kinds": kinds})
+	WriteJSON(w, http.StatusOK, map[string]any{"kinds": kinds})
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -212,19 +167,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range append(harness.All(), harness.Extensions()...) {
 		exps = append(exps, expDoc{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": exps})
+	WriteJSON(w, http.StatusOK, map[string]any{"experiments": exps})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.MetricsSnapshot()
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(snap.Prometheus()))
+	WriteMetrics(w, r, snap, snap.Prometheus)
 }
 
 // handleHealthz is drain-aware: once Shutdown begins it answers 503 so load
@@ -238,10 +186,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.Draining() {
 		doc["status"] = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		WriteJSON(w, http.StatusServiceUnavailable, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleCachePeek serves the raw cached result document for a cache key, or
@@ -251,12 +199,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	doc, ok := s.cache.Peek(r.PathValue("key"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "cache miss"})
+		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "cache miss"})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(doc)
+	WriteRaw(w, http.StatusOK, "application/json", doc)
 }
 
 // maxCacheSeedBytes bounds a PUT /v1/cache body; result documents are tens
@@ -268,21 +214,17 @@ const maxCacheSeedBytes = 8 << 20
 // result on a sibling shard it copies the document to the key's new owner,
 // so the very next identical submit hits locally.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCacheSeedBytes+1))
+	body, err := ReadBody(w, r, maxCacheSeedBytes)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "read body: " + err.Error()})
-		return
-	}
-	if len(body) > maxCacheSeedBytes {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorDoc{Error: "cache document too large"})
+		WriteBadBody(w, err)
 		return
 	}
 	if !json.Valid(body) {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "cache document is not valid JSON"})
+		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: "cache document is not valid JSON"})
 		return
 	}
 	s.cache.Put(r.PathValue("key"), json.RawMessage(body))
-	w.WriteHeader(http.StatusNoContent)
+	WriteRaw(w, http.StatusNoContent, "", nil)
 }
 
 // handleDrain begins a graceful drain without waiting for it: admission
@@ -305,7 +247,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"status": "draining", "already_draining": already,
 	})
 }
@@ -316,14 +258,13 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // ui.perfetto.dev. The trace reflects spans recorded so far, so a running
 // job yields a partial (but valid) trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
 		return
 	}
 	rec := j.Trace()
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorDoc{
+		WriteJSON(w, http.StatusNotFound, ErrorDoc{
 			Error: "job has no trace (submit with simulate.trace=true; cache hits carry no trace)",
 		})
 		return
@@ -341,8 +282,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = obs.WriteChromeTrace(w, spans)
+	_ = obs.WriteChromeTrace(w, spans) // the first write sends the 200
 }
 
 // handleSpans serves a traced job's raw span log as a wire trace context
@@ -351,39 +291,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // is still answering — and folds it into the resubmission's context, so
 // the final trace shows both the lost attempt and the rerun.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
 		return
 	}
 	rec := j.Trace()
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "job has no trace"})
+		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "job has no trace"})
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.TraceContext(j.TraceID()))
+	WriteJSON(w, http.StatusOK, rec.TraceContext(j.TraceID()))
 }
 
 // handleStats serves the rolling-window telemetry document.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsSnapshot())
-}
-
-// embedTrace injects the chrome_trace blob into an already-rendered result
-// document, reproducing the pre-trace_url result shape.
-func embedTrace(doc json.RawMessage, rec *obs.Recorder) json.RawMessage {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(doc, &m); err != nil {
-		return doc
-	}
-	var trace bytes.Buffer
-	if err := rec.WriteChromeTrace(&trace); err != nil {
-		return doc
-	}
-	m["chrome_trace"] = json.RawMessage(bytes.TrimSpace(trace.Bytes()))
-	out, err := json.Marshal(m)
-	if err != nil {
-		return doc
-	}
-	return out
+	WriteJSON(w, http.StatusOK, s.StatsSnapshot())
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,6 +148,16 @@ type WorkerGauges struct {
 	Utilization float64 `json:"utilization"`
 }
 
+// workerGauges derives the utilization from the two counts, for one pool or
+// for the summed pools of a cluster.
+func workerGauges(busy, total int) WorkerGauges {
+	w := WorkerGauges{Busy: busy, Total: total}
+	if total > 0 {
+		w.Utilization = float64(busy) / float64(total)
+	}
+	return w
+}
+
 // Snapshot is the full metrics document served by /metrics.
 type Snapshot struct {
 	UptimeSec float64                      `json:"uptime_sec"`
@@ -164,9 +173,6 @@ type Snapshot struct {
 func (m *Metrics) Snapshot(now time.Time, q QueueGauges, w WorkerGauges, c CacheStats) Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if w.Total > 0 {
-		w.Utilization = float64(w.Busy) / float64(w.Total)
-	}
 	s := Snapshot{
 		UptimeSec: now.Sub(m.start).Seconds(),
 		Queue:     q, Workers: w, Cache: c,
@@ -190,44 +196,37 @@ func (m *Metrics) Snapshot(now time.Time, q QueueGauges, w WorkerGauges, c Cache
 // format, with every series prefixed advectd_.
 func (s Snapshot) Prometheus() string {
 	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP advectd_%s %s\n# TYPE advectd_%s gauge\n", name, help, name)
-		fmt.Fprintf(&b, "advectd_%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	gauge("uptime_seconds", "Seconds since the service started.", s.UptimeSec)
-	gauge("queue_depth", "Jobs waiting in the admission queue.", float64(s.Queue.Depth))
-	gauge("queue_capacity", "Admission queue capacity.", float64(s.Queue.Capacity))
-	gauge("workers_busy", "Workers currently executing a job.", float64(s.Workers.Busy))
-	gauge("workers_total", "Worker pool size.", float64(s.Workers.Total))
-	gauge("worker_utilization", "Fraction of workers busy.", s.Workers.Utilization)
-	gauge("cache_size", "Result cache entries.", float64(s.Cache.Size))
-	gauge("cache_capacity", "Result cache capacity.", float64(s.Cache.Capacity))
+	w := telemetry.NewPromWriter(&b, "advectd")
+	w.Gauge("uptime_seconds", "Seconds since the service started.", s.UptimeSec)
+	w.Gauge("queue_depth", "Jobs waiting in the admission queue.", float64(s.Queue.Depth))
+	w.Gauge("queue_capacity", "Admission queue capacity.", float64(s.Queue.Capacity))
+	w.Gauge("workers_busy", "Workers currently executing a job.", float64(s.Workers.Busy))
+	w.Gauge("workers_total", "Worker pool size.", float64(s.Workers.Total))
+	w.Gauge("worker_utilization", "Fraction of workers busy.", s.Workers.Utilization)
+	w.Gauge("cache_size", "Result cache entries.", float64(s.Cache.Size))
+	w.Gauge("cache_capacity", "Result cache capacity.", float64(s.Cache.Capacity))
 
-	fmt.Fprintf(&b, "# HELP advectd_cache_events_total Result cache hit/miss/eviction counters.\n")
-	fmt.Fprintf(&b, "# TYPE advectd_cache_events_total counter\n")
-	fmt.Fprintf(&b, "advectd_cache_events_total{event=\"hit\"} %d\n", s.Cache.Hits)
-	fmt.Fprintf(&b, "advectd_cache_events_total{event=\"miss\"} %d\n", s.Cache.Misses)
-	fmt.Fprintf(&b, "advectd_cache_events_total{event=\"eviction\"} %d\n", s.Cache.Evictions)
+	w.Family("cache_events_total", "counter", "Result cache hit/miss/eviction counters.")
+	w.Uint("cache_events_total", s.Cache.Hits, "event", "hit")
+	w.Uint("cache_events_total", s.Cache.Misses, "event", "miss")
+	w.Uint("cache_events_total", s.Cache.Evictions, "event", "eviction")
 
-	fmt.Fprintf(&b, "# HELP advectd_jobs_total Jobs by type and outcome.\n")
-	fmt.Fprintf(&b, "# TYPE advectd_jobs_total counter\n")
+	w.Family("jobs_total", "counter", "Jobs by type and outcome.")
 	for _, t := range sortedKeys(s.Jobs) {
 		outcomes := s.Jobs[t]
 		for _, o := range sortedKeys(outcomes) {
-			fmt.Fprintf(&b, "advectd_jobs_total{type=%q,outcome=%q} %d\n", t, o, outcomes[o])
+			w.Uint("jobs_total", outcomes[o], "type", t, "outcome", o)
 		}
 	}
 
-	fmt.Fprintf(&b, "# HELP advectd_job_duration_seconds Completed-job execution latency.\n")
-	fmt.Fprintf(&b, "# TYPE advectd_job_duration_seconds histogram\n")
+	w.Family("job_duration_seconds", "histogram", "Completed-job execution latency.")
 	for _, t := range sortedKeys(s.Latency) {
 		h := s.Latency[t]
 		for _, bc := range h.Buckets {
-			fmt.Fprintf(&b, "advectd_job_duration_seconds_bucket{type=%q,le=%q} %d\n", t, bc.LE, bc.Count)
+			w.Uint("job_duration_seconds_bucket", bc.Count, "type", t, "le", bc.LE)
 		}
-		fmt.Fprintf(&b, "advectd_job_duration_seconds_sum{type=%q} %s\n", t,
-			strconv.FormatFloat(h.Sum, 'g', -1, 64))
-		fmt.Fprintf(&b, "advectd_job_duration_seconds_count{type=%q} %d\n", t, h.Count)
+		w.Float("job_duration_seconds_sum", h.Sum, "type", t)
+		w.Uint("job_duration_seconds_count", h.Count, "type", t)
 	}
 	s.Proc.WriteProm(&b, "advectd")
 	return b.String()

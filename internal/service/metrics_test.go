@@ -10,7 +10,7 @@ import (
 func testSnapshot(m *Metrics, at time.Time) Snapshot {
 	return m.Snapshot(at,
 		QueueGauges{Depth: 1, Capacity: 4},
-		WorkerGauges{Busy: 1, Total: 2},
+		workerGauges(1, 2),
 		CacheStats{Size: 3, Capacity: 8, Hits: 5, Misses: 7, Evictions: 1})
 }
 

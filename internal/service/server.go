@@ -179,7 +179,7 @@ func New(cfg Config) *Server {
 		s.openSessions(cfg)
 	}
 	s.pool = NewPool(cfg.Workers, s.queue, s.runJob)
-	s.mux = s.routes()
+	s.mux = Mount(s.routes(), cfg.EnablePprof)
 	if s.engine.Enabled() {
 		go s.sweepLoop()
 	}
@@ -501,26 +501,25 @@ func (s *Server) RetryAfter() time.Duration {
 	return wait
 }
 
+// gauges reads the live queue and pool state behind both snapshots.
+func (s *Server) gauges() (QueueGauges, WorkerGauges) {
+	return QueueGauges{Depth: s.queue.Depth(), Capacity: s.queue.Cap()},
+		workerGauges(s.pool.Busy(), s.pool.Workers())
+}
+
 // MetricsSnapshot assembles the current metrics document, including a
 // fresh process-health reading.
 func (s *Server) MetricsSnapshot() Snapshot {
-	snap := s.metrics.Snapshot(
-		time.Now(),
-		QueueGauges{Depth: s.queue.Depth(), Capacity: s.queue.Cap()},
-		WorkerGauges{Busy: s.pool.Busy(), Total: s.pool.Workers()},
-		s.cache.Stats(),
-	)
+	q, w := s.gauges()
+	snap := s.metrics.Snapshot(time.Now(), q, w, s.cache.Stats())
 	snap.Proc = telemetry.ReadProc()
 	return snap
 }
 
 // StatsSnapshot assembles the rolling-window telemetry document.
 func (s *Server) StatsSnapshot() TelemetryStats {
-	st := s.tele.Stats(
-		time.Now(),
-		QueueGauges{Depth: s.queue.Depth(), Capacity: s.queue.Cap()},
-		WorkerGauges{Busy: s.pool.Busy(), Total: s.pool.Workers()},
-	)
+	q, w := s.gauges()
+	st := s.tele.Stats(time.Now(), q, w)
 	st.Node = s.cfg.NodeID
 	if s.engine.Enabled() {
 		a := s.engine.Anomalies()
@@ -588,12 +587,3 @@ type RequestError struct{ Err error }
 
 func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
-
-// writeJSON serializes a response document.
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}

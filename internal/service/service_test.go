@@ -259,6 +259,10 @@ func TestQueueBackpressure(t *testing.T) {
 	if snap.Workers.Busy != 1 || snap.Workers.Utilization != 1 {
 		t.Fatalf("worker gauges %+v", snap.Workers)
 	}
+	// /v1/stats reads the same gauges: the busy worker shows there too.
+	if w := statsDoc(t, ts).Workers; w.Busy != 1 || w.Utilization != 1 {
+		t.Fatalf("/v1/stats worker gauges %+v, want one busy worker at utilization 1", w)
+	}
 
 	// Cancel both jobs so shutdown is quick.
 	for _, id := range []string{v1.ID, v2.ID} {
@@ -519,7 +523,7 @@ func TestTracedSimulateJob(t *testing.T) {
 		t.Fatalf("trace_url = %q, want %q", res.TraceURL, want)
 	}
 
-	// The raw result document must no longer embed the trace blob...
+	// The raw result document does not embed the trace blob.
 	raw, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
@@ -528,23 +532,6 @@ func TestTracedSimulateJob(t *testing.T) {
 	raw.Body.Close()
 	if strings.Contains(string(rawBody), `"chrome_trace"`) {
 		t.Fatal("result document still embeds chrome_trace")
-	}
-	// ...unless the compatibility param asks for the legacy shape.
-	compat, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/result?embed_trace=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer compat.Body.Close()
-	var legacy struct {
-		ChromeTrace struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		} `json:"chrome_trace"`
-	}
-	if err := json.NewDecoder(compat.Body).Decode(&legacy); err != nil {
-		t.Fatalf("embed_trace document does not decode: %v", err)
-	}
-	if len(legacy.ChromeTrace.TraceEvents) == 0 {
-		t.Fatal("embed_trace=1 returned no inline trace events")
 	}
 
 	// The untraced flavor of the same computation keys separately and

@@ -141,9 +141,39 @@ func (s *Server) sessionsDisabled(w http.ResponseWriter) bool {
 	if s.sessions != nil {
 		return false
 	}
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorDoc{Error: "sessions disabled (start the node with a session directory)"})
+	WriteJSON(w, http.StatusServiceUnavailable,
+		ErrorDoc{Error: "sessions disabled (start the node with a session directory)"})
 	return true
+}
+
+// lookupSession is the shared first step of every /v1/sessions/{id}...
+// route: it finds the session the path names, or answers for it — 503 on a
+// node without a store, 404 for an unknown id, and, on the routes that
+// start new work (admits), 503 once the node is draining.
+func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, admits bool) (*session.Session, bool) {
+	if s.sessionsDisabled(w) {
+		return nil, false
+	}
+	sess, ok := s.sessions.Get(r.PathValue("id"))
+	if !ok {
+		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "unknown session"})
+		return nil, false
+	}
+	if admits && s.Draining() {
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorDoc{Error: ErrDraining.Error()})
+		return nil, false
+	}
+	return sess, true
+}
+
+// writeTransition answers a session state change: 202 with the view that
+// results, or 409 with the manager's reason for refusing it.
+func writeTransition(w http.ResponseWriter, sess *session.Session, err error) {
+	if err != nil {
+		WriteJSON(w, http.StatusConflict, ErrorDoc{Error: err.Error()})
+		return
+	}
+	WriteJSON(w, http.StatusAccepted, sess.View())
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -151,24 +181,22 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad request body: " + err.Error()})
+	if err := DecodeBody(w, r, s.cfg.Limits.SessionBodyBytes(), &req); err != nil {
+		WriteBadBody(w, err)
 		return
 	}
 	if s.Draining() {
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.DrainTimeout.Seconds()+0.5)))
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: ErrDraining.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorDoc{Error: ErrDraining.Error()})
 		return
 	}
 	if err := req.Validate(s.cfg.Limits); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: err.Error()})
 		return
 	}
 	sc, err := req.scenario()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: err.Error()})
 		return
 	}
 	var sess *session.Session
@@ -178,118 +206,66 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		sess, err = s.sessions.Create(sc)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, sess.View())
+	WriteJSON(w, http.StatusAccepted, sess.View())
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	if s.sessionsDisabled(w) {
 		return
 	}
-	views := s.sessions.List()
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": views})
+	WriteJSON(w, http.StatusOK, map[string]any{"sessions": s.sessions.List()})
 }
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if s.sessionsDisabled(w) {
-		return
+	if sess, ok := s.lookupSession(w, r, false); ok {
+		WriteJSON(w, http.StatusOK, sess.View())
 	}
-	sess, ok := s.sessions.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
-		return
-	}
-	writeJSON(w, http.StatusOK, sess.View())
 }
 
 func (s *Server) handleSessionPause(w http.ResponseWriter, r *http.Request) {
-	if s.sessionsDisabled(w) {
-		return
+	if sess, ok := s.lookupSession(w, r, false); ok {
+		writeTransition(w, sess, s.sessions.Pause(sess.ID()))
 	}
-	id := r.PathValue("id")
-	sess, ok := s.sessions.Get(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
-		return
-	}
-	if err := s.sessions.Pause(id); err != nil {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, sess.View())
 }
 
 func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
-	if s.sessionsDisabled(w) {
-		return
+	if sess, ok := s.lookupSession(w, r, true); ok {
+		writeTransition(w, sess, s.sessions.Resume(sess.ID()))
 	}
-	id := r.PathValue("id")
-	sess, ok := s.sessions.Get(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
-		return
-	}
-	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: ErrDraining.Error()})
-		return
-	}
-	if err := s.sessions.Resume(id); err != nil {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, sess.View())
 }
 
 func (s *Server) handleSessionFork(w http.ResponseWriter, r *http.Request) {
-	if s.sessionsDisabled(w) {
-		return
-	}
-	id := r.PathValue("id")
-	parent, ok := s.sessions.Get(id)
+	parent, ok := s.lookupSession(w, r, true)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
-		return
-	}
-	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: ErrDraining.Error()})
 		return
 	}
 	var fr ForkRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad request body: " + err.Error()})
+	if err := DecodeBody(w, r, MaxDocBytes, &fr); err != nil {
+		WriteBadBody(w, err)
 		return
 	}
 	opts, err := fr.options(parent.Scenario().Options)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: err.Error()})
 		return
 	}
 	atStep := int64(-1)
 	if fr.AtStep != nil {
 		atStep = *fr.AtStep
 	}
-	child, err := s.sessions.Fork(id, atStep, opts, fr.TotalSteps)
-	if err != nil {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, child.View())
+	child, err := s.sessions.Fork(parent.ID(), atStep, opts, fr.TotalSteps)
+	writeTransition(w, child, err)
 }
 
 // handleSessionCheckpoint serves a session's newest durable checkpoint as
 // raw bytes (?step= selects an older retained one) — the replication
 // surface a cluster gateway pulls so a session survives its owner's death.
 func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.sessionsDisabled(w) {
-		return
-	}
-	sess, ok := s.sessions.Get(r.PathValue("id"))
+	sess, ok := s.lookupSession(w, r, false)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown session"})
 		return
 	}
 	fp := sess.Fingerprint()
@@ -297,27 +273,26 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 	if q := r.URL.Query().Get("step"); q != "" {
 		n, err := strconv.ParseInt(q, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad step: " + err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: "bad step: " + err.Error()})
 			return
 		}
 		step = n
 	} else {
 		latest, ok := s.sessStore.Latest(fp)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorDoc{Error: "session has no durable checkpoint yet"})
+			WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "session has no durable checkpoint yet"})
 			return
 		}
 		step = latest
 	}
 	data, err := s.sessStore.CheckpointBytes(fp, step)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: "checkpoint not retained: " + err.Error()})
+		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "checkpoint not retained: " + err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(SessionStepHeader, strconv.FormatInt(step, 10))
 	w.Header().Set(SessionFPHeader, fp)
-	_, _ = w.Write(data)
+	WriteRaw(w, http.StatusOK, "application/octet-stream", data)
 }
 
 // Checkpoint response headers: the step the served checkpoint stands at

@@ -438,3 +438,61 @@ func TestCancelWhileQueuedSkipsExecution(t *testing.T) {
 		t.Fatalf("exec window saw %d simulate jobs, want 0 (both were cancelled)", st.Exec["simulate"].Count)
 	}
 }
+
+// TestRequestBodiesAreBounded: every JSON request document is read through
+// a size limit — 1 MiB for job and fork documents, and for a session create
+// the base64 of a checkpoint at the node's largest grid on top of that — so
+// a client cannot make the node buffer an arbitrary body, while a seeded
+// create at the largest grid (over 1 MiB here) still goes through.
+func TestRequestBodiesAreBounded(t *testing.T) {
+	lim := DefaultLimits()
+	lim.MaxN = 48
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2, Limits: lim, SessionDir: t.TempDir()})
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+
+	resp, v := postSession(t, ts, `{"simulate":{"kind":"single","n":48,"steps":1}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create: %v", resp.Status)
+	}
+	waitSessionState(t, ts, v.ID, session.StateDone)
+	cr, err := http.Get(ts.URL + "/v1/sessions/" + v.ID + "/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := io.ReadAll(cr.Body)
+	cr.Body.Close()
+	seeded, err := json.Marshal(SessionRequest{
+		Simulate: &SimulateRequest{Kind: "single", N: 48, Steps: 2}, Checkpoint: ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seeded) <= MaxDocBytes {
+		t.Fatalf("seeded create is %d bytes; the test needs one over the %d-byte document limit", len(seeded), MaxDocBytes)
+	}
+	if got := post("/v1/sessions", string(seeded)); got != http.StatusAccepted {
+		t.Errorf("seeded create at the largest grid (%d bytes): status %d, want 202", len(seeded), got)
+	}
+
+	// JSON allows leading whitespace, so padding keeps each document valid:
+	// only its size is wrong.
+	pad := strings.Repeat(" ", MaxDocBytes)
+	for path, body := range map[string]string{
+		"/v1/jobs":                       pad + simulateBody,
+		"/v1/sessions/" + v.ID + "/fork": pad + `{"total_steps":3}`,
+		"/v1/sessions":                   strings.Repeat(" ", int(lim.SessionBodyBytes())) + string(seeded),
+	} {
+		if got := post(path, body); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), got)
+		}
+	}
+}

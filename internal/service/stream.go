@@ -4,26 +4,37 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
-// handleStream is the live telemetry feed: a Server-Sent Events stream that
-// interleaves job lifecycle events (event: job) with periodic rolling-stats
-// snapshots (event: stats). The cadence defaults to Config.StreamInterval
-// and can be overridden per request with ?interval= (a Go duration,
-// clamped to at least 100ms). The stream ends when the client disconnects
-// or the server drains — SSE clients reconnect by default, and on a
-// drained instance the reconnect fails fast against the closed listener.
+// handleStream is the live telemetry feed: job lifecycle events (event:
+// job) interleaved with periodic rolling-stats snapshots (event: stats).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	ServeStream(w, r, s.hub, s.cfg.StreamInterval, s.cfg.HeartbeatInterval, "stats",
+		func() any { return s.StatsSnapshot() })
+}
+
+// ServeStream serves one Server-Sent Events subscriber: every event
+// published on the hub, interleaved with a snapshot document sent as an
+// event called name — once at the start, then every interval (the default
+// cadence, overridable per request with ?interval=, a Go duration clamped to
+// at least 100ms). The stream ends when the client disconnects or the hub
+// closes (the server is draining) — SSE clients reconnect by default, and
+// on a drained instance the reconnect fails fast against the closed
+// listener. A node streams its own stats this way and a gateway the
+// federated view of its members.
+func ServeStream(w http.ResponseWriter, r *http.Request, hub *telemetry.Hub,
+	interval, heartbeat time.Duration, name string, snapshot func() any) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: "streaming unsupported"})
+		WriteJSON(w, http.StatusInternalServerError, ErrorDoc{Error: "streaming unsupported"})
 		return
 	}
-	interval := s.cfg.StreamInterval
 	if q := r.URL.Query().Get("interval"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad interval: " + err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: "bad interval: " + err.Error()})
 			return
 		}
 		interval = d
@@ -32,7 +43,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		interval = 100 * time.Millisecond
 	}
 
-	events, cancel := s.hub.Subscribe(64)
+	events, cancel := hub.Subscribe(64)
 	defer cancel()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -40,14 +51,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	writeStats := func() bool {
-		data, err := json.Marshal(s.StatsSnapshot())
+	writeSnapshot := func() bool {
+		data, err := json.Marshal(snapshot())
 		if err != nil {
 			return false
 		}
-		return writeSSE(w, "stats", data)
+		return writeSSE(w, name, data)
 	}
-	if !writeStats() {
+	if !writeSnapshot() {
 		return
 	}
 	fl.Flush()
@@ -57,7 +68,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Heartbeats are SSE comment lines (leading ':'), which clients must
 	// ignore by spec — they keep idle connections alive through proxies
 	// without ever surfacing as events.
-	hb := time.NewTicker(s.cfg.HeartbeatInterval)
+	hb := time.NewTicker(heartbeat)
 	defer hb.Stop()
 	for {
 		select {
@@ -72,7 +83,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			fl.Flush()
 		case <-tick.C:
-			if !writeStats() {
+			if !writeSnapshot() {
 				return
 			}
 			fl.Flush()

@@ -76,6 +76,18 @@ type Stats struct {
 	Segments  int64 `json:"segments"`
 }
 
+// Merge folds another node's summary into the cluster view; every field
+// is a count, so the view is the sum.
+func (a Stats) Merge(b Stats) Stats {
+	return Stats{
+		Active: a.Active + b.Active, Paused: a.Paused + b.Paused,
+		Done: a.Done + b.Done, Failed: a.Failed + b.Failed,
+		Created: a.Created + b.Created, Recovered: a.Recovered + b.Recovered,
+		Resumes: a.Resumes + b.Resumes, Forks: a.Forks + b.Forks,
+		Segments: a.Segments + b.Segments,
+	}
+}
+
 // Manager owns the live sessions of one node: creation, the segment run
 // loops, pause/resume/fork transitions, and crash recovery from the store.
 type Manager struct {

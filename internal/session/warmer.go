@@ -65,6 +65,16 @@ type WarmerStats struct {
 	Resets int64 `json:"resets"`
 }
 
+// Merge folds another node's summary into the cluster view, a sum like
+// Stats.Merge.
+func (a WarmerStats) Merge(b WarmerStats) WarmerStats {
+	return WarmerStats{
+		Observed: a.Observed + b.Observed, Predictions: a.Predictions + b.Predictions,
+		Warmed: a.Warmed + b.Warmed, Shed: a.Shed + b.Shed, Hits: a.Hits + b.Hits,
+		Tracks: a.Tracks + b.Tracks, Resets: a.Resets + b.Resets,
+	}
+}
+
 // Warmer detects stepped-parameter sweeps in the submission stream: the
 // same canonical problem with exactly one numeric field advancing
 // arithmetically (a cmd/sweep scan, a user bisecting a parameter). Per

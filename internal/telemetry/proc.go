@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"runtime/metrics"
-	"strconv"
 	"strings"
 )
 
@@ -94,14 +92,9 @@ func histQuantile(h *metrics.Float64Histogram, q float64) (uint64, float64) {
 // WriteProm renders the snapshot in the Prometheus text exposition format
 // with the given series prefix (e.g. "advectd", "advectgw").
 func (p ProcStats) WriteProm(b *strings.Builder, prefix string) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(b, "# HELP %s_%s %s\n# TYPE %s_%s gauge\n", prefix, name, help, prefix, name)
-		fmt.Fprintf(b, "%s_%s %s\n", prefix, name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	gauge("go_goroutines", "Current goroutine count.", float64(p.Goroutines))
-	gauge("go_heap_bytes", "Bytes of live heap objects.", float64(p.HeapBytes))
-	fmt.Fprintf(b, "# HELP %s_go_gc_pauses_total Cumulative GC stop-the-world pauses.\n", prefix)
-	fmt.Fprintf(b, "# TYPE %s_go_gc_pauses_total counter\n", prefix)
-	fmt.Fprintf(b, "%s_go_gc_pauses_total %d\n", prefix, p.GCPauses)
-	gauge("go_gc_pause_p99_seconds", "99th-percentile GC pause over the process lifetime.", p.GCPauseP99Sec)
+	w := NewPromWriter(b, prefix)
+	w.Gauge("go_goroutines", "Current goroutine count.", float64(p.Goroutines))
+	w.Gauge("go_heap_bytes", "Bytes of live heap objects.", float64(p.HeapBytes))
+	w.Counter("go_gc_pauses_total", "Cumulative GC stop-the-world pauses.", p.GCPauses)
+	w.Gauge("go_gc_pause_p99_seconds", "99th-percentile GC pause over the process lifetime.", p.GCPauseP99Sec)
 }
