@@ -50,7 +50,8 @@ go test -race -timeout 5m ./...
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
 # request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
-# ns/op bound recorded as KEY in FILE.
+# ns/op bound recorded as KEY in FILE (all seven live in BENCH_guards.json,
+# one distinct key per line).
 ns_gate() {
     go test -run "$2" -count=1 "$1"
     max_ns=$(sed -n "s/.*\"$5\": *\([0-9.]*\).*/\1/p" "$4")
@@ -66,35 +67,35 @@ ns_gate() {
 # Disabled-tracing overhead guard: a nil *obs.Recorder must stay
 # allocation-free, so instrumented code paths stay free when untraced.
 ns_gate ./internal/obs TestDisabledRecorderAllocatesNothing BenchmarkRecorderDisabled \
-    BENCH_obs.json disabled_max_ns_per_op "disabled-tracing path"
+    BENCH_guards.json obs_disabled_max_ns_per_op "disabled-tracing path"
 
 # Disabled-telemetry overhead guard: the same contract for the rolling
 # windows behind /v1/stats — a nil *telemetry.Window (enabled Observe too,
 # test-asserted).
 ns_gate ./internal/telemetry TestWindowObserveAllocatesNothing BenchmarkWindowDisabled \
-    BENCH_telemetry.json disabled_max_ns_per_op "disabled-telemetry path"
+    BENCH_guards.json telemetry_disabled_max_ns_per_op "disabled-telemetry path"
 
 # Disabled-flight-recorder overhead guard: with -flight negative a nil
 # *flight.Recorder and *flight.Engine ride every job and log line; the
 # whole disabled surface (Add/Job/ObserveJob/ObserveShed/Sweep).
 ns_gate ./internal/flight TestFlightDisabledAllocatesNothing BenchmarkFlightDisabled \
-    BENCH_flight.json disabled_max_ns_per_op "disabled-flight path"
+    BENCH_guards.json flight_disabled_max_ns_per_op "disabled-flight path"
 
 # Disabled-cluster-tracing overhead guard: an untraced submission carries
 # a nil *submissionTrace through the whole gateway routing path, so cluster
 # tracing costs nothing when off.
 ns_gate ./internal/cluster TestGatewayTraceDisabledAllocatesNothing BenchmarkGatewayTraceDisabled \
-    BENCH_gateway.json disabled_max_ns_per_op "disabled-cluster-tracing path"
+    BENCH_guards.json gateway_trace_disabled_max_ns_per_op "disabled-cluster-tracing path"
 
 # Session hot-path guards: the status snapshot behind GET
 # /v1/sessions/{id} and the sweep warmer's per-submission idle detector
 # both ride interactive paths.
 ns_gate ./internal/session TestSessionStatusAllocationBounded BenchmarkSessionStatus \
-    BENCH_session.json status_max_ns_per_op "session status path"
+    BENCH_guards.json session_status_max_ns_per_op "session status path"
 ns_gate ./internal/session TestWarmerIdleAllocationFree BenchmarkWarmerIdle \
-    BENCH_session.json warmer_idle_max_ns_per_op "warmer idle path"
+    BENCH_guards.json warmer_idle_max_ns_per_op "warmer idle path"
 
 # Ring hot-path guard: consistent-hash Lookup runs on every gateway
 # submission.
 ns_gate ./internal/cluster TestRingLookupAllocationFree BenchmarkRingLookup \
-    BENCH_cluster.json lookup_max_ns_per_op "ring lookup"
+    BENCH_guards.json ring_lookup_max_ns_per_op "ring lookup"

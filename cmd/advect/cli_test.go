@@ -62,13 +62,17 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// Overlap tracing: -trace writes Chrome trace-event JSON and prints
-	// the overlap report alongside the vtime overlap stats.
+	// the overlap report — the one account of what overlapped; the stats
+	// dump no longer carries a second one.
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
 	out = runCLI(t, bin, "-impl", "gpu-streams", "-n", "16", "-steps", "2", "-trace", traceFile)
-	for _, want := range []string{"trace.overlap.sec", "overlap report:", "pcie/kernel", "chrome trace written"} {
+	for _, want := range []string{"overlap report:", "pcie/kernel", "chrome trace written"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "trace.overlap") {
+		t.Fatalf("trace output still prints trace.* stats:\n%s", out)
 	}
 	raw, err := os.ReadFile(traceFile)
 	if err != nil {

@@ -83,7 +83,6 @@ func main() {
 		TasksPerGPU:  *tasksGPU,
 		GPU:          gpu,
 		Verify:       *verify,
-		TraceOverlap: *trace != "" && kind.UsesGPU(),
 		Rec:          rec,
 	}
 	if *minTime > 0 {

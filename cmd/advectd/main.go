@@ -33,7 +33,10 @@
 // checkpointed segments (-segment steps each, -retain kept for forking),
 // survives process restarts by resuming from the last durable checkpoint
 // in <dir>, and can be paused, resumed, or forked with mutated options
-// from any retained step. -warm adds the speculative sweep warmer:
+// from any retained step. A segment is a unit of work on the same -workers
+// pool as every job: it waits for a free worker (never shed), is counted in
+// workers.busy, points/sec and the "segment" latency series, and shares the
+// pool with waiting jobs at no fixed priority. -warm adds the speculative sweep warmer:
 // stepped-parameter submission patterns are detected and their predicted
 // next points pre-executed on idle workers at background priority.
 //
@@ -65,7 +68,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 2, "worker pool size (concurrent jobs)")
+		workers   = flag.Int("workers", 2, "worker pool size (concurrent jobs and session segments)")
 		queue     = flag.Int("queue", 16, "admission queue capacity (full queue returns 429)")
 		cache     = flag.Int("cache", 256, "result cache entries (LRU)")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
@@ -84,7 +87,6 @@ func main() {
 		sessDir   = flag.String("sessions", "", "session checkpoint directory: enables resumable sessions under /v1/sessions (empty = disabled)")
 		segment   = flag.Int("segment", 0, "default steps between durable session checkpoints (0 = built-in default)")
 		retain    = flag.Int("retain", 0, "retained checkpoints per session for fork/rewind (0 = built-in default)")
-		sessWork  = flag.Int("sessworkers", 0, "concurrent session segments (0 = built-in default)")
 		warm      = flag.Bool("warm", false, "speculatively pre-execute predicted sweep points on idle workers")
 	)
 	flag.Parse()
@@ -120,7 +122,6 @@ func main() {
 		SessionDir:        *sessDir,
 		SessionSegment:    *segment,
 		SessionRetain:     *retain,
-		SessionWorkers:    *sessWork,
 		WarmSweeps:        *warm,
 	})
 

@@ -132,7 +132,7 @@ func main() {
 	fmt.Fprintln(w, "the survivors exactly once per fingerprint. All of this is asserted by")
 	fmt.Fprintln(w, "a 3-node kill-one-mid-run e2e under the race detector, and the ring")
 	fmt.Fprintln(w, "lookup on the submit path is allocation-free and sub-microsecond")
-	fmt.Fprintln(w, "(bounded in CI by `BENCH_cluster.json`). See README \"Running a cluster\".")
+	fmt.Fprintln(w, "(bounded in CI by `BENCH_guards.json`). See README \"Running a cluster\".")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "## Resumable sessions & speculative sweep warming")

@@ -1,9 +1,10 @@
 // Tracing: drive the simulated CUDA device directly through the gpusim
-// API — two streams, asynchronous copies, events — and draw the resulting
-// timeline as a Gantt chart, the picture behind the paper's Figure-9/10
-// gaps. The bulk schedule serializes PCIe traffic against the interior
-// kernel; the stream schedule hides it, exactly like implementations
-// §IV-F vs §IV-G.
+// API — two streams, asynchronous copies — with an obs recorder attached,
+// the same one recorder a traced run uses, and draw the resulting timeline
+// as a Gantt chart, the picture behind the paper's Figure-9/10 gaps. The
+// bulk schedule serializes PCIe traffic against the kernels; the stream
+// schedule hides it, exactly like implementations §IV-F vs §IV-G, and the
+// overlap report says by how much.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"os"
 
 	"repro/internal/gpusim"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vtime"
 )
@@ -20,10 +22,10 @@ func main() {
 	facePts := 420*420*420 - 418*418*418
 	halo := make([]float64, facePts)
 
-	run := func(overlap bool) *vtime.Trace {
+	run := func(overlap bool) *obs.Recorder {
 		dev := gpusim.NewDevice(gpusim.TeslaC2050(), gpusim.PCIeGen2())
-		tr := vtime.NewTrace()
-		dev.SetTrace(tr)
+		rec := obs.NewRecorder()
+		dev.SetObserver(rec, 0)
 		s1 := dev.NewStream("interior")
 		s2 := s1
 		if overlap {
@@ -51,7 +53,7 @@ func main() {
 			}
 			host = dev.Synchronize(host, s1, s2)
 		}
-		return tr
+		return rec
 	}
 
 	for _, mode := range []struct {
@@ -61,23 +63,23 @@ func main() {
 		{"bulk schedule (everything serialized, like IV-F)", false},
 		{"stream schedule (PCIe + faces hidden behind interior, like IV-G)", true},
 	} {
-		tr := run(mode.overlap)
+		rec := run(mode.overlap)
 		var spans []stats.GanttSpan
-		for _, s := range tr.Spans() {
-			spans = append(spans, stats.GanttSpan{
-				Lane: s.Lane, Label: s.Label,
-				Start: s.Start.Seconds(), End: s.End.Seconds(),
-			})
+		var end float64
+		for _, s := range rec.Spans() {
+			lane := s.Phase.String()
+			if s.Phase == obs.PhaseKernel {
+				lane += " " + s.Label // one lane per kernel: interior, faces
+			}
+			spans = append(spans, stats.GanttSpan{Lane: lane, Label: s.Label, Start: s.Start, End: s.End})
+			end = max(end, s.End)
 		}
 		stats.Gantt(os.Stdout, mode.name, spans, 72)
-		_, end := tr.MakeSpan()
-		ov := tr.Overlap("gpu.interior", "pcie.h2d") +
-			tr.Overlap("gpu.interior", "pcie.d2h") +
-			tr.Overlap("gpu.interior", "gpu.boundary")
-		fmt.Printf("  makespan %.2f ms, time overlapped with the interior kernel: %.2f ms\n\n",
-			end.Seconds()*1e3, ov.Seconds()*1e3)
+		pair := rec.Report().Pair(obs.PairPCIeKernel)
+		fmt.Printf("  makespan %.2f ms, PCIe time hidden under kernels: %.2f of %.2f ms\n\n",
+			end*1e3, pair.OverlapSec*1e3, pair.CommSec*1e3)
 	}
 	fmt.Println("the stream schedule's makespan is shorter by almost exactly the")
-	fmt.Println("overlapped time — hiding communication is free throughput, which is")
+	fmt.Println("hidden time — hiding communication is free throughput, which is")
 	fmt.Println("the paper's thesis in one picture.")
 }

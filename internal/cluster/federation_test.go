@@ -168,7 +168,7 @@ func TestMembershipTransitions(t *testing.T) {
 	}
 
 	// A healthy probe resurrects the node and clears the failure count.
-	if !m.ReportHealthy("a", now) {
+	if !m.reportIf("a", m.generation("a"), NodeUp, now) {
 		t.Fatalf("recovery must report a state change")
 	}
 	if st, _ := m.Get("a"); st.Fails != 0 {

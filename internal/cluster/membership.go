@@ -172,12 +172,6 @@ func (m *Membership) withStates(states ...NodeState) []string {
 	return out
 }
 
-// ReportHealthy records a successful probe and returns true if the state
-// changed (a down or draining node came back up).
-func (m *Membership) ReportHealthy(id string, now time.Time) bool {
-	return m.transition(id, NodeUp, "", now)
-}
-
 // ReportDraining records a draining probe (healthz 503 {"status":
 // "draining"}) and returns true if the state changed.
 func (m *Membership) ReportDraining(id string, now time.Time) bool {

@@ -25,8 +25,8 @@ const ringSeed = 0x61647665637464 // "advectd"
 // VNodes virtual points placed by a deterministic hash, and a key belongs
 // to the member owning the first point at or clockwise after the key's
 // hash. Immutability is what keeps Lookup allocation- and lock-free on the
-// submit hot path: membership changes build a new ring (WithNode /
-// WithoutNode) and the router swaps an atomic pointer.
+// submit hot path: a membership change builds a new ring (NewRing over the
+// new member set) and the router swaps an atomic pointer.
 type Ring struct {
 	vnodes int
 	nodes  []string // sorted member names
@@ -90,31 +90,9 @@ func (r *Ring) Nodes() []string { return r.nodes }
 // VNodes returns the per-member virtual-node count.
 func (r *Ring) VNodes() int { return r.vnodes }
 
-// WithNode returns a new ring with the member added (no-op copy if already
-// present).
-func (r *Ring) WithNode(name string) *Ring {
-	for _, n := range r.nodes {
-		if n == name {
-			return NewRing(r.nodes, r.vnodes)
-		}
-	}
-	return NewRing(append(append([]string{}, r.nodes...), name), r.vnodes)
-}
-
-// WithoutNode returns a new ring with the member removed.
-func (r *Ring) WithoutNode(name string) *Ring {
-	keep := make([]string, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		if n != name {
-			keep = append(keep, n)
-		}
-	}
-	return NewRing(keep, r.vnodes)
-}
-
 // Lookup returns the member owning key, or "" on an empty ring. It is the
 // per-submit routing decision, so it must stay allocation-free and
-// sub-microsecond (BENCH_cluster.json guards the measured contract; the
+// sub-microsecond (BENCH_guards.json guards the measured contract; the
 // hotpath annotation has advectlint enforce it statically).
 //
 //advect:hotpath

@@ -14,7 +14,7 @@ import (
 // A nil *submissionTrace is the disabled path (untraced request): every
 // method no-ops and allocates nothing, mirroring the nil *obs.Recorder
 // contract, so routeBody never branches on an "enabled" flag. The ci.sh
-// gateway bench gate (BENCH_gateway.json) holds the disabled path to
+// gateway bench gate (BENCH_guards.json) holds the disabled path to
 // allocation-free.
 type submissionTrace struct {
 	id  string

@@ -360,7 +360,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 // carries a nil *submissionTrace through the whole routing path; every
 // method on it must stay allocation-free so tracing costs nothing when
 // off. ci.sh pairs this with BenchmarkGatewayTraceDisabled against the
-// ns/op bound in BENCH_gateway.json.
+// ns/op bound in BENCH_guards.json.
 func TestGatewayTraceDisabledAllocatesNothing(t *testing.T) {
 	var tr *submissionTrace
 	allocs := testing.AllocsPerRun(200, func() {

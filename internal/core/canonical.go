@@ -68,7 +68,7 @@ func (o Options) Canonical() string {
 		"tpg=" + strconv.Itoa(o.TasksPerGPU),
 		"gpu=" + o.GPU.String(),
 		"verify=" + bv(o.Verify),
-		"trace=" + bv(o.TraceOverlap),
+		"trace=0", // a retired option, kept constant so fingerprints written since o1 stay valid
 	}, ";")
 }
 
@@ -273,7 +273,7 @@ func ParseOptionsCanonical(s string) (Options, error) {
 	o.TasksPerGPU = r.takeInt("tpg")
 	gpu := r.take("gpu")
 	o.Verify = r.takeBool("verify")
-	o.TraceOverlap = r.takeBool("trace")
+	r.takeBool("trace") // retired: accepted so stored encodings still parse
 	if err := r.done(); err != nil {
 		return Options{}, err
 	}

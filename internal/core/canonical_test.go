@@ -24,7 +24,7 @@ func testOptions() []Options {
 	return []Options{
 		{Tasks: 1, Threads: 1, BlockX: 32, BlockY: 8, BoxThickness: 1, HaloWidth: 2, GPU: GPUC2050},
 		{Tasks: 8, Threads: 4, BlockX: 16, BlockY: 16, BoxThickness: 3, HaloWidth: 4,
-			TasksPerGPU: 2, GPU: GPUC1060, Verify: true, TraceOverlap: true},
+			TasksPerGPU: 2, GPU: GPUC1060, Verify: true},
 	}
 }
 
@@ -115,7 +115,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{name: "tpg", o: func(o Options) Options { o.TasksPerGPU = 2; return o }},
 		{name: "gpu", o: func(o Options) Options { o.GPU = GPUC1060; return o }},
 		{name: "verify", o: func(o Options) Options { o.Verify = true; return o }},
-		{name: "trace", o: func(o Options) Options { o.TraceOverlap = true; return o }},
 	}
 	for _, m := range mutate {
 		k, p, o := BulkSync, base, baseO

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -137,11 +136,6 @@ func (k Kind) UsesMPI() bool { return k != SingleTask && k != GPUResident }
 // UsesGPU reports whether the implementation computes on the GPU.
 func (k Kind) UsesGPU() bool { return k >= GPUResident && k < numKinds }
 
-// UsesCPUCompute reports whether CPUs compute grid points.
-func (k Kind) UsesCPUCompute() bool {
-	return k <= ThreadedOverlap || k == HybridBulkSync || k == HybridOverlap
-}
-
 // ParseKind converts a string produced by Kind.String back to a Kind.
 func ParseKind(s string) (Kind, error) {
 	for _, k := range append(Kinds(), WideHaloExt) {
@@ -250,19 +244,12 @@ type Options struct {
 	// run and the mass drift across it.
 	Verify bool
 
-	// TraceOverlap records every device's simulated GPU/PCIe timeline and
-	// adds overlap accounting to Result.Stats: "trace.overlap.sec" is the
-	// total simulated time during which interior kernels ran concurrently
-	// with PCIe transfers or boundary kernels — the quantity the paper's
-	// overlap implementations exist to maximize. Per-device stats are
-	// merged across ranks (see internal/impl/trace.go). GPU
-	// implementations only.
-	TraceOverlap bool
-
 	// Rec, when non-nil, records per-rank per-phase spans from every
 	// substrate (CPU compute, MPI, PCIe, kernels) for the overlap report
-	// and Chrome trace export — see internal/obs. Nil disables recording
-	// at zero cost. Like Ctx, Rec does not participate in Canonical or
+	// and Chrome trace export — see internal/obs; the emulated devices
+	// mirror their virtual kernel and PCIe timelines into it, so it is the
+	// one record of what overlapped with what. Nil disables recording at
+	// zero cost. Like Ctx, Rec does not participate in Canonical or
 	// Fingerprint: tracing a run does not change what it computes.
 	Rec *obs.Recorder
 
@@ -393,16 +380,4 @@ func New(k Kind) (Runner, error) {
 		return nil, fmt.Errorf("core: no implementation registered for %v (import repro/internal/impl)", k)
 	}
 	return f(), nil
-}
-
-// Registered returns the kinds with installed factories, sorted.
-func Registered() []Kind {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Kind, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

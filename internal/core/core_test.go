@@ -47,12 +47,6 @@ func TestKindPredicates(t *testing.T) {
 			t.Fatalf("%v must use GPU", k)
 		}
 	}
-	if GPUResident.UsesCPUCompute() || GPUStreams.UsesCPUCompute() {
-		t.Fatal("GPU-only kinds must not compute on CPU")
-	}
-	if !HybridOverlap.UsesCPUCompute() || !SingleTask.UsesCPUCompute() {
-		t.Fatal("hybrid and CPU kinds must compute on CPU")
-	}
 }
 
 func TestKindDescribe(t *testing.T) {
@@ -128,15 +122,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New(Kind(101)); err == nil {
 		t.Fatal("unregistered kind accepted")
-	}
-	found := false
-	for _, k := range Registered() {
-		if k == Kind(100) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered kind not listed")
 	}
 }
 

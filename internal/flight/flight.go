@@ -15,7 +15,7 @@
 // Both types follow the repo's nil-safety convention: a nil *Recorder and
 // a nil *Engine are valid disabled instances whose methods no-op, so
 // instrumented call sites never branch on an enabled flag. The disabled
-// path is allocation-free and gated in ci.sh against BENCH_flight.json.
+// path is allocation-free and gated in ci.sh against BENCH_guards.json.
 package flight
 
 import (

@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -23,7 +22,6 @@ type Device struct {
 	engine    *vtime.Resource // kernel serialization when !ConcurrentKernels
 	dmaH2D    *vtime.Resource
 	dmaD2H    *vtime.Resource
-	trace     *vtime.Trace
 	obsRec    *obs.Recorder
 	obsRank   int
 	constMem  []float64
@@ -54,44 +52,26 @@ func NewDevice(p Props, l Link) *Device {
 	return d
 }
 
-// SetTrace installs a span recorder (nil disables tracing).
-func (d *Device) SetTrace(t *vtime.Trace) {
-	d.mu.Lock()
-	d.trace = t
-	d.mu.Unlock()
-}
-
-// SetObserver mirrors the device timeline — kernels and PCIe copies, in
+// SetObserver records the device timeline — kernels and PCIe copies, in
 // simulated time — into an obs recorder, attributing the spans to rank
 // (the device's owning rank, or the group's first rank when tasks share
-// the GPU). A nil recorder disables mirroring.
+// the GPU). It is the one record of the timeline: the overlap report and
+// the Chrome trace both read it. A nil recorder disables recording.
 func (d *Device) SetObserver(r *obs.Recorder, rank int) {
 	d.mu.Lock()
 	d.obsRec, d.obsRank = r, rank
 	d.mu.Unlock()
 }
 
-func (d *Device) traceAdd(lane, label string, start, end vtime.Time) {
+// observe records one device span: a kernel on any stream is kernel time,
+// a copy keeps its direction (the constant upload counts as host-to-device).
+func (d *Device) observe(phase obs.Phase, label string, start, end vtime.Time) {
 	d.mu.Lock()
-	t, rec, rank := d.trace, d.obsRec, d.obsRank
+	rec, rank := d.obsRec, d.obsRank
 	d.mu.Unlock()
-	t.Add(lane, label, start, end)
 	if rec != nil {
-		rec.Add(rank, -1, lanePhase(lane), label, start.Seconds(), end.Seconds())
+		rec.Add(rank, -1, phase, label, start.Seconds(), end.Seconds())
 	}
-}
-
-// lanePhase maps the device's vtime lanes onto obs phases: every
-// "gpu.<stream>" lane is kernel time, the PCIe lanes keep their direction
-// (the half-duplex "pcie" constant-upload lane counts as host-to-device).
-func lanePhase(lane string) obs.Phase {
-	switch {
-	case lane == "pcie.d2h":
-		return obs.PhaseD2H
-	case strings.HasPrefix(lane, "gpu."):
-		return obs.PhaseKernel
-	}
-	return obs.PhaseH2D
 }
 
 // HostClock tracks a host goroutine's virtual time across device calls.
@@ -108,14 +88,6 @@ func (h *HostClock) Now() vtime.Time { return h.t }
 func (h *HostClock) Set(t vtime.Time) {
 	if t > h.t {
 		h.t = t
-	}
-}
-
-// Advance adds a duration of host-side work (e.g. CPU compute or MPI time
-// in a hybrid implementation) to the clock.
-func (h *HostClock) Advance(d vtime.Time) {
-	if d > 0 {
-		h.t += d
 	}
 }
 
@@ -157,13 +129,6 @@ func (d *Device) Free(b *Buffer) {
 	b.data = nil
 }
 
-// AllocatedBytes returns the current device-memory reservation.
-func (d *Device) AllocatedBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.allocated
-}
-
 // LoadConstant stores vals in constant memory (the stencil coefficients in
 // the paper's kernels) and returns the host time after the upload.
 func (d *Device) LoadConstant(host vtime.Time, vals []float64) vtime.Time {
@@ -171,7 +136,7 @@ func (d *Device) LoadConstant(host vtime.Time, vals []float64) vtime.Time {
 	d.constMem = append([]float64(nil), vals...)
 	d.mu.Unlock()
 	start, end := d.dmaH2D.Acquire(host, vtime.Time(d.Link.CopyTime(len(vals)*8)))
-	d.traceAdd("pcie", "constant upload", start, end)
+	d.observe(obs.PhaseH2D, "constant upload", start, end)
 	return end
 }
 
@@ -296,18 +261,16 @@ func (d *Device) copy(host vtime.Time, s *Stream, dir Direction, devBuf *Buffer,
 		copy(hostBuf, devBuf.data)
 	}
 	bytes := len(hostBuf) * 8
-	dma := d.dmaH2D
-	lane := "pcie.h2d"
+	dma, phase := d.dmaH2D, obs.PhaseH2D
 	if dir == DeviceToHost {
-		dma = d.dmaD2H
-		lane = "pcie.d2h"
+		dma, phase = d.dmaD2H, obs.PhaseD2H
 	}
 	ready := host
 	if s != nil {
 		ready = s.ready(host)
 	}
 	start, end := dma.Acquire(ready, vtime.Time(d.Link.CopyTime(bytes)))
-	d.traceAdd(lane, fmt.Sprintf("%s %dB", dir, bytes), start, end)
+	d.observe(phase, fmt.Sprintf("%s %dB", dir, bytes), start, end)
 	d.mu.Lock()
 	if dir == HostToDevice {
 		d.CopiesH2D++
@@ -351,7 +314,7 @@ func (d *Device) Launch(host vtime.Time, s *Stream, name string, l Launch, body 
 		start, end = d.engine.Acquire(ready, vtime.Time(dur))
 	}
 	s.extend(end)
-	d.traceAdd("gpu."+s.name, name, start, end)
+	d.observe(obs.PhaseKernel, name, start, end)
 	d.mu.Lock()
 	d.Kernels++
 	d.mu.Unlock()

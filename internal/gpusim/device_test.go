@@ -3,6 +3,7 @@ package gpusim
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/vtime"
 )
 
@@ -14,12 +15,12 @@ func TestAllocFree(t *testing.T) {
 	if b.Len() != 1000 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if d.AllocatedBytes() != 8000 {
-		t.Fatalf("allocated = %d", d.AllocatedBytes())
+	if d.allocated != 8000 {
+		t.Fatalf("allocated = %d", d.allocated)
 	}
 	d.Free(b)
-	if d.AllocatedBytes() != 0 {
-		t.Fatalf("after free allocated = %d", d.AllocatedBytes())
+	if d.allocated != 0 {
+		t.Fatalf("after free allocated = %d", d.allocated)
 	}
 }
 
@@ -204,22 +205,25 @@ func TestConstantMemory(t *testing.T) {
 
 func TestDeviceTrace(t *testing.T) {
 	d := testDevice()
-	tr := vtime.NewTrace()
-	d.SetTrace(tr)
+	rec := obs.NewRecorder()
+	d.SetObserver(rec, 3)
 	s := d.NewStream("s")
 	buf := d.Alloc(100)
 	d.Memcpy(0, HostToDevice, buf, make([]float64, 100))
 	d.Launch(0, s, "k", StencilLaunch(16, 16, 16, 16, 4), func() {})
-	spans := tr.Spans()
+	spans := rec.Spans()
 	if len(spans) != 2 {
-		t.Fatalf("trace has %d spans, want 2", len(spans))
+		t.Fatalf("recorder has %d spans, want 2", len(spans))
 	}
-	lanes := map[string]bool{}
+	phases := map[obs.Phase]bool{}
 	for _, sp := range spans {
-		lanes[sp.Lane] = true
+		if sp.Rank != 3 || sp.End <= sp.Start {
+			t.Fatalf("span %+v: want rank 3 and a positive simulated extent", sp)
+		}
+		phases[sp.Phase] = true
 	}
-	if !lanes["pcie.h2d"] || !lanes["gpu.s"] {
-		t.Fatalf("lanes %v", lanes)
+	if !phases[obs.PhaseH2D] || !phases[obs.PhaseKernel] {
+		t.Fatalf("phases %v", phases)
 	}
 }
 
@@ -253,11 +257,6 @@ func TestHostClock(t *testing.T) {
 	h.Set(3) // never backwards
 	if h.Now() != 5 {
 		t.Fatalf("Now = %v, want 5", h.Now())
-	}
-	h.Advance(2)
-	h.Advance(-1) // negative ignored
-	if h.Now() != 7 {
-		t.Fatalf("Now = %v, want 7", h.Now())
 	}
 }
 

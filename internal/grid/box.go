@@ -33,11 +33,6 @@ func (b BoxSplit) Inner() Subdomain {
 	}
 }
 
-// ShellVolume returns the number of CPU (shell) points.
-func (b BoxSplit) ShellVolume() int {
-	return b.Local.Volume() - b.Inner().Volume()
-}
-
 // Walls returns the six disjoint slabs that tile the CPU shell, ordered
 // -z, +z, -y, +y, -x, +x. The z walls span full xy planes; the y walls
 // exclude the z walls; the x walls exclude both. An implementation that

@@ -25,19 +25,6 @@ func (d Dims) Surface() int {
 	return d.Volume() - inner.Volume()
 }
 
-// FaceArea returns the area (in points) of the face normal to dim.
-func (d Dims) FaceArea(dim int) int {
-	switch dim {
-	case 0:
-		return d.Y * d.Z
-	case 1:
-		return d.X * d.Z
-	case 2:
-		return d.X * d.Y
-	}
-	panic(fmt.Sprintf("grid: bad dimension %d", dim))
-}
-
 // Axis returns the extent along dim (0=x, 1=y, 2=z).
 func (d Dims) Axis(dim int) int {
 	switch dim {

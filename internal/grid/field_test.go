@@ -213,9 +213,6 @@ func TestDimsHelpers(t *testing.T) {
 	if d.WithAxis(1, 9) != (Dims{3, 9, 5}) {
 		t.Fatalf("WithAxis = %v", d.WithAxis(1, 9))
 	}
-	if d.FaceArea(0) != 20 || d.FaceArea(1) != 15 || d.FaceArea(2) != 12 {
-		t.Fatal("FaceArea wrong")
-	}
 	if Uniform(4) != (Dims{4, 4, 4}) {
 		t.Fatal("Uniform wrong")
 	}

@@ -27,12 +27,15 @@ func deviceLink(o core.Options) gpusim.Link {
 func tasksPerGPU(o core.Options) int { return max(1, o.TasksPerGPU) }
 
 // devicePool builds the devices a world shares: rank r uses
-// pool[r/tasksPerGPU(o)].
+// pool[r/tasksPerGPU(o)]. Each device records its virtual timeline into the
+// run's recorder (a nil one records nothing), attributed to its group's
+// first rank — with the default one task per GPU simply the owning rank.
 func devicePool(o core.Options) []*gpusim.Device {
 	per := tasksPerGPU(o)
 	pool := make([]*gpusim.Device, (o.Tasks+per-1)/per)
 	for i := range pool {
 		pool[i] = gpusim.NewDevice(deviceProps(o), deviceLink(o))
+		pool[i].SetObserver(o.Rec, i*per)
 	}
 	return pool
 }

@@ -49,14 +49,10 @@ func run(t *testing.T, k core.Kind, p core.Problem, o core.Options) *core.Result
 }
 
 func TestAllKindsRegistered(t *testing.T) {
-	registered := map[core.Kind]bool{}
-	for _, k := range core.Registered() {
-		registered[k] = true
-	}
 	// All nine paper implementations plus the wide-halo extension.
 	for _, k := range append(core.Kinds(), core.WideHaloExt) {
-		if !registered[k] {
-			t.Fatalf("%v not registered", k)
+		if r, err := core.New(k); err != nil || r.Kind() != k {
+			t.Fatalf("%v not registered: %v", k, err)
 		}
 	}
 }
@@ -425,21 +421,11 @@ func TestStatsKeys(t *testing.T) {
 	}
 	p := core.DefaultProblem(12, 2)
 	for _, k := range allKinds {
-		o := core.Options{Tasks: 2, Threads: 2, BlockX: 8, BlockY: 4, Verify: true, TraceOverlap: true}
+		o := core.Options{Tasks: 2, Threads: 2, BlockX: 8, BlockY: 4, Verify: true}
 		if !k.UsesMPI() {
 			o.Tasks = 1
 		}
 		got := run(t, k, p, o).Stats
-		traced := 0
-		for key := range got {
-			if strings.HasPrefix(key, "trace.") {
-				traced++
-				delete(got, key)
-			}
-		}
-		if (traced > 0) != k.UsesGPU() {
-			t.Errorf("%v: %d trace.* keys, device kind %v", k, traced, k.UsesGPU())
-		}
 		for _, group := range want[k] {
 			for _, key := range group {
 				if _, ok := got[key]; !ok {

@@ -129,32 +129,36 @@ func TestRunWithoutRecorderRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestMergedOverlapStats covers the all-ranks TraceOverlap satellite: a
-// two-task GPU run must merge both devices' traces into the stats.
+// TestMergedOverlapStats: a two-task GPU run records both devices' timelines
+// into the one recorder, each attributed to its owning rank, and the report's
+// total is their sum.
 func TestMergedOverlapStats(t *testing.T) {
 	r, err := core.New(core.GPUStreams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(obsProblem(), core.Options{Tasks: 2, TraceOverlap: true})
-	if err != nil {
+	rec := obs.NewRecorder()
+	if _, err := r.Run(obsProblem(), core.Options{Tasks: 2, Rec: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stats["trace.devices"]; got != 2 {
-		t.Fatalf("trace.devices = %v, want 2", got)
+	rep := rec.Report()
+	if len(rep.Ranks) != 2 {
+		t.Fatalf("report covers %d ranks, want 2", len(rep.Ranks))
 	}
-	if res.Stats["trace.spans"] <= 0 {
-		t.Fatal("no merged spans recorded")
+	var sum, most float64
+	for _, rr := range rep.Ranks {
+		ov := 0.0
+		for _, p := range rr.Pairs {
+			if p.Name == obs.PairPCIeKernel {
+				ov = p.OverlapSec
+			}
+		}
+		if ov <= 0 {
+			t.Fatalf("rank %d's device hides no PCIe time: GPUStreams across 2 tasks should still overlap", rr.Rank)
+		}
+		sum, most = sum+ov, max(most, ov)
 	}
-	if res.Stats["trace.overlap.sec"] <= 0 {
-		t.Fatal("GPUStreams across 2 tasks should still overlap")
-	}
-	minOv := res.Stats["trace.overlap.min.sec"]
-	maxOv := res.Stats["trace.overlap.max.sec"]
-	if minOv <= 0 || maxOv < minOv {
-		t.Fatalf("per-device min/max overlap inconsistent: min=%v max=%v", minOv, maxOv)
-	}
-	if res.Stats["trace.overlap.sec"] < maxOv {
-		t.Fatal("summed overlap smaller than one device's overlap")
+	if total := rep.Pair(obs.PairPCIeKernel).OverlapSec; total != sum || total < most {
+		t.Fatalf("total overlap %v, want the per-device sum %v (largest device %v)", total, sum, most)
 	}
 }

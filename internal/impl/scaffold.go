@@ -87,7 +87,6 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	if sch.device != noDevice {
 		pool = devicePool(o)
 	}
-	traces := poolTraces(pool, o)
 
 	outs := make([]rankOut, o.Tasks)
 	runErr := safeWorldRun(mpi.NewWorld(o.Tasks), func(c *mpi.Comm) {
@@ -174,9 +173,6 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		st["gpu.kernels"], st["pcie.bytes"], st["sim.seconds"] = kernels, pcie, simSec
 		if simSec > 0 {
 			st["sim.gf"] = p.Flops() * float64(p.Steps) / simSec / 1e9
-		}
-		for k, v := range mergedOverlapStats(traces) {
-			st[k] = v
 		}
 	}
 	if sch.wide {

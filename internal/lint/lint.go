@@ -105,12 +105,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
 	p.facts[factKey{p.Analyzer.Name, obj}] = fact
 }
 
-// ObjectFact returns the fact this analyzer exported for obj, if any.
-func (p *Pass) ObjectFact(obj types.Object) (any, bool) {
-	f, ok := p.facts[factKey{p.Analyzer.Name, obj}]
-	return f, ok
-}
-
 // ModulePass is the Finish-stage view: every package of the load plus the
 // facts the per-package passes exported. All packages of one Run share a
 // FileSet, so positions from any package resolve here.
@@ -134,12 +128,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // Position resolves a token.Pos against the load's shared FileSet.
 func (p *ModulePass) Position(pos token.Pos) token.Position {
 	return p.fset.Position(pos)
-}
-
-// ObjectFact returns the fact this analyzer exported for obj, if any.
-func (p *ModulePass) ObjectFact(obj types.Object) (any, bool) {
-	f, ok := p.facts[factKey{p.Analyzer.Name, obj}]
-	return f, ok
 }
 
 // AllObjectFacts returns every (object, fact) pair this analyzer

@@ -98,11 +98,11 @@ var implFiles = map[core.Kind][]string{
 	core.BulkSync:           {"impl.go", "scaffold.go", "exchange.go", "bulk.go"},
 	core.NonblockingOverlap: {"impl.go", "scaffold.go", "exchange.go", "nonblocking.go"},
 	core.ThreadedOverlap:    {"impl.go", "scaffold.go", "exchange.go", "threaded.go"},
-	core.GPUResident:        {"impl.go", "scaffold.go", "device.go", "trace.go", "gpuresident.go"},
-	core.GPUBulkSync:        {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "gpubulk.go"},
-	core.GPUStreams:         {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "gpustreams.go"},
-	core.HybridBulkSync:     {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "hybrid.go", "hybridbulk.go"},
-	core.HybridOverlap:      {"impl.go", "scaffold.go", "exchange.go", "device.go", "trace.go", "gpumpi.go", "hybrid.go", "hybridoverlap.go"},
+	core.GPUResident:        {"impl.go", "scaffold.go", "device.go", "gpuresident.go"},
+	core.GPUBulkSync:        {"impl.go", "scaffold.go", "exchange.go", "device.go", "gpumpi.go", "gpubulk.go"},
+	core.GPUStreams:         {"impl.go", "scaffold.go", "exchange.go", "device.go", "gpumpi.go", "gpustreams.go"},
+	core.HybridBulkSync:     {"impl.go", "scaffold.go", "exchange.go", "device.go", "gpumpi.go", "hybrid.go", "hybridbulk.go"},
+	core.HybridOverlap:      {"impl.go", "scaffold.go", "exchange.go", "device.go", "gpumpi.go", "hybrid.go", "hybridoverlap.go"},
 }
 
 // implDir locates this repository's internal/impl source directory.

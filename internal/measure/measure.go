@@ -60,14 +60,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// PerStep returns the mean step duration.
-func (r Result) PerStep() time.Duration {
-	if r.Steps == 0 {
-		return 0
-	}
-	return r.Elapsed / time.Duration(r.Steps)
-}
-
 // GF converts the measurement to billions of floating-point operations per
 // second given the per-step operation count, as the paper computes its
 // reported numbers analytically from the 53 flops/point.

@@ -48,14 +48,11 @@ func TestCalibrateStepsTooFast(t *testing.T) {
 
 func TestResultMath(t *testing.T) {
 	r := Result{Steps: 10, Elapsed: 2 * time.Second}
-	if r.PerStep() != 200*time.Millisecond {
-		t.Fatalf("PerStep = %v", r.PerStep())
-	}
 	// 1e9 flops per step over 2s at 10 steps = 5 GF.
 	if gf := r.GF(1e9); gf != 5 {
 		t.Fatalf("GF = %v", gf)
 	}
-	if (Result{}).PerStep() != 0 || (Result{}).GF(1) != 0 {
+	if (Result{}).GF(1) != 0 {
 		t.Fatal("zero result math wrong")
 	}
 }

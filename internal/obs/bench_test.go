@@ -19,7 +19,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 }
 
 // BenchmarkRecorderEnabled is the enabled-path cost for comparison
-// (BENCH_obs.json records both).
+// (BENCH_guards.json records both).
 func BenchmarkRecorderEnabled(b *testing.B) {
 	r := NewRecorder()
 	b.ReportAllocs()

@@ -222,15 +222,6 @@ func NewRecorder() *Recorder {
 // Enabled reports whether spans will actually be kept.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Epoch returns the instant the recorder's wall clock started (zero time
-// if disabled). Cross-process span merges use it to compute clock offsets.
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
 // Clock returns seconds elapsed since the recorder's epoch (0 if disabled).
 // Use it to timestamp a window whose span is emitted later via Add.
 //

@@ -17,7 +17,7 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if c == nil {
 		t.Fatal("enabled recorder returned nil context")
 	}
-	if c.TraceID != "abc123" || c.EpochNS != r.Epoch().UnixNano() || len(c.Spans) != 2 {
+	if c.TraceID != "abc123" || c.EpochNS != r.epoch.UnixNano() || len(c.Spans) != 2 {
 		t.Fatalf("bad context: %+v", c)
 	}
 
@@ -76,7 +76,7 @@ func TestImportRebasesAndAnnotatesHandoff(t *testing.T) {
 	// lands at [-40ms, -30ms] on our timeline.
 	c := &TraceContext{
 		TraceID: "t1",
-		EpochNS: local.Epoch().Add(-50 * time.Millisecond).UnixNano(),
+		EpochNS: local.epoch.Add(-50 * time.Millisecond).UnixNano(),
 		Spans: []Span{
 			{Rank: RankGateway, Step: -1, Phase: PhaseGWRoute, Label: "n1", Start: 0.010, End: 0.020},
 			{Rank: RankGateway, Step: -1, Phase: PhaseGWSubmit, Label: "n1", Start: 0.020, End: 0.030},
@@ -112,7 +112,7 @@ func TestImportSenderClockAhead(t *testing.T) {
 	local := NewRecorder()
 	c := &TraceContext{
 		TraceID: "t1",
-		EpochNS: local.Epoch().Add(20 * time.Millisecond).UnixNano(),
+		EpochNS: local.epoch.Add(20 * time.Millisecond).UnixNano(),
 		Spans:   []Span{{Rank: RankGateway, Phase: PhaseGWRoute, Start: 0, End: 0.005}},
 	}
 	local.Import(c)
@@ -131,7 +131,7 @@ func TestImportRemoteFiltersAndStampsNode(t *testing.T) {
 	gw := NewRecorder()
 	remote := &TraceContext{
 		TraceID: "t1",
-		EpochNS: gw.Epoch().Add(30 * time.Millisecond).UnixNano(),
+		EpochNS: gw.epoch.Add(30 * time.Millisecond).UnixNano(),
 		Spans: []Span{
 			{Rank: RankService, Step: -1, Phase: PhaseWorkerExec, Start: 0.001, End: 0.010},
 			{Rank: 0, Step: 0, Phase: PhaseKernel, Start: 1.5, End: 2.5},              // sim base: unshifted

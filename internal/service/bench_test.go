@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,15 @@ import (
 // through the queue, a worker, and the performance model. Recorded numbers
 // for the same paths come from bench/ (service.cached_ms_p50,
 // service.predict_uncached_ms_p50 in BENCHMARK.json).
+
+// purge empties the cache without touching the counters, so a benchmark
+// can measure the uncached path.
+func (c *Cache) purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	c.entries = map[string]*list.Element{}
+}
 
 func benchServer(b *testing.B) (*Server, *httptest.Server) {
 	b.Helper()

@@ -98,12 +98,3 @@ func (c *Cache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 	}
 }
-
-// purge empties the cache without touching the counters (benchmarks use it
-// to measure the uncached path).
-func (c *Cache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = map[string]*list.Element{}
-}

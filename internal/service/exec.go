@@ -56,7 +56,9 @@ type ExperimentResult struct {
 // untraced jobs); the runner records its per-rank phases into it, so the
 // spans land on the same timeline as the service-level request lifecycle.
 // A panic below here is a bug in a runner or a model, and it is reported as
-// the job's error: one request must not end the daemon's other jobs.
+// the job's error: one request must not end the daemon's other jobs. A
+// session segment (req.segment) leaves its raw result on the request
+// instead of a document: its caller wants the final field, not JSON.
 func execute(ctx context.Context, req Request, rec *obs.Recorder, jobID string) (doc json.RawMessage, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -70,8 +72,24 @@ func execute(ctx context.Context, req Request, rec *obs.Recorder, jobID string) 
 		return executePredict(ctx, req.Predict)
 	case TypeExperiment:
 		return executeExperiment(ctx, req.Experiment)
+	case typeSegment:
+		seg := req.segment
+		seg.res, err = run(ctx, seg.kind, seg.p, seg.o)
+		return nil, err
 	}
 	return nil, fmt.Errorf("service: unknown job type %q", req.Type)
+}
+
+// run is the one place the service enters a runner: a simulate job and a
+// session segment both integrate through the registry, under ctx
+// (cancellation is polled between timesteps).
+func run(ctx context.Context, kind core.Kind, p core.Problem, o core.Options) (*core.Result, error) {
+	r, err := core.New(kind)
+	if err != nil {
+		return nil, err
+	}
+	o.Ctx = ctx
+	return r.Run(p, o)
 }
 
 func executeSimulate(ctx context.Context, sr *SimulateRequest, rec *obs.Recorder, jobID string) (json.RawMessage, error) {
@@ -79,17 +97,9 @@ func executeSimulate(ctx context.Context, sr *SimulateRequest, rec *obs.Recorder
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.New(kind)
-	if err != nil {
-		return nil, err
-	}
 	o := sr.options()
-	o.Ctx = ctx // cancellation is polled between timesteps
-	if rec != nil {
-		o.Rec = rec
-		o.TraceOverlap = kind.UsesGPU()
-	}
-	res, err := r.Run(sr.problem(), o)
+	o.Rec = rec
+	res, err := run(ctx, kind, sr.problem(), o)
 	if err != nil {
 		return nil, err
 	}

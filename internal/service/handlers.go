@@ -300,7 +300,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "job has no trace"})
 		return
 	}
-	WriteJSON(w, http.StatusOK, rec.TraceContext(j.TraceID()))
+	WriteJSON(w, http.StatusOK, rec.TraceContext(j.traceID))
 }
 
 // handleStats serves the rolling-window telemetry document.

@@ -52,6 +52,11 @@ const (
 	TypeExperiment = "experiment"
 )
 
+// typeSegment labels a session segment on the job path (metrics, exec
+// window, logs). It is not a type the API accepts: only the session
+// runner builds one, so Types does not list it.
+const typeSegment = "segment"
+
 // Types lists the job types the service accepts.
 func Types() []string { return []string{TypeSimulate, TypePredict, TypeExperiment} }
 
@@ -67,6 +72,20 @@ type Request struct {
 	Simulate   *SimulateRequest   `json:"simulate,omitempty"`
 	Predict    *PredictRequest    `json:"predict,omitempty"`
 	Experiment *ExperimentRequest `json:"experiment,omitempty"`
+
+	segment *segment // set only by Server.runSegment, with Type typeSegment
+}
+
+// segment is one session segment riding the job path: what the manager asked
+// the runner for, and where the worker leaves the answer — res by execute,
+// err and the done signal by land.
+type segment struct {
+	kind core.Kind
+	p    core.Problem
+	o    core.Options
+	res  *core.Result
+	err  error
+	done chan struct{}
 }
 
 // SimulateRequest runs one of the paper's implementations functionally
@@ -336,13 +355,6 @@ func newJob(id string, req Request, base context.Context, now time.Time) *Job {
 // Trace returns the job's span recorder (nil for untraced jobs and jobs
 // answered from the result cache).
 func (j *Job) Trace() *obs.Recorder { return j.rec }
-
-// TraceID returns the propagated cluster-wide trace id ("" for direct
-// submissions).
-func (j *Job) TraceID() string { return j.traceID }
-
-// Background reports whether the job is a speculative pre-execution.
-func (j *Job) Background() bool { return j.background }
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }

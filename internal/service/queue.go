@@ -8,15 +8,22 @@ import "sync"
 // Retry-After estimate — explicit backpressure instead of unbounded
 // buffering.
 //
-// The queue has two lanes. The foreground lane carries interactive
-// submissions; the background lane carries speculative work (sweep-warmer
-// pre-executions) that is only worth doing on otherwise-idle workers. Pop
-// always prefers foreground, and background admission sheds itself the
-// moment any foreground job is waiting — speculation never costs an
-// interactive request its place in line.
+// The queue has three lanes. The foreground lane carries interactive
+// submissions. The segment lane is an unbuffered hand-off: a session
+// segment is never shed, so its sender waits there until a worker takes it
+// (or its context ends). Between a waiting job and a waiting segment a free
+// worker has no fixed priority — select picks at random, so neither starves —
+// and because a session offers its next segment only after the last one's
+// checkpoint is durable, one session delays a waiting job by at most one
+// segment. The background lane carries speculative work (sweep-warmer
+// pre-executions) that is only worth doing on otherwise-idle workers: Pop
+// takes it only when the other two are empty, and background admission
+// sheds itself the moment any foreground job is waiting — speculation never
+// costs an interactive request its place in line.
 type Queue struct {
 	mu     sync.Mutex
 	ch     chan *Job
+	seg    chan *Job
 	bg     chan *Job
 	closed bool
 }
@@ -26,7 +33,7 @@ func NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue{ch: make(chan *Job, capacity), bg: make(chan *Job, capacity)}
+	return &Queue{ch: make(chan *Job, capacity), seg: make(chan *Job), bg: make(chan *Job, capacity)}
 }
 
 // TryPush enqueues the job on the foreground lane, or reports false when
@@ -62,32 +69,32 @@ func (q *Queue) TryPushBackground(j *Job) bool {
 	}
 }
 
-// Pop blocks for the next job, always draining the foreground lane before
-// touching the background one. It reports false once the queue is closed
-// and the foreground lane has drained.
+// Pop blocks for the next unit of work: a foreground job or a segment,
+// whichever is ready, and a background job only when neither is. It reports
+// false once the queue is closed and the foreground lane has drained (the
+// sessions are stopped before the queue closes, so no segment is waiting).
 func (q *Queue) Pop() (*Job, bool) {
 	select {
 	case j, ok := <-q.ch:
 		return j, ok
+	case j := <-q.seg:
+		return j, true
 	default:
 	}
 	select {
 	case j, ok := <-q.ch:
 		return j, ok
+	case j := <-q.seg:
+		return j, true
 	case j, ok := <-q.bg:
 		if !ok {
 			// Background lane closed: the queue is draining, so wait out
 			// the remaining foreground jobs.
-			j2, ok2 := <-q.ch
-			return j2, ok2
+			j, ok = <-q.ch
 		}
-		return j, true
+		return j, ok
 	}
 }
-
-// Chan is the foreground lane's receive end; it is closed by Close after
-// the remaining jobs drain.
-func (q *Queue) Chan() <-chan *Job { return q.ch }
 
 // Close stops admission on both lanes. Foreground jobs already queued
 // remain receivable; the channels close once Pop drains them.
@@ -103,9 +110,6 @@ func (q *Queue) Close() {
 
 // Depth returns the number of queued foreground jobs.
 func (q *Queue) Depth() int { return len(q.ch) }
-
-// BgDepth returns the number of queued background jobs.
-func (q *Queue) BgDepth() int { return len(q.bg) }
 
 // Cap returns the per-lane queue capacity.
 func (q *Queue) Cap() int { return cap(q.ch) }

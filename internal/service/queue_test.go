@@ -26,7 +26,7 @@ func TestQueueBounds(t *testing.T) {
 	if q.Depth() != 2 {
 		t.Fatalf("depth %d, want 2", q.Depth())
 	}
-	j := <-q.Chan()
+	j, _ := q.Pop()
 	if j.ID() != "a" {
 		t.Fatalf("FIFO violated: got %s", j.ID())
 	}
@@ -45,7 +45,7 @@ func TestQueueCloseDrains(t *testing.T) {
 	}
 	q.Close() // idempotent
 	var got []string
-	for j := range q.Chan() {
+	for j, ok := q.Pop(); ok; j, ok = q.Pop() {
 		got = append(got, j.ID())
 	}
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/session"
@@ -20,7 +21,8 @@ import (
 
 // Config sizes the service. The zero value selects the defaults.
 type Config struct {
-	// Workers is the execution pool size (concurrent jobs). Default 2.
+	// Workers is the execution pool size: concurrent jobs and session
+	// segments together. Default 2.
 	Workers int
 	// QueueCap bounds the admission queue; a full queue rejects with 429.
 	// Default 16.
@@ -69,11 +71,9 @@ type Config struct {
 	SessionDir string
 	// SessionSegment is the default steps per durable session checkpoint
 	// (default 25); SessionRetain the checkpoints kept per session
-	// (default 4); SessionWorkers bounds concurrently executing segments
-	// (default 1).
+	// (default 4). Segments run on the Workers pool like every other job.
 	SessionSegment int
 	SessionRetain  int
-	SessionWorkers int
 	// WarmSweeps enables the speculative sweep warmer: stepped-parameter
 	// patterns in the interactive submission stream predict their next
 	// points, which idle workers pre-execute at background priority so the
@@ -187,8 +187,8 @@ func New(cfg Config) *Server {
 }
 
 // openSessions wires the resumable-session subsystem: the durable store,
-// the manager running segments through the same registry path as one-shot
-// jobs, and crash recovery of whatever the store already holds. A store
+// the manager running segments through the same pool as one-shot jobs
+// (runSegment), and crash recovery of whatever the store already holds. A store
 // that cannot be opened disables sessions (loudly) rather than the node.
 func (s *Server) openSessions(cfg Config) {
 	store, err := session.Open(cfg.SessionDir)
@@ -201,9 +201,8 @@ func (s *Server) openSessions(cfg Config) {
 		prefix = cfg.NodeID + "-"
 	}
 	mgr, err := session.NewManager(session.Config{
-		Store: store, Run: runKind,
+		Store: store, Run: s.runSegment,
 		Segment: cfg.SessionSegment, Retain: cfg.SessionRetain,
-		Workers:  cfg.SessionWorkers,
 		IDPrefix: prefix, Notify: s.publishSession, Logger: s.log,
 	})
 	if err != nil {
@@ -361,8 +360,9 @@ func (s *Server) publishJob(j *Job) {
 	s.hub.Publish(telemetry.Event{Name: "job", Data: data})
 }
 
-// runJob is the worker loop body: claim, execute under the job context,
-// land the terminal state, feed the cache and the metrics.
+// runJob is the worker loop body, the one path every unit of work takes —
+// an interactive job, a warmer pre-execution, a session segment: claim,
+// execute under the job context, land.
 func (s *Server) runJob(j *Job) {
 	claimed := time.Now()
 	if !j.claim(claimed) {
@@ -378,108 +378,130 @@ func (s *Server) runJob(j *Job) {
 		s.publishJob(j)
 		return
 	}
-	if !j.background {
-		j.rec.Add(obs.RankService, -1, obs.PhaseQueueWait, "", j.queuedAt, j.rec.Clock())
-		s.tele.RecordQueueWait(claimed, claimed.Sub(j.submitted))
-		s.tele.RecordDepth(claimed, s.queue.Depth())
+	if j.req.segment == nil {
+		if !j.background {
+			j.rec.Add(obs.RankService, -1, obs.PhaseQueueWait, "", j.queuedAt, j.rec.Clock())
+			s.tele.RecordQueueWait(claimed, claimed.Sub(j.submitted))
+			s.tele.RecordDepth(claimed, s.queue.Depth())
+		}
+		s.publishJob(j)
 	}
 	s.log.Info("job started", jobArgs(j, "background", j.background)...)
-	s.publishJob(j)
 	start := time.Now()
 	exec := j.rec.Begin(obs.RankService, -1, obs.PhaseWorkerExec, "")
 	doc, err := execute(j.ctx, j.req, j.rec, j.id)
 	exec.End()
-	elapsed := time.Since(start)
+	s.land(j, doc, err, time.Since(start))
+}
+
+// land brings a unit of work that ran to rest, and is the one place that
+// decides what each kind of work feeds:
+//
+//   - an interactive job: the result cache, the outcome counter and latency
+//     histogram, the exec / points / overlap windows and the anomaly engine
+//     (observe), and a job event on the stream;
+//   - a warmer pre-execution: the cache and the warmer (so the matching
+//     interactive submission counts as a warmer hit), the outcome counter
+//     and a job event — never the interactive windows or the engine;
+//   - a session segment: the "segment" outcome counter, histogram and exec
+//     window, the points window and the engine — never the cache, and no job
+//     event (the session manager publishes its own); its result and error go
+//     back to the runner waiting in runSegment.
+//
+// The terminal state is published last: a client that has seen it may read
+// /v1/stats, /metrics or resubmit at once, and must find its own work
+// counted and its result cached.
+func (s *Server) land(j *Job, doc json.RawMessage, err error, elapsed time.Duration) {
 	now := time.Now()
+	seg := j.req.segment
+	state, outcome, level, errMsg := StateDone, outcomeDone, slog.LevelInfo, ""
+	if err != nil {
+		state, outcome, level, errMsg = StateFailed, outcomeFailed, slog.LevelError, err.Error()
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			state, outcome, level = StateCancelled, outcomeCancelled, slog.LevelInfo
+		}
+	}
+	s.metrics.CountJob(j.req.Type, outcome)
 	if j.background {
-		s.finishBackground(j, doc, err, elapsed, now)
-		return
+		s.releaseWarm(j.cacheKey)
+		if state == StateCancelled {
+			s.warmer.NoteShed()
+		}
 	}
-	// The terminal state is published last: a client that has seen it may
-	// read /v1/stats, /metrics or resubmit at once, and must find its own
-	// job counted and its result cached.
-	switch {
-	case err == nil:
-		s.cache.Put(j.cacheKey, doc)
-		s.metrics.CountJob(j.req.Type, outcomeDone)
-		s.metrics.ObserveLatency(j.req.Type, elapsed)
-		s.tele.RecordExec(now, j.req.Type, elapsed)
-		if sr := j.req.Simulate; j.req.Type == TypeSimulate && sr != nil {
-			n := float64(sr.N)
-			s.tele.RecordPoints(now, n*n*n*float64(sr.Steps))
+	if err == nil {
+		if seg == nil {
+			s.cache.Put(j.cacheKey, doc)
 		}
-		var rep *obs.Report
-		if j.rec != nil {
-			// The pair totals here match the report embedded in the result
-			// document exactly: the service-level spans recorded since are
-			// not part of any overlap pair.
-			r := obs.BuildReport(j.rec.Spans())
-			rep = &r
-			s.tele.RecordOverlap(now, rep)
-			s.flight.Span(now, j.id, j.traceID,
-				fmt.Sprintf("%d spans over %d ranks", rep.Spans, len(rep.Ranks)))
+		if j.background {
+			s.warmer.MarkWarmed(j.cacheKey)
+		} else {
+			s.observe(now, j, elapsed)
 		}
-		s.observeJob(now, j, elapsed, rep)
-		j.finish(StateDone, doc, "", now)
-		s.log.Info("job finished", jobArgs(j, "state", StateDone, "duration", elapsed)...)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.CountJob(j.req.Type, outcomeCancelled)
-		j.finish(StateCancelled, nil, err.Error(), now)
-		s.log.Info("job finished", jobArgs(j, "state", StateCancelled, "duration", elapsed)...)
-	default:
-		s.metrics.CountJob(j.req.Type, outcomeFailed)
-		j.finish(StateFailed, nil, err.Error(), now)
-		s.log.Error("job finished", jobArgs(j, "state", StateFailed, "duration", elapsed, "error", err)...)
+	}
+	j.finish(state, doc, errMsg, now)
+	args := jobArgs(j, "state", state, "duration", elapsed)
+	if j.background {
+		args = append(args, "background", true)
+	}
+	if err != nil {
+		args = append(args, "error", err)
+	}
+	s.log.Log(j.ctx, level, "job finished", args...)
+	if seg != nil {
+		seg.err = err
+		close(seg.done)
+		return
 	}
 	s.publishJob(j)
 }
 
-// finishBackground lands a speculative pre-execution. A completed one
-// seeds the cache and is remembered by the warmer so the matching
-// interactive submission counts as a warmer hit; failures and
-// cancellations just land — background work never feeds the interactive
-// telemetry windows or the anomaly engine.
-func (s *Server) finishBackground(j *Job, doc json.RawMessage, err error, elapsed time.Duration, now time.Time) {
-	s.releaseWarm(j.cacheKey)
-	switch { // as in runJob, the state is published last
-	case err == nil:
-		s.cache.Put(j.cacheKey, doc)
-		s.warmer.MarkWarmed(j.cacheKey)
-		s.metrics.CountJob(j.req.Type, outcomeDone)
-		j.finish(StateDone, doc, "", now)
-		s.log.Info("job finished", jobArgs(j, "state", StateDone, "duration", elapsed, "background", true)...)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.CountJob(j.req.Type, outcomeCancelled)
-		s.warmer.NoteShed()
-		j.finish(StateCancelled, nil, err.Error(), now)
-		s.log.Info("job finished", jobArgs(j, "state", StateCancelled, "duration", elapsed, "background", true)...)
-	default:
-		s.metrics.CountJob(j.req.Type, outcomeFailed)
-		j.finish(StateFailed, nil, err.Error(), now)
-		s.log.Warn("job finished", jobArgs(j, "state", StateFailed, "duration", elapsed, "background", true, "error", err)...)
+// observe feeds one successfully finished interactive job or segment to the
+// latency histogram, the rolling windows and the anomaly engine — with the
+// grid-point updates of work that integrated a grid, the shape parameters
+// the model-drift rule scores against the perf model, and the traced report
+// (untraced work has none) the straggler and drift rules read.
+func (s *Server) observe(now time.Time, j *Job, elapsed time.Duration) {
+	typ := j.req.Type
+	s.metrics.ObserveLatency(typ, elapsed)
+	s.tele.RecordExec(now, typ, elapsed)
+	sample := flight.JobSample{JobID: j.id, TraceID: j.traceID, Type: typ, Elapsed: elapsed}
+	if seg := j.req.segment; seg != nil {
+		s.tele.RecordPoints(now, float64(seg.p.N.Volume())*float64(seg.p.Steps))
+		sample.Kind, sample.N, sample.Tasks, sample.Threads = seg.kind.String(), seg.p.N.X, seg.o.Tasks, seg.o.Threads
+	} else if sr := j.req.Simulate; typ == TypeSimulate {
+		n := float64(sr.N)
+		s.tele.RecordPoints(now, n*n*n*float64(sr.Steps))
+		sample.Kind, sample.N, sample.Tasks, sample.Threads = sr.Kind, sr.N, sr.Tasks, sr.Threads
 	}
-	s.publishJob(j)
-}
-
-// observeJob feeds one successfully finished job to the anomaly engine,
-// carrying the shape parameters the model-drift rule scores against the
-// perf model and the traced report (nil when untraced) the straggler and
-// drift rules read.
-func (s *Server) observeJob(now time.Time, j *Job, elapsed time.Duration, rep *obs.Report) {
-	if !s.engine.Enabled() {
-		return
-	}
-	sample := flight.JobSample{
-		JobID: j.id, TraceID: j.traceID, Type: j.req.Type,
-		Elapsed: elapsed, Report: rep,
-	}
-	if sr := j.req.Simulate; j.req.Type == TypeSimulate && sr != nil {
-		sample.Kind = sr.Kind
-		sample.N = sr.N
-		sample.Tasks = sr.Tasks
-		sample.Threads = sr.Threads
+	if j.rec != nil {
+		// The pair totals here match the report embedded in the result
+		// document exactly: the service-level spans recorded since are
+		// not part of any overlap pair.
+		rep := obs.BuildReport(j.rec.Spans())
+		sample.Report = &rep
+		s.tele.RecordOverlap(now, &rep)
+		s.flight.Span(now, j.id, j.traceID,
+			fmt.Sprintf("%d spans over %d ranks", rep.Spans, len(rep.Ranks)))
 	}
 	s.engine.ObserveJob(now, sample)
+}
+
+// runSegment is the session.Runner the manager is given: a segment is a
+// unit of work like any other, so it waits for the next free pool worker
+// (never shed, bounded by Config.Workers, counted in workers.busy), runs
+// under execute's panic barrier and a job context descending from the
+// session's, and lands through land — then hands its result back here.
+func (s *Server) runSegment(ctx context.Context, kind core.Kind, p core.Problem, o core.Options) (*core.Result, error) {
+	seg := &segment{kind: kind, p: p, o: o, done: make(chan struct{})}
+	j := newJob(s.store.NewID(), Request{Type: typeSegment, segment: seg}, ctx, time.Now())
+	select {
+	case s.queue.seg <- j:
+	case <-ctx.Done():
+		j.cancel()
+		return nil, ctx.Err()
+	}
+	<-seg.done
+	return seg.res, seg.err
 }
 
 // RetryAfter estimates how long a rejected client should wait: the queue
@@ -492,13 +514,7 @@ func (s *Server) RetryAfter() time.Duration {
 		mean = time.Second
 	}
 	wait := time.Duration(float64(mean) * float64(s.queue.Depth()+1) / float64(s.pool.Workers()))
-	if wait < time.Second {
-		wait = time.Second
-	}
-	if wait > time.Minute {
-		wait = time.Minute
-	}
-	return wait
+	return min(max(wait, time.Second), time.Minute)
 }
 
 // gauges reads the live queue and pool state behind both snapshots.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -318,20 +317,15 @@ func (s *Server) publishSession(ev session.Event) {
 	s.hub.Publish(telemetry.Event{Name: "session", Data: data})
 }
 
-// runKind is the session manager's runner: the same registry path as a
-// one-shot simulate job, minus the recorder (segments run untraced).
-func runKind(ctx context.Context, kind core.Kind, p core.Problem, o core.Options) (*core.Result, error) {
-	r, err := core.New(kind)
-	if err != nil {
-		return nil, err
-	}
-	o.Ctx = ctx
-	return r.Run(p, o)
+// warmInts is the fixed order of the integer parameters the sweep detector
+// watches (Nu follows them as the last field); warmVector's base is the
+// request's non-numeric identity. Together they make "the same request
+// except one stepping number" land on one track.
+func warmInts(sr *SimulateRequest) [9]*int {
+	return [9]*int{&sr.N, &sr.Steps, &sr.Tasks, &sr.Threads, &sr.BlockX, &sr.BlockY,
+		&sr.BoxThickness, &sr.HaloWidth, &sr.TasksPerGPU}
 }
 
-// warmFields is the fixed numeric-parameter order the sweep detector
-// watches; warmBase is the request's non-numeric identity. Together they
-// make "the same request except one stepping number" land on one track.
 func warmVector(sr *SimulateRequest) (string, []float64) {
 	base := "sim|" + sr.Kind + "|" + sr.GPU
 	if sr.Verify {
@@ -340,50 +334,28 @@ func warmVector(sr *SimulateRequest) (string, []float64) {
 	if sr.Trace {
 		base += "|t"
 	}
-	return base, []float64{
-		float64(sr.N), float64(sr.Steps), sr.Nu,
-		float64(sr.Tasks), float64(sr.Threads),
-		float64(sr.BlockX), float64(sr.BlockY),
-		float64(sr.BoxThickness), float64(sr.HaloWidth),
-		float64(sr.TasksPerGPU),
+	ints := warmInts(sr)
+	fields := make([]float64, 0, len(ints)+1)
+	for _, p := range ints {
+		fields = append(fields, float64(*p))
 	}
+	return base, append(fields, sr.Nu)
 }
 
 // applyWarmField writes a predicted value back into its request field,
 // reporting false for predictions that cannot name a real request (a
-// fractional or negative value in an integer field).
+// negative value, or a fractional one in an integer field).
 func applyWarmField(sr *SimulateRequest, field int, v float64) bool {
-	if field != 2 { // every field but Nu is an integer
-		if v != math.Trunc(v) || v < 0 || v > math.MaxInt32 {
-			return false
-		}
-	}
-	switch field {
-	case 0:
-		sr.N = int(v)
-	case 1:
-		sr.Steps = int(v)
-	case 2:
-		if v < 0 {
-			return false
-		}
-		sr.Nu = v
-	case 3:
-		sr.Tasks = int(v)
-	case 4:
-		sr.Threads = int(v)
-	case 5:
-		sr.BlockX = int(v)
-	case 6:
-		sr.BlockY = int(v)
-	case 7:
-		sr.BoxThickness = int(v)
-	case 8:
-		sr.HaloWidth = int(v)
-	case 9:
-		sr.TasksPerGPU = int(v)
-	default:
+	ints := warmInts(sr)
+	switch {
+	case v < 0 || field < 0 || field > len(ints):
 		return false
+	case field == len(ints):
+		sr.Nu = v
+	case v != math.Trunc(v) || v > math.MaxInt32:
+		return false
+	default:
+		*ints[field] = int(v)
 	}
 	return true
 }
@@ -403,46 +375,36 @@ func (s *Server) warmFromSubmit(req Request) {
 			s.warmer.NoteShed()
 			continue
 		}
-		s.SubmitBackground(Request{Type: TypeSimulate, Simulate: &next})
+		s.submitBackground(Request{Type: TypeSimulate, Simulate: &next})
 	}
 }
 
-// SubmitBackground admits a speculative pre-execution on the queue's
+// submitBackground admits a speculative pre-execution on the queue's
 // background lane. It is deliberately eager to give up — validation
 // failure, draining, already cached, already in flight, foreground
 // traffic waiting, or a full lane all shed the prediction (counted by the
 // warmer) — because speculation must never displace interactive work.
-func (s *Server) SubmitBackground(req Request) (*Job, bool) {
-	if err := req.Validate(s.cfg.Limits); err != nil {
+func (s *Server) submitBackground(req Request) {
+	if req.Validate(s.cfg.Limits) != nil || s.draining.Load() {
 		s.warmer.NoteShed()
-		return nil, false
-	}
-	if s.draining.Load() {
-		s.warmer.NoteShed()
-		return nil, false
+		return
 	}
 	key := req.CacheKey()
-	if _, hit := s.cache.Peek(key); hit {
+	if _, hit := s.cache.Peek(key); hit || !s.claimWarm(key) {
 		s.warmer.NoteShed()
-		return nil, false
+		return
 	}
-	if !s.claimWarm(key) {
-		s.warmer.NoteShed()
-		return nil, false
-	}
-	now := time.Now()
-	j := newJob(s.store.NewID(), req, s.baseCtx, now)
+	j := newJob(s.store.NewID(), req, s.baseCtx, time.Now())
 	j.background = true
 	if !s.queue.TryPushBackground(j) {
 		s.releaseWarm(key)
 		s.warmer.NoteShed()
-		return nil, false
+		return
 	}
 	s.store.Add(j)
 	s.metrics.CountJob(req.Type, outcomeSubmitted)
 	s.log.Info("job submitted", jobArgs(j, "background", true)...)
 	s.publishJob(j)
-	return j, true
 }
 
 // claimWarm marks a cache key as having a background pre-execution in

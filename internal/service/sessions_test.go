@@ -200,6 +200,31 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestFingerprintsPinned holds the content-addressed identities to the
+// values the commit before Options.TraceOverlap was retired computed: the
+// o1 encoding still carries the constant trace=0, so result-cache keys,
+// session fingerprints (the prefix of every checkpoint file in a store) and
+// fork fingerprints written by older builds stay valid.
+func TestFingerprintsPinned(t *testing.T) {
+	sr := &SimulateRequest{Kind: "hybrid-overlap", N: 24, Steps: 10, Tasks: 2, Threads: 2, GPU: "c1060", Verify: true}
+	req := Request{Type: TypeSimulate, Simulate: sr}
+	if got, want := req.CacheKey(), "sim-36028ecf83d1e3969c1a6ff4e8576dbdc148027d181e513a61a9ac4fe4c37df6"; got != want {
+		t.Errorf("simulate cache key (core.Fingerprint) = %s, want %s", got, want)
+	}
+	fp, err := SessionFingerprint(SessionRequest{Simulate: sr})
+	if want := "c2f2c1900f37193f45c1f2b291edd4ffb87bdb2c52cd3ee9ad0f46d6a7187559"; err != nil || fp != want {
+		t.Errorf("session fingerprint = %s (%v), want %s", fp, err, want)
+	}
+	sc, err := (&SessionRequest{Simulate: sr}).scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Options, sc.ParentFP, sc.ParentStep = sc.Options.Normalize(), fp, 5
+	if got, want := sc.Fingerprint(), "6afc40ce6adbe7b7b84c8567fc393db631305e01aed17aa3ef3b647f0d34b025"; got != want {
+		t.Errorf("fork fingerprint = %s, want %s", got, want)
+	}
+}
+
 // TestSessionValidation pins the request checks: trace is rejected, zero
 // steps are rejected, and a node without a session directory answers 503.
 func TestSessionValidation(t *testing.T) {
@@ -361,7 +386,7 @@ func TestSweepWarming(t *testing.T) {
 	// interactive path never queued behind them.
 	var bg int
 	for _, j := range s.store.List() {
-		if j.Background() {
+		if j.background {
 			bg++
 		}
 	}

@@ -19,7 +19,7 @@ type Telemetry struct {
 
 	depth     *telemetry.Window            // queue depth sampled at submit/claim
 	queueWait *telemetry.Window            // seconds from submit to worker claim
-	exec      map[string]*telemetry.Window // per-type execution seconds
+	exec      map[string]*telemetry.Window // per-type execution seconds (job types + "segment")
 	frac      *telemetry.Window            // per-job hidden-communication fraction
 	comm      *telemetry.Window            // per-job communication seconds
 	hidden    *telemetry.Window            // per-job overlapped seconds
@@ -41,7 +41,7 @@ func NewTelemetry(span time.Duration, queueCap int) *Telemetry {
 		hidden:    telemetry.NewWindow(span, bucket, nil),
 		points:    telemetry.NewWindow(span, bucket, nil),
 	}
-	for _, typ := range Types() {
+	for _, typ := range append(Types(), typeSegment) {
 		t.exec[typ] = telemetry.NewWindow(span, bucket, dur)
 	}
 	return t
@@ -92,8 +92,9 @@ func (t *Telemetry) RecordOverlap(now time.Time, rep *obs.Report) {
 	}
 }
 
-// RecordPoints records one completed simulate job's grid-point updates
-// (n³ × steps), the service-level analog of the paper's per-run GF metric.
+// RecordPoints records the grid-point updates (n³ × steps) of one completed
+// simulate job or session segment, the service-level analog of the paper's
+// per-run GF metric.
 func (t *Telemetry) RecordPoints(now time.Time, points float64) {
 	if t == nil {
 		return

@@ -16,13 +16,12 @@ func benchSession() *Session {
 		state: StateRunning, doneSteps: 75, segments: 3, resumes: 1,
 		created: time.Unix(1, 0), updated: time.Unix(2, 0),
 		fieldHash: "0123456789abcdef", lastCkpt: 75, lastGF: 1.5,
-		pauseCh: make(chan struct{}),
 	}
 }
 
 // TestSessionStatusAllocationBounded guards the status hot path: a View
 // snapshot is a single struct copy under the session mutex, nothing more.
-// BENCH_session.json bounds its time; this pins its allocations.
+// BENCH_guards.json bounds its time; this pins its allocations.
 func TestSessionStatusAllocationBounded(t *testing.T) {
 	s := benchSession()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -67,7 +66,7 @@ func TestWarmerIdleAllocationFree(t *testing.T) {
 }
 
 // BenchmarkWarmerIdle is the per-submission detector cost when no sweep is
-// progressing; BENCH_session.json bounds it.
+// progressing; BENCH_guards.json bounds it.
 func BenchmarkWarmerIdle(b *testing.B) {
 	w := NewWarmer(WarmerConfig{})
 	fields := []float64{32, 100, 2, 4, 0, 0, 0, 0, 0, 0}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,7 +20,9 @@ import (
 
 // Runner executes one segment of a session: the same contract as a
 // one-shot run. Injected so this package depends on neither the
-// implementation registry nor the serving layer.
+// implementation registry nor the serving layer — and the one place
+// segments are scheduled: the serving layer's runner waits for a worker of
+// its job pool, so the manager bounds nothing itself.
 type Runner func(ctx context.Context, kind core.Kind, p core.Problem, o core.Options) (*core.Result, error)
 
 // Event is one session lifecycle notification, fanned out to the SSE hub
@@ -51,9 +52,6 @@ type Config struct {
 	Segment int
 	// Retain is the default checkpoints kept per session (default 4).
 	Retain int
-	// Workers bounds concurrently executing segments across all sessions
-	// (default 1); sessions beyond it wait between segments.
-	Workers int
 	// IDPrefix namespaces session ids (a cluster node id), so ids stay
 	// globally unique across shards.
 	IDPrefix string
@@ -96,7 +94,6 @@ type Manager struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	sem    chan struct{}
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -125,9 +122,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Retain < 1 {
 		cfg.Retain = 4
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -135,7 +129,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Manager{
 		cfg: cfg, log: cfg.Logger, ctx: ctx, cancel: cancel,
-		sem:      make(chan struct{}, cfg.Workers),
 		sessions: make(map[string]*Session),
 	}, nil
 }
@@ -183,16 +176,7 @@ func (m *Manager) Create(sc Scenario) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := m.build(m.newID(), sc, 0, 0)
-	if err := m.persist(s); err != nil {
-		return nil, err
-	}
-	m.register(s)
-	m.created.Add(1)
-	m.log.Info("session created", sessionArgs(s)...)
-	m.notify(EventCreated, s)
-	m.start(s)
-	return s, nil
+	return m.launch(sc, checkpoint.Meta{}, nil, EventCreated, &m.created)
 }
 
 // CreateSeeded starts a session already advanced to a checkpointed state —
@@ -211,23 +195,36 @@ func (m *Manager) CreateSeeded(sc Scenario, data []byte) (*Session, error) {
 		return nil, fmt.Errorf("session: seed checkpoint at step %d is past the scenario's %d steps",
 			meta.StepsDone, sc.Problem.Steps)
 	}
-	// Re-tag under this scenario's fingerprint: the seed may have been cut
-	// by a parent or by the same session on another node.
-	meta = meta.WithLineage(sc.Fingerprint(), sc.Options.Canonical())
-	if err := m.cfg.Store.SaveCheckpoint(meta, f); err != nil {
-		return nil, err
+	return m.launch(sc, meta, f, EventRecovered, &m.recovered)
+}
+
+// launch is the one way a new session comes to exist. A session starting
+// from a checkpoint (f non-nil: a seed or a fork point) first owns that
+// state under its own fingerprint — the checkpoint may have been cut by a
+// parent, which can then prune freely, or by the same session on another
+// node. Then: build, persist, register, count, notify, start. A seeded
+// launch (EventRecovered) is a resume of a session that ran elsewhere.
+func (m *Manager) launch(sc Scenario, meta checkpoint.Meta, f *grid.Field, event string, count *atomic.Int64) (*Session, error) {
+	var resumes int64
+	if event == EventRecovered {
+		resumes = 1
 	}
-	s := m.build(m.newID(), sc, meta.StepsDone, 1)
-	s.lastCkpt = meta.StepsDone
-	s.fieldHash = fieldHash(f)
+	s := m.build(m.newID(), sc, meta.StepsDone, resumes)
+	if f != nil {
+		meta = meta.WithLineage(s.fp, sc.Options.Canonical())
+		if err := m.cfg.Store.SaveCheckpoint(meta, f); err != nil {
+			return nil, err
+		}
+		s.lastCkpt, s.fieldHash = meta.StepsDone, fieldHash(f)
+	}
 	if err := m.persist(s); err != nil {
 		return nil, err
 	}
 	m.register(s)
-	m.recovered.Add(1)
-	m.resumes.Add(1)
-	m.log.Info("session seeded", sessionArgs(s, "step", meta.StepsDone)...)
-	m.notify(EventRecovered, s)
+	count.Add(1)
+	m.resumes.Add(resumes)
+	m.log.Info(strings.ReplaceAll(event, "-", " "), sessionArgs(s, "step", meta.StepsDone, "parent", sc.ParentFP)...)
+	m.notify(event, s)
 	m.start(s)
 	return s, nil
 }
@@ -239,7 +236,6 @@ func (m *Manager) build(id string, sc Scenario, done, resumes int64) *Session {
 		id: id, sc: sc, fp: sc.Fingerprint(),
 		state: StateRunning, doneSteps: done, resumes: resumes,
 		created: now, updated: now,
-		pauseCh: make(chan struct{}),
 	}
 }
 
@@ -258,15 +254,21 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
+// snapshot copies the live sessions in creation order, so callers read
+// them outside the manager lock.
+func (m *Manager) snapshot() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*Session, 0, len(m.order))
+	for _, id := range m.order {
+		out = append(out, m.sessions[id])
+	}
+	return out
+}
+
 // List snapshots every session in creation order.
 func (m *Manager) List() []View {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	sessions := make([]*Session, 0, len(ids))
-	for _, id := range ids {
-		sessions = append(sessions, m.sessions[id])
-	}
-	m.mu.Unlock()
+	sessions := m.snapshot()
 	out := make([]View, 0, len(sessions))
 	for _, s := range sessions {
 		out = append(out, s.View())
@@ -276,18 +278,12 @@ func (m *Manager) List() []View {
 
 // Stats counts sessions by state plus the lifetime counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
 	st := Stats{
 		Created: m.created.Load(), Recovered: m.recovered.Load(),
 		Resumes: m.resumes.Load(), Forks: m.forks.Load(),
 		Segments: m.segments.Load(),
 	}
-	for _, s := range sessions {
+	for _, s := range m.snapshot() {
 		switch s.State() {
 		case StateRunning:
 			st.Active++
@@ -329,7 +325,6 @@ func (m *Manager) Resume(id string) error {
 	}
 	s.state = StateRunning
 	s.pauseReq = false
-	s.pauseCh = make(chan struct{})
 	s.resumes++
 	s.updated = time.Now()
 	s.mu.Unlock()
@@ -378,23 +373,7 @@ func (m *Manager) Fork(parentID string, atStep int64, opts core.Options, totalSt
 		return nil, fmt.Errorf("session: fork total %d steps does not extend past the fork point %d",
 			sc.Problem.Steps, atStep)
 	}
-	// The fork owns its starting state: the parent can prune freely.
-	meta = meta.WithLineage(sc.Fingerprint(), sc.Options.Canonical())
-	if err := m.cfg.Store.SaveCheckpoint(meta, f); err != nil {
-		return nil, err
-	}
-	s := m.build(m.newID(), sc, atStep, 0)
-	s.lastCkpt = atStep
-	s.fieldHash = fieldHash(f)
-	if err := m.persist(s); err != nil {
-		return nil, err
-	}
-	m.register(s)
-	m.forks.Add(1)
-	m.log.Info("session forked", sessionArgs(s, "parent", parentID, "step", atStep)...)
-	m.notify(EventForked, s)
-	m.start(s)
-	return s, nil
+	return m.launch(sc, meta, f, EventForked, &m.forks)
 }
 
 // Recover rescans the store and rebuilds every recorded session:
@@ -519,57 +498,40 @@ func sessionArgs(s *Session, extra ...any) []any {
 	return append(args, extra...)
 }
 
-// start launches the session's run loop, tied to the manager WaitGroup.
+// start launches the session's run loop under a context of its own —
+// cancelled by a pause, and with the manager's by Close — tied to the
+// manager WaitGroup.
 func (m *Manager) start(s *Session) {
+	ctx, cancel := context.WithCancel(m.ctx)
+	s.mu.Lock()
+	s.cancel = cancel
+	s.mu.Unlock()
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.loop(s)
+		defer cancel()
+		m.loop(ctx, s)
 	}()
 }
 
 // loop drives a session segment by segment until it finishes, pauses,
 // fails, or the manager shuts down (which, like a crash, leaves a
-// "running" record on disk for the next process to recover).
-func (m *Manager) loop(s *Session) {
+// "running" record on disk for the next process to recover). Where a
+// segment waits for a worker is the Runner's business: a pause or a
+// shutdown reaches it there, and in the run itself, through ctx.
+func (m *Manager) loop(ctx context.Context, s *Session) {
 	field, t0, err := m.loadState(s)
-	if err != nil {
-		m.land(s, StateFailed, EventFailed, err)
-		return
+	for err == nil && ctx.Err() == nil && !s.pauseRequested() && s.Done() < int64(s.sc.Problem.Steps) {
+		field, t0, err = m.runSegment(ctx, s, field, t0)
 	}
-	for {
-		if m.ctx.Err() != nil {
-			return
-		}
-		if s.pauseRequested() {
-			m.land(s, StatePaused, EventPaused, nil)
-			return
-		}
-		if s.Done() >= int64(s.sc.Problem.Steps) {
-			m.land(s, StateDone, EventDone, nil)
-			return
-		}
-		select {
-		case m.sem <- struct{}{}:
-		case <-s.pauseWait():
-			m.land(s, StatePaused, EventPaused, nil)
-			return
-		case <-m.ctx.Done():
-			return
-		}
-		field, t0, err = m.runSegment(s, field, t0)
-		<-m.sem
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled) && s.pauseRequested():
-			m.land(s, StatePaused, EventPaused, nil)
-			return
-		case m.ctx.Err() != nil:
-			return
-		default:
-			m.land(s, StateFailed, EventFailed, err)
-			return
-		}
+	switch paused := s.pauseRequested(); {
+	case m.ctx.Err() != nil:
+	case err != nil && !(paused && errors.Is(err, context.Canceled)):
+		m.land(s, StateFailed, EventFailed, err)
+	case paused:
+		m.land(s, StatePaused, EventPaused, nil)
+	default:
+		m.land(s, StateDone, EventDone, nil)
 	}
 }
 
@@ -600,7 +562,7 @@ func (m *Manager) loadState(s *Session) (*grid.Field, float64, error) {
 }
 
 // runSegment integrates one segment and lands its durable checkpoint.
-func (m *Manager) runSegment(s *Session, field *grid.Field, t0 float64) (*grid.Field, float64, error) {
+func (m *Manager) runSegment(ctx context.Context, s *Session, field *grid.Field, t0 float64) (*grid.Field, float64, error) {
 	done := s.Done()
 	seg := int64(s.sc.Segment)
 	if remaining := int64(s.sc.Problem.Steps) - done; seg > remaining {
@@ -612,12 +574,8 @@ func (m *Manager) runSegment(s *Session, field *grid.Field, t0 float64) (*grid.F
 		p.Initial = field
 		p.T0 = t0
 	}
-	ctx, cancel := context.WithCancel(m.ctx)
-	s.setSegCancel(cancel)
 	start := time.Now()
 	res, err := m.cfg.Run(ctx, s.sc.Kind, p, s.sc.Options)
-	cancel()
-	s.setSegCancel(nil)
 	if err != nil {
 		return field, t0, err
 	}
@@ -668,15 +626,4 @@ func (m *Manager) land(s *Session, state State, event string, cause error) {
 	}
 	m.log.Info("session "+string(state), sessionArgs(s, "done", s.Done())...)
 	m.notify(event, s)
-}
-
-// SortViews orders session views by creation time then id, for stable
-// federated listings.
-func SortViews(vs []View) {
-	sort.Slice(vs, func(i, j int) bool {
-		if !vs[i].Created.Equal(vs[j].Created) {
-			return vs[i].Created.Before(vs[j].Created)
-		}
-		return vs[i].ID < vs[j].ID
-	})
 }

@@ -16,6 +16,7 @@
 package session
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -104,9 +105,8 @@ type Session struct {
 	lastCkpt  int64  // step of the last durable checkpoint
 	lastGF    float64
 
-	pauseReq  bool
-	pauseCh   chan struct{} // closed when a pause is requested
-	segCancel func()        // cancels the in-flight segment, nil between segments
+	pauseReq bool
+	cancel   context.CancelFunc // ends the current run loop's context; nil before the first start
 }
 
 // ID returns the session's identifier.
@@ -132,21 +132,18 @@ func (s *Session) Done() int64 {
 	return s.doneSteps
 }
 
-// requestPause flags the session and cancels any in-flight segment; the
-// run loop lands the paused state after rolling back to the last durable
-// checkpoint.
+// requestPause flags the session and cancels its run loop's context — and
+// with it a segment in flight or waiting for a worker; the loop lands the
+// paused state after rolling back to the last durable checkpoint.
 func (s *Session) requestPause() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.state != StateRunning || s.pauseReq {
-		s.mu.Unlock()
 		return false
 	}
 	s.pauseReq = true
-	close(s.pauseCh)
-	cancel := s.segCancel
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if s.cancel != nil {
+		s.cancel()
 	}
 	return true
 }
@@ -155,19 +152,6 @@ func (s *Session) pauseRequested() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pauseReq
-}
-
-// pauseWait returns a channel closed when a pause has been requested.
-func (s *Session) pauseWait() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pauseCh
-}
-
-func (s *Session) setSegCancel(c func()) {
-	s.mu.Lock()
-	s.segCancel = c
-	s.mu.Unlock()
 }
 
 // View is the JSON representation of a session's status.
@@ -197,7 +181,7 @@ type View struct {
 }
 
 // View snapshots the session for the API. This is the status hot path:
-// BENCH_session.json bounds its allocations.
+// BENCH_guards.json bounds its allocations.
 func (s *Session) View() View {
 	s.mu.Lock()
 	defer s.mu.Unlock()

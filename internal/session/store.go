@@ -43,14 +43,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory ("" when disabled).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // ckptFile names the checkpoint of fingerprint fp at step. The step is
 // zero-padded so lexical order is numeric order.
 func ckptFile(fp string, step int64) string {

@@ -142,7 +142,7 @@ func trackKey(base string, idx int, fields []float64) uint64 {
 // Observe feeds one interactive submission to the detector: base is the
 // request shape's non-numeric identity (kind, flags), fields its numeric
 // parameters in a fixed order. It returns the speculated next points, nil
-// when nothing progressed — the idle path BENCH_session.json bounds.
+// when nothing progressed — the idle path BENCH_guards.json bounds.
 func (w *Warmer) Observe(base string, fields []float64) []Prediction {
 	if w == nil {
 		return nil

@@ -37,15 +37,6 @@ func (s *Series) Max() (float64, int) {
 	return best, idx
 }
 
-// ArgmaxX returns the X at the maximum Y.
-func (s *Series) ArgmaxX() float64 {
-	_, i := s.Max()
-	if i < 0 {
-		return math.NaN()
-	}
-	return s.X[i]
-}
-
 // Table is an aligned text table.
 type Table struct {
 	Header []string

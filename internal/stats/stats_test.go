@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -16,18 +15,12 @@ func TestSeriesAddAndMax(t *testing.T) {
 	if v != 30 || i != 1 {
 		t.Fatalf("Max = (%v, %d)", v, i)
 	}
-	if s.ArgmaxX() != 2 {
-		t.Fatalf("ArgmaxX = %v", s.ArgmaxX())
-	}
 }
 
 func TestSeriesEmptyMax(t *testing.T) {
 	var s Series
 	if _, i := s.Max(); i != -1 {
 		t.Fatal("empty Max should return -1")
-	}
-	if !math.IsNaN(s.ArgmaxX()) {
-		t.Fatal("empty ArgmaxX should be NaN")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // The disabled (nil) window must stay effectively free and the enabled hot
 // path allocation-free — both are enforced by ci.sh against
-// BENCH_telemetry.json, mirroring the obs recorder gate.
+// BENCH_guards.json, mirroring the obs recorder gate.
 
 func BenchmarkWindowDisabled(b *testing.B) {
 	var w *Window

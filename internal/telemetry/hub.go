@@ -98,16 +98,6 @@ func (h *Hub) Close() {
 	h.mu.Unlock()
 }
 
-// Subscribers returns the current subscriber count.
-func (h *Hub) Subscribers() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // Dropped returns how many events were discarded because a subscriber's
 // buffer was full.
 func (h *Hub) Dropped() uint64 {

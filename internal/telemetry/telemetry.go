@@ -7,7 +7,7 @@
 // The hot path is deliberately boring: Observe touches one preallocated
 // ring frame under a mutex and allocates nothing (asserted by
 // TestWindowObserveAllocatesNothing and the ci.sh overhead gate against
-// BENCH_telemetry.json). Like *obs.Recorder, a nil *Window is a valid
+// BENCH_guards.json). Like *obs.Recorder, a nil *Window is a valid
 // disabled window on which every method no-ops, so instrumented code never
 // branches on an "enabled" flag.
 package telemetry

@@ -126,14 +126,8 @@ func TestHubPublishSubscribe(t *testing.T) {
 	if ev.Name != "job" {
 		t.Fatalf("event name = %q, want job", ev.Name)
 	}
-	if h.Subscribers() != 1 {
-		t.Fatalf("subscribers = %d, want 1", h.Subscribers())
-	}
 	cancel()
 	cancel() // idempotent
-	if h.Subscribers() != 0 {
-		t.Fatalf("subscribers after cancel = %d, want 0", h.Subscribers())
-	}
 	if _, ok := <-ch; ok {
 		t.Fatal("channel not closed after cancel")
 	}
@@ -171,7 +165,7 @@ func TestHubNilSafe(t *testing.T) {
 	var h *Hub
 	h.Publish(Event{Name: "x"})
 	h.Close()
-	if h.Subscribers() != 0 || h.Dropped() != 0 {
+	if h.Dropped() != 0 {
 		t.Fatal("nil hub counters not zero")
 	}
 	ch, cancel := h.Subscribe(1)

@@ -1,13 +1,11 @@
 // Package vtime provides the virtual-time primitives behind the simulated
-// GPU and the machine performance models: a Time type, serialized Resources
-// (a PCIe bus, a GPU's kernel engine, a NIC) that hand out start times, and
-// a Trace recorder that accumulates named spans so experiments can report
-// per-component timelines and verify what actually overlapped with what.
+// GPU and the machine performance models: a Time type and serialized
+// Resources (a PCIe bus, a GPU's kernel engine, a NIC) that hand out start
+// times. What ran when is recorded by internal/obs, not here.
 package vtime
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -32,7 +30,6 @@ type Resource struct {
 	mu    sync.Mutex
 	name  string
 	avail Time
-	busy  Time // accumulated occupied time
 }
 
 // NewResource returns an idle resource available from time zero.
@@ -54,22 +51,7 @@ func (r *Resource) Acquire(ready, dur Time) (start, end Time) {
 	start = Max(ready, r.avail)
 	end = start + dur
 	r.avail = end
-	r.busy += dur
 	return start, end
-}
-
-// Available returns the earliest time a new operation could start.
-func (r *Resource) Available() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.avail
-}
-
-// BusyTime returns the total time the resource has been occupied.
-func (r *Resource) BusyTime() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busy
 }
 
 // Reset returns the resource to idle at time zero.
@@ -77,110 +59,4 @@ func (r *Resource) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.avail = 0
-	r.busy = 0
-}
-
-// Span is one recorded interval on a named lane.
-type Span struct {
-	Lane  string // which component (e.g. "gpu.stream0", "pcie", "cpu")
-	Label string // what ran (e.g. "interior kernel")
-	Start Time
-	End   Time
-}
-
-// Duration returns the span length.
-func (s Span) Duration() Time { return s.End - s.Start }
-
-// Trace accumulates spans. The zero value is unusable; use NewTrace. A nil
-// *Trace is a valid no-op recorder, so tracing can be disabled cheaply.
-type Trace struct {
-	mu    sync.Mutex
-	spans []Span
-}
-
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{} }
-
-// Add records a span. Adding to a nil trace is a no-op.
-func (t *Trace) Add(lane, label string, start, end Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Lane: lane, Label: label, Start: start, End: end})
-	t.mu.Unlock()
-}
-
-// Spans returns a copy of the recorded spans sorted by start time.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Lane < out[j].Lane
-	})
-	return out
-}
-
-// LaneBusy returns the total busy time per lane.
-func (t *Trace) LaneBusy() map[string]Time {
-	out := map[string]Time{}
-	for _, s := range t.Spans() {
-		out[s.Lane] += s.Duration()
-	}
-	return out
-}
-
-// MakeSpan returns the trace's end-to-end extent: the earliest start and
-// latest end over all spans. An empty trace returns (0, 0).
-func (t *Trace) MakeSpan() (start, end Time) {
-	spans := t.Spans()
-	if len(spans) == 0 {
-		return 0, 0
-	}
-	start, end = spans[0].Start, spans[0].End
-	for _, s := range spans {
-		if s.Start < start {
-			start = s.Start
-		}
-		if s.End > end {
-			end = s.End
-		}
-	}
-	return start, end
-}
-
-// Overlap returns the total time during which spans on laneA and laneB run
-// concurrently — the quantity the paper's overlap implementations maximize.
-func (t *Trace) Overlap(laneA, laneB string) Time {
-	var a, b []Span
-	for _, s := range t.Spans() {
-		switch s.Lane {
-		case laneA:
-			a = append(a, s)
-		case laneB:
-			b = append(b, s)
-		}
-	}
-	var total Time
-	for _, sa := range a {
-		for _, sb := range b {
-			lo := Max(sa.Start, sb.Start)
-			hi := sa.End
-			if sb.End < hi {
-				hi = sb.End
-			}
-			if hi > lo {
-				total += hi - lo
-			}
-		}
-	}
-	return total
 }

@@ -21,11 +21,9 @@ func TestResourceSerializes(t *testing.T) {
 	if s3 != 100 || e3 != 105 {
 		t.Fatalf("third acquire (%v,%v), want (100,105)", s3, e3)
 	}
-	if r.BusyTime() != 25 {
-		t.Fatalf("BusyTime = %v, want 25", r.BusyTime())
-	}
-	if r.Available() != 105 {
-		t.Fatalf("Available = %v, want 105", r.Available())
+	// Asked for the past: starts when the third operation ends.
+	if s4, _ := r.Acquire(0, 0); s4 != 105 {
+		t.Fatalf("fourth acquire starts at %v, want 105", s4)
 	}
 }
 
@@ -33,8 +31,8 @@ func TestResourceReset(t *testing.T) {
 	r := NewResource("x")
 	r.Acquire(0, 7)
 	r.Reset()
-	if r.Available() != 0 || r.BusyTime() != 0 {
-		t.Fatal("Reset incomplete")
+	if start, _ := r.Acquire(0, 1); start != 0 {
+		t.Fatalf("Reset incomplete: next operation starts at %v", start)
 	}
 	if r.Name() != "x" {
 		t.Fatal("name lost")
@@ -77,61 +75,5 @@ func TestMax(t *testing.T) {
 	}
 	if Time(2.5).Seconds() != 2.5 {
 		t.Fatal("Seconds broken")
-	}
-}
-
-func TestTraceSpansSorted(t *testing.T) {
-	tr := NewTrace()
-	tr.Add("b", "second", 5, 7)
-	tr.Add("a", "first", 1, 3)
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Label != "first" || spans[1].Label != "second" {
-		t.Fatalf("spans %+v", spans)
-	}
-	if spans[0].Duration() != 2 {
-		t.Fatalf("Duration = %v", spans[0].Duration())
-	}
-}
-
-func TestNilTraceNoop(t *testing.T) {
-	var tr *Trace
-	tr.Add("a", "x", 0, 1) // must not panic
-	if tr.Spans() != nil {
-		t.Fatal("nil trace returned spans")
-	}
-}
-
-func TestTraceLaneBusyAndMakeSpan(t *testing.T) {
-	tr := NewTrace()
-	tr.Add("cpu", "w1", 0, 4)
-	tr.Add("cpu", "w2", 6, 8)
-	tr.Add("gpu", "k", 2, 10)
-	busy := tr.LaneBusy()
-	if busy["cpu"] != 6 || busy["gpu"] != 8 {
-		t.Fatalf("busy %v", busy)
-	}
-	start, end := tr.MakeSpan()
-	if start != 0 || end != 10 {
-		t.Fatalf("extent (%v,%v)", start, end)
-	}
-}
-
-func TestTraceMakeSpanEmpty(t *testing.T) {
-	start, end := NewTrace().MakeSpan()
-	if start != 0 || end != 0 {
-		t.Fatal("empty trace extent nonzero")
-	}
-}
-
-func TestTraceOverlap(t *testing.T) {
-	tr := NewTrace()
-	tr.Add("cpu", "compute", 0, 10)
-	tr.Add("net", "msg1", 2, 5)
-	tr.Add("net", "msg2", 8, 12)
-	if ov := tr.Overlap("cpu", "net"); ov != 5 {
-		t.Fatalf("Overlap = %v, want 5", ov)
-	}
-	if ov := tr.Overlap("cpu", "gpu"); ov != 0 {
-		t.Fatalf("no-lane Overlap = %v", ov)
 	}
 }
