@@ -50,7 +50,7 @@ go test -race -timeout 5m ./...
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
 # request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
-# ns/op bound recorded as KEY in FILE (all seven live in BENCH_guards.json,
+# ns/op bound recorded as KEY in FILE (all eight live in BENCH_guards.json,
 # one distinct key per line).
 ns_gate() {
     go test -run "$2" -count=1 "$1"
@@ -99,3 +99,10 @@ ns_gate ./internal/session TestWarmerIdleAllocationFree BenchmarkWarmerIdle \
 # submission.
 ns_gate ./internal/cluster TestRingLookupAllocationFree BenchmarkRingLookup \
     BENCH_guards.json ring_lookup_max_ns_per_op "ring lookup"
+
+# Untraced-device guard: the first on a science-path substrate rather than
+# a disabled serving path. Every step of §IV-F…I makes two or more gpusim
+# copies and several launches; with no observer attached they must not
+# allocate (no span label is formatted) and a small copy stays cheap.
+ns_gate ./internal/gpusim TestUntracedDeviceCallsAllocateNothing BenchmarkMemcpyUntraced \
+    BENCH_guards.json gpusim_untraced_memcpy_max_ns_per_op "untraced device copy"

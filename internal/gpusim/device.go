@@ -74,6 +74,15 @@ func (d *Device) observe(phase obs.Phase, label string, start, end vtime.Time) {
 	}
 }
 
+// observed reports whether a recorder is attached. A call whose span label
+// must be formatted asks first, so that an untraced device call allocates
+// nothing.
+func (d *Device) observed() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.obsRec != nil
+}
+
 // HostClock tracks a host goroutine's virtual time across device calls.
 // It is a convenience for threading the host time through the Memcpy and
 // Launch APIs; Set never moves the clock backwards.
@@ -187,31 +196,6 @@ func (s *Stream) Synchronize(host vtime.Time) vtime.Time {
 	return s.ready(host)
 }
 
-// Event marks a point in a stream's execution (cudaEventRecord).
-type Event struct {
-	at vtime.Time
-}
-
-// Record captures the stream's current completion frontier.
-func (s *Stream) Record(host vtime.Time) Event {
-	return Event{at: s.ready(host)}
-}
-
-// WaitEvent makes subsequent work in the stream wait for e
-// (cudaStreamWaitEvent).
-func (s *Stream) WaitEvent(e Event) {
-	s.extend(e.at)
-}
-
-// At returns the virtual time the event marks.
-func (e Event) At() vtime.Time { return e.at }
-
-// ElapsedSince returns the simulated seconds between two events, the
-// analog of cudaEventElapsedTime — how real CUDA codes time kernels.
-func (e Event) ElapsedSince(start Event) float64 {
-	return (e.at - start.at).Seconds()
-}
-
 // Direction labels a PCIe transfer.
 type Direction int
 
@@ -270,7 +254,9 @@ func (d *Device) copy(host vtime.Time, s *Stream, dir Direction, devBuf *Buffer,
 		ready = s.ready(host)
 	}
 	start, end := dma.Acquire(ready, vtime.Time(d.Link.CopyTime(bytes)))
-	d.observe(phase, fmt.Sprintf("%s %dB", dir, bytes), start, end)
+	if d.observed() {
+		d.observe(phase, fmt.Sprintf("%s %dB", dir, bytes), start, end)
+	}
 	d.mu.Lock()
 	if dir == HostToDevice {
 		d.CopiesH2D++

@@ -147,43 +147,66 @@ func (f *Field) InteriorSum() float64 {
 // of the earlier ones, so edge and corner halos are filled by composition,
 // exactly like the 6-neighbor exchange strategy in §IV-B.
 func (f *Field) CopyPeriodicHalos() {
-	h := f.Halo
-	if h == 0 {
-		return
+	for dim := 0; dim < 3; dim++ {
+		f.PeriodicSweep(dim, 0, f.PeriodicRows(dim))
 	}
-	// x sweep: interior j, k only.
-	for k := 0; k < f.N.Z; k++ {
-		for j := 0; j < f.N.Y; j++ {
+}
+
+// PeriodicRows returns how many independent rows the periodic sweep of
+// dimension dim has: the interior (k, j) rows for x, the interior z planes
+// for y, the halo-widened y rows for z.
+func (f *Field) PeriodicRows(dim int) int {
+	switch dim {
+	case 0:
+		return f.N.Y * f.N.Z
+	case 1:
+		return f.N.Z
+	}
+	return f.N.Y + 2*f.Halo
+}
+
+// PeriodicSweep performs rows [lo, hi) of dimension dim's periodic sweep.
+// Rows of one sweep touch disjoint halo points and read only interior
+// planes of dim, so a thread team may split them freely; a sweep must
+// finish before the next dimension's starts, whose rows span the halos it
+// filled.
+func (f *Field) PeriodicSweep(dim, lo, hi int) {
+	h, n := f.Halo, f.N
+	switch dim {
+	case 0:
+		j, k := lo%n.Y, lo/n.Y // one division per call: (j, k) advance with the row
+		for r := lo; r < hi; r++ {
+			row := f.Idx(0, j, k)
 			for g := 1; g <= h; g++ {
-				f.data[f.Idx(-g, j, k)] = f.data[f.Idx(f.N.X-g, j, k)]
-				f.data[f.Idx(f.N.X-1+g, j, k)] = f.data[f.Idx(g-1, j, k)]
+				f.data[row-g] = f.data[row+n.X-g]
+				f.data[row+n.X-1+g] = f.data[row+g-1]
+			}
+			if j++; j == n.Y {
+				j, k = 0, k+1
+			}
+		}
+	case 1:
+		for k := lo; k < hi; k++ {
+			for g := 1; g <= h; g++ {
+				f.copyWideRow(-g, k, n.Y-g, k)
+				f.copyWideRow(n.Y-1+g, k, g-1, k)
+			}
+		}
+	default:
+		for j := lo - h; j < hi-h; j++ {
+			for g := 1; g <= h; g++ {
+				f.copyWideRow(j, -g, j, n.Z-g)
+				f.copyWideRow(j, n.Z-1+g, j, g-1)
 			}
 		}
 	}
-	// y sweep: x range widened to include x halos.
-	for k := 0; k < f.N.Z; k++ {
-		for g := 1; g <= h; g++ {
-			src1 := f.Idx(-h, f.N.Y-g, k)
-			dst1 := f.Idx(-h, -g, k)
-			src2 := f.Idx(-h, g-1, k)
-			dst2 := f.Idx(-h, f.N.Y-1+g, k)
-			n := f.N.X + 2*h
-			copy(f.data[dst1:dst1+n], f.data[src1:src1+n])
-			copy(f.data[dst2:dst2+n], f.data[src2:src2+n])
-		}
-	}
-	// z sweep: x and y ranges widened.
-	for g := 1; g <= h; g++ {
-		for j := -h; j < f.N.Y+h; j++ {
-			src1 := f.Idx(-h, j, f.N.Z-g)
-			dst1 := f.Idx(-h, j, -g)
-			src2 := f.Idx(-h, j, g-1)
-			dst2 := f.Idx(-h, j, f.N.Z-1+g)
-			n := f.N.X + 2*h
-			copy(f.data[dst1:dst1+n], f.data[src1:src1+n])
-			copy(f.data[dst2:dst2+n], f.data[src2:src2+n])
-		}
-	}
+}
+
+// copyWideRow copies the halo-widened x-row (sj, sk) onto row (dj, dk).
+func (f *Field) copyWideRow(dj, dk, sj, sk int) {
+	w := f.N.X + 2*f.Halo
+	d, s := f.Idx(-f.Halo, dj, dk), f.Idx(-f.Halo, sj, sk)
+	copy(f.data[d:d+w], f.data[s:s+w])
 }
 
 // PackFace copies the plane of points used for the halo exchange in

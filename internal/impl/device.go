@@ -48,47 +48,50 @@ func (r *rank) attachDevice(sch schedule, dev *gpusim.Device) {
 	if sch.device == innerBlock {
 		r.box = grid.BoxSplit{Local: r.sub.Size, T: r.o.BoxThickness}.Inner()
 	}
-	halo := 1
-	if !sch.kind.UsesMPI() {
-		halo = 0 // no neighbours: the kernel wraps around the global domain
-	}
-	r.st = newDevState(r, halo)
+	r.st = newDevState(r)
 	for _, name := range sch.streams {
 		r.streams = append(r.streams, dev.NewStream(name))
 	}
 }
 
 // devState is a pair of device-resident state fields (current and next)
-// over a rank's device domain r.box, with the stencil coefficients in
-// constant memory. The CPU flips cur and nxt between steps instead of
-// copying, as the paper's GPU implementations do ("flipping the arguments
-// between two GPU state variables to avoid the need for an extra copy
-// operation").
+// over a rank's device domain r.box, each with the one-point halo shell the
+// stencil reads, and the stencil coefficients in constant memory. The CPU
+// flips cur and nxt between steps instead of copying, as the paper's GPU
+// implementations do ("flipping the arguments between two GPU state
+// variables to avoid the need for an extra copy operation").
+//
+// The paper's kernels stage shared-memory tiles of a thread block's xy slab
+// and walk z (Micikevicius); gpusim charges a launch for exactly that, from
+// its geometry. What a launch computes here is the row kernel of
+// internal/stencil over the launch's points — op is the host's operator,
+// built from the same Table I set — so a device schedule's field is the CPU
+// schedules' field to the bit.
 type devState struct {
-	halo           int
 	curBuf, nxtBuf *gpusim.Buffer
 	cur, nxt       *grid.Field // views over the device buffers
-	op             *stencil.Op // built from constant memory
+	op             *stencil.Op
 }
 
-// newDevState allocates device memory for r.box with the given halo
-// width, uploads the coefficients to constant memory, and uploads the box
-// of the host state as the initial state.
-func newDevState(r *rank, halo int) *devState {
+// newDevState allocates device memory for r.box, uploads the coefficients
+// to constant memory (the transfer is charged; the kernels' operator is
+// built from the set itself), and uploads the box of the host state as the
+// initial state.
+func newDevState(r *rank) *devState {
 	n := r.box.Size
-	s := &devState{halo: halo}
-	size := (n.X + 2*halo) * (n.Y + 2*halo) * (n.Z + 2*halo)
+	s := &devState{}
+	size := (n.X + 2) * (n.Y + 2) * (n.Z + 2)
 	s.curBuf, s.nxtBuf = r.alloc(size), r.alloc(size)
-	s.cur = grid.NewFieldOn(n, halo, s.curBuf.Data())
-	s.nxt = grid.NewFieldOn(n, halo, s.nxtBuf.Data())
+	s.cur = grid.NewFieldOn(n, 1, s.curBuf.Data())
+	s.nxt = grid.NewFieldOn(n, 1, s.nxtBuf.Data())
 
-	flat := stencil.TableI(r.p.C, r.p.Nu).Flat()
+	coeffs := stencil.TableI(r.p.C, r.p.Nu)
+	flat := coeffs.Flat()
 	r.host.Set(r.dev.LoadConstant(r.host.Now(), flat[:]))
-	// The kernels read the coefficients back from constant memory.
-	s.op = stencil.NewOp(stencil.FromFlat([27]float64(r.dev.Constant())), s.cur)
+	s.op = stencil.NewOp(coeffs, s.cur)
 
 	staging := make([]float64, size)
-	grid.NewFieldOn(n, halo, staging).CopyBox(grid.Dims{}, r.cur, r.box)
+	grid.NewFieldOn(n, 1, staging).CopyBox(grid.Dims{}, r.cur, r.box)
 	r.memcpy(gpusim.HostToDevice, s.curBuf, staging)
 	return s
 }
@@ -104,7 +107,7 @@ func (s *devState) flip() {
 func (r *rank) download() {
 	staging := make([]float64, r.st.curBuf.Len())
 	r.memcpy(gpusim.DeviceToHost, r.st.curBuf, staging)
-	view := grid.NewFieldOn(r.box.Size, r.st.halo, staging)
+	view := grid.NewFieldOn(r.box.Size, 1, staging)
 	r.cur.CopyBox(r.box.Lo, view, stencil.Whole(r.box.Size))
 }
 
@@ -143,79 +146,5 @@ func (r *rank) memcpyAsync(s *gpusim.Stream, dir gpusim.Direction, buf *gpusim.B
 func (r *rank) sync(streams ...*gpusim.Stream) {
 	for _, s := range streams {
 		r.host.Set(s.Synchronize(r.host.Now()))
-	}
-}
-
-// runTiledKernel is the functional body shared by the resident and
-// interior kernels: it walks the launch's thread blocks, stages each z
-// slab of the block's tile (with a one-point halo ring, loaded by the halo
-// threads) into a shared-memory tile, and computes Eq. 2 for the interior
-// threads, rotating three tile slabs as z advances. With wrap=true the
-// tile loads wrap around the global domain (periodic single-GPU kernel);
-// otherwise out-of-range loads come from the field's halo storage.
-func runTiledKernel(op *stencil.Op, cur, nxt *grid.Field, sub grid.Subdomain, bx, by int, wrap bool) {
-	c := op.Coeffs()
-	n := cur.N
-	hi := sub.Hi()
-	tw, th := bx+2, by+2 // tile extents with halo ring
-	km := make([]float64, tw*th)
-	kc := make([]float64, tw*th)
-	kp := make([]float64, tw*th)
-
-	wrapIdx := func(v, m int) int { return ((v % m) + m) % m }
-	clamp := func(v, lo, hi int) int { return min(max(v, lo), hi) }
-	h := cur.Halo
-	load := func(tile []float64, bi0, bj0, k int) {
-		// Every thread of the block, halo threads included, loads one tile
-		// element. Tile entries belonging to inactive threads past the
-		// domain edge are clamped into valid storage; their values are
-		// never read by an active thread.
-		for ty := 0; ty < th; ty++ {
-			gy := bj0 + ty - 1
-			for tx := 0; tx < tw; tx++ {
-				gx := bi0 + tx - 1
-				x, y, z := gx, gy, k
-				if wrap {
-					x, y, z = wrapIdx(x, n.X), wrapIdx(y, n.Y), wrapIdx(z, n.Z)
-				} else {
-					x = clamp(x, -h, n.X+h-1)
-					y = clamp(y, -h, n.Y+h-1)
-					z = clamp(z, -h, n.Z+h-1)
-				}
-				tile[ty*tw+tx] = cur.At(x, y, z)
-			}
-		}
-	}
-
-	for bj0 := sub.Lo.Y; bj0 < hi.Y; bj0 += by {
-		for bi0 := sub.Lo.X; bi0 < hi.X; bi0 += bx {
-			// Prime the rotating slabs for the first z iteration.
-			load(km, bi0, bj0, sub.Lo.Z-1)
-			load(kc, bi0, bj0, sub.Lo.Z)
-			for k := sub.Lo.Z; k < hi.Z; k++ {
-				load(kp, bi0, bj0, k+1)
-				for ty := 1; ty < th-1; ty++ {
-					gy := bj0 + ty - 1
-					if gy >= hi.Y {
-						continue // inactive thread past the domain edge
-					}
-					for tx := 1; tx < tw-1; tx++ {
-						gx := bi0 + tx - 1
-						if gx >= hi.X {
-							continue
-						}
-						var sum float64
-						for dj := -1; dj <= 1; dj++ {
-							row := (ty+dj)*tw + tx
-							sum += c.At(-1, dj, -1)*km[row-1] + c.At(0, dj, -1)*km[row] + c.At(+1, dj, -1)*km[row+1]
-							sum += c.At(-1, dj, 0)*kc[row-1] + c.At(0, dj, 0)*kc[row] + c.At(+1, dj, 0)*kc[row+1]
-							sum += c.At(-1, dj, +1)*kp[row-1] + c.At(0, dj, +1)*kp[row] + c.At(+1, dj, +1)*kp[row+1]
-						}
-						nxt.Set(gx, gy, k, sum)
-					}
-				}
-				km, kc, kp = kc, kp, km
-			}
-		}
 	}
 }

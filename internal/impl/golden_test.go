@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -17,9 +18,10 @@ import (
 )
 
 // goldenRun is what one run of the golden set must reproduce: the SHA-256
-// of the final field's interior and the simulated time to the bit, the
-// verification numbers to 1e-12 (their summation order is not part of the
-// contract: ranks and threads may split the sums).
+// of the final field's interior, the simulated time and the cost model's
+// inputs (kernel launches, PCIe bytes) to the bit, the verification numbers
+// to 1e-12 (their summation order is not part of the contract: ranks and
+// threads may split the sums).
 type goldenRun struct {
 	Name       string  `json:"name"`
 	Hash       string  `json:"hash"`
@@ -29,6 +31,8 @@ type goldenRun struct {
 	DistL2     float64 `json:"dist_l2,omitempty"`
 	DistLInf   float64 `json:"dist_linf,omitempty"`
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
+	Kernels    float64 `json:"gpu_kernels,omitempty"`
+	PCIeBytes  float64 `json:"pcie_bytes,omitempty"`
 
 	mass float64 // |Σu| of the final field: the scale of MassDrift's roundoff
 }
@@ -131,15 +135,17 @@ func runGolden(t *testing.T, c goldenCase) goldenRun {
 		L2: res.Norms.L2, LInf: res.Norms.LInf, MassDrift: res.MassDrift,
 		DistL2: res.Stats["dist.l2"], DistLInf: res.Stats["dist.linf"],
 		SimSeconds: res.Stats["sim.seconds"],
-		mass:       math.Abs(res.Final.InteriorSum()),
+		Kernels:    res.Stats["gpu.kernels"], PCIeBytes: res.Stats["pcie.bytes"],
+		mass: math.Abs(res.Final.InteriorSum()),
 	}
 }
 
-// TestGoldenRuns pins every kind's results to the values recorded before
-// the run scaffolds were rebuilt (table-driven fill and norms, swap instead
-// of the copy sweep, row-copy gather): final fields and simulated times to
-// the bit, norms and mass drift to 1e-12. Regenerate with UPDATE_GOLDEN=1
-// go test ./internal/impl only for an intended change of results.
+// TestGoldenRuns pins every kind's results to recorded values: final
+// fields, simulated times, kernel counts and PCIe bytes to the bit, norms
+// and mass drift to 1e-12. Every schedule runs the one row kernel, so the
+// file must also say that each kind's field is single-task's field for the
+// same problem. Regenerate with UPDATE_GOLDEN=1 go test ./internal/impl
+// only for an intended change of results.
 func TestGoldenRuns(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden values were recorded on amd64; other targets fuse multiply-adds")
@@ -179,10 +185,17 @@ func TestGoldenRuns(t *testing.T) {
 		t.Log("math.Exp differs from the recording host's: only the restart runs are compared")
 	}
 	near := func(got, want, scale float64) bool { return math.Abs(got-want) <= 1e-12*scale }
+	single := map[string]string{} // problem name → single-task's recorded hash
 	for i, c := range cases {
 		want := gf.Runs[i]
 		if want.Name != c.name {
 			t.Fatalf("golden run %d is %q, case list has %q", i, want.Name, c.name)
+		}
+		_, problem, _ := strings.Cut(c.name, "/")
+		if c.kind == core.SingleTask {
+			single[problem] = want.Hash
+		} else if h, ok := single[problem]; ok && want.Hash != h {
+			t.Errorf("%s: golden hash %.16s is not single-task's %.16s", c.name, want.Hash, h)
 		}
 		if c.p.Initial == nil && !sameExp {
 			continue
@@ -193,6 +206,9 @@ func TestGoldenRuns(t *testing.T) {
 		}
 		if got.SimSeconds != want.SimSeconds {
 			t.Errorf("%s: sim.seconds %v, golden %v", c.name, got.SimSeconds, want.SimSeconds)
+		}
+		if got.Kernels != want.Kernels || got.PCIeBytes != want.PCIeBytes {
+			t.Errorf("%s: %v kernels, %v PCIe bytes; golden %v, %v", c.name, got.Kernels, got.PCIeBytes, want.Kernels, want.PCIeBytes)
 		}
 		if !near(got.L2, want.L2, want.L2) || !near(got.LInf, want.LInf, want.LInf) ||
 			!near(got.DistL2, want.DistL2, want.DistL2) || !near(got.DistLInf, want.DistLInf, want.DistLInf) ||

@@ -51,9 +51,10 @@ func (g *devShell) landOuter(r *rank, f *grid.Field, label string) {
 func prepareGPUMPI(r *rank) { r.geom = newDevShell(r) }
 
 // interiorKernel enqueues the interior kernel of the multi-GPU
-// implementations: the tiling of the single-GPU kernel without the
-// periodicity logic, restricted to sub (whose stencil must not read beyond
-// the device state's storage).
+// implementations over sub, whose stencil must not read beyond the device
+// state's storage: the paper's tiling of the single-GPU kernel without the
+// periodicity logic, which is the launch gpusim charges; the body is the
+// shared row kernel over sub.
 func (r *rank) interiorKernel(s *gpusim.Stream, sub grid.Subdomain) {
 	if sub.Empty() {
 		return
@@ -61,7 +62,7 @@ func (r *rank) interiorKernel(s *gpusim.Stream, sub grid.Subdomain) {
 	bx, by := min(r.o.BlockX, sub.Size.X), min(r.o.BlockY, sub.Size.Y)
 	cur, nxt, op := r.st.cur, r.st.nxt, r.st.op
 	r.launch(s, "interior", gpusim.StencilLaunch(sub.Size.X, sub.Size.Y, sub.Size.Z, bx, by), func() {
-		runTiledKernel(op, cur, nxt, sub, r.o.BlockX, r.o.BlockY, false)
+		op.Apply(cur, nxt, sub)
 	})
 }
 

@@ -35,7 +35,9 @@ func stepHybridBulk(r *rank, _ int) {
 	r.compute(obs.PhaseInterior, "shell", g.walls...)
 	r.sync(s)
 
-	// Commit the step: flip the GPU buffers, copy the CPU's walls.
+	// Commit the step on both sides. The host fields hold only the CPU's
+	// share: the next step reads its walls, just computed, the block's outer
+	// layer, which it lands first, and halos, which it exchanges first.
 	r.st.flip()
-	r.copyBack(g.walls)
+	r.commit()
 }

@@ -52,11 +52,11 @@ func stepHybridOverlap(r *rank, _ int) {
 	// 4. Outer boundary points, then stream synchronization.
 	r.compute(obs.PhaseBoundary, "outer", r.boundary...)
 	r.sync(s1, s2)
-	// Land the new block outer layer for the next step's shell computation.
+	// Land the new block outer layer beside the new walls: together they
+	// are every host point the next step's shell computation reads.
 	g.landOuter(r, r.nxt, "inner")
 
-	// Commit the step: flip the GPU buffers, copy the CPU's walls and the
-	// landed outer layer.
+	// Commit the step on both sides.
 	r.st.flip()
-	r.copyBack(g.walls, g.outerHost)
+	r.commit()
 }

@@ -253,14 +253,16 @@ func (r *rank) compute(ph obs.Phase, label string, subs ...grid.Subdomain) {
 	sp.End()
 }
 
-// commit ends a CPU time step: the new state becomes the current state.
-// This is the one deliberate departure from the paper's codes, which copy
-// the new state over the current one with a third threaded sweep; swapping
-// the two fields' storage costs nothing and changes no value, because every
-// halo point a step reads is rewritten by that step's own periodic copy or
-// exchange. The span that marked the copy stays, labelled "swap", as the
-// step-commit marker of the traces. internal/perf still charges the copy:
-// it models the paper's codes.
+// commit ends a time step on the host: the new state becomes the current
+// state. This is the one deliberate departure from the paper's codes, which
+// copy the new state over the current one with a third threaded sweep;
+// swapping the two fields' storage costs nothing and changes no value,
+// because every point the next step reads it first rewrites: a halo point by
+// its periodic copy or exchange, an owned point by this step's computation —
+// in §IV-H/I, whose host fields hold only the CPU's walls, also the GPU
+// block's outer layer, which each step lands. The span that marked the copy
+// stays, labelled "swap", as the step-commit marker of the traces.
+// internal/perf still charges the copy: it models the paper's codes.
 func (r *rank) commit() {
 	sp := r.span(obs.PhaseCopy, "swap")
 	r.cur.Swap(r.nxt)

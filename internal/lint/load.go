@@ -38,25 +38,41 @@ func newInfo() *types.Info {
 	}
 }
 
-// stdImporter builds the stdlib importer the loader delegates to for
-// anything outside the module. The "source" compiler importer type-checks
-// the standard library from GOROOT/src, so the tool needs no prebuilt
-// export data; cgo is disabled so packages like net resolve to their pure
-// Go fallbacks.
-func stdImporter(fset *token.FileSet) types.Importer {
-	build.Default.CgoEnabled = false
-	return importer.ForCompiler(fset, "source", nil)
+// fset and std are the one FileSet and the one stdlib importer of the
+// process: every load positions its files in fset and resolves anything
+// outside the module through std. The "source" compiler importer
+// type-checks the standard library from GOROOT/src, so the tool needs no
+// prebuilt export data, and keeps what it has checked — sharing it is what
+// makes net/http & co. cost one type-check per process instead of one per
+// load. It is bound to a FileSet when built, hence the shared fset.
+var (
+	fset = token.NewFileSet()
+	std  = &sourceImporter{}
+)
+
+// sourceImporter serializes the source importer, which is not
+// concurrency-safe, and builds it on first use. cgo is disabled so packages
+// like net resolve to their pure Go fallbacks.
+type sourceImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (s *sourceImporter) Import(path string) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.imp == nil {
+		build.Default.CgoEnabled = false
+		s.imp = importer.ForCompiler(fset, "source", nil)
+	}
+	return s.imp.Import(path)
 }
 
 // moduleImporter resolves module-internal paths from the packages already
-// type-checked this load and everything else via the source importer. The
-// done map is written only between topo levels (never while checks are in
-// flight) so concurrent same-level type-checking reads it without locks;
-// the source importer underneath is not concurrency-safe and is
-// serialized by mu.
+// type-checked this load and everything else via std. The done map is
+// written only between topo levels (never while checks are in flight) so
+// concurrent same-level type-checking reads it without locks.
 type moduleImporter struct {
-	mu   sync.Mutex
-	std  types.Importer
 	done map[string]*types.Package
 }
 
@@ -64,9 +80,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m.done[path]; ok {
 		return p, nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.std.Import(path)
+	return std.Import(path)
 }
 
 // ModulePath reads the module path from root/go.mod.
@@ -109,8 +123,8 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// parseDir parses every non-test .go file of one directory into the fset.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+// parseDir parses every non-test .go file of one directory into fset.
+func parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -141,7 +155,6 @@ func LoadModule(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 
 	// Discover package directories.
 	type rawPkg struct {
@@ -161,7 +174,7 @@ func LoadModule(root string) ([]*Package, error) {
 		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		files, err := parseDir(fset, path)
+		files, err := parseDir(path)
 		if err != nil {
 			return err
 		}
@@ -268,10 +281,10 @@ func LoadModule(root string) ([]*Package, error) {
 	// Type-check level by level, packages within a level in parallel. The
 	// FileSet is concurrency-safe; module-internal imports hit the done
 	// map (complete for all lower levels), and stdlib imports serialize
-	// through the locked source importer. Workers are capped at
-	// GOMAXPROCS: on a single-core host the level degenerates to the
-	// sequential walk with no goroutine or lock overhead.
-	imp := &moduleImporter{std: stdImporter(fset), done: map[string]*types.Package{}}
+	// through std. Workers are capped at GOMAXPROCS: on a single-core host
+	// the level degenerates to the sequential walk with no goroutine or
+	// lock overhead.
+	imp := &moduleImporter{done: map[string]*types.Package{}}
 	var pkgs []*Package
 	for _, bucket := range buckets {
 		checked := make([]*Package, len(bucket))
@@ -330,8 +343,7 @@ func LoadModule(root string) ([]*Package, error) {
 // analyzer tests use this to load testdata packages the module build never
 // sees.
 func LoadDir(dir, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
+	files, err := parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +351,7 @@ func LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	info := newInfo()
-	conf := types.Config{Importer: stdImporter(fset)}
+	conf := types.Config{Importer: std}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", dir, err)

@@ -27,19 +27,3 @@ func Example() {
 	// communication done: true
 	// interior points computed: 10000
 }
-
-// ExampleTeam_ReduceSum is an OpenMP reduction(+) clause.
-func ExampleTeam_ReduceSum() {
-	team := par.NewTeam(3)
-	defer team.Close()
-	sum := team.ReduceSum(100, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		return s
-	})
-	fmt.Println(sum)
-	// Output:
-	// 4950
-}

@@ -8,7 +8,6 @@ package par
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +64,7 @@ type Team struct {
 }
 
 // SetRecorder attaches a span recorder: every parallel region (Run,
-// ParallelFor, RunWithMaster, reductions) records a par.region span tagged
+// ParallelFor, RunWithMaster) records a par.region span tagged
 // with rank. A nil recorder (the default) disables recording.
 func (t *Team) SetRecorder(r *obs.Recorder, rank int) {
 	t.rec, t.rank = r, rank
@@ -211,47 +210,6 @@ func (t *Team) RunWithMaster(masterWork func(), n int, chunk int, body func(lo, 
 			body(lo, hi)
 		}
 	})
-}
-
-// ReduceSum evaluates body over chunks of [0, n) on all workers and
-// returns the sum of the per-chunk partial results — the analog of an
-// OpenMP reduction(+) clause. The summation order is deterministic
-// (ordered by worker), so results are reproducible run to run.
-func (t *Team) ReduceSum(n int, body func(lo, hi int) float64) float64 {
-	partial := make([]float64, t.n)
-	t.Run(func(tid int) {
-		lo, hi := StaticChunk(n, t.n, tid)
-		if lo < hi {
-			partial[tid] = body(lo, hi)
-		}
-	})
-	var sum float64
-	for _, v := range partial {
-		sum += v
-	}
-	return sum
-}
-
-// ReduceMax is the analog of an OpenMP reduction(max) clause over [0, n).
-// With n == 0 it returns negative infinity.
-func (t *Team) ReduceMax(n int, body func(lo, hi int) float64) float64 {
-	partial := make([]float64, t.n)
-	for i := range partial {
-		partial[i] = math.Inf(-1)
-	}
-	t.Run(func(tid int) {
-		lo, hi := StaticChunk(n, t.n, tid)
-		if lo < hi {
-			partial[tid] = body(lo, hi)
-		}
-	})
-	max := math.Inf(-1)
-	for _, v := range partial {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // StaticChunk returns the half-open bounds of worker tid's share of [0, n)

@@ -234,8 +234,10 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	if done.Load() != 30 {
 		t.Fatalf("workers finished %d of 30 iterations before the panic was raised", done.Load())
 	}
-	if got := team.ReduceSum(10, func(lo, hi int) float64 { return float64(hi - lo) }); got != 10 {
-		t.Fatalf("team unusable after a panicked region: sum %v", got)
+	done.Store(0)
+	team.ParallelFor(10, Static, 0, func(lo, hi int) { done.Add(int32(hi - lo)) })
+	if done.Load() != 10 {
+		t.Fatalf("team unusable after a panicked region: %d of 10 iterations", done.Load())
 	}
 }
 
@@ -276,69 +278,17 @@ func TestCloseIdempotent(t *testing.T) {
 	team.Close() // must not panic
 }
 
-func TestReduceSum(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	got := team.ReduceSum(1000, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		return s
-	})
-	if want := float64(999 * 1000 / 2); got != want {
-		t.Fatalf("ReduceSum = %v, want %v", got, want)
-	}
-	// Deterministic across repeats (fixed summation order).
-	again := team.ReduceSum(1000, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i) * 1e-7
-		}
-		return s
-	})
-	third := team.ReduceSum(1000, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i) * 1e-7
-		}
-		return s
-	})
-	if again != third {
-		t.Fatal("ReduceSum not deterministic")
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	team := NewTeam(3)
-	defer team.Close()
-	got := team.ReduceMax(100, func(lo, hi int) float64 {
-		m := -1.0
-		for i := lo; i < hi; i++ {
-			v := float64((i * 37) % 89)
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	})
-	want := -1.0
-	for i := 0; i < 100; i++ {
-		if v := float64((i * 37) % 89); v > want {
-			want = v
-		}
-	}
-	if got != want {
-		t.Fatalf("ReduceMax = %v, want %v", got, want)
-	}
-}
-
+// TestReduceEmpty: a reduction is written by hand as Run over StaticChunk
+// shares (the distributed norms are); over an empty range every worker's
+// share is empty.
 func TestReduceEmpty(t *testing.T) {
 	team := NewTeam(2)
 	defer team.Close()
-	if s := team.ReduceSum(0, func(lo, hi int) float64 { return 99 }); s != 0 {
-		t.Fatalf("empty ReduceSum = %v", s)
-	}
+	team.Run(func(tid int) {
+		if lo, hi := StaticChunk(0, team.Size(), tid); lo != hi {
+			t.Errorf("worker %d of an empty reduction got [%d, %d)", tid, lo, hi)
+		}
+	})
 }
 
 // TestRegionAllocations pins what a parallel region costs the allocator: the

@@ -102,28 +102,6 @@ func TableI(c grid.Velocity, nu float64) *Coeffs {
 	return &a
 }
 
-// FromFlat rebuilds a coefficient set from the flat layout produced by
-// Flat. The GPU implementations use it to read the coefficients back out
-// of simulated constant memory, as the CUDA kernels do. The 1-D factors are
-// recovered as marginal sums — Σ_jk a_ijk = qx_i because each factor sums
-// to 1 — which reproduces them to a few ulp, not to the bit. NewOp rejects
-// a flat set that is not a tensor product.
-func FromFlat(flat [27]float64) *Coeffs {
-	var c Coeffs
-	c.a = flat
-	for k := 0; k < 3; k++ {
-		for j := 0; j < 3; j++ {
-			for i := 0; i < 3; i++ {
-				v := flat[i+3*j+9*k]
-				c.qx[i] += v
-				c.qy[j] += v
-				c.qz[k] += v
-			}
-		}
-	}
-	return &c
-}
-
 // LW1D returns the one-dimensional Lax–Wendroff weights (q-1, q0, q+1) for
 // Courant number σ = c·ν. The Table I coefficients factor as the tensor
 // product a_ijk = qx_i · qy_j · qz_k.

@@ -111,48 +111,13 @@ func TestIdx27Panics(t *testing.T) {
 	idx27(2, 0, 0)
 }
 
-// TestFromFlatRecoversFactors checks the read-back path of the GPU runners:
-// the marginal sums of the 27 coefficients give the 1-D factors back to a
-// few ulp — exactly where the Courant numbers are dyadic — and NewOp
-// accepts the set.
-func TestFromFlatRecoversFactors(t *testing.T) {
-	f := grid.NewField(grid.Uniform(2), 1)
-	for _, tc := range []struct {
-		c     grid.Velocity
-		nu    float64
-		exact bool
-	}{
-		{grid.Velocity{X: 1, Y: 0.5, Z: 0.25}, 1, true},
-		{grid.Velocity{X: 1, Y: 1, Z: 1}, 1, true},
-		{grid.Velocity{X: 1, Y: 0.5, Z: 0.25}, 1 - 3e-7, false},
-		{grid.Velocity{X: -0.7, Y: 0.4, Z: 0.2}, 1 / 0.7, false},
-		{grid.Velocity{X: 0.3, Y: -0.2, Z: 0.1}, 1, false},
-	} {
-		want := TableI(tc.c, tc.nu)
-		got := FromFlat(want.Flat())
-		tol := 16 * 0x1p-52
-		if tc.exact {
-			tol = 0
-		}
-		for d, q := range [3][2][3]float64{{got.qx, want.qx}, {got.qy, want.qy}, {got.qz, want.qz}} {
-			for i := 0; i < 3; i++ {
-				if diff := math.Abs(q[0][i] - q[1][i]); !(diff <= tol) {
-					t.Fatalf("c=%v nu=%v: factor %d[%d] = %v, want %v", tc.c, tc.nu, d, i, q[0][i], q[1][i])
-				}
-			}
-		}
-		NewOp(got, f)
-	}
-}
-
 func TestNewOpRejectsNonTensorProduct(t *testing.T) {
-	c := grid.Velocity{X: 1, Y: 0.5, Z: 0.25}
-	flat := TableI(c, 1-3e-7).Flat()
-	flat[idx27(1, 0, -1)] += 1e-12
+	c := TableI(grid.Velocity{X: 1, Y: 0.5, Z: 0.25}, 1-3e-7)
+	c.a[idx27(1, 0, -1)] += 1e-12
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewOp accepted a coefficient set that is not a tensor product")
 		}
 	}()
-	NewOp(FromFlat(flat), grid.NewField(grid.Uniform(2), 1))
+	NewOp(c, grid.NewField(grid.Uniform(2), 1))
 }

@@ -15,7 +15,6 @@ import (
 // row kernel, qx with the nine products wyz[(dj+1)+3(dk+1)] = qy_dj·qz_dk
 // and the field's y and z strides.
 type Op struct {
-	c    *Coeffs
 	offs [27]int
 	w    [27]float64
 
@@ -29,7 +28,7 @@ type Op struct {
 // kernel computes with the factors, so a set they do not reproduce would
 // silently integrate a different scheme than Point.
 func NewOp(c *Coeffs, f *grid.Field) *Op {
-	op := &Op{c: c, qx: c.qx}
+	op := &Op{qx: c.qx}
 	var sx int
 	sx, op.sy, op.sz = f.Strides()
 	n := 0
@@ -52,13 +51,10 @@ func NewOp(c *Coeffs, f *grid.Field) *Op {
 }
 
 // tensorTol bounds |a_ijk − qx_i·qy_j·qz_k| relative to max(1, |a_ijk|):
-// 64 ulp, five times the most the literal Table I expressions and the
-// factors recovered by FromFlat were seen to differ by (11.5 ulp over 2·10⁶
-// random velocities at up to 1.2 times the stable ν).
+// 64 ulp, sixteen times the most the literal Table I expressions were seen
+// to differ from the product of the factors by (4 ulp over 2·10⁶ random
+// velocities at up to 1.2 times the stable ν).
 const tensorTol = 64 * 0x1p-52
-
-// Coeffs returns the coefficient set the Op was prepared with.
-func (op *Op) Coeffs() *Coeffs { return op.c }
 
 // Point computes Eq. 2 for the single point (i, j, k): the weighted sum of
 // the 27 neighbors of src, returned (not stored). It is the literal form of
