@@ -50,7 +50,7 @@ go test -race -timeout 5m ./...
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
 # request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
-# ns/op bound recorded as KEY in FILE (all eight live in BENCH_guards.json,
+# ns/op bound recorded as KEY in FILE (all nine live in BENCH_guards.json,
 # one distinct key per line).
 ns_gate() {
     go test -run "$2" -count=1 "$1"
@@ -75,9 +75,16 @@ ns_gate ./internal/obs TestDisabledRecorderAllocatesNothing BenchmarkRecorderDis
 ns_gate ./internal/telemetry TestWindowObserveAllocatesNothing BenchmarkWindowDisabled \
     BENCH_guards.json telemetry_disabled_max_ns_per_op "disabled-telemetry path"
 
+# Enabled-telemetry guard, the first on an enabled serving path: Observe
+# carries the lifetime totals beside the ring — one series per quantity —
+# and every unit of work calls it several times (outcomes, exec, points,
+# queue depth and wait).
+ns_gate ./internal/telemetry TestWindowObserveAllocatesNothing BenchmarkWindowObserve \
+    BENCH_guards.json telemetry_observe_max_ns_per_op "enabled Window.Observe"
+
 # Disabled-flight-recorder overhead guard: with -flight negative a nil
 # *flight.Recorder and *flight.Engine ride every job and log line; the
-# whole disabled surface (Add/Job/ObserveJob/ObserveShed/Sweep).
+# whole disabled surface (Add/Span/ObserveJob/Sweep).
 ns_gate ./internal/flight TestFlightDisabledAllocatesNothing BenchmarkFlightDisabled \
     BENCH_guards.json flight_disabled_max_ns_per_op "disabled-flight path"
 

@@ -41,9 +41,9 @@
 // next points pre-executed on idle workers at background priority.
 //
 // An always-on flight recorder (-flight sizes its ring) retains the last
-// N job/span/stats/log events and watches for anomalies — latency spikes,
-// shed bursts, stragglers, and model-vs-measured overlap drift beyond
-// -drift against the -model machine. GET /v1/debug/bundle exports the
+// N log/span/stats records and watches /v1/stats for anomalies — latency
+// spikes, shed bursts, stragglers, and model-vs-measured overlap drift
+// beyond -drift against the -model machine. GET /v1/debug/bundle exports the
 // postmortem: flight ring, frozen anomaly snapshots, stats, profiles, and
 // build info in one JSON document.
 package main

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -188,5 +189,107 @@ func TestClusterDrainGraceful(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("gateway healthz %d during drain, want 200", resp.StatusCode)
+	}
+}
+
+// TestNodeDownedBySubmitsIsRehomed: whoever's failure report takes a member
+// down, what it held is re-homed. A node dies holding one slow job (one
+// long session); before the health sweep has probed it twice, a burst of
+// client submissions (session creates) fails against it and crosses
+// FailThreshold from the routing path. The sweep must still re-home the
+// orphan: before the fix it saw an already-down member, ReportFailure
+// answered false, and the job's poll said 502 for good.
+func TestNodeDownedBySubmitsIsRehomed(t *testing.T) {
+	cfg := Config{HealthInterval: 300 * time.Millisecond, FailThreshold: 2}
+
+	// burst submits distinct cheap work until the routing path's own failure
+	// reports have turned the victim down (every refused dispatch fails over
+	// to the survivor, so each submission is still accepted).
+	burst := func(t *testing.T, tc *testCluster, victim string, submit func(i int) int) {
+		t.Helper()
+		for i := 0; tc.router.Members().State(victim) != NodeDown; i++ {
+			if i == 64 {
+				t.Fatalf("64 submissions after the kill and %s is still %s", victim, tc.router.Members().State(victim))
+			}
+			if status := submit(i); status != http.StatusAccepted && status != http.StatusOK {
+				t.Fatalf("burst submission %d: status %d, want it accepted on the survivor", i, status)
+			}
+		}
+	}
+
+	t.Run("job", func(t *testing.T) {
+		tc := startCluster(t, cfg, "n1", "n2")
+		status, slow := tc.submit(t, slowBody(0))
+		if status != http.StatusAccepted {
+			t.Fatalf("submit: status %d", status)
+		}
+		tc.killNode(slow.Node)
+		burst(t, tc, slow.Node, func(i int) int {
+			status, _ := tc.submit(t, fastBody(i))
+			return status
+		})
+		waitFor(t, 10*time.Second, "the orphaned job rerouted", func() bool {
+			return tc.router.Counters().Reroutes == 1
+		})
+		if done := tc.waitDone(t, slow.ID); done.Node == slow.Node {
+			t.Errorf("job %s finished on the dead node %s", slow.ID, slow.Node)
+		}
+	})
+
+	t.Run("session", func(t *testing.T) {
+		tc := startSessionCluster(t, cfg, "n1", "n2")
+		status, long := tc.createSession(t, `{"simulate":{"kind":"bulk","n":16,"steps":3000},"segment":300}`)
+		if status != http.StatusAccepted {
+			t.Fatalf("create: status %d", status)
+		}
+		tc.killNode(long.Node)
+		burst(t, tc, long.Node, func(i int) int {
+			status, _ := tc.createSession(t,
+				fmt.Sprintf(`{"simulate":{"kind":"bulk","n":8,"steps":%d},"segment":2}`, 2+i))
+			return status
+		})
+		waitFor(t, 10*time.Second, "the orphaned session resumed", func() bool {
+			return tc.router.Counters().SessionResumes == 1
+		})
+		if v := tc.getSession(t, long.ID); v.Node == long.Node || v.TraceID != long.TraceID {
+			t.Errorf("old id answers from %s under trace %s, want the survivor and trace %s",
+				v.Node, v.TraceID, long.TraceID)
+		}
+	})
+}
+
+// TestForwardFailuresCountTowardDown: a proxied poll that cannot reach the
+// owner is evidence against it like a failed dispatch or probe. With the
+// health sweep out of the picture, FailThreshold unreachable polls turn the
+// owner down and take it off the ring, so the 502 window closes after
+// FailThreshold polls instead of lasting until the sweep notices.
+func TestForwardFailuresCountTowardDown(t *testing.T) {
+	tc := startCluster(t, Config{HealthInterval: time.Hour, FailThreshold: 2}, "n1", "n2")
+	status, v := tc.submit(t, slowBody(1))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d", status)
+	}
+	tc.killNode(v.Node)
+	for i := 0; i < 2; i++ {
+		if st := tc.router.Members().State(v.Node); st != NodeUp {
+			t.Fatalf("owner %s before poll %d", st, i)
+		}
+		resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("poll %d of a dead owner: status %d, want 502", i, resp.StatusCode)
+		}
+	}
+	if st := tc.router.Members().State(v.Node); st != NodeDown {
+		t.Fatalf("owner %s after two unreachable polls, want down", st)
+	}
+	for _, n := range tc.router.Ring().Nodes() {
+		if n == v.Node {
+			t.Fatal("ring still routes to the downed owner")
+		}
 	}
 }

@@ -153,6 +153,9 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, t *table, los
 	}
 	resp, err := r.client.do(req.Context(), req.Method, url, body, "")
 	if err != nil {
+		if req.Context().Err() == nil {
+			r.nodeFailed(e.node, err) // the client is still there: the shard is at fault
+		}
 		service.WriteJSON(w, http.StatusBadGateway,
 			service.ErrorDoc{Error: "shard unreachable: " + err.Error(), Node: e.node})
 		return nil, nil, false

@@ -260,11 +260,27 @@ func (r *Router) Ring() *Ring { return r.ring.Load() }
 // Members returns the membership table.
 func (r *Router) Members() *Membership { return r.members }
 
-// Counters snapshots the gateway routing counters.
+// Counters snapshots the gateway routing counters. The three fed on the
+// line next to a telemetry window are that window's lifetime count.
 func (r *Router) Counters() GatewayCounters {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters
+	c := r.counters
+	r.mu.Unlock()
+	c.BriefRetries, _ = r.tele.retries.Total()
+	c.Reroutes, _ = r.tele.reroutes.Total()
+	c.Shed, _ = r.tele.shed.Total()
+	return c
+}
+
+// nodeFailed counts one failed request against a member, whoever made it —
+// a routed submit, a proxied poll, a health probe. The report that crosses
+// FailThreshold turns the member down and takes it off the ring; the health
+// sweep re-homes what a down member still holds.
+func (r *Router) nodeFailed(nodeID string, err error) {
+	if r.members.ReportFailure(nodeID, err.Error(), time.Now()) {
+		r.log.Warn("node down", "node", nodeID, "error", err)
+		r.rebuildRing()
+	}
 }
 
 // rebuildRing derives a fresh ring from the currently routable members and
@@ -377,7 +393,7 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr *subm
 				}
 				r.log.Warn("submit forward failed", traceArgs(tr, "node", nodeID,
 					"attempt", attempts, "error", err)...)
-				r.members.ReportFailure(nodeID, err.Error(), time.Now())
+				r.nodeFailed(nodeID, err)
 				tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
 				r.tele.RecordFailover(time.Now())
 				break // next ring successor
@@ -405,7 +421,6 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr *subm
 					if !sleepCtx(ctx, res.RetryAfter) {
 						return nil, "", ctx.Err()
 					}
-					r.addCounter(func(c *GatewayCounters) { c.BriefRetries++ })
 					r.tele.RecordRetry(time.Now())
 					dispatchFrom = tr.clock()
 					tr.add(obs.PhaseGWRetry, nodeID, waitStart, dispatchFrom)
@@ -434,7 +449,6 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr *subm
 			break // next ring successor
 		}
 	}
-	r.addCounter(func(c *GatewayCounters) { c.Shed++ })
 	r.tele.RecordShed(time.Now())
 	r.log.Warn("submission shed cluster-wide", traceArgs(tr, "nodes", tried,
 		"attempts", attempts, "retry_after", maxRetryAfter)...)
@@ -569,8 +583,10 @@ func (r *Router) addCounter(f func(*GatewayCounters)) {
 
 // sweepHealth probes each member once and applies the state transitions:
 // up ↔ draining from the healthz body, down after FailThreshold
-// consecutive probe errors. A node going down triggers the reroute of its
-// in-flight jobs; any transition rebuilds the ring. Rebalancing is
+// consecutive failures (probe errors and failed forwards count alike). A
+// member that fails its probe while down — whoever's report took it down —
+// has whatever it still holds re-homed, which is idempotent: re-homed
+// entries are no longer its. Any transition rebuilds the ring. Rebalancing is
 // deliberately asynchronous to job execution — jobs on healthy shards
 // never pause while membership changes. Probe verdicts apply CAS-style
 // against the generation read before the probe, so a transition that
@@ -586,9 +602,8 @@ func (r *Router) sweepHealth(ctx context.Context) {
 		now := time.Now()
 		switch {
 		case err != nil:
-			if r.members.ReportFailure(m.ID, err.Error(), now) {
-				r.log.Warn("node down", "node", m.ID, "error", err)
-				r.rebuildRing()
+			r.nodeFailed(m.ID, err)
+			if r.members.State(m.ID) == NodeDown {
 				r.rerouteDead(ctx, m.ID)
 				r.resumeDeadSessions(ctx, m.ID)
 			}
@@ -664,7 +679,6 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 		for _, e := range entries {
 			e.replaced = tgt
 		}
-		r.counters.Reroutes++
 		r.counters.Deduped += uint64(len(entries) - 1)
 		r.mu.Unlock()
 		r.tele.RecordReroute(time.Now())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -76,7 +75,7 @@ func (r *Router) routeSession(ctx context.Context, fp, traceID string, body []by
 				return nil, nil, ctx.Err()
 			}
 			r.log.Warn("session forward failed", "node", nodeID, "error", err, "trace_id", traceID)
-			r.members.ReportFailure(nodeID, err.Error(), time.Now())
+			r.nodeFailed(nodeID, err)
 			continue
 		}
 		switch resp.status {

@@ -24,6 +24,9 @@ func startSessionNode(t *testing.T, id string) (Member, *httptest.Server) {
 		DrainTimeout:   2 * time.Minute,
 		SessionDir:     t.TempDir(),
 	})
+	// Registered after TempDir's own cleanup, so it runs before it: the run
+	// loops have written their last record when the directory is removed.
+	t.Cleanup(func() { _ = s.Shutdown() })
 	ts := httptest.NewServer(s.Handler())
 	return Member{ID: id, URL: ts.URL}, ts
 }

@@ -26,23 +26,21 @@ const (
 // Rules configures the anomaly engine. The zero value is usable: every
 // field falls back to the default documented on it.
 type Rules struct {
-	// Window spans the rolling telemetry the burst rules evaluate
-	// (default 60s).
-	Window time.Duration
 	// MaxAnomalies bounds the retained anomaly history (default 64;
 	// oldest evicted first).
 	MaxAnomalies int
 	// Cooldown suppresses refiring the same rule while one firing is
 	// still fresh (default 30s).
 	Cooldown time.Duration
-	// LatencyFactor fires latency-spike when a job type's windowed p99
-	// exceeds factor × its lifetime mean (default 8).
+	// LatencyFactor fires latency-spike when a type's exec window — the
+	// /v1/stats "exec" entry — has a p99 above factor × its lifetime mean
+	// (total_sum/total_count; default 8).
 	LatencyFactor float64
-	// LatencyMinCount is the minimum samples, both in the window and in
-	// the lifetime baseline, before latency-spike can fire (default 8).
+	// LatencyMinCount is the minimum samples inside the window before
+	// latency-spike can fire (default 8).
 	LatencyMinCount int
-	// ShedBurst fires shed-burst when at least this many 429/503 sheds
-	// land inside the window (default 10).
+	// ShedBurst fires shed-burst when the /v1/stats "shed" window counts
+	// at least this many 429/503 sheds (default 10).
 	ShedBurst int
 	// StragglerRatio fires straggler when a job's max/mean rank busy
 	// ratio exceeds it (default 2; needs ≥ 2 ranks).
@@ -66,9 +64,6 @@ type Rules struct {
 }
 
 func (r Rules) withDefaults() Rules {
-	if r.Window <= 0 {
-		r.Window = time.Minute
-	}
 	if r.MaxAnomalies <= 0 {
 		r.MaxAnomalies = 64
 	}
@@ -157,35 +152,31 @@ func (a AnomalyStats) Merge(b AnomalyStats) AnomalyStats {
 	return out
 }
 
-// JobSample is one finished job as the engine sees it.
+// JobSample is one finished traced job as the engine sees it.
 type JobSample struct {
 	JobID   string
 	TraceID string
-	// Type is the request type ("simulate", "predict", ...), Kind the
-	// implementation kind string for simulate jobs.
-	Type    string
+	// Kind is the implementation kind string of the run.
 	Kind    string
 	N       int
 	Tasks   int
 	Threads int
-	Elapsed time.Duration
-	// Report is the traced run's overlap report; nil when untraced.
+	// Report is the run's overlap report, the one its result embeds.
 	Report *obs.Report
 }
 
-// Engine evaluates jobs and rolling telemetry against the configured
-// rules. A nil *Engine is a valid disabled engine. Firings freeze a
-// flight-recorder snapshot and invoke the notify callback (outside the
-// engine lock).
+// Engine judges traced jobs and the node's rolling windows against the
+// configured rules. It keeps no series of its own: the windowed rules read
+// the /v1/stats document of the instant, so an alarm's value is a number an
+// operator can read there. A nil *Engine is a valid disabled engine.
+// Firings freeze a flight-recorder snapshot and invoke the notify callback
+// (outside the engine lock).
 type Engine struct {
 	rules Rules
 	rec   *Recorder
 	model *machine.Machine
 
 	mu       sync.Mutex
-	latency  map[string]*telemetry.Window // per job type, seconds
-	baseline map[string]*meanAcc          // per job type lifetime mean
-	sheds    *telemetry.Window
 	resumes  map[string]resumeTrack // per session id
 	lastFire map[string]time.Time
 	anoms    []Anomaly
@@ -193,13 +184,6 @@ type Engine struct {
 	byRule   map[string]int
 	frozen   int
 	notify   func(Anomaly, Snapshot)
-}
-
-// meanAcc is a cumulative mean over a job type's whole lifetime — the
-// baseline the windowed p99 is compared against.
-type meanAcc struct {
-	count uint64
-	sum   float64
 }
 
 // resumeTrack follows one session's recoveries: how many landed while its
@@ -220,10 +204,7 @@ func NewEngine(rules Rules, rec *Recorder) *Engine {
 	e := &Engine{
 		rules:    r,
 		rec:      rec,
-		latency:  make(map[string]*telemetry.Window),
-		baseline: make(map[string]*meanAcc),
 		resumes:  make(map[string]resumeTrack),
-		sheds:    telemetry.NewWindow(r.Window, r.Window/15, nil),
 		lastFire: make(map[string]time.Time),
 		byRule:   make(map[string]int),
 	}
@@ -247,13 +228,13 @@ func (e *Engine) Notify(fn func(Anomaly, Snapshot)) {
 // Enabled reports whether the engine is live.
 func (e *Engine) Enabled() bool { return e != nil }
 
-// fire appends the anomaly under the cooldown, freezes the flight ring,
-// and notifies. Returns false when the rule is still cooling down.
-func (e *Engine) fire(a Anomaly) bool {
+// fire appends the anomaly, freezes the flight ring and notifies — unless
+// the rule is still cooling down.
+func (e *Engine) fire(a Anomaly) {
 	e.mu.Lock()
 	if last, ok := e.lastFire[a.Rule]; ok && a.Time.Sub(last) < e.rules.Cooldown {
 		e.mu.Unlock()
-		return false
+		return
 	}
 	e.lastFire[a.Rule] = a.Time
 	a.Seq = e.total
@@ -281,46 +262,16 @@ func (e *Engine) fire(a Anomaly) bool {
 	if notify != nil {
 		notify(a, snap)
 	}
-	return true
 }
 
-// ObserveJob feeds one finished job: its latency joins the rolling window
-// and baseline, and its traced report (if any) is checked for straggler
+// ObserveJob checks one finished traced job's report for straggler
 // imbalance and model-vs-measured overlap drift.
 func (e *Engine) ObserveJob(now time.Time, s JobSample) {
-	if e == nil {
-		return
-	}
-	sec := s.Elapsed.Seconds()
-	e.mu.Lock()
-	w := e.latency[s.Type]
-	if w == nil {
-		w = telemetry.NewWindow(e.rules.Window, e.rules.Window/15, telemetry.DurationBounds())
-		e.latency[s.Type] = w
-	}
-	b := e.baseline[s.Type]
-	if b == nil {
-		b = &meanAcc{}
-		e.baseline[s.Type] = b
-	}
-	b.count++
-	b.sum += sec
-	e.mu.Unlock()
-	w.Observe(now, sec)
-
-	if s.Report == nil {
+	if e == nil || s.Report == nil {
 		return
 	}
 	e.checkStraggler(now, s)
 	e.checkDrift(now, s)
-}
-
-// ObserveShed feeds one shed admission (429 queue-full or 503 draining).
-func (e *Engine) ObserveShed(now time.Time) {
-	if e == nil {
-		return
-	}
-	e.sheds.Observe(now, 1)
 }
 
 // ObserveResume feeds one session recovery or resume with the step count
@@ -447,50 +398,36 @@ func measuredHidden(rep *obs.Report) (float64, bool) {
 	return 0, false
 }
 
-// Sweep evaluates the windowed rules (latency-spike, shed-burst) at now.
-// The service calls it periodically from its sweep loop.
-func (e *Engine) Sweep(now time.Time) {
+// Sweep evaluates the windowed rules at now against the node's own rolling
+// windows — the "exec" and "shed" entries of the /v1/stats document of that
+// instant. The service calls it periodically from its sweep loop.
+func (e *Engine) Sweep(now time.Time, exec map[string]telemetry.Stats, shed telemetry.Stats) {
 	if e == nil {
 		return
 	}
-	type spike struct {
-		typ            string
-		p99, mean, cap float64
-	}
-	var spikes []spike
-	e.mu.Lock()
-	for typ, w := range e.latency {
-		b := e.baseline[typ]
-		if b == nil || b.count < uint64(e.rules.LatencyMinCount) {
-			continue
-		}
-		st := w.Stats(now)
+	for typ, st := range exec {
 		if st.Count < uint64(e.rules.LatencyMinCount) {
 			continue
 		}
-		mean := b.sum / float64(b.count)
-		if cap := mean * e.rules.LatencyFactor; st.P99 > cap {
-			spikes = append(spikes, spike{typ: typ, p99: st.P99, mean: mean, cap: cap})
+		mean := st.TotalSum / float64(st.TotalCount)
+		if bound := mean * e.rules.LatencyFactor; st.P99 > bound {
+			e.fire(Anomaly{
+				Time: now,
+				Rule: RuleLatencySpike,
+				Message: fmt.Sprintf("%s p99 %.3fs exceeds %.0f× lifetime mean %.4fs",
+					typ, st.P99, e.rules.LatencyFactor, mean),
+				Kind:  typ,
+				Value: st.P99,
+				Bound: bound,
+			})
 		}
 	}
-	e.mu.Unlock()
-	for _, sp := range spikes {
-		e.fire(Anomaly{
-			Time: now,
-			Rule: RuleLatencySpike,
-			Message: fmt.Sprintf("%s p99 %.3fs exceeds %.0f× lifetime mean %.4fs",
-				sp.typ, sp.p99, e.rules.LatencyFactor, sp.mean),
-			Kind:  sp.typ,
-			Value: sp.p99,
-			Bound: sp.cap,
-		})
-	}
-	if shed := e.sheds.Stats(now); shed.Count >= uint64(e.rules.ShedBurst) {
+	if shed.Count >= uint64(e.rules.ShedBurst) {
 		e.fire(Anomaly{
 			Time: now,
 			Rule: RuleShedBurst,
-			Message: fmt.Sprintf("%d admissions shed in the last %s",
-				shed.Count, e.rules.Window),
+			Message: fmt.Sprintf("%d admissions shed in the last %.0fs",
+				shed.Count, shed.WindowSec),
 			Value: float64(shed.Count),
 			Bound: float64(e.rules.ShedBurst),
 		})

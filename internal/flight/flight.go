@@ -2,15 +2,16 @@
 // ring-buffer flight recorder plus the anomaly engine that watches the
 // serving layer against the paper's analytic performance model.
 //
-// The recorder retains the last N events a node saw — job lifecycle
-// transitions, span-log summaries of traced runs, periodic stats
-// snapshots, and every structured log record (via the tee slog.Handler) —
-// so when something goes wrong there is a recent history to read without
-// having had verbose logging on. The engine evaluates rolling telemetry
-// and per-job measurements against configurable rules (latency spikes,
-// shed bursts, straggler ranks, and model-vs-measured overlap drift
-// against internal/perf); each firing appends a timestamped anomaly and
-// freezes a snapshot of the ring at that instant.
+// The recorder retains the last N events a node saw — every structured
+// log record (via the tee slog.Handler; a job or session transition is its
+// log line, entered once), span-log summaries of traced runs, and periodic
+// stats snapshots — so when something goes wrong there is a recent history
+// to read without having had verbose logging on. The engine judges the
+// node's own rolling windows and per-job reports against configurable
+// rules (latency spikes, shed bursts, straggler ranks, and
+// model-vs-measured overlap drift against internal/perf); each firing
+// appends a timestamped anomaly and freezes a snapshot of the ring at that
+// instant.
 //
 // Both types follow the repo's nil-safety convention: a nil *Recorder and
 // a nil *Engine are valid disabled instances whose methods no-op, so
@@ -27,13 +28,12 @@ import (
 type RecordKind string
 
 const (
-	// KindJob is a job lifecycle transition (queued, running, done, ...).
-	KindJob RecordKind = "job"
 	// KindSpan is a traced job's span-log summary at completion.
 	KindSpan RecordKind = "span"
 	// KindStats is a periodic stats snapshot line from the sweep loop.
 	KindStats RecordKind = "stats"
-	// KindLog is a structured log record teed off the node's slog handler.
+	// KindLog is a structured log record teed off the node's slog handler;
+	// job and session lifecycle transitions are these, with the id lifted.
 	KindLog RecordKind = "log"
 	// KindAnomaly marks an anomaly-engine firing.
 	KindAnomaly RecordKind = "anomaly"
@@ -89,9 +89,6 @@ func NewRecorder(events int) *Recorder {
 	return &Recorder{ring: make([]Record, events)}
 }
 
-// Enabled reports whether the recorder is live.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Add appends one record, overwriting the oldest once the ring is full.
 // The caller's Seq is ignored; the recorder assigns it.
 //
@@ -105,14 +102,6 @@ func (r *Recorder) Add(rec Record) {
 	r.ring[int(r.next%uint64(len(r.ring)))] = rec
 	r.next++
 	r.mu.Unlock()
-}
-
-// Job records a job lifecycle transition.
-func (r *Recorder) Job(now time.Time, jobID, traceID, msg string) {
-	if r == nil {
-		return
-	}
-	r.Add(Record{Time: now, Kind: KindJob, Msg: msg, JobID: jobID, TraceID: traceID})
 }
 
 // Span records a traced job's span-log summary.

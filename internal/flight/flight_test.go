@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 func at(sec int) time.Time {
@@ -18,7 +19,7 @@ func at(sec int) time.Time {
 func TestRecorderRingWrap(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Add(Record{Time: at(i), Kind: KindJob, Msg: "evt"})
+		r.Add(Record{Time: at(i), Kind: KindLog, Msg: "evt"})
 	}
 	if got := r.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
@@ -71,11 +72,7 @@ func TestRecorderFreezeBounded(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	r.Add(Record{Msg: "x"})
-	r.Job(at(0), "j", "t", "msg")
 	r.Span(at(0), "j", "t", "msg")
 	r.Stats(at(0), "msg")
 	if r.Len() != 0 {
@@ -98,14 +95,14 @@ func TestRecorderNilSafe(t *testing.T) {
 func TestFlightDisabledAllocatesNothing(t *testing.T) {
 	var r *Recorder
 	var e *Engine
-	rec := Record{Time: at(0), Kind: KindJob, Msg: "evt", JobID: "j1"}
-	sample := JobSample{JobID: "j1", Type: "simulate", Elapsed: time.Second}
+	rec := Record{Time: at(0), Kind: KindLog, Msg: "evt", JobID: "j1"}
+	sample := JobSample{JobID: "j1", Kind: "bulk", Report: &obs.Report{}}
+	var exec map[string]telemetry.Stats
 	avg := testing.AllocsPerRun(1000, func() {
 		r.Add(rec)
-		r.Job(at(0), "j1", "t1", "done")
+		r.Span(at(0), "j1", "t1", "3 spans over 2 ranks")
 		e.ObserveJob(at(0), sample)
-		e.ObserveShed(at(0))
-		e.Sweep(at(0))
+		e.Sweep(at(0), exec, telemetry.Stats{})
 	})
 	if avg != 0 {
 		t.Fatalf("disabled flight path allocates %.2f allocs/op, want 0", avg)
@@ -115,19 +112,19 @@ func TestFlightDisabledAllocatesNothing(t *testing.T) {
 func BenchmarkFlightDisabled(b *testing.B) {
 	var r *Recorder
 	var e *Engine
-	rec := Record{Time: at(0), Kind: KindJob, Msg: "evt"}
-	sample := JobSample{JobID: "j1", Type: "simulate", Elapsed: time.Second}
+	rec := Record{Time: at(0), Kind: KindLog, Msg: "evt"}
+	sample := JobSample{JobID: "j1", Kind: "bulk", Report: &obs.Report{}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Add(rec)
 		e.ObserveJob(at(0), sample)
-		e.ObserveShed(at(0))
+		e.Sweep(at(0), nil, telemetry.Stats{})
 	}
 }
 
 func BenchmarkFlightAdd(b *testing.B) {
 	r := NewRecorder(512)
-	rec := Record{Time: at(0), Kind: KindJob, Msg: "evt"}
+	rec := Record{Time: at(0), Kind: KindLog, Msg: "evt"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Add(rec)
@@ -188,6 +185,22 @@ func TestTeeHandlerWithAttrsAndGroups(t *testing.T) {
 	}
 }
 
+// TestTeeHandlerLiftsSessionID: a session manager's lines carry their
+// session under "session"; the tee files them under the id as it does a
+// job's, so a session transition needs no second ring record.
+func TestTeeHandlerLiftsSessionID(t *testing.T) {
+	rec := NewRecorder(4)
+	log := slog.New(TeeHandler(rec, slog.NewTextHandler(&bytes.Buffer{}, nil)))
+	log.Info("session segment", "session", "n1-sess-000003", "fp", "abc", "trace_id", "tr-9", "done", 50)
+	r := rec.Snapshot(at(0)).Records[0]
+	if r.JobID != "n1-sess-000003" || r.TraceID != "tr-9" || r.Msg != "session segment" {
+		t.Errorf("record = %+v", r)
+	}
+	if r.Attrs != "fp=abc done=50" {
+		t.Errorf("Attrs = %q, want the ids lifted out", r.Attrs)
+	}
+}
+
 func TestTeeHandlerDebugBelowInnerLevel(t *testing.T) {
 	rec := NewRecorder(16)
 	var buf bytes.Buffer
@@ -218,9 +231,8 @@ func TestEngineNilSafe(t *testing.T) {
 		t.Fatal("nil engine reports enabled")
 	}
 	e.Notify(func(Anomaly, Snapshot) {})
-	e.ObserveJob(at(0), JobSample{Type: "simulate", Elapsed: time.Second})
-	e.ObserveShed(at(0))
-	e.Sweep(at(0))
+	e.ObserveJob(at(0), JobSample{Kind: "bulk", Report: &obs.Report{}})
+	e.Sweep(at(0), map[string]telemetry.Stats{"simulate": {Count: 100, P99: 9}}, telemetry.Stats{Count: 100})
 	if st := e.Anomalies(); st.Total != 0 || st.Recent != nil {
 		t.Fatalf("nil engine stats = %+v", st)
 	}
@@ -252,13 +264,13 @@ func TestEngineModelDrift(t *testing.T) {
 		fired = append(fired, a)
 	})
 
-	rec.Job(at(0), "n1-1", "tr-1", "job started")
+	rec.Add(Record{Time: at(0), Kind: KindLog, Msg: "job started", JobID: "n1-1", TraceID: "tr-1"})
 
 	// A bulk run measured ~0 hidden where the model expects hybrid
 	// overlap to hide ~1.0 of the exchange: decisive drift.
 	e.ObserveJob(at(1), JobSample{
-		JobID: "n1-1", TraceID: "tr-1", Type: "simulate", Kind: "bulk",
-		N: 48, Tasks: 2, Threads: 1, Elapsed: time.Second,
+		JobID: "n1-1", TraceID: "tr-1", Kind: "bulk",
+		N: 48, Tasks: 2, Threads: 1,
 		Report: driftReport(0.0),
 	})
 	if len(fired) != 1 {
@@ -294,8 +306,8 @@ func TestEngineDriftWithinTolerance(t *testing.T) {
 	e.Notify(func(Anomaly, Snapshot) { fired++ })
 	// Measured 0.9 where the model predicts ~1.0: inside the band.
 	e.ObserveJob(at(1), JobSample{
-		JobID: "n1-2", Type: "simulate", Kind: "hybrid-overlap",
-		N: 48, Tasks: 2, Threads: 1, Elapsed: time.Second,
+		JobID: "n1-2", Kind: "hybrid-overlap",
+		N: 48, Tasks: 2, Threads: 1,
 		Report: driftReport(0.9),
 	})
 	if fired != 0 {
@@ -315,79 +327,22 @@ func TestEngineStraggler(t *testing.T) {
 		Ratio:     3.0 / 1.75,
 		Straggler: 0,
 	}}
-	e.ObserveJob(at(1), JobSample{JobID: "n1-3", Type: "simulate", Elapsed: time.Second, Report: rep})
+	e.ObserveJob(at(1), JobSample{JobID: "n1-3", Report: rep})
 	if len(fired) != 0 {
 		t.Fatalf("ratio 1.71 fired below bound 2")
 	}
 
 	rep.Imbalance.Ratio = 2.5
-	e.ObserveJob(at(2), JobSample{JobID: "n1-4", Type: "simulate", Elapsed: time.Second, Report: rep})
+	e.ObserveJob(at(2), JobSample{JobID: "n1-4", Report: rep})
 	if len(fired) != 1 || fired[0].Rule != RuleStraggler {
 		t.Fatalf("fired = %+v, want one straggler", fired)
 	}
 }
 
-func TestEngineLatencySpike(t *testing.T) {
-	e := NewEngine(Rules{LatencyFactor: 8, LatencyMinCount: 8, Window: time.Minute}, nil)
-	var fired []Anomaly
-	e.Notify(func(a Anomaly, _ Snapshot) { fired = append(fired, a) })
-
-	// Build a fast baseline deep enough that the slow runs joining the
-	// lifetime mean can't drag the threshold up past their own p99.
-	for i := 0; i < 500; i++ {
-		e.ObserveJob(at(i/100), JobSample{Type: "simulate", Elapsed: time.Millisecond})
-	}
-	e.Sweep(at(5))
-	if len(fired) != 0 {
-		t.Fatalf("fired on a healthy baseline")
-	}
-	for i := 0; i < 10; i++ {
-		e.ObserveJob(at(30+i), JobSample{Type: "simulate", Elapsed: 2 * time.Second})
-	}
-	e.Sweep(at(40))
-	if len(fired) != 1 || fired[0].Rule != RuleLatencySpike {
-		t.Fatalf("fired = %+v, want one latency-spike", fired)
-	}
-	if fired[0].Kind != "simulate" {
-		t.Errorf("Kind = %q", fired[0].Kind)
-	}
-}
-
-func TestEngineShedBurstAndCooldown(t *testing.T) {
-	e := NewEngine(Rules{ShedBurst: 10, Window: time.Minute, Cooldown: 30 * time.Second}, nil)
-	var fired []Anomaly
-	e.Notify(func(a Anomaly, _ Snapshot) { fired = append(fired, a) })
-
-	for i := 0; i < 9; i++ {
-		e.ObserveShed(at(1))
-	}
-	e.Sweep(at(2))
-	if len(fired) != 0 {
-		t.Fatalf("fired below the burst bound")
-	}
-	e.ObserveShed(at(2))
-	e.Sweep(at(3))
-	if len(fired) != 1 || fired[0].Rule != RuleShedBurst {
-		t.Fatalf("fired = %+v, want one shed-burst", fired)
-	}
-
-	// Still inside the cooldown: sweeping again must not refire.
-	e.Sweep(at(10))
-	if len(fired) != 1 {
-		t.Fatalf("refired inside the cooldown: %d", len(fired))
-	}
-	// Past the cooldown, the still-hot window fires again.
-	e.Sweep(at(40))
-	if len(fired) != 2 {
-		t.Fatalf("did not refire after the cooldown: %d", len(fired))
-	}
-}
-
 func TestEngineAnomalyHistoryBounded(t *testing.T) {
-	e := NewEngine(Rules{MaxAnomalies: 4, Cooldown: time.Millisecond, ShedBurst: 1, Window: time.Minute}, nil)
+	e := NewEngine(Rules{MaxAnomalies: 4, Cooldown: time.Millisecond, ShedBurst: 1}, nil)
 	for i := 0; i < 10; i++ {
-		e.ObserveShed(at(i))
-		e.Sweep(at(i))
+		e.Sweep(at(i), nil, telemetry.Stats{WindowSec: 60, Count: 1})
 	}
 	st := e.Anomalies()
 	if len(st.Recent) != 4 {

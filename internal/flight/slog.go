@@ -19,8 +19,8 @@ type teeHandler struct {
 	// Handle only concatenates.
 	attrs string
 	group string
-	// jobID/traceID are lifted out of accumulated attrs so teed records
-	// stay correlated with traces.
+	// jobID/traceID are lifted out of accumulated attrs (a session id is
+	// the job id of its lines) so teed records stay correlated with traces.
 	jobID   string
 	traceID string
 }
@@ -95,8 +95,8 @@ func (h *teeHandler) WithGroup(name string) slog.Handler {
 	return &nh
 }
 
-// appendAttr renders one attr as "key=value " into b, lifting job/trace
-// ids into the record's dedicated fields instead.
+// appendAttr renders one attr as "key=value " into b, lifting job, session
+// and trace ids into the record's dedicated fields instead.
 func appendAttr(b *strings.Builder, fr *Record, group string, a slog.Attr) {
 	a.Value = a.Value.Resolve()
 	if a.Equal(slog.Attr{}) {
@@ -114,7 +114,7 @@ func appendAttr(b *strings.Builder, fr *Record, group string, a slog.Attr) {
 	}
 	val := renderValue(a.Value)
 	switch key {
-	case "job", "job_id":
+	case "job", "job_id", "session":
 		if fr.JobID == "" {
 			fr.JobID = val
 		}

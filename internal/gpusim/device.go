@@ -24,7 +24,6 @@ type Device struct {
 	dmaD2H    *vtime.Resource
 	obsRec    *obs.Recorder
 	obsRank   int
-	constMem  []float64
 	allocated int64
 	streamSeq int
 
@@ -138,22 +137,14 @@ func (d *Device) Free(b *Buffer) {
 	b.data = nil
 }
 
-// LoadConstant stores vals in constant memory (the stencil coefficients in
-// the paper's kernels) and returns the host time after the upload.
+// LoadConstant charges the upload of vals to constant memory (the stencil
+// coefficients in the paper's kernels) and returns the host time after it.
+// Kernel bodies close over their coefficients on the host, so nothing is
+// stored.
 func (d *Device) LoadConstant(host vtime.Time, vals []float64) vtime.Time {
-	d.mu.Lock()
-	d.constMem = append([]float64(nil), vals...)
-	d.mu.Unlock()
 	start, end := d.dmaH2D.Acquire(host, vtime.Time(d.Link.CopyTime(len(vals)*8)))
 	d.observe(obs.PhaseH2D, "constant upload", start, end)
 	return end
-}
-
-// Constant returns the constant-memory contents for kernel bodies.
-func (d *Device) Constant() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.constMem
 }
 
 // Stream is a CUDA stream: operations issued to one stream execute in

@@ -15,16 +15,6 @@ type Dims struct {
 // Volume returns the number of points in a Dims-sized box.
 func (d Dims) Volume() int { return d.X * d.Y * d.Z }
 
-// Surface returns the number of points on the surface of a Dims-sized box,
-// counting each face point once (edge and corner points are shared).
-func (d Dims) Surface() int {
-	if d.X <= 0 || d.Y <= 0 || d.Z <= 0 {
-		return 0
-	}
-	inner := Dims{max(d.X-2, 0), max(d.Y-2, 0), max(d.Z-2, 0)}
-	return d.Volume() - inner.Volume()
-}
-
 // Axis returns the extent along dim (0=x, 1=y, 2=z).
 func (d Dims) Axis(dim int) int {
 	switch dim {

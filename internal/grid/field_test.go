@@ -235,9 +235,6 @@ func TestDimsHelpers(t *testing.T) {
 	if d.Volume() != 60 {
 		t.Fatalf("Volume = %d", d.Volume())
 	}
-	if got, want := d.Surface(), 60-1*2*3; got != want {
-		t.Fatalf("Surface = %d, want %d", got, want)
-	}
 	for dim, want := range []int{3, 4, 5} {
 		if d.Axis(dim) != want {
 			t.Fatalf("Axis(%d) = %d, want %d", dim, d.Axis(dim), want)
@@ -248,17 +245,6 @@ func TestDimsHelpers(t *testing.T) {
 	}
 	if Uniform(4) != (Dims{4, 4, 4}) {
 		t.Fatal("Uniform wrong")
-	}
-}
-
-func TestSurfaceThinBox(t *testing.T) {
-	// Boxes thinner than 3 in a dimension are all surface.
-	d := Dims{2, 5, 5}
-	if got := d.Surface(); got != d.Volume() {
-		t.Fatalf("thin box Surface = %d, want %d", got, d.Volume())
-	}
-	if got := (Dims{0, 3, 3}).Surface(); got != 0 {
-		t.Fatalf("empty box Surface = %d, want 0", got)
 	}
 }
 

@@ -25,7 +25,9 @@ type exchanger struct {
 	recv [3][2][]float64
 }
 
-var dimNames = [3]string{"x", "y", "z"}
+var dimNames = [3]string{"x", "y", "z"} // span labels: a step indexes, never concatenates
+var thirdNames = [3]string{"third.x", "third.y", "third.z"}
+var wallsNames = [3]string{"walls.x", "walls.y", "walls.z"}
 
 // setObs attaches the span recorder to the exchanger and its communicator.
 func (e *exchanger) setObs(r *obs.Recorder) {
@@ -69,7 +71,6 @@ type phase struct {
 // start packs and posts the exchange for one dimension: nonblocking
 // receives first (as the paper's implementations do), then eager sends.
 func (e *exchanger) start(dim int) phase {
-	h := e.f.Halo
 	nbrLo := e.d.Neighbor(e.rank, dim, -1)
 	nbrHi := e.d.Neighbor(e.rank, dim, +1)
 
@@ -80,8 +81,8 @@ func (e *exchanger) start(dim int) phase {
 	ph.reqs[1] = e.c.IRecv(nbrHi, tagLow(dim), e.recv[dim][1])
 
 	a := e.rec.Begin(e.rank, e.step, obs.PhaseHaloPack, dimNames[dim])
-	e.f.PackFace(dim, -1, h, e.send[dim][0])
-	e.f.PackFace(dim, +1, h, e.send[dim][1])
+	e.f.PackFace(dim, -1, e.f.Halo, e.send[dim][0])
+	e.f.PackFace(dim, +1, e.f.Halo, e.send[dim][1])
 	a.End()
 	e.c.ISend(nbrLo, tagLow(dim), e.send[dim][0])
 	e.c.ISend(nbrHi, tagHigh(dim), e.send[dim][1])
@@ -95,10 +96,9 @@ func (e *exchanger) start(dim int) phase {
 func (e *exchanger) finish(ph phase) {
 	ph.reqs[0].Wait()
 	ph.reqs[1].Wait()
-	h := e.f.Halo
 	a := e.rec.Begin(e.rank, e.step, obs.PhaseHaloUnpack, dimNames[ph.dim])
-	e.f.UnpackFace(ph.dim, -1, h, e.recv[ph.dim][0])
-	e.f.UnpackFace(ph.dim, +1, h, e.recv[ph.dim][1])
+	e.f.UnpackFace(ph.dim, -1, e.f.Halo, e.recv[ph.dim][0])
+	e.f.UnpackFace(ph.dim, +1, e.f.Halo, e.recv[ph.dim][1])
 	a.End()
 	e.rec.Add(e.rank, e.step, obs.PhaseMPIExchange, dimNames[ph.dim], ph.t0, e.rec.Clock())
 }

@@ -46,7 +46,7 @@ func stepHybridOverlap(r *rank, _ int) {
 	// of that dimension.
 	for dim := 0; dim < 3; dim++ {
 		ph := r.ex.start(dim)
-		r.compute(obs.PhaseInterior, "walls."+dimNames[dim], g.innerWalls[dim]...)
+		r.compute(obs.PhaseInterior, wallsNames[dim], g.innerWalls[dim]...)
 		r.ex.finish(ph)
 	}
 	// 4. Outer boundary points, then stream synchronization.

@@ -16,7 +16,7 @@ func stepNonblocking(r *rank, _ int) {
 	thirds := stencil.InteriorThirds(r.sub.Size)
 	for dim := 0; dim < 3; dim++ {
 		ph := r.ex.start(dim)
-		r.compute(obs.PhaseInterior, "third."+dimNames[dim], thirds[dim])
+		r.compute(obs.PhaseInterior, thirdNames[dim], thirds[dim])
 		r.ex.finish(ph)
 	}
 	// "The threads compute the boundary points after the communication."

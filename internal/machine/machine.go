@@ -140,12 +140,6 @@ func (m *Machine) CoresPerGPU() int {
 	return m.Node.Cores() / m.GPUsPerNode
 }
 
-// NodesFor returns how many nodes a run on the given core count occupies.
-func (m *Machine) NodesFor(cores int) int {
-	c := m.Node.Cores()
-	return (cores + c - 1) / c
-}
-
 // Validate checks a (cores, threadsPerTask) configuration against the
 // machine.
 func (m *Machine) Validate(cores, threads int) error {

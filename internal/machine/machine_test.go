@@ -92,13 +92,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestNodesFor(t *testing.T) {
-	y := Yona()
-	if y.NodesFor(12) != 1 || y.NodesFor(13) != 2 || y.NodesFor(192) != 16 {
-		t.Fatal("NodesFor wrong")
-	}
-}
-
 func TestCoresPerGPUWithoutGPU(t *testing.T) {
 	if JaguarPF().CoresPerGPU() != 0 {
 		t.Fatal("GPU-less machine reports cores per GPU")

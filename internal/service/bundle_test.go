@@ -3,11 +3,16 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/flight"
+	"repro/internal/session"
 )
 
 // lineLog collects SSE lines from a response body as they arrive, so a
@@ -171,5 +176,59 @@ func TestDebugBundleFlightDisabled(t *testing.T) {
 	}
 	if len(b.Flight.Records) != 0 || b.Anomalies.Total != 0 {
 		t.Fatalf("disabled flight produced data: %d records, %d anomalies", len(b.Flight.Records), b.Anomalies.Total)
+	}
+}
+
+// TestFlightRingHoldsEachTransitionOnce: a transition enters the flight ring
+// once, as its teed log line with the id lifted — so a ring of R records
+// after K sequential jobs holds the complete history of the last R/3 of
+// them, each (job, transition) exactly once, and a session's created /
+// segment / done lines are found under the session id the same way.
+func TestFlightRingHoldsEachTransitionOnce(t *testing.T) {
+	const ring, jobs = 12, 8
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, FlightEvents: ring, SessionDir: t.TempDir()})
+	var ids []string
+	for i := 1; i <= jobs; i++ {
+		_, v := postJob(t, ts, fmt.Sprintf(
+			`{"type":"predict","predict":{"machine":"Yona","kind":"bulk","cores":%d}}`, 12*i))
+		waitState(t, ts, v.ID, StateDone)
+		ids = append(ids, v.ID)
+	}
+	got := map[string]int{} // "job-id transition" → records
+	for _, rec := range s.flight.Snapshot(time.Now()).Records {
+		if rec.Kind != flight.KindLog {
+			t.Errorf("ring record %+v: a lifecycle transition is a log record", rec)
+		}
+		got[rec.JobID+" "+rec.Msg]++
+	}
+	want := map[string]int{}
+	for _, id := range ids[jobs-ring/3:] {
+		for _, transition := range []string{"job submitted", "job started", "job finished"} {
+			want[id+" "+transition] = 1
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring of %d after %d jobs holds\n%v\nwant each transition of the last %d jobs once\n%v",
+			ring, jobs, got, ring/3, want)
+	}
+
+	_, sv := postSession(t, ts, `{"simulate":{"kind":"bulk","n":8,"steps":4},"segment":2}`)
+	waitSessionState(t, ts, sv.ID, session.StateDone)
+	want = map[string]int{"session created": 1, "session segment": 2, "session done": 1}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got = map[string]int{}
+		for _, rec := range s.flight.Snapshot(time.Now()).Records {
+			if rec.JobID == sv.ID {
+				got[rec.Msg]++
+			}
+		}
+		if reflect.DeepEqual(got, want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ring holds %v under session %s, want %v", got, sv.ID, want)
+		}
+		time.Sleep(5 * time.Millisecond) // "session done" is logged just after the state flips
 	}
 }

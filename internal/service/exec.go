@@ -54,30 +54,33 @@ type ExperimentResult struct {
 // execute runs a validated request to completion under ctx and returns the
 // rendered result document. rec is the job's span recorder (nil for
 // untraced jobs); the runner records its per-rank phases into it, so the
-// spans land on the same timeline as the service-level request lifecycle.
+// spans land on the same timeline as the service-level request lifecycle,
+// and the overlap report built from them — once, the one the document
+// embeds — is returned beside it for the windows and the anomaly engine.
 // A panic below here is a bug in a runner or a model, and it is reported as
 // the job's error: one request must not end the daemon's other jobs. A
 // session segment (req.segment) leaves its raw result on the request
 // instead of a document: its caller wants the final field, not JSON.
-func execute(ctx context.Context, req Request, rec *obs.Recorder, jobID string) (doc json.RawMessage, err error) {
+func execute(ctx context.Context, req Request, rec *obs.Recorder, jobID string) (doc json.RawMessage, rep *obs.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			doc, err = nil, fmt.Errorf("service: job %s panicked: %v", jobID, p)
+			doc, rep, err = nil, nil, fmt.Errorf("service: job %s panicked: %v", jobID, p)
 		}
 	}()
 	switch req.Type {
 	case TypeSimulate:
 		return executeSimulate(ctx, req.Simulate, rec, jobID)
 	case TypePredict:
-		return executePredict(ctx, req.Predict)
+		doc, err = executePredict(ctx, req.Predict)
 	case TypeExperiment:
-		return executeExperiment(ctx, req.Experiment)
+		doc, err = executeExperiment(ctx, req.Experiment)
 	case typeSegment:
 		seg := req.segment
 		seg.res, err = run(ctx, seg.kind, seg.p, seg.o)
-		return nil, err
+	default:
+		err = fmt.Errorf("service: unknown job type %q", req.Type)
 	}
-	return nil, fmt.Errorf("service: unknown job type %q", req.Type)
+	return doc, nil, err
 }
 
 // run is the one place the service enters a runner: a simulate job and a
@@ -92,16 +95,16 @@ func run(ctx context.Context, kind core.Kind, p core.Problem, o core.Options) (*
 	return r.Run(p, o)
 }
 
-func executeSimulate(ctx context.Context, sr *SimulateRequest, rec *obs.Recorder, jobID string) (json.RawMessage, error) {
+func executeSimulate(ctx context.Context, sr *SimulateRequest, rec *obs.Recorder, jobID string) (json.RawMessage, *obs.Report, error) {
 	kind, err := core.ParseKind(sr.Kind)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	o := sr.options()
 	o.Rec = rec
 	res, err := run(ctx, kind, sr.problem(), o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	doc := SimulateResult{
 		Kind:       kind.String(),
@@ -122,7 +125,7 @@ func executeSimulate(ctx context.Context, sr *SimulateRequest, rec *obs.Recorder
 	enc := rec.Begin(obs.RankService, -1, obs.PhaseResultEncode, "")
 	out, err := json.Marshal(doc)
 	enc.End()
-	return out, err
+	return out, doc.Overlap, err
 }
 
 func executePredict(ctx context.Context, pr *PredictRequest) (json.RawMessage, error) {

@@ -1,43 +1,32 @@
 package service
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 )
 
-// latencyBuckets are the histogram upper bounds in seconds. Predict jobs
-// land in the sub-millisecond buckets, functional simulations in the
-// right-hand ones; one shared layout keeps the Prometheus series
-// comparable across job types.
+// latencyBuckets are the upper bounds, in seconds, of the Prometheus
+// job_duration_seconds histogram. Predict jobs land in the sub-millisecond
+// buckets, functional simulations in the right-hand ones; one shared layout
+// keeps the series comparable across job types. The histogram is the
+// lifetime half of the exec windows, whose bounds (execBounds) contain
+// these.
 var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2, 10, 60}
 
-// Histogram is a fixed-bucket latency histogram (Prometheus semantics:
-// cumulative le buckets plus sum and count).
-type Histogram struct {
-	counts []uint64 // one per bucket, non-cumulative; last is +Inf
-	sum    float64
-	count  uint64
+// execBounds is DurationBounds ∪ latencyBuckets, sorted: fine enough for
+// the /v1/stats quantiles and exact at every /metrics bucket edge.
+func execBounds() []float64 {
+	b := append(telemetry.DurationBounds(), latencyBuckets...)
+	sort.Float64s(b)
+	return slices.Compact(b)
 }
 
-func newHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, len(latencyBuckets)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(sec float64) {
-	i := sort.SearchFloat64s(latencyBuckets, sec)
-	h.counts[i]++
-	h.sum += sec
-	h.count++
-}
-
-// HistogramSnapshot is the JSON view of a histogram: cumulative counts per
-// upper bound, plus sum and count.
+// HistogramSnapshot is the JSON view of a histogram (Prometheus semantics):
+// cumulative counts per upper bound, plus sum and count.
 type HistogramSnapshot struct {
 	Buckets []BucketCount `json:"buckets"`
 	Sum     float64       `json:"sum"`
@@ -50,11 +39,12 @@ type BucketCount struct {
 	Count uint64 `json:"count"`
 }
 
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Sum: h.sum, Count: h.count}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
+// histogramSnapshot reads an exec window's lifetime totals at the
+// latencyBuckets edges.
+func histogramSnapshot(w *telemetry.Window) HistogramSnapshot {
+	counts, sum := w.Cumulative(latencyBuckets)
+	s := HistogramSnapshot{Sum: sum, Count: counts[len(counts)-1]}
+	for i, cum := range counts {
 		le := "+Inf"
 		if i < len(latencyBuckets) {
 			le = strconv.FormatFloat(latencyBuckets[i], 'g', -1, 64)
@@ -64,75 +54,18 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Job outcomes tracked per type.
+// Job outcomes tracked per type, each a counter-only window of Telemetry.
 const (
 	outcomeSubmitted = "submitted"
-	outcomeRejected  = "rejected" // queue full (429)
+	outcomeRejected  = "rejected" // shed: queue full (429) or draining (503)
 	outcomeCached    = "cached"   // answered from the result cache
 	outcomeDone      = "done"
 	outcomeFailed    = "failed"
 	outcomeCancelled = "cancelled"
 )
 
-// Metrics aggregates the service counters: job outcomes and latency
-// histograms per job type. Queue, worker, and cache gauges are read live
-// from their owners at snapshot time.
-type Metrics struct {
-	mu      sync.Mutex
-	start   time.Time
-	jobs    map[string]map[string]uint64 // type -> outcome -> count
-	latency map[string]*Histogram        // type -> completed-job latency
-}
-
-// NewMetrics builds an empty registry.
-func NewMetrics(now time.Time) *Metrics {
-	return &Metrics{
-		start:   now,
-		jobs:    map[string]map[string]uint64{},
-		latency: map[string]*Histogram{},
-	}
-}
-
-// CountJob records one outcome for a job type.
-func (m *Metrics) CountJob(jobType, outcome string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o := m.jobs[jobType]
-	if o == nil {
-		o = map[string]uint64{}
-		m.jobs[jobType] = o
-	}
-	o[outcome]++
-}
-
-// ObserveLatency records the execution latency of a completed job.
-func (m *Metrics) ObserveLatency(jobType string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.latency[jobType]
-	if h == nil {
-		h = newHistogram()
-		m.latency[jobType] = h
-	}
-	h.Observe(d.Seconds())
-}
-
-// MeanLatency returns the mean completed-job latency across all types, for
-// the Retry-After estimate; ok is false before any job completes.
-func (m *Metrics) MeanLatency() (time.Duration, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum float64
-	var n uint64
-	for _, h := range m.latency {
-		sum += h.sum
-		n += h.count
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return time.Duration(sum / float64(n) * float64(time.Second)), true
-}
+var outcomes = []string{outcomeSubmitted, outcomeRejected, outcomeCached,
+	outcomeDone, outcomeFailed, outcomeCancelled}
 
 // QueueGauges is the live queue view in a snapshot.
 type QueueGauges struct {
@@ -158,7 +91,9 @@ func workerGauges(busy, total int) WorkerGauges {
 	return w
 }
 
-// Snapshot is the full metrics document served by /metrics.
+// Snapshot is the full metrics document served by /metrics: live gauges
+// plus the lifetime halves of the node's windows (Telemetry.Snapshot), so a
+// counter here and a rate in /v1/stats are one series.
 type Snapshot struct {
 	UptimeSec float64                      `json:"uptime_sec"`
 	Queue     QueueGauges                  `json:"queue"`
@@ -167,29 +102,6 @@ type Snapshot struct {
 	Latency   map[string]HistogramSnapshot `json:"latency_sec"`
 	Cache     CacheStats                   `json:"cache"`
 	Proc      telemetry.ProcStats          `json:"proc"`
-}
-
-// Snapshot assembles the document from the registry and the live gauges.
-func (m *Metrics) Snapshot(now time.Time, q QueueGauges, w WorkerGauges, c CacheStats) Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		UptimeSec: now.Sub(m.start).Seconds(),
-		Queue:     q, Workers: w, Cache: c,
-		Jobs:    map[string]map[string]uint64{},
-		Latency: map[string]HistogramSnapshot{},
-	}
-	for t, outcomes := range m.jobs {
-		cp := map[string]uint64{}
-		for o, n := range outcomes {
-			cp[o] = n
-		}
-		s.Jobs[t] = cp
-	}
-	for t, h := range m.latency {
-		s.Latency[t] = h.snapshot()
-	}
-	return s
 }
 
 // Prometheus renders the snapshot in the Prometheus text exposition

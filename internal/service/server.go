@@ -113,22 +113,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Server assembles the stages: handlers admit jobs into the queue, the
-// pool executes them, the store and cache deliver results, and metrics
-// watch all of it. Construct with New, expose via Handler, stop with
-// Shutdown.
+// pool executes them, the store and cache deliver results, and the
+// telemetry windows watch all of it. Construct with New, expose via
+// Handler, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	log     *slog.Logger
-	store   *Store
-	queue   *Queue
-	cache   *Cache
-	metrics *Metrics
-	tele    *Telemetry
-	hub     *telemetry.Hub
-	pool    *Pool
-	mux     *http.ServeMux
-	flight  *flight.Recorder
-	engine  *flight.Engine
+	cfg    Config
+	log    *slog.Logger
+	store  *Store
+	queue  *Queue
+	cache  *Cache
+	tele   *Telemetry
+	hub    *telemetry.Hub
+	pool   *Pool
+	mux    *http.ServeMux
+	flight *flight.Recorder
+	engine *flight.Engine
 
 	// sessions and sessStore are the resumable-session subsystem (nil when
 	// Config.SessionDir is empty); warmer is the speculative sweep
@@ -156,17 +155,17 @@ func New(cfg Config) *Server {
 		store:      NewStore(cfg.NodeID),
 		queue:      NewQueue(cfg.QueueCap),
 		cache:      NewCache(cfg.CacheEntries),
-		metrics:    NewMetrics(time.Now()),
-		tele:       NewTelemetry(cfg.StatsWindow, cfg.QueueCap),
+		tele:       NewTelemetry(time.Now(), cfg.StatsWindow, cfg.QueueCap),
 		hub:        telemetry.NewHub(),
 		baseCtx:    ctx,
 		cancelJobs: cancel,
 	}
 	if cfg.FlightEvents >= 0 {
-		// The flight recorder tees the node's own logger so the ring
-		// retains recent log history alongside job/stats/anomaly records;
-		// the engine watches jobs and windows, surfacing firings on the
-		// live stream and freezing the ring for the postmortem bundle.
+		// The flight recorder tees the node's own logger: a job or session
+		// transition enters the ring once, as its log line, beside the
+		// span/stats/anomaly records; the engine judges traced jobs and the
+		// telemetry windows, surfacing firings on the live stream and
+		// freezing the ring for the postmortem bundle.
 		s.flight = flight.NewRecorder(cfg.FlightEvents)
 		s.log = slog.New(flight.TeeHandler(s.flight, cfg.Logger.Handler()))
 		s.engine = flight.NewEngine(cfg.FlightRules, s.flight)
@@ -240,9 +239,10 @@ const (
 	statsEveryNSweeps   = 15
 )
 
-// sweepLoop periodically evaluates the windowed anomaly rules and drops a
-// stats heartbeat into the flight ring, until the server's root context is
-// cancelled at the end of a drain.
+// sweepLoop periodically hands the windowed anomaly rules the exec and shed
+// windows of the /v1/stats document and drops a stats heartbeat into the
+// flight ring, until the server's root context is cancelled at the end of a
+// drain.
 func (s *Server) sweepLoop() {
 	tick := time.NewTicker(flightSweepInterval)
 	defer tick.Stop()
@@ -252,11 +252,13 @@ func (s *Server) sweepLoop() {
 		case <-s.baseCtx.Done():
 			return
 		case now := <-tick.C:
-			s.engine.Sweep(now)
+			q, w := s.gauges()
+			st := s.tele.Stats(now, q, w)
+			s.engine.Sweep(now, st.Exec, st.Shed)
 			n++
 			if n%statsEveryNSweeps == 0 {
 				s.flight.Stats(now, fmt.Sprintf("queue %d/%d busy %d/%d",
-					s.queue.Depth(), s.queue.Cap(), s.pool.Busy(), s.pool.Workers()))
+					q.Depth, q.Capacity, w.Busy, w.Total))
 			}
 		}
 	}
@@ -293,9 +295,9 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 	if err := req.Validate(s.cfg.Limits); err != nil {
 		return nil, &RequestError{Err: err}
 	}
+	now := time.Now()
 	if s.draining.Load() {
-		s.metrics.CountJob(req.Type, outcomeRejected)
-		s.engine.ObserveShed(time.Now())
+		s.tele.Count(now, req.Type, outcomeRejected)
 		args := []any{"type", req.Type, "reason", "draining"}
 		if tc != nil && tc.TraceID != "" {
 			args = append(args, "trace_id", tc.TraceID)
@@ -303,7 +305,6 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 		s.log.Warn("job shed", args...)
 		return nil, ErrDraining
 	}
-	now := time.Now()
 	j := newJob(s.store.NewID(), req, s.baseCtx, now)
 	if tc != nil && j.rec != nil {
 		j.traceID = tc.TraceID
@@ -318,8 +319,8 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 		j.rec = nil
 		j.completeFromCache(doc, now)
 		s.store.Add(j)
-		s.metrics.CountJob(req.Type, outcomeSubmitted)
-		s.metrics.CountJob(req.Type, outcomeCached)
+		s.tele.Count(now, req.Type, outcomeSubmitted)
+		s.tele.Count(now, req.Type, outcomeCached)
 		warmed := s.warmer.WasWarmed(j.cacheKey) // counts a warmer hit
 		s.log.Info("job submitted", jobArgs(j, "cache_hit", true, "warmed", warmed)...)
 		s.publishJob(j)
@@ -331,14 +332,13 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 	j.queuedAt = j.rec.Clock()
 	j.rec.Add(obs.RankService, -1, obs.PhaseHTTPReceive, "", 0, j.queuedAt)
 	if !s.queue.TryPush(j) {
-		s.metrics.CountJob(req.Type, outcomeRejected)
-		s.engine.ObserveShed(now)
+		s.tele.Count(now, req.Type, outcomeRejected)
 		s.log.Warn("job shed", jobArgs(j, "reason", "queue full",
 			"queue_depth", s.queue.Depth())...)
 		return nil, ErrQueueFull
 	}
 	s.store.Add(j)
-	s.metrics.CountJob(req.Type, outcomeSubmitted)
+	s.tele.Count(now, req.Type, outcomeSubmitted)
 	s.tele.RecordDepth(now, s.queue.Depth())
 	s.log.Info("job submitted", jobArgs(j, "cache_hit", false)...)
 	s.publishJob(j)
@@ -346,11 +346,10 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 	return j, nil
 }
 
-// publishJob emits a job lifecycle event on the live stream and the
-// flight ring.
+// publishJob emits a job lifecycle event on the live stream. The flight
+// ring's record of the transition is the log line its caller writes.
 func (s *Server) publishJob(j *Job) {
 	v := j.View()
-	s.flight.Job(time.Now(), v.ID, v.TraceID, string(v.State))
 	data, err := json.Marshal(map[string]any{
 		"id": v.ID, "type": v.Type, "state": v.State,
 	})
@@ -369,7 +368,7 @@ func (s *Server) runJob(j *Job) {
 		// Cancelled while queued: the job never ran, so it gets no exec
 		// span and feeds no latency window — only the outcome counter and
 		// the terminal-state event the poller and the stream both see.
-		s.metrics.CountJob(j.req.Type, outcomeCancelled)
+		s.tele.Count(claimed, j.req.Type, outcomeCancelled)
 		if j.background {
 			s.releaseWarm(j.cacheKey)
 			s.warmer.NoteShed()
@@ -389,29 +388,29 @@ func (s *Server) runJob(j *Job) {
 	s.log.Info("job started", jobArgs(j, "background", j.background)...)
 	start := time.Now()
 	exec := j.rec.Begin(obs.RankService, -1, obs.PhaseWorkerExec, "")
-	doc, err := execute(j.ctx, j.req, j.rec, j.id)
+	doc, rep, err := execute(j.ctx, j.req, j.rec, j.id)
 	exec.End()
-	s.land(j, doc, err, time.Since(start))
+	s.land(j, doc, rep, err, time.Since(start))
 }
 
 // land brings a unit of work that ran to rest, and is the one place that
 // decides what each kind of work feeds:
 //
-//   - an interactive job: the result cache, the outcome counter and latency
-//     histogram, the exec / points / overlap windows and the anomaly engine
-//     (observe), and a job event on the stream;
+//   - an interactive job: the result cache, the outcome window, the exec /
+//     points / overlap windows and the anomaly engine (observe), and a job
+//     event on the stream;
 //   - a warmer pre-execution: the cache and the warmer (so the matching
-//     interactive submission counts as a warmer hit), the outcome counter
+//     interactive submission counts as a warmer hit), the outcome window
 //     and a job event — never the interactive windows or the engine;
-//   - a session segment: the "segment" outcome counter, histogram and exec
-//     window, the points window and the engine — never the cache, and no job
-//     event (the session manager publishes its own); its result and error go
-//     back to the runner waiting in runSegment.
+//   - a session segment: the "segment" outcome and exec windows and the
+//     points window — never the cache, and no job event (the session
+//     manager publishes its own); its result and error go back to the
+//     runner waiting in runSegment.
 //
 // The terminal state is published last: a client that has seen it may read
-// /v1/stats, /metrics or resubmit at once, and must find its own work
-// counted and its result cached.
-func (s *Server) land(j *Job, doc json.RawMessage, err error, elapsed time.Duration) {
+// /v1/stats, /metrics, the debug bundle or resubmit at once, and must find
+// its own work counted, logged in the flight ring and its result cached.
+func (s *Server) land(j *Job, doc json.RawMessage, rep *obs.Report, err error, elapsed time.Duration) {
 	now := time.Now()
 	seg := j.req.segment
 	state, outcome, level, errMsg := StateDone, outcomeDone, slog.LevelInfo, ""
@@ -421,7 +420,7 @@ func (s *Server) land(j *Job, doc json.RawMessage, err error, elapsed time.Durat
 			state, outcome, level = StateCancelled, outcomeCancelled, slog.LevelInfo
 		}
 	}
-	s.metrics.CountJob(j.req.Type, outcome)
+	s.tele.Count(now, j.req.Type, outcome)
 	if j.background {
 		s.releaseWarm(j.cacheKey)
 		if state == StateCancelled {
@@ -435,10 +434,9 @@ func (s *Server) land(j *Job, doc json.RawMessage, err error, elapsed time.Durat
 		if j.background {
 			s.warmer.MarkWarmed(j.cacheKey)
 		} else {
-			s.observe(now, j, elapsed)
+			s.observe(now, j, rep, elapsed)
 		}
 	}
-	j.finish(state, doc, errMsg, now)
 	args := jobArgs(j, "state", state, "duration", elapsed)
 	if j.background {
 		args = append(args, "background", true)
@@ -447,6 +445,7 @@ func (s *Server) land(j *Job, doc json.RawMessage, err error, elapsed time.Durat
 		args = append(args, "error", err)
 	}
 	s.log.Log(j.ctx, level, "job finished", args...)
+	j.finish(state, doc, errMsg, now)
 	if seg != nil {
 		seg.err = err
 		close(seg.done)
@@ -455,35 +454,30 @@ func (s *Server) land(j *Job, doc json.RawMessage, err error, elapsed time.Durat
 	s.publishJob(j)
 }
 
-// observe feeds one successfully finished interactive job or segment to the
-// latency histogram, the rolling windows and the anomaly engine — with the
-// grid-point updates of work that integrated a grid, the shape parameters
-// the model-drift rule scores against the perf model, and the traced report
-// (untraced work has none) the straggler and drift rules read.
-func (s *Server) observe(now time.Time, j *Job, elapsed time.Duration) {
+// observe feeds one successfully finished interactive job or segment to
+// its windows: the exec window of its type, the grid-point updates of work
+// that integrated a grid, and — for a traced run — the overlap windows, a
+// span record in the flight ring and the engine's straggler and drift
+// rules, all from rep, the one report the run built and its result embeds.
+func (s *Server) observe(now time.Time, j *Job, rep *obs.Report, elapsed time.Duration) {
 	typ := j.req.Type
-	s.metrics.ObserveLatency(typ, elapsed)
 	s.tele.RecordExec(now, typ, elapsed)
-	sample := flight.JobSample{JobID: j.id, TraceID: j.traceID, Type: typ, Elapsed: elapsed}
+	sr := j.req.Simulate
 	if seg := j.req.segment; seg != nil {
 		s.tele.RecordPoints(now, float64(seg.p.N.Volume())*float64(seg.p.Steps))
-		sample.Kind, sample.N, sample.Tasks, sample.Threads = seg.kind.String(), seg.p.N.X, seg.o.Tasks, seg.o.Threads
-	} else if sr := j.req.Simulate; typ == TypeSimulate {
+	} else if typ == TypeSimulate {
 		n := float64(sr.N)
 		s.tele.RecordPoints(now, n*n*n*float64(sr.Steps))
-		sample.Kind, sample.N, sample.Tasks, sample.Threads = sr.Kind, sr.N, sr.Tasks, sr.Threads
 	}
-	if j.rec != nil {
-		// The pair totals here match the report embedded in the result
-		// document exactly: the service-level spans recorded since are
-		// not part of any overlap pair.
-		rep := obs.BuildReport(j.rec.Spans())
-		sample.Report = &rep
-		s.tele.RecordOverlap(now, &rep)
-		s.flight.Span(now, j.id, j.traceID,
-			fmt.Sprintf("%d spans over %d ranks", rep.Spans, len(rep.Ranks)))
+	if rep == nil {
+		return
 	}
-	s.engine.ObserveJob(now, sample)
+	// Only a simulate job is traced, so sr is its request.
+	s.tele.RecordOverlap(now, rep)
+	s.flight.Span(now, j.id, j.traceID,
+		fmt.Sprintf("%d spans over %d ranks", rep.Spans, len(rep.Ranks)))
+	s.engine.ObserveJob(now, flight.JobSample{JobID: j.id, TraceID: j.traceID, Report: rep,
+		Kind: sr.Kind, N: sr.N, Tasks: sr.Tasks, Threads: sr.Threads})
 }
 
 // runSegment is the session.Runner the manager is given: a segment is a
@@ -506,13 +500,10 @@ func (s *Server) runSegment(ctx context.Context, kind core.Kind, p core.Problem,
 
 // RetryAfter estimates how long a rejected client should wait: the queue
 // is full, so roughly one queue's worth of work per pool, using the mean
-// completed-job latency (1s before any job completes), clamped to [1, 60]
+// execution latency (1s before any job completes), clamped to [1, 60]
 // seconds.
 func (s *Server) RetryAfter() time.Duration {
-	mean, ok := s.metrics.MeanLatency()
-	if !ok {
-		mean = time.Second
-	}
+	mean := s.tele.MeanExec(time.Second)
 	wait := time.Duration(float64(mean) * float64(s.queue.Depth()+1) / float64(s.pool.Workers()))
 	return min(max(wait, time.Second), time.Minute)
 }
@@ -527,7 +518,7 @@ func (s *Server) gauges() (QueueGauges, WorkerGauges) {
 // fresh process-health reading.
 func (s *Server) MetricsSnapshot() Snapshot {
 	q, w := s.gauges()
-	snap := s.metrics.Snapshot(time.Now(), q, w, s.cache.Stats())
+	snap := s.tele.Snapshot(time.Now(), q, w, s.cache.Stats())
 	snap.Proc = telemetry.ReadProc()
 	return snap
 }

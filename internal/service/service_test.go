@@ -693,7 +693,7 @@ func TestInfeasiblePredictFailsJob(t *testing.T) {
 // TestExecuteRecoversPanic: a panic below execute is a bug, but it must
 // cost one job, not the process.
 func TestExecuteRecoversPanic(t *testing.T) {
-	_, err := execute(context.Background(), Request{Type: TypePredict}, nil, "job-x")
+	_, _, err := execute(context.Background(), Request{Type: TypePredict}, nil, "job-x")
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("execute on a request with no body: err = %v, want a recovered panic", err)
 	}

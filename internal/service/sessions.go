@@ -302,13 +302,11 @@ const (
 )
 
 // publishSession fans one session lifecycle event out to the live SSE
-// stream and the flight ring, and feeds recoveries to the anomaly engine's
-// resume-loop rule.
+// stream and feeds recoveries to the anomaly engine's resume-loop rule. The
+// flight ring's record of the event is the manager's log line.
 func (s *Server) publishSession(ev session.Event) {
-	now := time.Now()
-	s.flight.Job(now, ev.Session.ID, ev.Session.TraceID, ev.Type)
 	if ev.Type == session.EventRecovered || ev.Type == session.EventResumed {
-		s.engine.ObserveResume(now, ev.Session.ID, ev.Session.DoneSteps)
+		s.engine.ObserveResume(time.Now(), ev.Session.ID, ev.Session.DoneSteps)
 	}
 	data, err := json.Marshal(ev)
 	if err != nil {
@@ -394,7 +392,8 @@ func (s *Server) submitBackground(req Request) {
 		s.warmer.NoteShed()
 		return
 	}
-	j := newJob(s.store.NewID(), req, s.baseCtx, time.Now())
+	now := time.Now()
+	j := newJob(s.store.NewID(), req, s.baseCtx, now)
 	j.background = true
 	if !s.queue.TryPushBackground(j) {
 		s.releaseWarm(key)
@@ -402,7 +401,7 @@ func (s *Server) submitBackground(req Request) {
 		return
 	}
 	s.store.Add(j)
-	s.metrics.CountJob(req.Type, outcomeSubmitted)
+	s.tele.Count(now, req.Type, outcomeSubmitted)
 	s.log.Info("job submitted", jobArgs(j, "background", true)...)
 	s.publishJob(j)
 }

@@ -9,30 +9,35 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Telemetry aggregates the service's rolling time-series: queue behavior,
-// per-type execution latency, overlap efficiency of traced runs, and grid
-// throughput, all over the last Config.StatsWindow seconds. It backs
-// GET /v1/stats and the SSE stream; unlike Metrics (cumulative counters for
-// Prometheus scraping), everything here ages out as the window rolls.
+// Telemetry is the node's one set of series: a window per quantity — job
+// outcomes, queue behavior, per-type execution latency, overlap efficiency
+// of traced runs, grid throughput. The rolling halves (the last
+// Config.StatsWindow seconds) are GET /v1/stats, the SSE stream and what the
+// anomaly engine's windowed rules judge; the lifetime halves are the
+// counters and histograms of GET /metrics (Snapshot).
 type Telemetry struct {
 	window time.Duration
+	start  time.Time
 
-	depth     *telemetry.Window            // queue depth sampled at submit/claim
-	queueWait *telemetry.Window            // seconds from submit to worker claim
-	exec      map[string]*telemetry.Window // per-type execution seconds (job types + "segment")
-	frac      *telemetry.Window            // per-job hidden-communication fraction
-	comm      *telemetry.Window            // per-job communication seconds
-	hidden    *telemetry.Window            // per-job overlapped seconds
-	points    *telemetry.Window            // per-job grid-point updates
+	outcomes  map[string]map[string]*telemetry.Window // type → outcome → counter
+	depth     *telemetry.Window                       // queue depth sampled at submit/claim
+	queueWait *telemetry.Window                       // seconds from submit to worker claim
+	exec      map[string]*telemetry.Window            // per-type execution seconds (job types + "segment")
+	frac      *telemetry.Window                       // per-job hidden-communication fraction
+	comm      *telemetry.Window                       // per-job communication seconds
+	hidden    *telemetry.Window                       // per-job overlapped seconds
+	points    *telemetry.Window                       // per-job grid-point updates
 }
 
 // NewTelemetry sizes every window to span, split into 60 buckets (so a
-// 60-second window rolls in one-second steps).
-func NewTelemetry(span time.Duration, queueCap int) *Telemetry {
+// 60-second window rolls in one-second steps); start is the uptime epoch.
+func NewTelemetry(start time.Time, span time.Duration, queueCap int) *Telemetry {
 	bucket := span / 60
 	dur := telemetry.DurationBounds()
 	t := &Telemetry{
 		window:    span,
+		start:     start,
+		outcomes:  map[string]map[string]*telemetry.Window{},
 		depth:     telemetry.NewWindow(span, bucket, telemetry.LinearBounds(float64(queueCap), 16)),
 		queueWait: telemetry.NewWindow(span, bucket, dur),
 		exec:      map[string]*telemetry.Window{},
@@ -41,34 +46,35 @@ func NewTelemetry(span time.Duration, queueCap int) *Telemetry {
 		hidden:    telemetry.NewWindow(span, bucket, nil),
 		points:    telemetry.NewWindow(span, bucket, nil),
 	}
+	execB := execBounds()
 	for _, typ := range append(Types(), typeSegment) {
-		t.exec[typ] = telemetry.NewWindow(span, bucket, dur)
+		t.exec[typ] = telemetry.NewWindow(span, bucket, execB)
+		t.outcomes[typ] = map[string]*telemetry.Window{}
+		for _, o := range outcomes {
+			t.outcomes[typ][o] = telemetry.NewWindow(span, bucket, nil)
+		}
 	}
 	return t
+}
+
+// Count records one outcome of one unit of work of the given type.
+func (t *Telemetry) Count(now time.Time, typ, outcome string) {
+	t.outcomes[typ][outcome].Observe(now, 1)
 }
 
 // RecordDepth samples the queue depth (called on submit and claim, the two
 // moments it changes).
 func (t *Telemetry) RecordDepth(now time.Time, depth int) {
-	if t == nil {
-		return
-	}
 	t.depth.Observe(now, float64(depth))
 }
 
 // RecordQueueWait records the submit→claim latency of one job.
 func (t *Telemetry) RecordQueueWait(now time.Time, wait time.Duration) {
-	if t == nil {
-		return
-	}
 	t.queueWait.Observe(now, wait.Seconds())
 }
 
 // RecordExec records one job's execution latency under its type.
 func (t *Telemetry) RecordExec(now time.Time, typ string, d time.Duration) {
-	if t == nil {
-		return
-	}
 	t.exec[typ].Observe(now, d.Seconds())
 }
 
@@ -77,9 +83,6 @@ func (t *Telemetry) RecordExec(now time.Time, typ string, d time.Duration) {
 // fraction. Sums over the window therefore agree exactly with the per-job
 // post-hoc reports they came from.
 func (t *Telemetry) RecordOverlap(now time.Time, rep *obs.Report) {
-	if t == nil || rep == nil {
-		return
-	}
 	var comm, hidden float64
 	for _, p := range rep.Total {
 		comm += p.CommSec
@@ -96,10 +99,50 @@ func (t *Telemetry) RecordOverlap(now time.Time, rep *obs.Report) {
 // simulate job or session segment, the service-level analog of the paper's
 // per-run GF metric.
 func (t *Telemetry) RecordPoints(now time.Time, points float64) {
-	if t == nil {
-		return
-	}
 	t.points.Observe(now, points)
+}
+
+// MeanExec is the lifetime mean execution latency across all types, for
+// the Retry-After estimate; before any work completes it is fallback.
+func (t *Telemetry) MeanExec(fallback time.Duration) time.Duration {
+	var sum float64
+	var n uint64
+	for _, w := range t.exec {
+		c, s := w.Total()
+		n, sum = n+c, sum+s
+	}
+	if n == 0 {
+		return fallback
+	}
+	return time.Duration(sum / float64(n) * float64(time.Second))
+}
+
+// Snapshot assembles the /metrics document from the live gauges and the
+// lifetime halves of the outcome and exec windows. An outcome that never
+// happened and a type that never finished work have no series.
+func (t *Telemetry) Snapshot(now time.Time, q QueueGauges, w WorkerGauges, c CacheStats) Snapshot {
+	s := Snapshot{
+		UptimeSec: now.Sub(t.start).Seconds(),
+		Queue:     q, Workers: w, Cache: c,
+		Jobs:    map[string]map[string]uint64{},
+		Latency: map[string]HistogramSnapshot{},
+	}
+	for typ, byOutcome := range t.outcomes {
+		for o, win := range byOutcome {
+			if n, _ := win.Total(); n > 0 {
+				if s.Jobs[typ] == nil {
+					s.Jobs[typ] = map[string]uint64{}
+				}
+				s.Jobs[typ][o] = n
+			}
+		}
+	}
+	for typ, win := range t.exec {
+		if h := histogramSnapshot(win); h.Count > 0 {
+			s.Latency[typ] = h
+		}
+	}
+	return s
 }
 
 // OverlapWindow is the rolling view of overlap efficiency across the traced
@@ -128,8 +171,11 @@ type TelemetryStats struct {
 	QueueDepth telemetry.Stats            `json:"queue_depth"`
 	QueueWait  telemetry.Stats            `json:"queue_wait"`
 	Exec       map[string]telemetry.Stats `json:"exec"`
-	Overlap    OverlapWindow              `json:"overlap"`
-	Points     telemetry.Stats            `json:"points"`
+	// Shed is the window of shed admissions (429 queue-full, 503 draining),
+	// all types together: the series the shed-burst rule judges.
+	Shed    telemetry.Stats `json:"shed"`
+	Overlap OverlapWindow   `json:"overlap"`
+	Points  telemetry.Stats `json:"points"`
 	// PointsPerSec is window throughput: grid-point updates per second.
 	PointsPerSec float64 `json:"points_per_sec"`
 	// Anomalies summarizes the flight anomaly engine (nil when flight is
@@ -148,30 +194,22 @@ type TelemetryStats struct {
 // Stats snapshots every window at now.
 func (t *Telemetry) Stats(now time.Time, q QueueGauges, w WorkerGauges) TelemetryStats {
 	s := TelemetryStats{
-		Now: now, Queue: q, Workers: w,
-		Exec: map[string]telemetry.Stats{},
+		Now: now, Queue: q, Workers: w, WindowSec: t.window.Seconds(),
+		QueueDepth: t.depth.Stats(now), QueueWait: t.queueWait.Stats(now),
+		Exec: map[string]telemetry.Stats{}, Points: t.points.Stats(now),
 	}
-	if t == nil {
-		return s
-	}
-	s.WindowSec = t.window.Seconds()
-	s.QueueDepth = t.depth.Stats(now)
-	s.QueueWait = t.queueWait.Stats(now)
 	for typ, w := range t.exec {
 		s.Exec[typ] = w.Stats(now)
+		s.Shed = telemetry.Merge(s.Shed, t.outcomes[typ][outcomeRejected].Stats(now))
 	}
-	commStats := t.comm.Stats(now)
-	hiddenStats := t.hidden.Stats(now)
+	comm := t.comm.Stats(now)
 	s.Overlap = OverlapWindow{
-		Jobs:      commStats.Count,
-		CommSec:   commStats.Sum,
-		HiddenSec: hiddenStats.Sum,
-		PerJob:    t.frac.Stats(now),
+		Jobs: comm.Count, CommSec: comm.Sum,
+		HiddenSec: t.hidden.Stats(now).Sum, PerJob: t.frac.Stats(now),
 	}
 	if s.Overlap.CommSec > 0 {
 		s.Overlap.Fraction = s.Overlap.HiddenSec / s.Overlap.CommSec
 	}
-	s.Points = t.points.Stats(now)
 	s.PointsPerSec = s.Points.SumPerSec
 	return s
 }
@@ -204,6 +242,7 @@ func (a TelemetryStats) Merge(b TelemetryStats) TelemetryStats {
 	for typ, s := range b.Exec {
 		out.Exec[typ] = telemetry.Merge(out.Exec[typ], s)
 	}
+	out.Shed = telemetry.Merge(a.Shed, b.Shed)
 	out.Overlap = OverlapWindow{
 		Jobs:      a.Overlap.Jobs + b.Overlap.Jobs,
 		CommSec:   a.Overlap.CommSec + b.Overlap.CommSec,

@@ -1,10 +1,10 @@
 package telemetry
 
 // Merge combines two window snapshots into the federated view a cluster
-// gateway reports: counts and sums add exactly (so cluster totals still
-// agree with the per-job reports they came from, the same invariant the
-// per-node overlap window keeps), the max is the max, and rates re-derive
-// from the merged totals. Quantiles cannot be merged exactly from
+// gateway reports: counts and sums — windowed and lifetime — add exactly
+// (so cluster totals still agree with the per-job reports they came from,
+// the same invariant the per-node overlap window keeps), the max is the
+// max, and rates re-derive from the merged totals. Quantiles cannot be merged exactly from
 // snapshots — the underlying histograms are gone — so P50/P95/P99 are
 // estimated as count-weighted means of the per-node estimates. That is
 // exact when the nodes saw identical distributions (the common case under
@@ -15,17 +15,22 @@ package telemetry
 // Snapshots are assumed to cover the same span; if they differ (mixed
 // -window flags), the wider span wins and rates stay conservative.
 func Merge(a, b Stats) Stats {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
+	totalCount, totalSum := a.TotalCount+b.TotalCount, a.TotalSum+b.TotalSum
+	if a.Count == 0 || b.Count == 0 {
+		// An empty window contributes its lifetime totals and nothing else.
+		if a.Count == 0 {
+			a = b
+		}
+		a.TotalCount, a.TotalSum = totalCount, totalSum
 		return a
 	}
 	out := Stats{
-		WindowSec: a.WindowSec,
-		Count:     a.Count + b.Count,
-		Sum:       a.Sum + b.Sum,
-		Max:       a.Max,
+		WindowSec:  a.WindowSec,
+		Count:      a.Count + b.Count,
+		Sum:        a.Sum + b.Sum,
+		Max:        a.Max,
+		TotalCount: totalCount,
+		TotalSum:   totalSum,
 	}
 	if b.WindowSec > out.WindowSec {
 		out.WindowSec = b.WindowSec
@@ -43,18 +48,5 @@ func Merge(a, b Stats) Stats {
 	out.P50 = wa*a.P50 + wb*b.P50
 	out.P95 = wa*a.P95 + wb*b.P95
 	out.P99 = wa*a.P99 + wb*b.P99
-	return out
-}
-
-// MergeAll folds a list of snapshots with Merge.
-func MergeAll(stats ...Stats) Stats {
-	var out Stats
-	for i, s := range stats {
-		if i == 0 {
-			out = s
-			continue
-		}
-		out = Merge(out, s)
-	}
 	return out
 }

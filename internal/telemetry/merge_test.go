@@ -84,7 +84,7 @@ func TestMergeMatchesCombinedWindow(t *testing.T) {
 		}
 	}
 	at := now.Add(6 * time.Second)
-	m := MergeAll(wa.Stats(at), wb.Stats(at))
+	m := Merge(wa.Stats(at), wb.Stats(at))
 	c := combined.Stats(at)
 	if m.Count != c.Count || m.Max != c.Max {
 		t.Errorf("merged (count=%d max=%v) != combined (count=%d max=%v)",
@@ -103,8 +103,25 @@ func TestMergeMatchesCombinedWindow(t *testing.T) {
 	}
 }
 
-func TestMergeAllEmpty(t *testing.T) {
-	if got := MergeAll(); got != (Stats{}) {
-		t.Errorf("MergeAll() = %+v, want zero", got)
+// TestMergeAddsLifetimeTotals: the lifetime halves add whether or not a
+// side still has anything inside its window — a node whose jobs have all
+// aged out still contributes the jobs it ever ran to the cluster counter.
+func TestMergeAddsLifetimeTotals(t *testing.T) {
+	live := Stats{WindowSec: 60, Count: 2, Sum: 4, TotalCount: 10, TotalSum: 20}
+	aged := Stats{WindowSec: 60, TotalCount: 7, TotalSum: 3.5}
+	for _, m := range []Stats{Merge(live, aged), Merge(aged, live)} {
+		if m.TotalCount != 17 || m.TotalSum != 23.5 {
+			t.Errorf("totals = %d/%v, want 17/23.5", m.TotalCount, m.TotalSum)
+		}
+		if m.Count != 2 || m.Sum != 4 {
+			t.Errorf("windowed half = %d/%v, want the live side's 2/4", m.Count, m.Sum)
+		}
+	}
+	other := Stats{WindowSec: 60, Count: 1, Sum: 1, TotalCount: 1, TotalSum: 1}
+	if m := Merge(live, other); m.TotalCount != 11 || m.TotalSum != 21 || m.Count != 3 {
+		t.Errorf("two live sides: %+v", m)
+	}
+	if m := Merge(aged, aged); m.TotalCount != 14 || m.Count != 0 {
+		t.Errorf("two aged sides: %+v", m)
 	}
 }

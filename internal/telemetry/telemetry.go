@@ -1,13 +1,15 @@
-// Package telemetry provides the rolling time-series primitives behind the
-// advectd live endpoints (/v1/stats and /v1/stream): fixed-size ring-buffer
+// Package telemetry provides the time-series primitives behind the advectd
+// endpoints (/metrics, /v1/stats and /v1/stream): fixed-size ring-buffer
 // windows whose buckets carry streaming histograms, so the service can
 // report counts, rates, means, and p50/p95/p99 quantiles over the last N
-// seconds without ever storing individual observations.
+// seconds without ever storing individual observations — and, from the
+// lifetime totals the same windows keep, its cumulative counters and
+// histograms.
 //
 // The hot path is deliberately boring: Observe touches one preallocated
-// ring frame under a mutex and allocates nothing (asserted by
-// TestWindowObserveAllocatesNothing and the ci.sh overhead gate against
-// BENCH_guards.json). Like *obs.Recorder, a nil *Window is a valid
+// ring frame and the lifetime frame under a mutex and allocates nothing
+// (asserted by TestWindowObserveAllocatesNothing and the two ci.sh ns
+// gates against BENCH_guards.json). Like *obs.Recorder, a nil *Window is a valid
 // disabled window on which every method no-ops, so instrumented code never
 // branches on an "enabled" flag.
 package telemetry
@@ -18,15 +20,19 @@ import (
 	"time"
 )
 
-// Window is a rolling time window: a ring of equal-width time buckets, each
-// accumulating a count, a sum, a max, and (when bounds are configured) a
-// fixed-bucket value histogram. Observations older than the window fall out
-// as the ring rotates; nothing is ever reallocated after construction.
+// Window is the one accumulator a quantity has. Its rolling half is a ring
+// of equal-width time buckets, each accumulating a count, a sum, a max, and
+// (when bounds are configured) a fixed-bucket value histogram; observations
+// older than the window fall out as the ring rotates. Its lifetime half is
+// one more frame that never rotates, fed by the same Observe, so a
+// cumulative counter is a window's Total and a Prometheus histogram is its
+// Cumulative buckets. Nothing is ever reallocated after construction.
 type Window struct {
 	mu     sync.Mutex
 	width  int64     // bucket width in nanoseconds
 	bounds []float64 // histogram upper bounds; empty = counter-only
 	frames []frame
+	total  frame    // every observation since construction (slot, max unused)
 	merged []uint64 // scratch for quantile merging, reused under mu
 }
 
@@ -56,17 +62,21 @@ func NewWindow(span, bucket time.Duration, bounds []float64) *Window {
 		frames: make([]frame, n),
 		merged: make([]uint64, len(bounds)+1),
 	}
-	// One backing slab for every frame's histogram counts.
-	slab := make([]uint64, n*(len(bounds)+1))
+	// One backing slab for every frame's histogram counts, the lifetime
+	// frame's last.
+	k := len(bounds) + 1
+	slab := make([]uint64, (n+1)*k)
 	for i := range w.frames {
 		w.frames[i].slot = -1
-		w.frames[i].counts = slab[i*(len(bounds)+1) : (i+1)*(len(bounds)+1)]
+		w.frames[i].counts = slab[i*k : (i+1)*k]
 	}
+	w.total.counts = slab[n*k:]
 	return w
 }
 
-// Observe records one value at the given time. On a nil window it is a
-// no-op; on an enabled window it is allocation-free.
+// Observe records one value at the given time, in the ring frame of that
+// instant and in the lifetime totals. On a nil window it is a no-op; on an
+// enabled window it is allocation-free.
 //
 //advect:hotpath
 func (w *Window) Observe(now time.Time, v float64) {
@@ -74,6 +84,7 @@ func (w *Window) Observe(now time.Time, v float64) {
 		return
 	}
 	slot := now.UnixNano() / w.width
+	b := sort.SearchFloat64s(w.bounds, v) // 0 in a counter-only window
 	w.mu.Lock()
 	f := &w.frames[int(slot%int64(len(w.frames)))]
 	if f.slot != slot {
@@ -88,10 +99,43 @@ func (w *Window) Observe(now time.Time, v float64) {
 	if v > f.max {
 		f.max = v
 	}
-	if len(w.bounds) > 0 {
-		f.counts[sort.SearchFloat64s(w.bounds, v)]++
-	}
+	f.counts[b]++
+	w.total.count++
+	w.total.sum += v
+	w.total.counts[b]++
 	w.mu.Unlock()
+}
+
+// Total returns the lifetime count and sum: every observation since
+// construction, the ones the ring has rolled past included.
+func (w *Window) Total() (count uint64, sum float64) {
+	if w == nil {
+		return 0, 0
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.total.count, w.total.sum
+}
+
+// Cumulative returns the lifetime histogram in Prometheus form, read under
+// one lock: for each upper bound in le (each one of the window's bounds) how
+// many observations were at or below it, then the +Inf entry, the lifetime
+// count; and the lifetime sum.
+func (w *Window) Cumulative(le []float64) (counts []uint64, sum float64) {
+	if w == nil {
+		return nil, 0
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	counts = make([]uint64, 0, len(le)+1)
+	for _, l := range le {
+		var cum uint64
+		for _, c := range w.total.counts[:sort.SearchFloat64s(w.bounds, l)+1] {
+			cum += c
+		}
+		counts = append(counts, cum)
+	}
+	return append(counts, w.total.count), w.total.sum
 }
 
 // Stats is the aggregate view of one window at one instant.
@@ -108,6 +152,10 @@ type Stats struct {
 	P50       float64 `json:"p50,omitempty"`
 	P95       float64 `json:"p95,omitempty"`
 	P99       float64 `json:"p99,omitempty"`
+	// TotalCount and TotalSum are lifetime totals, not windowed: the
+	// cumulative counter and the lifetime mean the same series yields.
+	TotalCount uint64  `json:"total_count"`
+	TotalSum   float64 `json:"total_sum"`
 }
 
 // Stats aggregates every bucket still inside the window at now. Sums and
@@ -123,7 +171,7 @@ func (w *Window) Stats(now time.Time) Stats {
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var s Stats
+	s := Stats{TotalCount: w.total.count, TotalSum: w.total.sum}
 	s.WindowSec = float64(w.width) * float64(len(w.frames)) / float64(time.Second)
 	for i := range w.merged {
 		w.merged[i] = 0

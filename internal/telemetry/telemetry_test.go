@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -57,6 +58,49 @@ func TestWindowRollOff(t *testing.T) {
 	}
 }
 
+// TestWindowTotalsSurviveRollOver: the lifetime half of a window is fed by
+// the same Observe as the ring and never ages: after the ring has rolled
+// over several times the windowed view holds only the newest observations
+// while Total, Stats.Total* and the cumulative buckets hold all of them.
+func TestWindowTotalsSurviveRollOver(t *testing.T) {
+	le := []float64{1, 4}
+	w := NewWindow(4*time.Second, time.Second, []float64{1, 2, 4, 8})
+	var sum float64
+	for i := 0; i < 20; i++ { // five times round a four-frame ring
+		v := float64(i % 10) // 0..9: 4 at or below 1, 10 at or below 4, 2 above 8
+		w.Observe(base.Add(time.Duration(i)*time.Second), v)
+		sum += v
+	}
+	s := w.Stats(base.Add(19 * time.Second))
+	if s.Count != 4 || s.Sum != 6+7+8+9 {
+		t.Fatalf("windowed count/sum = %d/%g, want the last four (4/30)", s.Count, s.Sum)
+	}
+	if s.TotalCount != 20 || s.TotalSum != sum {
+		t.Fatalf("Stats totals = %d/%g, want 20/%g", s.TotalCount, s.TotalSum, sum)
+	}
+	if n, total := w.Total(); n != 20 || total != sum {
+		t.Fatalf("Total() = %d/%g, want 20/%g", n, total, sum)
+	}
+	if got, total := w.Cumulative(le); !reflect.DeepEqual(got, []uint64{4, 10, 20}) || total != sum {
+		t.Fatalf("Cumulative(%v) = %v, %g, want [4 10 20], %g", le, got, total, sum)
+	}
+	// Long after the last write the ring is empty and the totals stand.
+	if s := w.Stats(base.Add(time.Hour)); s.Count != 0 || s.TotalCount != 20 {
+		t.Fatalf("stale stats = %+v, want an empty window over 20 lifetime observations", s)
+	}
+	// A counter-only window is a cumulative counter.
+	c := NewWindow(2*time.Second, time.Second, nil)
+	for i := 0; i < 7; i++ {
+		c.Observe(base.Add(time.Duration(i)*time.Second), 1)
+	}
+	if n, _ := c.Total(); n != 7 {
+		t.Fatalf("counter total = %d, want 7", n)
+	}
+	if got, _ := c.Cumulative(nil); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("counter Cumulative = %v, want [7]", got)
+	}
+}
+
 func TestWindowQuantiles(t *testing.T) {
 	// Uniform values 1..100 with linear buckets: quantiles should land
 	// near their exact ranks (within one bucket width).
@@ -97,6 +141,12 @@ func TestWindowNilSafe(t *testing.T) {
 	w.Observe(base, 1) // must not panic
 	if s := w.Stats(base); s.Count != 0 || s.WindowSec != 0 {
 		t.Fatalf("nil window stats = %+v, want zero", s)
+	}
+	if n, sum := w.Total(); n != 0 || sum != 0 {
+		t.Fatal("nil window has lifetime totals")
+	}
+	if counts, sum := w.Cumulative([]float64{1}); counts != nil || sum != 0 {
+		t.Fatal("nil window has a lifetime histogram")
 	}
 }
 
