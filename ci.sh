@@ -40,6 +40,7 @@ go build ./...
 # unfiltered suite is the gate for the crash-safety, drain, session
 # durability and failover tests and for the cluster trace golden
 # (regenerate it with UPDATE_GOLDEN=1 after intentional span-set changes).
+# docs/report.md is pinned the same way: UPDATE_GOLDEN=1 go test ./cmd/report
 go test -race -timeout 5m ./...
 
 # bench/ is its own module (repro/bench, replace repro => ../), so the root

@@ -2,25 +2,52 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// lintBin is the advectlint binary, built once for all the CLI tests (they
+// run in parallel; each used to build its own).
+var lintBin struct {
+	once sync.Once
+	path string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if lintBin.path != "" {
+		os.RemoveAll(filepath.Dir(lintBin.path))
+	}
+	os.Exit(code)
+}
 
 func buildLint(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
-	bin := filepath.Join(t.TempDir(), "advectlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build: %v\n%s", err, out)
+	t.Parallel()
+	lintBin.once.Do(func() {
+		dir, err := os.MkdirTemp("", "advectlint")
+		if err != nil {
+			lintBin.err = err
+			return
+		}
+		lintBin.path = filepath.Join(dir, "advectlint")
+		if out, err := exec.Command("go", "build", "-o", lintBin.path, ".").CombinedOutput(); err != nil {
+			lintBin.err = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if lintBin.err != nil {
+		t.Skipf("cannot build: %v", lintBin.err)
 	}
-	return bin
+	return lintBin.path
 }
 
 // TestAdvectlintCleanRepo is the CI gate in miniature: the suite must exit

@@ -2,60 +2,18 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/perf"
+	"repro/internal/session"
 	"repro/internal/stats"
+	"repro/internal/tune"
 )
-
-// The paper's conclusions (§VI) sketch three what-ifs it could not measure
-// in 2011. The models can: these extension experiments go beyond the
-// paper's figures and are marked as such in EXPERIMENTS.md.
-
-// Extensions returns the beyond-the-paper experiments.
-func Extensions() []Experiment {
-	return []Experiment{
-		{
-			ID:       "ext-pcie",
-			Title:    "What if CPU-GPU communication were faster?",
-			PaperRef: "Section VI (conjecture)",
-			Expect:   "\"an architecture with faster, lower-latency CPU-GPU communication could have a performance profile significantly different\" — F and G close in on I",
-			Run:      runExtPCIe,
-		},
-		{
-			ID:       "ext-gpus",
-			Title:    "What if nodes had more GPUs per node?",
-			PaperRef: "Section VI (conjecture)",
-			Expect:   "\"a computer tuned for our test might have ... a larger number of GPUs\" — hybrid throughput scales with the GPU count",
-			Run:      runExtGPUs,
-		},
-		{
-			ID:       "convergence",
-			Title:    "Numerical convergence ladder",
-			PaperRef: "Section II (method order)",
-			Expect:   "L2 error falls ~4x per resolution doubling: observed order -> 2",
-			Run:      runConvergence,
-		},
-		{
-			ID:       "ext-wide",
-			Title:    "Communication avoidance: wide halos (extension implementation)",
-			PaperRef: "beyond the paper (motivated by Figs. 3-4)",
-			Expect:   "redundant computation loses in the paper's range, wins ~10-27% at full-machine scale where latency dominates",
-			Run:      runExtWide,
-		},
-		{
-			ID:       "ext-weak",
-			Title:    "Weak scaling (the regime the paper excludes)",
-			PaperRef: "Section II (strong-scaling rationale)",
-			Expect:   "with the per-core problem held fixed, parallel efficiency stays near 1 and MPI overlap stays profitable at every scale",
-			Run:      runExtWeak,
-		},
-	}
-}
 
 // PCIeSpeedups is the link-speed sweep of ext-pcie.
 func PCIeSpeedups() []float64 { return []float64{1, 2, 4, 8} }
@@ -84,8 +42,8 @@ func ExtPCIe() []stats.Series {
 		s := stats.Series{Label: k.String()}
 		for _, f := range PCIeSpeedups() {
 			m := fasterYona(f)
-			if e, ok := bestConfig(m, k, 12); ok {
-				s.Add(f, e.GF, "")
+			if r, err := tune.Exhaustive(m, k, 12, Space(m, k)); err == nil {
+				s.Add(f, r.GF, "")
 			}
 		}
 		out = append(out, s)
@@ -93,12 +51,9 @@ func ExtPCIe() []stats.Series {
 	return out
 }
 
-func runExtPCIe(w io.Writer) error {
-	series := ExtPCIe()
-	t := stats.SeriesTable("CPU-GPU speedup", series)
-	t.Render(w)
-	fmt.Fprintln(w)
-	// How much of the hybrid advantage survives each speedup?
+// pcieRatios reads ext-pcie: how much of the hybrid advantage survives each
+// speedup.
+func pcieRatios(series []stats.Series) string {
 	var g, i stats.Series
 	for _, s := range series {
 		switch s.Label {
@@ -108,13 +63,14 @@ func runExtPCIe(w io.Writer) error {
 			i = s
 		}
 	}
+	var note strings.Builder
 	for idx := range g.X {
-		fmt.Fprintf(w, "speedup %gx: hybrid-overlap / gpu-streams = %.2f\n",
+		fmt.Fprintf(&note, "speedup %gx: hybrid-overlap / gpu-streams = %.2f\n",
 			g.X[idx], i.Y[idx]/g.Y[idx])
 	}
-	fmt.Fprintln(w, "\nthe hybrid implementation's edge is a property of slow CPU-GPU paths;")
-	fmt.Fprintln(w, "faster interconnects (the NVLink future) shrink it, as §VI anticipates.")
-	return nil
+	note.WriteString("\nthe hybrid implementation's edge is a property of slow CPU-GPU paths;\n" +
+		"faster interconnects (the NVLink future) shrink it, as §VI anticipates.\n")
+	return note.String()
 }
 
 // GPUCounts is the GPUs-per-node sweep of ext-gpus.
@@ -130,23 +86,13 @@ func ExtGPUs() []stats.Series {
 		for _, n := range GPUCounts() {
 			m := machine.Yona()
 			m.GPUsPerNode = n
-			if e, ok := bestConfig(m, k, 192); ok {
-				s.Add(float64(n), e.GF, fmt.Sprintf("t=%d", e.Config.Threads))
+			if r, err := tune.Exhaustive(m, k, 192, Space(m, k)); err == nil {
+				s.Add(float64(n), r.GF, fmt.Sprintf("t=%d", r.Best.Threads))
 			}
 		}
 		out = append(out, s)
 	}
 	return out
-}
-
-func runExtGPUs(w io.Writer) error {
-	series := ExtGPUs()
-	t := stats.SeriesTable("GPUs per node", series)
-	t.Render(w)
-	fmt.Fprintln(w, "\n192 cores of Yona: with more GPUs per node the hybrid implementation")
-	fmt.Fprintln(w, "converts the idle CPU cores per GPU into device throughput — the")
-	fmt.Fprintln(w, "machine-balance shift §VI predicts.")
-	return nil
 }
 
 // WeakGrid returns the cube edge that keeps the per-core load of the
@@ -189,17 +135,6 @@ func ExtWeak() []stats.Series {
 		out = append(out, s)
 	}
 	return out
-}
-
-func runExtWeak(w io.Writer) error {
-	series := ExtWeak()
-	t := stats.SeriesTable("cores", series)
-	t.Render(w)
-	fmt.Fprintln(w, "\nunder weak scaling the per-core rate barely falls and the overlap")
-	fmt.Fprintln(w, "implementation keeps its edge at every scale — the crossovers of")
-	fmt.Fprintln(w, "Figures 3-4 are artifacts of strong scaling, which the paper chose")
-	fmt.Fprintln(w, "because climate grids cannot grow with the machine (§II).")
-	return nil
 }
 
 // WideHaloCores is the core-count sweep of ext-wide: the full Hopper II
@@ -247,20 +182,6 @@ func ExtWideHalo() []stats.Series {
 	return out
 }
 
-func runExtWide(w io.Writer) error {
-	series := ExtWideHalo()
-	t := stats.SeriesTable("cores", series)
-	t.Render(w)
-	fmt.Fprintln(w, "\nthe communication-avoiding trade — W-fold fewer messages for")
-	fmt.Fprintln(w, "O(surface·W²) redundant flops — loses throughout the paper's plotted")
-	fmt.Fprintln(w, "range (Figs. 3-4) and only pays once latency dominates: the full")
-	fmt.Fprintln(w, "Hopper II machine, where W=2 gains ~10% at 153k cores (up to ~27%")
-	fmt.Fprintln(w, "at one thread per task). The paper's finding that overlap stops")
-	fmt.Fprintln(w, "helping at scale does not mean communication cost stops mattering —")
-	fmt.Fprintln(w, "it means hiding gives way to avoiding.")
-	return nil
-}
-
 // Convergence runs the resolution ladder validating the numerics behind
 // the whole study (§II: the method is O(Δ²) for fixed simulated time).
 func Convergence() (stats.Table, error) {
@@ -295,14 +216,64 @@ func Convergence() (stats.Table, error) {
 	return t, nil
 }
 
-func runConvergence(w io.Writer) error {
-	t, err := Convergence()
-	if err != nil {
-		return err
+// WarmerReplay replays an 8-point stepped sweep through a real
+// session.Warmer, assuming background pre-execution keeps up (every
+// prediction is marked warmed before the next interactive point arrives),
+// and tabulates which points the sweep got for free.
+func WarmerReplay() stats.Table {
+	warm := session.NewWarmer(session.WarmerConfig{})
+	key := func(steps float64) string { return fmt.Sprintf("steps=%g", steps) }
+	t := stats.Table{Header: []string{"point", "steps", "served", "new predictions"}}
+	for i := 0; i < 8; i++ {
+		steps := float64(40 * (i + 1))
+		served := "computed"
+		if warm.WasWarmed(key(steps)) {
+			served = "warm hit"
+		}
+		var predicted []string
+		for _, p := range warm.Observe("simulate n=8", []float64{steps}) {
+			warm.MarkWarmed(key(p.Value))
+			predicted = append(predicted, fmt.Sprintf("%g", p.Value))
+		}
+		label := "—"
+		if len(predicted) > 0 {
+			label = strings.Join(predicted, ", ")
+		}
+		t.AddRow(fmt.Sprint(i+1), fmt.Sprintf("%g", steps), served, label)
 	}
-	t.Render(w)
-	fmt.Fprintln(w, "\nthe observed order approaches 2, the paper's O(Δ²) claim for a fixed")
-	fmt.Fprintln(w, "simulated time; at Courant number 1 the scheme is exact (see the")
-	fmt.Fprintln(w, "stencil package's pure-shift tests).")
-	return nil
+	return t
+}
+
+// HiddenFractions tabulates the model-side hidden-communication expectation
+// per overlap kind and core count — the baseline the flight recorder's
+// drift rule holds measured runs against.
+func HiddenFractions() (stats.Table, error) {
+	cores := []int{2, 12, 24, 96}
+	t := stats.Table{Header: []string{"kind"}}
+	for _, c := range cores {
+		t.Header = append(t.Header, fmt.Sprintf("%d cores", c))
+	}
+	for _, k := range []core.Kind{core.NonblockingOverlap, core.ThreadedOverlap, core.GPUStreams, core.HybridOverlap} {
+		row := []string{k.String()}
+		for _, c := range cores {
+			f, err := perf.ExpectedHiddenFraction(perf.Config{
+				M: machine.Yona(), Kind: k, Cores: c, Threads: 1, N: grid.Uniform(48),
+			})
+			if err != nil {
+				return t, fmt.Errorf("%v at %d cores: %w", k, c, err)
+			}
+			row = append(row, fmt.Sprintf("%.2f", f))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// PhaseClocks lists every span phase with the clock its spans are timed on.
+func PhaseClocks() stats.Table {
+	t := stats.Table{Header: []string{"Phase", "Clock"}}
+	for _, p := range obs.AllPhases() {
+		t.AddRow(fmt.Sprintf("`%s`", p), fmt.Sprint(p.Base()))
+	}
+	return t
 }

@@ -1,9 +1,9 @@
-// Package harness defines one reproducible experiment per table and figure
+// Package harness declares one reproducible experiment per table and figure
 // of the paper's evaluation, built on the perf models (for machine-scale
 // results), the gpusim device model (for the block-size sweeps), the
 // functional implementations (for verification), and the loc counter
-// (Figure 2). Each experiment renders the same rows or series the paper
-// reports, as aligned text tables plus an ASCII chart.
+// (Figure 2). An experiment is declared once, in All; terminal text with an
+// ASCII chart, Markdown and CSV are three renderings of that declaration.
 package harness
 
 import (
@@ -18,6 +18,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/stats"
 	"repro/internal/stencil"
+	"repro/internal/tune"
 )
 
 // Experiment is one reproducible table or figure.
@@ -26,7 +27,82 @@ type Experiment struct {
 	Title    string
 	PaperRef string // the paper element reproduced
 	Expect   string // the shape the paper reports
-	Run      func(w io.Writer) error
+
+	// Exactly one of Series and Table computes the data.
+	Series func() (xName string, s []stats.Series)
+	Table  func() (stats.Table, error)
+	// Chart titles the ASCII chart Run draws under a Series table; empty
+	// draws none.
+	Chart string
+	// Note, if set, returns the lines that follow the data (s is nil for a
+	// Table experiment).
+	Note func(s []stats.Series) string
+}
+
+func (e Experiment) data() (stats.Table, []stats.Series, error) {
+	if e.Series != nil {
+		xName, s := e.Series()
+		return stats.SeriesTable(xName, s), s, nil
+	}
+	t, err := e.Table()
+	return t, nil, err
+}
+
+// Run writes the experiment as terminal text: the aligned table, the chart
+// if it has one, the note if it has one.
+func (e Experiment) Run(w io.Writer) error {
+	t, s, err := e.data()
+	if err != nil {
+		return err
+	}
+	t.Render(w)
+	if e.Chart != "" {
+		fmt.Fprintln(w)
+		stats.Chart(w, e.Chart, s, 72, 18)
+	}
+	if e.Note != nil {
+		fmt.Fprintf(w, "\n%s", e.Note(s))
+	}
+	return nil
+}
+
+// Markdown writes the experiment as the body of a document section: a
+// Markdown table, or, where a note reads against the table, the two
+// together as Run prints them, fenced. A charted figure stays a table; its
+// chart and the note that marks the chart's peak are terminal renderings.
+func (e Experiment) Markdown(w io.Writer) error {
+	if e.Note != nil && e.Chart == "" {
+		fmt.Fprintln(w, "```")
+		err := e.Run(w)
+		fmt.Fprintln(w, "```")
+		return err
+	}
+	t, _, err := e.data()
+	if err != nil {
+		return err
+	}
+	t.WriteMarkdown(w)
+	return nil
+}
+
+// CSV writes the series behind the experiment, for plotting with external
+// tools; a Table experiment has none.
+func (e Experiment) CSV(w io.Writer) error {
+	if e.Series == nil {
+		return fmt.Errorf("%s has no series data (tables have none)", e.ID)
+	}
+	xName, s := e.Series()
+	return stats.WriteCSV(w, xName, s)
+}
+
+// ByID returns the experiment with the given ID.
+func ByID(id string) (Experiment, error) {
+	for _, e := range All() {
+		if e.ID == id {
+			return e, nil
+		}
+	}
+	return Experiment{}, fmt.Errorf("harness: unknown experiment %q", id)
 }
 
 // CoreCounts returns the core counts swept for a machine's figures.
@@ -44,38 +120,15 @@ func CoreCounts(m *machine.Machine) []int {
 	return nil
 }
 
-// bestConfig returns the best estimate over the machine's thread choices
-// (and, for hybrid implementations, box thicknesses).
-func bestConfig(m *machine.Machine, k core.Kind, cores int) (perf.Estimate, bool) {
-	var best perf.Estimate
-	found := false
-	thicks := []int{1}
-	if k == core.HybridBulkSync || k == core.HybridOverlap {
-		thicks = Thicknesses()
-	}
+// Space is the tuning space behind every "best over the tuning parameters"
+// point (§V): the paper's thread and box-thickness choices, with the GPU
+// block pinned to the machine's best.
+func Space(m *machine.Machine, k core.Kind) tune.Space {
+	s := tune.DefaultSpace(m, k)
 	bx, by := BestBlock(m)
-	for _, t := range m.ThreadChoices {
-		if cores%t != 0 {
-			continue
-		}
-		for _, w := range thicks {
-			e, err := perf.Evaluate(perf.Config{
-				M: m, Kind: k, Cores: cores, Threads: t,
-				BoxThickness: w, BlockX: bx, BlockY: by,
-			})
-			if err != nil {
-				continue
-			}
-			if !found || e.GF > best.GF {
-				best, found = e, true
-			}
-		}
-	}
-	return best, found
+	s.BlockX, s.BlockY = []int{bx}, []int{by}
+	return s
 }
-
-// Thicknesses is the box-thickness sweep of Figures 11 and 12.
-func Thicknesses() []int { return []int{1, 2, 3, 5, 8, 12} }
 
 // BestBlock returns the GPU block used for a machine's parallel GPU
 // experiments: the paper's 32×11 on Lens and 32×8 on Yona.
@@ -92,14 +145,17 @@ func BestPerImpl(m *machine.Machine, kinds []core.Kind) []stats.Series {
 	var out []stats.Series
 	for _, k := range kinds {
 		s := stats.Series{Label: k.String()}
+		space := Space(m, k)
 		for _, cores := range CoreCounts(m) {
-			if e, ok := bestConfig(m, k, cores); ok {
-				note := fmt.Sprintf("t=%d", e.Config.Threads)
-				if k == core.HybridBulkSync || k == core.HybridOverlap {
-					note += fmt.Sprintf(",w=%d", e.Config.BoxThickness)
-				}
-				s.Add(float64(cores), e.GF, note)
+			r, err := tune.Exhaustive(m, k, cores, space)
+			if err != nil {
+				continue
 			}
+			note := fmt.Sprintf("t=%d", r.Best.Threads)
+			if k == core.HybridBulkSync || k == core.HybridOverlap {
+				note += fmt.Sprintf(",w=%d", r.Best.Thickness)
+			}
+			s.Add(float64(cores), r.GF, note)
 		}
 		out = append(out, s)
 	}
@@ -155,56 +211,35 @@ func BlockSweep(p gpusim.Props) []stats.Series {
 // thickness) combination that is the best at one or more core counts, the
 // full curve of the hybrid-overlap implementation.
 func HybridCombos(m *machine.Machine) []stats.Series {
-	bx, by := BestBlock(m)
-	type combo struct{ t, w int }
-	wins := map[combo]bool{}
+	var searches []tune.Result // one per core count, nil Feasible where none is
+	wins := map[tune.Point]bool{}
+	space := Space(m, core.HybridOverlap)
 	for _, cores := range CoreCounts(m) {
-		var bestC combo
-		bestGF := 0.0
-		for _, t := range m.ThreadChoices {
-			if cores%t != 0 {
-				continue
-			}
-			for _, w := range Thicknesses() {
-				e, err := perf.Evaluate(perf.Config{
-					M: m, Kind: core.HybridOverlap, Cores: cores, Threads: t,
-					BoxThickness: w, BlockX: bx, BlockY: by,
-				})
-				if err == nil && e.GF > bestGF {
-					bestGF = e.GF
-					bestC = combo{t, w}
-				}
-			}
+		r, err := tune.Exhaustive(m, core.HybridOverlap, cores, space)
+		if err == nil {
+			wins[r.Best] = true
 		}
-		if bestGF > 0 {
-			wins[bestC] = true
-		}
+		searches = append(searches, r)
 	}
-	var combos []combo
+	var combos []tune.Point
 	for c := range wins {
 		combos = append(combos, c)
 	}
 	sort.Slice(combos, func(i, j int) bool {
-		if combos[i].t != combos[j].t {
-			return combos[i].t < combos[j].t
+		if combos[i].Threads != combos[j].Threads {
+			return combos[i].Threads < combos[j].Threads
 		}
-		return combos[i].w < combos[j].w
+		return combos[i].Thickness < combos[j].Thickness
 	})
 	var out []stats.Series
 	for _, c := range combos {
-		s := stats.Series{Label: fmt.Sprintf("%d threads, width %d", c.t, c.w)}
-		for _, cores := range CoreCounts(m) {
-			if cores%c.t != 0 {
-				continue
+		s := stats.Series{Label: fmt.Sprintf("%d threads, width %d", c.Threads, c.Thickness)}
+		for i, cores := range CoreCounts(m) {
+			for _, e := range searches[i].Feasible {
+				if e.Point == c {
+					s.Add(float64(cores), e.GF, "")
+				}
 			}
-			e, err := perf.Evaluate(perf.Config{
-				M: m, Kind: core.HybridOverlap, Cores: cores, Threads: c.t,
-				BoxThickness: c.w, BlockX: bx, BlockY: by,
-			})
-			if err != nil {
-				continue
-			}
-			s.Add(float64(cores), e.GF, "")
 		}
 		out = append(out, s)
 	}
@@ -224,46 +259,33 @@ func ClusterKinds() []core.Kind {
 	}
 }
 
-// renderFigure writes the series as a table plus an ASCII chart.
-func renderFigure(w io.Writer, xName string, series []stats.Series, chartTitle string) {
-	t := stats.SeriesTable(xName, series)
-	t.Render(w)
-	fmt.Fprintln(w)
-	stats.Chart(w, chartTitle, series, 72, 18)
-}
-
 // SectionVE returns the paper-vs-model table for the §V-E single-node
 // anchors on Yona.
 func SectionVE() (stats.Table, error) {
 	yona := machine.Yona()
 	t := stats.Table{Header: []string{"quantity", "paper (GF)", "model (GF)"}}
 
-	bestResident := 0.0
-	for _, bx := range []int{16, 32, 64, 128} {
-		for by := 1; by <= 32; by++ {
-			e, err := perf.Evaluate(perf.Config{M: yona, Kind: core.GPUResident, BlockX: bx, BlockY: by})
-			if err == nil && e.GF > bestResident {
-				bestResident = e.GF
-			}
-		}
+	blocks := tune.Space{Threads: []int{1}, Thickness: []int{1}, BlockX: []int{16, 32, 64, 128}}
+	for by := 1; by <= 32; by++ {
+		blocks.BlockY = append(blocks.BlockY, by)
 	}
-	t.AddRow("GPU-resident best (Fig 8)", "86", stats.FormatNum(bestResident))
-
 	rows := []struct {
 		name  string
 		kind  core.Kind
+		space tune.Space
 		paper string
 	}{
-		{"GPU bulk-sync MPI, 1 node (IV-F)", core.GPUBulkSync, "24"},
-		{"GPU streams overlap, 1 node (IV-G)", core.GPUStreams, "35"},
-		{"CPU-GPU full overlap, 1 node (IV-I)", core.HybridOverlap, "82"},
+		{"GPU-resident best (Fig 8)", core.GPUResident, blocks, "86"},
+		{"GPU bulk-sync MPI, 1 node (IV-F)", core.GPUBulkSync, Space(yona, core.GPUBulkSync), "24"},
+		{"GPU streams overlap, 1 node (IV-G)", core.GPUStreams, Space(yona, core.GPUStreams), "35"},
+		{"CPU-GPU full overlap, 1 node (IV-I)", core.HybridOverlap, Space(yona, core.HybridOverlap), "82"},
 	}
 	for _, r := range rows {
-		e, ok := bestConfig(yona, r.kind, 12)
-		if !ok {
-			return t, fmt.Errorf("harness: no estimate for %v", r.kind)
+		best, err := tune.Exhaustive(yona, r.kind, yona.Node.Cores(), r.space)
+		if err != nil {
+			return t, err
 		}
-		t.AddRow(r.name, r.paper, stats.FormatNum(e.GF))
+		t.AddRow(r.name, r.paper, stats.FormatNum(best.GF))
 	}
 	return t, nil
 }

@@ -44,6 +44,7 @@ func TestExperimentCoverage(t *testing.T) {
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"sectionVE", "verify",
 		"ext-pcie", "ext-gpus", "ext-weak", "ext-wide", "convergence",
+		"warmer", "drift", "phases",
 	}
 	have := map[string]bool{}
 	for _, e := range All() {
@@ -260,15 +261,33 @@ func TestWeakGrid(t *testing.T) {
 	}
 }
 
+// TestDataAccessor pins the CSV rendering for every experiment: those
+// declared with series — the extension experiments included — export them
+// under a named x axis; the table-only ones refuse with the CLI's message.
 func TestDataAccessor(t *testing.T) {
-	for _, id := range []string{"fig3", "fig7", "fig12"} {
-		s, x, ok := Data(id)
-		if !ok || len(s) == 0 || x == "" {
-			t.Fatalf("Data(%s) empty", id)
-		}
+	series := map[string]bool{
+		"fig3": true, "fig4": true, "fig5": true, "fig6": true, "fig7": true, "fig8": true,
+		"fig9": true, "fig10": true, "fig11": true, "fig12": true,
+		"ext-pcie": true, "ext-gpus": true, "ext-weak": true, "ext-wide": true,
 	}
-	if _, _, ok := Data("table1"); ok {
-		t.Fatal("table experiment should have no series data")
+	for _, e := range All() {
+		var buf bytes.Buffer
+		err := e.CSV(&buf)
+		if !series[e.ID] {
+			if err == nil || !strings.Contains(err.Error(), e.ID+" has no series data (tables have none)") {
+				t.Errorf("%s: table experiment exported CSV (err %v)", e.ID, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+			continue
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		xName, s := e.Series()
+		if len(s) == 0 || xName == "" || !strings.HasPrefix(lines[0], xName+",") || len(lines) < 3 {
+			t.Errorf("%s: CSV wrong:\n%s", e.ID, buf.String())
+		}
 	}
 }
 

@@ -47,23 +47,3 @@ func ExampleComm_Allreduce() {
 	// Output:
 	// sum over ranks: 10
 }
-
-// ExampleCart builds the Cartesian topology of the paper's decomposition
-// and walks one periodic ring.
-func ExampleCart() {
-	w := mpi.NewWorld(6)
-	var once sync.Once
-	w.Run(func(c *mpi.Comm) {
-		ct, err := mpi.NewCart(c, []int{2, 3}, []bool{true, true})
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		if c.Rank() == 0 {
-			src, dst := ct.Shift(1, 1) // +y neighbor ring
-			once.Do(func() { fmt.Printf("rank 0 shift(+y): src=%d dst=%d\n", src, dst) })
-		}
-	})
-	// Output:
-	// rank 0 shift(+y): src=4 dst=2
-}

@@ -219,15 +219,6 @@ func (c *Comm) IRecv(src, tag int, buf []float64) *Request {
 	}}
 }
 
-// Waitall completes every request.
-func Waitall(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
-}
-
 // Barrier blocks until every rank in the world has entered it.
 func (c *Comm) Barrier() {
 	c.world.barier.wait()
@@ -268,22 +259,6 @@ func (c *Comm) Allreduce(op ReduceOp, vals []float64) {
 	c.bcastTree(tag+1, vals)
 }
 
-// Bcast broadcasts root's vals to every rank (in place on non-roots).
-func (c *Comm) Bcast(root int, vals []float64) {
-	c.checkRank(root)
-	tag := c.nextCollTag()
-	if root != 0 {
-		// Rotate so the tree math can assume root 0.
-		if c.rank == root {
-			c.send(0, tag, vals)
-		}
-		if c.rank == 0 {
-			c.Recv(root, tag, vals)
-		}
-	}
-	c.bcastTree(tag+1, vals)
-}
-
 func (c *Comm) bcastTree(tag int, vals []float64) {
 	size, rank := c.Size(), c.rank
 	// Find the highest step at which this rank receives.
@@ -300,53 +275,6 @@ func (c *Comm) bcastTree(tag int, vals []float64) {
 			}
 		}
 	}
-}
-
-// Reduce combines vals elementwise across all ranks with op, leaving the
-// result in vals on root only (other ranks' vals are left partially
-// combined and should not be used, as with MPI_Reduce).
-func (c *Comm) Reduce(root int, op ReduceOp, vals []float64) {
-	c.checkRank(root)
-	tag := c.nextCollTag()
-	size, rank := c.Size(), c.rank
-	// Rotate ranks so the binomial tree roots at `root`.
-	rel := (rank - root + size) % size
-	tmp := make([]float64, len(vals))
-	for step := 1; step < size; step <<= 1 {
-		if rel&step != 0 {
-			c.send((rel-step+root)%size, tag, vals)
-			return
-		}
-		if rel+step < size {
-			c.Recv((rel+step+root)%size, tag, tmp)
-			combine(op, vals, tmp)
-		}
-	}
-}
-
-// Allgather concatenates every rank's send slice, ordered by rank, on all
-// ranks. All slices must have the same length (MPI_Allgather).
-func (c *Comm) Allgather(send []float64) []float64 {
-	tag := c.nextCollTag()
-	size, rank := c.Size(), c.rank
-	out := make([]float64, len(send)*size)
-	copy(out[rank*len(send):], send)
-	// Simple ring: everyone sends to everyone (worlds are small here).
-	for r := 0; r < size; r++ {
-		if r == rank {
-			continue
-		}
-		c.send(r, tag, send)
-	}
-	buf := make([]float64, len(send))
-	for r := 0; r < size; r++ {
-		if r == rank {
-			continue
-		}
-		c.Recv(r, tag, buf)
-		copy(out[r*len(send):], buf)
-	}
-	return out
 }
 
 // Gather collects each rank's send slice at root. On root it returns one

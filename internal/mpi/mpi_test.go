@@ -149,33 +149,6 @@ func TestISendIRecvWait(t *testing.T) {
 	})
 }
 
-func TestWaitall(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			var reqs []*Request
-			for i := 0; i < 5; i++ {
-				reqs = append(reqs, c.ISend(1, i, []float64{float64(i)}))
-			}
-			Waitall(reqs)
-		} else {
-			bufs := make([][]float64, 5)
-			var reqs []*Request
-			for i := 0; i < 5; i++ {
-				bufs[i] = make([]float64, 1)
-				reqs = append(reqs, c.IRecv(0, i, bufs[i]))
-			}
-			reqs = append(reqs, nil) // Waitall must skip nils
-			Waitall(reqs)
-			for i := 0; i < 5; i++ {
-				if bufs[i][0] != float64(i) {
-					t.Errorf("buf[%d] = %v", i, bufs[i][0])
-				}
-			}
-		}
-	})
-}
-
 func TestTruncationPanics(t *testing.T) {
 	defer func() {
 		p := recover()
@@ -267,22 +240,6 @@ func TestAllreduceRepeated(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestBcast(t *testing.T) {
-	for _, root := range []int{0, 1, 3} {
-		w := NewWorld(5)
-		w.Run(func(c *Comm) {
-			vals := make([]float64, 2)
-			if c.Rank() == root {
-				vals[0], vals[1] = 3.5, -1
-			}
-			c.Bcast(root, vals)
-			if vals[0] != 3.5 || vals[1] != -1 {
-				t.Errorf("root %d rank %d: got %v", root, c.Rank(), vals)
-			}
-		})
-	}
 }
 
 func TestGather(t *testing.T) {
@@ -496,58 +453,6 @@ func TestManyRanksBarrierStress(t *testing.T) {
 				return
 			}
 			c.Barrier()
-		}
-	})
-}
-
-func TestReduce(t *testing.T) {
-	for _, root := range []int{0, 2} {
-		for _, size := range []int{1, 2, 5, 8} {
-			if root >= size {
-				continue
-			}
-			w := NewWorld(size)
-			w.Run(func(c *Comm) {
-				vals := []float64{float64(c.Rank() + 1)}
-				c.Reduce(root, OpSum, vals)
-				if c.Rank() == root {
-					want := float64(size*(size+1)) / 2
-					if vals[0] != want {
-						t.Errorf("root %d size %d: sum %v, want %v", root, size, vals[0], want)
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	w := NewWorld(5)
-	w.Run(func(c *Comm) {
-		send := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
-		got := c.Allgather(send)
-		if len(got) != 10 {
-			t.Errorf("rank %d: len %d", c.Rank(), len(got))
-			return
-		}
-		for r := 0; r < 5; r++ {
-			if got[2*r] != float64(r) || got[2*r+1] != float64(r*10) {
-				t.Errorf("rank %d: slot %d = %v,%v", c.Rank(), r, got[2*r], got[2*r+1])
-				return
-			}
-		}
-	})
-}
-
-func TestReduceAndAllreduceAgree(t *testing.T) {
-	w := NewWorld(7)
-	w.Run(func(c *Comm) {
-		a := []float64{float64(c.Rank()) * 1.5}
-		b := []float64{float64(c.Rank()) * 1.5}
-		c.Allreduce(OpSum, a)
-		c.Reduce(0, OpSum, b)
-		if c.Rank() == 0 && a[0] != b[0] {
-			t.Errorf("Allreduce %v != Reduce %v", a[0], b[0])
 		}
 	})
 }

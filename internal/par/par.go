@@ -237,11 +237,7 @@ type scheduler struct {
 
 func newScheduler(n, workers int, sched Schedule, chunk int) *scheduler {
 	if chunk <= 0 {
-		if sched == Dynamic {
-			chunk = 1
-		} else {
-			chunk = 1 // guided floor
-		}
+		chunk = 1 // one iteration per draw when dynamic, the floor when guided
 	}
 	return &scheduler{n: int64(n), workers: int64(workers), sched: sched, floor: int64(chunk)}
 }

@@ -164,7 +164,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		PaperRef string `json:"paper_ref"`
 	}
 	var exps []expDoc
-	for _, e := range append(harness.All(), harness.Extensions()...) {
+	for _, e := range harness.All() {
 		exps = append(exps, expDoc{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef})
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"experiments": exps})

@@ -483,6 +483,13 @@ func TestCatalogues(t *testing.T) {
 	if len(exps.Experiments) < 10 {
 		t.Fatalf("only %d experiments listed", len(exps.Experiments))
 	}
+	seen := map[string]bool{}
+	for _, e := range exps.Experiments {
+		if seen[e.ID] {
+			t.Fatalf("experiment %s listed twice", e.ID)
+		}
+		seen[e.ID] = true
+	}
 }
 
 // TestTracedSimulateJob checks per-job trace capture: a simulate request

@@ -77,7 +77,7 @@ func (a WarmerStats) Merge(b WarmerStats) WarmerStats {
 
 // Warmer detects stepped-parameter sweeps in the submission stream: the
 // same canonical problem with exactly one numeric field advancing
-// arithmetically (a cmd/sweep scan, a user bisecting a parameter). Per
+// arithmetically (a `report sweep` scan, a user bisecting a parameter). Per
 // candidate field it keeps one track keyed by everything *except* that
 // field; when the same track sees History values with equal non-zero
 // deltas, the next Predict points are speculated so idle workers can

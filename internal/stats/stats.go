@@ -83,6 +83,22 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
+// WriteMarkdown writes the table as a Markdown table, escaping cell pipes.
+func (t *Table) WriteMarkdown(w io.Writer) {
+	line := func(cells []string) {
+		fmt.Fprint(w, "|")
+		for _, c := range cells {
+			fmt.Fprintf(w, " %s |", strings.ReplaceAll(c, "|", "\\|"))
+		}
+		fmt.Fprintln(w)
+	}
+	line(t.Header)
+	fmt.Fprintln(w, "|"+strings.Repeat("---|", len(t.Header)))
+	for _, r := range t.Rows {
+		line(r)
+	}
+}
+
 // SeriesTable renders several series sharing an X axis as a table: one row
 // per distinct X, one column per series.
 func SeriesTable(xName string, series []Series) Table {

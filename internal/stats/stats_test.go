@@ -129,3 +129,14 @@ func TestGanttEmpty(t *testing.T) {
 		t.Fatal("empty gantt should say so")
 	}
 }
+
+func TestWriteMarkdown(t *testing.T) {
+	tb := Table{Header: []string{"a", "b|c"}}
+	tb.AddRow("1", "2")
+	var sb strings.Builder
+	tb.WriteMarkdown(&sb)
+	want := "| a | b\\|c |\n|---|---|\n| 1 | 2 |\n"
+	if sb.String() != want {
+		t.Fatalf("got:\n%q\nwant:\n%q", sb.String(), want)
+	}
+}

@@ -69,36 +69,51 @@ type Result struct {
 	Best        Point
 	GF          float64
 	Evaluations int
+	// Feasible holds every point Exhaustive could evaluate, in sweep order
+	// (threads outermost, then thickness, block x, block y).
+	Feasible []Evaluation
+}
+
+// Evaluation is one feasible point and its modelled step.
+type Evaluation struct {
+	Point   Point
+	StepSec float64
+	GF      float64
 }
 
 // objective evaluates one point; invalid points return ok=false.
-func objective(m *machine.Machine, kind core.Kind, cores int, p Point) (float64, bool) {
+func objective(m *machine.Machine, kind core.Kind, cores int, p Point) (Evaluation, bool) {
 	if p.Threads <= 0 || cores%p.Threads != 0 {
-		return 0, false
+		return Evaluation{}, false
 	}
 	e, err := perf.Evaluate(perf.Config{
 		M: m, Kind: kind, Cores: cores, Threads: p.Threads,
 		BoxThickness: p.Thickness, BlockX: p.BlockX, BlockY: p.BlockY,
 	})
 	if err != nil {
-		return 0, false
+		return Evaluation{}, false
 	}
-	return e.GF, true
+	return Evaluation{Point: p, StepSec: e.StepSec, GF: e.GF}, true
 }
 
-// Exhaustive sweeps the full space.
+// Exhaustive sweeps the full space. It is the one best-over-the-tuning-
+// parameters search of the repository: every "best of" point of the
+// figures and every row cmd/report's sweep prints comes from it. Of equal
+// optima the first in sweep order wins.
 func Exhaustive(m *machine.Machine, kind core.Kind, cores int, s Space) (Result, error) {
 	var res Result
 	for _, t := range s.Threads {
 		for _, w := range s.Thickness {
 			for _, bx := range s.BlockX {
 				for _, by := range s.BlockY {
-					p := Point{Threads: t, Thickness: w, BlockX: bx, BlockY: by}
-					gf, ok := objective(m, kind, cores, p)
+					e, ok := objective(m, kind, cores, Point{Threads: t, Thickness: w, BlockX: bx, BlockY: by})
 					res.Evaluations++
-					if ok && gf > res.GF {
-						res.GF = gf
-						res.Best = p
+					if !ok {
+						continue
+					}
+					res.Feasible = append(res.Feasible, e)
+					if e.GF > res.GF {
+						res.GF, res.Best = e.GF, e.Point
 					}
 				}
 			}
@@ -121,7 +136,8 @@ func CoordinateDescent(m *machine.Machine, kind core.Kind, cores int, s Space) (
 	evals := 0
 	eval := func(p Point) (float64, bool) {
 		evals++
-		return objective(m, kind, cores, p)
+		e, ok := objective(m, kind, cores, p)
+		return e.GF, ok
 	}
 
 	for _, startT := range s.Threads {
