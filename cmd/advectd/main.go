@@ -80,7 +80,7 @@ func main() {
 		window    = flag.Duration("window", 60*time.Second, "rolling telemetry window for /v1/stats and /v1/stream")
 		stream    = flag.Duration("stream", time.Second, "default stats cadence on /v1/stream (per-request ?interval= overrides)")
 		nodeID    = flag.String("node", "", "cluster node id: prefixes job ids and labels /healthz and /v1/stats (empty = standalone)")
-		flightN   = flag.Int("flight", 0, "flight-recorder ring size in events for /v1/debug/bundle (0 = default, negative = disabled)")
+		flightN   = flag.Int("flight", 0, "flight-recorder ring size in events for /v1/debug/bundle (below 1 = default)")
 		drift     = flag.Float64("drift", 0, "model-vs-measured overlap drift tolerance before an anomaly fires (0 = default)")
 		model     = flag.String("model", "", "machine model the anomaly engine predicts against (empty = default)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "SSE keep-alive comment cadence on idle /v1/stream connections")
@@ -137,11 +137,13 @@ func main() {
 			os.Exit(1)
 		}
 	}()
+	// Catch the signals before announcing readiness: a supervisor may send
+	// SIGTERM the moment it reads the line below.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	logger.Info("serving", "addr", ln.Addr().String(),
 		"workers", *workers, "queue", *queue, "cache", *cache, "pprof", *pprofOn)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	sig := <-stop
 	logger.Info("signal received, draining", "signal", sig.String(), "deadline", *drain)
 

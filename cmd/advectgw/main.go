@@ -71,7 +71,6 @@ func main() {
 		queue     = flag.Int("queue", 16, "admission queue capacity per -local node")
 		cache     = flag.Int("cache", 256, "result cache entries per -local node")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for -local nodes")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per member on the hash ring (0 = default)")
 		health    = flag.Duration("health", time.Second, "health-check sweep interval")
 		failures  = flag.Int("failures", 2, "consecutive failed probes before a node is down")
 		retryWait = flag.Duration("retrywait", time.Second, "longest Retry-After honored by retrying the owner shard in place")
@@ -129,7 +128,6 @@ func main() {
 
 	router := cluster.NewRouter(cluster.Config{
 		Members:        members,
-		VNodes:         *vnodes,
 		HealthInterval: *health,
 		FailThreshold:  *failures,
 		RetryWait:      *retryWait,
@@ -160,11 +158,13 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-	logger.Info("serving", "addr", ln.Addr().String(),
-		"members", len(members), "local", *local > 0, "vnodes", *vnodes)
-
+	// Catch the signals before announcing readiness: a supervisor may send
+	// SIGTERM the moment it reads the line below.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	logger.Info("serving", "addr", ln.Addr().String(),
+		"members", len(members), "local", *local > 0)
+
 	sig := <-stop
 	logger.Info("signal received, stopping", "signal", sig.String())
 

@@ -9,15 +9,11 @@
 //	go run ./cmd/advectlint ./...          # whole module (the CI gate)
 //	go run ./cmd/advectlint ./internal/obs # only packages under a path
 //	go run ./cmd/advectlint -list          # describe the analyzers
-//	go run ./cmd/advectlint -json ./...    # machine-readable report on stdout
 //
 // Path arguments are prefixes of module-relative package directories;
-// "./..." (or no argument) selects everything. -json replaces the text
-// diagnostics with one indented JSON document (module, analyzer set,
-// findings in stable position order — see lint.JSONReport) so CI can
-// archive and diff reports; the exit code contract is unchanged. Findings
-// are suppressed only by an audited "//advect:nolint <analyzer> <reason>"
-// directive; see the internal/lint package documentation.
+// "./..." (or no argument) selects everything. Findings are suppressed only
+// by an audited "//advect:nolint <analyzer> <reason>" directive; see the
+// internal/lint package documentation.
 package main
 
 import (
@@ -38,7 +34,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("advectlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit the findings as a JSON report on stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -78,18 +73,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-	if *jsonOut {
-		rep := lint.NewJSONReport(modPath, len(pkgs), analyzers, diags, root)
-		if err := rep.WriteJSON(stdout); err != nil {
-			fmt.Fprintln(stderr, "advectlint:", err)
-			return 2
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(stderr, "advectlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-			return 1
-		}
-		return 0
-	}
 	for _, d := range diags {
 		pos := d.Pos
 		if rel, err := filepath.Rel(root, pos.Filename); err == nil {

@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -242,23 +243,41 @@ func Load(r io.Reader) (Meta, *grid.Field, error) {
 	return m, f, nil
 }
 
-// SaveFile writes the state to path (atomically via a temp file).
+// SaveFile writes the state to path, atomically and durably.
 func SaveFile(path string, m Meta, f *grid.Field) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return Save(w, m, f) })
+}
+
+// WriteFileAtomic makes path hold what write produces, or leaves it as it
+// was: the bytes go to a temp file beside it that is synced, closed and
+// renamed over path, and the directory is synced so the rename cannot
+// outlive the data through a power loss. The temp file is removed on every
+// failure path.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	out, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Save(out, m, f); err != nil {
-		out.Close()
+	if err = write(out); err == nil {
+		err = out.Sync()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // LoadFile reads a checkpoint from path.

@@ -3,7 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -193,6 +196,32 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestWriteFileAtomicFailureKeepsPreviousFile: a writer that fails midway
+// leaves the file as it was and no temp file beside it.
+func TestWriteFileAtomicFailureKeepsPreviousFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
+	write := func(s string, fail error) error {
+		return WriteFileAtomic(path, func(w io.Writer) error {
+			io.WriteString(w, s)
+			return fail
+		})
+	}
+	if err := write("first", nil); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	if err := write("sec", boom); !errors.Is(err, boom) {
+		t.Fatalf("failing writer reported %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "first" {
+		t.Fatalf("after a failed write the file holds %q, %v", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed write left %v behind", entries)
 	}
 }
 

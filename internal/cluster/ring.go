@@ -92,10 +92,7 @@ func (r *Ring) VNodes() int { return r.vnodes }
 
 // Lookup returns the member owning key, or "" on an empty ring. It is the
 // per-submit routing decision, so it must stay allocation-free and
-// sub-microsecond (BENCH_guards.json guards the measured contract; the
-// hotpath annotation has advectlint enforce it statically).
-//
-//advect:hotpath
+// sub-microsecond (BENCH_guards.json guards the measured contract).
 func (r *Ring) Lookup(key string) string {
 	if len(r.hashes) == 0 {
 		return ""
@@ -154,8 +151,6 @@ func (r *Ring) search(h uint64) int {
 // finalizer. FNV alone clusters on short common-prefix keys; the mix step
 // spreads fingerprint-shaped keys evenly around the ring (the distribution
 // test quantifies this).
-//
-//advect:hotpath
 func hashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -170,8 +165,6 @@ func hashString(s string) uint64 {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-studied avalanche.
-//
-//advect:hotpath
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

@@ -23,9 +23,6 @@ type Config struct {
 	// Members are the advectd nodes this gateway fronts. Each node should
 	// run with Config.NodeID = Member.ID so job ids stay globally unique.
 	Members []Member
-	// VNodes is the virtual-node count per member on the hash ring;
-	// 0 selects DefaultVNodes.
-	VNodes int
 	// HealthInterval is the health-check sweep cadence. Default 1s.
 	HealthInterval time.Duration
 	// FailThreshold is how many consecutive failed probes turn a node
@@ -286,7 +283,7 @@ func (r *Router) nodeFailed(nodeID string, err error) {
 // rebuildRing derives a fresh ring from the currently routable members and
 // publishes it atomically; Lookup callers never see a partial update.
 func (r *Router) rebuildRing() {
-	r.ring.Store(NewRing(r.members.Routable(), r.cfg.VNodes))
+	r.ring.Store(NewRing(r.members.Routable(), DefaultVNodes))
 }
 
 // Errors the routing core reports to the HTTP layer.

@@ -53,14 +53,11 @@ func NewGatewayTelemetry(span time.Duration) *GatewayTelemetry {
 // RecordRoute records one accepted submission: end-to-end routing latency,
 // the node that took it, and how many dispatches it cost.
 func (t *GatewayTelemetry) RecordRoute(now time.Time, node string, d time.Duration, attempts int) {
-	if t == nil {
-		return
-	}
 	t.route.Observe(now, d.Seconds())
 	t.attempts.Observe(now, float64(attempts))
 	t.mu.Lock()
-	w := t.perNode[node]
-	if w == nil {
+	w, ok := t.perNode[node]
+	if !ok {
 		w = telemetry.NewWindow(t.window, t.bucket, telemetry.DurationBounds())
 		t.perNode[node] = w
 	}
@@ -71,9 +68,6 @@ func (t *GatewayTelemetry) RecordRoute(now time.Time, node string, d time.Durati
 // RecordPeek records the outcome of one sibling-cache peek fan-out; the
 // window mean is then the peek hit rate.
 func (t *GatewayTelemetry) RecordPeek(now time.Time, hit bool) {
-	if t == nil {
-		return
-	}
 	v := 0.0
 	if hit {
 		v = 1
@@ -83,34 +77,22 @@ func (t *GatewayTelemetry) RecordPeek(now time.Time, hit bool) {
 
 // RecordRetry counts one brief in-place Retry-After wait.
 func (t *GatewayTelemetry) RecordRetry(now time.Time) {
-	if t == nil {
-		return
-	}
 	t.retries.Observe(now, 1)
 }
 
 // RecordFailover counts one dispatch attempt abandoned for a ring
 // successor.
 func (t *GatewayTelemetry) RecordFailover(now time.Time) {
-	if t == nil {
-		return
-	}
 	t.failovers.Observe(now, 1)
 }
 
 // RecordReroute counts one fingerprint resubmitted after a node death.
 func (t *GatewayTelemetry) RecordReroute(now time.Time) {
-	if t == nil {
-		return
-	}
 	t.reroutes.Observe(now, 1)
 }
 
 // RecordShed counts one submission rejected cluster-wide.
 func (t *GatewayTelemetry) RecordShed(now time.Time) {
-	if t == nil {
-		return
-	}
 	t.shed.Observe(now, 1)
 }
 
@@ -138,9 +120,6 @@ type GatewayWindowStats struct {
 // Stats snapshots every window at now.
 func (t *GatewayTelemetry) Stats(now time.Time) GatewayWindowStats {
 	s := GatewayWindowStats{RoutePerNode: map[string]telemetry.Stats{}}
-	if t == nil {
-		return s
-	}
 	s.WindowSec = t.window.Seconds()
 	s.Route = t.route.Stats(now)
 	s.Attempts = t.attempts.Stats(now)

@@ -27,8 +27,6 @@ func newSubmissionTrace() *submissionTrace {
 }
 
 // traceID returns the minted id ("" when disabled).
-//
-//advect:hotpath
 func (t *submissionTrace) traceID() string {
 	if t == nil {
 		return ""
@@ -37,8 +35,6 @@ func (t *submissionTrace) traceID() string {
 }
 
 // clock reads the gateway trace clock (seconds since admission).
-//
-//advect:hotpath
 func (t *submissionTrace) clock() float64 {
 	if t == nil {
 		return 0
@@ -47,8 +43,6 @@ func (t *submissionTrace) clock() float64 {
 }
 
 // add records one gateway-rank span timed with clock.
-//
-//advect:hotpath
 func (t *submissionTrace) add(phase obs.Phase, label string, start, end float64) {
 	if t == nil {
 		return
@@ -57,8 +51,6 @@ func (t *submissionTrace) add(phase obs.Phase, label string, start, end float64)
 }
 
 // begin opens a gateway-rank span closed by its End.
-//
-//advect:hotpath
 func (t *submissionTrace) begin(phase obs.Phase, label string) obs.Active {
 	if t == nil {
 		return obs.Active{}
@@ -68,8 +60,6 @@ func (t *submissionTrace) begin(phase obs.Phase, label string) obs.Active {
 
 // header snapshots the span log into an X-Advect-Trace value for the next
 // dispatch ("" when disabled: set no header).
-//
-//advect:hotpath
 func (t *submissionTrace) header() string {
 	if t == nil {
 		return ""

@@ -168,8 +168,7 @@ type JobSample struct {
 // Engine judges traced jobs and the node's rolling windows against the
 // configured rules. It keeps no series of its own: the windowed rules read
 // the /v1/stats document of the instant, so an alarm's value is a number an
-// operator can read there. A nil *Engine is a valid disabled engine.
-// Firings freeze a flight-recorder snapshot and invoke the notify callback
+// operator can read there. Firings freeze a flight-recorder snapshot and invoke the notify callback
 // (outside the engine lock).
 type Engine struct {
 	rules Rules
@@ -198,7 +197,7 @@ type resumeTrack struct {
 const maxResumeTracks = 1024
 
 // NewEngine builds an engine over the given rules, freezing snapshots of
-// rec (which may be nil) on every firing.
+// rec on every firing.
 func NewEngine(rules Rules, rec *Recorder) *Engine {
 	r := rules.withDefaults()
 	e := &Engine{
@@ -217,16 +216,10 @@ func NewEngine(rules Rules, rec *Recorder) *Engine {
 // Notify registers fn to run (outside the engine lock) after every
 // firing, with the anomaly and the flight snapshot it froze.
 func (e *Engine) Notify(fn func(Anomaly, Snapshot)) {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	e.notify = fn
 	e.mu.Unlock()
 }
-
-// Enabled reports whether the engine is live.
-func (e *Engine) Enabled() bool { return e != nil }
 
 // fire appends the anomaly, freezes the flight ring and notifies — unless
 // the rule is still cooling down.
@@ -267,7 +260,7 @@ func (e *Engine) fire(a Anomaly) {
 // ObserveJob checks one finished traced job's report for straggler
 // imbalance and model-vs-measured overlap drift.
 func (e *Engine) ObserveJob(now time.Time, s JobSample) {
-	if e == nil || s.Report == nil {
+	if s.Report == nil {
 		return
 	}
 	e.checkStraggler(now, s)
@@ -281,9 +274,6 @@ func (e *Engine) ObserveJob(now time.Time, s JobSample) {
 // burning the node, which fires resume-loop once the count crosses
 // Rules.ResumeLoop.
 func (e *Engine) ObserveResume(now time.Time, sessionID string, doneSteps int64) {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	t, ok := e.resumes[sessionID]
 	if !ok && len(e.resumes) >= maxResumeTracks {
@@ -402,9 +392,6 @@ func measuredHidden(rep *obs.Report) (float64, bool) {
 // windows — the "exec" and "shed" entries of the /v1/stats document of that
 // instant. The service calls it periodically from its sweep loop.
 func (e *Engine) Sweep(now time.Time, exec map[string]telemetry.Stats, shed telemetry.Stats) {
-	if e == nil {
-		return
-	}
 	for typ, st := range exec {
 		if st.Count < uint64(e.rules.LatencyMinCount) {
 			continue
@@ -437,9 +424,6 @@ func (e *Engine) Sweep(now time.Time, exec map[string]telemetry.Stats, shed tele
 // Anomalies returns the engine's summary: totals, per-rule counts, and
 // the retained history oldest first.
 func (e *Engine) Anomalies() AnomalyStats {
-	if e == nil {
-		return AnomalyStats{}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := AnomalyStats{Total: e.total, Frozen: e.frozen}

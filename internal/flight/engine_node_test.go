@@ -25,7 +25,7 @@ type node struct {
 }
 
 func newNode(rules flight.Rules) *node {
-	n := &node{tele: service.NewTelemetry(at(0), time.Minute, 16), e: flight.NewEngine(rules, nil)}
+	n := &node{tele: service.NewTelemetry(at(0), time.Minute, 16), e: flight.NewEngine(rules, flight.NewRecorder(0))}
 	n.e.Notify(func(a flight.Anomaly, _ flight.Snapshot) { n.fired = append(n.fired, a) })
 	return n
 }

@@ -11,12 +11,8 @@
 // rules (latency spikes, shed bursts, straggler ranks, and
 // model-vs-measured overlap drift against internal/perf); each firing
 // appends a timestamped anomaly and freezes a snapshot of the ring at that
-// instant.
-//
-// Both types follow the repo's nil-safety convention: a nil *Recorder and
-// a nil *Engine are valid disabled instances whose methods no-op, so
-// instrumented call sites never branch on an enabled flag. The disabled
-// path is allocation-free and gated in ci.sh against BENCH_guards.json.
+// instant. Add, which every job transition and log line pays, is
+// allocation-free and gated in ci.sh against BENCH_guards.json.
 package flight
 
 import (
@@ -64,15 +60,14 @@ type Snapshot struct {
 	Records []Record `json:"records"`
 }
 
-// DefaultEvents sizes the ring when the caller passes 0.
+// DefaultEvents sizes the ring when the caller names no size.
 const DefaultEvents = 512
 
 // DefaultFrozen bounds how many frozen snapshots a recorder retains;
 // older freezes are evicted first.
 const DefaultFrozen = 8
 
-// Recorder is the bounded ring buffer. A nil *Recorder is a valid
-// disabled recorder: every method no-ops without allocating.
+// Recorder is the bounded ring buffer.
 type Recorder struct {
 	mu     sync.Mutex
 	ring   []Record
@@ -91,12 +86,7 @@ func NewRecorder(events int) *Recorder {
 
 // Add appends one record, overwriting the oldest once the ring is full.
 // The caller's Seq is ignored; the recorder assigns it.
-//
-//advect:hotpath
 func (r *Recorder) Add(rec Record) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	rec.Seq = r.next
 	r.ring[int(r.next%uint64(len(r.ring)))] = rec
@@ -106,25 +96,16 @@ func (r *Recorder) Add(rec Record) {
 
 // Span records a traced job's span-log summary.
 func (r *Recorder) Span(now time.Time, jobID, traceID, msg string) {
-	if r == nil {
-		return
-	}
 	r.Add(Record{Time: now, Kind: KindSpan, Msg: msg, JobID: jobID, TraceID: traceID})
 }
 
 // Stats records a periodic stats snapshot line.
 func (r *Recorder) Stats(now time.Time, msg string) {
-	if r == nil {
-		return
-	}
 	r.Add(Record{Time: now, Kind: KindStats, Msg: msg})
 }
 
 // Len returns how many records the ring currently holds.
 func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.next < uint64(len(r.ring)) {
@@ -152,9 +133,6 @@ func (r *Recorder) snapshotLocked(now time.Time, reason string) Snapshot {
 
 // Snapshot returns the current ring content, oldest record first.
 func (r *Recorder) Snapshot(now time.Time) Snapshot {
-	if r == nil {
-		return Snapshot{Taken: now}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.snapshotLocked(now, "")
@@ -164,9 +142,6 @@ func (r *Recorder) Snapshot(now time.Time) Snapshot {
 // DefaultFrozen; the oldest freeze is evicted first) for the postmortem
 // bundle. It returns the frozen snapshot.
 func (r *Recorder) Freeze(now time.Time, reason string) Snapshot {
-	if r == nil {
-		return Snapshot{Taken: now, Reason: reason}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.snapshotLocked(now, reason)
@@ -180,9 +155,6 @@ func (r *Recorder) Freeze(now time.Time, reason string) Snapshot {
 
 // Frozen returns the retained frozen snapshots, oldest first.
 func (r *Recorder) Frozen() []Snapshot {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Snapshot, len(r.frozen))

@@ -26,11 +26,8 @@ type teeHandler struct {
 }
 
 // TeeHandler wraps inner so every record at slog.LevelInfo or above is
-// also retained in rec. A nil recorder returns inner unchanged.
+// also retained in rec.
 func TeeHandler(rec *Recorder, inner slog.Handler) slog.Handler {
-	if rec == nil {
-		return inner
-	}
 	return &teeHandler{rec: rec, inner: inner}
 }
 

@@ -2,9 +2,9 @@
 // analogue of go/analysis (go/parser + go/ast + go/types + go/importer,
 // no x/tools) that loads every package of the module, runs a registry of
 // analyzers encoding project invariants — nil-safe recorder methods,
-// wall-vs-virtual clock discipline, allocation-free hot paths, context
-// threading, lock-held blocking, module-wide lock ordering, goroutine
-// lifecycles, and SSE/handler write discipline — and reports findings as
+// wall-vs-virtual clock discipline, context threading, lock-held blocking,
+// module-wide lock ordering and goroutine lifecycles: the bug classes no
+// test in the tree measures — and reports findings as
 // file:line:col: [analyzer] message diagnostics.
 //
 // Analyzers come in two halves. Run inspects one type-checked package at
@@ -16,12 +16,7 @@
 // inter-procedural analyzers like lockorder resolve their cross-package
 // graphs.
 //
-// Two directive comments steer the analyzers:
-//
-//	//advect:hotpath
-//	    on a function declaration marks it allocation-sensitive: the
-//	    hotpath analyzer forbids fmt calls, map/slice literals, appends
-//	    that do not reassign their own operand, and defer inside it.
+// One directive comment steers the analyzers:
 //
 //	//advect:nolint <analyzer> <reason>
 //	    on (or immediately above) a flagged line suppresses that one
@@ -35,7 +30,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -150,26 +144,7 @@ type nolintDirective struct {
 	reason   string
 }
 
-const (
-	nolintMarker  = "advect:nolint"
-	hotpathMarker = "//advect:hotpath"
-)
-
-// HasDirective reports whether the function declaration carries the given
-// //advect:<name> marker in its doc comment.
-func HasDirective(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	want := "//advect:" + name
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == want || strings.HasPrefix(text, want+" ") {
-			return true
-		}
-	}
-	return false
-}
+const nolintMarker = "advect:nolint"
 
 // directiveBody extracts the "advect:nolint ..." payload of a comment, in
 // either the line form "//advect:nolint ..." or the block form
@@ -247,7 +222,7 @@ type suppressKey struct {
 // first), then every Finish pass over the whole load, applies the nolint
 // directives, validates the directives themselves, and returns the
 // surviving diagnostics sorted by position. All packages must share one
-// FileSet (LoadModule guarantees this; LoadDir loads are single-package).
+// FileSet (LoadModule guarantees this).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

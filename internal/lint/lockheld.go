@@ -16,9 +16,8 @@ import (
 // and a send inside a select that has a default clause is exempt (that is
 // the non-blocking publish pattern).
 //
-// The check is a structural walk, not a full CFG: branch-local lock state
-// merges by intersection, so a branch that unlocks and returns — the
-// manual early-exit idiom — never false-positives the fallthrough path.
+// It is a listener on the held-lock walk (walkLocks), which it shares with
+// lockorder.
 func LockHeld() *Analyzer {
 	a := &Analyzer{
 		Name: "lockheld",
@@ -26,310 +25,76 @@ func LockHeld() *Analyzer {
 	}
 	a.Run = func(pass *Pass) {
 		for _, fd := range funcDecls(pass.Pkg) {
-			if fd.Body == nil {
-				continue
+			if fd.Body != nil {
+				walkLocks(pass, fd.Body, lockheldListener{pass})
 			}
-			w := &lockWalker{pass: pass}
-			w.walkStmts(fd.Body.List, lockState{})
-			// Every function literal is its own goroutine-agnostic
-			// analysis root; the statement walk above never descends
-			// into them.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					w.walkStmts(fl.Body.List, lockState{})
-				}
-				return true
-			})
 		}
 	}
 	return a
 }
 
-// heldLock is one mutex the current path has locked.
-type heldLock struct {
-	display  string // e.g. "m.mu" or "m.mu (RLock)"
-	deferred bool   // a matching defer Unlock is pending
-}
+// lockheldListener flags what must not happen under a lock.
+type lockheldListener struct{ pass *Pass }
 
-// lockState maps lock keys to held locks; cloned at every branch.
-type lockState map[string]*heldLock
+func (c lockheldListener) acquire(heldLock, heldLocks) {}
 
-func (s lockState) clone() lockState {
-	out := make(lockState, len(s))
-	for k, v := range s {
-		c := *v
-		out[k] = &c
-	}
-	return out
-}
-
-// merge keeps only locks held on both paths (intersection — the walker
-// under-approximates so manual unlock-and-return branches stay clean).
-func merge(a, b lockState) lockState {
-	out := lockState{}
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			c := *va
-			c.deferred = va.deferred || vb.deferred
-			out[k] = &c
-		}
-	}
-	return out
-}
-
-type lockWalker struct {
-	pass *Pass
-}
-
-// lockOp classifies a call as a mutex Lock/Unlock (or reader variants) and
-// returns the state key and display name derived from the receiver
-// expression.
-func (w *lockWalker) lockOp(call *ast.CallExpr) (op, key, display string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	fn, _ := w.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return "", "", "", false
-	}
-	rpkg, rname, hasRecv := recvTypeName(fn)
-	if !hasRecv || rpkg != "sync" || (rname != "Mutex" && rname != "RWMutex") {
-		return "", "", "", false
-	}
-	name := fn.Name()
-	recvStr := types.ExprString(sel.X)
-	switch name {
-	case "Lock":
-		return name, recvStr, recvStr, true
-	case "Unlock":
-		return name, recvStr, recvStr, true
-	case "RLock":
-		return name, recvStr + "#r", recvStr + " (RLock)", true
-	case "RUnlock":
-		return name, recvStr + "#r", recvStr + " (RLock)", true
-	}
-	return "", "", "", false
-}
-
-// isBlockingCall reports whether the call parks the goroutine: time.Sleep
-// or sync.WaitGroup.Wait. sync.Cond.Wait is deliberately not here.
-func (w *lockWalker) isBlockingCall(call *ast.CallExpr) (string, bool) {
-	fn := callee(w.pass, call)
-	if fn == nil {
-		return "", false
-	}
-	if isFuncNamed(fn, "time", "Sleep") {
-		return "time.Sleep", true
-	}
-	if rpkg, rname, ok := recvTypeName(fn); ok && rpkg == "sync" && rname == "WaitGroup" && fn.Name() == "Wait" {
-		return "sync.WaitGroup.Wait", true
-	}
-	return "", false
-}
-
-// anyHeld returns the display name of one held lock, for messages.
-func anyHeld(st lockState) (string, bool) {
-	for _, v := range st {
-		return v.display, true
-	}
-	return "", false
-}
-
-// scanExpr flags channel receives and blocking calls inside an expression
-// while a lock is held. Function literals are skipped (they run later, on
-// whatever goroutine calls them); selects never appear inside expressions.
-func (w *lockWalker) scanExpr(e ast.Expr, st lockState) {
-	if e == nil || len(st) == 0 {
+func (c lockheldListener) stmt(s ast.Stmt, held heldLocks) {
+	if len(held) == 0 {
 		return
 	}
-	held, _ := anyHeld(st)
+	first := held[0].text()
+	switch s := s.(type) {
+	case *ast.SendStmt:
+		c.pass.Reportf(s.Pos(), "channel send while holding %s", first)
+	case *ast.RangeStmt:
+		if tv, ok := c.pass.Pkg.Info.Types[s.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				c.pass.Reportf(s.Pos(), "range over channel while holding %s", first)
+			}
+		}
+	case *ast.SelectStmt:
+		for _, cl := range s.Body.List {
+			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
+				return // a default clause: the non-blocking form
+			}
+		}
+		c.pass.Reportf(s.Pos(), "select without default while holding %s blocks under the lock", first)
+	case *ast.ReturnStmt:
+		for _, h := range held {
+			if !h.deferred {
+				c.pass.Reportf(s.Pos(), "return while holding %s: unlock on this path or 'defer %s.Unlock()' right after Lock", h.text(), h.text())
+			}
+		}
+	}
+}
+
+// expr flags channel receives and blocking calls — time.Sleep or
+// sync.WaitGroup.Wait; sync.Cond.Wait is deliberately not here — inside an
+// expression evaluated under a lock. Selects never appear inside
+// expressions.
+func (c lockheldListener) expr(e ast.Expr, held heldLocks) {
+	if e == nil || len(held) == 0 {
+		return
+	}
+	first := held[0].text()
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				w.pass.Reportf(n.Pos(), "channel receive while holding %s", held)
+				c.pass.Reportf(n.Pos(), "channel receive while holding %s", first)
 			}
 		case *ast.CallExpr:
-			if name, ok := w.isBlockingCall(n); ok {
-				w.pass.Reportf(n.Pos(), "call to %s while holding %s", name, held)
+			fn := callee(c.pass, n)
+			if isFuncNamed(fn, "time", "Sleep") {
+				c.pass.Reportf(n.Pos(), "call to time.Sleep while holding %s", first)
+			} else if fn != nil {
+				if rpkg, rname, ok := recvTypeName(fn); ok && rpkg == "sync" && rname == "WaitGroup" && fn.Name() == "Wait" {
+					c.pass.Reportf(n.Pos(), "call to sync.WaitGroup.Wait while holding %s", first)
+				}
 			}
 		}
 		return true
 	})
-}
-
-// applyCall updates lock state for a Lock/Unlock call, or flags it as a
-// blocking call, and scans its arguments.
-func (w *lockWalker) applyCall(call *ast.CallExpr, st lockState) {
-	if op, key, display, ok := w.lockOp(call); ok {
-		switch op {
-		case "Lock", "RLock":
-			st[key] = &heldLock{display: display}
-		case "Unlock", "RUnlock":
-			delete(st, key)
-		}
-		return
-	}
-	w.scanExpr(call, st)
-}
-
-// walkStmts walks one statement list, mutating st along the path. It
-// reports whether the path terminates (every way through returns or
-// branches away).
-func (w *lockWalker) walkStmts(list []ast.Stmt, st lockState) bool {
-	for _, s := range list {
-		if w.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, st lockState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			w.applyCall(call, st)
-		} else {
-			w.scanExpr(s.X, st)
-		}
-	case *ast.SendStmt:
-		if held, ok := anyHeld(st); ok {
-			w.pass.Reportf(s.Pos(), "channel send while holding %s", held)
-		}
-		w.scanExpr(s.Value, st)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, st)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, st)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanExpr(e, st)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, st)
-	case *ast.DeferStmt:
-		if op, key, _, ok := w.lockOp(s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			if h, held := st[key]; held {
-				h.deferred = true
-			}
-		}
-	case *ast.GoStmt:
-		for _, arg := range s.Call.Args {
-			w.scanExpr(arg, st)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, st)
-		}
-		for _, h := range st {
-			if !h.deferred {
-				w.pass.Reportf(s.Pos(), "return while holding %s: unlock on this path or 'defer %s.Unlock()' right after Lock", h.display, h.display)
-			}
-		}
-		return true
-	case *ast.BranchStmt:
-		return true // break/continue/goto: ends this structural path
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		bodySt := st.clone()
-		bodyTerm := w.walkStmts(s.Body.List, bodySt)
-		elseSt := st.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseSt)
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return true
-		case bodyTerm:
-			replace(st, elseSt)
-		case elseTerm:
-			replace(st, bodySt)
-		default:
-			replace(st, merge(bodySt, elseSt))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		body := st.clone()
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-	case *ast.RangeStmt:
-		if tv, ok := w.pass.Pkg.Info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				if held, heldOK := anyHeld(st); heldOK {
-					w.pass.Reportf(s.Pos(), "range over channel while holding %s", held)
-				}
-			}
-		}
-		w.scanExpr(s.X, st)
-		body := st.clone()
-		w.walkStmts(s.Body.List, body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Tag, st)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, st.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, st.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if held, ok := anyHeld(st); ok && !hasDefault {
-			w.pass.Reportf(s.Pos(), "select without default while holding %s blocks under the lock", held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkStmts(cc.Body, st.clone())
-			}
-		}
-	}
-	return false
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src lockState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
 }

@@ -26,7 +26,8 @@ import (
 // same field on different values collapse to one node. Self-edges are
 // therefore not reported (they are usually different instances), and
 // function literals are separate analysis roots with no held locks, the
-// same under-approximation lockheld makes.
+// same under-approximation lockheld makes — both are listeners on the one
+// held-lock walk (walkLocks).
 func LockOrder() *Analyzer {
 	a := &Analyzer{
 		Name: "lockorder",
@@ -42,16 +43,7 @@ func LockOrder() *Analyzer {
 				continue
 			}
 			facts := &lockFuncFacts{name: shortFuncName(fn)}
-			w := &orderWalker{pass: pass, facts: facts}
-			w.walkStmts(fd.Body.List, nil)
-			// Function literals run on their own goroutine or schedule:
-			// fresh roots, no inherited held set.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					w.walkStmts(fl.Body.List, nil)
-				}
-				return true
-			})
+			walkLocks(pass, fd.Body, &orderListener{pass: pass, facts: facts})
 			if len(facts.acquires) > 0 || len(facts.calls) > 0 {
 				pass.ExportObjectFact(fn, facts)
 			}
@@ -61,18 +53,10 @@ func LockOrder() *Analyzer {
 	return a
 }
 
-// lockSite is one lock acquisition: the lock's declaration object, its
-// human-readable name, and where it happened.
-type lockSite struct {
-	obj     types.Object
-	display string
-	pos     token.Pos
-}
-
 // lockEdge is a direct within-function ordering: to was acquired at pos
 // while from was held.
 type lockEdge struct {
-	from, to lockSite
+	from, to heldLock
 	pos      token.Pos
 }
 
@@ -81,129 +65,74 @@ type lockEdge struct {
 // transitive acquire sets).
 type lockCall struct {
 	fn   *types.Func
-	held []lockSite
+	held heldLocks
 	pos  token.Pos
 }
 
 // lockFuncFacts is the exported per-function summary.
 type lockFuncFacts struct {
 	name     string
-	acquires []lockSite
+	acquires []heldLock
 	edges    []lockEdge
 	calls    []lockCall
 }
 
-// orderWalker walks one function, tracking the held-lock set along each
-// structural path (clone at branches, intersect at merges — the same
-// under-approximation as lockheld, so manual unlock-and-return branches
-// never fabricate edges).
-type orderWalker struct {
+// orderListener collects one function's facts from the held-lock walk.
+type orderListener struct {
 	pass  *Pass
 	facts *lockFuncFacts
 }
 
-// heldSet is the ordered list of currently held locks.
-type heldSet []lockSite
-
-func (h heldSet) clone() heldSet { return append(heldSet(nil), h...) }
-
-func (h heldSet) remove(obj types.Object) heldSet {
-	out := h[:0:len(h)]
-	for _, s := range h {
-		if s.obj != obj {
-			out = append(out, s)
+// acquire notes an acquisition: its own fact, plus a direct edge from
+// every currently held lock.
+func (o *orderListener) acquire(l heldLock, held heldLocks) {
+	o.facts.acquires = append(o.facts.acquires, l)
+	for _, h := range held {
+		if h.obj != l.obj {
+			o.facts.edges = append(o.facts.edges, lockEdge{from: h, to: l, pos: l.pos})
 		}
 	}
-	return out
 }
 
-// intersect keeps locks held in both sets, preserving h's order.
-func (h heldSet) intersect(o heldSet) heldSet {
-	var out heldSet
-	for _, s := range h {
-		for _, t := range o {
-			if s.obj == t.obj {
-				out = append(out, s)
-				break
+func (o *orderListener) stmt(s ast.Stmt, held heldLocks) {
+	switch s := s.(type) {
+	case *ast.DeferStmt:
+		// Deferred calls run with whatever is held at the function's end;
+		// approximate with the current held set.
+		o.expr(s.Call, held)
+	case *ast.GoStmt:
+		// The goroutine runs with its own empty held set; its closure (if
+		// a literal) is walked as a separate root. A named callee still
+		// enters the call graph, with no held locks.
+		if fn := callee(o.pass, s.Call); fn != nil {
+			o.facts.calls = append(o.facts.calls, lockCall{fn: fn, pos: s.Call.Pos()})
+		}
+	}
+}
+
+// expr records lock-relevant calls inside an arbitrary expression:
+// acquisitions (rare inside an expression; they order after the held locks
+// but do not join the held set) and resolvable callees with the current
+// held set. Function literals are separate roots and skipped here.
+func (o *orderListener) expr(e ast.Expr, held heldLocks) {
+	if e == nil {
+		return
+	}
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if op, l, ok := lockOp(o.pass, n); ok {
+				if op == "Lock" || op == "RLock" {
+					o.acquire(l, held)
+				}
+			} else if fn := callee(o.pass, n); fn != nil {
+				o.facts.calls = append(o.facts.calls, lockCall{fn: fn, held: held.clone(), pos: n.Pos()})
 			}
 		}
-	}
-	return out
-}
-
-// lockIdent resolves the mutex operand of a Lock/Unlock selector call to
-// the lock's identity object and display name. For "x.mu.Lock()" the
-// identity is the mu field's declaration (shared by every instance); for
-// a package-level "mu.Lock()" it is the variable; for a promoted
-// "s.Lock()" on an embedded mutex it falls back to the receiver's named
-// type.
-func lockIdent(pass *Pass, sel *ast.SelectorExpr) (types.Object, string, bool) {
-	info := pass.Pkg.Info
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.SelectorExpr:
-		obj := info.Uses[x.Sel]
-		if s, ok := info.Selections[x]; ok && s.Obj() != nil {
-			obj = s.Obj()
-		}
-		if obj == nil {
-			return nil, "", false
-		}
-		display := obj.Name()
-		if tv, ok := info.Types[x.X]; ok {
-			display = namedTypeDisplay(tv.Type) + "." + obj.Name()
-		} else if pn, isPkg := info.Uses[firstIdent(x.X)].(*types.PkgName); isPkg && pn != nil {
-			display = pn.Imported().Name() + "." + obj.Name()
-		}
-		return obj, display, true
-	case *ast.Ident:
-		obj := info.Uses[x]
-		if obj == nil {
-			obj = info.Defs[x]
-		}
-		if obj == nil {
-			return nil, "", false
-		}
-		display := obj.Name()
-		if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			display = obj.Pkg().Name() + "." + obj.Name()
-		}
-		return obj, display, true
-	default:
-		// Promoted embedded mutex or an expression we cannot key: use the
-		// operand type's declaration when it is named.
-		if tv, ok := info.Types[sel.X]; ok {
-			t := tv.Type
-			if p, isPtr := t.(*types.Pointer); isPtr {
-				t = p.Elem()
-			}
-			if named, isNamed := t.(*types.Named); isNamed {
-				return named.Obj(), namedTypeDisplay(tv.Type), true
-			}
-		}
-		return nil, "", false
-	}
-}
-
-// firstIdent returns e when it is an identifier, else nil.
-func firstIdent(e ast.Expr) *ast.Ident {
-	id, _ := ast.Unparen(e).(*ast.Ident)
-	return id
-}
-
-// namedTypeDisplay renders a (possibly pointered) named type as
-// "pkg.Type"; other types fall back to their string form.
-func namedTypeDisplay(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			return obj.Pkg().Name() + "." + obj.Name()
-		}
-		return obj.Name()
-	}
-	return t.String()
+		return true
+	})
 }
 
 // shortFuncName renders fn as "pkg.Name" or "(*pkg.Type).Name".
@@ -219,217 +148,6 @@ func shortFuncName(fn *types.Func) string {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// lockOp classifies a call as a sync.Mutex/RWMutex Lock/Unlock variant.
-func (w *orderWalker) lockOp(call *ast.CallExpr) (op string, site lockSite, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", lockSite{}, false
-	}
-	fn, _ := w.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return "", lockSite{}, false
-	}
-	rpkg, rname, hasRecv := recvTypeName(fn)
-	if !hasRecv || rpkg != "sync" || (rname != "Mutex" && rname != "RWMutex") {
-		return "", lockSite{}, false
-	}
-	name := fn.Name()
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-		obj, display, okID := lockIdent(w.pass, sel)
-		if !okID {
-			return "", lockSite{}, false
-		}
-		return name, lockSite{obj: obj, display: display, pos: call.Pos()}, true
-	}
-	return "", lockSite{}, false
-}
-
-// recordAcquire notes an acquisition: its own fact, plus a direct edge
-// from every currently held lock.
-func (w *orderWalker) recordAcquire(site lockSite, held heldSet) {
-	w.facts.acquires = append(w.facts.acquires, site)
-	for _, h := range held {
-		if h.obj != site.obj {
-			w.facts.edges = append(w.facts.edges, lockEdge{from: h, to: site, pos: site.pos})
-		}
-	}
-}
-
-// scanExpr records lock-relevant calls inside an arbitrary expression:
-// acquisitions in call arguments and resolvable callees with the current
-// held set. Function literals are separate roots and skipped here.
-func (w *orderWalker) scanExpr(e ast.Expr, held heldSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, site, ok := w.lockOp(n); ok {
-				switch op {
-				case "Lock", "RLock":
-					// An acquisition inside an expression (rare) still
-					// orders after the held locks, but the held set for
-					// subsequent statements is handled by applyCall on
-					// statement-level calls only.
-					w.recordAcquire(site, held)
-				}
-				return true
-			}
-			if fn := callee(w.pass, n); fn != nil {
-				w.facts.calls = append(w.facts.calls, lockCall{fn: fn, held: held.clone(), pos: n.Pos()})
-			}
-		}
-		return true
-	})
-}
-
-// applyCall processes a statement-level call, returning the new held set.
-func (w *orderWalker) applyCall(call *ast.CallExpr, held heldSet) heldSet {
-	if op, site, ok := w.lockOp(call); ok {
-		switch op {
-		case "Lock", "RLock":
-			w.recordAcquire(site, held)
-			return append(held, site)
-		case "Unlock", "RUnlock":
-			return held.remove(site.obj)
-		}
-		return held
-	}
-	w.scanExpr(call, held)
-	return held
-}
-
-// walkStmts walks a statement list, threading the held set; it returns
-// (finalHeld, terminated).
-func (w *orderWalker) walkStmts(list []ast.Stmt, held heldSet) (heldSet, bool) {
-	for _, s := range list {
-		var term bool
-		held, term = w.walkStmt(s, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (w *orderWalker) walkStmt(s ast.Stmt, held heldSet) (heldSet, bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			return w.applyCall(call, held), false
-		}
-		w.scanExpr(s.X, held)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, held)
-		w.scanExpr(s.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanExpr(e, held)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, held)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held to the function's end —
-		// exactly what the held set already models — and other deferred
-		// calls run with whatever is held then; approximate with the
-		// current held set for resolvable callees.
-		if op, _, ok := w.lockOp(s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			return held, false
-		}
-		w.scanExpr(s.Call, held)
-	case *ast.GoStmt:
-		// The goroutine runs with its own empty held set; its closure (if
-		// a literal) is walked as a separate root. A named callee still
-		// enters the call graph, with no held locks.
-		if fn := callee(w.pass, s.Call); fn != nil {
-			w.facts.calls = append(w.facts.calls, lockCall{fn: fn, pos: s.Call.Pos()})
-		}
-		for _, arg := range s.Call.Args {
-			w.scanExpr(arg, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, held)
-		}
-		return held, true
-	case *ast.BranchStmt:
-		return held, true
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		bodyHeld, bodyTerm := w.walkStmts(s.Body.List, held.clone())
-		elseHeld, elseTerm := held.clone(), false
-		if s.Else != nil {
-			elseHeld, elseTerm = w.walkStmt(s.Else, elseHeld)
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return held, true
-		case bodyTerm:
-			return elseHeld, false
-		case elseTerm:
-			return bodyHeld, false
-		default:
-			return bodyHeld.intersect(elseHeld), false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		w.walkStmts(s.Body.List, held.clone())
-		if s.Post != nil {
-			w.walkStmt(s.Post, held.clone())
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		w.walkStmts(s.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Tag, held)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkStmts(cc.Body, held.clone())
-			}
-		}
-	}
-	return held, false
 }
 
 // orderEdge is one aggregated lock-order graph edge with a representative
@@ -457,7 +175,7 @@ func finishLockOrder(mp *ModulePass) {
 	// or through any chain of statically resolved callees, with one
 	// representative chain + site per lock.
 	type acq struct {
-		site  lockSite
+		site  heldLock
 		chain []string // function names from the entry function down to the acquirer
 	}
 	memo := map[*types.Func]map[types.Object]acq{}
@@ -497,7 +215,7 @@ func finishLockOrder(mp *ModulePass) {
 	// anything a callee (transitively) acquires orders after every lock
 	// held at the call site.
 	display := map[types.Object]string{}
-	note := func(s lockSite) {
+	note := func(s heldLock) {
 		if d, ok := display[s.obj]; !ok || s.display < d {
 			display[s.obj] = s.display
 		}

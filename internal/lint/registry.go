@@ -6,21 +6,19 @@ package lint
 // new invariant gets wired in.
 func Default() []*Analyzer {
 	return []*Analyzer{
+		// The two types whose nil is real traffic: untraced jobs carry a
+		// nil recorder, a node without -warm a nil warmer.
 		Nilsafe(map[string][]string{
-			"internal/obs":       {"Recorder"},
-			"internal/telemetry": {"Window", "Hub"},
-			"internal/flight":    {"Recorder", "Engine"},
-			"internal/session":   {"Store", "Warmer"},
+			"internal/obs":     {"Recorder"},
+			"internal/session": {"Warmer"},
 		}),
 		ClockDiscipline(
 			[]string{"internal/gpusim", "internal/vtime"},
 			[]string{"internal/vtime.Time", "internal/gpusim.HostClock"},
 		),
-		Hotpath(),
 		CtxFlow(),
 		LockHeld(),
 		LockOrder(),
 		GoroutineLife(),
-		SSEDisc(),
 	}
 }

@@ -1,51 +1,11 @@
 // Package session is a lint fixture loaded under an import path ending
 // in internal/session, so the default registry's nilsafe configuration —
-// the one the CI gate applies to the real package — covers Store and
-// Warmer here. Both are nil-tolerant by contract: a server without a
-// -sessions directory holds a nil *Store, and a server without -warm
-// holds a nil *Warmer, and every exported method must degrade to a
-// no-op rather than panic.
+// the one the CI gate applies to the real package — covers Warmer here: a
+// server without -warm holds a nil *Warmer, and every exported method must
+// degrade to a no-op rather than panic.
 package session
 
-import "sync"
-
-// Store mimics session.Store: a nil *Store is "sessions disabled".
-type Store struct {
-	mu    sync.Mutex
-	dir   string
-	steps map[string][]int64
-}
-
-// Dir is missing its guard.
-func (s *Store) Dir() string { // want `exported method \(\*Store\)\.Dir must begin with 'if s == nil'`
-	return s.dir
-}
-
-// Latest guards correctly.
-func (s *Store) Latest(fp string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	steps := s.steps[fp]
-	if len(steps) == 0 {
-		return 0, false
-	}
-	return steps[len(steps)-1], true
-}
-
-// Enabled-style single-expression bodies count as guards.
-func (s *Store) Enabled() bool { return s != nil }
-
-// prune is unexported: callers inside the package guard for it.
-func (s *Store) prune(fp string, retain int) {
-	if len(s.steps[fp]) > retain {
-		s.steps[fp] = s.steps[fp][:retain]
-	}
-}
-
-// Warmer mimics session.Warmer, the second covered type.
+// Warmer mimics session.Warmer.
 type Warmer struct {
 	warmed map[string]bool
 	shed   int64

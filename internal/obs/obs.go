@@ -224,8 +224,6 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // Clock returns seconds elapsed since the recorder's epoch (0 if disabled).
 // Use it to timestamp a window whose span is emitted later via Add.
-//
-//advect:hotpath
 func (r *Recorder) Clock() float64 {
 	if r == nil {
 		return 0
@@ -235,8 +233,6 @@ func (r *Recorder) Clock() float64 {
 
 // Add records one span directly. Use it for bridged sim spans and for wall
 // windows timed with Clock; prefer Begin/End for simple bracketing.
-//
-//advect:hotpath
 func (r *Recorder) Add(rank, step int, phase Phase, label string, start, end float64) {
 	if r == nil || end < start {
 		return
@@ -259,8 +255,6 @@ type Active struct {
 
 // Begin opens a wall-clock span. End closes it. On a disabled recorder
 // both are no-ops and neither allocates nor reads the clock.
-//
-//advect:hotpath
 func (r *Recorder) Begin(rank, step int, phase Phase, label string) Active {
 	if r == nil {
 		return Active{}
@@ -269,8 +263,6 @@ func (r *Recorder) Begin(rank, step int, phase Phase, label string) Active {
 }
 
 // End closes the span at the current clock reading.
-//
-//advect:hotpath
 func (a Active) End() {
 	if a.r == nil {
 		return

@@ -54,6 +54,25 @@ func TestDisabledRecorderAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestEnabledRecorderAllocatesNothing: a traced run records several spans
+// per rank per step, so recording one must cost no allocation of its own —
+// only the span log's amortized growth, which rounds to zero per call.
+func TestEnabledRecorderAllocatesNothing(t *testing.T) {
+	r := NewRecorder()
+	allocs := testing.AllocsPerRun(1000, func() {
+		a := r.Begin(3, 7, PhaseMPIExchange, "x")
+		a.End()
+		r.Add(0, 0, PhaseKernel, "k", 0, 1)
+		_ = r.Clock()
+	})
+	if allocs != 0 {
+		t.Fatalf("enabled recorder allocated %v times per op", allocs)
+	}
+	if r.Len() < 2000 {
+		t.Fatalf("recorded %d spans, want two per run", r.Len())
+	}
+}
+
 func TestBeginEndRecordsOrderedSpans(t *testing.T) {
 	r := NewRecorder()
 	a := r.Begin(1, 4, PhaseInterior, "whole")

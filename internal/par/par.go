@@ -22,8 +22,6 @@ const (
 	// Static divides the iteration space into one contiguous chunk per
 	// worker, assigned up front.
 	Static Schedule = iota
-	// Dynamic hands out fixed-size chunks as workers request them.
-	Dynamic
 	// Guided hands out chunks proportional to the remaining work divided
 	// by the number of workers, shrinking toward the chunk floor — the
 	// schedule the paper uses so the master thread can join computation
@@ -35,8 +33,6 @@ func (s Schedule) String() string {
 	switch s {
 	case Static:
 		return "static"
-	case Dynamic:
-		return "dynamic"
 	case Guided:
 		return "guided"
 	}
@@ -157,7 +153,7 @@ func (t *Team) Barrier() { t.barrier.Wait() }
 
 // ParallelFor executes body over the iteration range [0, n) split among the
 // team per sched. body receives half-open chunk bounds [lo, hi). chunk is
-// the dynamic chunk size or the guided chunk floor; 0 selects a default.
+// the guided chunk floor; 0 selects a default.
 func (t *Team) ParallelFor(n int, sched Schedule, chunk int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -172,8 +168,8 @@ func (t *Team) ParallelFor(n int, sched Schedule, chunk int, body func(lo, hi in
 				body(lo, hi)
 			}
 		})
-	case Dynamic, Guided:
-		s := newScheduler(n, t.n, sched, chunk)
+	case Guided:
+		s := newScheduler(n, t.n, chunk)
 		t.Run(func(tid int) {
 			for {
 				lo, hi, ok := s.next()
@@ -197,7 +193,7 @@ func (t *Team) ParallelFor(n int, sched Schedule, chunk int, body func(lo, hi in
 func (t *Team) RunWithMaster(masterWork func(), n int, chunk int, body func(lo, hi int)) {
 	t.label = "master+guided"
 	defer func() { t.label = "" }()
-	s := newScheduler(n, t.n, Guided, chunk)
+	s := newScheduler(n, t.n, chunk)
 	t.Run(func(tid int) {
 		if tid == 0 {
 			masterWork()
@@ -226,20 +222,19 @@ func StaticChunk(n, workers, tid int) (lo, hi int) {
 	return lo, lo + base
 }
 
-// scheduler hands out chunks of [0, n) for dynamic and guided schedules.
+// scheduler hands out the chunks of [0, n) for the guided schedule.
 type scheduler struct {
 	n       int64
 	workers int64
-	sched   Schedule
 	floor   int64
 	next64  atomic.Int64
 }
 
-func newScheduler(n, workers int, sched Schedule, chunk int) *scheduler {
+func newScheduler(n, workers int, chunk int) *scheduler {
 	if chunk <= 0 {
-		chunk = 1 // one iteration per draw when dynamic, the floor when guided
+		chunk = 1
 	}
-	return &scheduler{n: int64(n), workers: int64(workers), sched: sched, floor: int64(chunk)}
+	return &scheduler{n: int64(n), workers: int64(workers), floor: int64(chunk)}
 }
 
 func (s *scheduler) next() (lo, hi int, ok bool) {
@@ -248,14 +243,9 @@ func (s *scheduler) next() (lo, hi int, ok bool) {
 		if cur >= s.n {
 			return 0, 0, false
 		}
-		var size int64
-		if s.sched == Dynamic {
+		size := (s.n - cur) / s.workers
+		if size < s.floor {
 			size = s.floor
-		} else {
-			size = (s.n - cur) / s.workers
-			if size < s.floor {
-				size = s.floor
-			}
 		}
 		end := cur + size
 		if end > s.n {

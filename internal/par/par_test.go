@@ -29,7 +29,7 @@ func coverageCheck(t *testing.T, n int, run func(body func(lo, hi int))) {
 func TestParallelForSchedules(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()
-	for _, sched := range []Schedule{Static, Dynamic, Guided} {
+	for _, sched := range []Schedule{Static, Guided} {
 		for _, n := range []int{1, 3, 4, 17, 100, 1000} {
 			coverageCheck(t, n, func(body func(lo, hi int)) {
 				team.ParallelFor(n, sched, 0, body)
@@ -42,9 +42,6 @@ func TestParallelForChunkSizes(t *testing.T) {
 	team := NewTeam(3)
 	defer team.Close()
 	for _, chunk := range []int{1, 2, 7, 100} {
-		coverageCheck(t, 50, func(body func(lo, hi int)) {
-			team.ParallelFor(50, Dynamic, chunk, body)
-		})
 		coverageCheck(t, 50, func(body func(lo, hi int)) {
 			team.ParallelFor(50, Guided, chunk, body)
 		})
@@ -64,7 +61,7 @@ func TestParallelForEmpty(t *testing.T) {
 func TestParallelForSingleWorker(t *testing.T) {
 	team := NewTeam(1)
 	defer team.Close()
-	for _, sched := range []Schedule{Static, Dynamic, Guided} {
+	for _, sched := range []Schedule{Static, Guided} {
 		coverageCheck(t, 25, func(body func(lo, hi int)) {
 			team.ParallelFor(25, sched, 0, body)
 		})
@@ -176,7 +173,7 @@ func TestRunWithMasterSingleThread(t *testing.T) {
 }
 
 func TestGuidedChunksShrink(t *testing.T) {
-	s := newScheduler(1000, 4, Guided, 1)
+	s := newScheduler(1000, 4, 1)
 	last := 1 << 30
 	for {
 		lo, hi, ok := s.next()
@@ -192,7 +189,7 @@ func TestGuidedChunksShrink(t *testing.T) {
 }
 
 func TestGuidedChunkFloor(t *testing.T) {
-	s := newScheduler(100, 4, Guided, 10)
+	s := newScheduler(100, 4, 10)
 	for {
 		lo, hi, ok := s.next()
 		if !ok {
@@ -264,7 +261,7 @@ func TestBarrierStandalone(t *testing.T) {
 }
 
 func TestScheduleString(t *testing.T) {
-	if Static.String() != "static" || Dynamic.String() != "dynamic" || Guided.String() != "guided" {
+	if Static.String() != "static" || Guided.String() != "guided" {
 		t.Fatal("bad schedule names")
 	}
 	if Schedule(9).String() != "Schedule(9)" {

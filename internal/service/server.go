@@ -52,13 +52,10 @@ type Config struct {
 	// federated telemetry. Empty means standalone (no prefix, no label).
 	NodeID string
 	// FlightEvents sizes the flight-recorder ring (last N events retained
-	// for GET /v1/debug/bundle). 0 selects flight.DefaultEvents; negative
-	// disables the recorder and the anomaly engine entirely (the nil-safe
-	// disabled path).
+	// for GET /v1/debug/bundle). Below 1 selects flight.DefaultEvents.
 	FlightEvents int
 	// FlightRules configures the anomaly engine; the zero value selects
-	// the defaults documented on flight.Rules. Ignored when FlightEvents
-	// is negative.
+	// the defaults documented on flight.Rules.
 	FlightRules flight.Rules
 	// HeartbeatInterval is the cadence of ": heartbeat" SSE comment lines
 	// on idle /v1/stream connections, keeping proxies from severing quiet
@@ -149,28 +146,26 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	//advect:nolint ctxflow the server root context outlives any request; drain cancels it explicitly
 	ctx, cancel := context.WithCancel(context.Background())
+	// The flight recorder tees the node's own logger: a job or session
+	// transition enters the ring once, as its log line, beside the
+	// span/stats/anomaly records; the engine judges traced jobs and the
+	// telemetry windows, surfacing firings on the live stream and freezing
+	// the ring for the postmortem bundle.
+	rec := flight.NewRecorder(cfg.FlightEvents)
 	s := &Server{
 		cfg:        cfg,
-		log:        cfg.Logger,
+		log:        slog.New(flight.TeeHandler(rec, cfg.Logger.Handler())),
 		store:      NewStore(cfg.NodeID),
 		queue:      NewQueue(cfg.QueueCap),
 		cache:      NewCache(cfg.CacheEntries),
 		tele:       NewTelemetry(time.Now(), cfg.StatsWindow, cfg.QueueCap),
 		hub:        telemetry.NewHub(),
+		flight:     rec,
+		engine:     flight.NewEngine(cfg.FlightRules, rec),
 		baseCtx:    ctx,
 		cancelJobs: cancel,
 	}
-	if cfg.FlightEvents >= 0 {
-		// The flight recorder tees the node's own logger: a job or session
-		// transition enters the ring once, as its log line, beside the
-		// span/stats/anomaly records; the engine judges traced jobs and the
-		// telemetry windows, surfacing firings on the live stream and
-		// freezing the ring for the postmortem bundle.
-		s.flight = flight.NewRecorder(cfg.FlightEvents)
-		s.log = slog.New(flight.TeeHandler(s.flight, cfg.Logger.Handler()))
-		s.engine = flight.NewEngine(cfg.FlightRules, s.flight)
-		s.engine.Notify(s.publishAnomaly)
-	}
+	s.engine.Notify(s.publishAnomaly)
 	if cfg.WarmSweeps {
 		s.warmer = session.NewWarmer(session.WarmerConfig{})
 	}
@@ -179,9 +174,7 @@ func New(cfg Config) *Server {
 	}
 	s.pool = NewPool(cfg.Workers, s.queue, s.runJob)
 	s.mux = Mount(s.routes(), cfg.EnablePprof)
-	if s.engine.Enabled() {
-		go s.sweepLoop()
-	}
+	go s.sweepLoop()
 	return s
 }
 
@@ -528,10 +521,8 @@ func (s *Server) StatsSnapshot() TelemetryStats {
 	q, w := s.gauges()
 	st := s.tele.Stats(time.Now(), q, w)
 	st.Node = s.cfg.NodeID
-	if s.engine.Enabled() {
-		a := s.engine.Anomalies()
-		st.Anomalies = &a
-	}
+	a := s.engine.Anomalies()
+	st.Anomalies = &a
 	if s.sessions != nil {
 		sst := s.sessions.Stats()
 		st.Sessions = &sst

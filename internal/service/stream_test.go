@@ -2,13 +2,17 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // readSSE consumes the stream until it has seen every wanted event name (or
@@ -57,8 +61,8 @@ func TestStreamDeliversJobAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q, want text/event-stream", ct)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+		t.Fatalf("stream opened with %v, content type %q; want 200 and text/event-stream", resp.Status, ct)
 	}
 
 	// Concurrent submits while the subscriber is attached.
@@ -81,6 +85,119 @@ func TestStreamDeliversJobAndStats(t *testing.T) {
 	}
 	if seen["job"] == 0 {
 		t.Fatalf("no job events seen: %v", seen)
+	}
+}
+
+// frameRecorder is a ResponseWriter that keeps what ServeStream did in
+// order: each WriteHeader, and the bytes each Flush pushed out.
+type frameRecorder struct {
+	mu       sync.Mutex
+	header   http.Header
+	statuses []int
+	sentType string // Content-Type when the status line went out
+	pending  []byte
+	flushed  []string
+	wake     chan struct{} // poked on every Flush
+}
+
+func (f *frameRecorder) Header() http.Header { return f.header }
+
+func (f *frameRecorder) WriteHeader(code int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.statuses = append(f.statuses, code)
+	f.sentType = f.header.Get("Content-Type")
+}
+
+func (f *frameRecorder) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.statuses) == 0 {
+		f.statuses = append(f.statuses, -1) // a body byte before the status line
+	}
+	f.pending = append(f.pending, p...)
+	return len(p), nil
+}
+
+func (f *frameRecorder) Flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushed = append(f.flushed, string(f.pending))
+	f.pending = nil
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (f *frameRecorder) frames() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.flushed...)
+}
+
+// TestServeStreamFlushesEachFrame pins what the wire cannot show: one
+// status line, written after Content-Type is set and before any frame;
+// every frame — snapshot, hub event, heartbeat comment — complete ("\n\n")
+// and flushed on its own, so none waits in a buffer for the next; and the
+// handler returns when the client goes away and when the hub closes.
+func TestServeStreamFlushesEachFrame(t *testing.T) {
+	for _, end := range []string{"client disconnect", "hub close"} {
+		t.Run(end, func(t *testing.T) {
+			hub := telemetry.NewHub()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req := httptest.NewRequest(http.MethodGet, "/v1/stream", nil).WithContext(ctx)
+			rec := &frameRecorder{header: http.Header{}, wake: make(chan struct{}, 1)}
+			returned := make(chan struct{})
+			go func() {
+				defer close(returned)
+				ServeStream(rec, req, hub, time.Hour, 10*time.Millisecond, "stats", func() any { return map[string]int{"n": 1} })
+			}()
+
+			waitFrame := func(frame string) {
+				t.Helper()
+				for timeout := time.After(10 * time.Second); !slices.Contains(rec.frames(), frame); {
+					select {
+					case <-rec.wake:
+					case <-timeout:
+						t.Fatalf("frame %q never flushed on its own; flushes so far: %q", frame, rec.frames())
+					}
+				}
+			}
+			waitFrame("event: stats\ndata: {\"n\":1}\n\n")
+			waitFrame(": heartbeat\n\n")
+			// Subscribed before the first frame went out, so this is delivered.
+			hub.Publish(telemetry.Event{Name: "job", Data: []byte(`{"id":"j1"}`)})
+			waitFrame("event: job\ndata: {\"id\":\"j1\"}\n\n")
+
+			if end == "hub close" {
+				hub.Close()
+			} else {
+				cancel()
+			}
+			select {
+			case <-returned:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("handler still running after %s", end)
+			}
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if len(rec.statuses) != 1 || rec.statuses[0] != http.StatusOK {
+				t.Errorf("status lines %v, want exactly one 200 before the first byte", rec.statuses)
+			}
+			if rec.sentType != "text/event-stream" {
+				t.Errorf("status line went out with content type %q, want text/event-stream", rec.sentType)
+			}
+			if len(rec.pending) != 0 {
+				t.Errorf("handler returned with %q unflushed", rec.pending)
+			}
+			for _, f := range rec.flushed {
+				if !strings.HasSuffix(f, "\n\n") || strings.Count(f, "\n\n") != 1 {
+					t.Errorf("one flush pushed %q, want exactly one complete frame", f)
+				}
+			}
+		})
 	}
 }
 

@@ -501,34 +501,18 @@ func TestStoreRecords(t *testing.T) {
 	if err := st.SaveRecord(Record{}); err == nil {
 		t.Fatal("id-less record accepted")
 	}
-}
-
-// TestNilStoreSafe pins the nil-receiver contract advectlint enforces: a
-// node without a session directory carries a nil *Store everywhere.
-func TestNilStoreSafe(t *testing.T) {
-	var st *Store
-	if err := st.SaveCheckpoint(checkpoint.Meta{Fingerprint: "x"}, nil); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("SaveCheckpoint: %v", err)
+	// A save that cannot land (the rename target is a directory) reports the
+	// error, leaves no temp file behind and does not disturb the others.
+	if err := os.Mkdir(filepath.Join(dir, "sess-blocked.json"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := st.LoadCheckpoint("x", 1); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("LoadCheckpoint: %v", err)
+	if err := st.SaveRecord(Record{ID: "blocked"}); err == nil {
+		t.Fatal("save over a directory succeeded")
 	}
-	if _, err := st.CheckpointBytes("x", 1); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("CheckpointBytes: %v", err)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed save left %v behind", tmps)
 	}
-	if st.Steps("x") != nil {
-		t.Fatal("nil store has steps")
-	}
-	if _, ok := st.Latest("x"); ok {
-		t.Fatal("nil store has a latest checkpoint")
-	}
-	if st.Prune("x", 1) != 0 {
-		t.Fatal("nil store pruned")
-	}
-	if err := st.SaveRecord(Record{ID: "x"}); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("SaveRecord: %v", err)
-	}
-	if _, err := st.Records(); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("Records: %v", err)
+	if recs, err := st.Records(); err != nil || len(recs) != 1 || recs[0] != rec {
+		t.Fatalf("records after a failed save: %+v, %v", recs, err)
 	}
 }

@@ -2,8 +2,8 @@ package session
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,17 +16,12 @@ import (
 	"repro/internal/grid"
 )
 
-// ErrNoStore is returned by every operation on a nil *Store: a node
-// without a session directory has sessions disabled, not broken.
-var ErrNoStore = errors.New("session: no store configured")
-
 // Store is the durable side of the subsystem: a directory of
 // content-addressed checkpoint files (ck-<fingerprint>-<step>.ckpt, the
 // versioned internal/checkpoint format) plus one JSON record per session
 // (sess-<id>.json) describing where its trajectory stands. Everything a
 // restarted process needs to resume is on disk; the in-memory Manager is
-// rebuilt from a rescan. A nil *Store is a valid disabled store: every
-// method answers with ErrNoStore or a zero value.
+// rebuilt from a rescan.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -52,9 +47,6 @@ func ckptFile(fp string, step int64) string {
 // SaveCheckpoint lands one durable segment boundary: the state of m's
 // fingerprint at m.StepsDone, written atomically.
 func (s *Store) SaveCheckpoint(m checkpoint.Meta, f *grid.Field) error {
-	if s == nil {
-		return ErrNoStore
-	}
 	if m.Fingerprint == "" {
 		return fmt.Errorf("session: checkpoint carries no fingerprint")
 	}
@@ -65,9 +57,6 @@ func (s *Store) SaveCheckpoint(m checkpoint.Meta, f *grid.Field) error {
 
 // LoadCheckpoint reads the state of fingerprint fp at step.
 func (s *Store) LoadCheckpoint(fp string, step int64) (checkpoint.Meta, *grid.Field, error) {
-	if s == nil {
-		return checkpoint.Meta{}, nil, ErrNoStore
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return checkpoint.LoadFile(filepath.Join(s.dir, ckptFile(fp, step)))
@@ -76,9 +65,6 @@ func (s *Store) LoadCheckpoint(fp string, step int64) (checkpoint.Meta, *grid.Fi
 // CheckpointBytes returns the raw file of fingerprint fp at step, the form
 // a gateway replicates to survive the owner's death.
 func (s *Store) CheckpointBytes(fp string, step int64) ([]byte, error) {
-	if s == nil {
-		return nil, ErrNoStore
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return os.ReadFile(filepath.Join(s.dir, ckptFile(fp, step)))
@@ -87,9 +73,6 @@ func (s *Store) CheckpointBytes(fp string, step int64) ([]byte, error) {
 // Steps returns the retained checkpoint steps of fingerprint fp in
 // ascending order.
 func (s *Store) Steps(fp string) []int64 {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stepsLocked(fp)
@@ -119,9 +102,6 @@ func (s *Store) stepsLocked(fp string) []int64 {
 
 // Latest returns the newest retained checkpoint step of fingerprint fp.
 func (s *Store) Latest(fp string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
 	steps := s.Steps(fp)
 	if len(steps) == 0 {
 		return 0, false
@@ -132,9 +112,6 @@ func (s *Store) Latest(fp string) (int64, bool) {
 // Prune drops the oldest checkpoints of fingerprint fp beyond retain
 // (newest kept) and returns how many were removed.
 func (s *Store) Prune(fp string, retain int) int {
-	if s == nil {
-		return 0
-	}
 	if retain < 1 {
 		retain = 1
 	}
@@ -178,11 +155,8 @@ type Record struct {
 	Updated     time.Time `json:"updated"`
 }
 
-// SaveRecord persists one session record atomically.
+// SaveRecord persists one session record atomically and durably.
 func (s *Store) SaveRecord(r Record) error {
-	if s == nil {
-		return ErrNoStore
-	}
 	if r.ID == "" {
 		return fmt.Errorf("session: record without id")
 	}
@@ -192,20 +166,15 @@ func (s *Store) SaveRecord(r Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := filepath.Join(s.dir, "sess-"+r.ID+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return checkpoint.WriteFileAtomic(filepath.Join(s.dir, "sess-"+r.ID+".json"), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // Records loads every session record in the store. Individually corrupt
 // files are skipped — a torn write must not block recovery of the rest.
 func (s *Store) Records() ([]Record, error) {
-	if s == nil {
-		return nil, ErrNoStore
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	matches, err := filepath.Glob(filepath.Join(s.dir, "sess-*.json"))

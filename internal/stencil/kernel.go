@@ -132,8 +132,6 @@ func colSum(w *[9]float64, a0, a1, a2, a3, a4, a5, a6, a7, a8 float64) float64 {
 // one-point rows (the ±x walls of BoundarySlabs) that makes the kernel
 // slower than the 27-term loop it replaced, 20 against 15 ns per point at
 // 16³ (BenchmarkApply/xwall16), where 16-point rows run at 3.8 against 11.
-//
-//advect:hotpath
 func (op *Op) applyRow(dst, s []float64, b int) {
 	m := len(dst)
 	if m < 3 { // no output; also what proves indices 0 and 1 in range below

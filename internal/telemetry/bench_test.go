@@ -5,18 +5,8 @@ import (
 	"time"
 )
 
-// The disabled (nil) window must stay effectively free and the enabled hot
-// path allocation-free — both are enforced by ci.sh against
-// BENCH_guards.json, mirroring the obs recorder gate.
-
-func BenchmarkWindowDisabled(b *testing.B) {
-	var w *Window
-	now := time.Now()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.Observe(now, 1.0)
-	}
-}
+// Observe must stay allocation-free and under its ns/op bound — ci.sh
+// enforces both against BENCH_guards.json.
 
 func BenchmarkWindowObserve(b *testing.B) {
 	w := NewWindow(time.Minute, time.Second, DurationBounds())
@@ -48,11 +38,24 @@ func TestWindowObserveAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Observe allocated %.1f per call, want 0", allocs)
 	}
-	var disabled *Window
-	allocs = testing.AllocsPerRun(1000, func() {
-		disabled.Observe(now, 0.5)
+}
+
+// TestHubPublishAllocatesNothing: every job transition and stats tick is
+// published to each open stream; delivery to a live subscriber must not
+// allocate.
+func TestHubPublishAllocatesNothing(t *testing.T) {
+	h := NewHub()
+	ch, cancel := h.Subscribe(1)
+	defer cancel()
+	ev := Event{Name: "job", Data: []byte(`{"id":"job-000001"}`)}
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.Publish(ev)
+		<-ch
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled Observe allocated %.1f per call, want 0", allocs)
+		t.Fatalf("Publish allocated %.1f per call, want 0", allocs)
+	}
+	if h.Dropped() != 0 {
+		t.Fatalf("dropped = %d with a drained subscriber, want 0", h.Dropped())
 	}
 }

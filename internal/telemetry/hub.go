@@ -14,8 +14,7 @@ type Event struct {
 
 // Hub is a small publish/subscribe fan-out for the SSE stream. Publishing
 // never blocks: a subscriber whose buffer is full simply misses that event
-// (the stream is a live view, not a durable log). A nil *Hub is a valid
-// disabled hub, matching the package's nil-safety convention.
+// (the stream is a live view, not a durable log).
 type Hub struct {
 	mu      sync.Mutex
 	subs    map[chan Event]struct{}
@@ -31,13 +30,8 @@ func NewHub() *Hub {
 // Subscribe registers a new subscriber with the given channel buffer and
 // returns its receive channel plus a cancel function. The channel is closed
 // by cancel or by Close, whichever comes first; cancel is idempotent. On a
-// nil or closed hub the returned channel is already closed.
+// closed hub the returned channel is already closed.
 func (h *Hub) Subscribe(buf int) (<-chan Event, func()) {
-	if h == nil {
-		ch := make(chan Event, buf)
-		close(ch)
-		return ch, func() {}
-	}
 	ch := make(chan Event, buf)
 	h.mu.Lock()
 	if h.closed {
@@ -64,12 +58,7 @@ func (h *Hub) Subscribe(buf int) (<-chan Event, func()) {
 
 // Publish fans the event out to every subscriber without blocking. Events a
 // slow subscriber cannot accept are counted in Dropped and discarded.
-//
-//advect:hotpath
 func (h *Hub) Publish(ev Event) {
-	if h == nil {
-		return
-	}
 	h.mu.Lock()
 	for ch := range h.subs {
 		select {
@@ -84,9 +73,6 @@ func (h *Hub) Publish(ev Event) {
 // Close shuts the hub down: every subscriber channel is closed and future
 // Subscribe calls return closed channels. Idempotent.
 func (h *Hub) Close() {
-	if h == nil {
-		return
-	}
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
@@ -101,9 +87,6 @@ func (h *Hub) Close() {
 // Dropped returns how many events were discarded because a subscriber's
 // buffer was full.
 func (h *Hub) Dropped() uint64 {
-	if h == nil {
-		return 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.dropped

@@ -8,10 +8,8 @@
 //
 // The hot path is deliberately boring: Observe touches one preallocated
 // ring frame and the lifetime frame under a mutex and allocates nothing
-// (asserted by TestWindowObserveAllocatesNothing and the two ci.sh ns
-// gates against BENCH_guards.json). Like *obs.Recorder, a nil *Window is a valid
-// disabled window on which every method no-ops, so instrumented code never
-// branches on an "enabled" flag.
+// (asserted by TestWindowObserveAllocatesNothing and the ci.sh ns gate
+// against BENCH_guards.json).
 package telemetry
 
 import (
@@ -75,14 +73,8 @@ func NewWindow(span, bucket time.Duration, bounds []float64) *Window {
 }
 
 // Observe records one value at the given time, in the ring frame of that
-// instant and in the lifetime totals. On a nil window it is a no-op; on an
-// enabled window it is allocation-free.
-//
-//advect:hotpath
+// instant and in the lifetime totals, allocation-free.
 func (w *Window) Observe(now time.Time, v float64) {
-	if w == nil {
-		return
-	}
 	slot := now.UnixNano() / w.width
 	b := sort.SearchFloat64s(w.bounds, v) // 0 in a counter-only window
 	w.mu.Lock()
@@ -109,9 +101,6 @@ func (w *Window) Observe(now time.Time, v float64) {
 // Total returns the lifetime count and sum: every observation since
 // construction, the ones the ring has rolled past included.
 func (w *Window) Total() (count uint64, sum float64) {
-	if w == nil {
-		return 0, 0
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.total.count, w.total.sum
@@ -122,9 +111,6 @@ func (w *Window) Total() (count uint64, sum float64) {
 // many observations were at or below it, then the +Inf entry, the lifetime
 // count; and the lifetime sum.
 func (w *Window) Cumulative(le []float64) (counts []uint64, sum float64) {
-	if w == nil {
-		return nil, 0
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	counts = make([]uint64, 0, len(le)+1)
@@ -161,11 +147,8 @@ type Stats struct {
 // Stats aggregates every bucket still inside the window at now. Sums and
 // counts are exact; quantiles are estimated by linear interpolation inside
 // the matching histogram bucket (the overflow bucket interpolates toward
-// the window max). A nil window returns the zero Stats.
+// the window max).
 func (w *Window) Stats(now time.Time) Stats {
-	if w == nil {
-		return Stats{}
-	}
 	cur := now.UnixNano() / w.width
 	oldest := cur - int64(len(w.frames)) + 1
 

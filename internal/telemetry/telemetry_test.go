@@ -136,20 +136,6 @@ func TestWindowQuantileOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestWindowNilSafe(t *testing.T) {
-	var w *Window
-	w.Observe(base, 1) // must not panic
-	if s := w.Stats(base); s.Count != 0 || s.WindowSec != 0 {
-		t.Fatalf("nil window stats = %+v, want zero", s)
-	}
-	if n, sum := w.Total(); n != 0 || sum != 0 {
-		t.Fatal("nil window has lifetime totals")
-	}
-	if counts, sum := w.Cumulative([]float64{1}); counts != nil || sum != 0 {
-		t.Fatal("nil window has a lifetime histogram")
-	}
-}
-
 func TestBoundsHelpers(t *testing.T) {
 	d := DurationBounds()
 	if !sort.Float64sAreSorted(d) {
@@ -209,18 +195,4 @@ func TestHubClose(t *testing.T) {
 		t.Fatal("subscribe after Close returned open channel")
 	}
 	h.Close() // idempotent
-}
-
-func TestHubNilSafe(t *testing.T) {
-	var h *Hub
-	h.Publish(Event{Name: "x"})
-	h.Close()
-	if h.Dropped() != 0 {
-		t.Fatal("nil hub counters not zero")
-	}
-	ch, cancel := h.Subscribe(1)
-	defer cancel()
-	if _, ok := <-ch; ok {
-		t.Fatal("nil hub subscribe returned open channel")
-	}
 }
