@@ -296,7 +296,7 @@ func BenchmarkFunctionalHybridOverlap(b *testing.B) {
 }
 
 // --- ablation benchmarks -------------------------------------------------------
-// One bench per load-bearing design choice (DESIGN.md §7): each reports the
+// One bench per load-bearing design choice: each reports the
 // with/without values of the mechanism as custom metrics.
 
 func BenchmarkAblationCamping(b *testing.B) {

@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI gate: formatting, vet, build, the full test suite with the race
-# detector, and the disabled-tracing overhead guard.
+# CI gate: formatting, vet, advectlint, build, the full test suite with the
+# race detector, vet and tests of the nested bench/ module, and the eight
+# ns_gate bounds of BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
 
@@ -37,10 +38,10 @@ go build ./...
 go test -race -timeout 5m ./...
 
 # bench/ is its own module (repro/bench, replace repro => ../), so the root
-# gate above does not compile it: build and smoke-test it here, so that a
-# signature change in stencil/grid/service that breaks the benchmark fails
-# CI and not the pipeline that builds it from source.
-(cd bench && go test ./...)
+# gate above neither vets nor compiles it: vet, build and smoke-test it here,
+# so that a signature change in stencil/grid/service that breaks the
+# benchmark fails CI and not the pipeline that builds it from source.
+(cd bench && go vet ./... && go test ./...)
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
 # request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
@@ -76,8 +77,8 @@ ns_gate ./internal/flight TestFlightAddAllocatesNothing BenchmarkFlightAdd \
     BENCH_guards.json flight_add_max_ns_per_op "flight Recorder.Add"
 
 # Disabled-cluster-tracing overhead guard: an untraced submission carries
-# a nil *submissionTrace through the whole gateway routing path, so cluster
-# tracing costs nothing when off.
+# the zero submissionTrace (a nil recorder) through the whole gateway
+# routing path, so cluster tracing costs nothing when off.
 ns_gate ./internal/cluster TestGatewayTraceDisabledAllocatesNothing BenchmarkGatewayTraceDisabled \
     BENCH_guards.json gateway_trace_disabled_max_ns_per_op "disabled-cluster-tracing path"
 

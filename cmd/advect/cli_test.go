@@ -94,4 +94,14 @@ func TestCLIEndToEnd(t *testing.T) {
 	if _, err := exec.Command(bin, "-impl", "nope").CombinedOutput(); err == nil {
 		t.Fatal("unknown implementation accepted")
 	}
+
+	// So does an unknown device: a typo must not run on a C2050.
+	cmd := exec.Command(bin, "-impl", "gpu", "-n", "8", "-steps", "1", "-gpu", "c2O50")
+	out2, err := cmd.CombinedOutput()
+	if err == nil || cmd.ProcessState.ExitCode() != 1 {
+		t.Fatalf("-gpu c2O50: err %v, output:\n%s", err, out2)
+	}
+	if !strings.Contains(string(out2), "c1060") || !strings.Contains(string(out2), "c2050") {
+		t.Fatalf("-gpu error does not name the valid models:\n%s", out2)
+	}
 }

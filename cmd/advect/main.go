@@ -56,9 +56,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	gpu := core.GPUC2050
-	if *gpuName == "c1060" {
-		gpu = core.GPUC1060
+	gpu, err := core.ParseGPU(*gpuName)
+	if err != nil {
+		fatal(err)
 	}
 
 	p := advect.NewProblem(*n, *steps)

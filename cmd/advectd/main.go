@@ -30,10 +30,10 @@
 //
 // With -sessions <dir> the daemon also runs long simulations as resumable
 // sessions (POST /v1/sessions): the trajectory executes as a chain of
-// checkpointed segments (-segment steps each, -retain kept for forking),
-// survives process restarts by resuming from the last durable checkpoint
-// in <dir>, and can be paused, resumed, or forked with mutated options
-// from any retained step. A segment is a unit of work on the same -workers
+// checkpointed segments (the request's "segment" steps each, its "retain"
+// newest kept for forking), survives process restarts by resuming from the
+// last durable checkpoint in <dir>, and can be paused, resumed, or forked
+// with mutated options from any retained step. A segment is a unit of work on the same -workers
 // pool as every job: it waits for a free worker (never shed), is counted in
 // workers.busy, points/sec and the "segment" latency series, and shares the
 // pool with waiting jobs at no fixed priority. -warm adds the speculative sweep warmer:
@@ -49,16 +49,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/flight"
@@ -85,23 +78,15 @@ func main() {
 		model     = flag.String("model", "", "machine model the anomaly engine predicts against (empty = default)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "SSE keep-alive comment cadence on idle /v1/stream connections")
 		sessDir   = flag.String("sessions", "", "session checkpoint directory: enables resumable sessions under /v1/sessions (empty = disabled)")
-		segment   = flag.Int("segment", 0, "default steps between durable session checkpoints (0 = built-in default)")
-		retain    = flag.Int("retain", 0, "retained checkpoints per session for fork/rewind (0 = built-in default)")
 		warm      = flag.Bool("warm", false, "speculatively pre-execute predicted sweep points on idle workers")
 	)
 	flag.Parse()
 
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "advectd: bad -loglevel %q: %v\n", *logLevel, err)
+	logger, err := service.NewLogger(*logLevel, *logJSON)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "advectd: %v\n", err)
 		os.Exit(2)
 	}
-	hopts := &slog.HandlerOptions{Level: level}
-	var handler slog.Handler = slog.NewTextHandler(os.Stderr, hopts)
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, hopts)
-	}
-	logger := slog.New(handler)
 
 	lim := service.DefaultLimits()
 	if *maxN > 0 {
@@ -120,38 +105,14 @@ func main() {
 		FlightRules:       flight.Rules{DriftTolerance: *drift, ModelMachine: *model},
 		HeartbeatInterval: *heartbeat,
 		SessionDir:        *sessDir,
-		SessionSegment:    *segment,
-		SessionRetain:     *retain,
 		WarmSweeps:        *warm,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "error", err)
-		os.Exit(1)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve failed", "error", err)
-			os.Exit(1)
-		}
-	}()
-	// Catch the signals before announcing readiness: a supervisor may send
-	// SIGTERM the moment it reads the line below.
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	logger.Info("serving", "addr", ln.Addr().String(),
-		"workers", *workers, "queue", *queue, "cache", *cache, "pprof", *pprofOn)
-
-	sig := <-stop
-	logger.Info("signal received, draining", "signal", sig.String(), "deadline", *drain)
-
 	// Stop accepting connections, then drain the pool.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		logger.Error("http shutdown", "error", err)
+	if err := service.ServeUntilSignal(*addr, srv.Handler(), logger, *drain+5*time.Second,
+		"workers", *workers, "queue", *queue, "cache", *cache, "pprof", *pprofOn); err != nil {
+		logger.Error("serve failed", "addr", *addr, "error", err)
+		os.Exit(1)
 	}
 	if err := srv.Shutdown(); err != nil {
 		logger.Error("drain failed", "error", err)

@@ -48,14 +48,11 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -86,17 +83,11 @@ func main() {
 	)
 	flag.Parse()
 
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "advectgw: bad -loglevel %q: %v\n", *logLevel, err)
+	logger, err := service.NewLogger(*logLevel, *logJSON)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "advectgw: %v\n", err)
 		os.Exit(2)
 	}
-	hopts := &slog.HandlerOptions{Level: level}
-	var handler slog.Handler = slog.NewTextHandler(os.Stderr, hopts)
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, hopts)
-	}
-	logger := slog.New(handler)
 
 	var members []cluster.Member
 	var locals []*localNode
@@ -105,7 +96,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "advectgw: -local and -nodes are mutually exclusive")
 		os.Exit(2)
 	case *local > 0:
-		var err error
 		members, locals, err = startLocalNodes(*local, service.Config{
 			Workers: *workers, QueueCap: *queue, CacheEntries: *cache,
 			DrainTimeout: *drain,
@@ -115,7 +105,6 @@ func main() {
 			os.Exit(1)
 		}
 	case *nodes != "":
-		var err error
 		members, err = parseMembers(*nodes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "advectgw: %v\n", err)
@@ -146,32 +135,11 @@ func main() {
 	runCtx, stopRun := context.WithCancel(context.Background())
 	router.Start(runCtx)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "error", err)
+	grace := *drain + 5*time.Second
+	if err := service.ServeUntilSignal(*addr, router.Handler(), logger, grace,
+		"members", len(members), "local", *local > 0); err != nil {
+		logger.Error("serve failed", "addr", *addr, "error", err)
 		os.Exit(1)
-	}
-	hs := &http.Server{Handler: router.Handler()}
-	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve failed", "error", err)
-			os.Exit(1)
-		}
-	}()
-	// Catch the signals before announcing readiness: a supervisor may send
-	// SIGTERM the moment it reads the line below.
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	logger.Info("serving", "addr", ln.Addr().String(),
-		"members", len(members), "local", *local > 0)
-
-	sig := <-stop
-	logger.Info("signal received, stopping", "signal", sig.String())
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		logger.Error("http shutdown", "error", err)
 	}
 	stopRun()
 	router.Stop()
@@ -182,7 +150,7 @@ func main() {
 			wg.Add(1)
 			go func(n *localNode) {
 				defer wg.Done()
-				n.stop(shutdownCtx, logger)
+				n.stop(grace, logger)
 			}(n)
 		}
 		wg.Wait()
@@ -197,13 +165,12 @@ type localNode struct {
 	hs  *http.Server
 }
 
-func (n *localNode) stop(ctx context.Context, logger *slog.Logger) {
+func (n *localNode) stop(grace time.Duration, logger *slog.Logger) {
+	logger = logger.With("node", n.id)
 	if err := n.srv.Shutdown(); err != nil {
-		logger.Error("local node drain failed", "node", n.id, "error", err)
+		logger.Error("local node drain failed", "error", err)
 	}
-	if err := n.hs.Shutdown(ctx); err != nil {
-		logger.Error("local node http shutdown", "node", n.id, "error", err)
-	}
+	service.StopHTTP(n.hs, grace, logger)
 }
 
 // startLocalNodes boots count in-process advectd nodes on loopback
@@ -228,17 +195,13 @@ func startLocalNodes(count int, cfg service.Config, sessionDir string, logger *s
 			nodeCfg.SessionDir = dir
 		}
 		srv := service.New(nodeCfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		hs, bound, err := service.Listen("127.0.0.1:0", srv.Handler(), func(err error) {
+			logger.Error("local node serve failed", "node", id, "error", err)
+		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("listen for %s: %w", id, err)
 		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() {
-			if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("local node serve failed", "node", id, "error", err)
-			}
-		}()
-		url := "http://" + ln.Addr().String()
+		url := "http://" + bound.String()
 		logger.Info("local node up", "node", id, "url", url)
 		members = append(members, cluster.Member{ID: id, URL: url})
 		locals = append(locals, &localNode{id: id, srv: srv, hs: hs})

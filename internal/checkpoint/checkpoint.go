@@ -57,8 +57,8 @@ type Meta struct {
 	// this state belongs to ("" on version-1 files).
 	Fingerprint string
 	// Options is the Options.Canonical() encoding of the run's tuning
-	// parameters ("" on version-1 files); parse with
-	// core.ParseOptionsCanonical to resume with the same configuration.
+	// parameters ("" on version-1 files): a label saying what cut this
+	// state, not an input — a session resumes from its record.
 	Options string
 }
 

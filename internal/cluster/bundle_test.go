@@ -176,13 +176,13 @@ outer:
 }
 
 // TestClusterDriftAnomalyEndToEnd is the postmortem pipeline end to end: a
-// deliberately degraded job — bulk-sync where the model is told to expect
-// hybrid overlap — runs through a 2-node cluster; the owner's drift rule
-// fires; the anomaly shows up in the gateway's federated stats and on its
+// hybrid-overlap job whose measured overlap is judged against a drift band
+// far tighter than any real run meets (the README's -drift walkthrough)
+// runs through a 2-node cluster; the owner's drift rule fires; the anomaly shows up in the gateway's federated stats and on its
 // SSE stream node-labelled; and the gateway's cluster bundle carries the
 // owner's frozen flight snapshot holding the triggering job's trace id.
 func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
-	rules := flight.Rules{ModelKinds: map[string]string{"bulk": "hybrid-overlap"}}
+	rules := flight.Rules{DriftTolerance: 0.01}
 	tc := startFlightCluster(t, Config{
 		HealthInterval: 50 * time.Millisecond,
 		FailThreshold:  3,
@@ -203,7 +203,7 @@ func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
 		return n1 && n2
 	})
 
-	status, v := tc.submit(t, `{"type":"simulate","simulate":{"kind":"bulk","n":48,"steps":60,"tasks":2,"trace":true}}`)
+	status, v := tc.submit(t, `{"type":"simulate","simulate":{"kind":"hybrid-overlap","n":48,"steps":40,"tasks":2,"trace":true}}`)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", status)
 	}

@@ -25,9 +25,6 @@ type nodeClient struct {
 }
 
 func newNodeClient(timeout time.Duration) *nodeClient {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	return &nodeClient{
 		hc:      &http.Client{},
 		stream:  &http.Client{},

@@ -171,8 +171,8 @@ func TestMembershipTransitions(t *testing.T) {
 	if !m.reportIf("a", m.generation("a"), NodeUp, now) {
 		t.Fatalf("recovery must report a state change")
 	}
-	if st, _ := m.Get("a"); st.Fails != 0 {
-		t.Errorf("fails = %d after recovery, want 0", st.Fails)
+	if st := m.Snapshot()[0]; st.ID != "a" || st.Fails != 0 {
+		t.Errorf("member %s fails = %d after recovery, want a with 0", st.ID, st.Fails)
 	}
 
 	// Draining keeps the node peekable but not routable.

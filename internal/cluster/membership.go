@@ -110,20 +110,6 @@ func (m *Membership) Snapshot() []MemberStatus {
 	return out
 }
 
-// Get returns one member's status.
-func (m *Membership) Get(id string) (MemberStatus, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms, ok := m.members[id]
-	if !ok {
-		return MemberStatus{}, false
-	}
-	return MemberStatus{
-		Member: ms.Member, State: ms.state,
-		Fails: ms.fails, LastErr: ms.lastErr, Since: ms.since,
-	}, true
-}
-
 // State returns a member's current state ("" if unknown).
 func (m *Membership) State(id string) NodeState {
 	m.mu.Lock()
@@ -175,7 +161,10 @@ func (m *Membership) withStates(states ...NodeState) []string {
 // ReportDraining records a draining probe (healthz 503 {"status":
 // "draining"}) and returns true if the state changed.
 func (m *Membership) ReportDraining(id string, now time.Time) bool {
-	return m.transition(id, NodeDraining, "", now)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ms, ok := m.members[id]
+	return ok && ms.enter(NodeDraining, now)
 }
 
 // generation returns the member's transition counter, read before a probe
@@ -198,18 +187,7 @@ func (m *Membership) reportIf(id string, gen uint64, state NodeState, now time.T
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ms, ok := m.members[id]
-	if !ok || ms.gen != gen {
-		return false
-	}
-	ms.fails = 0
-	ms.lastErr = ""
-	if ms.state == state {
-		return false
-	}
-	ms.state = state
-	ms.since = now
-	ms.gen++
-	return true
+	return ok && ms.gen == gen && ms.enter(state, now)
 }
 
 // ReportFailure records a failed probe; after failThreshold consecutive
@@ -233,17 +211,12 @@ func (m *Membership) ReportFailure(id string, errMsg string, now time.Time) bool
 	return false
 }
 
-// transition moves a member to state, resetting the failure counter, and
-// reports whether the state actually changed.
-func (m *Membership) transition(id string, state NodeState, errMsg string, now time.Time) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms, ok := m.members[id]
-	if !ok {
-		return false
-	}
+// enter puts the member in state on the evidence of an answered probe —
+// the failure streak resets — and reports whether the state changed. The
+// caller holds the membership lock.
+func (ms *memberState) enter(state NodeState, now time.Time) bool {
 	ms.fails = 0
-	ms.lastErr = errMsg
+	ms.lastErr = ""
 	if ms.state == state {
 		return false
 	}

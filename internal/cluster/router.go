@@ -139,8 +139,8 @@ type entry struct {
 	lost     string // non-empty: the node died and re-homing failed
 	replaced *entry // forwarding pointer after a reroute or resume
 
-	trace   *submissionTrace // a traced job's gateway trace state, else nil
-	traceID string           // a session's cluster-wide correlation id
+	trace   submissionTrace // a traced job's gateway trace state, else the zero value
+	traceID string          // a session's cluster-wide correlation id
 
 	ckpt     []byte // a session's newest replicated checkpoint bytes
 	ckptStep int64
@@ -326,7 +326,7 @@ func (r *Router) Submit(ctx context.Context, req service.Request) (service.View,
 	if err != nil {
 		return service.View{}, "", fmt.Errorf("encode request: %w", err)
 	}
-	var tr *submissionTrace
+	var tr submissionTrace
 	if req.Traced() {
 		tr = newSubmissionTrace()
 	}
@@ -340,11 +340,11 @@ func (r *Router) Submit(ctx context.Context, req service.Request) (service.View,
 // routeBody is the routing core shared by client submits and death
 // reroutes: pick the owner by fingerprint, walk ring successors on
 // rejection, honor brief Retry-After hints in place, and record the
-// accepted job in the gateway table. With a non-nil trace every routing
+// accepted job in the gateway table. With a traced submission every routing
 // decision lands as a gw.* span: the route lookup, the cache peek
 // fan-out, each dispatch, each brief retry wait, and each failover, all
 // shipped to the eventual owner in the dispatch header.
-func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr *submissionTrace) (*submitResult, string, error) {
+func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submissionTrace) (*submitResult, string, error) {
 	ring := r.ring.Load()
 	n := len(ring.Nodes())
 	if n == 0 {
@@ -500,7 +500,7 @@ func (r *Router) ensureCached(ctx context.Context, targetID, targetURL, fp strin
 // recordAccepted lands an accepted job in the gateway table. The trace
 // state is kept with the entry so a dead-node resubmission continues the
 // same trace instead of starting a fresh one.
-func (r *Router) recordAccepted(res *submitResult, nodeID, fp string, body []byte, failover bool, tr *submissionTrace) {
+func (r *Router) recordAccepted(res *submitResult, nodeID, fp string, body []byte, failover bool, tr submissionTrace) {
 	terminal := res.View.State.Terminal() // cache hits arrive already done
 	e := &entry{id: res.View.ID, node: nodeID, fp: fp, body: body, terminal: terminal, trace: tr}
 	r.mu.Lock()
@@ -657,7 +657,7 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 		// often answers reads long after it stops passing health checks),
 		// then mark the resubmission decision before routing again.
 		tr := entries[0].trace
-		if tr != nil {
+		if tr.rec.Enabled() {
 			start := tr.clock()
 			if c, err := r.client.spans(ctx, r.members.URL(deadID), entries[0].id); err == nil {
 				tr.harvest(deadID, c)
@@ -727,9 +727,9 @@ func (r *Router) DrainNode(ctx context.Context, id string) error {
 // traceArgs appends the submission's trace id to a routing log line's
 // attributes when the job is traced, so gateway log records correlate
 // with the distributed trace they belong to.
-func traceArgs(tr *submissionTrace, args ...any) []any {
-	if id := tr.traceID(); id != "" {
-		return append(args, "trace_id", id)
+func traceArgs(tr submissionTrace, args ...any) []any {
+	if tr.id != "" {
+		return append(args, "trace_id", tr.id)
 	}
 	return args
 }

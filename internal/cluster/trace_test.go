@@ -357,18 +357,18 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 }
 
 // TestGatewayTraceDisabledAllocatesNothing: an untraced submission
-// carries a nil *submissionTrace through the whole routing path; every
+// carries the zero submissionTrace through the whole routing path; every
 // method on it must stay allocation-free so tracing costs nothing when
 // off. ci.sh pairs this with BenchmarkGatewayTraceDisabled against the
 // ns/op bound in BENCH_guards.json.
 func TestGatewayTraceDisabledAllocatesNothing(t *testing.T) {
-	var tr *submissionTrace
+	var tr submissionTrace
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := tr.begin(obs.PhaseGWPeek, "n1")
 		tr.add(obs.PhaseGWRoute, "n1", tr.clock(), tr.clock())
 		sp.End()
-		if tr.header() != "" || tr.traceID() != "" {
-			t.Fatal("nil submissionTrace produced trace output")
+		if tr.header() != "" || tr.id != "" {
+			t.Fatal("untraced submissionTrace produced trace output")
 		}
 	})
 	if allocs != 0 {
@@ -377,14 +377,14 @@ func TestGatewayTraceDisabledAllocatesNothing(t *testing.T) {
 }
 
 func BenchmarkGatewayTraceDisabled(b *testing.B) {
-	var tr *submissionTrace
+	var tr submissionTrace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.begin(obs.PhaseGWPeek, "n1")
 		tr.add(obs.PhaseGWRoute, "n1", tr.clock(), tr.clock())
 		sp.End()
 		if tr.header() != "" {
-			b.Fatal("nil submissionTrace produced a header")
+			b.Fatal("untraced submissionTrace produced a header")
 		}
 	}
 }

@@ -156,8 +156,9 @@ type Problem struct {
 	Wave  grid.Gaussian // initial condition; zero value selects the default
 
 	// Initial, when non-nil, overrides Wave as the starting state — used
-	// to resume from a checkpoint. Its interior extents must equal N.
-	Initial *grid.Field
+	// to resume from a checkpoint. Its interior extents must equal N. It
+	// is never serialised: a stored state is a checkpoint file.
+	Initial *grid.Field `json:"-"`
 	// T0 is the simulated time already integrated into Initial, so
 	// verification against the analytic solution stays meaningful across
 	// restarts.
@@ -251,7 +252,7 @@ type Options struct {
 	// one record of what overlapped with what. Nil disables recording at
 	// zero cost. Like Ctx, Rec does not participate in Canonical or
 	// Fingerprint: tracing a run does not change what it computes.
-	Rec *obs.Recorder
+	Rec *obs.Recorder `json:"-"`
 
 	// Ctx, when non-nil, carries a cancellation signal into the run: the
 	// functional implementations poll it between timesteps and abort with
@@ -259,7 +260,7 @@ type Options struct {
 	// running it to completion. Nil means run to completion. Ctx does not
 	// participate in Canonical or Fingerprint — two runs that differ only
 	// in their context are the same computation.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 }
 
 // Context returns the run's cancellation context, never nil.
@@ -300,6 +301,18 @@ func (g GPUModel) String() string {
 		return "c1060"
 	}
 	return fmt.Sprintf("GPUModel(%d)", int(g))
+}
+
+// ParseGPU converts a device name — what GPUModel.String prints — back to
+// a GPUModel; the empty string selects the default device.
+func ParseGPU(s string) (GPUModel, error) {
+	switch s {
+	case "", "c2050":
+		return GPUC2050, nil
+	case "c1060":
+		return GPUC1060, nil
+	}
+	return 0, fmt.Errorf("core: unknown gpu %q (want c1060 or c2050)", s)
 }
 
 // Normalize fills defaults.

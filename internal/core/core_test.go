@@ -129,6 +129,18 @@ func TestGPUModelString(t *testing.T) {
 	if GPUDefault.String() != "c2050" || GPUC1060.String() != "c1060" || GPUC2050.String() != "c2050" {
 		t.Fatal("bad GPU model names")
 	}
+	// ParseGPU inverts String; the empty name is the default device and
+	// anything else — a typo like c2O50 — is an error, not a C2050.
+	for name, want := range map[string]GPUModel{"": GPUC2050, "c2050": GPUC2050, "c1060": GPUC1060} {
+		if g, err := ParseGPU(name); err != nil || g != want {
+			t.Errorf("ParseGPU(%q) = %v, %v", name, g, err)
+		}
+	}
+	for _, bad := range []string{"c2O50", "foo", "C2050"} {
+		if _, err := ParseGPU(bad); err == nil {
+			t.Errorf("ParseGPU(%q) accepted", bad)
+		}
+	}
 }
 
 func TestPaperProblem(t *testing.T) {

@@ -23,73 +23,47 @@ const (
 	RuleResumeLoop   = "resume-loop"
 )
 
-// Rules configures the anomaly engine. The zero value is usable: every
-// field falls back to the default documented on it.
+// Rules is what a deployment tunes of the anomaly engine. The zero value
+// is usable: each field falls back to the default documented on it.
 type Rules struct {
-	// MaxAnomalies bounds the retained anomaly history (default 64;
-	// oldest evicted first).
-	MaxAnomalies int
-	// Cooldown suppresses refiring the same rule while one firing is
-	// still fresh (default 30s).
-	Cooldown time.Duration
-	// LatencyFactor fires latency-spike when a type's exec window — the
-	// /v1/stats "exec" entry — has a p99 above factor × its lifetime mean
-	// (total_sum/total_count; default 8).
-	LatencyFactor float64
-	// LatencyMinCount is the minimum samples inside the window before
-	// latency-spike can fire (default 8).
-	LatencyMinCount int
-	// ShedBurst fires shed-burst when the /v1/stats "shed" window counts
-	// at least this many 429/503 sheds (default 10).
-	ShedBurst int
-	// StragglerRatio fires straggler when a job's max/mean rank busy
-	// ratio exceeds it (default 2; needs ≥ 2 ranks).
-	StragglerRatio float64
 	// DriftTolerance fires model-drift when |measured − predicted|
 	// hidden-communication fraction exceeds it (default 0.35).
 	DriftTolerance float64
 	// ModelMachine names the machine model jobs are scored against
 	// (default "Yona", the paper's GPU testbed).
 	ModelMachine string
-	// ModelKinds overrides the implementation kind the model expects for
-	// a submitted kind, keyed by the submitted kind's string form. An
-	// operator who knows the deployment should be running hybrid overlap
-	// can map "bulk" to "hybrid-overlap" and have bulk-synchronous
-	// behavior — submitted or regressed — flagged as drift.
-	ModelKinds map[string]string
-	// ResumeLoop fires resume-loop when one session is recovered or
-	// resumed this many times without its step count advancing — a
-	// crash-recovery loop that keeps replaying the same segment (default 3).
-	ResumeLoop int
 }
 
+// The thresholds no deployment sets.
+const (
+	// maxAnomalies bounds the retained anomaly history, a node's and the
+	// cluster's merged one alike (oldest evicted first).
+	maxAnomalies = 64
+	// cooldown suppresses refiring a rule while one firing is still fresh.
+	cooldown = 30 * time.Second
+	// latencyFactor fires latency-spike when a type's exec window — the
+	// /v1/stats "exec" entry — has a p99 above factor × its lifetime mean
+	// (total_sum/total_count), given latencyMinCount samples in the window.
+	latencyFactor   = 8
+	latencyMinCount = 8
+	// shedBurst fires shed-burst when the /v1/stats "shed" window counts
+	// at least this many 429/503 sheds.
+	shedBurst = 10
+	// stragglerRatio fires straggler when a job's max/mean rank busy ratio
+	// exceeds it (needs ≥ 2 ranks).
+	stragglerRatio = 2
+	// resumeLoop fires resume-loop when one session is recovered or
+	// resumed this many times without its step count advancing — a
+	// crash-recovery loop that keeps replaying the same segment.
+	resumeLoop = 3
+)
+
 func (r Rules) withDefaults() Rules {
-	if r.MaxAnomalies <= 0 {
-		r.MaxAnomalies = 64
-	}
-	if r.Cooldown <= 0 {
-		r.Cooldown = 30 * time.Second
-	}
-	if r.LatencyFactor <= 0 {
-		r.LatencyFactor = 8
-	}
-	if r.LatencyMinCount <= 0 {
-		r.LatencyMinCount = 8
-	}
-	if r.ShedBurst <= 0 {
-		r.ShedBurst = 10
-	}
-	if r.StragglerRatio <= 0 {
-		r.StragglerRatio = 2
-	}
 	if r.DriftTolerance <= 0 {
 		r.DriftTolerance = 0.35
 	}
 	if r.ModelMachine == "" {
 		r.ModelMachine = "Yona"
-	}
-	if r.ResumeLoop <= 0 {
-		r.ResumeLoop = 3
 	}
 	return r
 }
@@ -118,13 +92,9 @@ type AnomalyStats struct {
 	// Frozen counts flight snapshots frozen by firings.
 	Frozen int `json:"frozen"`
 	// Recent is the retained anomaly history, oldest first, bounded by
-	// Rules.MaxAnomalies.
+	// maxAnomalies.
 	Recent []Anomaly `json:"recent,omitempty"`
 }
-
-// mergedAnomalyCap bounds the merged recent-anomaly history; each node
-// already bounds its own, so this only trims pathological fan-ins.
-const mergedAnomalyCap = 64
 
 // Merge folds another node's summary into the cluster view: counts add,
 // and the recent histories interleave by time (newest kept when over the
@@ -146,8 +116,8 @@ func (a AnomalyStats) Merge(b AnomalyStats) AnomalyStats {
 	sort.SliceStable(out.Recent, func(i, j int) bool {
 		return out.Recent[i].Time.Before(out.Recent[j].Time)
 	})
-	if len(out.Recent) > mergedAnomalyCap {
-		out.Recent = out.Recent[len(out.Recent)-mergedAnomalyCap:]
+	if len(out.Recent) > maxAnomalies {
+		out.Recent = out.Recent[len(out.Recent)-maxAnomalies:]
 	}
 	return out
 }
@@ -225,7 +195,7 @@ func (e *Engine) Notify(fn func(Anomaly, Snapshot)) {
 // the rule is still cooling down.
 func (e *Engine) fire(a Anomaly) {
 	e.mu.Lock()
-	if last, ok := e.lastFire[a.Rule]; ok && a.Time.Sub(last) < e.rules.Cooldown {
+	if last, ok := e.lastFire[a.Rule]; ok && a.Time.Sub(last) < cooldown {
 		e.mu.Unlock()
 		return
 	}
@@ -233,7 +203,7 @@ func (e *Engine) fire(a Anomaly) {
 	a.Seq = e.total
 	e.total++
 	e.byRule[a.Rule]++
-	if len(e.anoms) >= e.rules.MaxAnomalies {
+	if len(e.anoms) >= maxAnomalies {
 		copy(e.anoms, e.anoms[1:])
 		e.anoms = e.anoms[:len(e.anoms)-1]
 	}
@@ -271,8 +241,8 @@ func (e *Engine) ObserveJob(now time.Time, s JobSample) {
 // it restarts from. Resumes are healthy — a restart, a pause lifted — but
 // the same session resuming repeatedly from the same step means every
 // attempt dies before its next durable checkpoint: a crash-recovery loop
-// burning the node, which fires resume-loop once the count crosses
-// Rules.ResumeLoop.
+// burning the node, which fires resume-loop once the count reaches
+// resumeLoop.
 func (e *Engine) ObserveResume(now time.Time, sessionID string, doneSteps int64) {
 	e.mu.Lock()
 	t, ok := e.resumes[sessionID]
@@ -284,9 +254,8 @@ func (e *Engine) ObserveResume(now time.Time, sessionID string, doneSteps int64)
 	}
 	t.count++
 	e.resumes[sessionID] = t
-	bound := e.rules.ResumeLoop
 	e.mu.Unlock()
-	if t.count < bound {
+	if t.count < resumeLoop {
 		return
 	}
 	e.fire(Anomaly{
@@ -296,14 +265,14 @@ func (e *Engine) ObserveResume(now time.Time, sessionID string, doneSteps int64)
 			sessionID, t.count, doneSteps),
 		JobID: sessionID,
 		Value: float64(t.count),
-		Bound: float64(bound),
+		Bound: resumeLoop,
 	})
 }
 
 // checkStraggler fires when one rank's busy time dominates the others.
 func (e *Engine) checkStraggler(now time.Time, s JobSample) {
 	imb := s.Report.Imbalance
-	if imb == nil || len(imb.Ranks) < 2 || imb.Ratio <= e.rules.StragglerRatio {
+	if imb == nil || len(imb.Ranks) < 2 || imb.Ratio <= stragglerRatio {
 		return
 	}
 	e.fire(Anomaly{
@@ -315,13 +284,13 @@ func (e *Engine) checkStraggler(now time.Time, s JobSample) {
 		TraceID: s.TraceID,
 		Kind:    s.Kind,
 		Value:   imb.Ratio,
-		Bound:   e.rules.StragglerRatio,
+		Bound:   stragglerRatio,
 	})
 }
 
 // checkDrift compares the job's measured hidden-communication fraction
 // (the mpi/compute pair of its overlap report) against the perf model's
-// prediction for the kind the deployment expects, firing when the gap
+// prediction for the same kind and shape, firing when the gap
 // exceeds the tolerance band.
 func (e *Engine) checkDrift(now time.Time, s JobSample) {
 	if e.model == nil || s.Kind == "" {
@@ -331,27 +300,16 @@ func (e *Engine) checkDrift(now time.Time, s JobSample) {
 	if !ok {
 		return
 	}
-	kindStr := s.Kind
-	if want, mapped := e.rules.ModelKinds[kindStr]; mapped {
-		kindStr = want
-	}
-	kind, err := core.ParseKind(kindStr)
+	kind, err := core.ParseKind(s.Kind)
 	if err != nil {
 		return
 	}
-	tasks := s.Tasks
-	if tasks < 1 {
-		tasks = 1
-	}
-	threads := s.Threads
-	if threads < 1 {
-		threads = 1
-	}
+	o := core.Options{Tasks: s.Tasks, Threads: s.Threads}.Normalize()
 	expected, err := perf.ExpectedHiddenFraction(perf.Config{
 		M:       e.model,
 		Kind:    kind,
-		Cores:   tasks * threads,
-		Threads: threads,
+		Cores:   o.Tasks * o.Threads,
+		Threads: o.Threads,
 		N:       grid.Uniform(s.N),
 	})
 	if err != nil {
@@ -368,7 +326,7 @@ func (e *Engine) checkDrift(now time.Time, s JobSample) {
 		Time: now,
 		Rule: RuleModelDrift,
 		Message: fmt.Sprintf("measured hidden-comm fraction %.2f vs model %.2f for %s on %s (|drift| %.2f > %.2f)",
-			measured, expected, kindStr, e.rules.ModelMachine, gap, e.rules.DriftTolerance),
+			measured, expected, s.Kind, e.rules.ModelMachine, gap, e.rules.DriftTolerance),
 		JobID:    s.JobID,
 		TraceID:  s.TraceID,
 		Kind:     s.Kind,
@@ -393,30 +351,30 @@ func measuredHidden(rep *obs.Report) (float64, bool) {
 // instant. The service calls it periodically from its sweep loop.
 func (e *Engine) Sweep(now time.Time, exec map[string]telemetry.Stats, shed telemetry.Stats) {
 	for typ, st := range exec {
-		if st.Count < uint64(e.rules.LatencyMinCount) {
+		if st.Count < latencyMinCount {
 			continue
 		}
 		mean := st.TotalSum / float64(st.TotalCount)
-		if bound := mean * e.rules.LatencyFactor; st.P99 > bound {
+		if bound := mean * latencyFactor; st.P99 > bound {
 			e.fire(Anomaly{
 				Time: now,
 				Rule: RuleLatencySpike,
-				Message: fmt.Sprintf("%s p99 %.3fs exceeds %.0f× lifetime mean %.4fs",
-					typ, st.P99, e.rules.LatencyFactor, mean),
+				Message: fmt.Sprintf("%s p99 %.3fs exceeds %d× lifetime mean %.4fs",
+					typ, st.P99, latencyFactor, mean),
 				Kind:  typ,
 				Value: st.P99,
 				Bound: bound,
 			})
 		}
 	}
-	if shed.Count >= uint64(e.rules.ShedBurst) {
+	if shed.Count >= shedBurst {
 		e.fire(Anomaly{
 			Time: now,
 			Rule: RuleShedBurst,
 			Message: fmt.Sprintf("%d admissions shed in the last %.0fs",
 				shed.Count, shed.WindowSec),
 			Value: float64(shed.Count),
-			Bound: float64(e.rules.ShedBurst),
+			Bound: shedBurst,
 		})
 	}
 }

@@ -24,8 +24,8 @@ type node struct {
 	fired []flight.Anomaly
 }
 
-func newNode(rules flight.Rules) *node {
-	n := &node{tele: service.NewTelemetry(at(0), time.Minute, 16), e: flight.NewEngine(rules, flight.NewRecorder(0))}
+func newNode() *node {
+	n := &node{tele: service.NewTelemetry(at(0), time.Minute, 16), e: flight.NewEngine(flight.Rules{}, flight.NewRecorder(0))}
 	n.e.Notify(func(a flight.Anomaly, _ flight.Snapshot) { n.fired = append(n.fired, a) })
 	return n
 }
@@ -38,7 +38,7 @@ func (n *node) sweep(now time.Time) service.TelemetryStats {
 }
 
 func TestEngineLatencySpike(t *testing.T) {
-	n := newNode(flight.Rules{LatencyFactor: 8, LatencyMinCount: 8})
+	n := newNode()
 
 	// Build a fast baseline deep enough that the slow runs joining the
 	// lifetime mean can't drag the threshold up past their own p99.
@@ -76,7 +76,7 @@ func TestEngineLatencySpike(t *testing.T) {
 }
 
 func TestEngineShedBurstAndCooldown(t *testing.T) {
-	n := newNode(flight.Rules{ShedBurst: 10, Cooldown: 30 * time.Second})
+	n := newNode()
 
 	// Sheds of every type land in the one shed window.
 	for i := 0; i < 9; i++ {

@@ -195,10 +195,7 @@ func driftReport(fraction float64) *obs.Report {
 
 func TestEngineModelDrift(t *testing.T) {
 	rec := NewRecorder(32)
-	e := NewEngine(Rules{
-		ModelKinds:     map[string]string{"bulk": "hybrid-overlap"},
-		DriftTolerance: 0.35,
-	}, rec)
+	e := NewEngine(Rules{DriftTolerance: 0.35}, rec)
 	var fired []Anomaly
 	e.Notify(func(a Anomaly, s Snapshot) {
 		if len(s.Records) == 0 {
@@ -209,10 +206,10 @@ func TestEngineModelDrift(t *testing.T) {
 
 	rec.Add(Record{Time: at(0), Kind: KindLog, Msg: "job started", JobID: "n1-1", TraceID: "tr-1"})
 
-	// A bulk run measured ~0 hidden where the model expects hybrid
-	// overlap to hide ~1.0 of the exchange: decisive drift.
+	// A hybrid-overlap run measured ~0 hidden where the model expects it
+	// to hide ~1.0 of the exchange: decisive drift.
 	e.ObserveJob(at(1), JobSample{
-		JobID: "n1-1", TraceID: "tr-1", Kind: "bulk",
+		JobID: "n1-1", TraceID: "tr-1", Kind: "hybrid-overlap",
 		N: 48, Tasks: 2, Threads: 1,
 		Report: driftReport(0.0),
 	})
@@ -241,10 +238,7 @@ func TestEngineModelDrift(t *testing.T) {
 }
 
 func TestEngineDriftWithinTolerance(t *testing.T) {
-	e := NewEngine(Rules{
-		ModelKinds:     map[string]string{"hybrid-overlap": "hybrid-overlap"},
-		DriftTolerance: 0.35,
-	}, NewRecorder(0))
+	e := NewEngine(Rules{DriftTolerance: 0.35}, NewRecorder(0))
 	fired := 0
 	e.Notify(func(Anomaly, Snapshot) { fired++ })
 	// Measured 0.9 where the model predicts ~1.0: inside the band.
@@ -259,7 +253,7 @@ func TestEngineDriftWithinTolerance(t *testing.T) {
 }
 
 func TestEngineStraggler(t *testing.T) {
-	e := NewEngine(Rules{StragglerRatio: 2}, NewRecorder(0))
+	e := NewEngine(Rules{}, NewRecorder(0))
 	var fired []Anomaly
 	e.Notify(func(a Anomaly, _ Snapshot) { fired = append(fired, a) })
 
@@ -283,25 +277,28 @@ func TestEngineStraggler(t *testing.T) {
 }
 
 func TestEngineAnomalyHistoryBounded(t *testing.T) {
-	e := NewEngine(Rules{MaxAnomalies: 4, Cooldown: time.Millisecond, ShedBurst: 1}, NewRecorder(0))
-	for i := 0; i < 10; i++ {
-		e.Sweep(at(i), nil, telemetry.Stats{WindowSec: 60, Count: 1})
+	e := NewEngine(Rules{}, NewRecorder(0))
+	// A shed burst at every sweep, the sweeps one cooldown apart so each
+	// one fires: six more firings than the history holds.
+	const fired = maxAnomalies + 6
+	for i := 0; i < fired; i++ {
+		e.Sweep(at(0).Add(time.Duration(i)*cooldown), nil, telemetry.Stats{WindowSec: 60, Count: shedBurst})
 	}
 	st := e.Anomalies()
-	if len(st.Recent) != 4 {
-		t.Fatalf("retained %d anomalies, want 4", len(st.Recent))
+	if len(st.Recent) != maxAnomalies {
+		t.Fatalf("retained %d anomalies, want %d", len(st.Recent), maxAnomalies)
 	}
-	if st.Total != 10 {
-		t.Errorf("Total = %d, want 10", st.Total)
+	if st.Total != fired {
+		t.Errorf("Total = %d, want %d", st.Total, fired)
 	}
-	// Oldest evicted: retained history is the last four firings.
-	if st.Recent[0].Seq != 6 || st.Recent[3].Seq != 9 {
-		t.Errorf("retained seqs %d..%d, want 6..9", st.Recent[0].Seq, st.Recent[3].Seq)
+	// Oldest evicted: retained history is the last maxAnomalies firings.
+	if st.Recent[0].Seq != 6 || st.Recent[maxAnomalies-1].Seq != fired-1 {
+		t.Errorf("retained seqs %d..%d, want 6..%d", st.Recent[0].Seq, st.Recent[maxAnomalies-1].Seq, fired-1)
 	}
 }
 
 func TestEngineResumeLoop(t *testing.T) {
-	e := NewEngine(Rules{ResumeLoop: 3, Cooldown: time.Hour}, NewRecorder(0))
+	e := NewEngine(Rules{}, NewRecorder(0))
 	var fired []Anomaly
 	e.Notify(func(a Anomaly, _ Snapshot) { fired = append(fired, a) })
 
@@ -336,7 +333,7 @@ func TestEngineResumeLoop(t *testing.T) {
 }
 
 func TestEngineResumeTrackBound(t *testing.T) {
-	e := NewEngine(Rules{ResumeLoop: 3}, NewRecorder(0))
+	e := NewEngine(Rules{}, NewRecorder(0))
 	for i := 0; i < maxResumeTracks+10; i++ {
 		e.ObserveResume(at(i), fmt.Sprintf("s-%d", i), 0)
 	}

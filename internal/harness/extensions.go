@@ -221,7 +221,7 @@ func Convergence() (stats.Table, error) {
 // prediction is marked warmed before the next interactive point arrives),
 // and tabulates which points the sweep got for free.
 func WarmerReplay() stats.Table {
-	warm := session.NewWarmer(session.WarmerConfig{})
+	warm := session.NewWarmer()
 	key := func(steps float64) string { return fmt.Sprintf("steps=%g", steps) }
 	t := stats.Table{Header: []string{"point", "steps", "served", "new predictions"}}
 	for i := 0; i < 8; i++ {

@@ -56,21 +56,13 @@ func Evaluate(cfg Config) (Estimate, error) {
 	if cfg.N == (grid.Dims{}) {
 		cfg.N = PaperGrid()
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
-	if cfg.BlockX <= 0 {
-		cfg.BlockX = 32
-	}
-	if cfg.BlockY <= 0 {
-		cfg.BlockY = 8
-	}
-	if cfg.BoxThickness <= 0 {
-		cfg.BoxThickness = 1
-	}
-	if cfg.HaloWidth <= 0 {
-		cfg.HaloWidth = 2
-	}
+	// The tuning parameters default as a functional run's do.
+	o := core.Options{
+		Threads: cfg.Threads, BlockX: cfg.BlockX, BlockY: cfg.BlockY,
+		BoxThickness: cfg.BoxThickness, HaloWidth: cfg.HaloWidth,
+	}.Normalize()
+	cfg.Threads, cfg.BlockX, cfg.BlockY = o.Threads, o.BlockX, o.BlockY
+	cfg.BoxThickness, cfg.HaloWidth = o.BoxThickness, o.HaloWidth
 	if cfg.Kind == core.SingleTask || cfg.Kind == core.GPUResident {
 		// Single-node implementations: core count is the node.
 		if cfg.Cores <= 0 {

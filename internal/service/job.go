@@ -205,7 +205,7 @@ func (sr *SimulateRequest) validate(lim Limits) error {
 	if sr.Threads < 0 || sr.Threads > lim.MaxThreads {
 		return fmt.Errorf("threads %d out of range [0, %d]", sr.Threads, lim.MaxThreads)
 	}
-	if _, err := parseGPU(sr.GPU); err != nil {
+	if _, err := core.ParseGPU(sr.GPU); err != nil {
 		return err
 	}
 	return nil
@@ -224,16 +224,6 @@ func (pr *PredictRequest) validate() error {
 	return nil
 }
 
-func parseGPU(s string) (core.GPUModel, error) {
-	switch s {
-	case "", "c2050":
-		return core.GPUC2050, nil
-	case "c1060":
-		return core.GPUC1060, nil
-	}
-	return 0, fmt.Errorf("unknown gpu %q (want c1060 or c2050)", s)
-}
-
 // problem converts the request into a core problem.
 func (sr *SimulateRequest) problem() core.Problem {
 	p := core.DefaultProblem(sr.N, sr.Steps)
@@ -243,7 +233,7 @@ func (sr *SimulateRequest) problem() core.Problem {
 
 // options converts the request into run options (without a context).
 func (sr *SimulateRequest) options() core.Options {
-	gpu, _ := parseGPU(sr.GPU)
+	gpu, _ := core.ParseGPU(sr.GPU)
 	return core.Options{
 		Tasks: sr.Tasks, Threads: sr.Threads,
 		BlockX: sr.BlockX, BlockY: sr.BlockY,

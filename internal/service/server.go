@@ -65,12 +65,8 @@ type Config struct {
 	// checkpoint store and session records (POST /v1/sessions). Empty
 	// disables sessions (the routes answer 503). A restarted node rescans
 	// the directory and resumes interrupted sessions automatically.
+	// Segments run on the Workers pool like every other job.
 	SessionDir string
-	// SessionSegment is the default steps per durable session checkpoint
-	// (default 25); SessionRetain the checkpoints kept per session
-	// (default 4). Segments run on the Workers pool like every other job.
-	SessionSegment int
-	SessionRetain  int
 	// WarmSweeps enables the speculative sweep warmer: stepped-parameter
 	// patterns in the interactive submission stream predict their next
 	// points, which idle workers pre-execute at background priority so the
@@ -167,7 +163,7 @@ func New(cfg Config) *Server {
 	}
 	s.engine.Notify(s.publishAnomaly)
 	if cfg.WarmSweeps {
-		s.warmer = session.NewWarmer(session.WarmerConfig{})
+		s.warmer = session.NewWarmer()
 	}
 	if cfg.SessionDir != "" {
 		s.openSessions(cfg)
@@ -194,7 +190,6 @@ func (s *Server) openSessions(cfg Config) {
 	}
 	mgr, err := session.NewManager(session.Config{
 		Store: store, Run: s.runSegment,
-		Segment: cfg.SessionSegment, Retain: cfg.SessionRetain,
 		IDPrefix: prefix, Notify: s.publishSession, Logger: s.log,
 	})
 	if err != nil {

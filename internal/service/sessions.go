@@ -18,9 +18,9 @@ import (
 // that trajectory into durable checkpoints.
 type SessionRequest struct {
 	Simulate *SimulateRequest `json:"simulate"`
-	// Segment is the steps integrated between durable checkpoints (node
-	// default when 0); Retain bounds the checkpoints kept (node default
-	// when 0).
+	// Segment is the steps integrated between durable checkpoints and
+	// Retain bounds the checkpoints kept; 0 selects the session package's
+	// defaults.
 	Segment int `json:"segment,omitempty"`
 	Retain  int `json:"retain,omitempty"`
 	// TraceID carries a cluster-wide correlation id across failover, so a
@@ -120,7 +120,7 @@ func (fr *ForkRequest) options(parent core.Options) (core.Options, error) {
 	setInt(&o.HaloWidth, fr.HaloWidth)
 	setInt(&o.TasksPerGPU, fr.TasksPerGPU)
 	if fr.GPU != nil {
-		gpu, err := parseGPU(*fr.GPU)
+		gpu, err := core.ParseGPU(*fr.GPU)
 		if err != nil {
 			return o, err
 		}

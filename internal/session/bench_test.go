@@ -52,7 +52,7 @@ func BenchmarkSessionStatus(b *testing.B) {
 // observation that extends no progression (steady repeated traffic) must
 // not allocate — the warmer rides every interactive submission.
 func TestWarmerIdleAllocationFree(t *testing.T) {
-	w := NewWarmer(WarmerConfig{})
+	w := NewWarmer()
 	fields := []float64{32, 100, 2, 4, 0, 0, 0, 0, 0, 0}
 	w.Observe("sim|bulk", fields) // seed the tracks
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -68,7 +68,7 @@ func TestWarmerIdleAllocationFree(t *testing.T) {
 // BenchmarkWarmerIdle is the per-submission detector cost when no sweep is
 // progressing; BENCH_guards.json bounds it.
 func BenchmarkWarmerIdle(b *testing.B) {
-	w := NewWarmer(WarmerConfig{})
+	w := NewWarmer()
 	fields := []float64{32, 100, 2, 4, 0, 0, 0, 0, 0, 0}
 	w.Observe("sim|bulk", fields)
 	b.ReportAllocs()

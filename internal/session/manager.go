@@ -48,10 +48,6 @@ const (
 type Config struct {
 	Store *Store
 	Run   Runner
-	// Segment is the default steps per durable checkpoint (default 25).
-	Segment int
-	// Retain is the default checkpoints kept per session (default 4).
-	Retain int
 	// IDPrefix namespaces session ids (a cluster node id), so ids stay
 	// globally unique across shards.
 	IDPrefix string
@@ -116,12 +112,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Run == nil {
 		return nil, fmt.Errorf("session: manager requires a runner")
 	}
-	if cfg.Segment < 1 {
-		cfg.Segment = 25
-	}
-	if cfg.Retain < 1 {
-		cfg.Retain = 4
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -149,8 +139,16 @@ func (m *Manager) newID() string {
 	return fmt.Sprintf("%ssess-%06d", m.cfg.IDPrefix, m.seq)
 }
 
-// normalize applies manager defaults and validates the scenario.
-func (m *Manager) normalize(sc Scenario) (Scenario, error) {
+// The steps between durable checkpoints and the checkpoints kept per
+// session when a scenario leaves Segment or Retain zero; a request that
+// wants others says so itself.
+const (
+	defaultSegment = 25
+	defaultRetain  = 4
+)
+
+// normalize applies the defaults and validates the scenario.
+func normalize(sc Scenario) (Scenario, error) {
 	if sc.Problem.Initial != nil {
 		return sc, fmt.Errorf("session: scenario problem must not carry an initial state")
 	}
@@ -158,10 +156,10 @@ func (m *Manager) normalize(sc Scenario) (Scenario, error) {
 		return sc, fmt.Errorf("session: scenario needs at least one step")
 	}
 	if sc.Segment < 1 {
-		sc.Segment = m.cfg.Segment
+		sc.Segment = defaultSegment
 	}
 	if sc.Retain < 1 {
-		sc.Retain = m.cfg.Retain
+		sc.Retain = defaultRetain
 	}
 	if sc.Segment > sc.Problem.Steps {
 		sc.Segment = sc.Problem.Steps
@@ -172,7 +170,7 @@ func (m *Manager) normalize(sc Scenario) (Scenario, error) {
 
 // Create starts a new root session for the scenario.
 func (m *Manager) Create(sc Scenario) (*Session, error) {
-	sc, err := m.normalize(sc)
+	sc, err := normalize(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +181,7 @@ func (m *Manager) Create(sc Scenario) (*Session, error) {
 // the failover path: a gateway re-creates a dead owner's session on a
 // survivor from the replicated checkpoint bytes.
 func (m *Manager) CreateSeeded(sc Scenario, data []byte) (*Session, error) {
-	sc, err := m.normalize(sc)
+	sc, err := normalize(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -326,12 +324,20 @@ func (m *Manager) Resume(id string) error {
 	s.state = StateRunning
 	s.pauseReq = false
 	s.resumes++
+	updated := s.updated
 	s.updated = time.Now()
 	s.mu.Unlock()
-	m.resumes.Add(1)
 	if err := m.persist(s); err != nil {
+		// No run loop was started: a session left "running" here would
+		// never move again and a Pause would flag a loop that does not
+		// exist. Back to paused, so the error the caller gets is the truth.
+		s.mu.Lock()
+		s.state, s.updated = StatePaused, updated
+		s.resumes--
+		s.mu.Unlock()
 		return err
 	}
+	m.resumes.Add(1)
 	m.log.Info("session resumed", sessionArgs(s)...)
 	m.notify(EventResumed, s)
 	m.start(s)
@@ -365,7 +371,7 @@ func (m *Manager) Fork(parentID string, atStep int64, opts core.Options, totalSt
 	}
 	sc.ParentFP = parent.fp
 	sc.ParentStep = atStep
-	sc, err = m.normalize(sc)
+	sc, err = normalize(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -381,25 +387,23 @@ func (m *Manager) Fork(parentID string, atStep int64, opts core.Options, totalSt
 // checkpoint; paused and terminal ones come back queryable. Returns how
 // many were resumed.
 func (m *Manager) Recover() (int, error) {
-	recs, err := m.cfg.Store.Records()
+	recs, skipped, err := m.cfg.Store.Records()
 	if err != nil {
 		return 0, err
 	}
+	for _, sk := range skipped {
+		m.log.Warn("session record skipped", "file", sk.File, "error", sk.Err)
+		m.reserve(strings.TrimSuffix(sk.File, ".json"))
+	}
 	resumed := 0
 	for _, rec := range recs {
+		m.reserve(rec.ID)
 		s, err := m.rebuild(rec)
 		if err != nil {
 			m.log.Warn("session record skipped", "id", rec.ID, "error", err)
 			continue
 		}
 		m.register(s)
-		if n := sessSeq(rec.ID); n > 0 {
-			m.mu.Lock()
-			if n > m.seq {
-				m.seq = n
-			}
-			m.mu.Unlock()
-		}
 		if s.State() == StateRunning {
 			resumed++
 			m.recovered.Add(1)
@@ -418,21 +422,13 @@ func (m *Manager) rebuild(rec Record) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.ParseProblemCanonical(rec.Problem)
-	if err != nil {
-		return nil, err
-	}
-	o, err := core.ParseOptionsCanonical(rec.Options)
-	if err != nil {
-		return nil, err
-	}
 	sc := Scenario{
-		Kind: kind, Problem: p, Options: o,
+		Kind: kind, Problem: rec.Problem, Options: rec.Options,
 		Segment: rec.Segment, Retain: rec.Retain,
 		ParentFP: rec.ParentFP, ParentStep: rec.ParentStep,
 		TraceID: rec.TraceID,
 	}
-	sc, err = m.normalize(sc)
+	sc, err = normalize(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -448,6 +444,15 @@ func (m *Manager) rebuild(rec Record) (*Session, error) {
 		s.resumes++ // this recovery
 	}
 	return s, nil
+}
+
+// reserve keeps newID from minting id again: a recorded session owns its id
+// and its file whether or not it could be rebuilt, so a new session never
+// overwrites a skipped record.
+func (m *Manager) reserve(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.seq = max(m.seq, sessSeq(id))
 }
 
 // sessSeq extracts the numeric suffix of a session id ("n1-sess-000007" →
@@ -469,9 +474,7 @@ func (m *Manager) persist(s *Session) error {
 	s.mu.Lock()
 	rec := Record{
 		ID: s.id, State: s.state,
-		Kind:    s.sc.Kind.String(),
-		Problem: s.sc.Problem.Canonical(),
-		Options: s.sc.Options.Canonical(),
+		Kind: s.sc.Kind.String(), Problem: s.sc.Problem, Options: s.sc.Options,
 		Segment: s.sc.Segment, Retain: s.sc.Retain,
 		DoneSteps: s.doneSteps, Fingerprint: s.fp,
 		ParentFP: s.sc.ParentFP, ParentStep: s.sc.ParentStep,

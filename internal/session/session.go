@@ -9,10 +9,10 @@
 // startup the store is rescanned and interrupted sessions continue from
 // their last durable segment, bit-for-bit equal to an uninterrupted run.
 //
-// The same store powers the speculative sweep warmer (warmer.go): a
-// detector that watches submitted fingerprints for stepped-parameter
-// patterns and predicts the next points so idle workers can pre-execute
-// them at background priority.
+// The package also holds the speculative sweep warmer (warmer.go), which
+// shares nothing with the store: a detector that watches submitted
+// requests for stepped-parameter patterns and predicts the next points so
+// idle workers can pre-execute them at background priority.
 package session
 
 import (
@@ -46,18 +46,18 @@ func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 // (Steps is the total), the options it runs under, and the segmentation of
 // the work into durable checkpoints. Problem.Initial must be nil — a
 // session's state lives in its checkpoints, not in the scenario — which
-// keeps the scenario exactly round-trippable through its canonical
-// encoding for crash recovery.
+// keeps the scenario exactly round-trippable through its record for crash
+// recovery.
 type Scenario struct {
 	Kind    core.Kind
 	Problem core.Problem
 	Options core.Options
 
 	// Segment is the number of steps integrated between durable
-	// checkpoints (the manager default applies when 0).
+	// checkpoints (0 selects defaultSegment).
 	Segment int
 	// Retain bounds the checkpoints kept per session; older ones are
-	// pruned, newest kept (the manager default applies when 0).
+	// pruned, newest kept (0 selects defaultRetain).
 	Retain int
 
 	// ParentFP and ParentStep record fork lineage: the fingerprint of the

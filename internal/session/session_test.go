@@ -1,10 +1,13 @@
 package session
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -313,7 +316,7 @@ func TestManagerRecoveryRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := st.Records()
+	recs, _, err := st.Records()
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("records: %v %v", recs, err)
 	}
@@ -482,21 +485,24 @@ func TestStoreRecords(t *testing.T) {
 	}
 	now := time.Now().UTC().Truncate(time.Second)
 	rec := Record{ID: "n1-sess-000001", State: StateRunning, Kind: "single",
-		Problem: "p1", Options: "o1", Segment: 5, Retain: 4,
+		Problem: core.DefaultProblem(8, 20), Options: core.Options{Tasks: 1}, Segment: 5, Retain: 4,
 		DoneSteps: 10, Fingerprint: "fp1", Created: now, Updated: now}
 	if err := st.SaveRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	// A corrupt record must not block the rest.
+	// A corrupt record must not block the rest, and is named.
 	if err := os.WriteFile(filepath.Join(dir, "sess-junk.json"), []byte("{notjson"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := st.Records()
+	recs, skipped, err := st.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0] != rec {
 		t.Fatalf("records %+v", recs)
+	}
+	if len(skipped) != 1 || skipped[0].File != "sess-junk.json" || skipped[0].Err == nil {
+		t.Fatalf("skipped %+v, want sess-junk.json with its decode error", skipped)
 	}
 	if err := st.SaveRecord(Record{}); err == nil {
 		t.Fatal("id-less record accepted")
@@ -512,7 +518,182 @@ func TestStoreRecords(t *testing.T) {
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("failed save left %v behind", tmps)
 	}
-	if recs, err := st.Records(); err != nil || len(recs) != 1 || recs[0] != rec {
+	if recs, _, err := st.Records(); err != nil || len(recs) != 1 || recs[0] != rec {
 		t.Fatalf("records after a failed save: %+v, %v", recs, err)
+	}
+}
+
+// TestRecoverNamesSkippedRecords: a record the store cannot decode — a torn
+// write, or a record in the format older binaries wrote, with problem and
+// options as canonical strings — must not vanish silently. Recovery brings
+// back the good session, names each skipped file with its error in the
+// log, and neither it nor a later create touches those files.
+func TestRecoverNamesSkippedRecords(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newTestManager(t, dir, realRunner(), nil)
+	good, err := m1.Create(testScenario(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, good, StateDone)
+	m1.Close()
+	bad := map[string]string{
+		"sess-sess-000007.json": `{"id":"sess-000007","state":"runn`,
+		"sess-sess-000008.json": `{"id":"sess-000008","state":"running","kind":"single",
+			"problem":"p1;n=8,8,8;c=1,0.5,0.25;nu=0;steps=10;wave=0,0,0,0;t0=0;init=-",
+			"options":"o1;tasks=1;threads=1;block=32,8;box=1;halo=2;tpg=0;gpu=c2050;verify=0;trace=0",
+			"segment":5,"retain":4,"done_steps":0,"fingerprint":"fp"}`,
+	}
+	for name, body := range bad {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	m2, err := NewManager(Config{Store: st, Run: realRunner(), Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m2.Close)
+	if _, err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if views := m2.List(); len(views) != 1 || views[0].ID != good.ID() || views[0].State != StateDone {
+		t.Fatalf("recovered %+v, want only %s, done", views, good.ID())
+	}
+	recoveryLog := logged.String() // read before the next session's run loop logs
+	// A skipped record still owns its id: the next session is minted past
+	// it and so cannot land on its file.
+	next, err := m2.Create(testScenario(5, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, next, StateDone)
+	if next.ID() != "sess-000009" {
+		t.Errorf("next session is %s, want sess-000009 (past both skipped records)", next.ID())
+	}
+	for name, body := range bad {
+		want := `msg="session record skipped" file=` + name + " error="
+		if !strings.Contains(recoveryLog, want) {
+			t.Errorf("log does not name %s:\n%s", name, recoveryLog)
+		}
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(data) != body {
+			t.Errorf("%s was touched: %q, %v", name, data, err)
+		}
+	}
+}
+
+// TestResumeRollsBackOnFailedPersist: a Resume whose record write fails
+// started no run loop, so the session must read paused again — not running
+// forever — and resume for real once the store is writable.
+func TestResumeRollsBackOnFailedPersist(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{}, 16)
+	m := newTestManager(t, dir, gatedRunner(realRunner(), gate), nil)
+	s, err := m.Create(testScenario(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate <- struct{}{}
+	waitFor(t, "first segment", func() bool { return s.Done() == 5 })
+	if err := m.Pause(s.ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, StatePaused)
+
+	// Make the record unwritable: the rename target becomes a directory.
+	recPath := filepath.Join(dir, "sess-"+s.ID()+".json")
+	saved, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(recPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(recPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Resume(s.ID()); err == nil {
+		t.Fatal("resume with an unwritable record succeeded")
+	}
+	if v := s.View(); v.State != StatePaused || v.Resumes != 0 || m.Stats().Resumes != 0 {
+		t.Fatalf("after the failed resume: %+v, stats %+v; want paused, no resume counted", v, m.Stats())
+	}
+	if err := m.Pause(s.ID()); err == nil {
+		t.Fatal("pause of a session that is not running succeeded")
+	}
+
+	// Repair the store; the second resume runs to the end.
+	if err := os.Remove(recPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recPath, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate <- struct{}{}
+	gate <- struct{}{}
+	if err := m.Resume(s.ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, StateDone)
+	if v := s.View(); v.DoneSteps != 10 || v.Resumes != 1 {
+		t.Fatalf("resumed view wrong: %+v", v)
+	}
+}
+
+// TestRecordRoundTrip pins that storing a scenario as JSON moved no
+// identity: a root and a forked session, with floats that have no short
+// decimal form, come back from a reopened store with the fingerprint and
+// the view they had.
+func TestRecordRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newTestManager(t, dir, realRunner(), nil)
+	sc := testScenario(10, 5)
+	sc.Problem.Wave = grid.Gaussian{Center: [3]float64{1.1, 2.2 / 3, 3.3}, Sigma: 1.0 / 3}
+	sc.Problem.T0 = 0.1 + 0.2
+	root, err := m1.Create(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, root, StateDone)
+	opts := root.Scenario().Options
+	opts.Threads = 2
+	fork, err := m1.Fork(root.ID(), 5, opts, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, fork, StateDone)
+	m1.Close()
+
+	m2 := newTestManager(t, dir, realRunner(), nil)
+	if _, err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, was := range []*Session{root, fork} {
+		got, ok := m2.Get(was.ID())
+		if !ok {
+			t.Fatalf("%s not recovered", was.ID())
+		}
+		if got.Fingerprint() != was.Fingerprint() || got.Scenario() != was.Scenario() {
+			t.Errorf("%s: recovered scenario %+v (fp %s), want %+v (fp %s)",
+				was.ID(), got.Scenario(), got.Fingerprint(), was.Scenario(), was.Fingerprint())
+		}
+		// What a view adds to the record is runtime state of the process
+		// that ran the segments — a rebuilt terminal session has none —
+		// and Updated, which a rebuild stamps anew.
+		want, v := was.View(), got.View()
+		want.LastCheckpoint, want.FieldHash, want.LastGF = 0, "", 0
+		if !v.Created.Equal(want.Created) {
+			t.Errorf("%s: created %v, want %v", was.ID(), v.Created, want.Created)
+		}
+		v.Created, v.Updated = want.Created, want.Updated
+		if v != want {
+			t.Errorf("%s: recovered view %+v, want %+v", was.ID(), v, want)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -131,28 +132,28 @@ func (s *Store) Prune(fp string, retain int) int {
 }
 
 // Record is the durable description of one session: everything needed to
-// rebuild it after a restart. Problem and Options are the core canonical
-// encodings (exactly invertible because a scenario's Initial is nil), so a
-// record plus the newest retained checkpoint fully determines how to
-// continue.
+// rebuild it after a restart. Problem and Options are JSON objects (floats
+// round-trip bit-exactly; a scenario's Initial is nil and Rec and Ctx are
+// never serialised), so a record plus the newest retained checkpoint fully
+// determines how to continue.
 type Record struct {
-	ID          string    `json:"id"`
-	State       State     `json:"state"`
-	Kind        string    `json:"kind"`
-	Problem     string    `json:"problem"`
-	Options     string    `json:"options"`
-	Segment     int       `json:"segment"`
-	Retain      int       `json:"retain"`
-	DoneSteps   int64     `json:"done_steps"`
-	Fingerprint string    `json:"fingerprint"`
-	ParentFP    string    `json:"parent_fp,omitempty"`
-	ParentStep  int64     `json:"parent_step,omitempty"`
-	TraceID     string    `json:"trace_id,omitempty"`
-	Resumes     int64     `json:"resumes"`
-	Segments    int64     `json:"segments"`
-	Error       string    `json:"error,omitempty"`
-	Created     time.Time `json:"created"`
-	Updated     time.Time `json:"updated"`
+	ID          string       `json:"id"`
+	State       State        `json:"state"`
+	Kind        string       `json:"kind"`
+	Problem     core.Problem `json:"problem"`
+	Options     core.Options `json:"options"`
+	Segment     int          `json:"segment"`
+	Retain      int          `json:"retain"`
+	DoneSteps   int64        `json:"done_steps"`
+	Fingerprint string       `json:"fingerprint"`
+	ParentFP    string       `json:"parent_fp,omitempty"`
+	ParentStep  int64        `json:"parent_step,omitempty"`
+	TraceID     string       `json:"trace_id,omitempty"`
+	Resumes     int64        `json:"resumes"`
+	Segments    int64        `json:"segments"`
+	Error       string       `json:"error,omitempty"`
+	Created     time.Time    `json:"created"`
+	Updated     time.Time    `json:"updated"`
 }
 
 // SaveRecord persists one session record atomically and durably.
@@ -172,27 +173,38 @@ func (s *Store) SaveRecord(r Record) error {
 	})
 }
 
-// Records loads every session record in the store. Individually corrupt
-// files are skipped — a torn write must not block recovery of the rest.
-func (s *Store) Records() ([]Record, error) {
+// Skipped names a record file Records could not use, and why.
+type Skipped struct {
+	File string
+	Err  error
+}
+
+// Records loads every session record in the store. A file that cannot be
+// read or decoded — a torn write, a record in an older binary's format —
+// must not block recovery of the rest: it is left untouched and reported
+// in skipped, so the caller can say which session stopped being one.
+func (s *Store) Records() (recs []Record, skipped []Skipped, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	matches, err := filepath.Glob(filepath.Join(s.dir, "sess-*.json"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sort.Strings(matches)
-	out := make([]Record, 0, len(matches))
 	for _, m := range matches {
-		data, err := os.ReadFile(m)
-		if err != nil {
-			continue
-		}
 		var r Record
-		if err := json.Unmarshal(data, &r); err != nil || r.ID == "" {
+		data, err := os.ReadFile(m)
+		if err == nil {
+			err = json.Unmarshal(data, &r)
+		}
+		if err == nil && r.ID == "" {
+			err = fmt.Errorf("session: record without id")
+		}
+		if err != nil {
+			skipped = append(skipped, Skipped{File: filepath.Base(m), Err: err})
 			continue
 		}
-		out = append(out, r)
+		recs = append(recs, r)
 	}
-	return out, nil
+	return recs, skipped, nil
 }

@@ -5,38 +5,17 @@ import (
 	"sync"
 )
 
-// WarmerConfig tunes the sweep detector. The zero value selects the
-// defaults.
-type WarmerConfig struct {
-	// History is how many submissions must form an arithmetic progression
-	// before the warmer predicts (default 3: two equal deltas).
-	History int
-	// Predict is how many next points are predicted per detection
-	// (default 2).
-	Predict int
-	// MaxTracks bounds the detector state; when full, all tracks reset
-	// (default 512).
-	MaxTracks int
-	// MaxWarmed bounds the set of cache keys remembered as pre-executed;
-	// when full, the set resets (default 4096).
-	MaxWarmed int
-}
-
-func (c WarmerConfig) withDefaults() WarmerConfig {
-	if c.History < 2 {
-		c.History = 3
-	}
-	if c.Predict < 1 {
-		c.Predict = 2
-	}
-	if c.MaxTracks < 1 {
-		c.MaxTracks = 512
-	}
-	if c.MaxWarmed < 1 {
-		c.MaxWarmed = 4096
-	}
-	return c
-}
+// The sweep detector's bounds: a track predicts once warmerHistory
+// submissions form an arithmetic progression (two equal deltas), it
+// predicts the next warmerPredict points, and the detector state and the
+// set of cache keys remembered as pre-executed each reset when they reach
+// their bound.
+const (
+	warmerHistory   = 3
+	warmerPredict   = 2
+	warmerMaxTracks = 512
+	warmerMaxWarmed = 4096
+)
 
 // Prediction is one speculated next point of a sweep: the index of the
 // advancing field and its predicted value.
@@ -79,13 +58,12 @@ func (a WarmerStats) Merge(b WarmerStats) WarmerStats {
 // same canonical problem with exactly one numeric field advancing
 // arithmetically (a `report sweep` scan, a user bisecting a parameter). Per
 // candidate field it keeps one track keyed by everything *except* that
-// field; when the same track sees History values with equal non-zero
-// deltas, the next Predict points are speculated so idle workers can
+// field; when the same track sees warmerHistory values with equal non-zero
+// deltas, the next warmerPredict points are speculated so idle workers can
 // pre-execute them at background priority. A nil *Warmer is a valid
 // disabled detector: every method is a cheap no-op.
 type Warmer struct {
 	mu     sync.Mutex
-	cfg    WarmerConfig
 	tracks map[uint64]*track
 	warmed map[string]struct{}
 
@@ -105,11 +83,9 @@ type track struct {
 }
 
 // NewWarmer builds a sweep detector.
-func NewWarmer(cfg WarmerConfig) *Warmer {
-	cfg = cfg.withDefaults()
+func NewWarmer() *Warmer {
 	return &Warmer{
-		cfg:    cfg,
-		tracks: make(map[uint64]*track, cfg.MaxTracks),
+		tracks: make(map[uint64]*track, warmerMaxTracks),
 		warmed: make(map[string]struct{}, 64),
 	}
 }
@@ -155,7 +131,7 @@ func (w *Warmer) Observe(base string, fields []float64) []Prediction {
 		key := trackKey(base, i, fields)
 		t, ok := w.tracks[key]
 		if !ok {
-			if len(w.tracks) >= w.cfg.MaxTracks {
+			if len(w.tracks) >= warmerMaxTracks {
 				clear(w.tracks)
 				w.resets++
 			}
@@ -173,11 +149,11 @@ func (w *Warmer) Observe(base string, fields []float64) []Prediction {
 			t.run = 1
 		}
 		t.last = v
-		if t.run >= w.cfg.History-1 {
-			for k := 1; k <= w.cfg.Predict; k++ {
+		if t.run >= warmerHistory-1 {
+			for k := 1; k <= warmerPredict; k++ {
 				preds = append(preds, Prediction{Field: i, Value: v + d*float64(k)})
 			}
-			w.predictions += int64(w.cfg.Predict)
+			w.predictions += int64(warmerPredict)
 		}
 	}
 	return preds
@@ -191,7 +167,7 @@ func (w *Warmer) MarkWarmed(key string) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.warmed) >= w.cfg.MaxWarmed {
+	if len(w.warmed) >= warmerMaxWarmed {
 		clear(w.warmed)
 		w.resets++
 	}

@@ -3,7 +3,7 @@ package session
 import "testing"
 
 func TestWarmerDetectsSteppedSweep(t *testing.T) {
-	w := NewWarmer(WarmerConfig{})
+	w := NewWarmer()
 	base := "sim|bulk"
 	// Field 1 advances by 8 each submission; the rest are constant.
 	fields := func(v float64) []float64 { return []float64{32, v, 2, 4} }
@@ -34,7 +34,7 @@ func TestWarmerDetectsSteppedSweep(t *testing.T) {
 }
 
 func TestWarmerIgnoresRepeatsAndNoise(t *testing.T) {
-	w := NewWarmer(WarmerConfig{})
+	w := NewWarmer()
 	base := "sim|single"
 	fields := func(v float64) []float64 { return []float64{16, v} }
 	w.Observe(base, fields(8))
@@ -52,7 +52,7 @@ func TestWarmerIgnoresRepeatsAndNoise(t *testing.T) {
 		t.Fatalf("jump predicted: %v", p)
 	}
 	// Two different bases never share tracks.
-	w2 := NewWarmer(WarmerConfig{})
+	w2 := NewWarmer()
 	w2.Observe("a", fields(8))
 	w2.Observe("b", fields(16))
 	w2.Observe("a", fields(16))
@@ -62,28 +62,15 @@ func TestWarmerIgnoresRepeatsAndNoise(t *testing.T) {
 	}
 }
 
-func TestWarmerHistoryConfig(t *testing.T) {
-	w := NewWarmer(WarmerConfig{History: 4, Predict: 1})
-	fields := func(v float64) []float64 { return []float64{v} }
-	w.Observe("x", fields(1))
-	w.Observe("x", fields(2))
-	if p := w.Observe("x", fields(3)); p != nil {
-		t.Fatalf("history 4 predicted after 3 points: %v", p)
-	}
-	preds := w.Observe("x", fields(4))
-	if len(preds) != 1 || preds[0].Value != 5 {
-		t.Fatalf("predictions %v", preds)
-	}
-}
-
 func TestWarmerTrackBound(t *testing.T) {
-	w := NewWarmer(WarmerConfig{MaxTracks: 8})
-	for i := 0; i < 100; i++ {
+	w := NewWarmer()
+	// Every field moves every time, so each submission opens three tracks.
+	for i := 0; i < warmerMaxTracks; i++ {
 		w.Observe("x", []float64{float64(i * 7), float64(i * 13), float64(i)})
 	}
 	st := w.Stats()
-	if st.Tracks > 8 {
-		t.Fatalf("tracks %d exceed bound 8", st.Tracks)
+	if st.Tracks > warmerMaxTracks {
+		t.Fatalf("tracks %d exceed bound %d", st.Tracks, warmerMaxTracks)
 	}
 	if st.Resets == 0 {
 		t.Fatal("bound never triggered a reset")
@@ -91,7 +78,7 @@ func TestWarmerTrackBound(t *testing.T) {
 }
 
 func TestWarmerHitAccounting(t *testing.T) {
-	w := NewWarmer(WarmerConfig{})
+	w := NewWarmer()
 	if w.WasWarmed("k1") {
 		t.Fatal("unwarmed key reported warm")
 	}
