@@ -85,7 +85,7 @@ ns_gate ./internal/cluster TestGatewayTraceDisabledAllocatesNothing BenchmarkGat
 # Session hot-path guards: the status snapshot behind GET
 # /v1/sessions/{id} and the sweep warmer's per-submission idle detector
 # both ride interactive paths.
-ns_gate ./internal/session TestSessionStatusAllocationBounded BenchmarkSessionStatus \
+ns_gate ./internal/service TestSessionStatusAllocationBounded BenchmarkSessionStatus \
     BENCH_guards.json session_status_max_ns_per_op "session status path"
 ns_gate ./internal/session TestWarmerIdleAllocationFree BenchmarkWarmerIdle \
     BENCH_guards.json warmer_idle_max_ns_per_op "warmer idle path"

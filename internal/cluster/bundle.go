@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -66,34 +65,25 @@ func (r *Router) FederatedBundle(ctx context.Context) ClusterBundle {
 		},
 		Nodes: make([]NodeBundle, len(members)),
 	}
-	var wg sync.WaitGroup
-	for i, m := range members {
-		out.Nodes[i] = NodeBundle{ID: m.ID, State: m.State}
-		if m.State == NodeDown {
-			msg := "node down"
-			if m.LastErr != "" {
-				msg += ": " + m.LastErr
+	for i, a := range r.getEach(ctx, members, "/v1/debug/bundle") {
+		nb := &out.Nodes[i]
+		*nb = NodeBundle{ID: a.ID, State: a.State}
+		switch {
+		case a.State == NodeDown:
+			nb.Error = "node down"
+			if a.LastErr != "" {
+				nb.Error += ": " + a.LastErr
 			}
-			out.Nodes[i].Error = msg
-			continue
+		case a.err != nil:
+			nb.Error = "bundle fetch failed: " + a.err.Error()
+		case a.resp.status != http.StatusOK:
+			nb.Error = fmt.Sprintf("bundle fetch failed: status %d", a.resp.status)
+		case !json.Valid(a.resp.body):
+			nb.Error = "bundle fetch failed: invalid JSON"
+		default:
+			nb.Bundle = a.resp.body
 		}
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			resp, err := r.client.do(ctx, http.MethodGet, url+"/v1/debug/bundle", nil, "")
-			switch {
-			case err != nil:
-				out.Nodes[i].Error = "bundle fetch failed: " + err.Error()
-			case resp.status != http.StatusOK:
-				out.Nodes[i].Error = fmt.Sprintf("bundle fetch failed: status %d", resp.status)
-			case !json.Valid(resp.body):
-				out.Nodes[i].Error = "bundle fetch failed: invalid JSON"
-			default:
-				out.Nodes[i].Bundle = resp.body
-			}
-		}(i, m.URL)
 	}
-	wg.Wait()
 	return out
 }
 

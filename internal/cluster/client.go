@@ -199,16 +199,6 @@ func (c *nodeClient) drain(ctx context.Context, baseURL string) error {
 	return resp.expect("drain", http.StatusAccepted, nil)
 }
 
-// stats fetches a node's rolling-window telemetry snapshot.
-func (c *nodeClient) stats(ctx context.Context, baseURL string) (service.TelemetryStats, error) {
-	var doc service.TelemetryStats
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/stats", nil, "")
-	if err == nil {
-		err = resp.expect("stats", http.StatusOK, &doc)
-	}
-	return doc, err
-}
-
 // checkpoint pulls a session's newest durable checkpoint from its owner:
 // the raw bytes plus the step it stands at (from the response header).
 // (nil, 0, nil) means the session exists but has no durable checkpoint yet.

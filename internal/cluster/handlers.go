@@ -212,14 +212,13 @@ func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
 func handleList[V any](r *Router, kind string, label func(V, string) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		out := []any{}
-		for _, id := range r.members.Peekable() {
-			resp, err := r.client.do(req.Context(), http.MethodGet, r.members.URL(id)+"/v1/"+kind, nil, "")
+		for _, a := range r.getEach(req.Context(), r.members.Snapshot(), "/v1/"+kind) {
 			var doc map[string][]V
-			if err != nil || resp.expect(kind, http.StatusOK, &doc) != nil {
+			if a.resp == nil || a.resp.expect(kind, http.StatusOK, &doc) != nil {
 				continue
 			}
 			for _, v := range doc[kind] {
-				out = append(out, label(v, id))
+				out = append(out, label(v, a.ID))
 			}
 		}
 		service.WriteJSON(w, http.StatusOK, map[string]any{kind: out})
@@ -239,16 +238,14 @@ func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleCatalogue proxies a static catalogue endpoint (identical on every
-// node) from the first member that answers.
+// node) from the first member, in id order, that answers.
 func (r *Router) handleCatalogue(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		for _, id := range r.members.Peekable() {
-			resp, err := r.client.do(req.Context(), http.MethodGet, r.members.URL(id)+path, nil, "")
-			if err != nil || resp.status != http.StatusOK {
-				continue
+		for _, a := range r.getEach(req.Context(), r.members.Snapshot(), path) {
+			if a.resp != nil && a.resp.status == http.StatusOK {
+				a.resp.relay(w)
+				return
 			}
-			resp.relay(w)
-			return
 		}
 		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: ErrNoNodes.Error()})
 	}

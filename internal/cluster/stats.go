@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"time"
 
@@ -43,36 +44,60 @@ type ClusterStats struct {
 // concurrently and merges the answers. A node that fails to answer is
 // reported with its error instead of silently shrinking the cluster view.
 func (r *Router) FederatedStats(ctx context.Context) ClusterStats {
-	members := r.members.Snapshot()
-	out := ClusterStats{Now: time.Now(), Nodes: make([]NodeStats, len(members))}
-	var wg sync.WaitGroup
-	for i, m := range members {
-		out.Nodes[i] = NodeStats{ID: m.ID, State: m.State}
-		if m.State == NodeDown {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			st, err := r.client.stats(ctx, url)
-			if err != nil {
-				out.Nodes[i].Error = err.Error()
-				return
+	answers := r.getEach(ctx, r.members.Snapshot(), "/v1/stats")
+	out := ClusterStats{Now: time.Now(), Nodes: make([]NodeStats, 0, len(answers))}
+	for _, a := range answers {
+		ns := NodeStats{ID: a.ID, State: a.State}
+		if a.State != NodeDown {
+			var st service.TelemetryStats
+			err := a.err
+			if err == nil {
+				err = a.resp.expect("stats", http.StatusOK, &st)
 			}
-			out.Nodes[i].Stats = &st
-		}(i, m.URL)
-	}
-	wg.Wait()
-	// The cluster view is a fold of the node documents over the zero
-	// document, which belongs to no node.
-	for _, ns := range out.Nodes {
-		if ns.Stats != nil {
-			out.Cluster = out.Cluster.Merge(*ns.Stats)
+			if err != nil {
+				ns.Error = err.Error()
+			} else {
+				// The cluster view is a fold of the node documents over the
+				// zero document, which belongs to no node.
+				ns.Stats = &st
+				out.Cluster = out.Cluster.Merge(st)
+			}
 		}
+		out.Nodes = append(out.Nodes, ns)
 	}
 	out.Gateway = r.Counters()
 	out.GatewayWindow = r.tele.Stats(out.Now)
 	out.InFlight = r.live(r.jobs)
 	out.LiveSessions = r.live(r.sessions)
+	return out
+}
+
+// memberAnswer is one member's answer to a fanned-out GET: the node's
+// response, or the transport error; a down member is not asked and has
+// neither.
+type memberAnswer struct {
+	MemberStatus
+	resp *nodeResponse
+	err  error
+}
+
+// getEach GETs path from every member of members that is not down,
+// concurrently, and returns each member's answer in the members' order —
+// the one "ask every node" loop of the federated documents.
+func (r *Router) getEach(ctx context.Context, members []MemberStatus, path string) []memberAnswer {
+	out := make([]memberAnswer, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		out[i].MemberStatus = m
+		if m.State == NodeDown {
+			continue
+		}
+		wg.Add(1)
+		go func(a *memberAnswer) {
+			defer wg.Done()
+			a.resp, a.err = r.client.do(ctx, http.MethodGet, a.URL+path, nil, "")
+		}(&out[i])
+	}
+	wg.Wait()
 	return out
 }

@@ -148,7 +148,7 @@ func TestTeeHandlerWithAttrsAndGroups(t *testing.T) {
 	}
 }
 
-// TestTeeHandlerLiftsSessionID: a session manager's lines carry their
+// TestTeeHandlerLiftsSessionID: a node's session lines carry their
 // session under "session"; the tee files them under the id as it does a
 // job's, so a session transition needs no second ring record.
 func TestTeeHandlerLiftsSessionID(t *testing.T) {

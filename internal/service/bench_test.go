@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/session"
 )
 
 // The service benchmarks measure the end-to-end request path for a predict
@@ -87,5 +90,44 @@ func BenchmarkPredictUncached(b *testing.B) {
 		s.cache.purge()
 		b.StartTimer()
 		s.benchWaitDone(b, benchSubmit(b, ts, http.StatusAccepted))
+	}
+}
+
+// benchSession builds a live session without a server: the status path
+// under benchmark touches only the session itself.
+func benchSession() *liveSession {
+	sc := session.Scenario{Kind: core.BulkSync, Problem: core.DefaultProblem(32, 100), Segment: 25, Retain: 4}
+	v := sc.View("n1-sess-000042", 75, time.Unix(1, 0))
+	v.Segments, v.Resumes, v.Updated = 3, 1, time.Unix(2, 0)
+	v.LastCheckpoint, v.FieldHash, v.LastGF = 75, "0123456789abcdef", 1.5
+	return &liveSession{sc: sc, v: v}
+}
+
+// TestSessionStatusAllocationBounded guards the status hot path: a View
+// snapshot is a single struct copy under the session mutex, nothing more.
+// BENCH_guards.json bounds its time; this pins its allocations.
+func TestSessionStatusAllocationBounded(t *testing.T) {
+	s := benchSession()
+	allocs := testing.AllocsPerRun(1000, func() {
+		v := s.View()
+		if v.DoneSteps != 75 {
+			t.Fatal("wrong view")
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("session status allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkSessionStatus is the GET /v1/sessions/{id} hot path with the
+// HTTP layer peeled off.
+func BenchmarkSessionStatus(b *testing.B) {
+	s := benchSession()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v := s.View()
+		if v.DoneSteps != 75 {
+			b.Fatal("wrong view")
+		}
 	}
 }

@@ -76,9 +76,9 @@ type Request struct {
 	segment *segment // set only by Server.runSegment, with Type typeSegment
 }
 
-// segment is one session segment riding the job path: what the manager asked
-// the runner for, and where the worker leaves the answer — res by execute,
-// err and the done signal by land.
+// segment is one session segment riding the job path: what the session's
+// run loop asked for, and where the worker leaves the answer — res by
+// execute, err and the done signal by land.
 type segment struct {
 	kind core.Kind
 	p    core.Problem

@@ -112,7 +112,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	log    *slog.Logger
-	store  *Store
 	queue  *Queue
 	cache  *Cache
 	tele   *Telemetry
@@ -122,17 +121,22 @@ type Server struct {
 	flight *flight.Recorder
 	engine *flight.Engine
 
-	// sessions and sessStore are the resumable-session subsystem (nil when
-	// Config.SessionDir is empty); warmer is the speculative sweep
-	// detector (nil when Config.WarmSweeps is false).
-	sessions  *session.Manager
+	// store and sessions hold the node's live work, jobs and sessions, in
+	// one registry type. sessStore is the sessions' durable side (nil when
+	// Config.SessionDir is empty: sessions disabled) and sessWG tracks their
+	// run loops; warmer is the speculative sweep detector (nil when
+	// Config.WarmSweeps is false).
+	store     *registry[*Job]
+	sessions  *registry[*liveSession]
 	sessStore *session.Store
+	sessWG    sync.WaitGroup
+	sessCount sessionCounts
 	warmer    *session.Warmer
 
 	warmMu       sync.Mutex
 	warmInflight map[string]struct{} // cache keys with a background job queued
 
-	baseCtx    context.Context    // parent of every job context
+	baseCtx    context.Context    // parent of every job and session run loop context
 	cancelJobs context.CancelFunc // fired when the drain deadline passes
 	draining   atomic.Bool
 }
@@ -151,7 +155,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		log:        slog.New(flight.TeeHandler(rec, cfg.Logger.Handler())),
-		store:      NewStore(cfg.NodeID),
+		store:      newRegistry[*Job](cfg.NodeID, "job"),
+		sessions:   newRegistry[*liveSession](cfg.NodeID, "sess"),
 		queue:      NewQueue(cfg.QueueCap),
 		cache:      NewCache(cfg.CacheEntries),
 		tele:       NewTelemetry(time.Now(), cfg.StatsWindow, cfg.QueueCap),
@@ -166,43 +171,12 @@ func New(cfg Config) *Server {
 		s.warmer = session.NewWarmer()
 	}
 	if cfg.SessionDir != "" {
-		s.openSessions(cfg)
+		s.openSessions(cfg.SessionDir)
 	}
 	s.pool = NewPool(cfg.Workers, s.queue, s.runJob)
 	s.mux = Mount(s.routes(), cfg.EnablePprof)
 	go s.sweepLoop()
 	return s
-}
-
-// openSessions wires the resumable-session subsystem: the durable store,
-// the manager running segments through the same pool as one-shot jobs
-// (runSegment), and crash recovery of whatever the store already holds. A store
-// that cannot be opened disables sessions (loudly) rather than the node.
-func (s *Server) openSessions(cfg Config) {
-	store, err := session.Open(cfg.SessionDir)
-	if err != nil {
-		s.log.Error("sessions disabled", "dir", cfg.SessionDir, "error", err)
-		return
-	}
-	prefix := ""
-	if cfg.NodeID != "" {
-		prefix = cfg.NodeID + "-"
-	}
-	mgr, err := session.NewManager(session.Config{
-		Store: store, Run: s.runSegment,
-		IDPrefix: prefix, Notify: s.publishSession, Logger: s.log,
-	})
-	if err != nil {
-		s.log.Error("sessions disabled", "dir", cfg.SessionDir, "error", err)
-		return
-	}
-	s.sessStore = store
-	s.sessions = mgr
-	if n, err := mgr.Recover(); err != nil {
-		s.log.Warn("session recovery scan failed", "error", err)
-	} else if n > 0 {
-		s.log.Info("sessions recovered", "resumed", n)
-	}
 }
 
 // publishAnomaly surfaces one engine firing: a warning on the node log
@@ -391,9 +365,9 @@ func (s *Server) runJob(j *Job) {
 //     interactive submission counts as a warmer hit), the outcome window
 //     and a job event — never the interactive windows or the engine;
 //   - a session segment: the "segment" outcome and exec windows and the
-//     points window — never the cache, and no job event (the session
-//     manager publishes its own); its result and error go back to the
-//     runner waiting in runSegment.
+//     points window — never the cache, and no job event (its session
+//     announces the segment); its result and error go back to the
+//     session's run loop waiting in runSegment.
 //
 // The terminal state is published last: a client that has seen it may read
 // /v1/stats, /metrics, the debug bundle or resubmit at once, and must find
@@ -468,11 +442,11 @@ func (s *Server) observe(now time.Time, j *Job, rep *obs.Report, elapsed time.Du
 		Kind: sr.Kind, N: sr.N, Tasks: sr.Tasks, Threads: sr.Threads})
 }
 
-// runSegment is the session.Runner the manager is given: a segment is a
-// unit of work like any other, so it waits for the next free pool worker
-// (never shed, bounded by Config.Workers, counted in workers.busy), runs
-// under execute's panic barrier and a job context descending from the
-// session's, and lands through land — then hands its result back here.
+// runSegment runs one session segment as a unit of work like any other: it
+// waits for the next free pool worker (never shed, bounded by
+// Config.Workers, counted in workers.busy), runs under execute's panic
+// barrier and a job context descending from the session's, and lands
+// through land — then hands its result back here.
 func (s *Server) runSegment(ctx context.Context, kind core.Kind, p core.Problem, o core.Options) (*core.Result, error) {
 	seg := &segment{kind: kind, p: p, o: o, done: make(chan struct{})}
 	j := newJob(s.store.NewID(), Request{Type: typeSegment, segment: seg}, ctx, time.Now())
@@ -518,9 +492,8 @@ func (s *Server) StatsSnapshot() TelemetryStats {
 	st.Node = s.cfg.NodeID
 	a := s.engine.Anomalies()
 	st.Anomalies = &a
-	if s.sessions != nil {
-		sst := s.sessions.Stats()
-		st.Sessions = &sst
+	if s.sessStore != nil {
+		st.Sessions = s.sessionStats()
 	}
 	if s.warmer != nil {
 		wst := s.warmer.Stats()
@@ -536,13 +509,7 @@ func (s *Server) StatsSnapshot() TelemetryStats {
 // drain, or an error naming the jobs that had to be cancelled.
 func (s *Server) Shutdown() error {
 	s.draining.Store(true)
-	if s.sessions != nil {
-		// Session shutdown is deliberately crash-shaped: in-flight segments
-		// are cancelled, records stay "running" on disk, and the next
-		// process resumes them from their last durable checkpoint — the
-		// same path an actual crash takes, exercised on every restart.
-		s.sessions.Close()
-	}
+	s.stopSessions()
 	s.queue.Close()
 	s.log.Info("drain started", "timeout", s.cfg.DrainTimeout)
 	done := make(chan struct{})

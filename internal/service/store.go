@@ -1,62 +1,78 @@
 package service
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 )
 
-// Store is the job registry: every submitted job, by id, for status polls
-// and result delivery. Reads never touch the queue or the pool, so
-// delivery stays responsive while the workers are saturated.
-type Store struct {
+// registry holds one kind of live work on the node — jobs or sessions — by
+// id, in arrival order, for status polls and result delivery, and mints its
+// ids. Reads never touch the queue or the pool, so delivery stays responsive
+// while the workers are saturated.
+type registry[T interface{ ID() string }] struct {
 	mu     sync.RWMutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listing
-	next   int
-	prefix string // cluster node id; "" standalone
+	items  map[string]T
+	order  []string // arrival order, for listing
+	next   int64
+	prefix string // "<node>-<noun>-", or "<noun>-" standalone
 }
 
-// NewStore builds an empty store. A non-empty nodeID prefixes every minted
-// job id ("<node>-job-000001"), keeping IDs globally unique across a
-// cluster's shards so a gateway can route polls by id alone.
-func NewStore(nodeID string) *Store {
-	return &Store{jobs: map[string]*Job{}, prefix: nodeID}
-}
-
-// NewID mints the next job id.
-func (s *Store) NewID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	if s.prefix != "" {
-		return fmt.Sprintf("%s-job-%06d", s.prefix, s.next)
+// newRegistry builds an empty registry minting "<noun>-000001". A non-empty
+// nodeID prefixes every id ("<node>-<noun>-000001"), keeping ids globally
+// unique across a cluster's shards so a gateway can route polls by id alone.
+func newRegistry[T interface{ ID() string }](nodeID, noun string) *registry[T] {
+	prefix := noun + "-"
+	if nodeID != "" {
+		prefix = nodeID + "-" + prefix
 	}
-	return fmt.Sprintf("job-%06d", s.next)
+	return &registry[T]{items: map[string]T{}, prefix: prefix}
 }
 
-// Add registers a job.
-func (s *Store) Add(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.ID()] = j
-	s.order = append(s.order, j.ID())
+// NewID mints the next id.
+func (r *registry[T]) NewID() string {
+	r.mu.Lock()
+	r.next++
+	n := r.next
+	r.mu.Unlock()
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], n, 10)
+	return r.prefix + "000000"[min(len(digits), 6):] + string(digits)
 }
 
-// Get looks a job up by id.
-func (s *Store) Get(id string) (*Job, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	j, ok := s.jobs[id]
-	return j, ok
+// reserve advances the id sequence past id's number ("n1-sess-000007" → 7),
+// so an id already on disk is never minted again.
+func (r *registry[T]) reserve(id string) {
+	n, _ := strconv.ParseInt(id[strings.LastIndexByte(id, '-')+1:], 10, 64)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.next = max(r.next, n)
 }
 
-// List returns every job in submission order.
-func (s *Store) List() []*Job {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+// Add registers an item under its id.
+func (r *registry[T]) Add(v T) {
+	id := v.ID()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.items[id] = v
+	r.order = append(r.order, id)
+}
+
+// Get looks an item up by id.
+func (r *registry[T]) Get(id string) (T, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	v, ok := r.items[id]
+	return v, ok
+}
+
+// List returns every item in arrival order.
+func (r *registry[T]) List() []T {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]T, 0, len(r.order))
+	for _, id := range r.order {
+		out = append(out, r.items[id])
 	}
 	return out
 }

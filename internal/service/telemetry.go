@@ -181,10 +181,10 @@ type TelemetryStats struct {
 	// Anomalies summarizes the flight anomaly engine (nil when flight is
 	// disabled): totals, per-rule counts, and the retained history.
 	Anomalies *flight.AnomalyStats `json:"anomalies,omitempty"`
-	// Sessions summarizes the resumable-session manager (nil when sessions
+	// Sessions summarizes the node's resumable sessions (nil when sessions
 	// are disabled): live counts by state plus lifetime segment/resume/fork
 	// counters.
-	Sessions *session.Stats `json:"sessions,omitempty"`
+	Sessions *SessionStats `json:"sessions,omitempty"`
 	// Warmer summarizes the speculative sweep warmer (nil when warming is
 	// disabled): predictions made, points pre-executed, sheds, and cache
 	// hits served from warmed entries.

@@ -249,7 +249,7 @@ func eachNumericField(p any, f func(name string, field reflect.Value)) {
 func TestMergeSumsEveryCounter(t *testing.T) {
 	node := func() TelemetryStats {
 		st := TelemetryStats{
-			Sessions: &session.Stats{}, Warmer: &session.WarmerStats{},
+			Sessions: &SessionStats{}, Warmer: &session.WarmerStats{},
 			Anomalies: &flight.AnomalyStats{ByRule: map[string]int{"straggler": 1}},
 		}
 		for _, p := range []any{st.Sessions, st.Warmer, st.Anomalies} {

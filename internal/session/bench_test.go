@@ -1,52 +1,6 @@
 package session
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/core"
-)
-
-// benchSession builds a session without a manager: the status path under
-// benchmark touches only the Session itself.
-func benchSession() *Session {
-	sc := Scenario{Kind: core.BulkSync, Problem: core.DefaultProblem(32, 100), Segment: 25, Retain: 4}
-	return &Session{
-		id: "n1-sess-000042", sc: sc, fp: sc.Fingerprint(),
-		state: StateRunning, doneSteps: 75, segments: 3, resumes: 1,
-		created: time.Unix(1, 0), updated: time.Unix(2, 0),
-		fieldHash: "0123456789abcdef", lastCkpt: 75, lastGF: 1.5,
-	}
-}
-
-// TestSessionStatusAllocationBounded guards the status hot path: a View
-// snapshot is a single struct copy under the session mutex, nothing more.
-// BENCH_guards.json bounds its time; this pins its allocations.
-func TestSessionStatusAllocationBounded(t *testing.T) {
-	s := benchSession()
-	allocs := testing.AllocsPerRun(1000, func() {
-		v := s.View()
-		if v.DoneSteps != 75 {
-			t.Fatal("wrong view")
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("session status allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// BenchmarkSessionStatus is the GET /v1/sessions/{id} hot path with the
-// HTTP layer peeled off.
-func BenchmarkSessionStatus(b *testing.B) {
-	s := benchSession()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v := s.View()
-		if v.DoneSteps != 75 {
-			b.Fatal("wrong view")
-		}
-	}
-}
+import "testing"
 
 // TestWarmerIdleAllocationFree guards the detector's idle path: an
 // observation that extends no progression (steady repeated traffic) must

@@ -1,13 +1,17 @@
-// Package session turns one-shot simulation jobs into resumable service
-// objects. The paper's GPU-resident scenario assumes "a computation might
-// run for hours between CPU-GPU checkpoints" (§IV-E); here that run is a
-// session: a long scenario executed as a chain of checkpointed segments
-// (every K steps, checkpoint.FromResult into a content-addressed store
-// keyed by the canonical fingerprint + step), which can be paused, resumed,
-// forked from any retained checkpoint with mutated options, and — because
-// every segment boundary is durable — survives a process restart: on
-// startup the store is rescanned and interrupted sessions continue from
-// their last durable segment, bit-for-bit equal to an uninterrupted run.
+// Package session is the durable side of resumable sessions. The paper's
+// GPU-resident scenario assumes "a computation might run for hours between
+// CPU-GPU checkpoints" (§IV-E); here that run is a session: a long scenario
+// executed as a chain of segments, each ending in a checkpoint on disk
+// (checkpoint.FromResult into a content-addressed store keyed by the
+// canonical fingerprint + step). This package holds what a restarted
+// process reads back — the Scenario with its fingerprint and normalisation,
+// the session's status (View), the Record pairing the two, and the Store of
+// checkpoints and records — plus LandSegment, the one way a finished segment
+// becomes durable. Because every segment boundary is durable, a restarted
+// node rescans the store and continues each interrupted session from its
+// last checkpoint, bit-for-bit equal to an uninterrupted run. The live
+// sessions — their run loops, pause, resume and fork — belong to the node
+// that runs them (internal/service), beside its jobs.
 //
 // The package also holds the speculative sweep warmer (warmer.go), which
 // shares nothing with the store: a detector that watches submitted
@@ -16,13 +20,12 @@
 package session
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -85,76 +88,38 @@ func (sc Scenario) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Session is one resumable simulation moving through segments. All mutable
-// fields are guarded by mu; the identity fields (id, sc, fp) are set once
-// at construction and read freely.
-type Session struct {
-	id string
-	sc Scenario
-	fp string
+// The steps between durable checkpoints and the checkpoints kept per
+// session when a scenario leaves Segment or Retain zero; a request that
+// wants others says so itself.
+const (
+	defaultSegment = 25
+	defaultRetain  = 4
+)
 
-	mu        sync.Mutex
-	state     State
-	doneSteps int64
-	segments  int64 // segments completed over the session's lifetime
-	resumes   int64 // recoveries + explicit resumes
-	errMsg    string
-	created   time.Time
-	updated   time.Time
-	fieldHash string // sha256 of the interior at the last durable checkpoint
-	lastCkpt  int64  // step of the last durable checkpoint
-	lastGF    float64
-
-	pauseReq bool
-	cancel   context.CancelFunc // ends the current run loop's context; nil before the first start
-}
-
-// ID returns the session's identifier.
-func (s *Session) ID() string { return s.id }
-
-// Fingerprint returns the session's content-addressed identity.
-func (s *Session) Fingerprint() string { return s.fp }
-
-// Scenario returns the session's immutable scenario.
-func (s *Session) Scenario() Scenario { return s.sc }
-
-// State returns the session's current lifecycle state.
-func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-// Done returns the steps integrated so far.
-func (s *Session) Done() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.doneSteps
-}
-
-// requestPause flags the session and cancels its run loop's context — and
-// with it a segment in flight or waiting for a worker; the loop lands the
-// paused state after rolling back to the last durable checkpoint.
-func (s *Session) requestPause() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != StateRunning || s.pauseReq {
-		return false
+// Normalize applies the defaults and validates the scenario. It is the one
+// normalisation every way into a session goes through: create, seeded
+// create, fork, recovery, and the fingerprint a gateway shards by.
+func (sc Scenario) Normalize() (Scenario, error) {
+	if sc.Problem.Initial != nil {
+		return sc, fmt.Errorf("session: scenario problem must not carry an initial state")
 	}
-	s.pauseReq = true
-	if s.cancel != nil {
-		s.cancel()
+	if sc.Problem.Steps < 1 {
+		return sc, fmt.Errorf("session: scenario needs at least one step")
 	}
-	return true
+	if sc.Segment < 1 {
+		sc.Segment = defaultSegment
+	}
+	if sc.Retain < 1 {
+		sc.Retain = defaultRetain
+	}
+	sc.Segment = min(sc.Segment, sc.Problem.Steps)
+	sc.Options = sc.Options.Normalize()
+	return sc, nil
 }
 
-func (s *Session) pauseRequested() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pauseReq
-}
-
-// View is the JSON representation of a session's status.
+// View is a session's status: what GET /v1/sessions/{id} answers, what a
+// lifecycle event carries, and — with the scenario's problem and options —
+// what its Record keeps on disk.
 type View struct {
 	ID          string    `json:"id"`
 	State       State     `json:"state"`
@@ -180,21 +145,15 @@ type View struct {
 	LastGF         float64 `json:"last_gf,omitempty"`
 }
 
-// View snapshots the session for the API. This is the status hot path:
-// BENCH_guards.json bounds its allocations.
-func (s *Session) View() View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// View returns the status of a new running session of sc named id, done
+// steps into its trajectory.
+func (sc Scenario) View(id string, done int64, now time.Time) View {
 	return View{
-		ID: s.id, State: s.state, Kind: s.sc.Kind.String(),
-		Fingerprint: s.fp,
-		TotalSteps:  int64(s.sc.Problem.Steps), DoneSteps: s.doneSteps,
-		Segment: s.sc.Segment, Retain: s.sc.Retain,
-		Segments: s.segments, Resumes: s.resumes,
-		ParentFP: s.sc.ParentFP, ParentStep: s.sc.ParentStep,
-		TraceID: s.sc.TraceID, Error: s.errMsg,
-		Created: s.created, Updated: s.updated,
-		LastCheckpoint: s.lastCkpt, FieldHash: s.fieldHash, LastGF: s.lastGF,
+		ID: id, State: StateRunning, Kind: sc.Kind.String(), Fingerprint: sc.Fingerprint(),
+		TotalSteps: int64(sc.Problem.Steps), DoneSteps: done,
+		Segment: sc.Segment, Retain: sc.Retain,
+		ParentFP: sc.ParentFP, ParentStep: sc.ParentStep, TraceID: sc.TraceID,
+		Created: now, Updated: now,
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -21,8 +20,8 @@ import (
 // content-addressed checkpoint files (ck-<fingerprint>-<step>.ckpt, the
 // versioned internal/checkpoint format) plus one JSON record per session
 // (sess-<id>.json) describing where its trajectory stands. Everything a
-// restarted process needs to resume is on disk; the in-memory Manager is
-// rebuilt from a rescan.
+// restarted process needs to resume is on disk; the node's live sessions
+// are rebuilt from a rescan.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -131,29 +130,69 @@ func (s *Store) Prune(fp string, retain int) int {
 	return removed
 }
 
-// Record is the durable description of one session: everything needed to
-// rebuild it after a restart. Problem and Options are JSON objects (floats
-// round-trip bit-exactly; a scenario's Initial is nil and Rec and Ctx are
-// never serialised), so a record plus the newest retained checkpoint fully
-// determines how to continue.
+// Own saves f as the session's checkpoint at meta.StepsDone, stamped with
+// the lineage of sc — how a seed or a fork point becomes the state a new
+// session starts from, whoever cut it — and returns the field hash the
+// session's status reports.
+func (s *Store) Own(sc Scenario, meta checkpoint.Meta, f *grid.Field) (string, error) {
+	if err := s.SaveCheckpoint(meta.WithLineage(sc.Fingerprint(), sc.Options.Canonical()), f); err != nil {
+		return "", err
+	}
+	return fieldHash(f), nil
+}
+
+// LandSegment makes one finished segment of a session of sc durable: the
+// final state of the segment problem p's run becomes the session's
+// checkpoint at step done (checkpoint.FromResult, then Own), and the oldest
+// checkpoints beyond the scenario's retention are pruned. It returns the
+// state, the simulated time it stands at, and its field hash.
+func (s *Store) LandSegment(sc Scenario, p core.Problem, res *core.Result, done int64) (*grid.Field, float64, string, error) {
+	meta, f, err := checkpoint.FromResult(p, res)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	meta.StepsDone = done
+	hash, err := s.Own(sc, meta, f)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	s.Prune(sc.Fingerprint(), sc.Retain)
+	return f, meta.T0, hash, nil
+}
+
+// Record is the durable description of one session: its status exactly as
+// the API shows it, plus the problem and options its scenario runs —
+// everything needed to rebuild it after a restart. Problem and Options are
+// JSON objects (floats round-trip bit-exactly; a scenario's Initial is nil
+// and Rec and Ctx are never serialised), so a record plus the newest
+// retained checkpoint fully determines how to continue. The status fields a
+// record gained later (total_steps, last_checkpoint, field_hash, last_gf)
+// are never required: an older record reads back with them zero.
 type Record struct {
-	ID          string       `json:"id"`
-	State       State        `json:"state"`
-	Kind        string       `json:"kind"`
-	Problem     core.Problem `json:"problem"`
-	Options     core.Options `json:"options"`
-	Segment     int          `json:"segment"`
-	Retain      int          `json:"retain"`
-	DoneSteps   int64        `json:"done_steps"`
-	Fingerprint string       `json:"fingerprint"`
-	ParentFP    string       `json:"parent_fp,omitempty"`
-	ParentStep  int64        `json:"parent_step,omitempty"`
-	TraceID     string       `json:"trace_id,omitempty"`
-	Resumes     int64        `json:"resumes"`
-	Segments    int64        `json:"segments"`
-	Error       string       `json:"error,omitempty"`
-	Created     time.Time    `json:"created"`
-	Updated     time.Time    `json:"updated"`
+	View
+	Problem core.Problem `json:"problem"`
+	Options core.Options `json:"options"`
+}
+
+// Scenario inverts the record into the normalised scenario it was written
+// from, and checks that the scenario still has the recorded fingerprint.
+func (r Record) Scenario() (Scenario, error) {
+	kind, err := core.ParseKind(r.Kind)
+	if err != nil {
+		return Scenario{}, err
+	}
+	sc, err := Scenario{
+		Kind: kind, Problem: r.Problem, Options: r.Options,
+		Segment: r.Segment, Retain: r.Retain,
+		ParentFP: r.ParentFP, ParentStep: r.ParentStep, TraceID: r.TraceID,
+	}.Normalize()
+	if err != nil {
+		return sc, err
+	}
+	if fp := sc.Fingerprint(); fp != r.Fingerprint {
+		return sc, fmt.Errorf("recorded fingerprint %s does not match scenario (%s)", r.Fingerprint, fp)
+	}
+	return sc, nil
 }
 
 // SaveRecord persists one session record atomically and durably.
