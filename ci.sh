@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: formatting, vet, advectlint, build, the full test suite with the
-# race detector, vet and tests of the nested bench/ module, and the eight
+# race detector, vet and tests of the nested bench/ module, and the seven
 # ns_gate bounds of BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
@@ -45,7 +45,7 @@ go test -race -timeout 5m ./...
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
 # request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
-# ns/op bound recorded as KEY in FILE (all eight live in BENCH_guards.json,
+# ns/op bound recorded as KEY in FILE (all seven live in BENCH_guards.json,
 # one distinct key per line).
 ns_gate() {
     go test -run "$2" -count=1 "$1"
@@ -82,13 +82,10 @@ ns_gate ./internal/flight TestFlightAddAllocatesNothing BenchmarkFlightAdd \
 ns_gate ./internal/cluster TestGatewayTraceDisabledAllocatesNothing BenchmarkGatewayTraceDisabled \
     BENCH_guards.json gateway_trace_disabled_max_ns_per_op "disabled-cluster-tracing path"
 
-# Session hot-path guards: the status snapshot behind GET
-# /v1/sessions/{id} and the sweep warmer's per-submission idle detector
-# both ride interactive paths.
+# Session hot-path guard: the status snapshot behind GET
+# /v1/sessions/{id} rides an interactive path.
 ns_gate ./internal/service TestSessionStatusAllocationBounded BenchmarkSessionStatus \
     BENCH_guards.json session_status_max_ns_per_op "session status path"
-ns_gate ./internal/session TestWarmerIdleAllocationFree BenchmarkWarmerIdle \
-    BENCH_guards.json warmer_idle_max_ns_per_op "warmer idle path"
 
 # Ring hot-path guard: consistent-hash Lookup runs on every gateway
 # submission.

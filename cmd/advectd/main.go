@@ -33,12 +33,10 @@
 // checkpointed segments (the request's "segment" steps each, its "retain"
 // newest kept for forking), survives process restarts by resuming from the
 // last durable checkpoint in <dir>, and can be paused, resumed, or forked
-// with mutated options from any retained step. A segment is a unit of work on the same -workers
-// pool as every job: it waits for a free worker (never shed), is counted in
-// workers.busy, points/sec and the "segment" latency series, and shares the
-// pool with waiting jobs at no fixed priority. -warm adds the speculative sweep warmer:
-// stepped-parameter submission patterns are detected and their predicted
-// next points pre-executed on idle workers at background priority.
+// with mutated options from any retained step. A segment is a unit of work
+// on the same -workers pool as every job: it waits for a free worker (never
+// shed), is counted in workers.busy, points/sec and the "segment" latency
+// series, and shares the pool with waiting jobs at no fixed priority.
 //
 // An always-on flight recorder (-flight sizes its ring) retains the last
 // N log/span/stats records and watches /v1/stats for anomalies — latency
@@ -78,7 +76,6 @@ func main() {
 		model     = flag.String("model", "", "machine model the anomaly engine predicts against (empty = default)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "SSE keep-alive comment cadence on idle /v1/stream connections")
 		sessDir   = flag.String("sessions", "", "session checkpoint directory: enables resumable sessions under /v1/sessions (empty = disabled)")
-		warm      = flag.Bool("warm", false, "speculatively pre-execute predicted sweep points on idle workers")
 	)
 	flag.Parse()
 
@@ -105,7 +102,6 @@ func main() {
 		FlightRules:       flight.Rules{DriftTolerance: *drift, ModelMachine: *model},
 		HeartbeatInterval: *heartbeat,
 		SessionDir:        *sessDir,
-		WarmSweeps:        *warm,
 	})
 
 	// Stop accepting connections, then drain the pool.

@@ -22,7 +22,7 @@
 // (membership, ring, routing counters), POST /v1/nodes to join a node and
 // POST /v1/nodes/{id}/drain to rebalance one away gracefully. The gateway
 // exports its own observability on GET /metrics (routing counters, rolling
-// route/peek/failover windows, process health; Prometheus text or
+// route/retry/failover windows, process health; Prometheus text or
 // ?format=json) and, with -pprof, net/http/pprof under /debug/pprof.
 //
 // Traced submissions (simulate jobs with "trace": true) get a cluster

@@ -19,7 +19,7 @@ import (
 // gateway shutdown) propagates into the outbound request — the cluster
 // analog of the context threading the runners use to stay killable.
 type nodeClient struct {
-	hc      *http.Client // short requests (submit, peek, stats, health)
+	hc      *http.Client // short requests (submit, stats, health)
 	stream  *http.Client // long-lived SSE reads; no overall timeout
 	timeout time.Duration
 }
@@ -123,28 +123,6 @@ func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, tr
 		}
 	}
 	return res, nil
-}
-
-// peek asks a node's cache for a key: (doc, true, nil) on a hit,
-// (nil, false, nil) on a clean miss.
-func (c *nodeClient) peek(ctx context.Context, baseURL, key string) (json.RawMessage, bool, error) {
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/cache/"+key, nil, "")
-	if err != nil || resp.status == http.StatusNotFound {
-		return nil, false, err
-	}
-	if err := resp.expect("cache peek", http.StatusOK, nil); err != nil {
-		return nil, false, err
-	}
-	return resp.body, true, nil
-}
-
-// seed replicates a result document into a node's cache.
-func (c *nodeClient) seed(ctx context.Context, baseURL, key string, doc json.RawMessage) error {
-	resp, err := c.do(ctx, http.MethodPut, baseURL+"/v1/cache/"+key, doc, "")
-	if err != nil {
-		return err
-	}
-	return resp.expect("cache seed", http.StatusNoContent, nil)
 }
 
 // spans fetches a job's raw span log (its wire trace context) from a

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,10 +226,10 @@ func TestClusterRoutesToOwner(t *testing.T) {
 	}
 }
 
-// TestClusterCacheAffinityAcrossJoin: results computed before a node joins
-// stay cache hits afterwards — keys the ring re-homes to the newcomer are
-// served by peeking the sibling that still holds them and seeding the new
-// owner, not by re-executing.
+// TestClusterCacheAffinityAcrossJoin: a node joining moves only the keys the
+// ring re-homes to it. Results for every other key stay cache hits on their
+// owners; a moved key is recomputed once on the newcomer — never answered by
+// its old owner — and is a cache hit there from then on.
 func TestClusterCacheAffinityAcrossJoin(t *testing.T) {
 	tc := startCluster(t, Config{}, "n1", "n2")
 	const keys = 12
@@ -273,19 +274,29 @@ func TestClusterCacheAffinityAcrossJoin(t *testing.T) {
 
 	moved := 0
 	for i, fp := range fps {
-		if before.Lookup(fp) == after.Lookup(fp) {
+		owner := after.Lookup(fp)
+		if before.Lookup(fp) == owner {
+			status, v := tc.submit(t, bodies[i])
+			if status != http.StatusOK || !v.CacheHit || v.Node != owner {
+				t.Errorf("unmoved key %d: status %d, cache_hit %v on %s (want 200, true on %s)",
+					i, status, v.CacheHit, v.Node, owner)
+			}
 			continue
 		}
-		if after.Lookup(fp) != "n3" {
-			t.Errorf("key %d moved to %s, minimal remap says only the newcomer gains keys", i, after.Lookup(fp))
+		if owner != "n3" {
+			t.Errorf("key %d moved to %s, minimal remap says only the newcomer gains keys", i, owner)
 		}
 		moved++
 		status, v := tc.submit(t, bodies[i])
-		if status != http.StatusOK || !v.CacheHit {
-			t.Errorf("re-homed key %d: status %d, cache_hit %v (want a seeded hit on the new owner)", i, status, v.CacheHit)
+		if status != http.StatusAccepted || v.CacheHit || v.Node != "n3" {
+			t.Errorf("re-homed key %d: status %d, cache_hit %v on %s (want one recomputation: 202 on n3)",
+				i, status, v.CacheHit, v.Node)
 		}
-		if v.Node != "n3" {
-			t.Errorf("re-homed key %d answered by %s, want n3", i, v.Node)
+		tc.waitDone(t, v.ID)
+		status, v = tc.submit(t, bodies[i])
+		if status != http.StatusOK || !v.CacheHit || v.Node != "n3" {
+			t.Errorf("re-homed key %d resubmitted: status %d, cache_hit %v on %s (want 200, true on n3)",
+				i, status, v.CacheHit, v.Node)
 		}
 	}
 	// The ring is deterministic, so this is a constant of the test, not a
@@ -293,29 +304,92 @@ func TestClusterCacheAffinityAcrossJoin(t *testing.T) {
 	if moved == 0 {
 		t.Fatalf("no key moved to the joining node; enlarge the key set")
 	}
-	c := tc.router.Counters()
-	if c.PeekHits < uint64(moved) {
-		t.Errorf("PeekHits = %d, want ≥ %d (one per re-homed key)", c.PeekHits, moved)
+	// One execution per moved key on the newcomer, and none anywhere else
+	// after the join: n1 and n2 still count only the original batch.
+	var execs int64
+	for id, ts := range tc.nodes {
+		n := nodeExecCount(t, ts)
+		if id == "n3" && n != int64(moved) {
+			t.Errorf("n3 executed %d jobs, want %d (one per re-homed key)", n, moved)
+		}
+		execs += n
 	}
-	if c.Seeds < uint64(moved) {
-		t.Errorf("Seeds = %d, want ≥ %d", c.Seeds, moved)
+	if execs != keys+int64(moved) {
+		t.Errorf("cluster executed %d jobs, want %d (the batch plus one per re-homed key)", execs, keys+moved)
+	}
+}
+
+// nodeExecCount reads how many simulate jobs a node has executed.
+func nodeExecCount(t *testing.T, ts *httptest.Server) int64 {
+	t.Helper()
+	resp, err := testClient.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st service.TelemetryStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode node stats: %v", err)
+	}
+	return int64(st.Exec["simulate"].Count)
+}
+
+// TestGatewayForwardsOnce: an uncached submission costs exactly one request,
+// the POST to its ring owner; no sibling hears of it.
+func TestGatewayForwardsOnce(t *testing.T) {
+	req := stubRequest()
+	ownerID, otherID := stubOwner(req.CacheKey())
+	var mu sync.Mutex
+	seen := map[string][]string{}
+	record := func(id string) Member {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			seen[id] = append(seen[id], r.Method+" "+r.URL.Path)
+			mu.Unlock()
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" {
+				w.WriteHeader(http.StatusNotFound) // anything else misses
+				return
+			}
+			acceptQueued(id)(1, w)
+		}))
+		t.Cleanup(ts.Close)
+		return Member{ID: id, URL: ts.URL}
+	}
+	r := NewRouter(Config{Members: []Member{record(ownerID), record(otherID)}})
+	gw := httptest.NewServer(r.Handler())
+	t.Cleanup(gw.Close)
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := testClient.Post(gw.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := seen[ownerID]; len(got) != 1 || got[0] != "POST /v1/jobs" {
+		t.Errorf("owner %s received %v, want exactly [POST /v1/jobs]", ownerID, got)
+	}
+	if got := seen[otherID]; len(got) != 0 {
+		t.Errorf("sibling %s received %v, want nothing", otherID, got)
 	}
 }
 
 // startStub boots a fake shard whose submit behavior the test scripts;
-// health answers up and the cache always misses.
+// health answers up.
 func startStub(t *testing.T, id string, onSubmit func(n int64, w http.ResponseWriter)) (Member, *atomic.Int64) {
 	t.Helper()
 	submits := &atomic.Int64{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		_, _ = w.Write([]byte(`{"status":"ok","node":"` + id + `"}`))
-	})
-	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, req *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-	})
-	mux.HandleFunc("PUT /v1/cache/{key}", func(w http.ResponseWriter, req *http.Request) {
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		onSubmit(submits.Add(1), w)

@@ -84,9 +84,6 @@ func startEchoShard(t *testing.T) *echoShard {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		_, _ = w.Write([]byte(`{"status":"ok","node":"n1"}`))
 	})
-	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, req *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 		_, _ = w.Write([]byte(`{"id":"n1-job-000001","state":"queued"}`))

@@ -163,9 +163,6 @@ func TestMembershipTransitions(t *testing.T) {
 	if got := m.Routable(); len(got) != 1 || got[0] != "b" {
 		t.Errorf("Routable = %v, want [b]", got)
 	}
-	if got := m.Peekable(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("Peekable = %v, want [b] (down nodes are not peekable)", got)
-	}
 
 	// A healthy probe resurrects the node and clears the failure count.
 	if !m.reportIf("a", m.generation("a"), NodeUp, now) {
@@ -175,7 +172,7 @@ func TestMembershipTransitions(t *testing.T) {
 		t.Errorf("member %s fails = %d after recovery, want a with 0", st.ID, st.Fails)
 	}
 
-	// Draining keeps the node peekable but not routable.
+	// A draining node is no longer routable.
 	if !m.ReportDraining("b", now) {
 		t.Fatalf("drain must report a state change")
 	}
@@ -184,9 +181,6 @@ func TestMembershipTransitions(t *testing.T) {
 	}
 	if got := m.Routable(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("Routable = %v, want [a]", got)
-	}
-	if got := m.Peekable(); len(got) != 2 {
-		t.Errorf("Peekable = %v, want draining node included", got)
 	}
 
 	// Unknown ids are inert; Add refuses duplicates and admits new members.

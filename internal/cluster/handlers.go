@@ -289,7 +289,7 @@ func (r *Router) handleNodeDrain(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleMetrics serves the gateway's own observability: cumulative routing
-// counters, rolling route/peek/failover windows, and process health, in
+// counters, rolling route/retry/failover windows, and process health, in
 // the Prometheus text format by default or JSON on request.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	m := r.Metrics(time.Now())

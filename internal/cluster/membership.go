@@ -132,26 +132,12 @@ func (m *Membership) URL(id string) string {
 
 // Routable returns the ids of members that may receive new traffic (up).
 func (m *Membership) Routable() []string {
-	return m.withStates(NodeUp)
-}
-
-// Peekable returns the ids of members whose caches are worth probing: up
-// and draining (a draining node still answers reads, and its cache is
-// exactly where a rebalanced key's result lives).
-func (m *Membership) Peekable() []string {
-	return m.withStates(NodeUp, NodeDraining)
-}
-
-func (m *Membership) withStates(states ...NodeState) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []string
 	for id, ms := range m.members {
-		for _, st := range states {
-			if ms.state == st {
-				out = append(out, id)
-				break
-			}
+		if ms.state == NodeUp {
+			out = append(out, id)
 		}
 	}
 	sort.Strings(out)

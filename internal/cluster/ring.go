@@ -9,9 +9,8 @@
 // Jobs are sharded by their content-addressed fingerprint
 // (service.Request.CacheKey, built on core.Fingerprint) over a consistent-
 // hash ring with virtual nodes, so identical requests land on the same
-// node and its LRU result cache stays hot; when membership changes move a
-// key, the gateway peeks the sibling shards' caches and replicates the
-// result to the new owner instead of recomputing it.
+// node and its LRU result cache stays hot; when a membership change moves a
+// key, its new owner recomputes it once and caches it from then on.
 package cluster
 
 import "sort"

@@ -42,7 +42,7 @@ type Config struct {
 	// on idle federated streams (mirrors the per-node setting). Default 15s.
 	HeartbeatInterval time.Duration
 	// StatsWindow spans the gateway's rolling telemetry windows (route
-	// latency, peek hit rate, failovers). Default 60s.
+	// latency, retries, failovers). Default 60s.
 	StatsWindow time.Duration
 	// SessionSyncInterval is the cadence of the checkpoint replication
 	// sweep: how often the gateway pulls each live session's newest durable
@@ -98,11 +98,11 @@ type GatewayCounters struct {
 	// BriefRetries counts 429s absorbed by honoring a short Retry-After
 	// on the owner instead of failing over.
 	BriefRetries uint64 `json:"brief_retries"`
-	// PeekHits counts sibling-cache probes that found the result.
+	// PeekHits is always 0: nothing increments it. It stays only because
+	// bench/serve.go compiles against it and bench/ changes only with a
+	// benchmark change; it leaves together with bench's
+	// cluster.peek_hit_ratio metric.
 	PeekHits uint64 `json:"peek_hits"`
-	// Seeds counts results replicated onto the owner shard after a peek
-	// hit elsewhere.
-	Seeds uint64 `json:"seeds"`
 	// Reroutes counts fingerprints re-submitted after a node death.
 	Reroutes uint64 `json:"reroutes"`
 	// Deduped counts dead-node jobs answered by aliasing them onto an
@@ -314,10 +314,10 @@ type badRequest struct {
 
 func (e *badRequest) Error() string { return "cluster: node rejected request" }
 
-// Submit routes one client submission: consistent-hash owner first, cache
-// affinity peek before execution, Retry-After-honoring brief retry on a
-// shedding owner, then failover around the ring. On success the returned
-// view names the node that accepted the job. A traced request gets a
+// Submit routes one client submission: consistent-hash owner first,
+// Retry-After-honoring brief retry on a shedding owner, then failover around
+// the ring. On success the returned view names the node that accepted the
+// job. A traced request gets a
 // cluster trace context minted here: the gateway records its own routing
 // spans and ships them to the owner on the X-Advect-Trace header, so the
 // job's Chrome trace starts at the gateway, not at the node.
@@ -340,10 +340,11 @@ func (r *Router) Submit(ctx context.Context, req service.Request) (service.View,
 // routeBody is the routing core shared by client submits and death
 // reroutes: pick the owner by fingerprint, walk ring successors on
 // rejection, honor brief Retry-After hints in place, and record the
-// accepted job in the gateway table. With a traced submission every routing
-// decision lands as a gw.* span: the route lookup, the cache peek
-// fan-out, each dispatch, each brief retry wait, and each failover, all
-// shipped to the eventual owner in the dispatch header.
+// accepted job in the gateway table. Each dispatch attempt is one request:
+// the owner's own cache answers a repeat. With a traced submission every
+// routing decision lands as a gw.* span: the route lookup, each dispatch,
+// each brief retry wait, and each failover, all shipped to the eventual
+// owner in the dispatch header.
 func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submissionTrace) (*submitResult, string, error) {
 	ring := r.ring.Load()
 	n := len(ring.Nodes())
@@ -351,7 +352,6 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submi
 		return nil, "", ErrNoNodes
 	}
 	started := time.Now()
-	peeked := false
 	var maxRetryAfter time.Duration
 	var tried []string
 	attempts := 0
@@ -364,16 +364,6 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submi
 		tried = append(tried, nodeID)
 		tr.add(obs.PhaseGWRoute, nodeID, routeStart, tr.clock())
 		baseURL := r.members.URL(nodeID)
-		if !peeked {
-			// Cache affinity: make sure the target holds any result the
-			// cluster already computed for this fingerprint before it
-			// decides to execute. Done once per submission — after the
-			// first probe every shard's answer is known.
-			peeked = true
-			peek := tr.begin(obs.PhaseGWPeek, nodeID)
-			r.ensureCached(ctx, nodeID, baseURL, fp)
-			peek.End()
-		}
 		retried := false
 		dispatchFrom := tr.clock()
 		for {
@@ -452,51 +442,6 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submi
 	return nil, "", &shedError{RetryAfter: maxRetryAfter, Nodes: tried, Attempts: attempts}
 }
 
-// ensureCached implements cross-shard cache affinity: if the target shard
-// misses for fp but a sibling (up or draining) holds the result, replicate
-// it to the target so the submit that follows is a local cache hit instead
-// of a re-execution. Best-effort: any probe error just means the job
-// executes normally.
-func (r *Router) ensureCached(ctx context.Context, targetID, targetURL, fp string) {
-	if _, hit, err := r.client.peek(ctx, targetURL, fp); err != nil {
-		return
-	} else if hit {
-		r.tele.RecordPeek(time.Now(), true)
-		return
-	}
-	type peekResult struct {
-		doc json.RawMessage
-		ok  bool
-	}
-	sibs := r.members.Peekable()
-	results := make(chan peekResult, len(sibs))
-	probes := 0
-	for _, sib := range sibs {
-		if sib == targetID {
-			continue
-		}
-		sibURL := r.members.URL(sib)
-		probes++
-		go func() {
-			doc, ok, err := r.client.peek(ctx, sibURL, fp)
-			results <- peekResult{doc: doc, ok: ok && err == nil}
-		}()
-	}
-	for i := 0; i < probes; i++ {
-		res := <-results
-		if !res.ok {
-			continue
-		}
-		r.addCounter(func(c *GatewayCounters) { c.PeekHits++ })
-		r.tele.RecordPeek(time.Now(), true)
-		if err := r.client.seed(ctx, targetURL, fp, res.doc); err == nil {
-			r.addCounter(func(c *GatewayCounters) { c.Seeds++ })
-		}
-		return // one copy is enough; drop remaining probe results
-	}
-	r.tele.RecordPeek(time.Now(), false)
-}
-
 // recordAccepted lands an accepted job in the gateway table. The trace
 // state is kept with the entry so a dead-node resubmission continues the
 // same trace instead of starting a fresh one.
@@ -571,13 +516,6 @@ func (r *Router) lose(entries []*entry, why string) {
 	r.mu.Unlock()
 }
 
-// addCounter mutates the counters under the table lock.
-func (r *Router) addCounter(f func(*GatewayCounters)) {
-	r.mu.Lock()
-	f(&r.counters)
-	r.mu.Unlock()
-}
-
 // sweepHealth probes each member once and applies the state transitions:
 // up ↔ draining from the healthz body, down after FailThreshold
 // consecutive failures (probe errors and failed forwards count alike). A
@@ -622,9 +560,8 @@ func (r *Router) sweepHealth(ctx context.Context) {
 // fingerprint and each fingerprint is submitted at most once: if an
 // equivalent job is already in flight on a live shard the dead jobs simply
 // alias onto it, otherwise one re-submission goes through the normal
-// routing path (which peeks sibling caches first, so work the cluster
-// already finished is never redone). Accepted jobs are therefore never
-// lost, and no fingerprint executes twice because of the reroute.
+// routing path. Accepted jobs are therefore never lost, and no fingerprint
+// executes twice because of the reroute.
 func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 	groups := map[string][]*entry{}
 	for _, e := range r.unfinished(r.jobs, deadID) {
@@ -687,10 +624,9 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 // AddMember joins a new node to the cluster at runtime: it enters the
 // membership up, takes over its consistent-hash share of the key space
 // (≈K/N keys move, all of them to the newcomer — see Ring), and gains a
-// stream reader so its events join the federated stream. Results the
-// cluster already holds for re-homed keys stay reachable through the
-// sibling-cache peek on submit, so adding capacity does not cost cache
-// hits.
+// stream reader so its events join the federated stream. A re-homed key is
+// recomputed once on the newcomer, the first time it is submitted there,
+// and is a cache hit from then on.
 func (r *Router) AddMember(mem Member) error {
 	if mem.ID == "" || mem.URL == "" {
 		return errors.New("cluster: member needs an id and a url")

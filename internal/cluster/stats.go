@@ -30,7 +30,7 @@ type ClusterStats struct {
 	Cluster service.TelemetryStats `json:"cluster"`
 	Gateway GatewayCounters        `json:"gateway"`
 	// GatewayWindow is the gateway's own rolling telemetry (route latency,
-	// peek hit rate, failovers), next to the per-node windows it fronts.
+	// retries, failovers), next to the per-node windows it fronts.
 	GatewayWindow GatewayWindowStats `json:"gateway_window"`
 	// InFlight is how many accepted jobs the gateway still considers
 	// unfinished (terminal states not yet observed by a poll).

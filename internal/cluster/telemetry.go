@@ -10,18 +10,17 @@ import (
 )
 
 // GatewayTelemetry aggregates the gateway's rolling routing windows: how
-// long submissions take to land, how many dispatch attempts they need, how
-// often the sibling-cache peek pays off, and how often the router falls
-// back to retries, failovers, and dead-node reroutes. It is the gateway
-// analog of service.Telemetry — GatewayCounters stay cumulative for
-// Prometheus, everything here ages out as the window rolls.
+// long submissions take to land, how many dispatch attempts they need, and
+// how often the router falls back to retries, failovers, and dead-node
+// reroutes. It is the gateway analog of service.Telemetry — GatewayCounters
+// stay cumulative for Prometheus, everything here ages out as the window
+// rolls.
 type GatewayTelemetry struct {
 	window time.Duration
 	bucket time.Duration
 
 	route     *telemetry.Window // accepted-submission routing latency (seconds)
 	attempts  *telemetry.Window // dispatch attempts per accepted submission
-	peekHits  *telemetry.Window // 1 per peek fan-out that found the result, else 0
 	retries   *telemetry.Window // brief in-place Retry-After waits honored
 	failovers *telemetry.Window // dispatch attempts abandoned for a ring successor
 	reroutes  *telemetry.Window // dead-node resubmissions
@@ -41,7 +40,6 @@ func NewGatewayTelemetry(span time.Duration) *GatewayTelemetry {
 		bucket:    bucket,
 		route:     telemetry.NewWindow(span, bucket, dur),
 		attempts:  telemetry.NewWindow(span, bucket, telemetry.LinearBounds(8, 8)),
-		peekHits:  telemetry.NewWindow(span, bucket, nil),
 		retries:   telemetry.NewWindow(span, bucket, nil),
 		failovers: telemetry.NewWindow(span, bucket, nil),
 		reroutes:  telemetry.NewWindow(span, bucket, nil),
@@ -63,16 +61,6 @@ func (t *GatewayTelemetry) RecordRoute(now time.Time, node string, d time.Durati
 	}
 	t.mu.Unlock()
 	w.Observe(now, d.Seconds())
-}
-
-// RecordPeek records the outcome of one sibling-cache peek fan-out; the
-// window mean is then the peek hit rate.
-func (t *GatewayTelemetry) RecordPeek(now time.Time, hit bool) {
-	v := 0.0
-	if hit {
-		v = 1
-	}
-	t.peekHits.Observe(now, v)
 }
 
 // RecordRetry counts one brief in-place Retry-After wait.
@@ -106,15 +94,11 @@ type GatewayWindowStats struct {
 	RoutePerNode map[string]telemetry.Stats `json:"route_per_node"`
 	// Attempts is the dispatches-per-accepted-submission distribution
 	// (mean 1 = every owner took its job first try).
-	Attempts telemetry.Stats `json:"attempts"`
-	// PeekHitRate is the fraction of sibling-cache fan-outs that found the
-	// result somewhere; Peeks is the underlying distribution.
-	PeekHitRate float64         `json:"peek_hit_rate"`
-	Peeks       telemetry.Stats `json:"peeks"`
-	Retries     telemetry.Stats `json:"retries"`
-	Failovers   telemetry.Stats `json:"failovers"`
-	Reroutes    telemetry.Stats `json:"reroutes"`
-	Shed        telemetry.Stats `json:"shed"`
+	Attempts  telemetry.Stats `json:"attempts"`
+	Retries   telemetry.Stats `json:"retries"`
+	Failovers telemetry.Stats `json:"failovers"`
+	Reroutes  telemetry.Stats `json:"reroutes"`
+	Shed      telemetry.Stats `json:"shed"`
 }
 
 // Stats snapshots every window at now.
@@ -123,8 +107,6 @@ func (t *GatewayTelemetry) Stats(now time.Time) GatewayWindowStats {
 	s.WindowSec = t.window.Seconds()
 	s.Route = t.route.Stats(now)
 	s.Attempts = t.attempts.Stats(now)
-	s.Peeks = t.peekHits.Stats(now)
-	s.PeekHitRate = s.Peeks.Mean
 	s.Retries = t.retries.Stats(now)
 	s.Failovers = t.failovers.Stats(now)
 	s.Reroutes = t.reroutes.Stats(now)
@@ -166,8 +148,6 @@ func (m GatewayMetrics) Prometheus() string {
 	w.Counter("submits_total", "Submissions accepted somewhere in the cluster.", m.Counters.Submits)
 	w.Counter("failovers_total", "Submissions that left the owner shard for a ring successor.", m.Counters.Failovers)
 	w.Counter("brief_retries_total", "Short Retry-After hints honored on the owner in place.", m.Counters.BriefRetries)
-	w.Counter("peek_hits_total", "Sibling-cache probes that found the result.", m.Counters.PeekHits)
-	w.Counter("seeds_total", "Results replicated onto the owner after a peek hit.", m.Counters.Seeds)
 	w.Counter("reroutes_total", "Fingerprints re-submitted after a node death.", m.Counters.Reroutes)
 	w.Counter("deduped_total", "Dead-node jobs aliased onto an in-flight twin.", m.Counters.Deduped)
 	w.Counter("shed_total", "Submissions rejected cluster-wide.", m.Counters.Shed)
@@ -179,7 +159,6 @@ func (m GatewayMetrics) Prometheus() string {
 	w.Float("route_latency_seconds", m.Window.Route.P99, "quantile", "0.99")
 	w.Gauge("routes_per_sec", "Accepted submissions per second over the window.", m.Window.Route.PerSec)
 	w.Gauge("route_attempts_mean", "Mean dispatch attempts per accepted submission over the window.", m.Window.Attempts.Mean)
-	w.Gauge("peek_hit_rate", "Fraction of sibling-cache fan-outs that hit over the window.", m.Window.PeekHitRate)
 	w.Gauge("retries_per_sec", "Brief in-place retries per second over the window.", m.Window.Retries.PerSec)
 	w.Gauge("failovers_per_sec", "Failovers per second over the window.", m.Window.Failovers.PerSec)
 	w.Gauge("reroutes_per_sec", "Dead-node reroutes per second over the window.", m.Window.Reroutes.PerSec)

@@ -34,11 +34,6 @@ func (t submissionTrace) add(phase obs.Phase, label string, start, end float64) 
 	t.rec.Add(obs.RankGateway, -1, phase, label, start, end)
 }
 
-// begin opens a gateway-rank span closed by its End.
-func (t submissionTrace) begin(phase obs.Phase, label string) obs.Active {
-	return t.rec.Begin(obs.RankGateway, -1, phase, label)
-}
-
 // header snapshots the span log into an X-Advect-Trace value for the next
 // dispatch ("" when untraced: set no header).
 func (t submissionTrace) header() string { return t.rec.TraceContext(t.id).Encode() }

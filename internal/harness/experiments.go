@@ -206,13 +206,6 @@ func All() []Experiment {
 				"because climate grids cannot grow with the machine (§II)."),
 		},
 		{
-			ID:       "warmer",
-			Title:    "Sweep warming: an 8-point stepped sweep replayed through the detector",
-			PaperRef: "beyond the paper (serving layer)",
-			Expect:   "the detector needs the first three points to establish the progression, then stays ahead of it: 5 of 8 points are served from the warm cache",
-			Table:    table(WarmerReplay),
-		},
-		{
 			ID:       "drift",
 			Title:    "Predicted hidden-communication fraction on Yona, 48³ points per task",
 			PaperRef: "beyond the paper (model-drift alarm)",

@@ -10,7 +10,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/tune"
 )
@@ -214,34 +213,6 @@ func Convergence() (stats.Table, error) {
 		prevL2, prevN = res.Norms.L2, n
 	}
 	return t, nil
-}
-
-// WarmerReplay replays an 8-point stepped sweep through a real
-// session.Warmer, assuming background pre-execution keeps up (every
-// prediction is marked warmed before the next interactive point arrives),
-// and tabulates which points the sweep got for free.
-func WarmerReplay() stats.Table {
-	warm := session.NewWarmer()
-	key := func(steps float64) string { return fmt.Sprintf("steps=%g", steps) }
-	t := stats.Table{Header: []string{"point", "steps", "served", "new predictions"}}
-	for i := 0; i < 8; i++ {
-		steps := float64(40 * (i + 1))
-		served := "computed"
-		if warm.WasWarmed(key(steps)) {
-			served = "warm hit"
-		}
-		var predicted []string
-		for _, p := range warm.Observe("simulate n=8", []float64{steps}) {
-			warm.MarkWarmed(key(p.Value))
-			predicted = append(predicted, fmt.Sprintf("%g", p.Value))
-		}
-		label := "—"
-		if len(predicted) > 0 {
-			label = strings.Join(predicted, ", ")
-		}
-		t.AddRow(fmt.Sprint(i+1), fmt.Sprintf("%g", steps), served, label)
-	}
-	return t
 }
 
 // HiddenFractions tabulates the model-side hidden-communication expectation

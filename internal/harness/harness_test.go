@@ -44,7 +44,7 @@ func TestExperimentCoverage(t *testing.T) {
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"sectionVE", "verify",
 		"ext-pcie", "ext-gpus", "ext-weak", "ext-wide", "convergence",
-		"warmer", "drift", "phases",
+		"drift", "phases",
 	}
 	have := map[string]bool{}
 	for _, e := range All() {

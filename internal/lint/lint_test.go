@@ -116,15 +116,6 @@ func TestClockSimFixture(t *testing.T) {
 	runFixture(t, "clocksim", "fixture/internal/gpusim", lint.Default())
 }
 
-// TestSessionNilsafeFixture loads the fixture under an import path ending
-// in internal/session, so the default registry's nilsafe coverage of
-// *session.Warmer applies — the same matching the CI gate uses on the real
-// package: the warmer is nil without -warm, and every exported method must
-// be a safe no-op on the nil receiver.
-func TestSessionNilsafeFixture(t *testing.T) {
-	runFixture(t, "sessionsafe", "fixture/internal/session", lint.Default())
-}
-
 func TestClockParamFixture(t *testing.T) {
 	runFixture(t, "clockparam", "fixture/clockparam", []*lint.Analyzer{
 		lint.ClockDiscipline(nil, []string{"clockparam.Tick"}),

@@ -6,11 +6,10 @@ package lint
 // new invariant gets wired in.
 func Default() []*Analyzer {
 	return []*Analyzer{
-		// The two types whose nil is real traffic: untraced jobs carry a
-		// nil recorder, a node without -warm a nil warmer.
+		// The one type whose nil is real traffic: untraced jobs carry a
+		// nil recorder.
 		Nilsafe(map[string][]string{
-			"internal/obs":     {"Recorder"},
-			"internal/session": {"Warmer"},
+			"internal/obs": {"Recorder"},
 		}),
 		ClockDiscipline(
 			[]string{"internal/gpusim", "internal/vtime"},

@@ -103,8 +103,6 @@ const (
 
 	// PhaseGWRoute is the ring lookup and member-state walk picking a node.
 	PhaseGWRoute
-	// PhaseGWPeek is the sibling cache peek fan-out (and owner seed).
-	PhaseGWPeek
 	// PhaseGWSubmit is dispatching the submission to one node (the label
 	// names the node; one span per attempt).
 	PhaseGWSubmit
@@ -154,7 +152,6 @@ var phaseNames = [numPhases]string{
 	PhaseWorkerExec:   "svc.exec",
 	PhaseResultEncode: "svc.encode",
 	PhaseGWRoute:      "gw.route",
-	PhaseGWPeek:       "gw.peek",
 	PhaseGWSubmit:     "gw.submit",
 	PhaseGWRetry:      "gw.retry",
 	PhaseGWFailover:   "gw.failover",

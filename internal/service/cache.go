@@ -44,20 +44,6 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-// Peek returns the cached document for key without recording a hit or
-// miss and without promoting the entry. Cluster gateways use it to probe
-// sibling shards for a result, so cross-node probing never skews a node's
-// own hit-rate or its LRU recency order.
-func (c *Cache) Peek(key string) (json.RawMessage, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).val, true
-}
-
 // Put stores the document under key, evicting the least recently used
 // entry when the cache is full.
 func (c *Cache) Put(key string, val json.RawMessage) {

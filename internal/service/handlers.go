@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -34,8 +33,6 @@ func (s *Server) routes() []Route {
 		{Pattern: "GET /v1/stream", Doc: "live SSE stream of job events and stats (?interval=)", Handler: s.handleStream},
 		{Pattern: "GET /v1/kinds", Doc: "implementation catalogue", Handler: s.handleKinds},
 		{Pattern: "GET /v1/experiments", Doc: "experiment catalogue", Handler: s.handleExperiments},
-		{Pattern: "GET /v1/cache/{key}", Doc: "peek the result cache (cluster affinity probe)", Handler: s.handleCachePeek},
-		{Pattern: "PUT /v1/cache/{key}", Doc: "seed the result cache (cluster replication)", Handler: s.handleCachePut},
 		{Pattern: "POST /v1/drain", Doc: "begin a graceful drain (cluster rebalance)", Handler: s.handleDrain},
 		{Pattern: "GET /v1/debug/bundle", Doc: "postmortem bundle (flight ring, anomalies, profiles)", Handler: s.handleBundle},
 		{Pattern: "GET /metrics", Doc: "Prometheus text (JSON with ?format=json)", Handler: s.handleMetrics},
@@ -190,41 +187,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, doc)
-}
-
-// handleCachePeek serves the raw cached result document for a cache key, or
-// 404. It reads without promoting the entry or counting a hit/miss, so a
-// cluster gateway probing sibling shards for a result (cache affinity after
-// a membership change) never distorts this node's own cache statistics.
-func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	doc, ok := s.cache.Peek(r.PathValue("key"))
-	if !ok {
-		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "cache miss"})
-		return
-	}
-	WriteRaw(w, http.StatusOK, "application/json", doc)
-}
-
-// maxCacheSeedBytes bounds a PUT /v1/cache body; result documents are tens
-// of kilobytes, so 8 MiB is generous without letting a peer exhaust memory.
-const maxCacheSeedBytes = 8 << 20
-
-// handleCachePut seeds the result cache under the given key — the
-// replication half of cross-node cache peeking: when a gateway finds a
-// result on a sibling shard it copies the document to the key's new owner,
-// so the very next identical submit hits locally.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBody(w, r, maxCacheSeedBytes)
-	if err != nil {
-		WriteBadBody(w, err)
-		return
-	}
-	if !json.Valid(body) {
-		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: "cache document is not valid JSON"})
-		return
-	}
-	s.cache.Put(r.PathValue("key"), json.RawMessage(body))
-	WriteRaw(w, http.StatusNoContent, "", nil)
 }
 
 // handleDrain begins a graceful drain without waiting for it: admission

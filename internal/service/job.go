@@ -321,11 +321,6 @@ type Job struct {
 	// gateway minted and propagated on the X-Advect-Trace header, or ""
 	// for direct submissions. Set once at submit; read without the mutex.
 	traceID string
-	// background marks a speculative pre-execution (sweep warming): queued
-	// on the background lane, shed before any foreground job waits, and
-	// kept out of the interactive telemetry windows. Set once at submit;
-	// read without the mutex.
-	background bool
 }
 
 // newJob builds a queued job whose context descends from base. Traced
@@ -435,11 +430,9 @@ type View struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 	CacheKey  string     `json:"cache_key"`
 	CacheHit  bool       `json:"cache_hit"`
-	// Background marks a speculative sweep-warmer pre-execution.
-	Background bool    `json:"background,omitempty"`
-	TraceID    string  `json:"trace_id,omitempty"`
-	Error      string  `json:"error,omitempty"`
-	Request    Request `json:"request"`
+	TraceID   string     `json:"trace_id,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	Request   Request    `json:"request"`
 }
 
 // View snapshots the job for the API.
@@ -449,8 +442,7 @@ func (j *Job) View() View {
 	v := View{
 		ID: j.id, Type: j.req.Type, State: j.state,
 		Submitted: j.submitted, CacheKey: j.cacheKey, CacheHit: j.cacheHit,
-		Background: j.background,
-		TraceID:    j.traceID, Error: j.errMsg, Request: j.req,
+		TraceID: j.traceID, Error: j.errMsg, Request: j.req,
 	}
 	if !j.started.IsZero() {
 		t := j.started

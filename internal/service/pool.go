@@ -27,9 +27,6 @@ func NewPool(n int, q *Queue, exec func(*Job)) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for {
-				// Pop prefers the foreground lane, so speculative
-				// background work only reaches a worker that would
-				// otherwise idle.
 				j, ok := q.Pop()
 				if !ok {
 					return

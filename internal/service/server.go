@@ -67,11 +67,6 @@ type Config struct {
 	// the directory and resumes interrupted sessions automatically.
 	// Segments run on the Workers pool like every other job.
 	SessionDir string
-	// WarmSweeps enables the speculative sweep warmer: stepped-parameter
-	// patterns in the interactive submission stream predict their next
-	// points, which idle workers pre-execute at background priority so the
-	// sweep's next request is a cache hit.
-	WarmSweeps bool
 }
 
 func (c Config) withDefaults() Config {
@@ -124,17 +119,12 @@ type Server struct {
 	// store and sessions hold the node's live work, jobs and sessions, in
 	// one registry type. sessStore is the sessions' durable side (nil when
 	// Config.SessionDir is empty: sessions disabled) and sessWG tracks their
-	// run loops; warmer is the speculative sweep detector (nil when
-	// Config.WarmSweeps is false).
+	// run loops.
 	store     *registry[*Job]
 	sessions  *registry[*liveSession]
 	sessStore *session.Store
 	sessWG    sync.WaitGroup
 	sessCount sessionCounts
-	warmer    *session.Warmer
-
-	warmMu       sync.Mutex
-	warmInflight map[string]struct{} // cache keys with a background job queued
 
 	baseCtx    context.Context    // parent of every job and session run loop context
 	cancelJobs context.CancelFunc // fired when the drain deadline passes
@@ -167,9 +157,6 @@ func New(cfg Config) *Server {
 		cancelJobs: cancel,
 	}
 	s.engine.Notify(s.publishAnomaly)
-	if cfg.WarmSweeps {
-		s.warmer = session.NewWarmer()
-	}
 	if cfg.SessionDir != "" {
 		s.openSessions(cfg.SessionDir)
 	}
@@ -283,10 +270,8 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 		s.store.Add(j)
 		s.tele.Count(now, req.Type, outcomeSubmitted)
 		s.tele.Count(now, req.Type, outcomeCached)
-		warmed := s.warmer.WasWarmed(j.cacheKey) // counts a warmer hit
-		s.log.Info("job submitted", jobArgs(j, "cache_hit", true, "warmed", warmed)...)
+		s.log.Info("job submitted", jobArgs(j, "cache_hit", true)...)
 		s.publishJob(j)
-		s.warmFromSubmit(req)
 		return j, nil
 	}
 	// Stamped before the push: once queued, the job belongs to whichever
@@ -304,7 +289,6 @@ func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 	s.tele.RecordDepth(now, s.queue.Depth())
 	s.log.Info("job submitted", jobArgs(j, "cache_hit", false)...)
 	s.publishJob(j)
-	s.warmFromSubmit(req)
 	return j, nil
 }
 
@@ -322,8 +306,7 @@ func (s *Server) publishJob(j *Job) {
 }
 
 // runJob is the worker loop body, the one path every unit of work takes —
-// an interactive job, a warmer pre-execution, a session segment: claim,
-// execute under the job context, land.
+// a job or a session segment: claim, execute under the job context, land.
 func (s *Server) runJob(j *Job) {
 	claimed := time.Now()
 	if !j.claim(claimed) {
@@ -331,23 +314,17 @@ func (s *Server) runJob(j *Job) {
 		// span and feeds no latency window — only the outcome counter and
 		// the terminal-state event the poller and the stream both see.
 		s.tele.Count(claimed, j.req.Type, outcomeCancelled)
-		if j.background {
-			s.releaseWarm(j.cacheKey)
-			s.warmer.NoteShed()
-		}
 		s.log.Info("job skipped", jobArgs(j, "state", j.State(), "reason", "cancelled while queued")...)
 		s.publishJob(j)
 		return
 	}
 	if j.req.segment == nil {
-		if !j.background {
-			j.rec.Add(obs.RankService, -1, obs.PhaseQueueWait, "", j.queuedAt, j.rec.Clock())
-			s.tele.RecordQueueWait(claimed, claimed.Sub(j.submitted))
-			s.tele.RecordDepth(claimed, s.queue.Depth())
-		}
+		j.rec.Add(obs.RankService, -1, obs.PhaseQueueWait, "", j.queuedAt, j.rec.Clock())
+		s.tele.RecordQueueWait(claimed, claimed.Sub(j.submitted))
+		s.tele.RecordDepth(claimed, s.queue.Depth())
 		s.publishJob(j)
 	}
-	s.log.Info("job started", jobArgs(j, "background", j.background)...)
+	s.log.Info("job started", jobArgs(j)...)
 	start := time.Now()
 	exec := j.rec.Begin(obs.RankService, -1, obs.PhaseWorkerExec, "")
 	doc, rep, err := execute(j.ctx, j.req, j.rec, j.id)
@@ -358,12 +335,9 @@ func (s *Server) runJob(j *Job) {
 // land brings a unit of work that ran to rest, and is the one place that
 // decides what each kind of work feeds:
 //
-//   - an interactive job: the result cache, the outcome window, the exec /
-//     points / overlap windows and the anomaly engine (observe), and a job
-//     event on the stream;
-//   - a warmer pre-execution: the cache and the warmer (so the matching
-//     interactive submission counts as a warmer hit), the outcome window
-//     and a job event — never the interactive windows or the engine;
+//   - a job: the result cache, the outcome window, the exec / points /
+//     overlap windows and the anomaly engine (observe), and a job event on
+//     the stream;
 //   - a session segment: the "segment" outcome and exec windows and the
 //     points window — never the cache, and no job event (its session
 //     announces the segment); its result and error go back to the
@@ -383,26 +357,13 @@ func (s *Server) land(j *Job, doc json.RawMessage, rep *obs.Report, err error, e
 		}
 	}
 	s.tele.Count(now, j.req.Type, outcome)
-	if j.background {
-		s.releaseWarm(j.cacheKey)
-		if state == StateCancelled {
-			s.warmer.NoteShed()
-		}
-	}
 	if err == nil {
 		if seg == nil {
 			s.cache.Put(j.cacheKey, doc)
 		}
-		if j.background {
-			s.warmer.MarkWarmed(j.cacheKey)
-		} else {
-			s.observe(now, j, rep, elapsed)
-		}
+		s.observe(now, j, rep, elapsed)
 	}
 	args := jobArgs(j, "state", state, "duration", elapsed)
-	if j.background {
-		args = append(args, "background", true)
-	}
 	if err != nil {
 		args = append(args, "error", err)
 	}
@@ -416,7 +377,7 @@ func (s *Server) land(j *Job, doc json.RawMessage, rep *obs.Report, err error, e
 	s.publishJob(j)
 }
 
-// observe feeds one successfully finished interactive job or segment to
+// observe feeds one successfully finished job or segment to
 // its windows: the exec window of its type, the grid-point updates of work
 // that integrated a grid, and — for a traced run — the overlap windows, a
 // span record in the flight ring and the engine's straggler and drift
@@ -494,10 +455,6 @@ func (s *Server) StatsSnapshot() TelemetryStats {
 	st.Anomalies = &a
 	if s.sessStore != nil {
 		st.Sessions = s.sessionStats()
-	}
-	if s.warmer != nil {
-		wst := s.warmer.Stats()
-		st.Warmer = &wst
 	}
 	return st
 }

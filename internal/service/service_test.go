@@ -126,6 +126,51 @@ func TestSimulatePollResult(t *testing.T) {
 	}
 }
 
+// TestResultCacheCannotBePlanted: no route writes the result cache. A
+// client that PUTs a forged document under a request's cache key is
+// refused, and submitting that request executes it and returns the real
+// result, not the forgery.
+func TestResultCacheCannotBePlanted(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	var req Request
+	if err := json.Unmarshal([]byte(simulateBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+req.CacheKey(),
+		strings.NewReader(`{"kind":"planted","gf":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put.Header.Set("Content-Type", "application/json")
+	presp, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, presp.Body)
+	presp.Body.Close()
+	if presp.StatusCode != http.StatusNotFound && presp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /v1/cache/{key}: %v, want 404 or 405", presp.Status)
+	}
+
+	resp, v := postJob(t, ts, simulateBody)
+	if resp.StatusCode != http.StatusAccepted || v.CacheHit {
+		t.Fatalf("submit after the PUT: %v, cache_hit %v; want 202 and an execution", resp.Status, v.CacheHit)
+	}
+	waitState(t, ts, v.ID, StateDone)
+	rr, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Body.Close()
+	var res SimulateResult
+	if err := json.NewDecoder(rr.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != "bulk" || res.GF <= 0 {
+		t.Fatalf("result %+v is not the executed run", res)
+	}
+}
+
 // TestExperimentJob runs a harness experiment through the service.
 func TestExperimentJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})

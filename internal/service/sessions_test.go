@@ -317,84 +317,6 @@ func TestSessionDurabilityAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestSweepWarming is the e2e speculation run the issue demands: a client
-// stepping one parameter arithmetically through 8 points has at least half
-// of them answered from cache because idle workers pre-executed the
-// predicted next points, with the payoff visible in /v1/stats.
-func TestSweepWarming(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, WarmSweeps: true})
-
-	submit := func(steps int) View {
-		t.Helper()
-		body := fmt.Sprintf(`{"type":"simulate","simulate":{"kind":"bulk","n":8,"steps":%d,"tasks":1,"threads":1}}`, steps)
-		resp, v := postJob(t, ts, body)
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit steps=%d: %v", steps, resp.Status)
-		}
-		waitState(t, ts, v.ID, StateDone)
-		return v
-	}
-	// waitWarm gives the background pre-execution of a predicted point time
-	// to land in the cache before the sweep's next request asks for it.
-	waitWarm := func(steps int) {
-		t.Helper()
-		req := Request{Type: TypeSimulate, Simulate: &SimulateRequest{
-			Kind: "bulk", N: 8, Steps: steps, Tasks: 1, Threads: 1,
-		}}
-		key := req.CacheKey()
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			if _, ok := s.cache.Peek(key); ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("predicted point steps=%d never warmed", steps)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
-	sweep := []int{40, 80, 120, 160, 200, 240, 280, 320}
-	hits := 0
-	for i, steps := range sweep {
-		v := submit(steps)
-		if v.CacheHit {
-			hits++
-		}
-		// Three points make two equal deltas — from there every point
-		// predicts the next ones, so the remainder of the sweep is warmed.
-		if i >= 2 && i+1 < len(sweep) {
-			waitWarm(sweep[i+1])
-		}
-	}
-	if hits < len(sweep)/2 {
-		t.Fatalf("%d of %d sweep points served from cache, want at least half", hits, len(sweep))
-	}
-
-	st := statsDoc(t, ts)
-	if st.Warmer == nil {
-		t.Fatal("warmer stats missing from /v1/stats")
-	}
-	if st.Warmer.Predictions == 0 || st.Warmer.Warmed < int64(hits) || st.Warmer.Hits < int64(hits) {
-		t.Fatalf("warmer stats %+v do not account for %d hits", st.Warmer, hits)
-	}
-	if st.Warmer.Observed < int64(len(sweep)) {
-		t.Fatalf("warmer observed %d submissions, want at least %d", st.Warmer.Observed, len(sweep))
-	}
-
-	// Background pre-executions are visible as background jobs, and the
-	// interactive path never queued behind them.
-	var bg int
-	for _, j := range s.store.List() {
-		if j.background {
-			bg++
-		}
-	}
-	if bg == 0 {
-		t.Fatal("no background jobs recorded")
-	}
-}
-
 // TestCancelWhileQueuedSkipsExecution pins the tightened queued→cancelled
 // transition: a job cancelled while waiting in the queue is counted, gets
 // its terminal event published, and never receives an exec span or a

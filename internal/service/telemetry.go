@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/obs"
-	"repro/internal/session"
 	"repro/internal/telemetry"
 )
 
@@ -185,10 +184,6 @@ type TelemetryStats struct {
 	// are disabled): live counts by state plus lifetime segment/resume/fork
 	// counters.
 	Sessions *SessionStats `json:"sessions,omitempty"`
-	// Warmer summarizes the speculative sweep warmer (nil when warming is
-	// disabled): predictions made, points pre-executed, sheds, and cache
-	// hits served from warmed entries.
-	Warmer *session.WarmerStats `json:"warmer,omitempty"`
 }
 
 // Stats snapshots every window at now.
@@ -256,7 +251,6 @@ func (a TelemetryStats) Merge(b TelemetryStats) TelemetryStats {
 	out.PointsPerSec = out.Points.SumPerSec
 	out.Anomalies = mergeOptional(a.Anomalies, b.Anomalies)
 	out.Sessions = mergeOptional(a.Sessions, b.Sessions)
-	out.Warmer = mergeOptional(a.Warmer, b.Warmer)
 	return out
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/flight"
-	"repro/internal/session"
 )
 
 // tracedBody is a hybrid run whose recorder produces both MPI/compute and
@@ -242,17 +241,17 @@ func eachNumericField(p any, f func(name string, field reflect.Value)) {
 }
 
 // TestMergeSumsEveryCounter guards the cluster view against a counter that
-// is added to a node's session, warmer or anomaly summary and not to that
-// summary's Merge: it sets every numeric field of the three to 1 on two node
+// is added to a node's session or anomaly summary and not to that
+// summary's Merge: it sets every numeric field of the two to 1 on two node
 // documents, by reflection, and requires 2 everywhere in their fold — the
 // fold a gateway's federated stats are.
 func TestMergeSumsEveryCounter(t *testing.T) {
 	node := func() TelemetryStats {
 		st := TelemetryStats{
-			Sessions: &SessionStats{}, Warmer: &session.WarmerStats{},
+			Sessions:  &SessionStats{},
 			Anomalies: &flight.AnomalyStats{ByRule: map[string]int{"straggler": 1}},
 		}
-		for _, p := range []any{st.Sessions, st.Warmer, st.Anomalies} {
+		for _, p := range []any{st.Sessions, st.Anomalies} {
 			eachNumericField(p, func(_ string, field reflect.Value) {
 				switch {
 				case field.CanInt():
@@ -267,7 +266,7 @@ func TestMergeSumsEveryCounter(t *testing.T) {
 		return st
 	}
 	merged := TelemetryStats{}.Merge(node()).Merge(node())
-	for _, p := range []any{merged.Sessions, merged.Warmer, merged.Anomalies} {
+	for _, p := range []any{merged.Sessions, merged.Anomalies} {
 		eachNumericField(p, func(name string, field reflect.Value) {
 			if got := fmt.Sprint(field.Interface()); got != "2" {
 				t.Errorf("%s = %s after merging two nodes that each report 1; its Merge drops the field", name, got)

@@ -12,11 +12,6 @@
 // last checkpoint, bit-for-bit equal to an uninterrupted run. The live
 // sessions — their run loops, pause, resume and fork — belong to the node
 // that runs them (internal/service), beside its jobs.
-//
-// The package also holds the speculative sweep warmer (warmer.go), which
-// shares nothing with the store: a detector that watches submitted
-// requests for stepped-parameter patterns and predicts the next points so
-// idle workers can pre-execute them at background priority.
 package session
 
 import (
