@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: formatting, vet, advectlint, build, the full test suite with the
-# race detector, vet and tests of the nested bench/ module, and the seven
+# race detector, vet and tests of the nested bench/ module, and the eight
 # ns_gate bounds of BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
@@ -13,6 +13,9 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# The stencil's Go row loop is the only one off amd64 (kernel_other.go):
+# vetting that build keeps it compiling.
+GOARCH=arm64 go vet ./internal/stencil
 
 # advectlint gate: the project-invariant static analyzer suite
 # (internal/lint + cmd/advectlint) must report nothing; its findings are
@@ -44,9 +47,9 @@ go test -race -timeout 5m ./...
 (cd bench && go vet ./... && go test ./...)
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
-# request must stay allocation-bounded (ALLOC_TEST asserts it) and under the
-# ns/op bound recorded as KEY in FILE (all seven live in BENCH_guards.json,
-# one distinct key per line).
+# request or every step must stay allocation-bounded (ALLOC_TEST asserts it)
+# and under the ns/op bound recorded as KEY in FILE (all eight live in
+# BENCH_guards.json, one distinct key per line).
 ns_gate() {
     go test -run "$2" -count=1 "$1"
     max_ns=$(sed -n "s/.*\"$5\": *\([0-9.]*\).*/\1/p" "$4")
@@ -98,3 +101,9 @@ ns_gate ./internal/cluster TestRingLookupAllocationFree BenchmarkRingLookup \
 # allocate (no span label is formatted) and a small copy stays cheap.
 ns_gate ./internal/gpusim TestUntracedDeviceCallsAllocateNothing BenchmarkMemcpyUntraced \
     BENCH_guards.json gpusim_untraced_memcpy_max_ns_per_op "untraced device copy"
+
+# Stencil guard, the first on the science: one 128-point row of a 128³
+# field through the row kernel (the AVX body on amd64 with AVX), the unit
+# every schedule and emulated-device launch is made of.
+ns_gate ./internal/stencil TestApplyNoAllocs BenchmarkApplyRow128 \
+    BENCH_guards.json stencil_row128_max_ns_per_op "stencil row kernel"

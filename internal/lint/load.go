@@ -123,7 +123,9 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// parseDir parses every non-test .go file of one directory into fset.
+// parseDir parses into fset every non-test .go file of one directory that the
+// go tool would build for this GOOS/GOARCH: _amd64 suffixes and //go:build
+// lines select files, as they do for the compiler.
 func parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -133,6 +135,11 @@ func parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -123,18 +123,29 @@ func colSum(w *[9]float64, a0, a1, a2, a3, a4, a5, a6, a7, a8 float64) float64 {
 // check. For that dst begins two points left of the first output, at x₀−2;
 // dst[0] and dst[1] are spanned, never read or written.
 //
+// Where the CPU has AVX and the row has m ≥ 8, the vector body
+// (kernel_amd64.s) writes the first 4B outputs, B = ⌊(m−4)/4⌋, four x at a
+// time; the Go loop below, seeded with t at its first output's x−2 and x−1,
+// writes the 2–5 left, and shorter rows and other CPUs run it alone. Both
+// give the same bits: each vector lane forms colSum's nine products and sums
+// them in colSum's association, then combines t(x−1), t(x), t(x+1) in the
+// loop's; VMULPD and VADDPD round every lane exactly as MULSD and ADDSD
+// round a scalar; and the body uses no FMA, which would round once where
+// this code rounds twice (TestApplyRowVectorMatchesGo).
+//
 // Nothing is carried from row to row and t has one definition, so a point's
 // value depends only on its 27 inputs, never on the subdomain or row range
-// it was computed in: whole, thirds, slabs, box walls, wide-halo regions and
-// emulated-GPU kernel bodies agree to the bit.
+// it was computed in or on which body computed it: whole, thirds, slabs, box
+// walls, wide-halo regions and emulated-GPU kernel bodies agree to the bit.
 //
-// A row pays for its two extra column sums and nine slice headers; on
-// one-point rows (the ±x walls of BoundarySlabs) that makes the kernel
-// slower than the 27-term loop it replaced, 20 against 15 ns per point at
-// 16³ (BenchmarkApply/xwall16), where 16-point rows run at 3.8 against 11.
+// A row pays for its two extra column sums and nine slice headers, and the
+// one-point rows (m = 3) of BoundarySlabs' ±x walls never reach the vector
+// body. At 128³ they cost ≈ 25 ns per point on either path, nine cache
+// lines for each output (BenchmarkApply/xwall128), where whole rows cost 1.4
+// with the vector body and 3.2 without it.
 func (op *Op) applyRow(dst, s []float64, b int) {
 	m := len(dst)
-	if m < 3 { // no output; also what proves indices 0 and 1 in range below
+	if m < 3 { // no output
 		return
 	}
 	sy, sz := op.sy, op.sz
@@ -144,10 +155,16 @@ func (op *Op) applyRow(dst, s []float64, b int) {
 	r3, r4, r5 := s[b:][:m], s[b+sy:][:m], s[b+2*sy:][:m]
 	b += sz
 	r6, r7, r8 := s[b:][:m], s[b+sy:][:m], s[b+2*sy:][:m]
-	tm := colSum(w, r0[0], r1[0], r2[0], r3[0], r4[0], r5[0], r6[0], r7[0], r8[0])
-	t0 := colSum(w, r0[1], r1[1], r2[1], r3[1], r4[1], r5[1], r6[1], r7[1], r8[1])
+	i := 2
+	if useAVX && m >= 8 {
+		blocks := (m - 4) / 4
+		applyRowAVX(&dst[0], &r0[0], sy, sz, blocks, w, &op.qx)
+		i += 4 * blocks
+	}
+	tm := colSum(w, r0[i-2], r1[i-2], r2[i-2], r3[i-2], r4[i-2], r5[i-2], r6[i-2], r7[i-2], r8[i-2])
+	t0 := colSum(w, r0[i-1], r1[i-1], r2[i-1], r3[i-1], r4[i-1], r5[i-1], r6[i-1], r7[i-1], r8[i-1])
 	qm, q0, qp := op.qx[0], op.qx[1], op.qx[2]
-	for i := 2; i < m; i++ {
+	for ; i < m; i++ {
 		tp := colSum(w, r0[i], r1[i], r2[i], r3[i], r4[i], r5[i], r6[i], r7[i], r8[i])
 		dst[i] = qm*tm + q0*t0 + qp*tp
 		tm, t0 = t0, tp

@@ -137,16 +137,19 @@ func TestApplyRowsMatchesApply(t *testing.T) {
 }
 
 // TestApplySubdomainOnly checks that nothing outside sub is written, halo
-// and the points just left of each row included.
+// and the points just left of each row included. The 13-point rows starting
+// at odd x run the vector body where the CPU has one, so its 32-byte stores
+// are held to [x₀, x₀+nx) too.
 func TestApplySubdomainOnly(t *testing.T) {
-	n := grid.Dims{X: 6, Y: 6, Z: 6}
+	n := grid.Dims{X: 20, Y: 6, Z: 6}
 	src := randomField(n)
 	op := testOp(src)
 	const sentinel = -77.0
 	for _, sub := range []grid.Subdomain{
 		{Lo: grid.Dims{X: 1, Y: 2, Z: 3}, Size: grid.Dims{X: 3, Y: 2, Z: 2}},
 		{Lo: grid.Dims{X: 0, Y: 0, Z: 0}, Size: grid.Dims{X: 1, Y: 6, Z: 6}},
-		{Lo: grid.Dims{X: 5, Y: 1, Z: 0}, Size: grid.Dims{X: 1, Y: 4, Z: 6}},
+		{Lo: grid.Dims{X: 19, Y: 1, Z: 0}, Size: grid.Dims{X: 1, Y: 4, Z: 6}},
+		{Lo: grid.Dims{X: 5, Y: 1, Z: 2}, Size: grid.Dims{X: 13, Y: 4, Z: 3}},
 	} {
 		dst := grid.NewField(n, 1)
 		d := dst.Data()
