@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: formatting, vet, advectlint, build, the full test suite with the
-# race detector, vet and tests of the nested bench/ module, and the eight
+# race detector, vet and tests of the nested bench/ module, and the nine
 # ns_gate bounds of BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
@@ -48,7 +48,7 @@ go test -race -timeout 5m ./...
 
 # ns_gate PKG ALLOC_TEST BENCH FILE KEY WHAT: a hot path that rides every
 # request or every step must stay allocation-bounded (ALLOC_TEST asserts it)
-# and under the ns/op bound recorded as KEY in FILE (all eight live in
+# and under the ns/op bound recorded as KEY in FILE (all nine live in
 # BENCH_guards.json, one distinct key per line).
 ns_gate() {
     go test -run "$2" -count=1 "$1"
@@ -107,3 +107,9 @@ ns_gate ./internal/gpusim TestUntracedDeviceCallsAllocateNothing BenchmarkMemcpy
 # every schedule and emulated-device launch is made of.
 ns_gate ./internal/stencil TestApplyNoAllocs BenchmarkApplyRow128 \
     BENCH_guards.json stencil_row128_max_ns_per_op "stencil row kernel"
+
+# Exchange-substrate guard, the first on a halo exchange: one send of 64
+# values and its receive, through a recycled payload slot. Every face of
+# every exchange phase of the multi-task schedules is one such message.
+ns_gate ./internal/mpi TestSteadyMessagesAllocateNothing BenchmarkSendRecv64 \
+    BENCH_guards.json mpi_sendrecv64_max_ns_per_op "mpi send/recv of 64 values"

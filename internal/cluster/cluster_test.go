@@ -382,6 +382,43 @@ func TestGatewayForwardsOnce(t *testing.T) {
 	}
 }
 
+// TestGatewayAcceptedStaysAccepted: a node admits a job with 202 and may
+// finish it before it writes the answer, so the view it sends can read
+// done. The gateway answers what the node did — 202, a job admitted — and
+// keeps 200 for an answer from the owner's cache.
+func TestGatewayAcceptedStaysAccepted(t *testing.T) {
+	req := stubRequest()
+	ownerID, otherID := stubOwner(req.CacheKey())
+	for _, c := range []struct {
+		node, want int    // the owner's status and the gateway's
+		view       string // the owner's view, a format of id and sequence number
+	}{
+		{http.StatusAccepted, http.StatusAccepted, `{"id":"%s-job-%06d","state":"done"}`},
+		{http.StatusOK, http.StatusOK, `{"id":"%s-job-%06d","state":"done","cache_hit":true}`},
+	} {
+		owner, _ := startStub(t, ownerID, func(n int64, w http.ResponseWriter) {
+			w.WriteHeader(c.node)
+			_, _ = fmt.Fprintf(w, c.view, ownerID, n)
+		})
+		other, _ := startStub(t, otherID, acceptQueued(otherID))
+		gw := httptest.NewServer(NewRouter(Config{Members: []Member{owner, other}}).Handler())
+		t.Cleanup(gw.Close)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := testClient.Post(gw.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("owner answered %d with %s: gateway status %d, want %d", c.node, c.view, resp.StatusCode, c.want)
+		}
+	}
+}
+
 // startStub boots a fake shard whose submit behavior the test scripts;
 // health answers up.
 func startStub(t *testing.T, id string, onSubmit func(n int64, w http.ResponseWriter)) (Member, *atomic.Int64) {

@@ -85,7 +85,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	status := http.StatusAccepted
-	if view.State == service.StateDone { // owner answered from its cache
+	if view.CacheHit { // owner answered from its cache; a job it finished since admitting it is still a 202
 		status = http.StatusOK
 	}
 	service.WriteJSON(w, status, labelledView{View: view, Node: nodeID})

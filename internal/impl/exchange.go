@@ -14,15 +14,16 @@ import (
 // logical neighbors through only 6 exchanges.
 type exchanger struct {
 	c    *mpi.Comm
-	d    grid.Decomp
 	rank int
 	f    *grid.Field
 
 	rec  *obs.Recorder
 	step int
 
+	nbr  [3][2]int // the -dim and +dim neighbors
 	send [3][2][]float64
 	recv [3][2][]float64
+	reqs [3][2]*mpi.Request // persistent receives into recv, started each phase
 }
 
 var dimNames = [3]string{"x", "y", "z"} // span labels: a step indexes, never concatenates
@@ -49,43 +50,44 @@ func (e *exchanger) setStep(s int) {
 func tagLow(dim int) int  { return dim * 2 }
 func tagHigh(dim int) int { return dim*2 + 1 }
 
+// newExchanger sizes the face buffers and makes the six receives once, as
+// persistent requests each phase restarts.
 func newExchanger(c *mpi.Comm, d grid.Decomp, f *grid.Field) *exchanger {
-	e := &exchanger{c: c, d: d, rank: c.Rank(), f: f}
+	e := &exchanger{c: c, rank: c.Rank(), f: f}
 	for dim := 0; dim < 3; dim++ {
 		n := f.FaceCount(dim) * f.Halo
+		e.nbr[dim] = [2]int{d.Neighbor(e.rank, dim, -1), d.Neighbor(e.rank, dim, +1)}
 		for s := 0; s < 2; s++ {
 			e.send[dim][s] = make([]float64, n)
 			e.recv[dim][s] = make([]float64, n)
 		}
+		// My low halo receives the high face of my -dim neighbor; my high
+		// halo receives the low face of my +dim neighbor.
+		e.reqs[dim][0] = c.RecvInit(e.nbr[dim][0], tagHigh(dim), e.recv[dim][0])
+		e.reqs[dim][1] = c.RecvInit(e.nbr[dim][1], tagLow(dim), e.recv[dim][1])
 	}
 	return e
 }
 
 // phase is one in-flight dimension exchange.
 type phase struct {
-	dim  int
-	t0   float64 // recorder clock at start, for the mpi.exchange span
-	reqs [2]*mpi.Request
+	dim int
+	t0  float64 // recorder clock at start, for the mpi.exchange span
 }
 
 // start packs and posts the exchange for one dimension: nonblocking
 // receives first (as the paper's implementations do), then eager sends.
 func (e *exchanger) start(dim int) phase {
-	nbrLo := e.d.Neighbor(e.rank, dim, -1)
-	nbrHi := e.d.Neighbor(e.rank, dim, +1)
-
-	// My low halo receives the high face of my -dim neighbor; my high halo
-	// receives the low face of my +dim neighbor.
 	ph := phase{dim: dim, t0: e.rec.Clock()}
-	ph.reqs[0] = e.c.IRecv(nbrLo, tagHigh(dim), e.recv[dim][0])
-	ph.reqs[1] = e.c.IRecv(nbrHi, tagLow(dim), e.recv[dim][1])
+	e.reqs[dim][0].Start()
+	e.reqs[dim][1].Start()
 
 	a := e.rec.Begin(e.rank, e.step, obs.PhaseHaloPack, dimNames[dim])
 	e.f.PackFace(dim, -1, e.f.Halo, e.send[dim][0])
 	e.f.PackFace(dim, +1, e.f.Halo, e.send[dim][1])
 	a.End()
-	e.c.ISend(nbrLo, tagLow(dim), e.send[dim][0])
-	e.c.ISend(nbrHi, tagHigh(dim), e.send[dim][1])
+	e.c.ISend(e.nbr[dim][0], tagLow(dim), e.send[dim][0])
+	e.c.ISend(e.nbr[dim][1], tagHigh(dim), e.send[dim][1])
 	return ph
 }
 
@@ -94,8 +96,8 @@ func (e *exchanger) start(dim int) phase {
 // start — any compute span landing inside it is communication the schedule
 // actually hid.
 func (e *exchanger) finish(ph phase) {
-	ph.reqs[0].Wait()
-	ph.reqs[1].Wait()
+	e.reqs[ph.dim][0].Wait()
+	e.reqs[ph.dim][1].Wait()
 	a := e.rec.Begin(e.rank, e.step, obs.PhaseHaloUnpack, dimNames[ph.dim])
 	e.f.UnpackFace(ph.dim, -1, e.f.Halo, e.recv[ph.dim][0])
 	e.f.UnpackFace(ph.dim, +1, e.f.Halo, e.recv[ph.dim][1])

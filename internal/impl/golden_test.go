@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -273,6 +274,53 @@ func TestRunAllocatesItsFieldsAndTheGather(t *testing.T) {
 		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if got > 1.15*c.bound {
 			t.Errorf("%v: %.2f MB per run, fields and gather are %.2f MB", c.kind, got/1e6, c.bound/1e6)
+		}
+	}
+}
+
+// TestCPUStepsAllocateNothing is the allocation ratchet on the five CPU
+// schedules at 16³ with the benchmark's tasks × threads: a run of 2S steps
+// allocates exactly what a run of S steps does, so a steady-state step —
+// its regions, exchanges and messages — allocates nothing. The collector
+// is off while it counts: a collection empties the runtime's caches of
+// goroutine records and wait records, which the next goroutines and
+// wake-ups allocate again. Even so the runtime sometimes tops those caches
+// up by a record or two within a run, so each schedule gets several tries at
+// an equal count; an allocation per step puts S more into every try.
+func TestCPUStepsAllocateNothing(t *testing.T) {
+	const steps = 32
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(k core.Kind, p core.Problem, o core.Options) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, k, p, o)
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	for _, c := range []struct {
+		kind core.Kind
+		o    core.Options
+	}{
+		{core.SingleTask, core.Options{Tasks: 1, Threads: 2}},
+		{core.BulkSync, core.Options{Tasks: 2, Threads: 1}},
+		{core.NonblockingOverlap, core.Options{Tasks: 2, Threads: 1}},
+		{core.ThreadedOverlap, core.Options{Tasks: 1, Threads: 2}},
+		{core.WideHaloExt, core.Options{Tasks: 2, Threads: 1, HaloWidth: 2}},
+	} {
+		p1, p2 := core.DefaultProblem(16, steps), core.DefaultProblem(16, 2*steps)
+		run(t, c.kind, p2, c.o) // warm-up: the first run of a kind fills the runtime's caches
+		var extra []int64
+		for try := 0; try < 10; try++ {
+			m1 := mallocs(c.kind, p1, c.o)
+			if d := mallocs(c.kind, p2, c.o) - m1; d != 0 {
+				extra = append(extra, d)
+				continue
+			}
+			extra = nil
+			break
+		}
+		if extra != nil {
+			t.Errorf("%v: %d steps more allocate %v times more, want 0 in some try", c.kind, steps, extra)
 		}
 	}
 }

@@ -49,7 +49,7 @@ const (
 func (s schedule) Kind() core.Kind { return s.kind }
 
 var schedules = []schedule{
-	{kind: core.SingleTask, cpu: true, step: stepSingle},
+	{kind: core.SingleTask, cpu: true, prepare: prepareSingle, step: stepSingle},
 	{kind: core.BulkSync, cpu: true, norms: true, step: stepBulk},
 	{kind: core.NonblockingOverlap, cpu: true, norms: true, step: stepNonblocking},
 	{kind: core.ThreadedOverlap, cpu: true, norms: true, step: stepThreaded},

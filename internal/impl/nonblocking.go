@@ -1,9 +1,6 @@
 package impl
 
-import (
-	"repro/internal/obs"
-	"repro/internal/stencil"
-)
+import "repro/internal/obs"
 
 // stepNonblocking is §IV-C: the common overlap strategy. The local domain
 // is partitioned into interior points (stencil reads no halo) and boundary
@@ -13,10 +10,9 @@ import (
 // the third within z. The boundary points are computed after all
 // communication completes.
 func stepNonblocking(r *rank, _ int) {
-	thirds := stencil.InteriorThirds(r.sub.Size)
 	for dim := 0; dim < 3; dim++ {
 		ph := r.ex.start(dim)
-		r.compute(obs.PhaseInterior, thirdNames[dim], thirds[dim])
+		r.compute(obs.PhaseInterior, thirdNames[dim], r.thirds[dim])
 		r.ex.finish(ph)
 	}
 	// "The threads compute the boundary points after the communication."

@@ -3,6 +3,7 @@ package impl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -24,15 +25,26 @@ type rank struct {
 	sub grid.Subdomain // this rank's box of the global grid
 
 	// The local domain and its cut for the overlap schedules: the points
-	// whose stencil reads no halo, and the six slabs of those that do.
+	// whose stencil reads no halo, the six slabs of those that do, and the
+	// interior in thirds along z, one per exchange phase (§IV-C).
 	whole, interior grid.Subdomain
 	boundary        []grid.Subdomain
+	thirds          [3]grid.Subdomain
 
 	cur  *grid.Field // host state over the subdomain, halos included
 	nxt  *grid.Field // cpu: the state the step computes into
 	op   *stencil.Op // cpu: Eq. 2 over cur's shape
 	team *par.Team   // cpu: the task's threads
 	ex   *exchanger  // multi-task kinds: the halo exchange of cur
+
+	// What the team runs, bound once so that a step allocates nothing: rows
+	// computes the region setRegion last described, the rows of parts laid
+	// end to end (ends[i] is the region row after parts[i]'s last), and
+	// exchangeAll is ex.exchangeAll, §IV-D's master share.
+	parts       []grid.Subdomain
+	ends        []int
+	rows        func(lo, hi int)
+	exchangeAll func()
 
 	dev     *gpusim.Device
 	box     grid.Subdomain // the device-resident part of the local domain
@@ -92,7 +104,15 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	runErr := safeWorldRun(mpi.NewWorld(o.Tasks), func(c *mpi.Comm) {
 		r := &rank{p: p, o: o, id: c.Rank(), sub: d.Sub(c.Rank())}
 		n := r.sub.Size
-		r.whole, r.interior, r.boundary = stencil.Whole(n), stencil.Interior(n), stencil.BoundarySlabs(n)
+		r.whole, r.interior, r.thirds = stencil.Whole(n), stencil.Interior(n), stencil.InteriorThirds(n)
+		// A subdomain one point thick in a dimension has one slab for both
+		// of that dimension's walls. It is kept once: compute hands every
+		// row of a region to one thread, and two must not write one point.
+		for _, slab := range stencil.BoundarySlabs(n) {
+			if !slices.Contains(r.boundary, slab) {
+				r.boundary = append(r.boundary, slab)
+			}
+		}
 		if sch.cpu {
 			r.team = par.NewTeam(o.Threads)
 			defer r.team.Close()
@@ -103,10 +123,12 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		if sch.cpu {
 			r.nxt = grid.NewField(n, halo)
 			r.op = stencil.NewOp(stencil.TableI(p.C, p.Nu), r.cur)
+			r.rows = r.applyRows
 		}
 		if !single {
 			r.ex = newExchanger(c, d, r.cur)
 			r.ex.setObs(o.Rec)
+			r.exchangeAll = r.ex.exchangeAll
 		}
 		if sch.device != noDevice {
 			defer r.freeDevice()
@@ -237,20 +259,40 @@ func (r *rank) setStep(s int) {
 	}
 }
 
-// compute applies Eq. 2 from cur into nxt over each non-empty sub under one
-// span, every sub threaded over its collapsed (k, j) rows — the paper's
-// collapse(2) with a static schedule.
+// compute applies Eq. 2 from cur into nxt over the non-empty subs under one
+// span, in one parallel region over their collapsed (k, j) rows laid end to
+// end — the paper's collapse(2) with a static schedule. A point's value does
+// not depend on which thread computes its row.
 func (r *rank) compute(ph obs.Phase, label string, subs ...grid.Subdomain) {
 	sp := r.span(ph, label)
-	for _, sub := range subs {
-		if sub.Empty() {
-			continue
-		}
-		r.team.ParallelFor(stencil.Rows(sub), par.Static, 0, func(lo, hi int) {
-			r.op.ApplyRows(r.cur, r.nxt, sub, lo, hi)
-		})
-	}
+	r.team.ParallelFor(r.setRegion(subs...), par.Static, 0, r.rows)
 	sp.End()
+}
+
+// setRegion makes the non-empty subs the region r.rows computes and returns
+// its row count.
+func (r *rank) setRegion(subs ...grid.Subdomain) int {
+	r.parts, r.ends = r.parts[:0], r.ends[:0]
+	total := 0
+	for _, sub := range subs {
+		if !sub.Empty() {
+			total += stencil.Rows(sub)
+			r.parts, r.ends = append(r.parts, sub), append(r.ends, total)
+		}
+	}
+	return total
+}
+
+// applyRows computes rows [lo, hi) of the region setRegion described: of
+// each part, the rows the range covers.
+func (r *rank) applyRows(lo, hi int) {
+	start := 0
+	for i, sub := range r.parts {
+		if end := r.ends[i]; lo < end && start < hi {
+			r.op.ApplyRows(r.cur, r.nxt, sub, max(lo, start)-start, min(hi, end)-start)
+		}
+		start = r.ends[i]
+	}
 }
 
 // commit ends a time step on the host: the new state becomes the current

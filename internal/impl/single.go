@@ -5,6 +5,19 @@ import (
 	"repro/internal/par"
 )
 
+// periodic is §IV-A's periodic copy as the team runs it: sweep copies rows
+// of dimension dim's sweep, bound once so that a step allocates nothing.
+type periodic struct {
+	dim   int
+	sweep func(lo, hi int)
+}
+
+func prepareSingle(r *rank) {
+	g := &periodic{}
+	g.sweep = func(lo, hi int) { r.cur.PeriodicSweep(g.dim, lo, hi) }
+	r.geom = g
+}
+
 // stepSingle is the paper's baseline (§IV-A): one task, OpenMP threading.
 // Each time step performs the paper's three algorithmic steps:
 //
@@ -16,11 +29,10 @@ func stepSingle(r *rank, _ int) {
 	// Each dimension sweep is threaded over its rows; the barrier ending
 	// each ParallelFor keeps them in x, y, z order, which is what carries
 	// the corners.
+	g := r.geom.(*periodic)
 	sp := r.span(obs.PhaseHaloUnpack, "periodic")
-	for dim := 0; dim < 3; dim++ {
-		r.team.ParallelFor(r.cur.PeriodicRows(dim), par.Static, 0, func(lo, hi int) {
-			r.cur.PeriodicSweep(dim, lo, hi)
-		})
+	for g.dim = 0; g.dim < 3; g.dim++ {
+		r.team.ParallelFor(r.cur.PeriodicRows(g.dim), par.Static, 0, g.sweep)
 	}
 	sp.End()
 	r.compute(obs.PhaseInterior, "whole", r.whole)

@@ -1,9 +1,6 @@
 package impl
 
-import (
-	"repro/internal/obs"
-	"repro/internal/stencil"
-)
+import "repro/internal/obs"
 
 // stepThreaded is §IV-D: overlap via an asynchronous OpenMP thread instead
 // of nonblocking MPI. The master thread performs the whole (blocking,
@@ -18,9 +15,7 @@ func stepThreaded(r *rank, _ int) {
 	// its entire duration while the master's exchange spans land inside it
 	// — that containment is the overlap.
 	sp := r.span(obs.PhaseInterior, "master+workers")
-	r.team.RunWithMaster(r.ex.exchangeAll, stencil.Rows(r.interior), 1, func(lo, hi int) {
-		r.op.ApplyRows(r.cur, r.nxt, r.interior, lo, hi)
-	})
+	r.team.RunWithMaster(r.exchangeAll, r.setRegion(r.interior), 1, r.rows)
 	sp.End()
 	r.compute(obs.PhaseBoundary, "slabs", r.boundary...)
 	r.commit()

@@ -12,10 +12,15 @@ type envelope struct {
 // mailbox is a rank's incoming-message queue with MPI matching: a receive
 // takes the earliest-arrived message whose (source, tag) matches, which
 // preserves MPI's non-overtaking guarantee between a sender/receiver pair.
+//
+// Payloads live in slots the mailbox recycles: a send copies into a free
+// slot, and a receive hands the slot back once it has copied it out, so a
+// steady exchange allocates nothing once its first messages have.
 type mailbox struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        []envelope
+	free     [][]float64 // slots received messages left behind
 	poisoned bool
 }
 
@@ -25,22 +30,52 @@ func newMailbox() *mailbox {
 	return m
 }
 
-func (m *mailbox) put(e envelope) {
+// put queues a copy of data from src with tag. The copy goes into the
+// smallest free slot that holds it, or else into a new slot that takes the
+// place of a free one too small for it, so a mailbox never holds more slots
+// than it once had messages in flight at the same time.
+func (m *mailbox) put(src, tag int, data []float64) {
 	m.mu.Lock()
-	m.q = append(m.q, e)
+	best := -1
+	for i, s := range m.free {
+		if cap(s) >= len(data) && (best < 0 || cap(s) < cap(m.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		best = len(m.free) - 1 // every free slot is too small: the new one replaces one
+	}
+	var slot []float64
+	if best >= 0 {
+		if s := m.free[best]; cap(s) >= len(data) {
+			slot = s[:len(data)]
+		}
+		last := len(m.free) - 1
+		m.free[best], m.free[last] = m.free[last], nil
+		m.free = m.free[:last]
+	}
+	if slot == nil {
+		slot = make([]float64, len(data))
+	}
+	copy(slot, data)
+	m.q = append(m.q, envelope{src: src, tag: tag, data: slot})
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
 // get blocks until a message matching (src, tag) is available and removes
-// it. src may be AnySource and tag may be AnyTag.
+// it. src may be AnySource and tag may be AnyTag. The caller owns the
+// payload until it hands it back with recycle, if ever.
 func (m *mailbox) get(src, tag int) envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		for i, e := range m.q {
 			if (src == AnySource || e.src == src) && (tag == AnyTag || e.tag == tag) {
-				m.q = append(m.q[:i], m.q[i+1:]...)
+				last := len(m.q) - 1
+				copy(m.q[i:], m.q[i+1:])
+				m.q[last] = envelope{} // the vacated tail must not pin a payload
+				m.q = m.q[:last]
 				return e
 			}
 		}
@@ -49,6 +84,14 @@ func (m *mailbox) get(src, tag int) envelope {
 		}
 		m.cond.Wait()
 	}
+}
+
+// recycle hands a payload get returned back to the mailbox for a later
+// message. The caller must not touch it afterwards.
+func (m *mailbox) recycle(slot []float64) {
+	m.mu.Lock()
+	m.free = append(m.free, slot)
+	m.mu.Unlock()
 }
 
 // poison wakes all blocked receivers with a panic so a rank failure cannot

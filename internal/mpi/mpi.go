@@ -9,9 +9,16 @@
 // Sends are buffered (eager): Send copies the payload and returns
 // immediately, so the communication patterns of the paper — which post
 // receives before sends precisely to be safe under rendezvous protocols —
-// are deadlock-free here too. Functional correctness is this package's job;
-// communication *cost* on the paper's machines is modeled separately by
-// internal/perf.
+// are deadlock-free here too. The copy goes into a payload slot the
+// receiving rank's mailbox recycles: a receive hands its slot back once it
+// has copied it out, so a steady exchange allocates nothing.
+//
+// A receive can be persistent, as MPI_Recv_init makes one: RecvInit binds
+// the source, tag and buffer once, and each Start and Wait after it is one
+// receive, with nothing allocated per message. IRecv is RecvInit and Start.
+//
+// Functional correctness is this package's job; communication *cost* on the
+// paper's machines is modeled separately by internal/perf.
 package mpi
 
 import (
@@ -21,10 +28,10 @@ import (
 	"repro/internal/obs"
 )
 
-// AnyTag matches any tag in Recv and IRecv.
+// AnyTag matches any tag in Recv, IRecv and RecvInit.
 const AnyTag = -1
 
-// AnySource matches any source rank in Recv and IRecv.
+// AnySource matches any source rank in Recv, IRecv and RecvInit.
 const AnySource = -1
 
 const collTagBase = 1 << 30 // internal tag space for collectives
@@ -141,9 +148,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 func (c *Comm) send(dst, tag int, data []float64) {
 	c.checkRank(dst)
 	a := c.rec.Begin(c.rank, c.step, obs.PhaseMPISend, "send")
-	payload := make([]float64, len(data))
-	copy(payload, data)
-	c.world.boxes[dst].put(envelope{src: c.rank, tag: tag, data: payload})
+	c.world.boxes[dst].put(c.rank, tag, data)
 	a.End()
 	if dst != c.rank {
 		c.stats.SentMessages++
@@ -159,41 +164,66 @@ func (c *Comm) Recv(src, tag int, buf []float64) int {
 	if src != AnySource {
 		c.checkRank(src)
 	}
+	box := c.world.boxes[c.rank]
 	a := c.rec.Begin(c.rank, c.step, obs.PhaseMPIRecv, "recv")
-	e := c.world.boxes[c.rank].get(src, tag)
+	e := box.get(src, tag)
 	a.End()
-	if len(e.data) > len(buf) {
+	n := len(e.data)
+	if n > len(buf) {
+		box.recycle(e.data)
 		panic(fmt.Sprintf("mpi: rank %d: truncation: %d values into %d buffer (src %d tag %d)",
-			c.rank, len(e.data), len(buf), e.src, e.tag))
+			c.rank, n, len(buf), e.src, e.tag))
 	}
 	copy(buf, e.data)
+	box.recycle(e.data)
 	if e.src != c.rank {
 		c.stats.RecvMessages++
-		c.stats.RecvValues += len(e.data)
+		c.stats.RecvValues += n
 	}
-	return len(e.data)
+	return n
 }
 
-// Request is a handle to a nonblocking operation, completed by Wait.
+// Request is a handle to a nonblocking operation, completed by Wait. A
+// receive request is persistent: RecvInit makes it inactive, Start posts it
+// and Wait completes it, as often as the caller likes.
 type Request struct {
-	done  bool
-	count int
-	wait  func() int
+	c        *Comm // nil for a send's request, which is always complete
+	src, tag int
+	buf      []float64
+	active   bool
+	count    int
 }
+
+// sent is the request of every send: under the eager protocol a send is
+// complete when it returns.
+var sent = &Request{}
 
 // Wait blocks until the operation completes and returns the received value
-// count (0 for sends). Wait is idempotent.
+// count (0 for sends). Wait is idempotent: on an inactive request it
+// returns the count of the last receive.
 func (r *Request) Wait() int {
-	if !r.done {
-		r.count = r.wait()
-		r.done = true
-		r.wait = nil
+	if r.active {
+		a := r.c.rec.Begin(r.c.rank, r.c.step, obs.PhaseMPIWait, "irecv")
+		r.count = r.c.Recv(r.src, r.tag, r.buf)
+		a.End()
+		r.active = false
 	}
 	return r.count
 }
 
-// Done reports whether the request has already completed via Wait.
-func (r *Request) Done() bool { return r.done }
+// Done reports whether the request is inactive: completed by Wait, or
+// never started.
+func (r *Request) Done() bool { return !r.active }
+
+// Start posts a persistent receive made by RecvInit. The match is performed
+// when Wait is called; the buffer must not be read before Wait returns. It
+// panics on an active request, or on one RecvInit did not make.
+func (r *Request) Start() {
+	if r.c == nil || r.active {
+		panic("mpi: Start needs an inactive request made by RecvInit")
+	}
+	r.active = true
+}
 
 // ISend starts a nonblocking send. Under the eager protocol the payload is
 // buffered immediately, so the returned request is already complete and the
@@ -201,22 +231,25 @@ func (r *Request) Done() bool { return r.done }
 // MPI_Isend on the paper's machines.
 func (c *Comm) ISend(dst, tag int, data []float64) *Request {
 	c.Send(dst, tag, data)
-	return &Request{done: true}
+	return sent
 }
 
-// IRecv posts a nonblocking receive into buf. The match is performed when
-// Wait is called; buf must not be read before Wait returns.
-func (c *Comm) IRecv(src, tag int, buf []float64) *Request {
+// RecvInit makes a persistent receive of a message from src with tag into
+// buf, as MPI_Recv_init does: an inactive request that each Start posts and
+// each Wait completes. src may be AnySource and tag may be AnyTag.
+func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
 	if src != AnySource {
 		c.checkRank(src)
 	}
 	c.checkTagOrAny(tag)
-	return &Request{wait: func() int {
-		a := c.rec.Begin(c.rank, c.step, obs.PhaseMPIWait, "irecv")
-		n := c.Recv(src, tag, buf)
-		a.End()
-		return n
-	}}
+	return &Request{c: c, src: src, tag: tag, buf: buf}
+}
+
+// IRecv posts a nonblocking receive into buf: RecvInit, then Start.
+func (c *Comm) IRecv(src, tag int, buf []float64) *Request {
+	r := c.RecvInit(src, tag, buf)
+	r.Start()
+	return r
 }
 
 // Barrier blocks until every rank in the world has entered it.
@@ -279,7 +312,8 @@ func (c *Comm) bcastTree(tag int, vals []float64) {
 
 // Gather collects each rank's send slice at root. On root it returns one
 // slice per rank (index = rank); on other ranks it returns nil. Slices may
-// have different lengths (MPI_Gatherv).
+// have different lengths (MPI_Gatherv). Root owns what it returns: the
+// payload slots of its peers' messages are never recycled.
 func (c *Comm) Gather(root int, send []float64) [][]float64 {
 	c.checkRank(root)
 	tag := c.nextCollTag()

@@ -456,3 +456,158 @@ func TestManyRanksBarrierStress(t *testing.T) {
 		}
 	})
 }
+
+// TestGatherKeepsWhatItReturns: the slices Gather hands root are root's.
+// Later traffic through the same mailboxes — which recycles payload slots —
+// must not write into them.
+func TestGatherKeepsWhatItReturns(t *testing.T) {
+	w := NewWorld(3)
+	w.Run(func(c *Comm) {
+		send := []float64{float64(c.Rank()), float64(10 * c.Rank())}
+		out := c.Gather(0, send)
+		buf := make([]float64, 2)
+		for i := 0; i < 1000; i++ {
+			peer := (c.Rank() + 1) % 3
+			c.Send(peer, 1, []float64{-1, -2})
+			c.Recv(AnySource, 1, buf)
+		}
+		if c.Rank() != 0 {
+			return
+		}
+		for r, part := range out {
+			if len(part) != 2 || part[0] != float64(r) || part[1] != float64(10*r) {
+				t.Errorf("rank %d's gathered slice reads %v after later traffic", r, part)
+			}
+		}
+	})
+}
+
+// TestTruncatingRecvKeepsSlotsSound: a receive into a buffer too small
+// still panics, and the slot of the message it refused goes back to the
+// free list once — two later messages in flight together must not share it.
+func TestTruncatingRecvKeepsSlotsSound(t *testing.T) {
+	c := NewWorld(1).Comm(0)
+	c.Send(0, 0, []float64{1, 2, 3})
+	func() {
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(p.(string), "truncation") {
+				t.Fatalf("recovered %v, want a truncation panic", p)
+			}
+		}()
+		c.Recv(0, 0, make([]float64, 2))
+	}()
+	if box := c.world.boxes[0]; len(box.free) != 1 || len(box.q) != 0 {
+		t.Fatalf("after the refused message: %d free slots, %d queued; want 1, 0", len(box.free), len(box.q))
+	}
+	c.Send(0, 0, []float64{4, 5, 6})
+	c.Send(0, 0, []float64{7, 8, 9})
+	buf := make([]float64, 3)
+	for _, want := range []float64{4, 7} {
+		if c.Recv(0, 0, buf); buf[0] != want || buf[2] != want+2 {
+			t.Fatalf("received %v, want [%v %v %v]", buf, want, want+1, want+2)
+		}
+	}
+}
+
+// TestNonOvertakingMixedSizes: payload slots recycled across messages of
+// mixed sizes — a wide-halo exchange sends faces of three — keep each
+// (source, tag) stream in order and every payload whole and of its own
+// length. Each round queues a burst of seven on two tags, of sizes 0 to 40
+// that change from round to round, so that most messages land in a slot a
+// message of another size left.
+func TestNonOvertakingMixedSizes(t *testing.T) {
+	const burst = 7
+	c := NewWorld(1).Comm(0)
+	buf := make([]float64, 40)
+	for round := 0; round < 50; round++ {
+		size := func(i int) int { return (17*i + 29*round) % 41 }
+		for i := 0; i < burst; i++ {
+			msg := make([]float64, size(i))
+			for j := range msg {
+				msg[j] = float64(round*10000 + i*100 + j)
+			}
+			c.Send(0, i%2, msg)
+		}
+		for _, tag := range []int{1, 0} { // the later tag's stream first
+			for i := tag; i < burst; i += 2 {
+				if n := c.Recv(0, tag, buf); n != size(i) {
+					t.Fatalf("round %d message %d: %d values, want %d", round, i, n, size(i))
+				}
+				for j := 0; j < size(i); j++ {
+					if want := float64(round*10000 + i*100 + j); buf[j] != want {
+						t.Fatalf("round %d message %d value %d reads %v, want %v", round, i, j, buf[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPersistentRecvRestarts: one RecvInit request serves every step —
+// Start, Wait, Start again — and refuses a second Start while active.
+func TestPersistentRecvRestarts(t *testing.T) {
+	w := NewWorld(2)
+	w.Run(func(c *Comm) {
+		peer := 1 - c.Rank()
+		buf := make([]float64, 1)
+		req := c.RecvInit(peer, 4, buf)
+		if !req.Done() {
+			t.Error("a request RecvInit made is active before Start")
+		}
+		for step := 0; step < 50; step++ {
+			req.Start()
+			c.ISend(peer, 4, []float64{float64(step*10 + c.Rank())})
+			if n := req.Wait(); n != 1 || buf[0] != float64(step*10+peer) {
+				t.Errorf("step %d: received %v (n=%d)", step, buf[0], n)
+				return
+			}
+		}
+		req.Start()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Start on an active request did not panic")
+				}
+			}()
+			req.Start()
+		}()
+		c.Send(peer, 4, []float64{0})
+		req.Wait()
+	})
+}
+
+// TestSteadyMessagesAllocateNothing pins the exchange substrate's steady
+// state: once a mailbox has slots, a send and its receive — blocking, or a
+// persistent receive and an ISend — allocate nothing.
+func TestSteadyMessagesAllocateNothing(t *testing.T) {
+	c := NewWorld(1).Comm(0)
+	data, buf := make([]float64, 64), make([]float64, 64)
+	req := c.RecvInit(0, 3, buf)
+	for name, msg := range map[string]func(){
+		"send/recv": func() {
+			c.Send(0, 7, data)
+			c.Recv(0, 7, buf)
+		},
+		"isend/persistent recv": func() {
+			req.Start()
+			c.ISend(0, 3, data)
+			req.Wait()
+		},
+	} {
+		if allocs := testing.AllocsPerRun(1000, msg); allocs != 0 {
+			t.Errorf("%s: %.2f allocations per message, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkSendRecv64 is the unit of a halo exchange: a self-send of 64
+// values and its receive, through a recycled slot.
+func BenchmarkSendRecv64(b *testing.B) {
+	c := NewWorld(1).Comm(0)
+	data, buf := make([]float64, 64), make([]float64, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Send(0, 7, data)
+		c.Recv(0, 7, buf)
+	}
+}

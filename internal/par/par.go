@@ -4,6 +4,13 @@
 // schedule(guided)), a collapse(2) helper matching the paper's loop
 // structure (§IV-A), master-thread sections (!$omp master), and a reusable
 // barrier.
+//
+// A team of one runs its regions on the calling goroutine, as OpenMP does
+// with one thread; a larger team wakes every worker once per region. A
+// region allocates nothing: the team keeps one region descriptor (the
+// schedule, the bounds, the caller's body and the guided scheduler) and
+// refills it, so a caller that passes the same body each time pays only the
+// wake-ups.
 package par
 
 import (
@@ -44,19 +51,28 @@ func (s Schedule) String() string {
 // regions so per-region cost is a wakeup, not goroutine creation.
 type Team struct {
 	n       int
-	jobs    []chan func(tid int)
-	done    chan struct{}
-	wg      sync.WaitGroup // per-region completion
+	wake    []chan struct{} // one per worker, closed by Close; none for a team of one
+	wg      sync.WaitGroup  // per-region completion
 	closed  bool
 	barrier *Barrier
 	mu      sync.Mutex
 	failed  atomic.Pointer[any] // first panic of the region under way
+	reg     region              // the region under way, written only between regions
 
-	// Span recording (see SetRecorder). label is only touched by the
-	// goroutine launching regions, per the Team usage contract.
-	rec   *obs.Recorder
-	rank  int
-	label string
+	// Span recording (see SetRecorder).
+	rec  *obs.Recorder
+	rank int
+}
+
+// region is what every worker's share of the region under way runs: fn for
+// Run, otherwise the loop over [0, n) with worker 0 running master first.
+type region struct {
+	fn     func(tid int)
+	master func()
+	n      int
+	sched  Schedule
+	body   func(lo, hi int)
+	guided scheduler
 }
 
 // SetRecorder attaches a span recorder: every parallel region (Run,
@@ -67,49 +83,84 @@ func (t *Team) SetRecorder(r *obs.Recorder, rank int) {
 }
 
 // NewTeam starts a team of n workers. n must be at least 1. Worker 0 is the
-// master thread.
+// master thread. A team of one starts no goroutine: its worker 0 is the
+// goroutine that launches each region.
 func NewTeam(n int) *Team {
 	if n < 1 {
 		panic(fmt.Sprintf("par: team size %d < 1", n))
 	}
-	t := &Team{
-		n:       n,
-		jobs:    make([]chan func(int), n),
-		done:    make(chan struct{}),
-		barrier: NewBarrier(n),
-	}
-	for i := 0; i < n; i++ {
-		t.jobs[i] = make(chan func(int))
-		go t.worker(i)
+	t := &Team{n: n, barrier: NewBarrier(n)}
+	if n > 1 {
+		t.wake = make([]chan struct{}, n)
+		for i := range t.wake {
+			t.wake[i] = make(chan struct{})
+			go t.worker(i)
+		}
 	}
 	return t
 }
 
 func (t *Team) worker(tid int) {
-	for {
-		select {
-		case fn := <-t.jobs[tid]:
-			t.call(fn, tid)
-		case <-t.done:
-			return
-		}
+	for range t.wake[tid] {
+		t.call(tid)
+		t.wg.Done()
 	}
 }
 
-// call runs one worker's share of a region. A panic in it is kept for Run
-// to raise on the goroutine that launched the region: a worker is not a
-// goroutine anyone can recover on, so a panic left to unwind it would end
-// the process — and the master's share of an overlap region is an MPI
-// exchange, which panics by design when a peer rank has failed.
-func (t *Team) call(fn func(tid int), tid int) {
-	defer t.wg.Done()
+// call runs one worker's share of the region under way. A panic in it is
+// kept for launch to raise on the goroutine that launched the region: a
+// worker is not a goroutine anyone can recover on, so a panic left to unwind
+// it would end the process — and the master's share of an overlap region is
+// an MPI exchange, which panics by design when a peer rank has failed.
+func (t *Team) call(tid int) {
 	defer func() {
 		if p := recover(); p != nil {
 			first := p // p itself must not escape: it would cost every call an allocation
 			t.failed.CompareAndSwap(nil, &first)
 		}
 	}()
-	fn(tid)
+	g := &t.reg
+	if g.fn != nil {
+		g.fn(tid)
+		return
+	}
+	if tid == 0 && g.master != nil {
+		g.master()
+	}
+	if g.sched == Static {
+		if lo, hi := StaticChunk(g.n, t.n, tid); lo < hi {
+			g.body(lo, hi)
+		}
+		return
+	}
+	for {
+		lo, hi, ok := g.guided.next()
+		if !ok {
+			return
+		}
+		g.body(lo, hi)
+	}
+}
+
+// launch runs the region t.reg describes on every worker and returns when
+// all have finished, then raises the first panic of any share.
+func (t *Team) launch(label string) {
+	a := t.rec.Begin(t.rank, -1, obs.PhaseRegion, label)
+	if t.n == 1 {
+		t.call(0)
+	} else {
+		t.wg.Add(t.n)
+		for _, w := range t.wake {
+			w <- struct{}{}
+		}
+		t.wg.Wait()
+	}
+	a.End()
+	// Keep nothing of the caller's alive past its region.
+	t.reg.fn, t.reg.master, t.reg.body = nil, nil, nil
+	if p := t.failed.Swap(nil); p != nil {
+		panic(*p)
+	}
 }
 
 // Size returns the number of workers in the team.
@@ -121,7 +172,9 @@ func (t *Team) Close() {
 	defer t.mu.Unlock()
 	if !t.closed {
 		t.closed = true
-		close(t.done)
+		for _, w := range t.wake {
+			close(w)
+		}
 	}
 }
 
@@ -130,20 +183,8 @@ func (t *Team) Close() {
 // synchronize within the region. If fn panics on a worker, Run panics with
 // the first such value once every worker has finished.
 func (t *Team) Run(fn func(tid int)) {
-	label := t.label
-	if label == "" {
-		label = "region"
-	}
-	a := t.rec.Begin(t.rank, -1, obs.PhaseRegion, label)
-	t.wg.Add(t.n)
-	for i := 0; i < t.n; i++ {
-		t.jobs[i] <- fn
-	}
-	t.wg.Wait()
-	a.End()
-	if p := t.failed.Swap(nil); p != nil {
-		panic(*p)
-	}
+	t.reg.fn = fn
+	t.launch("region")
 }
 
 // Barrier blocks until every worker of the enclosing Run region has reached
@@ -158,30 +199,12 @@ func (t *Team) ParallelFor(n int, sched Schedule, chunk int, body func(lo, hi in
 	if n <= 0 {
 		return
 	}
-	t.label = sched.String()
-	defer func() { t.label = "" }()
-	switch sched {
-	case Static:
-		t.Run(func(tid int) {
-			lo, hi := StaticChunk(n, t.n, tid)
-			if lo < hi {
-				body(lo, hi)
-			}
-		})
-	case Guided:
-		s := newScheduler(n, t.n, chunk)
-		t.Run(func(tid int) {
-			for {
-				lo, hi, ok := s.next()
-				if !ok {
-					return
-				}
-				body(lo, hi)
-			}
-		})
-	default:
+	if sched != Static && sched != Guided {
 		panic(fmt.Sprintf("par: bad schedule %v", sched))
 	}
+	t.reg.n, t.reg.sched, t.reg.body = n, sched, body
+	t.reg.guided.reset(n, t.n, chunk)
+	t.launch(sched.String())
 }
 
 // RunWithMaster emulates the paper's §IV-D overlap region: every worker
@@ -191,21 +214,9 @@ func (t *Team) ParallelFor(n int, sched Schedule, chunk int, body func(lo, hi in
 // original, with an implicit barrier after the loop, so masterWork is
 // complete when RunWithMaster returns.
 func (t *Team) RunWithMaster(masterWork func(), n int, chunk int, body func(lo, hi int)) {
-	t.label = "master+guided"
-	defer func() { t.label = "" }()
-	s := newScheduler(n, t.n, chunk)
-	t.Run(func(tid int) {
-		if tid == 0 {
-			masterWork()
-		}
-		for {
-			lo, hi, ok := s.next()
-			if !ok {
-				return
-			}
-			body(lo, hi)
-		}
-	})
+	t.reg.master, t.reg.n, t.reg.sched, t.reg.body = masterWork, n, Guided, body
+	t.reg.guided.reset(n, t.n, chunk)
+	t.launch("master+guided")
 }
 
 // StaticChunk returns the half-open bounds of worker tid's share of [0, n)
@@ -230,11 +241,13 @@ type scheduler struct {
 	next64  atomic.Int64
 }
 
-func newScheduler(n, workers int, chunk int) *scheduler {
+// reset starts the chunks of a new region over [0, n).
+func (s *scheduler) reset(n, workers int, chunk int) {
 	if chunk <= 0 {
 		chunk = 1
 	}
-	return &scheduler{n: int64(n), workers: int64(workers), floor: int64(chunk)}
+	s.n, s.workers, s.floor = int64(n), int64(workers), int64(chunk)
+	s.next64.Store(0)
 }
 
 func (s *scheduler) next() (lo, hi int, ok bool) {

@@ -1,10 +1,13 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func coverageCheck(t *testing.T, n int, run func(body func(lo, hi int))) {
@@ -173,7 +176,8 @@ func TestRunWithMasterSingleThread(t *testing.T) {
 }
 
 func TestGuidedChunksShrink(t *testing.T) {
-	s := newScheduler(1000, 4, 1)
+	var s scheduler
+	s.reset(1000, 4, 1)
 	last := 1 << 30
 	for {
 		lo, hi, ok := s.next()
@@ -189,7 +193,8 @@ func TestGuidedChunksShrink(t *testing.T) {
 }
 
 func TestGuidedChunkFloor(t *testing.T) {
-	s := newScheduler(100, 4, 10)
+	var s scheduler
+	s.reset(100, 4, 10)
 	for {
 		lo, hi, ok := s.next()
 		if !ok {
@@ -288,15 +293,58 @@ func TestReduceEmpty(t *testing.T) {
 	})
 }
 
-// TestRegionAllocations pins what a parallel region costs the allocator: the
-// region's closure and ParallelFor's own — nothing per worker, so that
-// keeping a worker's panic for the caller stays free when nothing panics.
+// TestRegionAllocations pins what a parallel region costs the allocator:
+// nothing, for a team of one and of three, under every kind of region, when
+// the caller passes the same body each time — so that keeping a worker's
+// panic for the caller stays free when nothing panics.
 func TestRegionAllocations(t *testing.T) {
-	team := NewTeam(3)
+	for _, n := range []int{1, 3} {
+		team := NewTeam(n)
+		var sink atomic.Int64
+		body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+		master := func() { sink.Add(1) }
+		share := func(tid int) { sink.Add(int64(tid)) }
+		for name, region := range map[string]func(){
+			"static":        func() { team.ParallelFor(30, Static, 0, body) },
+			"guided":        func() { team.ParallelFor(30, Guided, 2, body) },
+			"master+guided": func() { team.RunWithMaster(master, 30, 1, body) },
+			"run":           func() { team.Run(share) },
+		} {
+			if allocs := testing.AllocsPerRun(200, region); allocs != 0 {
+				t.Errorf("team of %d: a %s region allocates %.1f times, want 0", n, name, allocs)
+			}
+		}
+		team.Close()
+	}
+}
+
+// TestTeamOfOneRunsOnTheCaller: a team of one starts no goroutine, runs its
+// regions on the goroutine that launches them, and keeps the panic contract
+// of a larger team — the region ends (its span closes) before the panic is
+// raised, and the team stays usable.
+func TestTeamOfOneRunsOnTheCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	team := NewTeam(1)
 	defer team.Close()
-	var sink atomic.Int64
-	body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
-	if n := testing.AllocsPerRun(200, func() { team.ParallelFor(30, Static, 0, body) }); n > 2 {
-		t.Fatalf("a static ParallelFor region allocates %.1f times, want at most 2", n)
+	if after := runtime.NumGoroutine(); after > before { // workers of earlier tests may still be exiting
+		t.Fatalf("a team of one started %d goroutines", after-before)
+	}
+	rec := obs.NewRecorder()
+	team.SetRecorder(rec, 0)
+	func() {
+		defer func() {
+			if p := recover(); p != "master failed" {
+				t.Fatalf("recovered %v, want the master's panic", p)
+			}
+		}()
+		team.RunWithMaster(func() { panic("master failed") }, 10, 1, func(lo, hi int) {})
+	}()
+	if spans := rec.Spans(); len(spans) != 1 || spans[0].Label != "master+guided" {
+		t.Fatalf("spans %+v, want the one region's", spans)
+	}
+	var covered int
+	team.ParallelFor(10, Static, 0, func(lo, hi int) { covered += hi - lo })
+	if covered != 10 {
+		t.Fatalf("team unusable after a panicked region: %d of 10 iterations", covered)
 	}
 }
