@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -52,16 +53,7 @@ func (lc *logCapture) String() string {
 // TestAdvectdCLI boots the daemon, serves one predict job end to end, and
 // drains it with SIGTERM.
 func TestAdvectdCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	bin := filepath.Join(t.TempDir(), "advectd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build: %v\n%s", err, out)
-	}
-
+	bin := buildBinary(t)
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "4", "-pprof")
 	logs := &logCapture{addr: make(chan string, 1)}
 	cmd.Stderr = logs
@@ -165,5 +157,40 @@ func TestAdvectdCLI(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("structured logs missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// buildBinary compiles the daemon into a test directory.
+func buildBinary(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := filepath.Join(t.TempDir(), "advectd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Env = os.Environ()
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Skipf("cannot build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestAdvectdFlags is the settable-values ratchet of the daemon: a new flag
+// is a visible edit to this list.
+func TestAdvectdFlags(t *testing.T) {
+	out, err := exec.Command(buildBinary(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.TrimPrefix(strings.Fields(line)[0], "-"))
+		}
+	}
+	want := []string{"addr", "cache", "drain", "drift", "logjson", "loglevel", "maxn",
+		"maxsteps", "model", "node", "pprof", "queue", "sessions", "workers"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("advectd flags %v, want %v", got, want)
 	}
 }

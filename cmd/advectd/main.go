@@ -15,8 +15,9 @@
 //
 // Watch the fleet live: GET /v1/stats serves rolling-window telemetry
 // (queue depth/wait, per-type latency quantiles, overlap efficiency,
-// points/sec over the last -window seconds) and GET /v1/stream is an SSE
-// feed of job events plus periodic stats snapshots every -stream interval.
+// points/sec over the last 60 seconds) and GET /v1/stream is an SSE feed of
+// job events plus a stats snapshot every second (?interval= picks another
+// cadence), with a ": heartbeat" comment every 15 seconds.
 // A traced simulate job's stitched Chrome trace — request lifecycle and
 // per-rank runner phases on one timeline — is at GET /v1/jobs/{id}/trace.
 //
@@ -38,8 +39,8 @@
 // shed), is counted in workers.busy, points/sec and the "segment" latency
 // series, and shares the pool with waiting jobs at no fixed priority.
 //
-// An always-on flight recorder (-flight sizes its ring) retains the last
-// N log/span/stats records and watches /v1/stats for anomalies — latency
+// An always-on flight recorder retains the last 512 log/span/stats records
+// and watches /v1/stats for anomalies — latency
 // spikes, shed bursts, stragglers, and model-vs-measured overlap drift
 // beyond -drift against the -model machine. GET /v1/debug/bundle exports the
 // postmortem: flight ring, frozen anomaly snapshots, stats, profiles, and
@@ -58,24 +59,20 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 2, "worker pool size (concurrent jobs and session segments)")
-		queue     = flag.Int("queue", 16, "admission queue capacity (full queue returns 429)")
-		cache     = flag.Int("cache", 256, "result cache entries (LRU)")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		maxN      = flag.Int("maxn", 0, "largest grid points per dimension a simulate job may request (0 = default)")
-		maxStep   = flag.Int("maxsteps", 0, "largest timestep count a simulate job may request (0 = default)")
-		pprofOn   = flag.Bool("pprof", false, "expose Go profiling endpoints under /debug/pprof/")
-		logJSON   = flag.Bool("logjson", false, "emit logs as JSON instead of logfmt text")
-		logLevel  = flag.String("loglevel", "info", "minimum log level: debug, info, warn, or error")
-		window    = flag.Duration("window", 60*time.Second, "rolling telemetry window for /v1/stats and /v1/stream")
-		stream    = flag.Duration("stream", time.Second, "default stats cadence on /v1/stream (per-request ?interval= overrides)")
-		nodeID    = flag.String("node", "", "cluster node id: prefixes job ids and labels /healthz and /v1/stats (empty = standalone)")
-		flightN   = flag.Int("flight", 0, "flight-recorder ring size in events for /v1/debug/bundle (below 1 = default)")
-		drift     = flag.Float64("drift", 0, "model-vs-measured overlap drift tolerance before an anomaly fires (0 = default)")
-		model     = flag.String("model", "", "machine model the anomaly engine predicts against (empty = default)")
-		heartbeat = flag.Duration("heartbeat", 15*time.Second, "SSE keep-alive comment cadence on idle /v1/stream connections")
-		sessDir   = flag.String("sessions", "", "session checkpoint directory: enables resumable sessions under /v1/sessions (empty = disabled)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", 2, "worker pool size (concurrent jobs and session segments)")
+		queue    = flag.Int("queue", 16, "admission queue capacity (full queue returns 429)")
+		cache    = flag.Int("cache", 256, "result cache entries (LRU)")
+		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		maxN     = flag.Int("maxn", 0, "largest grid points per dimension a simulate job may request (0 = default)")
+		maxStep  = flag.Int("maxsteps", 0, "largest timestep count a simulate job may request (0 = default)")
+		pprofOn  = flag.Bool("pprof", false, "expose Go profiling endpoints under /debug/pprof/")
+		logJSON  = flag.Bool("logjson", false, "emit logs as JSON instead of logfmt text")
+		logLevel = flag.String("loglevel", "info", "minimum log level: debug, info, warn, or error")
+		nodeID   = flag.String("node", "", "cluster node id: prefixes job ids and labels /healthz and /v1/stats (empty = standalone)")
+		drift    = flag.Float64("drift", 0, "model-vs-measured overlap drift tolerance before an anomaly fires (0 = default)")
+		model    = flag.String("model", "", "machine model the anomaly engine predicts against (empty = default)")
+		sessDir  = flag.String("sessions", "", "session checkpoint directory: enables resumable sessions under /v1/sessions (empty = disabled)")
 	)
 	flag.Parse()
 
@@ -96,12 +93,9 @@ func main() {
 		Workers: *workers, QueueCap: *queue, CacheEntries: *cache,
 		DrainTimeout: *drain, Limits: lim,
 		Logger: logger, EnablePprof: *pprofOn,
-		StatsWindow: *window, StreamInterval: *stream,
-		NodeID:            *nodeID,
-		FlightEvents:      *flightN,
-		FlightRules:       flight.Rules{DriftTolerance: *drift, ModelMachine: *model},
-		HeartbeatInterval: *heartbeat,
-		SessionDir:        *sessDir,
+		NodeID:      *nodeID,
+		FlightRules: flight.Rules{DriftTolerance: *drift, ModelMachine: *model},
+		SessionDir:  *sessDir,
 	})
 
 	// Stop accepting connections, then drain the pool.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -64,16 +65,7 @@ func (lc *logCapture) String() string {
 // serves a job end to end through it, verifies the cluster surface, and
 // stops it with SIGTERM.
 func TestAdvectgwCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	bin := filepath.Join(t.TempDir(), "advectgw")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Skipf("cannot build: %v\n%s", err, out)
-	}
-
+	bin := buildBinary(t)
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-local", "3", "-health", "250ms")
 	logs := &logCapture{addr: make(chan string, 1)}
 	cmd.Stderr = logs
@@ -222,5 +214,40 @@ func TestAdvectgwCLI(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "stopped cleanly") {
 		t.Errorf("stdout = %q, want the clean-stop message", stdout.String())
+	}
+}
+
+// buildBinary compiles the gateway into a test directory.
+func buildBinary(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := filepath.Join(t.TempDir(), "advectgw")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Env = os.Environ()
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Skipf("cannot build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestAdvectgwFlags is the settable-values ratchet of the gateway: a new flag
+// is a visible edit to this list.
+func TestAdvectgwFlags(t *testing.T) {
+	out, err := exec.Command(buildBinary(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.TrimPrefix(strings.Fields(line)[0], "-"))
+		}
+	}
+	want := []string{"addr", "cache", "drain", "failures", "health", "local", "logjson",
+		"loglevel", "nodes", "pprof", "queue", "retrywait", "sessions", "sessionsync", "workers"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("advectgw flags %v, want %v", got, want)
 	}
 }

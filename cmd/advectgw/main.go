@@ -71,13 +71,9 @@ func main() {
 		health    = flag.Duration("health", time.Second, "health-check sweep interval")
 		failures  = flag.Int("failures", 2, "consecutive failed probes before a node is down")
 		retryWait = flag.Duration("retrywait", time.Second, "longest Retry-After honored by retrying the owner shard in place")
-		reqTO     = flag.Duration("timeout", 10*time.Second, "outbound per-request timeout to nodes")
-		stream    = flag.Duration("stream", time.Second, "merged cluster-stats cadence on /v1/stream")
-		window    = flag.Duration("window", time.Minute, "gateway rolling-telemetry window span")
 		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof")
 		logJSON   = flag.Bool("logjson", false, "emit logs as JSON instead of logfmt text")
 		logLevel  = flag.String("loglevel", "info", "minimum log level: debug, info, warn, or error")
-		heartbeat = flag.Duration("heartbeat", 15*time.Second, "SSE keep-alive comment cadence on idle /v1/stream connections")
 		sessSync  = flag.Duration("sessionsync", time.Second, "session checkpoint replication sweep interval")
 		sessions  = flag.String("sessions", "", "session checkpoint directory for -local nodes (one subdirectory per node; empty = sessions disabled locally)")
 	)
@@ -120,14 +116,8 @@ func main() {
 		HealthInterval: *health,
 		FailThreshold:  *failures,
 		RetryWait:      *retryWait,
-		RequestTimeout: *reqTO,
-		StreamInterval: *stream,
-		StatsWindow:    *window,
 		EnablePprof:    *pprofOn,
 		Logger:         logger,
-
-		// SSE comment-line keep-alive on idle federated streams.
-		HeartbeatInterval: *heartbeat,
 
 		// Checkpoint replication cadence for routed sessions.
 		SessionSyncInterval: *sessSync,

@@ -23,10 +23,9 @@ func startFlightCluster(t *testing.T, cfg Config, rules flight.Rules, ids ...str
 	tc := &testCluster{nodes: map[string]*httptest.Server{}}
 	for _, id := range ids {
 		s := service.New(service.Config{
-			NodeID:         id,
-			StreamInterval: 200 * time.Millisecond,
-			DrainTimeout:   2 * time.Minute,
-			FlightRules:    rules,
+			NodeID:       id,
+			DrainTimeout: 2 * time.Minute,
+			FlightRules:  rules,
 		})
 		ts := httptest.NewServer(s.Handler())
 		cfg.Members = append(cfg.Members, Member{ID: id, URL: ts.URL})

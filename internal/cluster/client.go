@@ -19,17 +19,15 @@ import (
 // gateway shutdown) propagates into the outbound request — the cluster
 // analog of the context threading the runners use to stay killable.
 type nodeClient struct {
-	hc      *http.Client // short requests (submit, stats, health)
-	stream  *http.Client // long-lived SSE reads; no overall timeout
-	timeout time.Duration
+	hc     *http.Client // short requests (submit, stats, health)
+	stream *http.Client // long-lived SSE reads; no overall timeout
 }
 
-func newNodeClient(timeout time.Duration) *nodeClient {
-	return &nodeClient{
-		hc:      &http.Client{},
-		stream:  &http.Client{},
-		timeout: timeout,
-	}
+// requestTimeout bounds each outbound node request (not streams).
+const requestTimeout = 10 * time.Second
+
+func newNodeClient() *nodeClient {
+	return &nodeClient{hc: &http.Client{}, stream: &http.Client{}}
 }
 
 // nodeResponse is a node's whole answer to one request.
@@ -44,7 +42,7 @@ type nodeResponse struct {
 // JSON; a non-empty trace rides along as X-Advect-Trace, handing the
 // gateway's span log to the node.
 func (c *nodeClient) do(ctx context.Context, method, url string, body []byte, trace string) (*nodeResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if len(body) > 0 {

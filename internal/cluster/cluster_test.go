@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,9 +34,8 @@ func startNode(t *testing.T, id string) (Member, *httptest.Server) {
 	// DrainTimeout is generous because -race inflates job runtimes; a test
 	// drain must never hit the cancellation cliff.
 	s := service.New(service.Config{
-		NodeID:         id,
-		StreamInterval: 200 * time.Millisecond,
-		DrainTimeout:   2 * time.Minute,
+		NodeID:       id,
+		DrainTimeout: 2 * time.Minute,
 	})
 	ts := httptest.NewServer(s.Handler())
 	return Member{ID: id, URL: ts.URL}, ts
@@ -571,5 +571,20 @@ func TestClusterShedsWhenAllReject(t *testing.T) {
 	}
 	if c := r.Counters(); c.Shed != 1 {
 		t.Errorf("Shed = %d, want 1", c.Shed)
+	}
+}
+
+// TestConfigFields is the settable-values ratchet of a gateway: a new
+// Config field is a visible edit to this list.
+func TestConfigFields(t *testing.T) {
+	want := []string{"Members", "HealthInterval", "FailThreshold", "RetryWait",
+		"SessionSyncInterval", "EnablePprof", "Logger"}
+	var got []string
+	typ := reflect.TypeOf(Config{})
+	for i := range typ.NumField() {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cluster.Config fields %v, want %v", got, want)
 	}
 }

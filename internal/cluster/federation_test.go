@@ -90,7 +90,7 @@ func TestClusterFederatedStats(t *testing.T) {
 // node's events with a leading "node" label, plus periodic merged cluster
 // events no single node could emit.
 func TestClusterFederatedStream(t *testing.T) {
-	tc := startCluster(t, Config{StreamInterval: 200 * time.Millisecond}, "n1", "n2")
+	tc := startCluster(t, Config{}, "n1", "n2")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

@@ -233,7 +233,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 // node-labelled, multiplexed through the gateway hub, plus a periodic
 // merged cluster-stats event the per-node streams cannot provide.
 func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
-	service.ServeStream(w, req, r.hub, r.cfg.StreamInterval, r.cfg.HeartbeatInterval, "cluster",
+	service.ServeStream(w, req, r.hub, service.StreamInterval, service.HeartbeatInterval, "cluster",
 		func() any { return r.FederatedStats(req.Context()) })
 }
 

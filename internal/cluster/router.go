@@ -32,18 +32,6 @@ type Config struct {
 	// briefly retrying the owner shard in place; a larger advertised wait
 	// fails over to the next ring node instead. Default 1s.
 	RetryWait time.Duration
-	// RequestTimeout bounds each outbound node request (not streams).
-	// Default 10s.
-	RequestTimeout time.Duration
-	// StreamInterval is the cadence of merged cluster-stats events on the
-	// federated SSE stream. Default 1s.
-	StreamInterval time.Duration
-	// HeartbeatInterval is the cadence of ": heartbeat" SSE comment lines
-	// on idle federated streams (mirrors the per-node setting). Default 15s.
-	HeartbeatInterval time.Duration
-	// StatsWindow spans the gateway's rolling telemetry windows (route
-	// latency, retries, failovers). Default 60s.
-	StatsWindow time.Duration
 	// SessionSyncInterval is the cadence of the checkpoint replication
 	// sweep: how often the gateway pulls each live session's newest durable
 	// checkpoint off its owner. It bounds how far back a session resumed
@@ -65,18 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryWait <= 0 {
 		c.RetryWait = time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.StreamInterval <= 0 {
-		c.StreamInterval = time.Second
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 15 * time.Second
-	}
-	if c.StatsWindow <= 0 {
-		c.StatsWindow = 60 * time.Second
 	}
 	if c.SessionSyncInterval <= 0 {
 		c.SessionSyncInterval = time.Second
@@ -188,10 +164,10 @@ func NewRouter(cfg Config) *Router {
 	r := &Router{
 		cfg:      cfg,
 		log:      cfg.Logger,
-		client:   newNodeClient(cfg.RequestTimeout),
+		client:   newNodeClient(),
 		members:  NewMembership(cfg.Members, cfg.FailThreshold, time.Now()),
 		hub:      telemetry.NewHub(),
-		tele:     NewGatewayTelemetry(cfg.StatsWindow),
+		tele:     NewGatewayTelemetry(),
 		jobs:     &table{noun: "job", prefix: "/v1/jobs/", entries: map[string]*entry{}},
 		sessions: &table{noun: "session", prefix: "/v1/sessions/", entries: map[string]*entry{}},
 		byFP:     map[string]*entry{},

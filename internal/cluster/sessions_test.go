@@ -19,10 +19,9 @@ import (
 func startSessionNode(t *testing.T, id string) (Member, *httptest.Server) {
 	t.Helper()
 	s := service.New(service.Config{
-		NodeID:         id,
-		StreamInterval: 200 * time.Millisecond,
-		DrainTimeout:   2 * time.Minute,
-		SessionDir:     t.TempDir(),
+		NodeID:       id,
+		DrainTimeout: 2 * time.Minute,
+		SessionDir:   t.TempDir(),
 	})
 	// Registered after TempDir's own cleanup, so it runs before it: the run
 	// loops have written their last record when the directory is removed.

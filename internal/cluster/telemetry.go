@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
@@ -30,9 +31,10 @@ type GatewayTelemetry struct {
 	perNode map[string]*telemetry.Window // routing latency per accepting node
 }
 
-// NewGatewayTelemetry sizes every window to span in 60 buckets, matching
-// the per-node telemetry cadence so federated documents line up.
-func NewGatewayTelemetry(span time.Duration) *GatewayTelemetry {
+// NewGatewayTelemetry sizes every window to service.StatsWindow in 60
+// buckets, the per-node telemetry cadence, so federated documents line up.
+func NewGatewayTelemetry() *GatewayTelemetry {
+	span := service.StatsWindow
 	bucket := span / 60
 	dur := telemetry.DurationBounds()
 	return &GatewayTelemetry{

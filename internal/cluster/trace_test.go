@@ -30,9 +30,8 @@ import (
 func startZombieNode(t *testing.T, id string) (Member, *httptest.Server, *atomic.Bool) {
 	t.Helper()
 	s := service.New(service.Config{
-		NodeID:         id,
-		StreamInterval: 200 * time.Millisecond,
-		DrainTimeout:   2 * time.Minute,
+		NodeID:       id,
+		DrainTimeout: 2 * time.Minute,
 	})
 	var zombie atomic.Bool
 	inner := s.Handler()

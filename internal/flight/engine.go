@@ -138,8 +138,8 @@ type JobSample struct {
 // Engine judges traced jobs and the node's rolling windows against the
 // configured rules. It keeps no series of its own: the windowed rules read
 // the /v1/stats document of the instant, so an alarm's value is a number an
-// operator can read there. Firings freeze a flight-recorder snapshot and invoke the notify callback
-// (outside the engine lock).
+// operator can read there. Firings invoke the notify callback (outside the
+// engine lock) and then freeze a flight-recorder snapshot.
 type Engine struct {
 	rules Rules
 	rec   *Recorder
@@ -152,7 +152,7 @@ type Engine struct {
 	total    uint64
 	byRule   map[string]int
 	frozen   int
-	notify   func(Anomaly, Snapshot)
+	notify   func(Anomaly)
 }
 
 // resumeTrack follows one session's recoveries: how many landed while its
@@ -183,16 +183,18 @@ func NewEngine(rules Rules, rec *Recorder) *Engine {
 	return e
 }
 
-// Notify registers fn to run (outside the engine lock) after every
-// firing, with the anomaly and the flight snapshot it froze.
-func (e *Engine) Notify(fn func(Anomaly, Snapshot)) {
+// Notify registers fn to run (outside the engine lock) on every firing,
+// before the flight ring is frozen.
+func (e *Engine) Notify(fn func(Anomaly)) {
 	e.mu.Lock()
 	e.notify = fn
 	e.mu.Unlock()
 }
 
-// fire appends the anomaly, freezes the flight ring and notifies — unless
-// the rule is still cooling down.
+// fire appends the anomaly, notifies and then freezes the flight ring —
+// unless the rule is still cooling down. The engine adds no ring record of
+// its own: the notify callback's log line, teed into the ring, is the
+// firing's one record, and the freeze that follows holds it.
 func (e *Engine) fire(a Anomaly) {
 	e.mu.Lock()
 	if last, ok := e.lastFire[a.Rule]; ok && a.Time.Sub(last) < cooldown {
@@ -212,19 +214,10 @@ func (e *Engine) fire(a Anomaly) {
 	e.frozen++
 	e.mu.Unlock()
 
-	e.rec.Add(Record{
-		Time:    a.Time,
-		Kind:    KindAnomaly,
-		Level:   "WARN",
-		Msg:     a.Message,
-		JobID:   a.JobID,
-		TraceID: a.TraceID,
-		Attrs:   "rule=" + a.Rule,
-	})
-	snap := e.rec.Freeze(a.Time, a.Rule)
 	if notify != nil {
-		notify(a, snap)
+		notify(a)
 	}
+	e.rec.Freeze(a.Time, a.Rule)
 }
 
 // ObserveJob checks one finished traced job's report for straggler

@@ -26,7 +26,7 @@ type node struct {
 
 func newNode() *node {
 	n := &node{tele: service.NewTelemetry(at(0), time.Minute, 16), e: flight.NewEngine(flight.Rules{}, flight.NewRecorder(0))}
-	n.e.Notify(func(a flight.Anomaly, _ flight.Snapshot) { n.fired = append(n.fired, a) })
+	n.e.Notify(func(a flight.Anomaly) { n.fired = append(n.fired, a) })
 	return n
 }
 

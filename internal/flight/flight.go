@@ -29,10 +29,9 @@ const (
 	// KindStats is a periodic stats snapshot line from the sweep loop.
 	KindStats RecordKind = "stats"
 	// KindLog is a structured log record teed off the node's slog handler;
-	// job and session lifecycle transitions are these, with the id lifted.
+	// job and session lifecycle transitions and anomaly firings are these,
+	// with the id lifted.
 	KindLog RecordKind = "log"
-	// KindAnomaly marks an anomaly-engine firing.
-	KindAnomaly RecordKind = "anomaly"
 )
 
 // Record is one flight-recorder entry. Seq increases monotonically over
@@ -140,17 +139,15 @@ func (r *Recorder) Snapshot(now time.Time) Snapshot {
 
 // Freeze captures the ring at this instant and retains the copy (up to
 // DefaultFrozen; the oldest freeze is evicted first) for the postmortem
-// bundle. It returns the frozen snapshot.
-func (r *Recorder) Freeze(now time.Time, reason string) Snapshot {
+// bundle.
+func (r *Recorder) Freeze(now time.Time, reason string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.snapshotLocked(now, reason)
 	if len(r.frozen) >= DefaultFrozen {
 		copy(r.frozen, r.frozen[1:])
 		r.frozen = r.frozen[:len(r.frozen)-1]
 	}
-	r.frozen = append(r.frozen, s)
-	return s
+	r.frozen = append(r.frozen, r.snapshotLocked(now, reason))
 }
 
 // Frozen returns the retained frozen snapshots, oldest first.

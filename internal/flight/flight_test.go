@@ -197,12 +197,7 @@ func TestEngineModelDrift(t *testing.T) {
 	rec := NewRecorder(32)
 	e := NewEngine(Rules{DriftTolerance: 0.35}, rec)
 	var fired []Anomaly
-	e.Notify(func(a Anomaly, s Snapshot) {
-		if len(s.Records) == 0 {
-			t.Error("firing froze an empty snapshot")
-		}
-		fired = append(fired, a)
-	})
+	e.Notify(func(a Anomaly) { fired = append(fired, a) })
 
 	rec.Add(Record{Time: at(0), Kind: KindLog, Msg: "job started", JobID: "n1-1", TraceID: "tr-1"})
 
@@ -226,8 +221,8 @@ func TestEngineModelDrift(t *testing.T) {
 	if a.Expected < 0.9 {
 		t.Errorf("Expected = %g, want near 1 (hybrid-overlap prediction)", a.Expected)
 	}
-	if frozen := rec.Frozen(); len(frozen) != 1 || frozen[0].Reason != RuleModelDrift {
-		t.Errorf("frozen = %+v", frozen)
+	if frozen := rec.Frozen(); len(frozen) != 1 || frozen[0].Reason != RuleModelDrift || len(frozen[0].Records) != 1 {
+		t.Errorf("frozen = %+v, want one model-drift snapshot of the one ring record", frozen)
 	}
 
 	// Anomaly history reflects the firing.
@@ -240,7 +235,7 @@ func TestEngineModelDrift(t *testing.T) {
 func TestEngineDriftWithinTolerance(t *testing.T) {
 	e := NewEngine(Rules{DriftTolerance: 0.35}, NewRecorder(0))
 	fired := 0
-	e.Notify(func(Anomaly, Snapshot) { fired++ })
+	e.Notify(func(Anomaly) { fired++ })
 	// Measured 0.9 where the model predicts ~1.0: inside the band.
 	e.ObserveJob(at(1), JobSample{
 		JobID: "n1-2", Kind: "hybrid-overlap",
@@ -255,7 +250,7 @@ func TestEngineDriftWithinTolerance(t *testing.T) {
 func TestEngineStraggler(t *testing.T) {
 	e := NewEngine(Rules{}, NewRecorder(0))
 	var fired []Anomaly
-	e.Notify(func(a Anomaly, _ Snapshot) { fired = append(fired, a) })
+	e.Notify(func(a Anomaly) { fired = append(fired, a) })
 
 	rep := &obs.Report{Imbalance: &obs.ImbalanceReport{
 		Ranks:     []obs.RankLoad{{Rank: 0, BusySec: 3.0}, {Rank: 1, BusySec: 0.5}},
@@ -300,7 +295,7 @@ func TestEngineAnomalyHistoryBounded(t *testing.T) {
 func TestEngineResumeLoop(t *testing.T) {
 	e := NewEngine(Rules{}, NewRecorder(0))
 	var fired []Anomaly
-	e.Notify(func(a Anomaly, _ Snapshot) { fired = append(fired, a) })
+	e.Notify(func(a Anomaly) { fired = append(fired, a) })
 
 	// Forward progress between resumes never fires, however many there are.
 	for i := 0; i < 6; i++ {

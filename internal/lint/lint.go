@@ -8,13 +8,12 @@
 // file:line:col: [analyzer] message diagnostics.
 //
 // Analyzers come in two halves. Run inspects one type-checked package at
-// a time; packages are presented in topological dependency order, so a
-// Run pass may export object facts about the functions it has seen
-// (Pass.ExportObjectFact) knowing its callees' packages were visited
-// first. Finish, when set, runs once after every package, sees the whole
-// module plus every exported fact (ModulePass), and is where
-// inter-procedural analyzers like lockorder resolve their cross-package
-// graphs.
+// a time; packages are presented in topological dependency order, so
+// callees' packages are visited before their callers'. Finish, when set,
+// runs once after every package with the whole module in view
+// (ModulePass). An inter-procedural analyzer like lockorder keeps its own
+// per-function summaries between the two: Run fills them, and Finish
+// resolves them into one cross-package graph.
 //
 // One directive comment steers the analyzers:
 //
@@ -31,7 +30,6 @@ package lint
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -51,10 +49,9 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named invariant checker. Run inspects a single
 // type-checked package and reports findings through the pass; packages
-// arrive in topological dependency order, so facts a Run pass exports
-// about an object are visible when its importers are visited. Finish,
-// when non-nil, runs once after the last package with the whole module
-// and every fact in view — the inter-procedural half.
+// arrive in topological dependency order. Finish, when non-nil, runs once
+// after the last package with the whole module in view — the
+// inter-procedural half.
 type Analyzer struct {
 	Name   string
 	Doc    string
@@ -62,22 +59,11 @@ type Analyzer struct {
 	Finish func(*ModulePass)
 }
 
-// factKey scopes an exported fact to the analyzer that produced it, so
-// two analyzers can annotate the same object independently.
-type factKey struct {
-	analyzer string
-	obj      types.Object
-}
-
-// factSet is the shared inter-procedural fact store of one lint run.
-type factSet map[factKey]any
-
 // Pass carries one (package, analyzer) pairing through a Run call.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	diags    *[]Diagnostic
-	facts    factSet
 }
 
 // Reportf records a finding at pos.
@@ -89,25 +75,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportObjectFact attaches an analyzer-scoped fact to obj — typically a
-// *types.Func summary — for the Finish pass (or a later package's Run
-// pass) to read. Object identity is shared across the whole load: the
-// module loader type-checks every package against the same imported
-// package instances, so a callee's *types.Func is the same object no
-// matter which package the call site is in.
-func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
-	p.facts[factKey{p.Analyzer.Name, obj}] = fact
-}
-
-// ModulePass is the Finish-stage view: every package of the load plus the
-// facts the per-package passes exported. All packages of one Run share a
-// FileSet, so positions from any package resolve here.
+// ModulePass is the Finish-stage view: every package of the load. All
+// packages of one Run share a FileSet, so positions from any package
+// resolve here.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 	fset     *token.FileSet
 	diags    *[]Diagnostic
-	facts    factSet
 }
 
 // Reportf records a module-level finding at pos.
@@ -122,18 +97,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // Position resolves a token.Pos against the load's shared FileSet.
 func (p *ModulePass) Position(pos token.Pos) token.Position {
 	return p.fset.Position(pos)
-}
-
-// AllObjectFacts returns every (object, fact) pair this analyzer
-// exported, in unspecified order.
-func (p *ModulePass) AllObjectFacts() map[types.Object]any {
-	out := map[types.Object]any{}
-	for k, v := range p.facts {
-		if k.analyzer == p.Analyzer.Name {
-			out[k.obj] = v
-		}
-	}
-	return out
 }
 
 // nolintDirective is one parsed //advect:nolint comment.
@@ -218,8 +181,7 @@ type suppressKey struct {
 }
 
 // Run executes every analyzer over every package (in the order given —
-// the module loader's topological order, so fact exporters see callees
-// first), then every Finish pass over the whole load, applies the nolint
+// the module loader's topological order, so callees come first), then every Finish pass over the whole load, applies the nolint
 // directives, validates the directives themselves, and returns the
 // surviving diagnostics sorted by position. All packages must share one
 // FileSet (LoadModule guarantees this).
@@ -228,11 +190,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	facts := factSet{}
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &raw, facts: facts}
+			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &raw}
 			a.Run(pass)
 		}
 	}
@@ -241,7 +202,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			if a.Finish == nil {
 				continue
 			}
-			mp := &ModulePass{Analyzer: a, Pkgs: pkgs, fset: pkgs[0].Fset, diags: &raw, facts: facts}
+			mp := &ModulePass{Analyzer: a, Pkgs: pkgs, fset: pkgs[0].Fset, diags: &raw}
 			a.Finish(mp)
 		}
 	}

@@ -153,8 +153,8 @@ func parseDir(dir string) ([]*ast.File, error) {
 
 // LoadModule parses and type-checks every non-test package under root (the
 // module root) and returns them in topological dependency order (imports
-// before importers — the order the inter-procedural facts passes rely
-// on). Packages that don't depend on each other type-check concurrently,
+// before importers — the order the inter-procedural passes rely on).
+// Packages that don't depend on each other type-check concurrently,
 // level by level. testdata, hidden, and underscore-prefixed directories
 // are skipped, exactly as the go tool skips them.
 func LoadModule(root string) ([]*Package, error) {
@@ -341,6 +341,6 @@ func LoadModule(root string) ([]*Package, error) {
 		}
 	}
 	// pkgs is in topological dependency order — the order Run's analyzers
-	// rely on to export facts about callees before their callers appear.
+	// rely on to see callees before their callers.
 	return pkgs, nil
 }

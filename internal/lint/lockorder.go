@@ -12,14 +12,15 @@ import (
 
 // LockOrder builds the module-wide lock-order analyzer: the
 // inter-procedural deadlock check. The per-package Run pass walks every
-// function in dependency order and exports a fact per function — which
-// locks it acquires, which it acquires while already holding another,
-// and which callees it invokes under a lock. The Finish pass then stitches
-// the facts into one lock-order graph over the whole module (an edge
-// A → B means "B was acquired while A was held", with acquisitions
-// resolved through direct static callees, any call depth) and reports
-// every cycle as a potential deadlock, naming each edge's acquisition
-// chain so both sides of an inversion are visible in one message.
+// function in dependency order and records a summary per function in the
+// analyzer's own map — which locks it acquires, which it acquires while
+// already holding another, and which callees it invokes under a lock. The
+// Finish pass then stitches the summaries into one lock-order graph over
+// the whole module (an edge A → B means "B was acquired while A was held",
+// with acquisitions resolved through direct static callees, any call
+// depth), reports every cycle as a potential deadlock, naming each edge's
+// acquisition chain so both sides of an inversion are visible in one
+// message, and clears the map.
 //
 // Locks are identified by their declaration — the struct field or package
 // variable — so the analysis is instance-insensitive: two locks of the
@@ -28,29 +29,36 @@ import (
 // function literals are separate analysis roots with no held locks, the
 // same under-approximation lockheld makes — both are listeners on the one
 // held-lock walk (walkLocks).
+//
+// A callee's *types.Func is the same object whichever package the call site
+// is in: the module loader type-checks every package against the same
+// imported package instances, so the summaries key on it directly.
 func LockOrder() *Analyzer {
-	a := &Analyzer{
+	byFn := map[*types.Func]*lockFuncFacts{}
+	return &Analyzer{
 		Name: "lockorder",
 		Doc:  "no cycles in the module-wide lock acquisition order (potential deadlock)",
+		Run: func(pass *Pass) {
+			for _, fd := range funcDecls(pass.Pkg) {
+				if fd.Body == nil {
+					continue
+				}
+				fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+				if fn == nil {
+					continue
+				}
+				facts := &lockFuncFacts{name: shortFuncName(fn)}
+				walkLocks(pass, fd.Body, &orderListener{pass: pass, facts: facts})
+				if len(facts.acquires) > 0 || len(facts.calls) > 0 {
+					byFn[fn] = facts
+				}
+			}
+		},
+		Finish: func(mp *ModulePass) {
+			finishLockOrder(mp, byFn)
+			clear(byFn)
+		},
 	}
-	a.Run = func(pass *Pass) {
-		for _, fd := range funcDecls(pass.Pkg) {
-			if fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			facts := &lockFuncFacts{name: shortFuncName(fn)}
-			walkLocks(pass, fd.Body, &orderListener{pass: pass, facts: facts})
-			if len(facts.acquires) > 0 || len(facts.calls) > 0 {
-				pass.ExportObjectFact(fn, facts)
-			}
-		}
-	}
-	a.Finish = finishLockOrder
-	return a
 }
 
 // lockEdge is a direct within-function ordering: to was acquired at pos
@@ -69,7 +77,7 @@ type lockCall struct {
 	pos  token.Pos
 }
 
-// lockFuncFacts is the exported per-function summary.
+// lockFuncFacts is the per-function summary.
 type lockFuncFacts struct {
 	name     string
 	acquires []heldLock
@@ -160,17 +168,8 @@ type orderEdge struct {
 }
 
 // finishLockOrder assembles the module lock-order graph from the
-// per-function facts and reports each acquisition cycle once.
-func finishLockOrder(mp *ModulePass) {
-	byFn := map[*types.Func]*lockFuncFacts{}
-	for obj, f := range mp.AllObjectFacts() {
-		fn, ok := obj.(*types.Func)
-		facts, okF := f.(*lockFuncFacts)
-		if ok && okF {
-			byFn[fn] = facts
-		}
-	}
-
+// per-function summaries and reports each acquisition cycle once.
+func finishLockOrder(mp *ModulePass, byFn map[*types.Func]*lockFuncFacts) {
 	// Transitive acquire sets: every lock a function may take, directly
 	// or through any chain of statically resolved callees, with one
 	// representative chain + site per lock.

@@ -53,29 +53,3 @@ func CalibrateSteps(step Stepper, target time.Duration) (int, error) {
 	}
 	return 0, fmt.Errorf("measure: steps too fast to calibrate against %v", target)
 }
-
-// Result is one completed measurement.
-type Result struct {
-	Steps   int
-	Elapsed time.Duration
-}
-
-// GF converts the measurement to billions of floating-point operations per
-// second given the per-step operation count, as the paper computes its
-// reported numbers analytically from the 53 flops/point.
-func (r Result) GF(flopsPerStep float64) float64 {
-	s := r.Elapsed.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return flopsPerStep * float64(r.Steps) / s / 1e9
-}
-
-// Run calibrates and performs the measurement in one call.
-func Run(step Stepper, target time.Duration) (Result, error) {
-	n, err := CalibrateSteps(step, target)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Steps: n, Elapsed: step(n)}, nil
-}

@@ -45,25 +45,3 @@ func TestCalibrateStepsTooFast(t *testing.T) {
 		t.Fatal("uncalibratable stepper accepted")
 	}
 }
-
-func TestResultMath(t *testing.T) {
-	r := Result{Steps: 10, Elapsed: 2 * time.Second}
-	// 1e9 flops per step over 2s at 10 steps = 5 GF.
-	if gf := r.GF(1e9); gf != 5 {
-		t.Fatalf("GF = %v", gf)
-	}
-	if (Result{}).GF(1) != 0 {
-		t.Fatal("zero result math wrong")
-	}
-}
-
-func TestRunEndToEnd(t *testing.T) {
-	// A real (but tiny) target with a fake clock-free stepper.
-	res, err := Run(fakeStepper(time.Millisecond), 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elapsed < 50*time.Millisecond {
-		t.Fatalf("measured only %v", res.Elapsed)
-	}
-}

@@ -1,120 +1,17 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/flight"
+	"repro/internal/obs"
 	"repro/internal/session"
 )
-
-// lineLog collects SSE lines from a response body as they arrive, so a
-// test can assert on the stream's shape while it is still open.
-type lineLog struct {
-	mu    sync.Mutex
-	lines []string
-	done  chan struct{}
-}
-
-func followSSE(resp *http.Response) *lineLog {
-	l := &lineLog{done: make(chan struct{})}
-	go func() {
-		defer close(l.done)
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			l.mu.Lock()
-			l.lines = append(l.lines, sc.Text())
-			l.mu.Unlock()
-		}
-	}()
-	return l
-}
-
-func (l *lineLog) snapshot() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.lines...)
-}
-
-// count returns how many collected lines satisfy pred.
-func (l *lineLog) count(pred func(string) bool) int {
-	n := 0
-	for _, line := range l.snapshot() {
-		if pred(line) {
-			n++
-		}
-	}
-	return n
-}
-
-// waitFor polls until pred sees enough lines or the deadline passes.
-func (l *lineLog) waitFor(t *testing.T, what string, want int, pred func(string) bool) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for l.count(pred) < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("never saw %d %s lines; stream so far:\n%s", want, what, strings.Join(l.snapshot(), "\n"))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestStreamHeartbeatOnIdleStream is the keep-alive satellite: an idle
-// subscriber (stats interval effectively never) receives periodic SSE
-// comment lines, the connection survives them, and a real event delivered
-// afterwards still parses — heartbeats never leak into the event framing.
-func TestStreamHeartbeatOnIdleStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, HeartbeatInterval: 50 * time.Millisecond})
-
-	resp, err := http.Get(ts.URL + "/v1/stream?interval=1h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	log := followSSE(resp)
-
-	isHeartbeat := func(line string) bool { return strings.HasPrefix(line, ":") }
-	log.waitFor(t, "heartbeat", 3, isHeartbeat)
-
-	// The connection is demonstrably still alive after multiple idle
-	// heartbeats: a job submitted now must arrive as a normal event.
-	_, v := postJob(t, ts, predictBody)
-	waitState(t, ts, v.ID, StateDone)
-	log.waitFor(t, "job event", 1, func(line string) bool { return strings.HasPrefix(line, "event: job") })
-
-	lines := log.snapshot()
-	for i, line := range lines {
-		// Every frame, the heartbeat comment included, ends in a blank line.
-		if endsFrame := strings.HasPrefix(line, ":") || strings.HasPrefix(line, "data: "); endsFrame &&
-			i+1 < len(lines) && lines[i+1] != "" {
-			t.Errorf("frame ending %q is followed by %q, want a blank line", line, lines[i+1])
-		}
-		switch {
-		case line == "" || strings.HasPrefix(line, "data: "):
-		case strings.HasPrefix(line, ":"):
-			if line != ": heartbeat" {
-				t.Errorf("malformed heartbeat comment %q", line)
-			}
-		case strings.HasPrefix(line, "event: "):
-			if name := strings.TrimPrefix(line, "event: "); name != "stats" && name != "job" && name != "anomaly" {
-				t.Errorf("unexpected event name %q", name)
-			}
-		default:
-			t.Errorf("line outside the SSE framing: %q", line)
-		}
-	}
-
-	resp.Body.Close()
-	<-log.done
-}
 
 // TestDebugBundleNodeStamped checks the node-local postmortem endpoint:
 // the bundle is stamped with the node ID and carries the flight ring
@@ -165,13 +62,13 @@ func TestDebugBundleNodeStamped(t *testing.T) {
 }
 
 // TestFlightRingHoldsEachTransitionOnce: a transition enters the flight ring
-// once, as its teed log line with the id lifted — so a ring of R records
-// after K sequential jobs holds the complete history of the last R/3 of
-// them, each (job, transition) exactly once, and a session's created /
-// segment / done lines are found under the session id the same way.
+// once, as its teed log line with the id lifted — so after K sequential jobs
+// the ring holds each (job, transition) exactly once, and a session's
+// created / segment / done lines are found under the session id the same
+// way. Eviction is flight.TestRecorderRingWrap's concern.
 func TestFlightRingHoldsEachTransitionOnce(t *testing.T) {
-	const ring, jobs = 12, 8
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, FlightEvents: ring, SessionDir: t.TempDir()})
+	const jobs = 8
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, SessionDir: t.TempDir()})
 	var ids []string
 	for i := 1; i <= jobs; i++ {
 		_, v := postJob(t, ts, fmt.Sprintf(
@@ -187,14 +84,13 @@ func TestFlightRingHoldsEachTransitionOnce(t *testing.T) {
 		got[rec.JobID+" "+rec.Msg]++
 	}
 	want := map[string]int{}
-	for _, id := range ids[jobs-ring/3:] {
+	for _, id := range ids {
 		for _, transition := range []string{"job submitted", "job started", "job finished"} {
 			want[id+" "+transition] = 1
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring of %d after %d jobs holds\n%v\nwant each transition of the last %d jobs once\n%v",
-			ring, jobs, got, ring/3, want)
+		t.Fatalf("ring after %d jobs holds\n%v\nwant each transition once\n%v", jobs, got, want)
 	}
 
 	_, sv := postSession(t, ts, `{"simulate":{"kind":"bulk","n":8,"steps":4},"segment":2}`)
@@ -215,5 +111,38 @@ func TestFlightRingHoldsEachTransitionOnce(t *testing.T) {
 			t.Fatalf("ring holds %v under session %s, want %v", got, sv.ID, want)
 		}
 		time.Sleep(5 * time.Millisecond) // "session done" is logged just after the state flips
+	}
+}
+
+// TestAnomalyFiringEntersRingOnce: one engine firing is one flight-ring
+// record, the "anomaly detected" log line, and the snapshot the firing
+// freezes already holds it.
+func TestAnomalyFiringEntersRingOnce(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	const id = "job-drift"
+	// A hybrid-overlap run that hid nothing, where the model hides nearly
+	// all of the exchange: a model-drift firing.
+	s.engine.ObserveJob(time.Now(), flight.JobSample{
+		JobID: id, Kind: "hybrid-overlap", N: 48, Tasks: 2, Threads: 1,
+		Report: &obs.Report{Total: []obs.PairOverlap{{Name: obs.PairMPICompute, CommSec: 1, WorkSec: 2}}},
+	})
+	ofFiring := func(recs []flight.Record) []flight.Record {
+		var out []flight.Record
+		for _, rec := range recs {
+			if rec.JobID == id {
+				out = append(out, rec)
+			}
+		}
+		return out
+	}
+	if got := ofFiring(s.flight.Snapshot(time.Now()).Records); len(got) != 1 || got[0].Msg != "anomaly detected" {
+		t.Fatalf("ring holds %+v for the firing, want its one log line", got)
+	}
+	frozen := s.flight.Frozen()
+	if len(frozen) != 1 || frozen[0].Reason != flight.RuleModelDrift {
+		t.Fatalf("frozen snapshots %+v, want one for %s", frozen, flight.RuleModelDrift)
+	}
+	if got := ofFiring(frozen[0].Records); len(got) != 1 {
+		t.Fatalf("frozen snapshot holds %+v for the firing, want its log line", got)
 	}
 }

@@ -262,11 +262,8 @@ func (r *Request) CacheKey() string {
 		prefix := "sim-"
 		if r.Simulate.Trace {
 			// Traced results carry the overlap report and trace_url; keep
-			// them from answering untraced requests (and vice versa). The
-			// format version ("2") changed when the chrome_trace blob was
-			// replaced by trace_url, so old-shape cached documents cannot
-			// be replayed.
-			prefix = "simt2-"
+			// them from answering untraced requests (and vice versa).
+			prefix = "simt-"
 		}
 		return prefix + core.Fingerprint(k, p, r.Simulate.options().Normalize())
 	case TypePredict:

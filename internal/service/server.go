@@ -40,27 +40,14 @@ type Config struct {
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// StatsWindow is the span of the rolling telemetry windows behind
-	// GET /v1/stats and the SSE stream. Default 60s.
-	StatsWindow time.Duration
-	// StreamInterval is the default cadence of stats events on
-	// GET /v1/stream (overridable per request with ?interval=). Default 1s.
-	StreamInterval time.Duration
 	// NodeID names this instance inside a cluster. When set, job IDs are
 	// prefixed with it (so IDs stay globally unique across shards) and it
 	// is reported by /healthz and /v1/stats so a gateway can label
 	// federated telemetry. Empty means standalone (no prefix, no label).
 	NodeID string
-	// FlightEvents sizes the flight-recorder ring (last N events retained
-	// for GET /v1/debug/bundle). Below 1 selects flight.DefaultEvents.
-	FlightEvents int
 	// FlightRules configures the anomaly engine; the zero value selects
 	// the defaults documented on flight.Rules.
 	FlightRules flight.Rules
-	// HeartbeatInterval is the cadence of ": heartbeat" SSE comment lines
-	// on idle /v1/stream connections, keeping proxies from severing quiet
-	// subscribers. Default 15s.
-	HeartbeatInterval time.Duration
 	// SessionDir enables resumable sessions: the directory holding the
 	// checkpoint store and session records (POST /v1/sessions). Empty
 	// disables sessions (the routes answer 503). A restarted node rescans
@@ -68,6 +55,22 @@ type Config struct {
 	// Segments run on the Workers pool like every other job.
 	SessionDir string
 }
+
+// The cadences a node and a gateway share. None is a setting: a subscriber
+// picks its own stats cadence with ?interval=, and a 15s heartbeat sits well
+// inside the 60s idle timeout of common proxies.
+const (
+	// StatsWindow is the span of the rolling telemetry windows behind
+	// GET /v1/stats and the SSE stream, a node's and a gateway's alike.
+	StatsWindow = 60 * time.Second
+	// StreamInterval is the default cadence of stats events on
+	// GET /v1/stream.
+	StreamInterval = time.Second
+	// HeartbeatInterval is the cadence of ": heartbeat" SSE comment lines
+	// on idle /v1/stream connections, keeping proxies from severing quiet
+	// subscribers.
+	HeartbeatInterval = 15 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -87,15 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.StatsWindow <= 0 {
-		c.StatsWindow = 60 * time.Second
-	}
-	if c.StreamInterval <= 0 {
-		c.StreamInterval = time.Second
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 15 * time.Second
 	}
 	return c
 }
@@ -141,7 +135,7 @@ func New(cfg Config) *Server {
 	// span/stats/anomaly records; the engine judges traced jobs and the
 	// telemetry windows, surfacing firings on the live stream and freezing
 	// the ring for the postmortem bundle.
-	rec := flight.NewRecorder(cfg.FlightEvents)
+	rec := flight.NewRecorder(flight.DefaultEvents)
 	s := &Server{
 		cfg:        cfg,
 		log:        slog.New(flight.TeeHandler(rec, cfg.Logger.Handler())),
@@ -149,7 +143,7 @@ func New(cfg Config) *Server {
 		sessions:   newRegistry[*liveSession](cfg.NodeID, "sess"),
 		queue:      NewQueue(cfg.QueueCap),
 		cache:      NewCache(cfg.CacheEntries),
-		tele:       NewTelemetry(time.Now(), cfg.StatsWindow, cfg.QueueCap),
+		tele:       NewTelemetry(time.Now(), StatsWindow, cfg.QueueCap),
 		hub:        telemetry.NewHub(),
 		flight:     rec,
 		engine:     flight.NewEngine(cfg.FlightRules, rec),
@@ -167,9 +161,10 @@ func New(cfg Config) *Server {
 }
 
 // publishAnomaly surfaces one engine firing: a warning on the node log
-// (which the tee handler also folds into the flight ring) and an
-// "anomaly" event on the live SSE stream.
-func (s *Server) publishAnomaly(a flight.Anomaly, _ flight.Snapshot) {
+// (which the tee handler folds into the flight ring, the firing's one ring
+// record, before the engine freezes it) and an "anomaly" event on the live
+// SSE stream.
+func (s *Server) publishAnomaly(a flight.Anomaly) {
 	s.log.Warn("anomaly detected", "rule", a.Rule, "job", a.JobID,
 		"trace_id", a.TraceID, "value", a.Value, "bound", a.Bound,
 		"detail", a.Message)

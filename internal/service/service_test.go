@@ -548,8 +548,8 @@ func TestTracedSimulateJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %v", resp.Status)
 	}
-	if !strings.HasPrefix(v.CacheKey, "simt2-") {
-		t.Fatalf("traced cache key %q lacks the simt2- prefix", v.CacheKey)
+	if !strings.HasPrefix(v.CacheKey, "simt-") {
+		t.Fatalf("traced cache key %q lacks the simt- prefix", v.CacheKey)
 	}
 	waitState(t, ts, v.ID, StateDone)
 
@@ -748,5 +748,20 @@ func TestExecuteRecoversPanic(t *testing.T) {
 	_, _, err := execute(context.Background(), Request{Type: TypePredict}, nil, "job-x")
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("execute on a request with no body: err = %v, want a recovered panic", err)
+	}
+}
+
+// TestConfigFields is the settable-values ratchet of a node: a new Config
+// field is a visible edit to this list.
+func TestConfigFields(t *testing.T) {
+	want := []string{"Workers", "QueueCap", "CacheEntries", "DrainTimeout", "Limits",
+		"Logger", "EnablePprof", "NodeID", "FlightRules", "SessionDir"}
+	var got []string
+	typ := reflect.TypeOf(Config{})
+	for i := range typ.NumField() {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("service.Config fields %v, want %v", got, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // handleStream is the live telemetry feed: job lifecycle events (event:
 // job) interleaved with periodic rolling-stats snapshots (event: stats).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	ServeStream(w, r, s.hub, s.cfg.StreamInterval, s.cfg.HeartbeatInterval, "stats",
+	ServeStream(w, r, s.hub, StreamInterval, HeartbeatInterval, "stats",
 		func() any { return s.StatsSnapshot() })
 }
 

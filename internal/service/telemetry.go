@@ -11,7 +11,7 @@ import (
 // Telemetry is the node's one set of series: a window per quantity — job
 // outcomes, queue behavior, per-type execution latency, overlap efficiency
 // of traced runs, grid throughput. The rolling halves (the last
-// Config.StatsWindow seconds) are GET /v1/stats, the SSE stream and what the
+// StatsWindow) are GET /v1/stats, the SSE stream and what the
 // anomaly engine's windowed rules judge; the lifetime halves are the
 // counters and histograms of GET /metrics (Snapshot).
 type Telemetry struct {

@@ -12,8 +12,8 @@ package telemetry
 // per-node extremes otherwise; the JSON field names make no exactness
 // claim beyond the per-node documents'.
 //
-// Snapshots are assumed to cover the same span; if they differ (mixed
-// -window flags), the wider span wins and rates stay conservative.
+// Snapshots are assumed to cover the same span; if they differ (nodes of
+// different builds), the wider span wins and rates stay conservative.
 func Merge(a, b Stats) Stats {
 	totalCount, totalSum := a.TotalCount+b.TotalCount, a.TotalSum+b.TotalSum
 	if a.Count == 0 || b.Count == 0 {
