@@ -25,12 +25,12 @@
 // route/retry/failover windows, process health; Prometheus text or
 // ?format=json) and, with -pprof, net/http/pprof under /debug/pprof.
 //
-// Traced submissions (simulate jobs with "trace": true) get a cluster
-// trace context minted at the gateway and propagated to the owner node on
-// the X-Advect-Trace header, so GET /v1/jobs/{id}/trace returns one Chrome
-// trace spanning gateway routing, the cross-node handoff, and the
-// per-rank runner phases — including any failover or dead-node
-// resubmission the job lived through.
+// Traced submissions (simulate jobs with "trace": true) get a trace id
+// minted at the gateway and sent to the owner node in the request's
+// trace_id field. GET /v1/jobs/{id}/trace joins the owner's spans to the
+// gateway's routing spans into one Chrome trace spanning gateway routing,
+// the cross-node handoff, and the per-rank runner phases — including any
+// failover or dead-node resubmission the job lived through.
 //
 // Routing honors the nodes' backpressure contract: a 429 with a short
 // Retry-After is absorbed by briefly retrying the owner shard (keeping its

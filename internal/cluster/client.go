@@ -17,7 +17,10 @@ import (
 // nodeClient wraps the HTTP conversations the gateway has with a member
 // node. Every method takes a context so cancellation (client disconnect,
 // gateway shutdown) propagates into the outbound request — the cluster
-// analog of the context threading the runners use to stay killable.
+// analog of the context threading the runners use to stay killable. Both
+// clients share one transport the gateway owns, so Stop can close the
+// connections it left idle instead of leaving a node's graceful shutdown
+// to wait them out.
 type nodeClient struct {
 	hc     *http.Client // short requests (submit, stats, health)
 	stream *http.Client // long-lived SSE reads; no overall timeout
@@ -27,7 +30,8 @@ type nodeClient struct {
 const requestTimeout = 10 * time.Second
 
 func newNodeClient() *nodeClient {
-	return &nodeClient{hc: &http.Client{}, stream: &http.Client{}}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	return &nodeClient{hc: &http.Client{Transport: t}, stream: &http.Client{Transport: t}}
 }
 
 // nodeResponse is a node's whole answer to one request.
@@ -39,9 +43,8 @@ type nodeResponse struct {
 
 // do is the one outbound request: every conversation but the SSE stream
 // goes through it, under the request timeout. A non-empty body is sent as
-// JSON; a non-empty trace rides along as X-Advect-Trace, handing the
-// gateway's span log to the node.
-func (c *nodeClient) do(ctx context.Context, method, url string, body []byte, trace string) (*nodeResponse, error) {
+// JSON.
+func (c *nodeClient) do(ctx context.Context, method, url string, body []byte) (*nodeResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -54,9 +57,6 @@ func (c *nodeClient) do(ctx context.Context, method, url string, body []byte, tr
 	}
 	if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -106,8 +106,8 @@ type submitResult struct {
 }
 
 // submit forwards an already-encoded request body to a node.
-func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, trace string) (*submitResult, error) {
-	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/jobs", body, trace)
+func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte) (*submitResult, error) {
+	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/jobs", body)
 	if err != nil {
 		return nil, err
 	}
@@ -123,14 +123,13 @@ func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte, tr
 	return res, nil
 }
 
-// spans fetches a job's raw span log (its wire trace context) from a
-// node. The timeout is capped at 2s regardless of the configured request
-// timeout: the only caller is the dead-node harvest, where a node that
-// stopped answering health checks should not stall the reroute sweep.
+// spans fetches a job's raw span log from a node for the dead-node
+// harvest. It waits 2 s, not requestTimeout: a node that stopped answering
+// health checks should not stall the reroute sweep.
 func (c *nodeClient) spans(ctx context.Context, baseURL, id string) (*obs.TraceContext, error) {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/jobs/"+id+"/spans", nil, "")
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/jobs/"+id+"/spans", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +144,7 @@ func (c *nodeClient) spans(ctx context.Context, baseURL, id string) (*obs.TraceC
 // answer; an error means the probe failed (connection refused, timeout,
 // garbage) and counts toward the down threshold.
 func (c *nodeClient) health(ctx context.Context, baseURL string) (NodeState, error) {
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/healthz", nil, "")
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/healthz", nil)
 	if err != nil {
 		return "", err
 	}
@@ -168,7 +167,7 @@ func (c *nodeClient) health(ctx context.Context, baseURL string) (NodeState, err
 
 // drain asks a node to begin its graceful drain.
 func (c *nodeClient) drain(ctx context.Context, baseURL string) error {
-	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/drain", nil, "")
+	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/drain", nil)
 	if err != nil {
 		return err
 	}
@@ -179,7 +178,7 @@ func (c *nodeClient) drain(ctx context.Context, baseURL string) error {
 // the raw bytes plus the step it stands at (from the response header).
 // (nil, 0, nil) means the session exists but has no durable checkpoint yet.
 func (c *nodeClient) checkpoint(ctx context.Context, baseURL, id string) ([]byte, int64, error) {
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/sessions/"+id+"/checkpoint", nil, "")
+	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/sessions/"+id+"/checkpoint", nil)
 	if err != nil || resp.status == http.StatusNotFound {
 		return nil, 0, err
 	}

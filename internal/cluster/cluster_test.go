@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -572,6 +573,32 @@ func TestClusterShedsWhenAllReject(t *testing.T) {
 	if c := r.Counters(); c.Shed != 1 {
 		t.Errorf("Shed = %d, want 1", c.Shed)
 	}
+}
+
+// TestRouterStopClosesNodeConnections: Stop closes the connections the
+// gateway left open to a node, so the node's graceful shutdown does not
+// wait them out.
+func TestRouterStopClosesNodeConnections(t *testing.T) {
+	ts := httptest.NewUnstartedServer(service.New(service.Config{NodeID: "n1"}).Handler())
+	var open atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	router := NewRouter(Config{Members: []Member{{ID: "n1", URL: ts.URL}}, HealthInterval: time.Hour})
+	router.Start(context.Background())
+	if _, _, err := router.Submit(context.Background(), service.Request{Type: service.TypePredict,
+		Predict: &service.PredictRequest{Machine: "Yona", Kind: "bulk", Cores: 12}}); err != nil {
+		t.Fatal(err)
+	}
+	router.Stop()
+	waitFor(t, 2*time.Second, "the gateway's node connections to close", func() bool { return open.Load() == 0 })
 }
 
 // TestConfigFields is the settable-values ratchet of a gateway: a new

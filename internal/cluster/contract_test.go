@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -22,9 +23,11 @@ import (
 type proxiedRoute struct {
 	name, method, kind, suffix, body string
 	// okStatus is what the echo shard answers; labelled marks the routes
-	// whose answer the gateway re-emits with the owning shard attached.
+	// whose answer the gateway re-emits with the owning shard attached, and
+	// joined the trace, which the gateway builds from the owner's /spans.
 	okStatus int
 	labelled bool
+	joined   bool
 	// lostStatus and lostDoc are the gateway's own answer for a lost entry;
 	// lostDoc receives the entry id and the recorded loss message.
 	lostStatus int
@@ -44,7 +47,7 @@ var proxiedRoutes = []proxiedRoute{
 		lostStatus: 200, lostDoc: failedView},
 	{name: "job result", method: "GET", kind: "jobs", suffix: "/result", okStatus: 200,
 		lostStatus: 500, lostDoc: errDoc("")},
-	{name: "job trace", method: "GET", kind: "jobs", suffix: "/trace", okStatus: 200,
+	{name: "job trace", method: "GET", kind: "jobs", suffix: "/trace", okStatus: 200, joined: true,
 		lostStatus: 404, lostDoc: errDoc("")},
 	{name: "job spans", method: "GET", kind: "jobs", suffix: "/spans", okStatus: 200,
 		lostStatus: 404, lostDoc: func(_, lost string) map[string]any {
@@ -67,7 +70,8 @@ var proxiedRoutes = []proxiedRoute{
 
 // echoShard is a stub advectd node that accepts one job and one session and
 // answers every per-id request with the session checkpoint headers and a
-// minimal view document, recording what the gateway sent it.
+// minimal view document — a span log on /spans — recording what the
+// gateway sent it.
 type echoShard struct {
 	ts *httptest.Server
 
@@ -105,6 +109,13 @@ func startEchoShard(t *testing.T) *echoShard {
 		w.Header().Set(service.SessionStepHeader, "7")
 		w.Header().Set(service.SessionFPHeader, "echo-fp")
 		w.WriteHeader(status)
+		if strings.HasSuffix(req.URL.Path, "/spans") {
+			_ = json.NewEncoder(w).Encode(obs.TraceContext{TraceID: "t", EpochNS: time.Now().UnixNano(), Spans: []obs.Span{
+				{Rank: obs.RankService, Step: -1, Phase: obs.PhaseWorkerExec, End: 0.001},
+				{Rank: 0, Phase: obs.PhaseInterior, End: 0.001},
+			}})
+			return
+		}
 		_, _ = fmt.Fprintf(w, `{"id":%q,"state":"running"}`, id)
 	}
 	for _, pattern := range []string{
@@ -143,7 +154,7 @@ func startContractCluster(t *testing.T, cfg Config) (*httptest.Server, *echoShar
 	})
 	ids := map[string]string{}
 	for kind, body := range map[string]string{
-		"jobs":     `{"type":"simulate","simulate":{"kind":"bulk","n":16,"steps":3,"tasks":2}}`,
+		"jobs":     `{"type":"simulate","simulate":{"kind":"bulk","n":16,"steps":3,"tasks":2,"trace":true}}`,
 		"sessions": `{"simulate":{"kind":"bulk","n":8,"steps":40},"segment":10}`,
 	} {
 		resp, err := testClient.Post(gw.URL+"/v1/"+kind, "application/json", strings.NewReader(body))
@@ -190,7 +201,8 @@ func (pr proxiedRoute) call(t *testing.T, gwURL, id, query string) (*http.Respon
 // the owner does not answer, and on the happy path the client's method,
 // query string and body relayed to the owner under the owner's id, with the
 // shard's status relayed back — and its checkpoint headers, wherever the
-// gateway relays the owner's answer rather than relabelling a view.
+// gateway relays the owner's answer rather than relabelling a view or, for
+// the trace, joining the owner's span log to its own.
 func TestGatewayProxyContract(t *testing.T) {
 	t.Run("relayed", func(t *testing.T) {
 		gw, sh, ids := startContractCluster(t, Config{HealthInterval: time.Hour})
@@ -200,9 +212,13 @@ func TestGatewayProxyContract(t *testing.T) {
 				if resp.StatusCode != pr.okStatus {
 					t.Errorf("status %d, want the shard's %d", resp.StatusCode, pr.okStatus)
 				}
-				got, ok := sh.last(pr.method, "/v1/"+pr.kind+"/"+ids[pr.kind]+pr.suffix)
+				suffix := pr.suffix
+				if pr.joined {
+					suffix = "/spans"
+				}
+				got, ok := sh.last(pr.method, "/v1/"+pr.kind+"/"+ids[pr.kind]+suffix)
 				if !ok {
-					t.Fatalf("shard never saw %s %s%s", pr.method, ids[pr.kind], pr.suffix)
+					t.Fatalf("shard never saw %s %s%s", pr.method, ids[pr.kind], suffix)
 				}
 				if got.query != "probe=1&step=7" {
 					t.Errorf("query relayed as %q, want %q", got.query, "probe=1&step=7")
@@ -213,9 +229,17 @@ func TestGatewayProxyContract(t *testing.T) {
 				// A view is re-emitted with its shard attached; every other
 				// answer is the owner's, checkpoint headers included.
 				step, fp := resp.Header.Get(service.SessionStepHeader), resp.Header.Get(service.SessionFPHeader)
-				if pr.labelled && doc["node"] != "n1" {
-					t.Errorf("view not labelled with its shard: %v", doc)
-				} else if !pr.labelled && (step != "7" || fp != "echo-fp") {
+				switch {
+				case pr.joined:
+					got, _ := traceProcesses(t, gw.URL+"/v1/jobs/"+ids["jobs"]+"/trace")
+					if want := []string{"gateway", "n1 rank 0", "n1 service"}; !reflect.DeepEqual(got, want) {
+						t.Errorf("joined trace processes %v, want %v", got, want)
+					}
+				case pr.labelled:
+					if doc["node"] != "n1" {
+						t.Errorf("view not labelled with its shard: %v", doc)
+					}
+				case step != "7" || fp != "echo-fp":
 					t.Errorf("checkpoint headers relayed as step %q fp %q, want 7 and echo-fp", step, fp)
 				}
 			})

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/session"
 )
@@ -26,9 +27,8 @@ func (r *Router) routes() []service.Route {
 		{Pattern: "GET /v1/jobs/{id}", Doc: "job status (proxied, node-labelled)",
 			Handler: r.handleJobView(lostAnswer{status: http.StatusOK})},
 		{Pattern: "GET /v1/jobs/{id}/result", Doc: "result document (proxied)", Handler: r.handleResult},
-		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "stitched Chrome trace (proxied)",
-			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusNotFound})},
-		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "raw span log / wire trace context, what the dead-node harvest reads (proxied)",
+		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "cluster Chrome trace (gateway spans joined to the owner's)", Handler: r.handleTrace},
+		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "the owner's raw span log (proxied)",
 			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusNotFound, node: true})},
 		{Pattern: "DELETE /v1/jobs/{id}", Doc: "cancel (proxied, node-labelled)",
 			Handler: r.handleJobView(lostAnswer{status: http.StatusConflict, prefix: "job already failed: "})},
@@ -151,7 +151,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, t *table, los
 	if req.URL.RawQuery != "" {
 		url += "?" + req.URL.RawQuery
 	}
-	resp, err := r.client.do(req.Context(), req.Method, url, body, "")
+	resp, err := r.client.do(req.Context(), req.Method, url, body)
 	if err != nil {
 		if req.Context().Err() == nil {
 			r.nodeFailed(e.node, err) // the client is still there: the shard is at fault
@@ -205,6 +205,27 @@ func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
 		r.finish(e)
 	}
 	resp.relay(w)
+}
+
+// handleTrace serves a job's cluster trace, assembled here and nowhere
+// else: the owner's span log, read from its /spans route with the client's
+// query, joined to the routing spans and dead-owner harvests the gateway
+// holds. An owner with no span log to give (an untraced job, a cache hit)
+// has its answer relayed.
+func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
+	spans := req.Clone(req.Context())
+	spans.URL.Path = strings.TrimSuffix(req.URL.Path, "/trace") + "/spans"
+	e, resp, ok := r.forward(w, spans, r.jobs, lostAnswer{status: http.StatusNotFound})
+	if !ok {
+		return
+	}
+	var owner obs.TraceContext
+	if resp.expect("spans", http.StatusOK, &owner) != nil {
+		resp.relay(w)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = obs.WriteChromeTrace(w, e.trace.rec.Joined(e.node, &owner)) // the first write sends the 200
 }
 
 // handleList merges every reachable shard's list document (GET /v1/<kind>

@@ -215,13 +215,16 @@ func (r *Router) every(interval time.Duration, sweep func(context.Context)) {
 	}
 }
 
-// Stop halts the background loops and closes the federated hub.
+// Stop halts the background loops, closes the federated hub, and closes
+// the idle node connections, which a node's graceful shutdown would
+// otherwise wait out.
 func (r *Router) Stop() {
 	if r.stopRun != nil {
 		r.stopRun()
 	}
 	r.wg.Wait()
 	r.hub.Close()
+	r.client.hc.CloseIdleConnections()
 }
 
 // Handler returns the gateway HTTP API.
@@ -293,18 +296,19 @@ func (e *badRequest) Error() string { return "cluster: node rejected request" }
 // Submit routes one client submission: consistent-hash owner first,
 // Retry-After-honoring brief retry on a shedding owner, then failover around
 // the ring. On success the returned view names the node that accepted the
-// job. A traced request gets a
-// cluster trace context minted here: the gateway records its own routing
-// spans and ships them to the owner on the X-Advect-Trace header, so the
-// job's Chrome trace starts at the gateway, not at the node.
+// job. A traced request gets a trace id minted here and sent in its
+// trace_id field: the gateway records its own routing spans and joins the
+// owner's spans to them when the trace is read, so the job's Chrome trace
+// starts at the gateway, not at the node.
 func (r *Router) Submit(ctx context.Context, req service.Request) (service.View, string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return service.View{}, "", fmt.Errorf("encode request: %w", err)
-	}
 	var tr submissionTrace
 	if req.Traced() {
 		tr = newSubmissionTrace()
+		req.TraceID = tr.id
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return service.View{}, "", fmt.Errorf("encode request: %w", err)
 	}
 	res, nodeID, err := r.routeBody(ctx, req.CacheKey(), body, tr)
 	if err != nil {
@@ -319,8 +323,7 @@ func (r *Router) Submit(ctx context.Context, req service.Request) (service.View,
 // accepted job in the gateway table. Each dispatch attempt is one request:
 // the owner's own cache answers a repeat. With a traced submission every
 // routing decision lands as a gw.* span: the route lookup, each dispatch,
-// each brief retry wait, and each failover, all shipped to the eventual
-// owner in the dispatch header.
+// each brief retry wait, and each failover.
 func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submissionTrace) (*submitResult, string, error) {
 	ring := r.ring.Load()
 	n := len(ring.Nodes())
@@ -344,12 +347,11 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submi
 		dispatchFrom := tr.clock()
 		for {
 			attempts++
-			// The gw.submit span is recorded before the dispatch so it
-			// rides the header into the owner; the network hop itself shows
-			// up as the owner-side gw.handoff span.
+			// The gw.submit span ends at the dispatch; the network hop
+			// itself is the gw.handoff span the joined trace adds.
 			preSend := tr.clock()
 			tr.add(obs.PhaseGWSubmit, nodeID, dispatchFrom, preSend)
-			res, err := r.client.submit(ctx, baseURL, body, tr.header())
+			res, err := r.client.submit(ctx, baseURL, body)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, "", ctx.Err()

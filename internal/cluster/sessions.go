@@ -69,7 +69,7 @@ func (r *Router) routeSession(ctx context.Context, fp, traceID string, body []by
 		if r.members.State(nodeID) != NodeUp {
 			continue
 		}
-		resp, err := r.client.do(ctx, http.MethodPost, r.members.URL(nodeID)+"/v1/sessions", body, "")
+		resp, err := r.client.do(ctx, http.MethodPost, r.members.URL(nodeID)+"/v1/sessions", body)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, nil, ctx.Err()

@@ -95,7 +95,7 @@ func (r *Router) getEach(ctx context.Context, members []MemberStatus, path strin
 		wg.Add(1)
 		go func(a *memberAnswer) {
 			defer wg.Done()
-			a.resp, a.err = r.client.do(ctx, http.MethodGet, a.URL+path, nil, "")
+			a.resp, a.err = r.client.do(ctx, http.MethodGet, a.URL+path, nil)
 		}(&out[i])
 	}
 	wg.Wait()

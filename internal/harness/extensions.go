@@ -114,22 +114,13 @@ func ExtWeak() []stats.Series {
 	var out []stats.Series
 	for _, k := range kinds {
 		s := stats.Series{Label: k.String() + " GF/core"}
+		space := tune.DefaultSpace(hop, k)
 		for _, cores := range counts {
 			n := WeakGrid(cores)
-			bestGF := 0.0
-			for _, t := range hop.ThreadChoices {
-				if cores%t != 0 {
-					continue
-				}
-				e, err := perf.Evaluate(perf.Config{
-					M: hop, Kind: k, Cores: cores, Threads: t,
-					N: grid.Uniform(n),
-				})
-				if err == nil && e.GF > bestGF {
-					bestGF = e.GF
-				}
+			space.N = grid.Uniform(n)
+			if r, err := tune.Exhaustive(hop, k, cores, space); err == nil {
+				s.Add(float64(cores), r.GF/float64(cores), fmt.Sprintf("n=%d", n))
 			}
-			s.Add(float64(cores), bestGF/float64(cores), fmt.Sprintf("n=%d", n))
 		}
 		out = append(out, s)
 	}
@@ -156,24 +147,11 @@ func ExtWideHalo() []stats.Series {
 	var out []stats.Series
 	for _, cfg := range configs {
 		s := stats.Series{Label: cfg.label}
+		space := tune.DefaultSpace(hop, cfg.kind)
+		space.HaloWidth = cfg.width
 		for _, cores := range WideHaloCores() {
-			if cores > hop.Cores() {
-				continue
-			}
-			bestGF, bestT := 0.0, 0
-			for _, t := range hop.ThreadChoices {
-				if cores%t != 0 {
-					continue
-				}
-				e, err := perf.Evaluate(perf.Config{
-					M: hop, Kind: cfg.kind, Cores: cores, Threads: t, HaloWidth: cfg.width,
-				})
-				if err == nil && e.GF > bestGF {
-					bestGF, bestT = e.GF, t
-				}
-			}
-			if bestGF > 0 {
-				s.Add(float64(cores), bestGF, fmt.Sprintf("t=%d", bestT))
+			if r, err := tune.Exhaustive(hop, cfg.kind, cores, space); err == nil {
+				s.Add(float64(cores), r.GF, fmt.Sprintf("t=%d", r.Best.Threads))
 			}
 		}
 		out = append(out, s)

@@ -96,10 +96,10 @@ const (
 	PhaseResultEncode
 
 	// The gw.* phases are the advectgw routing lifecycle, recorded on the
-	// synthetic gateway rank (RankGateway) and shipped to the owning node
-	// inside the X-Advect-Trace context, so the stitched export shows the
-	// routing decision, cross-node hops, and any failover ahead of the
-	// service and runner tracks.
+	// synthetic gateway rank (RankGateway) and kept by the gateway, which
+	// joins them to the owner's spans when the trace is read, so the
+	// export shows the routing decision, cross-node hops, and any failover
+	// ahead of the service and runner tracks.
 
 	// PhaseGWRoute is the ring lookup and member-state walk picking a node.
 	PhaseGWRoute
@@ -115,8 +115,8 @@ const (
 	// survivor (the label names the dead node).
 	PhaseGWResubmit
 	// PhaseGWHandoff is the gateway->node hop: from the last span the
-	// gateway recorded before dispatch to the receiving node's epoch. Its
-	// label carries the measured gateway/node clock offset.
+	// gateway recorded to the owning node's epoch. Its label carries the
+	// measured gateway/node clock offset.
 	PhaseGWHandoff
 
 	numPhases
@@ -191,7 +191,7 @@ func (p Phase) Base() Base {
 // Step is the timestep that produced the span, or -1 when not attributable
 // to a single step (device-side spans, post-loop collectives). Node is
 // empty for spans recorded by the local process; a cross-process merge
-// (trace-context import, dead-node span harvest) stamps it with the
+// (the gateway's join or dead-node harvest) stamps it with the
 // originating node's id so the export keeps each node's tracks apart.
 type Span struct {
 	Rank  int     `json:"rank"`

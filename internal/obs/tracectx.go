@@ -2,18 +2,18 @@ package obs
 
 import (
 	"crypto/rand"
-	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"sort"
 	"time"
 )
 
-// Cross-process trace context. The gateway mints one context per traced
-// submission and propagates it on the X-Advect-Trace header; the owning
-// node folds it into the job's recorder so one Chrome export spans gateway
-// routing, the network hop, and the per-rank runner phases.
+// Cross-process traces. The gateway mints one trace id per traced
+// submission and hands it to the owning node in the job request's
+// trace_id field; the node records its own spans under that id and serves
+// them as a TraceContext. The gateway keeps its routing spans, folds a dead
+// owner's log into them before a resubmission (ImportRemote), and joins
+// the current owner's log to them when the trace is read (Joined), so one
+// Chrome export spans gateway routing, the hop, and every owner's service
+// and runner phases.
 //
 // Span times inside a context are seconds relative to the *sender's*
 // epoch; EpochNS pins that epoch to the unix clock so the receiver can
@@ -21,20 +21,16 @@ import (
 // the gw.handoff span rather than hidden: on one host it is the true
 // gateway->node hop, across hosts it also absorbs clock skew.
 
-// TraceHeader is the HTTP request header carrying an encoded TraceContext.
-const TraceHeader = "X-Advect-Trace"
-
-// maxTraceHeader bounds the accepted header size (64 KiB decoded input);
-// a larger value is treated as malformed, not a reason to buffer it.
-const maxTraceHeader = 64 << 10
-
-// TraceContext is the wire form of one trace: the id minted at admission,
-// the sender's recorder epoch, and the sender's span log so far.
+// TraceContext is one process's span log of one trace: the id minted at
+// admission, the process's recorder epoch, and its spans so far.
 type TraceContext struct {
 	TraceID string `json:"trace_id"`
 	EpochNS int64  `json:"epoch_ns"`
 	Spans   []Span `json:"spans,omitempty"`
 }
+
+// traceIDZero is what NewTraceID degrades to without a random source.
+const traceIDZero = "00000000000000000000000000000000"
 
 // NewTraceID mints a random 128-bit hex trace id.
 func NewTraceID() string {
@@ -42,13 +38,20 @@ func NewTraceID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is unrecoverable for the process anyway;
 		// degrade to a fixed id rather than panic in an obs layer.
-		return "trace-rand-unavailable"
+		return traceIDZero
 	}
 	return hex.EncodeToString(b[:])
 }
 
-// TraceContext snapshots the recorder into a wire context carrying the
-// given trace id. A disabled recorder yields nil (no context to ship).
+// ValidTraceID reports whether id has the shape NewTraceID mints: 32 hex
+// digits.
+func ValidTraceID(id string) bool {
+	_, err := hex.DecodeString(id)
+	return len(id) == len(traceIDZero) && err == nil
+}
+
+// TraceContext snapshots the recorder into a context carrying the given
+// trace id. A disabled recorder yields nil.
 func (r *Recorder) TraceContext(id string) *TraceContext {
 	if r == nil {
 		return nil
@@ -56,108 +59,53 @@ func (r *Recorder) TraceContext(id string) *TraceContext {
 	return &TraceContext{TraceID: id, EpochNS: r.epoch.UnixNano(), Spans: r.Spans()}
 }
 
-// Encode renders the context as a header-safe value: unpadded base64url
-// over compact JSON, bounded to the size a receiver accepts
-// (maxTraceHeader). An oversized span log — typically a dead-node harvest
-// of a long-running job riding a resubmission — sheds its newest
-// non-gateway spans until it fits: the gateway's own routing spans always
-// survive, and keeping the oldest node spans preserves the admission and
-// first-step phases that give the merged trace its shape. A nil context
-// encodes to "" (set no header).
-func (c *TraceContext) Encode() string {
-	if c == nil {
-		return ""
-	}
-	b, err := json.Marshal(c)
-	if err != nil {
-		return ""
-	}
-	if base64.RawURLEncoding.EncodedLen(len(b)) <= maxTraceHeader {
-		return base64.RawURLEncoding.EncodeToString(b)
-	}
-	var gw, rest []Span
-	for _, s := range c.Spans {
-		if s.Rank == RankGateway {
-			gw = append(gw, s)
-		} else {
-			rest = append(rest, s)
-		}
-	}
-	// Shed in chronological order, not the (node, rank, phase) presentation
-	// order Spans() uses: the earliest spans cover admission and the first
-	// steps of every rank, so the survivors keep the full phase vocabulary
-	// instead of one rank's longest-running phase.
-	sort.SliceStable(rest, func(i, j int) bool { return rest[i].Start < rest[j].Start })
-	encodeWith := func(k int) (string, bool) {
-		t := TraceContext{TraceID: c.TraceID, EpochNS: c.EpochNS}
-		t.Spans = make([]Span, 0, len(gw)+k)
-		t.Spans = append(append(t.Spans, gw...), rest[:k]...)
-		b, err := json.Marshal(t)
-		if err != nil || base64.RawURLEncoding.EncodedLen(len(b)) > maxTraceHeader {
-			return "", false
-		}
-		return base64.RawURLEncoding.EncodeToString(b), true
-	}
-	// Binary-search the largest oldest-first prefix of non-gateway spans
-	// that still fits (fitting is monotone in the prefix length).
-	lo, hi := 0, len(rest)
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if _, ok := encodeWith(mid); ok {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if v, ok := encodeWith(lo); ok {
-		return v
-	}
-	return "" // gateway spans alone exceed the bound: ship no context at all
-}
-
-// ParseTraceContext decodes a header value. An empty value yields
-// (nil, nil) — tracing simply not requested. A malformed value yields a
-// non-nil error; callers degrade to an untraced submission.
-func ParseTraceContext(v string) (*TraceContext, error) {
-	if v == "" {
-		return nil, nil
-	}
-	if len(v) > maxTraceHeader {
-		return nil, errors.New("trace context exceeds size bound")
-	}
-	b, err := base64.RawURLEncoding.DecodeString(v)
-	if err != nil {
-		return nil, err
-	}
-	var c TraceContext
-	if err := json.Unmarshal(b, &c); err != nil {
-		return nil, err
-	}
-	if c.TraceID == "" {
-		return nil, errors.New("trace context missing trace_id")
-	}
-	if c.EpochNS == 0 {
-		return nil, errors.New("trace context missing epoch_ns")
-	}
-	return &c, nil
-}
-
-// Import folds a received context into the recorder: wall-base spans are
-// rebased from the sender's epoch onto this recorder's, sim-base spans
-// carry virtual device time and pass through unshifted, and a gw.handoff
-// span bridges the gap from the sender's last recorded instant to this
-// recorder's epoch (t=0), labelled with the measured clock offset.
-func (r *Recorder) Import(c *TraceContext) {
+// Joined returns one job's cluster trace as the gateway serves it: this
+// recorder's spans, then one gw.handoff span, then the owner's span log
+// rebased onto this recorder's epoch and stamped with the owner's node id.
+// The handoff runs from the last wall instant recorded here to the owner's
+// epoch and is labelled with the owner's clock offset; an owner clock
+// behind ours makes it an instant at the owner's epoch. The recorder is
+// left as it was, so a running job's trace can be read again.
+func (r *Recorder) Joined(node string, owner *TraceContext) []Span {
 	if r == nil {
-		return
+		return nil
 	}
-	if c == nil || len(c.Spans) == 0 {
-		return
-	}
-	off := offsetSeconds(c.EpochNS, r.epoch)
+	out := r.Spans()
 	last := 0.0
-	hasWall := false
-	shifted := make([]Span, 0, len(c.Spans)+1)
+	for _, s := range out {
+		if s.Phase.Base() == BaseWall && s.End > last {
+			last = s.End
+		}
+	}
+	spans, off := r.rebase(node, owner)
+	out = append(out, Span{
+		Rank: RankGateway, Step: -1, Phase: PhaseGWHandoff,
+		Label: "offset " + time.Duration(off*1e9).Round(time.Microsecond).String(),
+		Start: min(last, off), End: off,
+	})
+	return append(out, spans...)
+}
+
+// ImportRemote folds another process's span log into this recorder under
+// the given node id — the dead-node harvest, where the gateway pulls a
+// lost owner's spans before resubmitting elsewhere.
+func (r *Recorder) ImportRemote(node string, c *TraceContext) {
+	if r == nil || c == nil {
+		return
+	}
+	spans, _ := r.rebase(node, c)
+	r.mu.Lock()
+	r.spans = append(r.spans, spans...)
+	r.mu.Unlock()
+}
+
+// rebase maps another process's span log onto this recorder's timeline
+// under that process's node id: wall spans shift by the offset between the
+// two epochs (returned, in seconds), sim spans carry virtual device time
+// and pass unshifted, and inverted spans are dropped.
+func (r *Recorder) rebase(node string, c *TraceContext) ([]Span, float64) {
+	off := float64(c.EpochNS-r.epoch.UnixNano()) / 1e9
+	out := make([]Span, 0, len(c.Spans))
 	for _, s := range c.Spans {
 		if s.End < s.Start {
 			continue
@@ -165,68 +113,9 @@ func (r *Recorder) Import(c *TraceContext) {
 		if s.Phase.Base() == BaseWall {
 			s.Start += off
 			s.End += off
-			if !hasWall || s.End > last {
-				last, hasWall = s.End, true
-			}
-		}
-		shifted = append(shifted, s)
-	}
-	if hasWall {
-		start := last
-		if start > 0 {
-			start = 0 // sender clock ahead of ours: degenerate hop, offset label tells why
-		}
-		shifted = append(shifted, Span{
-			Rank: RankGateway, Step: -1, Phase: PhaseGWHandoff,
-			Label: "offset " + offsetLabel(off),
-			Start: start, End: 0,
-		})
-	}
-	r.mu.Lock()
-	r.spans = append(r.spans, shifted...)
-	r.mu.Unlock()
-}
-
-// ImportRemote folds another process's span log into this recorder under
-// the given node id — the dead-node harvest path, where the gateway pulls
-// a lost shard's spans before resubmitting elsewhere. Spans already
-// attributed to a node and gateway-rank spans (the sender's copy of what
-// this recorder already holds) are skipped.
-func (r *Recorder) ImportRemote(node string, c *TraceContext) {
-	if r == nil {
-		return
-	}
-	if c == nil || len(c.Spans) == 0 {
-		return
-	}
-	off := offsetSeconds(c.EpochNS, r.epoch)
-	merged := make([]Span, 0, len(c.Spans))
-	for _, s := range c.Spans {
-		if s.End < s.Start || s.Rank == RankGateway || s.Node != "" {
-			continue
-		}
-		if s.Phase.Base() == BaseWall {
-			s.Start += off
-			s.End += off
 		}
 		s.Node = node
-		merged = append(merged, s)
+		out = append(out, s)
 	}
-	if len(merged) == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.spans = append(r.spans, merged...)
-	r.mu.Unlock()
-}
-
-// offsetSeconds is the shift taking sender-relative span times (epoch at
-// senderEpochNS) onto a timeline whose epoch is local.
-func offsetSeconds(senderEpochNS int64, local time.Time) float64 {
-	return float64(senderEpochNS-local.UnixNano()) / 1e9
-}
-
-// offsetLabel renders a clock offset compactly ("-1.234ms").
-func offsetLabel(sec float64) string {
-	return time.Duration(sec * 1e9).Round(time.Microsecond).String()
+	return out, off
 }

@@ -3,33 +3,32 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestTraceContextRoundTrip: the span log a node serves on /spans decodes
+// to what the node recorded.
 func TestTraceContextRoundTrip(t *testing.T) {
 	r := NewRecorder()
-	r.Add(RankGateway, -1, PhaseGWRoute, "n1", 0.001, 0.002)
-	r.Add(RankGateway, -1, PhaseGWSubmit, "n1", 0.002, 0.004)
-
+	r.Add(RankService, -1, PhaseWorkerExec, "", 0.001, 0.002)
+	r.Add(0, 3, PhaseKernel, "k", 1.5, 2.5)
 	c := r.TraceContext("abc123")
-	if c == nil {
-		t.Fatal("enabled recorder returned nil context")
-	}
-	if c.TraceID != "abc123" || c.EpochNS != r.epoch.UnixNano() || len(c.Spans) != 2 {
+	if c == nil || c.TraceID != "abc123" || c.EpochNS != r.epoch.UnixNano() || len(c.Spans) != 2 {
 		t.Fatalf("bad context: %+v", c)
 	}
-
-	got, err := ParseTraceContext(c.Encode())
+	b, err := json.Marshal(c)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatal(err)
 	}
-	if got.TraceID != c.TraceID || got.EpochNS != c.EpochNS || len(got.Spans) != 2 {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, c)
+	var got TraceContext
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
 	}
-	if got.Spans[1].Phase != PhaseGWSubmit || got.Spans[1].Label != "n1" {
-		t.Fatalf("span lost in round trip: %+v", got.Spans[1])
+	if !reflect.DeepEqual(&got, c) {
+		t.Fatalf("round trip mismatch:\n%+v\n%+v", &got, c)
 	}
 }
 
@@ -38,131 +37,176 @@ func TestTraceContextNilAndDisabled(t *testing.T) {
 	if c := r.TraceContext("id"); c != nil {
 		t.Fatalf("disabled recorder minted context %+v", c)
 	}
-	var c *TraceContext
-	if v := c.Encode(); v != "" {
-		t.Fatalf("nil context encoded to %q", v)
+	if s := r.Joined("n1", &TraceContext{}); s != nil {
+		t.Fatalf("disabled recorder joined %d spans", len(s))
 	}
-	r.Import(nil) // must not panic
-	r.ImportRemote("n1", nil)
+	r.ImportRemote("n1", nil) // must not panic
 	rec := NewRecorder()
-	rec.Import(nil)
 	rec.ImportRemote("n1", nil)
 	if rec.Len() != 0 {
 		t.Fatalf("nil imports recorded %d spans", rec.Len())
 	}
 }
 
-func TestParseTraceContextMalformed(t *testing.T) {
-	if c, err := ParseTraceContext(""); c != nil || err != nil {
-		t.Fatalf("empty header: got (%v, %v), want (nil, nil)", c, err)
+func TestValidTraceID(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		if id := NewTraceID(); !ValidTraceID(id) {
+			t.Fatalf("minted id %q is not valid", id)
+		}
 	}
-	cases := map[string]string{
-		"not base64":    "%%%not-base64%%%",
-		"not json":      "bm90IGpzb24",
-		"missing id":    (&TraceContext{EpochNS: 1}).Encode(),
-		"missing epoch": (&TraceContext{TraceID: "x"}).Encode(),
-		"oversized":     strings.Repeat("A", maxTraceHeader+1),
-	}
-	for name, v := range cases {
-		if _, err := ParseTraceContext(v); err == nil {
-			t.Errorf("%s: parse accepted malformed value", name)
+	for _, id := range []string{
+		"", "abc123", strings.Repeat("z", 32), strings.Repeat("a", 31),
+		strings.Repeat("a", 64), "trace-rand-unavailable",
+	} {
+		if ValidTraceID(id) {
+			t.Errorf("ValidTraceID(%q) = true", id)
 		}
 	}
 }
 
-func TestImportRebasesAndAnnotatesHandoff(t *testing.T) {
-	local := NewRecorder()
-	// A sender whose epoch is 50ms before ours: its span at [10ms, 20ms]
-	// lands at [-40ms, -30ms] on our timeline.
-	c := &TraceContext{
+// gatewayRecorder is a gateway's recorder after routing one job: a route
+// lookup and a dispatch, the last wall instant at 4ms.
+func gatewayRecorder() *Recorder {
+	r := NewRecorder()
+	r.Add(RankGateway, -1, PhaseGWRoute, "n1", 0.001, 0.002)
+	r.Add(RankGateway, -1, PhaseGWSubmit, "n1", 0.002, 0.004)
+	return r
+}
+
+// ownerLog is an owner's span log whose epoch is skew after gw's.
+func ownerLog(gw *Recorder, skew time.Duration) *TraceContext {
+	return &TraceContext{
 		TraceID: "t1",
-		EpochNS: local.epoch.Add(-50 * time.Millisecond).UnixNano(),
+		EpochNS: gw.epoch.Add(skew).UnixNano(),
 		Spans: []Span{
-			{Rank: RankGateway, Step: -1, Phase: PhaseGWRoute, Label: "n1", Start: 0.010, End: 0.020},
-			{Rank: RankGateway, Step: -1, Phase: PhaseGWSubmit, Label: "n1", Start: 0.020, End: 0.030},
-			{Rank: RankGateway, Step: -1, Phase: PhaseGWRetry, Start: 0.040, End: 0.030}, // end < start: dropped
+			{Rank: RankService, Step: -1, Phase: PhaseWorkerExec, Start: 0.001, End: 0.010},
+			{Rank: 0, Step: 0, Phase: PhaseKernel, Start: 1.5, End: 2.5},     // sim base: unshifted
+			{Rank: 1, Step: 0, Phase: PhaseInterior, Start: 0.02, End: 0.01}, // inverted: dropped
 		},
 	}
-	local.Import(c)
-	spans := local.Spans()
-	if len(spans) != 3 { // route + submit + synthetic handoff
-		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
+}
+
+func TestJoinedRebasesAndStampsOwnerSpans(t *testing.T) {
+	gw := gatewayRecorder()
+	spans := gw.Joined("n1", ownerLog(gw, 30*time.Millisecond))
+	if len(spans) != 5 { // route + submit + handoff + exec + kernel
+		t.Fatalf("got %d spans, want 5: %+v", len(spans), spans)
 	}
-	byPhase := map[Phase]Span{}
-	for _, s := range spans {
-		byPhase[s.Phase] = s
+	for _, s := range spans[:3] {
+		if s.Rank != RankGateway || s.Node != "" {
+			t.Errorf("gateway span out of place or stamped: %+v", s)
+		}
 	}
-	route := byPhase[PhaseGWRoute]
-	if !approx(route.Start, -0.040) || !approx(route.End, -0.030) {
-		t.Fatalf("route span not rebased: %+v", route)
+	exec, kern := spans[3], spans[4]
+	if exec.Phase != PhaseWorkerExec || !approx(exec.Start, 0.031) || !approx(exec.End, 0.040) {
+		t.Errorf("wall span not rebased onto the gateway epoch: %+v", exec)
 	}
-	hand, ok := byPhase[PhaseGWHandoff]
-	if !ok {
-		t.Fatal("no handoff span recorded")
+	if kern.Phase != PhaseKernel || kern.Start != 1.5 || kern.End != 2.5 {
+		t.Errorf("sim span must keep virtual time: %+v", kern)
 	}
-	if !approx(hand.Start, -0.020) || hand.End != 0 {
-		t.Fatalf("handoff should bridge last sender instant to epoch: %+v", hand)
-	}
-	if !strings.HasPrefix(hand.Label, "offset ") {
-		t.Fatalf("handoff label %q lacks clock-offset annotation", hand.Label)
+	if exec.Node != "n1" || kern.Node != "n1" {
+		t.Errorf("owner spans not stamped with the owner: %+v %+v", exec, kern)
 	}
 }
 
-func TestImportSenderClockAhead(t *testing.T) {
-	local := NewRecorder()
-	c := &TraceContext{
-		TraceID: "t1",
-		EpochNS: local.epoch.Add(20 * time.Millisecond).UnixNano(),
-		Spans:   []Span{{Rank: RankGateway, Phase: PhaseGWRoute, Start: 0, End: 0.005}},
+func TestJoinedHandoffBoundsAndLabel(t *testing.T) {
+	gw := gatewayRecorder()
+	hand := gw.Joined("n1", ownerLog(gw, 30*time.Millisecond))[2]
+	if hand.Phase != PhaseGWHandoff || hand.Rank != RankGateway || hand.Step != -1 {
+		t.Fatalf("third span is not the handoff: %+v", hand)
 	}
-	local.Import(c)
-	for _, s := range local.Spans() {
-		if s.Phase == PhaseGWHandoff {
-			if s.Start != 0 || s.End != 0 {
-				t.Fatalf("skewed handoff should clamp to epoch: %+v", s)
-			}
-			return
-		}
+	if !approx(hand.Start, 0.004) || !approx(hand.End, 0.030) {
+		t.Errorf("handoff should run from the last gateway instant to the owner epoch: %+v", hand)
 	}
-	t.Fatal("no handoff span recorded")
+	if hand.Label != "offset 30ms" {
+		t.Errorf("handoff label %q, want %q", hand.Label, "offset 30ms")
+	}
+}
+
+func TestJoinedOwnerClockBehind(t *testing.T) {
+	gw := gatewayRecorder()
+	spans := gw.Joined("n1", ownerLog(gw, -20*time.Millisecond))
+	hand := spans[2]
+	if !approx(hand.Start, -0.020) || !approx(hand.End, -0.020) {
+		t.Errorf("handoff should collapse onto an owner epoch behind the gateway: %+v", hand)
+	}
+	if hand.Label != "offset -20ms" {
+		t.Errorf("handoff label %q, want %q", hand.Label, "offset -20ms")
+	}
+	if exec := spans[3]; !approx(exec.Start, -0.019) {
+		t.Errorf("owner span not rebased by the negative offset: %+v", exec)
+	}
+}
+
+func TestJoinedLeavesRecorderUnchanged(t *testing.T) {
+	gw := gatewayRecorder()
+	before := gw.Spans()
+	owner := ownerLog(gw, 30*time.Millisecond)
+	first := gw.Joined("n1", owner)
+	if !reflect.DeepEqual(gw.Spans(), before) {
+		t.Fatalf("Joined modified the recorder: %+v, was %+v", gw.Spans(), before)
+	}
+	if again := gw.Joined("n1", owner); !reflect.DeepEqual(again, first) {
+		t.Errorf("a second read differs:\n%+v\n%+v", again, first)
+	}
+	if owner.Spans[0].Node != "" || owner.Spans[0].Start != 0.001 {
+		t.Errorf("Joined modified the owner's log: %+v", owner.Spans[0])
+	}
 }
 
 func TestImportRemoteFiltersAndStampsNode(t *testing.T) {
-	gw := NewRecorder()
-	remote := &TraceContext{
-		TraceID: "t1",
-		EpochNS: gw.epoch.Add(30 * time.Millisecond).UnixNano(),
-		Spans: []Span{
-			{Rank: RankService, Step: -1, Phase: PhaseWorkerExec, Start: 0.001, End: 0.010},
-			{Rank: 0, Step: 0, Phase: PhaseKernel, Start: 1.5, End: 2.5},              // sim base: unshifted
-			{Rank: RankGateway, Step: -1, Phase: PhaseGWRoute, Start: -0.01, End: 0},  // sender's gateway copy: skipped
-			{Rank: 1, Step: 0, Phase: PhaseInterior, Node: "other", Start: 0, End: 1}, // already foreign: skipped
-		},
-	}
-	gw.ImportRemote("n1", remote)
-	spans := gw.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
-	}
-	for _, s := range spans {
-		if s.Node != "n1" {
-			t.Fatalf("span not stamped with node: %+v", s)
-		}
-	}
+	gw := gatewayRecorder()
+	gw.ImportRemote("n1", ownerLog(gw, 30*time.Millisecond))
 	var exec, kern Span
-	for _, s := range spans {
+	for _, s := range gw.Spans() {
 		switch s.Phase {
 		case PhaseWorkerExec:
 			exec = s
 		case PhaseKernel:
 			kern = s
+		case PhaseInterior:
+			t.Errorf("inverted span imported: %+v", s)
 		}
 	}
+	if gw.Len() != 4 {
+		t.Fatalf("got %d spans, want the 2 gateway spans and 2 imported", gw.Len())
+	}
+	if exec.Node != "n1" || kern.Node != "n1" {
+		t.Fatalf("imported spans not stamped with the node: %+v %+v", exec, kern)
+	}
 	if !approx(exec.Start, 0.031) || !approx(exec.End, 0.040) {
-		t.Fatalf("wall span not rebased: %+v", exec)
+		t.Errorf("wall span not rebased: %+v", exec)
 	}
 	if kern.Start != 1.5 || kern.End != 2.5 {
-		t.Fatalf("sim span must keep virtual time: %+v", kern)
+		t.Errorf("sim span must keep virtual time: %+v", kern)
+	}
+}
+
+func TestJoinedKeepsWholeHarvest(t *testing.T) {
+	// A dead owner's log of a long run, harvested before the resubmission,
+	// reaches the joined trace whole.
+	gw := gatewayRecorder()
+	dead := &TraceContext{TraceID: "big", EpochNS: gw.epoch.Add(time.Millisecond).UnixNano()}
+	const n = 20000
+	for i := 0; i < n; i++ {
+		dead.Spans = append(dead.Spans, Span{
+			Rank: i % 2, Step: i / 2, Phase: PhaseInterior, Start: float64(i), End: float64(i) + 0.5,
+		})
+	}
+	gw.ImportRemote("n1", dead)
+	gw.Add(RankGateway, -1, PhaseGWResubmit, "n1", n, n+1)
+	spans := gw.Joined("n2", ownerLog(gw, (n+2)*time.Second))
+	steps := map[int]bool{}
+	for _, s := range spans {
+		if s.Node == "n1" {
+			steps[s.Step*2+s.Rank] = true
+		}
+	}
+	if len(steps) != n {
+		t.Fatalf("joined trace holds %d of the %d harvested spans", len(steps), n)
+	}
+	if len(spans) != 3+n+1+2 {
+		t.Errorf("got %d spans, want %d", len(spans), 3+n+1+2)
 	}
 }
 
@@ -212,69 +256,4 @@ func TestChromeTraceNodeAttribution(t *testing.T) {
 func approx(got, want float64) bool {
 	d := got - want
 	return d < 1e-9 && d > -1e-9
-}
-
-func TestEncodeShedsOversizedSpanLog(t *testing.T) {
-	// A dead-node harvest of a long run can hold far more spans than a
-	// receiver accepts on the header; Encode must shed down to the bound,
-	// keeping every gateway span and the oldest node spans.
-	c := &TraceContext{TraceID: "big", EpochNS: 1}
-	c.Spans = append(c.Spans, Span{Rank: RankGateway, Phase: PhaseGWRoute, Label: "n1", Start: 0, End: 0.001})
-	for i := 0; i < 20000; i++ {
-		c.Spans = append(c.Spans, Span{
-			Rank: i % 2, Step: i / 2, Phase: PhaseInterior,
-			Node: "n1", Start: float64(i), End: float64(i) + 0.5,
-		})
-	}
-	c.Spans = append(c.Spans, Span{Rank: RankGateway, Phase: PhaseGWResubmit, Label: "n1", Start: 1, End: 2})
-
-	v := c.Encode()
-	if len(v) > maxTraceHeader {
-		t.Fatalf("encoded value %d bytes exceeds the %d accept bound", len(v), maxTraceHeader)
-	}
-	got, err := ParseTraceContext(v)
-	if err != nil {
-		t.Fatalf("bounded encoding does not parse: %v", err)
-	}
-	if got.TraceID != "big" || got.EpochNS != 1 {
-		t.Fatalf("identity lost in shedding: %+v", got)
-	}
-	var gw, node int
-	for _, s := range got.Spans {
-		if s.Rank == RankGateway {
-			gw++
-		} else {
-			node++
-		}
-	}
-	if gw != 2 {
-		t.Errorf("want both gateway spans to survive shedding, got %d", gw)
-	}
-	if node == 0 || node >= 20000 {
-		t.Errorf("want a proper prefix of node spans, got %d of 20000", node)
-	}
-	// The survivors are the oldest node spans: the prefix that carries the
-	// admission and first-step phases.
-	maxStep := -1
-	for _, s := range got.Spans {
-		if s.Rank != RankGateway && s.Step > maxStep {
-			maxStep = s.Step
-		}
-	}
-	if want := (node - 1) / 2; maxStep != want {
-		t.Errorf("shedding kept step up to %d, want the contiguous oldest prefix ending at %d", maxStep, want)
-	}
-}
-
-func TestEncodeSmallLogUnchanged(t *testing.T) {
-	r := NewRecorder()
-	r.Add(RankGateway, -1, PhaseGWRoute, "n1", 0, 0.001)
-	c := r.TraceContext("small")
-	got, err := ParseTraceContext(c.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Spans) != 1 {
-		t.Fatalf("small log altered by bounding: %+v", got.Spans)
-	}
 }

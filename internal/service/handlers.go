@@ -19,8 +19,8 @@ func (s *Server) routes() []Route {
 		{Pattern: "GET /v1/jobs", Doc: "list jobs", Handler: s.handleList},
 		{Pattern: "GET /v1/jobs/{id}", Doc: "job status", Handler: s.handleStatus},
 		{Pattern: "GET /v1/jobs/{id}/result", Doc: "result document (202 while pending, 500 failed, 410 cancelled)", Handler: s.handleResult},
-		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "stitched Chrome trace of a traced job", Handler: s.handleTrace},
-		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "raw span log as a trace context (cluster harvest)", Handler: s.handleSpans},
+		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "Chrome trace of a traced job (this node's spans)", Handler: s.handleTrace},
+		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "raw span log as a trace context (what a gateway joins and harvests)", Handler: s.handleSpans},
 		{Pattern: "DELETE /v1/jobs/{id}", Doc: "cancel", Handler: s.handleCancel},
 		{Pattern: "POST /v1/sessions", Doc: "start a resumable checkpointed session (202)", Handler: s.handleSessionCreate},
 		{Pattern: "GET /v1/sessions", Doc: "list sessions", Handler: s.handleSessionList},
@@ -46,13 +46,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteBadBody(w, err)
 		return
 	}
-	// A malformed trace context never fails the submission — tracing is
-	// best-effort observability, so the job proceeds untraced-from-upstream.
-	tc, terr := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
-	if terr != nil {
-		s.log.Warn("ignoring malformed trace context", "error", terr)
-	}
-	j, err := s.SubmitTraced(req, tc)
+	j, err := s.Submit(req)
 	switch {
 	case err == nil:
 		// 200 means served from the result cache, nothing else: a job a
@@ -214,11 +208,12 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTrace serves a traced job's stitched Chrome trace-event JSON: the
+// handleTrace serves a traced job's Chrome trace-event JSON: the
 // service-level request lifecycle (RankService) and the runner's per-rank
 // phases, on one timeline anchored at the submit instant. Loadable in
 // ui.perfetto.dev. The trace reflects spans recorded so far, so a running
-// job yields a partial (but valid) trace.
+// job yields a partial (but valid) trace. It holds this node's spans only;
+// a gateway serves the cluster trace of a job it routed.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {
@@ -231,27 +226,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	spans := rec.Spans()
-	// Inside a cluster, attribute this node's own spans so the export
-	// keeps them apart from imported gateway spans and any spans harvested
-	// from a prior owner. Gateway spans stay node-less: there is one
-	// gateway timeline regardless of which node serves the trace.
-	if s.cfg.NodeID != "" {
-		for i := range spans {
-			if spans[i].Node == "" && spans[i].Rank != obs.RankGateway {
-				spans[i].Node = s.cfg.NodeID
-			}
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteChromeTrace(w, spans) // the first write sends the 200
+	_ = obs.WriteChromeTrace(w, rec.Spans()) // the first write sends the 200
 }
 
-// handleSpans serves a traced job's raw span log as a wire trace context
-// (sender epoch + spans). This is the cluster harvest surface: when a node
-// dies mid-job, the gateway pulls whatever the old owner recorded — if it
-// is still answering — and folds it into the resubmission's context, so
-// the final trace shows both the lost attempt and the rerun.
+// handleSpans serves a traced job's raw span log as a trace context (this
+// node's epoch + spans). A gateway reads it to join the owner's spans to
+// its routing spans when it serves the job's trace, and to harvest a dying
+// owner's spans before it resubmits the job, so the trace shows both the
+// lost attempt and the rerun.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {
@@ -262,7 +245,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusNotFound, ErrorDoc{Error: "job has no trace"})
 		return
 	}
-	WriteJSON(w, http.StatusOK, rec.TraceContext(j.traceID))
+	WriteJSON(w, http.StatusOK, rec.TraceContext(j.req.TraceID))
 }
 
 // handleStats serves the rolling-window telemetry document.

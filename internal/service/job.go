@@ -72,6 +72,11 @@ type Request struct {
 	Simulate   *SimulateRequest   `json:"simulate,omitempty"`
 	Predict    *PredictRequest    `json:"predict,omitempty"`
 	Experiment *ExperimentRequest `json:"experiment,omitempty"`
+	// TraceID joins a traced job to a cluster-wide trace: a gateway mints
+	// it and reads the job's spans back under it. Submit keeps it only on
+	// a traced request and only in the shape obs.NewTraceID mints; any
+	// other value is dropped, never rejected.
+	TraceID string `json:"trace_id,omitempty"`
 
 	segment *segment // set only by Server.runSegment, with Type typeSegment
 }
@@ -314,10 +319,6 @@ type Job struct {
 	rec *obs.Recorder
 	// queuedAt is rec's clock reading when the job entered the queue.
 	queuedAt float64
-	// traceID is the cluster-wide trace id this job belongs to: the one a
-	// gateway minted and propagated on the X-Advect-Trace header, or ""
-	// for direct submissions. Set once at submit; read without the mutex.
-	traceID string
 }
 
 // newJob builds a queued job whose context descends from base. Traced
@@ -439,7 +440,7 @@ func (j *Job) View() View {
 	v := View{
 		ID: j.id, Type: j.req.Type, State: j.state,
 		Submitted: j.submitted, CacheKey: j.cacheKey, CacheHit: j.cacheHit,
-		TraceID: j.traceID, Error: j.errMsg, Request: j.req,
+		TraceID: j.req.TraceID, Error: j.errMsg, Request: j.req,
 	}
 	if !j.started.IsZero() {
 		t := j.started

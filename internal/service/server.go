@@ -214,8 +214,8 @@ func (s *Server) sweepLoop() {
 func jobArgs(j *Job, extra ...any) []any {
 	args := make([]any, 0, 6+len(extra))
 	args = append(args, "job", j.id, "type", j.req.Type)
-	if j.traceID != "" {
-		args = append(args, "trace_id", j.traceID)
+	if j.req.TraceID != "" {
+		args = append(args, "trace_id", j.req.TraceID)
 	}
 	return append(args, extra...)
 }
@@ -227,33 +227,23 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // when possible. It returns the job and, on rejection, a non-nil error:
 // ErrQueueFull (429) or ErrDraining (503).
 func (s *Server) Submit(req Request) (*Job, error) {
-	return s.SubmitTraced(req, nil)
-}
-
-// SubmitTraced is Submit carrying an optional upstream trace context (the
-// decoded X-Advect-Trace header): a traced job's recorder absorbs the
-// sender's span log — rebased onto this job's epoch, with the hop
-// annotated — so the stitched export spans gateway routing and the local
-// lifecycle on one timeline. A nil context is a plain submission.
-func (s *Server) SubmitTraced(req Request, tc *obs.TraceContext) (*Job, error) {
 	if err := req.Validate(s.cfg.Limits); err != nil {
 		return nil, &RequestError{Err: err}
+	}
+	if !req.Traced() || !obs.ValidTraceID(req.TraceID) {
+		req.TraceID = ""
 	}
 	now := time.Now()
 	if s.draining.Load() {
 		s.tele.Count(now, req.Type, outcomeRejected)
 		args := []any{"type", req.Type, "reason", "draining"}
-		if tc != nil && tc.TraceID != "" {
-			args = append(args, "trace_id", tc.TraceID)
+		if req.TraceID != "" {
+			args = append(args, "trace_id", req.TraceID)
 		}
 		s.log.Warn("job shed", args...)
 		return nil, ErrDraining
 	}
 	j := newJob(s.store.NewID(), req, s.baseCtx, now)
-	if tc != nil && j.rec != nil {
-		j.traceID = tc.TraceID
-		j.rec.Import(tc)
-	}
 	lookup := j.rec.Begin(obs.RankService, -1, obs.PhaseCacheLookup, "")
 	doc, hit := s.cache.Get(j.cacheKey)
 	lookup.End()
@@ -392,9 +382,9 @@ func (s *Server) observe(now time.Time, j *Job, rep *obs.Report, elapsed time.Du
 	}
 	// Only a simulate job is traced, so sr is its request.
 	s.tele.RecordOverlap(now, rep)
-	s.flight.Span(now, j.id, j.traceID,
+	s.flight.Span(now, j.id, j.req.TraceID,
 		fmt.Sprintf("%d spans over %d ranks", rep.Spans, len(rep.Ranks)))
-	s.engine.ObserveJob(now, flight.JobSample{JobID: j.id, TraceID: j.traceID, Report: rep,
+	s.engine.ObserveJob(now, flight.JobSample{JobID: j.id, TraceID: j.req.TraceID, Report: rep,
 		Kind: sr.Kind, N: sr.N, Tasks: sr.Tasks, Threads: sr.Threads})
 }
 

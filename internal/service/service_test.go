@@ -693,7 +693,7 @@ func TestPprofMounting(t *testing.T) {
 }
 
 // TestSubmitRaceWithWorkers submits uncached jobs while two workers drain
-// the queue, so a worker can claim a job before SubmitTraced returns: under
+// the queue, so a worker can claim a job before Submit returns: under
 // -race it fails if anything the worker reads is written after the push.
 func TestSubmitRaceWithWorkers(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 2, QueueCap: 64})

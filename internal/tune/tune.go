@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/perf"
 )
@@ -35,12 +36,15 @@ func (p Point) String() string {
 		p.Threads, p.Thickness, p.BlockX, p.BlockY)
 }
 
-// Space is the set of candidate values per parameter.
+// Space is the set of candidate values per parameter, over one global grid
+// (zero means the paper's 420³) and one halo width (zero means 1).
 type Space struct {
 	Threads   []int
 	Thickness []int
 	BlockX    []int
 	BlockY    []int
+	N         grid.Dims
+	HaloWidth int
 }
 
 // DefaultSpace returns the space the paper sweeps for the given machine
@@ -81,13 +85,13 @@ type Evaluation struct {
 	GF      float64
 }
 
-// objective evaluates one point; invalid points return ok=false.
-func objective(m *machine.Machine, kind core.Kind, cores int, p Point) (Evaluation, bool) {
+// objective evaluates one point of s; invalid points return ok=false.
+func objective(m *machine.Machine, kind core.Kind, cores int, s Space, p Point) (Evaluation, bool) {
 	if p.Threads <= 0 || cores%p.Threads != 0 {
 		return Evaluation{}, false
 	}
 	e, err := perf.Evaluate(perf.Config{
-		M: m, Kind: kind, Cores: cores, Threads: p.Threads,
+		M: m, Kind: kind, Cores: cores, Threads: p.Threads, N: s.N, HaloWidth: s.HaloWidth,
 		BoxThickness: p.Thickness, BlockX: p.BlockX, BlockY: p.BlockY,
 	})
 	if err != nil {
@@ -106,7 +110,7 @@ func Exhaustive(m *machine.Machine, kind core.Kind, cores int, s Space) (Result,
 		for _, w := range s.Thickness {
 			for _, bx := range s.BlockX {
 				for _, by := range s.BlockY {
-					e, ok := objective(m, kind, cores, Point{Threads: t, Thickness: w, BlockX: bx, BlockY: by})
+					e, ok := objective(m, kind, cores, s, Point{Threads: t, Thickness: w, BlockX: bx, BlockY: by})
 					res.Evaluations++
 					if !ok {
 						continue
@@ -136,7 +140,7 @@ func CoordinateDescent(m *machine.Machine, kind core.Kind, cores int, s Space) (
 	evals := 0
 	eval := func(p Point) (float64, bool) {
 		evals++
-		e, ok := objective(m, kind, cores, p)
+		e, ok := objective(m, kind, cores, s, p)
 		return e.GF, ok
 	}
 
