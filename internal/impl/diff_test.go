@@ -18,26 +18,41 @@ import (
 // every schedule held against single-task on each, to the bit: CPU ranks
 // and emulated kernels alike run the one row kernel, whose value at a point
 // depends only on the point's 27 inputs. Every run conserves mass. It prints
-// the table it checked.
+// the table it checked. The table ends with pinned cases whose ranks are two
+// points thick in x, where nonblocking's whole-width rows hold every x wall
+// point beside its second and third thirds.
 func TestSchedulesAgreeOnRandomConfigurations(t *testing.T) {
 	const cases = 48
 	extents := []int{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17}
 	blocks := [][2]int{{4, 4}, {8, 4}, {5, 3}, {16, 8}, {32, 8}}
+	pinned := []struct {
+		n            grid.Dims
+		tasks, steps int
+	}{
+		{grid.Dims{X: 6, Y: 7, Z: 7}, 3, 5}, // 2×7×7 ranks
+		{grid.Dims{X: 6, Y: 7, Z: 7}, 6, 5}, // 2×7×4 and 2×7×3 ranks
+	}
 	rng := rand.New(rand.NewSource(20110516))
 	pick := func(n int) int { return 1 + rng.Intn(n) }
 
 	var table strings.Builder
 	fmt.Fprintf(&table, "%-10s %5s %7s %2s %2s %-5s %5s  %s\n",
 		"grid", "tasks", "threads", "T", "W", "block", "steps", "max |u - single| per schedule (= is bitwise, - is no box fits)")
-	for i := 0; i < cases; i++ {
+	for i := 0; i < cases+len(pinned); i++ {
 		n := grid.Dims{X: extents[rng.Intn(len(extents))], Y: extents[rng.Intn(len(extents))], Z: extents[rng.Intn(len(extents))]}
 		tasks := min(pick(8), n.X, n.Y, n.Z)
+		if i >= cases {
+			n, tasks = pinned[i-cases].n, pinned[i-cases].tasks
+		}
 		blk := blocks[rng.Intn(len(blocks))]
 		p := core.Problem{
 			N:     n,
 			C:     grid.Velocity{X: 1 - 2*rng.Float64(), Y: 1 - 2*rng.Float64(), Z: 1 - 2*rng.Float64()},
 			Steps: rng.Intn(8),
 			Wave:  grid.Gaussian{Center: [3]float64{rng.Float64() * float64(n.X), rng.Float64() * float64(n.Y), rng.Float64() * float64(n.Z)}, Sigma: 1.5 + rng.Float64()},
+		}
+		if i >= cases {
+			p.Steps = pinned[i-cases].steps
 		}
 		// The thinnest subdomain bounds the box thickness (2T < extent)
 		// and the halo depth (W <= extent).

@@ -1,6 +1,41 @@
 package impl
 
-import "repro/internal/obs"
+import (
+	"repro/internal/grid"
+	"repro/internal/obs"
+	"repro/internal/stencil"
+)
+
+// nonblockingCut is the local domain as stepNonblocking computes it: during[d]
+// while dimension d's exchange is in flight, after once all three have
+// landed. The four regions tile the domain, each point once.
+type nonblockingCut struct {
+	during [3][]grid.Subdomain
+	after  []grid.Subdomain
+}
+
+// prepareNonblocking cuts the local domain for §IV-C. The first third of
+// the interior is all the x phase may compute: nothing else avoids the x
+// halo. Once the x exchange has landed, the x halo is valid over the whole
+// owned y–z range, so the second and third thirds are computed as
+// whole-width rows, their ±x walls included, and only the first third's
+// walls are left as one-point rows. They are computed with the z and y
+// slabs; at the head of the y-phase region they measured no faster.
+func prepareNonblocking(r *rank) {
+	n := r.sub.Size
+	thirds, slabs := stencil.InteriorThirds(n), stencil.BoundarySlabs(n) // slabs: -z, +z, -y, +y, -x, +x
+	rows := func(t grid.Subdomain) grid.Subdomain {
+		return grid.Subdomain{Lo: grid.Dims{Y: t.Lo.Y, Z: t.Lo.Z}, Size: grid.Dims{X: n.X, Y: t.Size.Y, Z: t.Size.Z}}
+	}
+	cut := &nonblockingCut{
+		during: [3][]grid.Subdomain{{thirds[0]}, {rows(thirds[1])}, {rows(thirds[2])}},
+		after:  appendOnce(nil, slabs[:4]...),
+	}
+	for _, w := range slabs[4:] {
+		cut.after = appendOnce(cut.after, grid.Intersect(w, rows(thirds[0])))
+	}
+	r.geom = cut
+}
 
 // stepNonblocking is §IV-C: the common overlap strategy. The local domain
 // is partitioned into interior points (stencil reads no halo) and boundary
@@ -9,13 +44,22 @@ import "repro/internal/obs"
 // initiation and completion of the x communication, the second within y,
 // the third within z. The boundary points are computed after all
 // communication completes.
+//
+// One departure: the ±x walls beside the second and third thirds are not
+// left for the end. Their stencil reads the x halo, which has landed by the
+// time those thirds run, so those thirds are computed as whole-width rows
+// (x ∈ [0, nx)), as §IV-I computes wall points inside later exchange phases.
+// A one-point ±x-wall row costs several times a point of a whole row, enough
+// to undo the overlap on small subdomains; only the first third's walls are
+// still computed that way, with the slabs. The values are the same bits.
 func stepNonblocking(r *rank, _ int) {
+	cut := r.geom.(*nonblockingCut)
 	for dim := 0; dim < 3; dim++ {
 		ph := r.ex.start(dim)
-		r.compute(obs.PhaseInterior, thirdNames[dim], r.thirds[dim])
+		r.compute(obs.PhaseInterior, thirdNames[dim], cut.during[dim]...)
 		r.ex.finish(ph)
 	}
 	// "The threads compute the boundary points after the communication."
-	r.compute(obs.PhaseBoundary, "slabs", r.boundary...)
+	r.compute(obs.PhaseBoundary, "slabs", cut.after...)
 	r.commit()
 }

@@ -25,11 +25,9 @@ type rank struct {
 	sub grid.Subdomain // this rank's box of the global grid
 
 	// The local domain and its cut for the overlap schedules: the points
-	// whose stencil reads no halo, the six slabs of those that do, and the
-	// interior in thirds along z, one per exchange phase (§IV-C).
+	// whose stencil reads no halo and the six slabs of those that do.
 	whole, interior grid.Subdomain
 	boundary        []grid.Subdomain
-	thirds          [3]grid.Subdomain
 
 	cur  *grid.Field // host state over the subdomain, halos included
 	nxt  *grid.Field // cpu: the state the step computes into
@@ -104,15 +102,8 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	runErr := safeWorldRun(mpi.NewWorld(o.Tasks), func(c *mpi.Comm) {
 		r := &rank{p: p, o: o, id: c.Rank(), sub: d.Sub(c.Rank())}
 		n := r.sub.Size
-		r.whole, r.interior, r.thirds = stencil.Whole(n), stencil.Interior(n), stencil.InteriorThirds(n)
-		// A subdomain one point thick in a dimension has one slab for both
-		// of that dimension's walls. It is kept once: compute hands every
-		// row of a region to one thread, and two must not write one point.
-		for _, slab := range stencil.BoundarySlabs(n) {
-			if !slices.Contains(r.boundary, slab) {
-				r.boundary = append(r.boundary, slab)
-			}
-		}
+		r.whole, r.interior = stencil.Whole(n), stencil.Interior(n)
+		r.boundary = appendOnce(nil, stencil.BoundarySlabs(n)...)
 		if sch.cpu {
 			r.team = par.NewTeam(o.Threads)
 			defer r.team.Close()
@@ -281,6 +272,19 @@ func (r *rank) setRegion(subs ...grid.Subdomain) int {
 		}
 	}
 	return total
+}
+
+// appendOnce appends to region each of subs it does not hold yet. A
+// subdomain one point thick in a dimension has one slab for both of that
+// dimension's walls. It is kept once: compute hands every row of a region to
+// one thread, and two must not write one point.
+func appendOnce(region []grid.Subdomain, subs ...grid.Subdomain) []grid.Subdomain {
+	for _, s := range subs {
+		if !slices.Contains(region, s) {
+			region = append(region, s)
+		}
+	}
+	return region
 }
 
 // applyRows computes rows [lo, hi) of the region setRegion described: of

@@ -292,7 +292,9 @@ func modelBulk(cfg Config) (float64, map[string]float64, error) {
 // slabs separately: the x walls are strided with unit-length rows, the y
 // walls short rows, and the separate pass re-touches cache lines. The z
 // walls are full contiguous planes, so the volume-weighted factor is well
-// below the x-wall worst case.
+// below the x-wall worst case. It models the paper's codes, which compute
+// every wall after the exchange, and is not fit to internal/impl's
+// nonblocking runner, which computes most of its x walls inside whole rows.
 const boundaryPenalty = 1.25
 
 // interiorSplitPenalty is the cache cost of computing the interior in
@@ -318,10 +320,6 @@ func modelNonblocking(cfg Config) (float64, map[string]float64, error) {
 	t := cfg.Threads
 	interior := stencil.Interior(l.sub).Volume()
 	boundary := l.sub.Volume() - interior
-	if interior < 0 {
-		interior = 0
-		boundary = l.sub.Volume()
-	}
 
 	f := cfg.M.Net.OffloadFraction
 	thirds := cpuCompute(n, interior, t) * interiorSplitPenalty / 3
@@ -368,10 +366,6 @@ func modelThreaded(cfg Config) (float64, map[string]float64, error) {
 	t := cfg.Threads
 	interior := stencil.Interior(l.sub).Volume()
 	boundary := l.sub.Volume() - interior
-	if interior < 0 {
-		interior = 0
-		boundary = l.sub.Volume()
-	}
 
 	// Master does the whole exchange, including packing, single threaded —
 	// and does it while the other threads saturate the memory system, so

@@ -80,6 +80,23 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
+// TestThinTasksAreAllBoundary: nine tasks on a 3³ grid own three points
+// each in a row, none of which is interior, so the overlap schedules'
+// boundary term charges all three.
+func TestThinTasksAreAllBoundary(t *testing.T) {
+	jag := machine.JaguarPF()
+	want := cpuCompute(jag.Node, 3, 1) * boundaryPenalty
+	for _, k := range []core.Kind{core.NonblockingOverlap, core.ThreadedOverlap} {
+		e, err := Evaluate(Config{M: jag, Kind: k, Cores: 9, Threads: 1, N: grid.Uniform(3)})
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if got := e.Breakdown["boundary"]; got != want {
+			t.Errorf("%v: boundary term %g s, want %g s (3 points)", k, got, want)
+		}
+	}
+}
+
 // --- Section V-E calibration anchors (Yona, one node) ----------------------
 
 func within(t *testing.T, name string, got, want, tol float64) {

@@ -142,7 +142,11 @@ func colSum(w *[9]float64, a0, a1, a2, a3, a4, a5, a6, a7, a8 float64) float64 {
 // one-point rows (m = 3) of BoundarySlabs' ±x walls never reach the vector
 // body. At 128³ they cost ≈ 25 ns per point on either path, nine cache
 // lines for each output (BenchmarkApply/xwall128), where whole rows cost 1.4
-// with the vector body and 3.2 without it.
+// with the vector body and 3.2 without it. Of the CPU-only schedules, two
+// still compute such rows: threaded, all its ±x walls, and nonblocking, only
+// the walls beside its first interior third, which must wait for the x
+// halo; the walls beside its other two thirds lie inside whole-width rows.
+// The hybrid schedules cut their walls as the paper's box shell does.
 func (op *Op) applyRow(dst, s []float64, b int) {
 	m := len(dst)
 	if m < 3 { // no output
@@ -173,11 +177,13 @@ func (op *Op) applyRow(dst, s []float64, b int) {
 
 // Interior returns the subdomain of points of an n-point local domain whose
 // stencil touches no halo point: the domain shrunk by the stencil halo
-// width (1) on every side. If the domain is too thin the result is empty.
+// width (1) on every side. If the domain is too thin the result is empty,
+// with every short extent clamped to 0 as grid.Intersect clamps, so that its
+// Volume is 0: two negative extents would multiply to a positive count.
 func Interior(n grid.Dims) grid.Subdomain {
 	return grid.Subdomain{
 		Lo:   grid.Dims{X: 1, Y: 1, Z: 1},
-		Size: grid.Dims{X: n.X - 2, Y: n.Y - 2, Z: n.Z - 2},
+		Size: grid.Dims{X: max(n.X-2, 0), Y: max(n.Y-2, 0), Z: max(n.Z-2, 0)},
 	}
 }
 
@@ -185,7 +191,9 @@ func Interior(n grid.Dims) grid.Subdomain {
 // whose stencil reads at least one halo point — of an n-point local domain,
 // ordered -z, +z, -y, +y, -x, +x. Together with Interior(n) they tile the
 // domain. These are the points computed after communication completes in
-// the overlap implementations (§IV-C, §IV-D).
+// the overlap implementations (§IV-D; §IV-C computes the ±x walls beside its
+// second and third interior thirds with those thirds, once the x halo has
+// landed).
 func BoundarySlabs(n grid.Dims) []grid.Subdomain {
 	b := grid.BoxSplit{Local: n, T: 1}
 	return b.Walls()

@@ -302,6 +302,18 @@ func TestInteriorAndBoundaryTile(t *testing.T) {
 	}
 }
 
+// TestInteriorOfThinDomainIsEmpty: a domain thinner than three points in
+// two dimensions has no interior, and no volume to count either — two
+// negative extents must not multiply to a positive point count.
+func TestInteriorOfThinDomainIsEmpty(t *testing.T) {
+	for _, n := range []grid.Dims{{X: 3, Y: 1, Z: 1}, {X: 1, Y: 5, Z: 1}, {X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 6}} {
+		in := Interior(n)
+		if !in.Empty() || in.Volume() != 0 {
+			t.Errorf("Interior(%v) = %v with volume %d, want empty with volume 0", n, in, in.Volume())
+		}
+	}
+}
+
 func TestInteriorThirdsTileInterior(t *testing.T) {
 	for _, nz := range []int{5, 6, 7, 8} {
 		n := grid.Dims{X: 6, Y: 6, Z: nz}
