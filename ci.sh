@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: formatting, vet, advectlint, build, the full test suite with the
-# race detector, vet and tests of the nested bench/ module, and the nine
-# ns_gate bounds of BENCH_guards.json (each with its allocation test).
+# CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
+# build, the full test suite with the race detector, vet and tests of the
+# nested bench/ module, and the nine ns_gate bounds of BENCH_guards.json
+# (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
 
@@ -9,6 +10,16 @@ set -eux
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on: $unformatted" >&2
+    exit 1
+fi
+
+# Prose gate (ROADMAP item 7, "say each thing once"): README.md and
+# DESIGN.md together stay within 45 000 bytes. README says how to run it,
+# DESIGN why it is built this way; numbers live in docs/report.md and
+# EXPERIMENTS.md, equations in MODEL.md.
+prose_bytes=$(cat README.md DESIGN.md | wc -c)
+if [ "$prose_bytes" -gt 45000 ]; then
+    echo "README.md + DESIGN.md are $prose_bytes bytes, over the 45000-byte bar" >&2
     exit 1
 fi
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildCLI compiles the command once per test binary.
@@ -103,5 +104,28 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(out2), "c1060") || !strings.Contains(string(out2), "c2050") {
 		t.Fatalf("-gpu error does not name the valid models:\n%s", out2)
+	}
+}
+
+// TestCLITimeoutBoundsCalibration: -timeout is one deadline for the whole
+// command, so the -mintime probes run under it too. A two-minute
+// calibration target under a 300 ms deadline must stop at the deadline
+// and say why, not run its probes to the end.
+func TestCLITimeoutBoundsCalibration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	start := time.Now()
+	out, err := exec.Command(bin, "-n", "64", "-mintime", "2m", "-timeout", "300ms").CombinedOutput()
+	took := time.Since(start)
+	if err == nil {
+		t.Fatalf("calibration past its deadline exited 0:\n%s", out)
+	}
+	if took > 2*time.Second {
+		t.Fatalf("exited after %v, want within 2s of a 300ms deadline:\n%s", took, out)
+	}
+	if !strings.Contains(string(out), "cancelled") {
+		t.Fatalf("output does not name the cancellation:\n%s", out)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/measure"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func main() {
 		tasksGPU  = flag.Int("taskspergpu", 0, "MPI tasks sharing one simulated GPU (0 = one device per task)")
 		gpuName   = flag.String("gpu", "c2050", "simulated GPU: c1060 or c2050")
 		verify    = flag.Bool("verify", true, "compare against the analytic solution")
-		timeout   = flag.Duration("timeout", 0, "abort the run if it exceeds this duration (0 = no limit); cancellation is checked between timesteps")
+		timeout   = flag.Duration("timeout", 0, "abort the run, -mintime calibration included, if it exceeds this duration (0 = no limit); cancellation is checked between timesteps")
 		minTime   = flag.Duration("mintime", 0, "calibrate the step count so the measurement runs at least this long (the paper's methodology; overrides -steps)")
 		trace     = flag.String("trace", "", "record per-rank phase spans, print the overlap report with the per-rank load-imbalance/straggler section, and write a Chrome trace-event JSON (open in ui.perfetto.dev) to this file")
 		saveCkpt  = flag.String("save", "", "write a checkpoint of the final state to this file")
@@ -85,33 +84,34 @@ func main() {
 		Verify:       *verify,
 		Rec:          rec,
 	}
-	if *minTime > 0 {
-		// Paper §II: vary the number of steps until the measurement runs
-		// long enough — at least 5 seconds in the paper.
-		stepper := func(n int) time.Duration {
-			pp := p
-			pp.Steps = n
-			oo := o
-			oo.Verify = false
-			oo.Rec = nil // don't pollute the trace with calibration runs
-			r, err := advect.Run(kind, pp, oo)
-			if err != nil {
-				fatal(err)
-			}
-			return r.Elapsed
-		}
-		n, err := measure.CalibrateSteps(stepper, *minTime)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("calibrated step count: %d (target %v)\n", n, *minTime)
-		p.Steps = n
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
+	}
+	if *minTime > 0 {
+		// Paper §II: vary the number of steps until the measurement runs
+		// long enough — at least 5 seconds in the paper. The probes run
+		// under the same deadline as the measurement.
+		probe := func(n int) (time.Duration, error) {
+			pp := p
+			pp.Steps = n
+			oo := o
+			oo.Verify = false
+			oo.Rec = nil // don't pollute the trace with calibration runs
+			r, err := advect.RunContext(ctx, kind, pp, oo)
+			if err != nil {
+				return 0, err
+			}
+			return r.Elapsed, nil
+		}
+		n, err := calibrateSteps(probe, *minTime)
+		if err != nil {
+			fatal(fmt.Errorf("calibrating -mintime: %w", err))
+		}
+		fmt.Printf("calibrated step count: %d (target %v)\n", n, *minTime)
+		p.Steps = n
 	}
 	res, err := advect.RunContext(ctx, kind, p, o)
 	if err != nil {
@@ -171,4 +171,48 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "advect:", err)
 	os.Exit(1)
+}
+
+// defaultTarget is the paper's minimum measurement duration (§II: "at
+// least 5 seconds per measurement").
+const defaultTarget = 5 * time.Second
+
+// calibrateSteps returns a step count whose measurement should take at
+// least target. step runs n steps and reports the stepping loop's wall
+// time; its error ends the calibration. It probes with geometrically
+// growing counts until a probe takes at least 1% of the target, then
+// extrapolates with 10% headroom.
+func calibrateSteps(step func(n int) (time.Duration, error), target time.Duration) (int, error) {
+	if target <= 0 {
+		target = defaultTarget
+	}
+	const maxSteps = 1 << 24
+	probeFloor := target / 100
+	for n := 1; n <= maxSteps; n *= 4 {
+		d, err := step(n)
+		if err != nil {
+			return 0, err
+		}
+		if d <= 0 {
+			continue
+		}
+		if d >= target {
+			return n, nil
+		}
+		if d >= probeFloor {
+			perStep := d / time.Duration(n)
+			if perStep <= 0 {
+				perStep = time.Nanosecond
+			}
+			need := int(float64(target)/float64(perStep)*1.1) + 1
+			if need < n {
+				need = n
+			}
+			if need > maxSteps {
+				need = maxSteps
+			}
+			return need, nil
+		}
+	}
+	return 0, fmt.Errorf("steps too fast to calibrate against %v", target)
 }

@@ -22,7 +22,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("== %s (1 GPU per %d cores): coordinate-descent tuner\n", m.Name, m.CoresPerGPU())
+		fmt.Printf("== %s (1 GPU per %d cores): exhaustive tuner\n", m.Name, m.CoresPerGPU())
 		sched, err := tune.BuildSchedule(m, advect.HybridOverlap, harness.CoreCounts(m))
 		if err != nil {
 			log.Fatal(err)

@@ -23,17 +23,6 @@ func TestExamplesRun(t *testing.T) {
 	if len(entries) < 3 {
 		t.Fatalf("only %d examples", len(entries))
 	}
-	// The service walkthrough must be present: it is the executable
-	// documentation for cmd/advectd (boot, submit, cache hit, drain).
-	hasService := false
-	for _, e := range entries {
-		if e.IsDir() && e.Name() == "service" {
-			hasService = true
-		}
-	}
-	if !hasService {
-		t.Fatal("examples/service missing")
-	}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue

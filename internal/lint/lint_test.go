@@ -139,6 +139,24 @@ func TestLockOrderFixture(t *testing.T) {
 	runFixture(t, "lockorder", "fixture/lockorder", []*lint.Analyzer{lint.LockOrder()})
 }
 
+// TestLockHeldMissesLockOrderCycle is why lockorder is kept: lockheld
+// alone reports nothing on the lockorder fixture, whose A→B/B→A inversion
+// TestLockOrderFixture flags. Taking a second lock under the first is no
+// blocking operation, and the cycle is only visible across functions.
+func TestLockHeldMissesLockOrderCycle(t *testing.T) {
+	pkg, err := lint.LoadDir(filepath.Join("testdata", "src", "lockorder"), "fixture/lockorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*lint.Package{pkg}
+	if len(lint.Run(pkgs, []*lint.Analyzer{lint.LockOrder()})) == 0 {
+		t.Fatal("lockorder found no cycle in its own fixture")
+	}
+	for _, d := range lint.Run(pkgs, []*lint.Analyzer{lint.LockHeld()}) {
+		t.Errorf("lockheld reported on the lockorder fixture: %s", d)
+	}
+}
+
 func TestGoroutineLifeFixture(t *testing.T) {
 	runFixture(t, "goroutinelife", "fixture/goroutinelife", []*lint.Analyzer{lint.GoroutineLife()})
 }

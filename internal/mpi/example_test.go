@@ -18,7 +18,8 @@ func Example() {
 	w.Run(func(c *mpi.Comm) {
 		peer := 1 - c.Rank()
 		recv := make([]float64, 1)
-		req := c.IRecv(peer, 0, recv)
+		req := c.RecvInit(peer, 0, recv)
+		req.Start()
 		c.ISend(peer, 0, []float64{float64(c.Rank() * 10)})
 		req.Wait()
 		mu.Lock()

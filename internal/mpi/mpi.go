@@ -15,7 +15,7 @@
 //
 // A receive can be persistent, as MPI_Recv_init makes one: RecvInit binds
 // the source, tag and buffer once, and each Start and Wait after it is one
-// receive, with nothing allocated per message. IRecv is RecvInit and Start.
+// receive, with nothing allocated per message.
 //
 // Functional correctness is this package's job; communication *cost* on the
 // paper's machines is modeled separately by internal/perf.
@@ -28,10 +28,10 @@ import (
 	"repro/internal/obs"
 )
 
-// AnyTag matches any tag in Recv, IRecv and RecvInit.
+// AnyTag matches any tag in Recv and RecvInit.
 const AnyTag = -1
 
-// AnySource matches any source rank in Recv, IRecv and RecvInit.
+// AnySource matches any source rank in Recv and RecvInit.
 const AnySource = -1
 
 const collTagBase = 1 << 30 // internal tag space for collectives
@@ -243,13 +243,6 @@ func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
 	}
 	c.checkTagOrAny(tag)
 	return &Request{c: c, src: src, tag: tag, buf: buf}
-}
-
-// IRecv posts a nonblocking receive into buf: RecvInit, then Start.
-func (c *Comm) IRecv(src, tag int, buf []float64) *Request {
-	r := c.RecvInit(src, tag, buf)
-	r.Start()
-	return r
 }
 
 // Barrier blocks until every rank in the world has entered it.

@@ -124,6 +124,8 @@ func TestSelfSend(t *testing.T) {
 	})
 }
 
+// TestISendIRecvWait: a nonblocking receive is a persistent one started
+// once (MPI_Irecv is MPI_Recv_init + MPI_Start), completed by Wait.
 func TestISendIRecvWait(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
@@ -135,12 +137,13 @@ func TestISendIRecvWait(t *testing.T) {
 			req.Wait()
 		} else {
 			buf := make([]float64, 1)
-			req := c.IRecv(0, 3, buf)
+			req := c.RecvInit(0, 3, buf)
+			req.Start()
 			if req.Done() {
-				t.Error("IRecv complete before Wait")
+				t.Error("started receive complete before Wait")
 			}
 			if n := req.Wait(); n != 1 || buf[0] != 7 {
-				t.Errorf("IRecv got %v (n=%d)", buf, n)
+				t.Errorf("receive got %v (n=%d)", buf, n)
 			}
 			if req.Wait() != 1 {
 				t.Error("Wait not idempotent")

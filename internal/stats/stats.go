@@ -219,76 +219,6 @@ func Heatmap(w io.Writer, title string, nx, ny int, at func(i, j int) float64) {
 	}
 }
 
-// GanttSpan is one bar of a Gantt chart.
-type GanttSpan struct {
-	Lane  string
-	Label string
-	Start float64
-	End   float64
-}
-
-// Gantt renders spans as an ASCII timeline, one row per lane, scaled to
-// width columns — the visualization of what overlapped with what.
-func Gantt(w io.Writer, title string, spans []GanttSpan, width int) {
-	if width < 20 {
-		width = 72
-	}
-	if len(spans) == 0 {
-		fmt.Fprintf(w, "%s: (no spans)\n", title)
-		return
-	}
-	minT, maxT := math.Inf(1), math.Inf(-1)
-	laneOrder := []string{}
-	seen := map[string]bool{}
-	for _, s := range spans {
-		if s.Start < minT {
-			minT = s.Start
-		}
-		if s.End > maxT {
-			maxT = s.End
-		}
-		if !seen[s.Lane] {
-			seen[s.Lane] = true
-			laneOrder = append(laneOrder, s.Lane)
-		}
-	}
-	sort.Strings(laneOrder)
-	span := maxT - minT
-	if span <= 0 {
-		span = 1
-	}
-	col := func(t float64) int {
-		c := int((t - minT) / span * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
-	}
-	laneWidth := 0
-	for _, l := range laneOrder {
-		if len(l) > laneWidth {
-			laneWidth = len(l)
-		}
-	}
-	fmt.Fprintf(w, "%s  (%s .. %s s)\n", title, FormatNum(minT), FormatNum(maxT))
-	for _, lane := range laneOrder {
-		row := []byte(strings.Repeat(".", width))
-		for _, s := range spans {
-			if s.Lane != lane {
-				continue
-			}
-			lo, hi := col(s.Start), col(s.End)
-			for c := lo; c <= hi; c++ {
-				row[c] = '#'
-			}
-		}
-		fmt.Fprintf(w, "  %-*s |%s|\n", laneWidth, lane, string(row))
-	}
-}
-
 // Chart draws a log-x ASCII chart of the series (Y linear), height rows by
 // width columns, with one symbol per series.
 func Chart(w io.Writer, title string, series []Series, width, height int) {

@@ -102,34 +102,6 @@ func TestChartEmpty(t *testing.T) {
 	}
 }
 
-func TestGanttRenders(t *testing.T) {
-	spans := []GanttSpan{
-		{Lane: "gpu", Label: "k", Start: 0, End: 0.5},
-		{Lane: "pcie", Label: "h2d", Start: 0.2, End: 0.4},
-	}
-	var buf bytes.Buffer
-	Gantt(&buf, "timeline", spans, 40)
-	out := buf.String()
-	if !strings.Contains(out, "gpu") || !strings.Contains(out, "pcie") {
-		t.Fatalf("lanes missing:\n%s", out)
-	}
-	if !strings.Contains(out, "#") {
-		t.Fatal("no bars drawn")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 { // title + 2 lanes
-		t.Fatalf("%d lines, want 3:\n%s", len(lines), out)
-	}
-}
-
-func TestGanttEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	Gantt(&buf, "empty", nil, 40)
-	if !strings.Contains(buf.String(), "no spans") {
-		t.Fatal("empty gantt should say so")
-	}
-}
-
 func TestWriteMarkdown(t *testing.T) {
 	tb := Table{Header: []string{"a", "b|c"}}
 	tb.AddRow("1", "2")

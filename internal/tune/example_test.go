@@ -13,7 +13,7 @@ import (
 func Example() {
 	yona := machine.Yona()
 	space := tune.DefaultSpace(yona, core.HybridOverlap)
-	r, err := tune.CoordinateDescent(yona, core.HybridOverlap, 12, space)
+	r, err := tune.Exhaustive(yona, core.HybridOverlap, 12, space)
 	if err != nil {
 		fmt.Println(err)
 		return

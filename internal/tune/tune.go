@@ -6,12 +6,11 @@
 // itself depend on the number of threads per task") and vary with the
 // strong-scaling local domain size; the tuner searches the joint space.
 //
-// Two strategies are provided: Exhaustive, which sweeps the whole space
-// (the paper's own methodology — "a suite of runs ... that spans the space
-// of various tuning parameters"), and CoordinateDescent, a cheap greedy
-// search that tunes one parameter at a time and converges in a small
-// fraction of the evaluations, the kind of search an auto-tuner would run
-// online.
+// The one strategy is Exhaustive, which sweeps the whole space (the paper's
+// own methodology — "a suite of runs ... that spans the space of various
+// tuning parameters"). Each point costs one model evaluation, so a whole
+// space of a few hundred points is cheap enough that no greedy search is
+// needed.
 package tune
 
 import (
@@ -130,70 +129,6 @@ func Exhaustive(m *machine.Machine, kind core.Kind, cores int, s Space) (Result,
 	return res, nil
 }
 
-// CoordinateDescent tunes one parameter at a time, repeating passes until
-// no parameter improves — a greedy search that typically needs a small
-// fraction of the exhaustive evaluations. It is restarted from every
-// thread choice (the thread axis has the strongest interactions), keeping
-// the best outcome.
-func CoordinateDescent(m *machine.Machine, kind core.Kind, cores int, s Space) (Result, error) {
-	var best Result
-	evals := 0
-	eval := func(p Point) (float64, bool) {
-		evals++
-		e, ok := objective(m, kind, cores, s, p)
-		return e.GF, ok
-	}
-
-	for _, startT := range s.Threads {
-		cur := Point{
-			Threads:   startT,
-			Thickness: s.Thickness[0],
-			BlockX:    s.BlockX[0],
-			BlockY:    s.BlockY[0],
-		}
-		curGF, ok := eval(cur)
-		if !ok {
-			continue
-		}
-		for improved := true; improved; {
-			improved = false
-			axes := []struct {
-				vals []int
-				set  func(*Point, int)
-				get  func(Point) int
-			}{
-				{s.Thickness, func(p *Point, v int) { p.Thickness = v }, func(p Point) int { return p.Thickness }},
-				{s.BlockX, func(p *Point, v int) { p.BlockX = v }, func(p Point) int { return p.BlockX }},
-				{s.BlockY, func(p *Point, v int) { p.BlockY = v }, func(p Point) int { return p.BlockY }},
-				{s.Threads, func(p *Point, v int) { p.Threads = v }, func(p Point) int { return p.Threads }},
-			}
-			for _, ax := range axes {
-				for _, v := range ax.vals {
-					if v == ax.get(cur) {
-						continue
-					}
-					cand := cur
-					ax.set(&cand, v)
-					if gf, ok := eval(cand); ok && gf > curGF {
-						cur, curGF = cand, gf
-						improved = true
-					}
-				}
-			}
-		}
-		if curGF > best.GF {
-			best.GF = curGF
-			best.Best = cur
-		}
-	}
-	best.Evaluations = evals
-	if best.GF == 0 {
-		return best, fmt.Errorf("tune: no feasible configuration for %v on %s at %d cores",
-			kind, m.Name, cores)
-	}
-	return best, nil
-}
-
 // Schedule is a tuned configuration per core count — what an auto-tuned
 // production run would install.
 type Schedule struct {
@@ -209,12 +144,12 @@ type ScheduleEntry struct {
 	GF    float64
 }
 
-// BuildSchedule tunes every core count with coordinate descent.
+// BuildSchedule tunes every core count with Exhaustive.
 func BuildSchedule(m *machine.Machine, kind core.Kind, coreCounts []int) (Schedule, error) {
 	sched := Schedule{Machine: m.Name, Kind: kind}
 	s := DefaultSpace(m, kind)
 	for _, cores := range coreCounts {
-		r, err := CoordinateDescent(m, kind, cores, s)
+		r, err := Exhaustive(m, kind, cores, s)
 		if err != nil {
 			return sched, err
 		}

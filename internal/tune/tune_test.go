@@ -20,48 +20,6 @@ func TestExhaustiveFindsFeasible(t *testing.T) {
 	}
 }
 
-func TestCoordinateDescentNearExhaustive(t *testing.T) {
-	// The greedy search must find at least 95% of the exhaustive optimum
-	// on every machine/implementation pair, with fewer evaluations when
-	// the space is non-trivial.
-	cases := []struct {
-		m     *machine.Machine
-		kind  core.Kind
-		cores int
-	}{
-		{machine.JaguarPF(), core.BulkSync, 1536},
-		{machine.HopperII(), core.NonblockingOverlap, 6144},
-		{machine.Lens(), core.HybridOverlap, 128},
-		{machine.Yona(), core.HybridOverlap, 96},
-		{machine.Yona(), core.GPUStreams, 48},
-	}
-	for _, c := range cases {
-		space := DefaultSpace(c.m, c.kind)
-		ex, err := Exhaustive(c.m, c.kind, c.cores, space)
-		if err != nil {
-			t.Fatalf("%s/%v: %v", c.m.Name, c.kind, err)
-		}
-		cd, err := CoordinateDescent(c.m, c.kind, c.cores, space)
-		if err != nil {
-			t.Fatalf("%s/%v: %v", c.m.Name, c.kind, err)
-		}
-		if cd.GF < 0.95*ex.GF {
-			t.Fatalf("%s/%v: greedy %.1f GF < 95%% of exhaustive %.1f GF (%v vs %v)",
-				c.m.Name, c.kind, cd.GF, ex.GF, cd.Best, ex.Best)
-		}
-	}
-}
-
-func TestCoordinateDescentCheaper(t *testing.T) {
-	yona := machine.Yona()
-	space := DefaultSpace(yona, core.HybridOverlap)
-	ex, _ := Exhaustive(yona, core.HybridOverlap, 96, space)
-	cd, _ := CoordinateDescent(yona, core.HybridOverlap, 96, space)
-	if cd.Evaluations >= ex.Evaluations {
-		t.Fatalf("greedy used %d evaluations, exhaustive %d", cd.Evaluations, ex.Evaluations)
-	}
-}
-
 func TestDefaultSpaceShape(t *testing.T) {
 	yona := machine.Yona()
 	cpu := DefaultSpace(yona, core.BulkSync)
@@ -103,9 +61,6 @@ func TestInfeasibleSpace(t *testing.T) {
 	bad := Space{Threads: []int{5}, Thickness: []int{1}, BlockX: []int{32}, BlockY: []int{8}}
 	if _, err := Exhaustive(yona, core.BulkSync, 12, bad); err == nil {
 		t.Fatal("infeasible space accepted") // 12 % 5 != 0
-	}
-	if _, err := CoordinateDescent(yona, core.BulkSync, 12, bad); err == nil {
-		t.Fatal("infeasible space accepted")
 	}
 }
 
