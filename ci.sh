@@ -120,7 +120,8 @@ ns_gate ./internal/stencil TestApplyNoAllocs BenchmarkApplyRow128 \
     BENCH_guards.json stencil_row128_max_ns_per_op "stencil row kernel"
 
 # Exchange-substrate guard, the first on a halo exchange: one send of 64
-# values and its receive, through a recycled payload slot. Every face of
-# every exchange phase of the multi-task schedules is one such message.
+# values and its receive, through a recycled payload slot. Send, Recv and
+# the collectives copy through these slots; the exchanger's persistent
+# requests lend the same slots without the copy.
 ns_gate ./internal/mpi TestSteadyMessagesAllocateNothing BenchmarkSendRecv64 \
     BENCH_guards.json mpi_sendrecv64_max_ns_per_op "mpi send/recv of 64 values"

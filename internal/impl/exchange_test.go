@@ -1,6 +1,8 @@
 package impl
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +93,114 @@ func TestExchangerRepeatedSteps(t *testing.T) {
 			}
 		}
 	})
+}
+
+// oracleExchange is the four-copy exchange the exchanger replaced, kept
+// as its oracle: per dimension, both faces packed into buffers, sent with a
+// copy, received with a copy and unpacked — self-neighbors included. Its
+// tags sit above the exchanger's so the two never match each other.
+func oracleExchange(c *mpi.Comm, d grid.Decomp, f *grid.Field) {
+	const tagBase = 8
+	for dim := 0; dim < 3; dim++ {
+		lo, hi := d.Neighbor(c.Rank(), dim, -1), d.Neighbor(c.Rank(), dim, +1)
+		n := f.FaceCount(dim) * f.Halo
+		send, recv := make([]float64, n), make([]float64, n)
+		f.PackFace(dim, -1, f.Halo, send)
+		c.Send(lo, tagBase+tagLow(dim), send)
+		f.PackFace(dim, +1, f.Halo, send)
+		c.Send(hi, tagBase+tagHigh(dim), send)
+		c.Recv(lo, tagBase+tagHigh(dim), recv)
+		f.UnpackFace(dim, -1, f.Halo, recv)
+		c.Recv(hi, tagBase+tagLow(dim), recv)
+		f.UnpackFace(dim, +1, f.Halo, recv)
+	}
+}
+
+// TestExchangerMatchesFourCopyOracle: on uneven grids and every task count
+// up to 12 that they admit, with halos one and two deep, the exchanger —
+// periodic copies for self-neighbor dimensions, lent slots otherwise —
+// leaves every halo point bitwise equal to the four-copy oracle's, over
+// consecutive exchanges that reuse the same slots. The cases cover a task
+// grid of extent 1, of extent 2 (both neighbors the same other rank) and
+// of extent 3 or more.
+func TestExchangerMatchesFourCopyOracle(t *testing.T) {
+	extents := map[int]bool{}
+	for _, n := range []grid.Dims{{X: 12, Y: 10, Z: 9}, {X: 7, Y: 7, Z: 6}} {
+		for _, tasks := range []int{1, 2, 3, 4, 6, 8, 12} {
+			for halo := 1; halo <= 2; halo++ {
+				d := grid.NewDecomp(n, tasks)
+				for dim := 0; dim < 3; dim++ {
+					extents[min(d.P.Axis(dim), 3)] = true
+				}
+				t.Run(fmt.Sprintf("%v/P=%v/h=%d", n, d.P, halo), func(t *testing.T) {
+					mpi.NewWorld(tasks).Run(func(c *mpi.Comm) {
+						sub := d.Sub(c.Rank())
+						got, want := grid.NewField(sub.Size, halo), grid.NewField(sub.Size, halo)
+						ex := newExchanger(c, d, got)
+						for step := 0; step < 3; step++ {
+							got.Fill(func(i, j, k int) float64 {
+								return float64(step) + float64(c.Rank())/16 + float64(i+13*j+169*k)/4096
+							})
+							copy(want.Data(), got.Data())
+							ex.exchangeAll()
+							oracleExchange(c, d, want)
+							// A rank that stopped early would leave its peers
+							// blocked in the next exchange: report, and go on.
+							for i, v := range got.Data() {
+								if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+									t.Errorf("rank %d step %d: storage index %d holds %v, the oracle %v",
+										c.Rank(), step, i, v, want.Data()[i])
+									break
+								}
+							}
+						}
+					})
+				})
+			}
+		}
+	}
+	for _, p := range []int{1, 2, 3} {
+		if !extents[p] {
+			t.Errorf("no case has a task grid of extent %d in some dimension", p)
+		}
+	}
+}
+
+// BenchmarkExchange times one whole three-phase exchange (exchangeAll) of
+// every rank of a world: one task at 16³, whose phases are all periodic
+// copies, and two ranks at 16³ and 128³ (task grid 1×1×2: two periodic
+// copies and one exchange of messages).
+func BenchmarkExchange(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		n     int
+		tasks int
+	}{
+		{"tasks1/n16", 16, 1},
+		{"tasks2/n16", 16, 2},
+		{"tasks2/n128", 128, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := grid.NewDecomp(grid.Uniform(c.n), c.tasks)
+			b.ReportAllocs()
+			mpi.NewWorld(c.tasks).Run(func(cm *mpi.Comm) {
+				f := grid.NewField(d.Sub(cm.Rank()).Size, 1)
+				ex := newExchanger(cm, d, f)
+				ex.exchangeAll() // the first exchange fills the mailboxes' slots
+				cm.Barrier()
+				if cm.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					ex.exchangeAll()
+				}
+				cm.Barrier()
+				if cm.Rank() == 0 {
+					b.StopTimer()
+				}
+			})
+		})
+	}
 }
 
 // TestRunDeterministic pins bitwise reproducibility: the same problem and

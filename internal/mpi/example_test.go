@@ -10,20 +10,21 @@ import (
 
 // Example shows the halo-exchange idiom the paper's implementations use:
 // post nonblocking receives first, send eagerly, then wait — here on a
-// two-rank ring.
+// two-rank ring, with persistent requests that lend their slots.
 func Example() {
 	w := mpi.NewWorld(2)
 	var mu sync.Mutex
 	var lines []string
 	w.Run(func(c *mpi.Comm) {
 		peer := 1 - c.Rank()
-		recv := make([]float64, 1)
-		req := c.RecvInit(peer, 0, recv)
-		req.Start()
-		c.ISend(peer, 0, []float64{float64(c.Rank() * 10)})
-		req.Wait()
+		recv, send := c.RecvInit(peer, 0, 1), c.SendInit(peer, 0, 1)
+		recv.Start()
+		buf := send.Wait() // a slot of the peer's mailbox, lent to fill
+		buf[0] = float64(c.Rank() * 10)
+		send.Start()
+		got := recv.Wait() // the delivered slot, valid until recv's next Start
 		mu.Lock()
-		lines = append(lines, fmt.Sprintf("rank %d received %v", c.Rank(), recv[0]))
+		lines = append(lines, fmt.Sprintf("rank %d received %v", c.Rank(), got[0]))
 		mu.Unlock()
 	})
 	sort.Strings(lines)

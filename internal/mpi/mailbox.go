@@ -13,9 +13,10 @@ type envelope struct {
 // takes the earliest-arrived message whose (source, tag) matches, which
 // preserves MPI's non-overtaking guarantee between a sender/receiver pair.
 //
-// Payloads live in slots the mailbox recycles: a send copies into a free
-// slot, and a receive hands the slot back once it has copied it out, so a
-// steady exchange allocates nothing once its first messages have.
+// Payloads live in slots the mailbox recycles. A copying send fills a free
+// slot; a persistent send is lent one to fill and queues it as it is. A
+// receiver hands the slot back once it is done with it, so a steady
+// exchange allocates nothing once its first messages have.
 type mailbox struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -30,15 +31,14 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put queues a copy of data from src with tag. The copy goes into the
-// smallest free slot that holds it, or else into a new slot that takes the
-// place of a free one too small for it, so a mailbox never holds more slots
-// than it once had messages in flight at the same time.
-func (m *mailbox) put(src, tag int, data []float64) {
-	m.mu.Lock()
+// take removes a slot of n values from the free list: the smallest free
+// slot that holds n, or else a new slot that takes the place of a free one
+// too small for it, so a mailbox never holds more slots than it once had
+// messages in flight or lent at the same time. The caller holds m.mu.
+func (m *mailbox) take(n int) []float64 {
 	best := -1
 	for i, s := range m.free {
-		if cap(s) >= len(data) && (best < 0 || cap(s) < cap(m.free[best])) {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(m.free[best])) {
 			best = i
 		}
 	}
@@ -47,20 +47,49 @@ func (m *mailbox) put(src, tag int, data []float64) {
 	}
 	var slot []float64
 	if best >= 0 {
-		if s := m.free[best]; cap(s) >= len(data) {
-			slot = s[:len(data)]
+		if s := m.free[best]; cap(s) >= n {
+			slot = s[:n]
 		}
 		last := len(m.free) - 1
 		m.free[best], m.free[last] = m.free[last], nil
 		m.free = m.free[:last]
 	}
 	if slot == nil {
-		slot = make([]float64, len(data))
+		slot = make([]float64, n)
 	}
-	copy(slot, data)
+	return slot
+}
+
+// enqueue queues slot as a message from src with tag and wakes the
+// receivers. The caller holds m.mu.
+func (m *mailbox) enqueue(src, tag int, slot []float64) {
 	m.q = append(m.q, envelope{src: src, tag: tag, data: slot})
 	m.cond.Broadcast()
+}
+
+// put queues a copy of data from src with tag.
+func (m *mailbox) put(src, tag int, data []float64) {
+	m.mu.Lock()
+	slot := m.take(len(data))
+	copy(slot, data)
+	m.enqueue(src, tag, slot)
 	m.mu.Unlock()
+}
+
+// lend hands a sender a slot of n values to fill and later queue with swap.
+func (m *mailbox) lend(n int) []float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.take(n)
+}
+
+// swap queues a lent slot, filled, as a message from src with tag, and
+// lends the sender a slot of the same length for its next message.
+func (m *mailbox) swap(src, tag int, slot []float64) []float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.enqueue(src, tag, slot)
+	return m.take(len(slot))
 }
 
 // get blocks until a message matching (src, tag) is available and removes
@@ -87,7 +116,7 @@ func (m *mailbox) get(src, tag int) envelope {
 }
 
 // recycle hands a payload get returned back to the mailbox for a later
-// message. The caller must not touch it afterwards.
+// message or loan. The caller must not touch it afterwards.
 func (m *mailbox) recycle(slot []float64) {
 	m.mu.Lock()
 	m.free = append(m.free, slot)

@@ -10,12 +10,18 @@
 // immediately, so the communication patterns of the paper — which post
 // receives before sends precisely to be safe under rendezvous protocols —
 // are deadlock-free here too. The copy goes into a payload slot the
-// receiving rank's mailbox recycles: a receive hands its slot back once it
-// has copied it out, so a steady exchange allocates nothing.
+// receiving rank's mailbox recycles: Recv hands its slot back once it has
+// copied it out, so a steady exchange allocates nothing.
 //
-// A receive can be persistent, as MPI_Recv_init makes one: RecvInit binds
-// the source, tag and buffer once, and each Start and Wait after it is one
-// receive, with nothing allocated per message.
+// Requests are persistent, as MPI_Send_init and MPI_Recv_init make them,
+// and lend slots instead of copying. SendInit binds a destination, tag and
+// count once; its Wait returns a slot of the destination's mailbox to fill,
+// and Start enqueues that slot as it is and lends the request the next one.
+// RecvInit binds a source, tag and count; Start posts it, and Wait returns
+// the delivered slot itself, which the request keeps until its next Start
+// hands it back to the mailbox. A message between two ranks thus costs the
+// caller's pack into the lent slot and its unpack out of the delivered one,
+// and nothing is allocated per message.
 //
 // Functional correctness is this package's job; communication *cost* on the
 // paper's machines is modeled separately by internal/perf.
@@ -126,7 +132,7 @@ func (c *Comm) Size() int { return c.world.size }
 // Stats returns the traffic counters accumulated so far.
 func (c *Comm) Stats() Stats { return c.stats }
 
-// SetRecorder attaches a span recorder: Send, Recv, and Wait calls record
+// SetRecorder attaches a span recorder: Send, Recv, Start and Wait calls record
 // mpi.* spans tagged with this rank and the step set by SetStep. A nil
 // recorder (the default) disables recording. Like all Comm methods, it
 // follows the one-goroutine-at-a-time contract.
@@ -150,9 +156,13 @@ func (c *Comm) send(dst, tag int, data []float64) {
 	a := c.rec.Begin(c.rank, c.step, obs.PhaseMPISend, "send")
 	c.world.boxes[dst].put(c.rank, tag, data)
 	a.End()
+	c.countSent(dst, len(data))
+}
+
+func (c *Comm) countSent(dst, n int) {
 	if dst != c.rank {
 		c.stats.SentMessages++
-		c.stats.SentValues += len(data)
+		c.stats.SentValues += n
 	}
 }
 
@@ -164,86 +174,115 @@ func (c *Comm) Recv(src, tag int, buf []float64) int {
 	if src != AnySource {
 		c.checkRank(src)
 	}
+	data := c.recv(src, tag, len(buf))
+	copy(buf, data)
+	c.world.boxes[c.rank].recycle(data)
+	return len(data)
+}
+
+// recv is the one receive path: it takes the earliest message matching
+// (src, tag) out of this rank's mailbox and returns its payload slot, which
+// the caller owns until it recycles it. A message longer than n is refused
+// with a truncation panic, and its slot goes back to the mailbox.
+func (c *Comm) recv(src, tag, n int) []float64 {
 	box := c.world.boxes[c.rank]
 	a := c.rec.Begin(c.rank, c.step, obs.PhaseMPIRecv, "recv")
 	e := box.get(src, tag)
 	a.End()
-	n := len(e.data)
-	if n > len(buf) {
+	if len(e.data) > n {
 		box.recycle(e.data)
 		panic(fmt.Sprintf("mpi: rank %d: truncation: %d values into %d buffer (src %d tag %d)",
-			c.rank, n, len(buf), e.src, e.tag))
+			c.rank, len(e.data), n, e.src, e.tag))
 	}
-	copy(buf, e.data)
-	box.recycle(e.data)
 	if e.src != c.rank {
 		c.stats.RecvMessages++
-		c.stats.RecvValues += n
+		c.stats.RecvValues += len(e.data)
 	}
-	return n
+	return e.data
 }
 
-// Request is a handle to a nonblocking operation, completed by Wait. A
-// receive request is persistent: RecvInit makes it inactive, Start posts it
-// and Wait completes it, as often as the caller likes.
+// Request is a persistent operation, as MPI_Send_init and MPI_Recv_init
+// make one: SendInit or RecvInit makes it inactive, and each Start and
+// Wait after that is one message, with nothing copied by the request and
+// nothing allocated. A request holds one payload slot at a time: the buffer
+// a send's Wait returns, and the payload a receive's Wait returns, are the
+// caller's to use until the request's next Start.
 type Request struct {
-	c        *Comm // nil for a send's request, which is always complete
-	src, tag int
-	buf      []float64
-	active   bool
-	count    int
+	c         *Comm
+	box       *mailbox // the destination's mailbox for a send, this rank's for a receive
+	peer, tag int      // destination of a send, source of a receive
+	n         int
+	send      bool
+	active    bool
+	slot      []float64 // the send's next buffer, or the receive's last payload
 }
 
-// sent is the request of every send: under the eager protocol a send is
-// complete when it returns.
-var sent = &Request{}
-
-// Wait blocks until the operation completes and returns the received value
-// count (0 for sends). Wait is idempotent: on an inactive request it
-// returns the count of the last receive.
-func (r *Request) Wait() int {
-	if r.active {
-		a := r.c.rec.Begin(r.c.rank, r.c.step, obs.PhaseMPIWait, "irecv")
-		r.count = r.c.Recv(r.src, r.tag, r.buf)
-		a.End()
-		r.active = false
-	}
-	return r.count
+// SendInit makes a persistent send of n values to dst with tag, as
+// MPI_Send_init does. Wait returns the buffer to fill — a free slot of
+// dst's mailbox the request borrows — and Start enqueues it without a copy
+// and borrows the next. Under the eager protocol the send is complete when
+// Start returns, so Wait never blocks.
+func (c *Comm) SendInit(dst, tag, n int) *Request {
+	c.checkRank(dst)
+	c.checkTag(tag)
+	box := c.world.boxes[dst]
+	return &Request{c: c, box: box, peer: dst, tag: tag, n: n, send: true, slot: box.lend(n)}
 }
 
-// Done reports whether the request is inactive: completed by Wait, or
-// never started.
-func (r *Request) Done() bool { return !r.active }
-
-// Start posts a persistent receive made by RecvInit. The match is performed
-// when Wait is called; the buffer must not be read before Wait returns. It
-// panics on an active request, or on one RecvInit did not make.
-func (r *Request) Start() {
-	if r.c == nil || r.active {
-		panic("mpi: Start needs an inactive request made by RecvInit")
-	}
-	r.active = true
-}
-
-// ISend starts a nonblocking send. Under the eager protocol the payload is
-// buffered immediately, so the returned request is already complete and the
-// caller may reuse data at once — matching the semantics (not the cost) of
-// MPI_Isend on the paper's machines.
-func (c *Comm) ISend(dst, tag int, data []float64) *Request {
-	c.Send(dst, tag, data)
-	return sent
-}
-
-// RecvInit makes a persistent receive of a message from src with tag into
-// buf, as MPI_Recv_init does: an inactive request that each Start posts and
-// each Wait completes. src may be AnySource and tag may be AnyTag.
-func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
+// RecvInit makes a persistent receive of at most n values from src with
+// tag, as MPI_Recv_init does: an inactive request that each Start posts and
+// each Wait completes. src may be AnySource and tag may be AnyTag. A
+// delivered message longer than n panics in Wait, as Recv does.
+func (c *Comm) RecvInit(src, tag, n int) *Request {
 	if src != AnySource {
 		c.checkRank(src)
 	}
 	c.checkTagOrAny(tag)
-	return &Request{c: c, src: src, tag: tag, buf: buf}
+	return &Request{c: c, box: c.world.boxes[c.rank], peer: src, tag: tag, n: n}
 }
+
+// Start begins one operation of the request. A send enqueues the buffer
+// Wait returned, as it is, and borrows a fresh one from the destination.
+// A receive first hands its last payload back to the mailbox, then posts
+// the receive; the match is performed when Wait is called. Start panics on
+// an active receive, or on a request neither SendInit nor RecvInit made.
+func (r *Request) Start() {
+	c := r.c
+	switch {
+	case c == nil || r.active:
+		panic("mpi: Start needs an inactive request made by SendInit or RecvInit")
+	case r.send:
+		a := c.rec.Begin(c.rank, c.step, obs.PhaseMPISend, "send")
+		r.slot = r.box.swap(c.rank, r.tag, r.slot)
+		a.End()
+		c.countSent(r.peer, r.n)
+	default:
+		if r.slot != nil {
+			r.box.recycle(r.slot)
+			r.slot = nil
+		}
+		r.active = true
+	}
+}
+
+// Wait completes the request and returns its slot: for a send, the buffer
+// of n values the next Start sends; for a receive, the delivered payload,
+// blocking until it arrives. Wait is idempotent: on an inactive receive it
+// returns the last payload again (nil before the first).
+func (r *Request) Wait() []float64 {
+	if r.active {
+		c := r.c
+		a := c.rec.Begin(c.rank, c.step, obs.PhaseMPIWait, "irecv")
+		r.slot = c.recv(r.peer, r.tag, r.n)
+		a.End()
+		r.active = false
+	}
+	return r.slot
+}
+
+// Done reports whether the request is inactive: a send, a receive
+// completed by Wait, or one never started.
+func (r *Request) Done() bool { return !r.active }
 
 // Barrier blocks until every rank in the world has entered it.
 func (c *Comm) Barrier() {
@@ -306,7 +345,8 @@ func (c *Comm) bcastTree(tag int, vals []float64) {
 // Gather collects each rank's send slice at root. On root it returns one
 // slice per rank (index = rank); on other ranks it returns nil. Slices may
 // have different lengths (MPI_Gatherv). Root owns what it returns: the
-// payload slots of its peers' messages are never recycled.
+// payload slots of its peers' messages are never recycled. It takes them
+// from its mailbox without the recv path's span, but counts them in Stats.
 func (c *Comm) Gather(root int, send []float64) [][]float64 {
 	c.checkRank(root)
 	tag := c.nextCollTag()
@@ -320,8 +360,9 @@ func (c *Comm) Gather(root int, send []float64) [][]float64 {
 			out[r] = append([]float64(nil), send...)
 			continue
 		}
-		e := c.world.boxes[c.rank].get(r, tag)
-		out[r] = e.data
+		out[r] = c.world.boxes[c.rank].get(r, tag).data
+		c.stats.RecvMessages++
+		c.stats.RecvValues += len(out[r])
 	}
 	return out
 }

@@ -124,29 +124,31 @@ func TestSelfSend(t *testing.T) {
 	})
 }
 
-// TestISendIRecvWait: a nonblocking receive is a persistent one started
-// once (MPI_Irecv is MPI_Recv_init + MPI_Start), completed by Wait.
+// TestISendIRecvWait: a nonblocking send and receive are persistent ones
+// started once (MPI_Isend is MPI_Send_init + MPI_Start, MPI_Irecv is
+// MPI_Recv_init + MPI_Start), completed by Wait.
 func TestISendIRecvWait(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			req := c.ISend(1, 3, []float64{7})
+			req := c.SendInit(1, 3, 1)
+			req.Wait()[0] = 7
+			req.Start()
 			if !req.Done() {
-				t.Error("eager ISend should be complete")
+				t.Error("eager send should be complete")
 			}
 			req.Wait()
 		} else {
-			buf := make([]float64, 1)
-			req := c.RecvInit(0, 3, buf)
+			req := c.RecvInit(0, 3, 1)
 			req.Start()
 			if req.Done() {
 				t.Error("started receive complete before Wait")
 			}
-			if n := req.Wait(); n != 1 || buf[0] != 7 {
-				t.Errorf("receive got %v (n=%d)", buf, n)
+			if got := req.Wait(); len(got) != 1 || got[0] != 7 {
+				t.Errorf("receive got %v", got)
 			}
-			if req.Wait() != 1 {
-				t.Error("Wait not idempotent")
+			if got := req.Wait(); len(got) != 1 || got[0] != 7 {
+				t.Errorf("Wait not idempotent: %v", got)
 			}
 		}
 	})
@@ -485,29 +487,35 @@ func TestGatherKeepsWhatItReturns(t *testing.T) {
 	})
 }
 
-// TestTruncatingRecvKeepsSlotsSound: a receive into a buffer too small
-// still panics, and the slot of the message it refused goes back to the
-// free list once — two later messages in flight together must not share it.
+// TestTruncatingRecvKeepsSlotsSound: a receive into a buffer too small —
+// Recv's, or a persistent receive's count — still panics, and the slot of
+// the message it refused goes back to the free list once: two later
+// messages in flight together must not share it.
 func TestTruncatingRecvKeepsSlotsSound(t *testing.T) {
-	c := NewWorld(1).Comm(0)
-	c.Send(0, 0, []float64{1, 2, 3})
-	func() {
-		defer func() {
-			if p := recover(); p == nil || !strings.Contains(p.(string), "truncation") {
-				t.Fatalf("recovered %v, want a truncation panic", p)
-			}
+	for name, refuse := range map[string]func(c *Comm){
+		"recv":            func(c *Comm) { c.Recv(0, 0, make([]float64, 2)) },
+		"persistent recv": func(c *Comm) { r := c.RecvInit(0, 0, 2); r.Start(); r.Wait() },
+	} {
+		c := NewWorld(1).Comm(0)
+		c.Send(0, 0, []float64{1, 2, 3})
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(p.(string), "truncation") {
+					t.Fatalf("%s: recovered %v, want a truncation panic", name, p)
+				}
+			}()
+			refuse(c)
 		}()
-		c.Recv(0, 0, make([]float64, 2))
-	}()
-	if box := c.world.boxes[0]; len(box.free) != 1 || len(box.q) != 0 {
-		t.Fatalf("after the refused message: %d free slots, %d queued; want 1, 0", len(box.free), len(box.q))
-	}
-	c.Send(0, 0, []float64{4, 5, 6})
-	c.Send(0, 0, []float64{7, 8, 9})
-	buf := make([]float64, 3)
-	for _, want := range []float64{4, 7} {
-		if c.Recv(0, 0, buf); buf[0] != want || buf[2] != want+2 {
-			t.Fatalf("received %v, want [%v %v %v]", buf, want, want+1, want+2)
+		if box := c.world.boxes[0]; len(box.free) != 1 || len(box.q) != 0 {
+			t.Fatalf("%s: after the refused message: %d free slots, %d queued; want 1, 0", name, len(box.free), len(box.q))
+		}
+		c.Send(0, 0, []float64{4, 5, 6})
+		c.Send(0, 0, []float64{7, 8, 9})
+		buf := make([]float64, 3)
+		for _, want := range []float64{4, 7} {
+			if c.Recv(0, 0, buf); buf[0] != want || buf[2] != want+2 {
+				t.Fatalf("%s: received %v, want [%v %v %v]", name, buf, want, want+1, want+2)
+			}
 		}
 	}
 }
@@ -546,55 +554,145 @@ func TestNonOvertakingMixedSizes(t *testing.T) {
 	}
 }
 
-// TestPersistentRecvRestarts: one RecvInit request serves every step —
-// Start, Wait, Start again — and refuses a second Start while active.
+// TestPersistentRecvRestarts: one RecvInit request and one SendInit
+// request serve every step — Start, Wait, Start again — and a receive
+// refuses a second Start while active.
 func TestPersistentRecvRestarts(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		peer := 1 - c.Rank()
-		buf := make([]float64, 1)
-		req := c.RecvInit(peer, 4, buf)
-		if !req.Done() {
+		recv, send := c.RecvInit(peer, 4, 1), c.SendInit(peer, 4, 1)
+		if !recv.Done() {
 			t.Error("a request RecvInit made is active before Start")
 		}
 		for step := 0; step < 50; step++ {
-			req.Start()
-			c.ISend(peer, 4, []float64{float64(step*10 + c.Rank())})
-			if n := req.Wait(); n != 1 || buf[0] != float64(step*10+peer) {
-				t.Errorf("step %d: received %v (n=%d)", step, buf[0], n)
-				return
+			recv.Start()
+			send.Wait()[0] = float64(step*10 + c.Rank())
+			send.Start()
+			if got := recv.Wait(); len(got) != 1 || got[0] != float64(step*10+peer) {
+				t.Errorf("step %d: received %v", step, got) // no return: the peer would block
 			}
 		}
-		req.Start()
+		recv.Start()
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Error("Start on an active request did not panic")
 				}
 			}()
-			req.Start()
+			recv.Start()
 		}()
 		c.Send(peer, 4, []float64{0})
-		req.Wait()
+		recv.Wait()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Start on a zero Request did not panic")
+				}
+			}()
+			new(Request).Start()
+		}()
 	})
+}
+
+// TestLentSlotsAreNotReusedEarly: a payload a persistent receive delivered
+// stays the caller's until the request's next Start, and a buffer a
+// persistent send enqueued is never the one it lends next. In both cases a
+// later message of the same size goes through the same mailbox while the
+// first is still held, so a slot recycled early would carry its values.
+func TestLentSlotsAreNotReusedEarly(t *testing.T) {
+	c := NewWorld(1).Comm(0)
+	fill := func(buf []float64, v float64) {
+		for i := range buf {
+			buf[i] = v + float64(i)
+		}
+	}
+	check := func(what string, got []float64, v float64) {
+		t.Helper()
+		if len(got) != 8 {
+			t.Fatalf("%s: %d values, want 8", what, len(got))
+		}
+		for i, x := range got {
+			if x != v+float64(i) {
+				t.Fatalf("%s: value %d reads %v, want %v", what, i, x, v+float64(i))
+			}
+		}
+	}
+	a, b := make([]float64, 8), make([]float64, 8)
+	fill(a, 100)
+	fill(b, 200)
+
+	recv := c.RecvInit(0, 1, 8)
+	for round := 0; round < 3; round++ {
+		c.Send(0, 1, a)
+		recv.Start()
+		got := recv.Wait()
+		c.Send(0, 1, b) // B lands while A is still held
+		check("held payload A", got, 100)
+		recv.Start()
+		check("payload B", recv.Wait(), 200)
+		recv.Start()
+		c.Send(0, 1, a) // the request's slot is back: no new slot needed
+		check("payload A again", recv.Wait(), 100)
+	}
+
+	send := c.SendInit(0, 2, 8)
+	fill(send.Wait(), 300)
+	send.Start()
+	fill(send.Wait(), 400) // the next message, filled before the first is received
+	buf := make([]float64, 8)
+	c.Recv(0, 2, buf)
+	check("sent payload", buf, 300)
+	send.Start()
+	c.Recv(0, 2, buf)
+	check("next sent payload", buf, 400)
+}
+
+// TestStatsBalanceAcrossCollectives: every message some rank counts as
+// sent, another counts as received — collective-internal ones included,
+// and at Gather's root too.
+func TestStatsBalanceAcrossCollectives(t *testing.T) {
+	for _, size := range []int{2, 3, 5} {
+		w := NewWorld(size)
+		stats := make([]Stats, size)
+		w.Run(func(c *Comm) {
+			vals := []float64{float64(c.Rank()), 1}
+			c.Allreduce(OpSum, vals)
+			c.Gather(0, make([]float64, 5))
+			c.Gather(size-1, make([]float64, c.Rank()+1))
+			stats[c.Rank()] = c.Stats()
+		})
+		var sum Stats
+		for _, s := range stats {
+			sum.SentMessages += s.SentMessages
+			sum.SentValues += s.SentValues
+			sum.RecvMessages += s.RecvMessages
+			sum.RecvValues += s.RecvValues
+		}
+		if sum.SentMessages != sum.RecvMessages || sum.SentValues != sum.RecvValues {
+			t.Errorf("size %d: %d messages (%d values) sent, %d (%d) received; per rank %+v",
+				size, sum.SentMessages, sum.SentValues, sum.RecvMessages, sum.RecvValues, stats)
+		}
+	}
 }
 
 // TestSteadyMessagesAllocateNothing pins the exchange substrate's steady
 // state: once a mailbox has slots, a send and its receive — blocking, or a
-// persistent receive and an ISend — allocate nothing.
+// persistent send and a persistent receive — allocate nothing.
 func TestSteadyMessagesAllocateNothing(t *testing.T) {
 	c := NewWorld(1).Comm(0)
 	data, buf := make([]float64, 64), make([]float64, 64)
-	req := c.RecvInit(0, 3, buf)
+	send, recv := c.SendInit(0, 3, 64), c.RecvInit(0, 3, 64)
 	for name, msg := range map[string]func(){
 		"send/recv": func() {
 			c.Send(0, 7, data)
 			c.Recv(0, 7, buf)
 		},
-		"isend/persistent recv": func() {
-			req.Start()
-			c.ISend(0, 3, data)
-			req.Wait()
+		"persistent send/persistent recv": func() {
+			recv.Start()
+			copy(send.Wait(), data)
+			send.Start()
+			copy(buf, recv.Wait())
 		},
 	} {
 		if allocs := testing.AllocsPerRun(1000, msg); allocs != 0 {
