@@ -11,6 +11,7 @@ type hybridGeom struct {
 	*devShell
 	walls      []grid.Subdomain    // the CPU shell, thickness T
 	innerWalls [3][]grid.Subdomain // §IV-I: per dimension, the wall parts away from the MPI halos
+	boundary   []grid.Subdomain    // §IV-I: the slabs whose stencil reads an MPI halo, computed last
 }
 
 func prepareHybrid(r *rank) {

@@ -4,17 +4,20 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/stencil"
 )
 
 // prepareHybridOverlap adds to the hybrid geometry the cut §IV-I computes
 // around its exchanges: each dimension's pair of walls, less the points
-// whose stencil reads an MPI halo.
+// whose stencil reads an MPI halo, and those points as six slabs.
 func prepareHybridOverlap(r *rank) {
 	prepareHybrid(r)
-	g, box := r.geom.(*hybridGeom), grid.BoxSplit{Local: r.sub.Size, T: r.o.BoxThickness}
+	n, g := r.sub.Size, r.geom.(*hybridGeom)
+	box, in := grid.BoxSplit{Local: n, T: r.o.BoxThickness}, stencil.Interior(n)
+	g.boundary = appendOnce(nil, stencil.BoundarySlabs(n)...)
 	for dim := range g.innerWalls {
 		for _, w := range box.WallsByDim(dim) {
-			g.innerWalls[dim] = append(g.innerWalls[dim], grid.Intersect(w, r.interior))
+			g.innerWalls[dim] = append(g.innerWalls[dim], grid.Intersect(w, in))
 		}
 	}
 }
@@ -50,7 +53,7 @@ func stepHybridOverlap(r *rank, _ int) {
 		r.ex.finish(ph)
 	}
 	// 4. Outer boundary points, then stream synchronization.
-	r.compute(obs.PhaseBoundary, "outer", r.boundary...)
+	r.compute(obs.PhaseBoundary, "outer", g.boundary...)
 	r.sync(s1, s2)
 	// Land the new block outer layer beside the new walls: together they
 	// are every host point the next step's shell computation reads.

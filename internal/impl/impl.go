@@ -52,7 +52,7 @@ var schedules = []schedule{
 	{kind: core.SingleTask, cpu: true, prepare: prepareSingle, step: stepSingle},
 	{kind: core.BulkSync, cpu: true, norms: true, step: stepBulk},
 	{kind: core.NonblockingOverlap, cpu: true, norms: true, prepare: prepareNonblocking, step: stepNonblocking},
-	{kind: core.ThreadedOverlap, cpu: true, norms: true, step: stepThreaded},
+	{kind: core.ThreadedOverlap, cpu: true, norms: true, prepare: prepareThreaded, step: stepThreaded},
 	{kind: core.GPUResident, device: wholeDomain, streams: []string{"compute"}, step: stepGPUResident},
 	{kind: core.GPUBulkSync, device: wholeDomain, streams: []string{"interior"},
 		prepare: prepareGPUMPI, step: stepGPUBulk},

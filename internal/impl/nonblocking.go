@@ -14,25 +14,18 @@ type nonblockingCut struct {
 	after  []grid.Subdomain
 }
 
-// prepareNonblocking cuts the local domain for §IV-C. The first third of
-// the interior is all the x phase may compute: nothing else avoids the x
-// halo. Once the x exchange has landed, the x halo is valid over the whole
-// owned y–z range, so the second and third thirds are computed as
-// whole-width rows, their ±x walls included, and only the first third's
-// walls are left as one-point rows. They are computed with the z and y
-// slabs; at the head of the y-phase region they measured no faster.
+// prepareNonblocking cuts the local domain for §IV-C, as stepNonblocking
+// says. The first third's ±x walls are computed with the z and y slabs; at
+// the head of the y-phase region they measured no faster.
 func prepareNonblocking(r *rank) {
 	n := r.sub.Size
 	thirds, slabs := stencil.InteriorThirds(n), stencil.BoundarySlabs(n) // slabs: -z, +z, -y, +y, -x, +x
-	rows := func(t grid.Subdomain) grid.Subdomain {
-		return grid.Subdomain{Lo: grid.Dims{Y: t.Lo.Y, Z: t.Lo.Z}, Size: grid.Dims{X: n.X, Y: t.Size.Y, Z: t.Size.Z}}
-	}
 	cut := &nonblockingCut{
-		during: [3][]grid.Subdomain{{thirds[0]}, {rows(thirds[1])}, {rows(thirds[2])}},
+		during: [3][]grid.Subdomain{{thirds[0]}, {wholeRows(n, thirds[1])}, {wholeRows(n, thirds[2])}},
 		after:  appendOnce(nil, slabs[:4]...),
 	}
 	for _, w := range slabs[4:] {
-		cut.after = appendOnce(cut.after, grid.Intersect(w, rows(thirds[0])))
+		cut.after = appendOnce(cut.after, grid.Intersect(w, wholeRows(n, thirds[0])))
 	}
 	r.geom = cut
 }
@@ -50,8 +43,9 @@ func prepareNonblocking(r *rank) {
 // time those thirds run, so those thirds are computed as whole-width rows
 // (x ∈ [0, nx)), as §IV-I computes wall points inside later exchange phases.
 // A one-point ±x-wall row costs several times a point of a whole row, enough
-// to undo the overlap on small subdomains; only the first third's walls are
-// still computed that way, with the slabs. The values are the same bits.
+// to undo the overlap on small subdomains; only the first third's walls,
+// which must wait for the x halo, are still computed that way. The values
+// are the same bits.
 func stepNonblocking(r *rank, _ int) {
 	cut := r.geom.(*nonblockingCut)
 	for dim := 0; dim < 3; dim++ {

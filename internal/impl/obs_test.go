@@ -162,3 +162,42 @@ func TestMergedOverlapStats(t *testing.T) {
 		t.Fatalf("total overlap %v, want the per-device sum %v (largest device %v)", total, sum, most)
 	}
 }
+
+// TestThreadedExchangesXBeforeTheRegion reads §IV-D's order from the trace
+// at 2 and 8 tasks × 2 threads (at 8 every dimension is a message): in each
+// step of each rank the x phase's mpi.exchange span ends before the
+// master+workers span opens, and the y and z phases' spans lie inside it.
+func TestThreadedExchangesXBeforeTheRegion(t *testing.T) {
+	type key struct{ rank, step int }
+	for _, tasks := range []int{2, 8} {
+		spans := runWithRecorder(t, core.ThreadedOverlap, core.Options{Tasks: tasks, Threads: 2}).Spans()
+		region := map[key]obs.Span{}
+		for _, s := range spans {
+			if s.Phase == obs.PhaseInterior && s.Label == "master+workers" {
+				region[key{s.Rank, s.Step}] = s
+			}
+		}
+		if want := tasks * obsProblem().Steps; len(region) != want {
+			t.Fatalf("%d tasks: %d master+workers spans, want %d", tasks, len(region), want)
+		}
+		exchanges := 0
+		for _, s := range spans {
+			if s.Phase != obs.PhaseMPIExchange {
+				continue
+			}
+			exchanges++
+			r := region[key{s.Rank, s.Step}]
+			if s.Label == "x" && s.End > r.Start {
+				t.Errorf("%d tasks, rank %d step %d: the x exchange ends at %g, after the region opens at %g",
+					tasks, s.Rank, s.Step, s.End, r.Start)
+			}
+			if s.Label != "x" && (s.Start < r.Start || s.End > r.End) {
+				t.Errorf("%d tasks, rank %d step %d: the %s exchange [%g, %g] is not inside the region [%g, %g]",
+					tasks, s.Rank, s.Step, s.Label, s.Start, s.End, r.Start, r.End)
+			}
+		}
+		if exchanges != 3*len(region) {
+			t.Fatalf("%d tasks: %d exchange spans, want 3 a step", tasks, exchanges)
+		}
+	}
+}

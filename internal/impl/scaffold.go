@@ -24,10 +24,7 @@ type rank struct {
 	id  int            // the rank in the world, which spans are attributed to
 	sub grid.Subdomain // this rank's box of the global grid
 
-	// The local domain and its cut for the overlap schedules: the points
-	// whose stencil reads no halo and the six slabs of those that do.
-	whole, interior grid.Subdomain
-	boundary        []grid.Subdomain
+	whole grid.Subdomain // the local domain
 
 	cur  *grid.Field // host state over the subdomain, halos included
 	nxt  *grid.Field // cpu: the state the step computes into
@@ -37,12 +34,10 @@ type rank struct {
 
 	// What the team runs, bound once so that a step allocates nothing: rows
 	// computes the region setRegion last described, the rows of parts laid
-	// end to end (ends[i] is the region row after parts[i]'s last), and
-	// exchangeAll is ex.exchangeAll, §IV-D's master share.
-	parts       []grid.Subdomain
-	ends        []int
-	rows        func(lo, hi int)
-	exchangeAll func()
+	// end to end (ends[i] is the region row after parts[i]'s last).
+	parts []grid.Subdomain
+	ends  []int
+	rows  func(lo, hi int)
 
 	dev     *gpusim.Device
 	box     grid.Subdomain // the device-resident part of the local domain
@@ -102,8 +97,7 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	runErr := safeWorldRun(mpi.NewWorld(o.Tasks), func(c *mpi.Comm) {
 		r := &rank{p: p, o: o, id: c.Rank(), sub: d.Sub(c.Rank())}
 		n := r.sub.Size
-		r.whole, r.interior = stencil.Whole(n), stencil.Interior(n)
-		r.boundary = appendOnce(nil, stencil.BoundarySlabs(n)...)
+		r.whole = stencil.Whole(n)
 		if sch.cpu {
 			r.team = par.NewTeam(o.Threads)
 			defer r.team.Close()
@@ -119,7 +113,6 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		if !single {
 			r.ex = newExchanger(c, d, r.cur)
 			r.ex.setObs(o.Rec)
-			r.exchangeAll = r.ex.exchangeAll
 		}
 		if sch.device != noDevice {
 			defer r.freeDevice()
@@ -285,6 +278,12 @@ func appendOnce(region []grid.Subdomain, subs ...grid.Subdomain) []grid.Subdomai
 		}
 	}
 	return region
+}
+
+// wholeRows is the y–z range of t as whole-width rows of an n-point local
+// domain, x ∈ [0, nx): the overlap schedules' cut once the x halo has landed.
+func wholeRows(n grid.Dims, t grid.Subdomain) grid.Subdomain {
+	return grid.Subdomain{Lo: grid.Dims{Y: t.Lo.Y, Z: t.Lo.Z}, Size: grid.Dims{X: n.X, Y: t.Size.Y, Z: t.Size.Z}}
 }
 
 // applyRows computes rows [lo, hi) of the region setRegion described: of

@@ -142,11 +142,11 @@ func colSum(w *[9]float64, a0, a1, a2, a3, a4, a5, a6, a7, a8 float64) float64 {
 // one-point rows (m = 3) of BoundarySlabs' ±x walls never reach the vector
 // body. At 128³ they cost ≈ 25 ns per point on either path, nine cache
 // lines for each output (BenchmarkApply/xwall128), where whole rows cost 1.4
-// with the vector body and 3.2 without it. Of the CPU-only schedules, two
-// still compute such rows: threaded, all its ±x walls, and nonblocking, only
-// the walls beside its first interior third, which must wait for the x
-// halo; the walls beside its other two thirds lie inside whole-width rows.
-// The hybrid schedules cut their walls as the paper's box shell does.
+// with the vector body and 3.2 without it. Of the CPU-only schedules only
+// nonblocking still computes such rows: the walls beside its first interior
+// third, which must wait for the x halo. Its other walls, and all of
+// threaded's, lie inside whole-width rows computed once the x halo has
+// landed. The hybrid schedules cut their walls as the paper's box shell does.
 func (op *Op) applyRow(dst, s []float64, b int) {
 	m := len(dst)
 	if m < 3 { // no output
@@ -190,10 +190,10 @@ func Interior(n grid.Dims) grid.Subdomain {
 // BoundarySlabs returns the six disjoint slabs of boundary points — points
 // whose stencil reads at least one halo point — of an n-point local domain,
 // ordered -z, +z, -y, +y, -x, +x. Together with Interior(n) they tile the
-// domain. These are the points computed after communication completes in
-// the overlap implementations (§IV-D; §IV-C computes the ±x walls beside its
-// second and third interior thirds with those thirds, once the x halo has
-// landed).
+// domain. These are the points the paper's overlap implementations compute
+// after communication completes. Here §IV-C and §IV-D compute the ±x walls
+// inside whole-width rows once the x halo has landed, save the walls beside
+// §IV-C's first interior third: those alone are one-point rows.
 func BoundarySlabs(n grid.Dims) []grid.Subdomain {
 	b := grid.BoxSplit{Local: n, T: 1}
 	return b.Walls()
