@@ -75,12 +75,27 @@ func startCluster(t *testing.T, cfg Config, ids ...string) *testCluster {
 	return tc
 }
 
-// killNode severs a node mid-run the way a crash would: client connections
-// (including the gateway's open SSE stream) drop immediately, then the
-// listener closes. A plain Close would wait on the SSE connection forever.
+// killNode severs a node mid-run the way a crash would: the listener closes
+// and client connections (including the gateway's open SSE stream) drop. A
+// plain Close would wait on the SSE connection forever, and so would one
+// CloseClientConnections before it: a health check or SSE redial accepted in
+// between turns active and is never closed. So connections are dropped
+// until Close returns.
 func (tc *testCluster) killNode(id string) {
-	tc.nodes[id].CloseClientConnections()
-	tc.nodes[id].Close()
+	ts := tc.nodes[id]
+	closed := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(closed)
+	}()
+	for {
+		ts.CloseClientConnections()
+		select {
+		case <-closed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 }
 
 // gwView is the gateway's labelled job view as a client decodes it.

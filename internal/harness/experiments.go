@@ -259,7 +259,8 @@ func fig2Ratios([]stats.Series) string {
 	if single.Ours > 0 {
 		note += fmt.Sprintf("this repo's ratio: %.2fx — every Go bar carries the run scaffold all schedules share, most of the\n"+
 			"single-task count, so the ratios are compressed; no two bars are equal and they order as the paper's do,\n"+
-			"but for the single-GPU code, which pays for device plumbing that CUDA Fortran provides\n",
+			"but for the single-GPU code, which pays for device plumbing that CUDA Fortran provides, and for threaded\n"+
+			"against nonblocking: one cut serves both, and they differ by threaded's master section\n",
 			float64(full.Ours)/float64(single.Ours))
 	}
 	return note

@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // (all three serialized dimension phases) before any computation starts —
 // bulk synchronous — then computes and commits locally.
 func stepBulk(r *rank, _ int) {
-	r.ex.exchangeAll()
+	r.ex.exchange(0, 3)
 	r.compute(obs.PhaseInterior, "whole", r.whole)
 	r.commit()
 }

@@ -93,39 +93,63 @@ func checkCut(t *testing.T, n grid.Dims, stages ...stage) (oneRows int) {
 	return oneRows
 }
 
-// TestNonblockingCutTilesAndWaitsForTheExchange checks §IV-C's cut on every
-// rank shape in [1..6]³ and on the benchmark's 16×16×8 rank: the region
-// computed during phase d reads only the halos of the d phases before it,
-// and the after-region reads all three.
-func TestNonblockingCutTilesAndWaitsForTheExchange(t *testing.T) {
-	for _, n := range cutShapes(grid.Dims{X: 16, Y: 16, Z: 8}) {
-		r := &rank{sub: grid.Subdomain{Size: n}}
-		prepareNonblocking(r)
-		cut := r.geom.(*nonblockingCut)
-		oneRows := checkCut(t, n, stage{0, cut.during[0]}, stage{1, cut.during[1]}, stage{2, cut.during[2]}, stage{3, cut.after})
-		// The first third's two walls, 14 rows by 2 planes each; cutting
-		// every ±x wall into one-point rows gave 2 × 14 × 6 = 168.
-		if n == (grid.Dims{X: 16, Y: 16, Z: 8}) && oneRows != 56 {
-			t.Errorf("%v: the cut has %d one-point rows, want 56", n, oneRows)
+// checkNewCut checks newCut for a schedule's part count, with y and z each
+// a message or a copy — x lands first either way — on every rank shape in
+// [1..6]³ and on the benchmark's 16³ and 16×16×8 ranks: each part reads
+// only the halos landed before its phase, the slabs come after all three, a
+// phase lands early only if it is x, a copy right after x, or nothing is
+// left to hide it behind, and no region is narrower than the domain, so no
+// row is one point wide unless the domain is.
+func checkNewCut(t *testing.T, parts int) {
+	t.Helper()
+	for _, n := range cutShapes(grid.Uniform(16), grid.Dims{X: 16, Y: 16, Z: 8}) {
+		for mask := 0; mask < 4; mask++ {
+			ex := &exchanger{self: [3]bool{true, mask&1 != 0, mask&2 != 0}}
+			c := newCut(n, ex, parts)
+			var stages []stage
+			for i, part := range c.parts {
+				stages = append(stages, stage{c.landed + i, []grid.Subdomain{part}})
+			}
+			stages = append(stages, stage{3, c.after})
+			if oneRows := checkCut(t, n, stages...); oneRows != 0 && n.X > 1 {
+				t.Errorf("%v, self %v, %d parts: %d one-point rows, want 0", n, ex.self, parts, oneRows)
+			}
+			for _, st := range stages {
+				for _, s := range st.region {
+					if !s.Empty() && s.Size.X != n.X {
+						t.Errorf("%v, self %v, %d parts: region %v is %d points wide, want %d", n, ex.self, parts, s, s.Size.X, n.X)
+					}
+				}
+			}
+			landed := 1 // x, then each copy right after it
+			for landed < 3 && ex.self[landed] {
+				landed++
+			}
+			if landed < 2 && n.Y <= 2 || landed < 3 && n.Z <= 2 {
+				landed = 3 // no interior to hide a phase behind
+			}
+			if c.landed != landed {
+				t.Errorf("%v, self %v, %d parts: %d phases land before any compute, want %d", n, ex.self, parts, c.landed, landed)
+			}
+			if want := min(parts, 3-c.landed); len(c.parts) != want {
+				t.Errorf("%v, self %v, %d parts: %d parts after %d landed phases, want %d", n, ex.self, parts, len(c.parts), c.landed, want)
+			}
+			// §IV-D's region computes its one part: it must have rows.
+			if parts == 1 && len(c.parts) == 1 && c.parts[0].Empty() {
+				t.Errorf("%v, self %v: the region's part %v is empty", n, ex.self, c.parts[0])
+			}
 		}
 	}
 }
 
-// TestThreadedCutTilesAndWaitsForTheExchange checks §IV-D's cut on every
-// rank shape in [1..6]³, on the benchmark's 16³ one-task rank and on its
-// 16×16×8 two-task rank: the region's rows read the x halo and no other,
-// the slabs come after all three phases, and no region is narrower than the
-// domain, so no row is one point wide unless the domain is.
+// TestNonblockingCutTilesAndWaitsForTheExchange checks §IV-C's cut: three
+// parts, one per phase still in flight.
+func TestNonblockingCutTilesAndWaitsForTheExchange(t *testing.T) {
+	checkNewCut(t, 3)
+}
+
+// TestThreadedCutTilesAndWaitsForTheExchange checks §IV-D's cut: one
+// region computed while the master runs the later phases.
 func TestThreadedCutTilesAndWaitsForTheExchange(t *testing.T) {
-	for _, n := range cutShapes(grid.Uniform(16), grid.Dims{X: 16, Y: 16, Z: 8}) {
-		r := &rank{sub: grid.Subdomain{Size: n}}
-		prepareThreaded(r)
-		cut := r.geom.(*threadedCut)
-		checkCut(t, n, stage{1, []grid.Subdomain{cut.rows}}, stage{3, cut.slabs})
-		for _, s := range append([]grid.Subdomain{cut.rows}, cut.slabs...) {
-			if !s.Empty() && s.Size.X != n.X {
-				t.Errorf("%v: region %v is %d points wide, want %d", n, s, s.Size.X, n.X)
-			}
-		}
-	}
+	checkNewCut(t, 1)
 }

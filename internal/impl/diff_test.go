@@ -18,12 +18,14 @@ import (
 // every schedule held against single-task on each, to the bit: CPU ranks
 // and emulated kernels alike run the one row kernel, whose value at a point
 // depends only on the point's 27 inputs. Every run conserves mass. It prints
-// the table it checked. The table ends with pinned cases: two whose ranks are
-// two points thick in x, where nonblocking's whole-width rows hold every x
-// wall point beside its second and third thirds, and one on a 2×2×2 task
-// grid with three threads, where threaded's master exchanges y and z while
-// the workers read an x halo that came by message — under -race, the check
-// that the two touch no common point.
+// the table it checked. The table ends with pinned cases, each on the task
+// grid it names: two whose ranks are two points thick in x; one on 2×2×2
+// with three threads, where threaded's master exchanges y and z while the
+// workers read an x halo that came by message — under -race, the check
+// that the two touch no common point; one on 2×1×1, where y and z are
+// copies after an x message and land before any compute; one on 1×2×2,
+// where the copy of x lands first and y and z bracket halves; and one on
+// 1×2×1, where the copy of z follows the y message.
 func TestSchedulesAgreeOnRandomConfigurations(t *testing.T) {
 	const cases = 48
 	extents := []int{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17}
@@ -31,10 +33,14 @@ func TestSchedulesAgreeOnRandomConfigurations(t *testing.T) {
 	pinned := []struct {
 		n                     grid.Dims
 		tasks, threads, steps int // threads 0: drawn like the random cases'
+		p                     grid.Dims
 	}{
-		{grid.Dims{X: 6, Y: 7, Z: 7}, 3, 0, 5},  // 2×7×7 ranks
-		{grid.Dims{X: 6, Y: 7, Z: 7}, 6, 0, 5},  // 2×7×4 and 2×7×3 ranks
-		{grid.Dims{X: 9, Y: 11, Z: 9}, 8, 3, 4}, // 4…5 × 5…6 × 4…5 ranks
+		{grid.Dims{X: 6, Y: 7, Z: 7}, 3, 0, 5, grid.Dims{X: 3, Y: 1, Z: 1}},  // 2×7×7 ranks
+		{grid.Dims{X: 6, Y: 7, Z: 7}, 6, 0, 5, grid.Dims{X: 3, Y: 1, Z: 2}},  // 2×7×4 and 2×7×3 ranks
+		{grid.Dims{X: 9, Y: 11, Z: 9}, 8, 3, 4, grid.Dims{X: 2, Y: 2, Z: 2}}, // 4…5 × 5…6 × 4…5 ranks
+		{grid.Dims{X: 12, Y: 5, Z: 5}, 2, 0, 5, grid.Dims{X: 2, Y: 1, Z: 1}}, // 6×5×5 ranks
+		{grid.Dims{X: 8, Y: 8, Z: 8}, 4, 0, 5, grid.Dims{X: 1, Y: 2, Z: 2}},  // 8×4×4 ranks
+		{grid.Dims{X: 5, Y: 12, Z: 5}, 2, 0, 5, grid.Dims{X: 1, Y: 2, Z: 1}}, // 5×6×5 ranks
 	}
 	rng := rand.New(rand.NewSource(20110516))
 	pick := func(n int) int { return 1 + rng.Intn(n) }
@@ -70,10 +76,13 @@ func TestSchedulesAgreeOnRandomConfigurations(t *testing.T) {
 			Tasks: tasks, Threads: pick(3), BlockX: blk[0], BlockY: blk[1],
 			BoxThickness: min(pick(3), (thin-1)/2), HaloWidth: min(pick(4), thin), Verify: true,
 		}
-		if i >= cases && pinned[i-cases].threads > 0 {
-			o.Threads = pinned[i-cases].threads
-			if d.P != (grid.Dims{X: 2, Y: 2, Z: 2}) {
-				t.Fatalf("case %d: %v in %d tasks is a %v task grid, want 2×2×2", i, n, tasks, d.P)
+		if i >= cases {
+			pc := pinned[i-cases]
+			if d.P != pc.p {
+				t.Fatalf("case %d: %v in %d tasks is a %v task grid, want %v", i, n, tasks, d.P, pc.p)
+			}
+			if pc.threads > 0 {
+				o.Threads = pc.threads
 			}
 		}
 		want := run(t, core.SingleTask, p, core.Options{Threads: o.Threads, Verify: true})

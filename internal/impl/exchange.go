@@ -122,10 +122,10 @@ func (e *exchanger) finish(ph phase) {
 	e.rec.Add(e.rank, e.step, obs.PhaseMPIExchange, dimNames[dim], ph.t0, e.rec.Clock())
 }
 
-// exchangeAll runs the full bulk-synchronous exchange: all three phases
-// back to back.
-func (e *exchanger) exchangeAll() {
-	for dim := 0; dim < 3; dim++ {
+// exchange runs phases from, …, to-1 back to back; exchange(0, 3) is the
+// full bulk-synchronous exchange.
+func (e *exchanger) exchange(from, to int) {
+	for dim := from; dim < to; dim++ {
 		e.finish(e.start(dim))
 	}
 }

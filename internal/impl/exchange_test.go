@@ -39,7 +39,7 @@ func TestExchangerEquivalentToPeriodicHalos(t *testing.T) {
 				return val(sub.Lo.X+i, sub.Lo.Y+j, sub.Lo.Z+k)
 			})
 			ex := newExchanger(c, d, local)
-			ex.exchangeAll()
+			ex.exchange(0, 3)
 			wrap := func(v, m int) int { return ((v % m) + m) % m }
 			for k := -1; k <= sub.Size.Z; k++ {
 				for j := -1; j <= sub.Size.Y; j++ {
@@ -78,7 +78,7 @@ func TestExchangerRepeatedSteps(t *testing.T) {
 			local.Fill(func(i, j, k int) float64 {
 				return float64(step*1000000 + (sub.Lo.X + i) + 100*(sub.Lo.Y+j) + 10000*(sub.Lo.Z+k))
 			})
-			ex.exchangeAll()
+			ex.exchange(0, 3)
 			wrap := func(v, m int) int { return ((v % m) + m) % m }
 			// Spot-check one halo plane.
 			for j := 0; j < sub.Size.Y; j++ {
@@ -142,7 +142,7 @@ func TestExchangerMatchesFourCopyOracle(t *testing.T) {
 								return float64(step) + float64(c.Rank())/16 + float64(i+13*j+169*k)/4096
 							})
 							copy(want.Data(), got.Data())
-							ex.exchangeAll()
+							ex.exchange(0, 3)
 							oracleExchange(c, d, want)
 							// A rank that stopped early would leave its peers
 							// blocked in the next exchange: report, and go on.
@@ -166,7 +166,7 @@ func TestExchangerMatchesFourCopyOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkExchange times one whole three-phase exchange (exchangeAll) of
+// BenchmarkExchange times one whole three-phase exchange (exchange(0, 3)) of
 // every rank of a world: one task at 16³, whose phases are all periodic
 // copies, and two ranks at 16³ and 128³ (task grid 1×1×2: two periodic
 // copies and one exchange of messages).
@@ -186,13 +186,13 @@ func BenchmarkExchange(b *testing.B) {
 			mpi.NewWorld(c.tasks).Run(func(cm *mpi.Comm) {
 				f := grid.NewField(d.Sub(cm.Rank()).Size, 1)
 				ex := newExchanger(cm, d, f)
-				ex.exchangeAll() // the first exchange fills the mailboxes' slots
+				ex.exchange(0, 3) // the first exchange fills the mailboxes' slots
 				cm.Barrier()
 				if cm.Rank() == 0 {
 					b.ResetTimer()
 				}
 				for i := 0; i < b.N; i++ {
-					ex.exchangeAll()
+					ex.exchange(0, 3)
 				}
 				cm.Barrier()
 				if cm.Rank() == 0 {

@@ -279,7 +279,8 @@ func TestRunAllocatesItsFieldsAndTheGather(t *testing.T) {
 }
 
 // TestCPUStepsAllocateNothing is the allocation ratchet on the five CPU
-// schedules at 16³ with the benchmark's tasks × threads: a run of 2S steps
+// schedules at 16³ with the benchmark's tasks × threads, and on threaded at
+// 2 tasks × 1 thread, whose master exchanges z: a run of 2S steps
 // allocates exactly what a run of S steps does, so a steady-state step —
 // its regions, exchanges and messages — allocates nothing. The collector
 // is off while it counts: a collection empties the runtime's caches of
@@ -305,6 +306,7 @@ func TestCPUStepsAllocateNothing(t *testing.T) {
 		{core.BulkSync, core.Options{Tasks: 2, Threads: 1}},
 		{core.NonblockingOverlap, core.Options{Tasks: 2, Threads: 1}},
 		{core.ThreadedOverlap, core.Options{Tasks: 1, Threads: 2}},
+		{core.ThreadedOverlap, core.Options{Tasks: 2, Threads: 1}},
 		{core.WideHaloExt, core.Options{Tasks: 2, Threads: 1, HaloWidth: 2}},
 	} {
 		p1, p2 := core.DefaultProblem(16, steps), core.DefaultProblem(16, 2*steps)

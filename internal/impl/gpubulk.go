@@ -11,7 +11,7 @@ import "repro/internal/gpusim"
 // completes before the next begins, on a single stream.
 func stepGPUBulk(r *rank, _ int) {
 	g, s := r.geom.(*devShell), r.streams[0]
-	r.ex.exchangeAll()
+	r.ex.exchange(0, 3)
 
 	g.packHalo(r, "shell")
 	r.memcpy(gpusim.HostToDevice, g.haloBuf, g.hostHalo)

@@ -18,7 +18,7 @@ func stepGPUStreams(r *rank, _ int) {
 	sp := r.span(obs.PhaseLaunch, "interior")
 	r.interiorKernel(s1, g.interior)
 	sp.End()
-	r.ex.exchangeAll()
+	r.ex.exchange(0, 3)
 
 	g.packHalo(r, "shell")
 	r.memcpyAsync(s2, gpusim.HostToDevice, g.haloBuf, g.hostHalo)

@@ -27,7 +27,7 @@ func stepHybridBulk(r *rank, _ int) {
 	r.memcpy(gpusim.HostToDevice, g.haloBuf, g.hostHalo)
 	r.haloUnpackKernel(s, "ring unpack", g.halo, g.haloBuf)
 	// Outer halo: MPI with the neighbor tasks.
-	r.ex.exchangeAll()
+	r.ex.exchange(0, 3)
 	// GPU kernels for the block; the CPU computes the shell meanwhile (the
 	// kernels are asynchronous).
 	r.wallKernel(s, "block faces", g.outer, nil)

@@ -3,6 +3,7 @@ package impl
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -163,41 +164,66 @@ func TestMergedOverlapStats(t *testing.T) {
 	}
 }
 
-// TestThreadedExchangesXBeforeTheRegion reads §IV-D's order from the trace
-// at 2 and 8 tasks × 2 threads (at 8 every dimension is a message): in each
-// step of each rank the x phase's mpi.exchange span ends before the
-// master+workers span opens, and the y and z phases' spans lie inside it.
-func TestThreadedExchangesXBeforeTheRegion(t *testing.T) {
+// TestOverlapLandsCopiesBeforeCompute reads both CPU overlap schedules'
+// order from the trace at 1, 2 and 8 tasks × 2 threads (task grids 1×1×1,
+// 1×1×2 and 2×2×2): in each step of each rank, the mpi.exchange span of x
+// and of each copy-only phase right after it ends before the step's first
+// compute span, and each later phase contains its third.* span (§IV-C) or
+// lies inside the master+workers span (§IV-D).
+func TestOverlapLandsCopiesBeforeCompute(t *testing.T) {
 	type key struct{ rank, step int }
-	for _, tasks := range []int{2, 8} {
-		spans := runWithRecorder(t, core.ThreadedOverlap, core.Options{Tasks: tasks, Threads: 2}).Spans()
-		region := map[key]obs.Span{}
-		for _, s := range spans {
-			if s.Phase == obs.PhaseInterior && s.Label == "master+workers" {
-				region[key{s.Rank, s.Step}] = s
+	for _, kind := range []core.Kind{core.NonblockingOverlap, core.ThreadedOverlap} {
+		for _, tasks := range []int{1, 2, 8} {
+			d := grid.NewDecomp(obsProblem().N, tasks)
+			p := [3]int{d.P.X, d.P.Y, d.P.Z}
+			landed := 1
+			for landed < 3 && p[landed] == 1 {
+				landed++
 			}
-		}
-		if want := tasks * obsProblem().Steps; len(region) != want {
-			t.Fatalf("%d tasks: %d master+workers spans, want %d", tasks, len(region), want)
-		}
-		exchanges := 0
-		for _, s := range spans {
-			if s.Phase != obs.PhaseMPIExchange {
-				continue
+			spans := runWithRecorder(t, kind, core.Options{Tasks: tasks, Threads: 2}).Spans()
+			first := map[key]float64{}
+			compute := map[key]map[string]obs.Span{}
+			for _, s := range spans {
+				if s.Phase != obs.PhaseInterior && s.Phase != obs.PhaseBoundary {
+					continue
+				}
+				k := key{s.Rank, s.Step}
+				if f, ok := first[k]; !ok || s.Start < f {
+					first[k] = s.Start
+				}
+				if compute[k] == nil {
+					compute[k] = map[string]obs.Span{}
+				}
+				compute[k][s.Label] = s
 			}
-			exchanges++
-			r := region[key{s.Rank, s.Step}]
-			if s.Label == "x" && s.End > r.Start {
-				t.Errorf("%d tasks, rank %d step %d: the x exchange ends at %g, after the region opens at %g",
-					tasks, s.Rank, s.Step, s.End, r.Start)
+			exchanges := 0
+			for _, s := range spans {
+				if s.Phase != obs.PhaseMPIExchange {
+					continue
+				}
+				exchanges++
+				k, dim := key{s.Rank, s.Step}, slices.Index(dimNames[:], s.Label)
+				if dim < landed {
+					if s.End > first[k] {
+						t.Errorf("%v, %d tasks, rank %d step %d: the %s exchange ends at %g, after compute starts at %g",
+							kind, tasks, s.Rank, s.Step, s.Label, s.End, first[k])
+					}
+					continue
+				}
+				part, ok := compute[k][thirdNames[dim]]
+				outer, inner := s, part // §IV-C: the phase brackets its part
+				if kind == core.ThreadedOverlap {
+					part, ok = compute[k]["master+workers"]
+					outer, inner = part, s // §IV-D: the region brackets the master's phases
+				}
+				if !ok || inner.Start < outer.Start || inner.End > outer.End {
+					t.Errorf("%v, %d tasks, rank %d step %d: %s [%g, %g] is not inside %s [%g, %g]",
+						kind, tasks, k.rank, k.step, inner.Label, inner.Start, inner.End, outer.Label, outer.Start, outer.End)
+				}
 			}
-			if s.Label != "x" && (s.Start < r.Start || s.End > r.End) {
-				t.Errorf("%d tasks, rank %d step %d: the %s exchange [%g, %g] is not inside the region [%g, %g]",
-					tasks, s.Rank, s.Step, s.Label, s.Start, s.End, r.Start, r.End)
+			if want := 3 * tasks * obsProblem().Steps; exchanges != want {
+				t.Fatalf("%v, %d tasks: %d exchange spans, want %d", kind, tasks, exchanges, want)
 			}
-		}
-		if exchanges != 3*len(region) {
-			t.Fatalf("%d tasks: %d exchange spans, want 3 a step", tasks, exchanges)
 		}
 	}
 }

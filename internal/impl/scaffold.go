@@ -280,12 +280,6 @@ func appendOnce(region []grid.Subdomain, subs ...grid.Subdomain) []grid.Subdomai
 	return region
 }
 
-// wholeRows is the y–z range of t as whole-width rows of an n-point local
-// domain, x ∈ [0, nx): the overlap schedules' cut once the x halo has landed.
-func wholeRows(n grid.Dims, t grid.Subdomain) grid.Subdomain {
-	return grid.Subdomain{Lo: grid.Dims{Y: t.Lo.Y, Z: t.Lo.Z}, Size: grid.Dims{X: n.X, Y: t.Size.Y, Z: t.Size.Z}}
-}
-
 // applyRows computes rows [lo, hi) of the region setRegion described: of
 // each part, the rows the range covers.
 func (r *rank) applyRows(lo, hi int) {

@@ -22,7 +22,7 @@ func stepWideHalo(r *rank, s int) {
 	// interior on its last step.
 	burst := min(w, r.p.Steps-(s-k))
 	if k == 0 {
-		r.ex.exchangeAll() // one wide exchange covers the burst
+		r.ex.exchange(0, 3) // one wide exchange covers the burst
 	}
 	e, n := burst-1-k, r.sub.Size
 	r.compute(obs.PhaseInterior, "extended", grid.Subdomain{

@@ -96,8 +96,8 @@ func CountFile(path string) (int, error) {
 var implFiles = map[core.Kind][]string{
 	core.SingleTask:         {"impl.go", "scaffold.go", "single.go"},
 	core.BulkSync:           {"impl.go", "scaffold.go", "exchange.go", "bulk.go"},
-	core.NonblockingOverlap: {"impl.go", "scaffold.go", "exchange.go", "nonblocking.go"},
-	core.ThreadedOverlap:    {"impl.go", "scaffold.go", "exchange.go", "threaded.go"},
+	core.NonblockingOverlap: {"impl.go", "scaffold.go", "exchange.go", "cut.go", "nonblocking.go"},
+	core.ThreadedOverlap:    {"impl.go", "scaffold.go", "exchange.go", "cut.go", "threaded.go"},
 	core.GPUResident:        {"impl.go", "scaffold.go", "device.go", "gpuresident.go"},
 	core.GPUBulkSync:        {"impl.go", "scaffold.go", "exchange.go", "device.go", "gpumpi.go", "gpubulk.go"},
 	core.GPUStreams:         {"impl.go", "scaffold.go", "exchange.go", "device.go", "gpumpi.go", "gpustreams.go"},

@@ -1,9 +1,10 @@
 // Package par is the shared-memory parallel runtime the reproduction uses
 // in place of OpenMP. It provides persistent thread teams, parallel-for
-// loops with static, dynamic, and guided schedules (the paper's §IV-D uses
-// schedule(guided)), a collapse(2) helper matching the paper's loop
-// structure (§IV-A), master-thread sections (!$omp master), and a reusable
-// barrier.
+// loops with static and guided schedules (the paper's §IV-D uses
+// schedule(guided)) over an iteration space a caller may collapse itself,
+// as the paper's collapse(2) does (§IV-A), and §IV-D's region whose master
+// thread runs its own work (!$omp master) before joining the loop. A region
+// ends with the implicit barrier of an OpenMP parallel region.
 //
 // A team of one runs its regions on the calling goroutine, as OpenMP does
 // with one thread; a larger team wakes every worker once per region. A
@@ -50,14 +51,13 @@ func (s Schedule) String() string {
 // thread team. A Team is created once and reused across many parallel
 // regions so per-region cost is a wakeup, not goroutine creation.
 type Team struct {
-	n       int
-	wake    []chan struct{} // one per worker, closed by Close; none for a team of one
-	wg      sync.WaitGroup  // per-region completion
-	closed  bool
-	barrier *Barrier
-	mu      sync.Mutex
-	failed  atomic.Pointer[any] // first panic of the region under way
-	reg     region              // the region under way, written only between regions
+	n      int
+	wake   []chan struct{} // one per worker, closed by Close; none for a team of one
+	wg     sync.WaitGroup  // per-region completion
+	closed bool
+	mu     sync.Mutex
+	failed atomic.Pointer[any] // first panic of the region under way
+	reg    region              // the region under way, written only between regions
 
 	// Span recording (see SetRecorder).
 	rec  *obs.Recorder
@@ -89,7 +89,7 @@ func NewTeam(n int) *Team {
 	if n < 1 {
 		panic(fmt.Sprintf("par: team size %d < 1", n))
 	}
-	t := &Team{n: n, barrier: NewBarrier(n)}
+	t := &Team{n: n}
 	if n > 1 {
 		t.wake = make([]chan struct{}, n)
 		for i := range t.wake {
@@ -179,18 +179,12 @@ func (t *Team) Close() {
 }
 
 // Run executes fn(tid) on every worker concurrently and returns when all
-// have finished — one OpenMP parallel region. fn may call t.Barrier() to
-// synchronize within the region. If fn panics on a worker, Run panics with
-// the first such value once every worker has finished.
+// have finished — one OpenMP parallel region. If fn panics on a worker, Run
+// panics with the first such value once every worker has finished.
 func (t *Team) Run(fn func(tid int)) {
 	t.reg.fn = fn
 	t.launch("region")
 }
-
-// Barrier blocks until every worker of the enclosing Run region has reached
-// it. Calling it outside a Run region (or from only some workers) deadlocks,
-// exactly like a misplaced OpenMP barrier.
-func (t *Team) Barrier() { t.barrier.Wait() }
 
 // ParallelFor executes body over the iteration range [0, n) split among the
 // team per sched. body receives half-open chunk bounds [lo, hi). chunk is
@@ -268,42 +262,4 @@ func (s *scheduler) next() (lo, hi int, ok bool) {
 			return int(cur), int(end), true
 		}
 	}
-}
-
-// Barrier is a reusable counting barrier for a fixed number of parties.
-type Barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	count   int
-	gen     uint64
-}
-
-// NewBarrier returns a barrier for the given number of parties.
-func NewBarrier(parties int) *Barrier {
-	if parties < 1 {
-		panic("par: barrier parties < 1")
-	}
-	b := &Barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all parties have called Wait, then releases them and
-// resets for reuse.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.parties {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

@@ -119,23 +119,6 @@ func TestRunReusable(t *testing.T) {
 	}
 }
 
-func TestTeamBarrier(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	var before, after atomic.Int32
-	team.Run(func(tid int) {
-		before.Add(1)
-		team.Barrier()
-		if before.Load() != 4 {
-			t.Errorf("worker %d passed barrier with before=%d", tid, before.Load())
-		}
-		after.Add(1)
-	})
-	if after.Load() != 4 {
-		t.Fatalf("after = %d", after.Load())
-	}
-}
-
 func TestRunWithMaster(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()
@@ -241,28 +224,6 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	if done.Load() != 10 {
 		t.Fatalf("team unusable after a panicked region: %d of 10 iterations", done.Load())
 	}
-}
-
-func TestBarrierStandalone(t *testing.T) {
-	b := NewBarrier(3)
-	var phase atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 10; r++ {
-				phase.Add(1)
-				b.Wait()
-				if v := phase.Load(); v%3 != 0 {
-					t.Errorf("phase %d not multiple of 3 after barrier", v)
-					return
-				}
-				b.Wait()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestScheduleString(t *testing.T) {

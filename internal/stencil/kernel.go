@@ -142,11 +142,10 @@ func colSum(w *[9]float64, a0, a1, a2, a3, a4, a5, a6, a7, a8 float64) float64 {
 // one-point rows (m = 3) of BoundarySlabs' ±x walls never reach the vector
 // body. At 128³ they cost ≈ 25 ns per point on either path, nine cache
 // lines for each output (BenchmarkApply/xwall128), where whole rows cost 1.4
-// with the vector body and 3.2 without it. Of the CPU-only schedules only
-// nonblocking still computes such rows: the walls beside its first interior
-// third, which must wait for the x halo. Its other walls, and all of
-// threaded's, lie inside whole-width rows computed once the x halo has
-// landed. The hybrid schedules cut their walls as the paper's box shell does.
+// with the vector body and 3.2 without it. No CPU-only schedule computes
+// such rows: the overlap schedules land the x halo before any compute and
+// keep their rows whole-width. Only the hybrid schedules' box walls, §IV-I's
+// slabs and the emulated GPU shell still cut ±x walls that thin.
 func (op *Op) applyRow(dst, s []float64, b int) {
 	m := len(dst)
 	if m < 3 { // no output
@@ -191,18 +190,19 @@ func Interior(n grid.Dims) grid.Subdomain {
 // whose stencil reads at least one halo point — of an n-point local domain,
 // ordered -z, +z, -y, +y, -x, +x. Together with Interior(n) they tile the
 // domain. These are the points the paper's overlap implementations compute
-// after communication completes. Here §IV-C and §IV-D compute the ±x walls
-// inside whole-width rows once the x halo has landed, save the walls beside
-// §IV-C's first interior third: those alone are one-point rows.
+// after communication completes. Here §IV-I's slabs and the GPU shell of
+// the multi-GPU schedules are cut this way; §IV-C and §IV-D land the x halo
+// first and keep at most the ±z and ±y slabs, a prefix of these.
 func BoundarySlabs(n grid.Dims) []grid.Subdomain {
 	b := grid.BoxSplit{Local: n, T: 1}
 	return b.Walls()
 }
 
 // InteriorThirds splits the interior of an n-point local domain into three
-// slabs along z, as equal as possible. Implementation §IV-C computes the
-// first third between initiation and completion of the x exchange, the
-// second within the y exchange, and the last within the z exchange.
+// slabs along z, as equal as possible: the paper's §IV-C computes the first
+// third within the x exchange, the second within y, the last within z. No
+// schedule here cuts its interior this way (internal/impl's newCut says
+// why); only the benchmark's kernel probe reads it.
 func InteriorThirds(n grid.Dims) [3]grid.Subdomain {
 	in := Interior(n)
 	var out [3]grid.Subdomain
