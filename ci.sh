@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
-# build, the full test suite with the race detector, vet and tests of the
-# nested bench/ module, and the nine ns_gate bounds of BENCH_guards.json
+# build, the full test suite with the race detector, one run of every
+# root-module benchmark, vet and tests of the nested bench/ module, and
+# the nine ns_gate bounds of BENCH_guards.json
 # (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
@@ -50,6 +51,12 @@ go build ./...
 # (regenerate it with UPDATE_GOLDEN=1 after intentional span-set changes).
 # docs/report.md is pinned the same way: UPDATE_GOLDEN=1 go test ./cmd/report
 go test -race -timeout 5m ./...
+
+# Every benchmark of the root module runs once (-benchtime 1x), timing
+# unjudged: a benchmark a change breaks — a renamed call, a buffer too
+# short for a new shape, a panic — fails here, not in the next
+# measurement that needs it.
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # bench/ is its own module (repro/bench, replace repro => ../), so the root
 # gate above neither vets nor compiles it: vet, build and smoke-test it here,

@@ -66,24 +66,3 @@ func (b BoxSplit) WallsByDim(dim int) [2]Subdomain {
 	}
 	panic(fmt.Sprintf("grid: bad dimension %d", dim))
 }
-
-// InnerHaloToGPU returns the number of points the CPU sends the GPU each
-// step: the shell layer of width halo immediately surrounding the GPU block,
-// which the GPU stencil reads as its halo.
-func (b BoxSplit) InnerHaloToGPU(halo int) int {
-	in := b.Inner().Size
-	outer := Dims{in.X + 2*halo, in.Y + 2*halo, in.Z + 2*halo}
-	return outer.Volume() - in.Volume()
-}
-
-// InnerHaloFromGPU returns the number of points the GPU sends the CPU each
-// step: the outermost layer (width halo) of the GPU block, which the CPU
-// stencil reads when computing the shell.
-func (b BoxSplit) InnerHaloFromGPU(halo int) int {
-	in := b.Inner().Size
-	core := Dims{in.X - 2*halo, in.Y - 2*halo, in.Z - 2*halo}
-	if core.X < 0 || core.Y < 0 || core.Z < 0 {
-		return in.Volume()
-	}
-	return in.Volume() - core.Volume()
-}

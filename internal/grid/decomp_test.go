@@ -280,18 +280,3 @@ func TestBoxSplitErrors(t *testing.T) {
 		t.Fatalf("valid thickness rejected: %v", err)
 	}
 }
-
-func TestBoxSplitInnerHalo(t *testing.T) {
-	b, err := NewBoxSplit(Dims{10, 10, 10}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := b.Inner().Size // 8x8x8
-	if got, want := b.InnerHaloToGPU(1), 10*10*10-8*8*8; got != want {
-		t.Fatalf("InnerHaloToGPU = %d, want %d", got, want)
-	}
-	if got, want := b.InnerHaloFromGPU(1), 8*8*8-6*6*6; got != want {
-		t.Fatalf("InnerHaloFromGPU = %d, want %d", got, want)
-	}
-	_ = in
-}

@@ -95,3 +95,18 @@ func Intersect(a, b Subdomain) Subdomain {
 	}
 	return Subdomain{Lo: lo, Size: sz}
 }
+
+// Layer returns depth planes of dimension dim of an n-point domain,
+// starting at coordinate at: widened by widen halo points on both sides in
+// the dimensions below dim and interior in those above it. It is the one
+// geometry of the dimension-serialized halo exchange (§IV-B): with widen
+// the halo width, the face a phase sends (at 0 or n−depth), the halo it
+// fills (at −depth or n), and the six halo slabs that tile the shell once.
+func Layer(n Dims, widen, dim, at, depth int) Subdomain {
+	lo, size := [3]int{}, [3]int{n.X, n.Y, n.Z}
+	for d := 0; d < dim; d++ {
+		lo[d], size[d] = -widen, size[d]+2*widen
+	}
+	lo[dim], size[dim] = at, depth
+	return Subdomain{Lo: Dims{lo[0], lo[1], lo[2]}, Size: Dims{size[0], size[1], size[2]}}
+}

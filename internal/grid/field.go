@@ -15,6 +15,7 @@ type Field struct {
 	sy, sz int // strides for y and z steps
 	off    int // offset of interior point (0,0,0)
 	data   []float64
+	sweeps [3]sweep // the periodic copy of each dimension
 }
 
 // NewField allocates a zeroed field with the given interior extents and halo
@@ -37,6 +38,7 @@ func shape(n Dims, halo int) (f *Field, size int) {
 	wx, wy, wz := n.X+2*halo, n.Y+2*halo, n.Z+2*halo
 	f = &Field{N: n, Halo: halo, sy: wx, sz: wx * wy}
 	f.off = halo*f.sz + halo*f.sy + halo
+	f.layOutSweeps()
 	return f, wx * wy * wz
 }
 
@@ -103,16 +105,9 @@ func (f *Field) CopyInteriorFrom(src *Field) {
 }
 
 // CopyBox copies the points of box (in src's coordinates) from src to f,
-// where they start at lo, one x-row at a time.
+// where they start at lo.
 func (f *Field) CopyBox(lo Dims, src *Field, box Subdomain) {
-	nx := box.Size.X
-	for k := 0; k < box.Size.Z; k++ {
-		for j := 0; j < box.Size.Y; j++ {
-			d := f.Idx(lo.X, lo.Y+j, lo.Z+k)
-			s := src.Idx(box.Lo.X, box.Lo.Y+j, box.Lo.Z+k)
-			copy(f.data[d:d+nx], src.data[s:s+nx])
-		}
-	}
+	moveBox(f.data, f.rowsAt(lo), src.data, src.rowsAt(box.Lo), box.Size)
 }
 
 // Swap exchanges the storage of f and g, which must have identical shape.
@@ -152,18 +147,31 @@ func (f *Field) CopyPeriodicHalos() {
 	}
 }
 
-// PeriodicRows returns how many independent rows the periodic sweep of
-// dimension dim has: the interior (k, j) rows for x, the interior z planes
-// for y, the halo-widened y rows for z.
-func (f *Field) PeriodicRows(dim int) int {
-	switch dim {
-	case 0:
-		return f.N.Y * f.N.Z
-	case 1:
-		return f.N.Z
-	}
-	return f.N.Y + 2*f.Halo
+// sweep is one dimension's periodic copy laid out in the field's storage,
+// once, when the field is shaped: the x-rows of the Layer that is the low
+// halo, w values each and ny a z plane, as the destination and source of
+// its copy, each with the box of the high halo's copy alt further on.
+type sweep struct {
+	w, ny, count int
+	dst, src     rows
 }
+
+// layOutSweeps fills f.sweeps: the low halo takes the high interior
+// layers and the high halo the low ones, each a Layer of depth Halo.
+func (f *Field) layOutSweeps() {
+	h := f.Halo
+	for dim := range f.sweeps {
+		nd, box := f.N.Axis(dim), Layer(f.N, h, dim, -h, h)
+		at := func(c int) rows { return f.rowsAt(box.Lo.WithAxis(dim, c)) }
+		d, s := at(-h), at(nd-h)
+		d.alt, s.alt = at(nd).at-d.at, at(0).at-s.at
+		f.sweeps[dim] = sweep{w: box.Size.X, ny: box.Size.Y, count: box.Size.Y * box.Size.Z, dst: d, src: s}
+	}
+}
+
+// PeriodicRows returns how many independent rows the periodic sweep of
+// dimension dim has: the x-rows of one of its two halo layers.
+func (f *Field) PeriodicRows(dim int) int { return f.sweeps[dim].count }
 
 // PeriodicSweep performs rows [lo, hi) of dimension dim's periodic sweep.
 // Rows of one sweep touch disjoint halo points and read only interior
@@ -171,161 +179,142 @@ func (f *Field) PeriodicRows(dim int) int {
 // finish before the next dimension's starts, whose rows span the halos it
 // filled.
 func (f *Field) PeriodicSweep(dim, lo, hi int) {
-	h, n := f.Halo, f.N
-	switch dim {
-	case 0:
-		j, k := lo%n.Y, lo/n.Y // one division per call: (j, k) advance with the row
-		for r := lo; r < hi; r++ {
-			row := f.Idx(0, j, k)
-			for g := 1; g <= h; g++ {
-				f.data[row-g] = f.data[row+n.X-g]
-				f.data[row+n.X-1+g] = f.data[row+g-1]
-			}
-			if j++; j == n.Y {
-				j, k = 0, k+1
-			}
-		}
-	case 1:
-		for k := lo; k < hi; k++ {
-			for g := 1; g <= h; g++ {
-				f.copyWideRow(-g, k, n.Y-g, k)
-				f.copyWideRow(n.Y-1+g, k, g-1, k)
-			}
-		}
-	default:
-		for j := lo - h; j < hi-h; j++ {
-			for g := 1; g <= h; g++ {
-				f.copyWideRow(j, -g, j, n.Z-g)
-				f.copyWideRow(j, n.Z-1+g, j, g-1)
-			}
-		}
-	}
+	s := &f.sweeps[dim]
+	moveRows(f.data, s.dst, f.data, s.src, s.w, s.ny, lo, hi)
 }
 
-// copyWideRow copies the halo-widened x-row (sj, sk) onto row (dj, dk).
-func (f *Field) copyWideRow(dj, dk, sj, sk int) {
-	w := f.N.X + 2*f.Halo
-	d, s := f.Idx(-f.Halo, dj, dk), f.Idx(-f.Halo, sj, sk)
-	copy(f.data[d:d+w], f.data[s:s+w])
-}
-
-// PackFace copies the plane of points used for the halo exchange in
-// dimension dim (0,1,2) on side dir (-1 or +1) into buf and returns the
-// number of values written. The packed plane spans the full halo-widened
-// range in dimensions below dim (which have already been exchanged) and the
-// interior range in dimensions above, matching the serialized-dimension
-// exchange of §IV-B. depth selects how many layers to pack (the halo width
-// of the receiver); layer g ∈ [0, depth) is the g-th interior plane counted
-// inward from the boundary on that side.
+// PackFace copies the face the halo exchange sends in dimension dim
+// (0,1,2) on side dir (-1 or +1) into buf and returns the number of values
+// written: the depth interior planes of dim next to that boundary (the
+// receiver's halo width), halo-widened in the dimensions below dim (which
+// have already been exchanged) and interior above it, matching the
+// serialized-dimension exchange of §IV-B. buf holds the face box's x-rows
+// in storage order; UnpackFace reads the same order.
 func (f *Field) PackFace(dim, dir, depth int, buf []float64) int {
-	lo, hi := f.faceRange(dim)
-	n := 0
-	for g := 0; g < depth; g++ {
-		var fix int
-		if dir < 0 {
-			fix = g // planes 0..depth-1
-		} else {
-			fix = f.N.Axis(dim) - 1 - g
-		}
-		n += f.copyPlane(dim, fix, lo, hi, buf[n:], true)
+	at := 0
+	if dir > 0 {
+		at = f.N.Axis(dim) - depth
 	}
-	return n
+	return f.Pack(Layer(f.N, f.Halo, dim, at, depth), buf)
 }
 
-// UnpackFace is the inverse of PackFace: it copies buf into the halo layers
-// in dimension dim on side dir. Layer g ∈ [0, depth) is the g-th halo plane
-// counted outward from the boundary.
+// UnpackFace is the inverse of PackFace: it copies buf into the depth halo
+// planes of dimension dim beyond the boundary on side dir.
 func (f *Field) UnpackFace(dim, dir, depth int, buf []float64) int {
-	lo, hi := f.faceRange(dim)
-	n := 0
-	for g := 0; g < depth; g++ {
-		var fix int
-		if dir < 0 {
-			fix = -1 - g
-		} else {
-			fix = f.N.Axis(dim) + g
-		}
-		n += f.copyPlane(dim, fix, lo, hi, buf[n:], false)
+	at := -depth
+	if dir > 0 {
+		at = f.N.Axis(dim)
 	}
-	return n
+	return f.Unpack(Layer(f.N, f.Halo, dim, at, depth), buf)
 }
 
 // FaceCount returns the number of values PackFace writes for one layer of
 // the exchange plane in dimension dim.
-func (f *Field) FaceCount(dim int) int {
-	lo, hi := f.faceRange(dim)
-	n := 1
-	for d := 0; d < 3; d++ {
-		if d != dim {
-			n *= hi[d] - lo[d]
-		}
-	}
-	return n
+func (f *Field) FaceCount(dim int) int { return Layer(f.N, f.Halo, dim, 0, 1).Volume() }
+
+// Pack copies the points of box (halo coordinates allowed) into buf as the
+// box's x-rows in storage order and returns the number of values written.
+// An empty box writes nothing.
+func (f *Field) Pack(box Subdomain, buf []float64) int {
+	return moveBox(buf, packed(box.Size), f.data, f.rowsAt(box.Lo), box.Size)
 }
 
-// faceRange returns the per-dimension [lo, hi) ranges of the exchange plane
-// for dimension dim: halo-widened below dim, interior at and above it.
-func (f *Field) faceRange(dim int) (lo, hi [3]int) {
-	n := [3]int{f.N.X, f.N.Y, f.N.Z}
-	for d := 0; d < 3; d++ {
-		if d < dim {
-			lo[d], hi[d] = -f.Halo, n[d]+f.Halo
-		} else {
-			lo[d], hi[d] = 0, n[d]
-		}
-	}
-	return lo, hi
+// Unpack is the inverse of Pack: it copies buf into the points of box.
+func (f *Field) Unpack(box Subdomain, buf []float64) int {
+	return moveBox(f.data, f.rowsAt(box.Lo), buf, packed(box.Size), box.Size)
 }
 
-// copyPlane copies one plane (the coordinate in dimension dim fixed at fix)
-// between the field and buf. pack=true reads the field into buf; pack=false
-// writes buf into the field. It returns the number of values moved.
-func (f *Field) copyPlane(dim, fix int, lo, hi [3]int, buf []float64, pack bool) int {
-	n := 0
-	switch dim {
-	case 0:
-		// One value per x-row: walk each z plane's column by the y stride.
-		ny := hi[1] - lo[1]
-		for k := lo[2]; k < hi[2]; k++ {
-			p := f.Idx(fix, lo[1], k)
-			b := buf[n : n+ny]
-			if pack {
-				for j := range b {
-					b[j] = f.data[p]
-					p += f.sy
-				}
-			} else {
-				for j := range b {
-					f.data[p] = b[j]
-					p += f.sy
-				}
+// rows lays a box of x-rows out in flat storage: the box's row j of z
+// plane k starts at at + j*sy + k*sz. A non-zero alt places a second box
+// of the same shape alt further on, which the same pass moves beside the
+// first: a periodic sweep's two halos, whose rows share pages, so one pass
+// over them is cheaper than two.
+type rows struct{ at, sy, sz, alt int }
+
+// rowsAt lays out the x-rows of a box of f whose low corner is lo.
+func (f *Field) rowsAt(lo Dims) rows { return rows{at: f.Idx(lo.X, lo.Y, lo.Z), sy: f.sy, sz: f.sz} }
+
+// packed lays out the x-rows of a box of extents n packed end to end.
+func packed(n Dims) rows { return rows{sy: n.X, sz: n.X * n.Y} }
+
+// moveBox copies all rows of a box of extents n, none if it is empty, and
+// returns its point count.
+func moveBox(dst []float64, d rows, src []float64, s rows, n Dims) int {
+	if (Subdomain{Size: n}).Empty() {
+		return 0
+	}
+	moveRows(dst, d, src, s, n.X, n.Y, 0, n.Y*n.Z)
+	return n.Volume()
+}
+
+// moveRows is the one row mover under every box copy: it copies rows
+// [lo, hi) of a box of w-value x-rows, ny a z plane, from src laid out by
+// s into dst laid out by d. Rows evenly spaced on both sides — one a
+// plane, or planes that follow on without a gap — are walked as one
+// plane; otherwise at most one division finds the first row's plane, and
+// the walk steps from there, handing each plane's run of rows to moveRun.
+func moveRows(dst []float64, d rows, src []float64, s rows, w, ny, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if ny == 1 {
+		d.sy, s.sy = d.sz, s.sz
+	}
+	if d.sz == ny*d.sy && s.sz == ny*s.sy {
+		ny = hi
+	}
+	j, k := lo, 0
+	if lo >= ny {
+		j, k = lo%ny, lo/ny
+	}
+	dk, sk := d.at+k*d.sz, s.at+k*s.sz
+	for r := lo; r < hi; j, dk, sk = 0, dk+d.sz, sk+s.sz {
+		m := min(ny-j, hi-r)
+		r += m
+		moveRun(dst, rows{at: dk + j*d.sy, sy: d.sy, alt: d.alt}, src, rows{at: sk + j*s.sy, sy: s.sy, alt: s.alt}, w, m)
+	}
+}
+
+// moveRun copies m rows of w values, d.sy apart in dst from d.at and s.sy
+// apart in src from s.at, and the second boxes' rows beside them: as one
+// memmove when the rows follow on without a gap on both sides (a box as
+// wide as the storage, into or out of a buffer), as w column loops when
+// they are short (x faces and x halos), and one memmove a row otherwise.
+func moveRun(dst []float64, d rows, src []float64, s rows, w, m int) {
+	switch {
+	case w < shortRow:
+		for i := range w {
+			column(dst, d.at+i, d.sy, src, s.at+i, s.sy, m)
+			if d.alt != 0 {
+				column(dst, d.at+d.alt+i, d.sy, src, s.at+s.alt+i, s.sy, m)
 			}
-			n += ny
 		}
-	case 1:
-		for k := lo[2]; k < hi[2]; k++ {
-			row := f.Idx(lo[0], fix, k)
-			w := hi[0] - lo[0]
-			if pack {
-				copy(buf[n:n+w], f.data[row:row+w])
-			} else {
-				copy(f.data[row:row+w], buf[n:n+w])
-			}
-			n += w
-		}
-	case 2:
-		for j := lo[1]; j < hi[1]; j++ {
-			row := f.Idx(lo[0], j, fix)
-			w := hi[0] - lo[0]
-			if pack {
-				copy(buf[n:n+w], f.data[row:row+w])
-			} else {
-				copy(f.data[row:row+w], buf[n:n+w])
-			}
-			n += w
+	case d.sy == w && s.sy == w:
+		copy(dst[d.at:d.at+m*w], src[s.at:s.at+m*w])
+		if d.alt != 0 {
+			copy(dst[d.at+d.alt:d.at+d.alt+m*w], src[s.at+s.alt:s.at+s.alt+m*w])
 		}
 	default:
-		panic(fmt.Sprintf("grid: bad dimension %d", dim))
+		for dp, sp := d.at, s.at; m > 0; m-- {
+			copy(dst[dp:dp+w], src[sp:sp+w])
+			if d.alt != 0 {
+				copy(dst[dp+d.alt:dp+d.alt+w], src[sp+s.alt:sp+s.alt+w])
+			}
+			dp, sp = dp+d.sy, sp+s.sy
+		}
 	}
-	return n
+}
+
+// shortRow is the row width from which a memmove call a row beats column
+// loops: at width 2 (x faces and halos of wide-halo's W = 2) a memmove a
+// row took over twice as long.
+const shortRow = 4
+
+// column copies m single values stepping dsy through dst and ssy through
+// src.
+func column(dst []float64, dp, dsy int, src []float64, sp, ssy, m int) {
+	for ; m > 0; m-- {
+		dst[dp] = src[sp]
+		dp, sp = dp+dsy, sp+ssy
+	}
 }

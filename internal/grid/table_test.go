@@ -165,22 +165,3 @@ func BenchmarkFillGaussian(b *testing.B) {
 		FillGaussian(f, g)
 	}
 }
-
-func BenchmarkPackFace(b *testing.B) {
-	f := NewField(Uniform(128), 1)
-	buf := make([]float64, 130*130)
-	for dim, name := range []string{"x", "y", "z"} {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(8 * f.FaceCount(dim)))
-			for i := 0; i < b.N; i++ {
-				f.PackFace(dim, 1, 1, buf)
-			}
-		})
-		b.Run("un"+name, func(b *testing.B) {
-			b.SetBytes(int64(8 * f.FaceCount(dim)))
-			for i := 0; i < b.N; i++ {
-				f.UnpackFace(dim, -1, 1, buf)
-			}
-		})
-	}
-}

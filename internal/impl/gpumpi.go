@@ -25,7 +25,10 @@ type devShell struct {
 
 func newDevShell(r *rank) *devShell {
 	n := r.box.Size
-	g := &devShell{interior: stencil.Interior(n), halo: haloSlabs(n, 1), outer: stencil.BoundarySlabs(n)}
+	g := &devShell{interior: stencil.Interior(n), outer: stencil.BoundarySlabs(n)}
+	for dim := 0; dim < 3; dim++ { // the halo shell as the six Layers an exchange fills
+		g.halo = append(g.halo, grid.Layer(n, 1, dim, -1, 1), grid.Layer(n, 1, dim, n.Axis(dim), 1))
+	}
 	g.haloHost, g.outerHost = offsetSubs(g.halo, r.box.Lo), offsetSubs(g.outer, r.box.Lo)
 	g.haloBuf, g.outerBuf = r.alloc(subsVolume(g.halo)), r.alloc(subsVolume(g.outer))
 	g.hostHalo, g.hostOuter = make([]float64, g.haloBuf.Len()), make([]float64, g.outerBuf.Len())
@@ -113,25 +116,17 @@ func (r *rank) copyLaunch(points int) gpusim.Launch {
 
 // packSubs copies the listed subdomains of f (halo coordinates allowed)
 // into buf in order; unpackSubs is its inverse.
-func packSubs(f *grid.Field, subs []grid.Subdomain, buf []float64) { moveSubs(f, subs, buf, true) }
-
-func unpackSubs(f *grid.Field, subs []grid.Subdomain, buf []float64) { moveSubs(f, subs, buf, false) }
-
-func moveSubs(f *grid.Field, subs []grid.Subdomain, buf []float64, pack bool) {
+func packSubs(f *grid.Field, subs []grid.Subdomain, buf []float64) {
 	n := 0
 	for _, s := range subs {
-		hi, w := s.Hi(), s.Size.X
-		for k := s.Lo.Z; k < hi.Z; k++ {
-			for j := s.Lo.Y; j < hi.Y; j++ {
-				row := f.Idx(s.Lo.X, j, k)
-				if pack {
-					copy(buf[n:n+w], f.Data()[row:row+w])
-				} else {
-					copy(f.Data()[row:row+w], buf[n:n+w])
-				}
-				n += w
-			}
-		}
+		n += f.Pack(s, buf[n:])
+	}
+}
+
+func unpackSubs(f *grid.Field, subs []grid.Subdomain, buf []float64) {
+	n := 0
+	for _, s := range subs {
+		n += f.Unpack(s, buf[n:])
 	}
 }
 
@@ -145,23 +140,6 @@ func subsVolume(subs []grid.Subdomain) int {
 		}
 	}
 	return v
-}
-
-// haloSlabs returns the six slabs tiling the halo shell of an n-point
-// domain with halo width h, in the dimension-serialized convention: the z
-// slabs span the fully widened xy range (corners and edges included), the
-// y slabs the x-widened range, the x slabs the interior range. After a
-// standard three-phase exchange these slabs hold exactly the received halo
-// data.
-func haloSlabs(n grid.Dims, h int) []grid.Subdomain {
-	return []grid.Subdomain{
-		{Lo: grid.Dims{X: -h, Y: -h, Z: -h}, Size: grid.Dims{X: n.X + 2*h, Y: n.Y + 2*h, Z: h}},
-		{Lo: grid.Dims{X: -h, Y: -h, Z: n.Z}, Size: grid.Dims{X: n.X + 2*h, Y: n.Y + 2*h, Z: h}},
-		{Lo: grid.Dims{X: -h, Y: -h, Z: 0}, Size: grid.Dims{X: n.X + 2*h, Y: h, Z: n.Z}},
-		{Lo: grid.Dims{X: -h, Y: n.Y, Z: 0}, Size: grid.Dims{X: n.X + 2*h, Y: h, Z: n.Z}},
-		{Lo: grid.Dims{X: -h, Y: 0, Z: 0}, Size: grid.Dims{X: h, Y: n.Y, Z: n.Z}},
-		{Lo: grid.Dims{X: n.X, Y: 0, Z: 0}, Size: grid.Dims{X: h, Y: n.Y, Z: n.Z}},
-	}
 }
 
 // offsetSubs translates subdomains by delta.

@@ -35,7 +35,7 @@ func newGPUGeom(cfg Config, n grid.Dims) (gpuGeom, error) {
 	g.interiorKernel = t
 
 	wallPts := n.Volume() - interior.Size.Volume()
-	haloPts := haloShellValues(n)
+	haloPts := exchangeValues(n)
 	g.wallBytes = float64(wallPts) * 8
 	g.haloBytes = float64(haloPts) * 8
 	// Boundary work: the halo-unpack kernel moves haloPts values and the
@@ -188,8 +188,8 @@ func modelHybrid(cfg Config, overlap bool) (float64, map[string]float64, error) 
 		return 0, nil, err
 	}
 	blockWallPts := inner.Volume() - blockInterior.Size.Volume()
-	ringIn := float64(box.InnerHaloToGPU(1)) * 8
-	ringOut := float64(box.InnerHaloFromGPU(1)) * 8
+	ringIn := float64(exchangeValues(inner)) * 8 // the block's halo shell, up
+	ringOut := float64(blockWallPts) * 8         // the block's outer layer, down
 	gpuBlock := kt + memKernelTime(gp.Props, int(ringIn/8)) + computeKernelTime(gp.Props, blockWallPts) +
 		8*gp.Props.KernelLaunchSec
 

@@ -192,22 +192,13 @@ func packCost(n machine.Node, sub grid.Dims, t int) float64 {
 
 // exchangeValues counts the values one task sends per step: both faces in
 // each dimension, with the halo-widened ranges of the serialized exchange.
+// They are as many as the points of the one-point halo shell it fills.
 func exchangeValues(sub grid.Dims) int {
 	return 2 * (faceValues(sub, 0) + faceValues(sub, 1) + faceValues(sub, 2))
 }
 
 // faceValues is the per-message value count in dimension dim.
-func faceValues(sub grid.Dims, dim int) int {
-	switch dim {
-	case 0:
-		return sub.Y * sub.Z
-	case 1:
-		return (sub.X + 2) * sub.Z
-	case 2:
-		return (sub.X + 2) * (sub.Y + 2)
-	}
-	panic("perf: bad dim")
-}
+func faceValues(sub grid.Dims, dim int) int { return grid.Layer(sub, 1, dim, 0, 1).Volume() }
 
 // commPhase returns the network time of one dimension's exchange: two
 // messages in flight, sharing the node's injection bandwidth with the
@@ -255,16 +246,12 @@ func modelSingle(cfg Config) (float64, map[string]float64, error) {
 	pts := cfg.N.Volume()
 	comp := cpuCompute(n, pts, t)
 	cp := copyStep(n, pts, t)
-	halo := 2 * float64(haloShellValues(cfg.N)) * 8 / (n.PackGBs * 1e9 * float64(t))
+	halo := 2 * float64(exchangeValues(cfg.N)) * 8 / (n.PackGBs * 1e9 * float64(t))
 	omp := ompRegions(n, 5, t)
 	total := comp + cp + halo + omp
 	return total, map[string]float64{
 		"compute": comp, "copy": cp, "halo": halo, "omp": omp,
 	}, nil
-}
-
-func haloShellValues(n grid.Dims) int {
-	return (n.X+2)*(n.Y+2)*(n.Z+2) - n.Volume()
 }
 
 // modelBulk is §IV-B: everything serialized.

@@ -201,17 +201,26 @@ func (sr *SimulateRequest) validate(lim Limits) error {
 	if sr.N < 3 || sr.N > lim.MaxN {
 		return fmt.Errorf("n %d out of range [3, %d]", sr.N, lim.MaxN)
 	}
-	if sr.Steps < 0 || sr.Steps > lim.MaxSteps {
-		return fmt.Errorf("steps %d out of range [0, %d]", sr.Steps, lim.MaxSteps)
-	}
-	if sr.Tasks < 0 || sr.Tasks > lim.MaxTasks {
-		return fmt.Errorf("tasks %d out of range [0, %d]", sr.Tasks, lim.MaxTasks)
-	}
-	if sr.Threads < 0 || sr.Threads > lim.MaxThreads {
-		return fmt.Errorf("threads %d out of range [0, %d]", sr.Threads, lim.MaxThreads)
+	if err := lim.checkWork(sr.Steps, sr.Tasks, sr.Threads); err != nil {
+		return err
 	}
 	if _, err := core.ParseGPU(sr.GPU); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkWork bounds the steps, tasks and threads a run asks for: a job or
+// session create, and a fork's merged options.
+func (lim Limits) checkWork(steps, tasks, threads int) error {
+	if steps < 0 || steps > lim.MaxSteps {
+		return fmt.Errorf("steps %d out of range [0, %d]", steps, lim.MaxSteps)
+	}
+	if tasks < 0 || tasks > lim.MaxTasks {
+		return fmt.Errorf("tasks %d out of range [0, %d]", tasks, lim.MaxTasks)
+	}
+	if threads < 0 || threads > lim.MaxThreads {
+		return fmt.Errorf("threads %d out of range [0, %d]", threads, lim.MaxThreads)
 	}
 	return nil
 }

@@ -680,6 +680,13 @@ func (s *Server) handleSessionFork(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := fr.options(parent.sc.Options)
+	if err == nil {
+		steps := parent.sc.Problem.Steps
+		if fr.TotalSteps > 0 {
+			steps = int(fr.TotalSteps)
+		}
+		err = s.cfg.Limits.checkWork(steps, opts.Tasks, opts.Threads)
+	}
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorDoc{Error: err.Error()})
 		return

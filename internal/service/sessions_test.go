@@ -249,6 +249,53 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
+// TestForkRespectsLimits: a fork's merged options meet the node's Limits
+// as a create's do — out-of-range threads, tasks or total steps are a 400
+// worded as create words it, and no child is made.
+func TestForkRespectsLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, SessionDir: t.TempDir()})
+	resp, v := postSession(t, ts, `{"simulate":{"kind":"bulk","n":8,"steps":20},"segment":10}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create: %v", resp.Status)
+	}
+	waitSessionState(t, ts, v.ID, session.StateDone)
+	fork := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+v.ID+"/fork", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for body, want := range map[string]string{
+		`{"at_step":10,"threads":65}`:        "threads 65 out of range [0, 64]",
+		`{"at_step":10,"tasks":65}`:          "tasks 65 out of range [0, 64]",
+		`{"at_step":10,"total_steps":10001}`: "steps 10001 out of range [0, 10000]",
+	} {
+		if code, msg := fork(body); code != http.StatusBadRequest || !strings.Contains(msg, want) {
+			t.Errorf("fork %s: %d %s, want 400 naming %q", body, code, msg, want)
+		}
+	}
+	lr, err := http.Get(ts.URL + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Sessions []session.View }
+	err = json.NewDecoder(lr.Body).Decode(&list)
+	lr.Body.Close()
+	if err != nil || len(list.Sessions) != 1 {
+		t.Fatalf("sessions after refused forks: %+v (%v), want the parent alone", list.Sessions, err)
+	}
+	code, msg := fork(`{"at_step":10,"threads":2}`)
+	var child session.View
+	if err := json.Unmarshal([]byte(msg), &child); code != http.StatusAccepted || err != nil {
+		t.Fatalf("fork within limits: %d %s, want 202", code, msg)
+	}
+	waitSessionState(t, ts, child.ID, session.StateDone)
+}
+
 // TestSessionDurabilityAcrossRestart is the e2e durability run the issue
 // demands: a session interrupted by a full server shutdown mid-run is
 // resumed by the next server over the same directory and finishes with a
