@@ -107,6 +107,27 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLIPrintsTheConfigurationThatRan: the configuration line reports
+// the options the run used, not the flags: §IV-A is one task whatever
+// -tasks says, and a thread count below one runs as one.
+func TestCLIPrintsTheConfigurationThatRan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-impl", "single", "-n", "8", "-steps", "1", "-tasks", "4", "-threads", "2"}, "configuration  : 1 tasks x 2 threads\n"},
+		{[]string{"-impl", "hybrid-bulk", "-n", "16", "-steps", "1", "-threads", "0"}, "configuration  : 1 tasks x 1 threads, 32x8 blocks on c2050, box thickness 1\n"},
+	} {
+		if out := runCLI(t, bin, c.args...); !strings.Contains(out, c.want) {
+			t.Errorf("advect %v: output lacks %q:\n%s", c.args, c.want, out)
+		}
+	}
+}
+
 // TestCLITimeoutBoundsCalibration: -timeout is one deadline for the whole
 // command, so the -mintime probes run under it too. A two-minute
 // calibration target under a 300 ms deadline must stop at the deadline

@@ -130,12 +130,14 @@ func main() {
 
 	fmt.Printf("implementation : %s (%s, %s)\n", kind, kind.Section(), kind.Describe())
 	fmt.Printf("grid           : %v, %d steps, 53 flops/point\n", p.N, p.Steps)
-	fmt.Printf("configuration  : %d tasks x %d threads", *tasks, *threads)
+	// What ran, not the flags: the run normalises and clamps its options.
+	st := res.Stats
+	fmt.Printf("configuration  : %g tasks x %g threads", st["tasks"], st["threads"])
 	if kind.UsesGPU() {
-		fmt.Printf(", %dx%d blocks on %s", *blockX, *blockY, *gpuName)
+		fmt.Printf(", %gx%g blocks on %s", st["blockx"], st["blocky"], *gpuName)
 	}
-	if kind == advect.HybridBulkSync || kind == advect.HybridOverlap {
-		fmt.Printf(", box thickness %d", *thickness)
+	if th, ok := st["thickness"]; ok {
+		fmt.Printf(", box thickness %g", th)
 	}
 	fmt.Println()
 	fmt.Printf("elapsed        : %v (%.2f GF functional)\n", res.Elapsed, res.GF)

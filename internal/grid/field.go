@@ -143,17 +143,17 @@ func (f *Field) InteriorSum() float64 {
 // exactly like the 6-neighbor exchange strategy in §IV-B.
 func (f *Field) CopyPeriodicHalos() {
 	for dim := 0; dim < 3; dim++ {
-		f.PeriodicSweep(dim, 0, f.PeriodicRows(dim))
+		f.PeriodicSweep(dim)
 	}
 }
 
 // sweep is one dimension's periodic copy laid out in the field's storage,
-// once, when the field is shaped: the x-rows of the Layer that is the low
-// halo, w values each and ny a z plane, as the destination and source of
-// its copy, each with the box of the high halo's copy alt further on.
+// once, when the field is shaped: the box of the Layer that is the low
+// halo, as the destination and source of its copy, each with the box of the
+// high halo's copy alt further on.
 type sweep struct {
-	w, ny, count int
-	dst, src     rows
+	n        Dims
+	dst, src rows
 }
 
 // layOutSweeps fills f.sweeps: the low halo takes the high interior
@@ -165,22 +165,16 @@ func (f *Field) layOutSweeps() {
 		at := func(c int) rows { return f.rowsAt(box.Lo.WithAxis(dim, c)) }
 		d, s := at(-h), at(nd-h)
 		d.alt, s.alt = at(nd).at-d.at, at(0).at-s.at
-		f.sweeps[dim] = sweep{w: box.Size.X, ny: box.Size.Y, count: box.Size.Y * box.Size.Z, dst: d, src: s}
+		f.sweeps[dim] = sweep{n: box.Size, dst: d, src: s}
 	}
 }
 
-// PeriodicRows returns how many independent rows the periodic sweep of
-// dimension dim has: the x-rows of one of its two halo layers.
-func (f *Field) PeriodicRows(dim int) int { return f.sweeps[dim].count }
-
-// PeriodicSweep performs rows [lo, hi) of dimension dim's periodic sweep.
-// Rows of one sweep touch disjoint halo points and read only interior
-// planes of dim, so a thread team may split them freely; a sweep must
-// finish before the next dimension's starts, whose rows span the halos it
-// filled.
-func (f *Field) PeriodicSweep(dim, lo, hi int) {
+// PeriodicSweep fills both halos of dimension dim from the opposite
+// interior planes. It reads the halos of the dimensions below dim, so the
+// sweeps run in x, y, z order, as CopyPeriodicHalos runs them.
+func (f *Field) PeriodicSweep(dim int) {
 	s := &f.sweeps[dim]
-	moveRows(f.data, s.dst, f.data, s.src, s.w, s.ny, lo, hi)
+	moveRows(f.data, s.dst, f.data, s.src, s.n)
 }
 
 // PackFace copies the face the halo exchange sends in dimension dim
@@ -243,35 +237,25 @@ func moveBox(dst []float64, d rows, src []float64, s rows, n Dims) int {
 	if (Subdomain{Size: n}).Empty() {
 		return 0
 	}
-	moveRows(dst, d, src, s, n.X, n.Y, 0, n.Y*n.Z)
+	moveRows(dst, d, src, s, n)
 	return n.Volume()
 }
 
-// moveRows is the one row mover under every box copy: it copies rows
-// [lo, hi) of a box of w-value x-rows, ny a z plane, from src laid out by
-// s into dst laid out by d. Rows evenly spaced on both sides — one a
-// plane, or planes that follow on without a gap — are walked as one
-// plane; otherwise at most one division finds the first row's plane, and
-// the walk steps from there, handing each plane's run of rows to moveRun.
-func moveRows(dst []float64, d rows, src []float64, s rows, w, ny, lo, hi int) {
-	if lo >= hi {
-		return
-	}
+// moveRows is the one row mover under every box copy: it copies the
+// n.X-value x-rows of a box of extents n from src laid out by s into dst
+// laid out by d. Rows evenly spaced on both sides — one a plane, or planes
+// that follow on without a gap — are walked as one plane; otherwise the
+// walk hands each z plane's rows to moveRun.
+func moveRows(dst []float64, d rows, src []float64, s rows, n Dims) {
+	ny, nz := n.Y, n.Z
 	if ny == 1 {
 		d.sy, s.sy = d.sz, s.sz
 	}
 	if d.sz == ny*d.sy && s.sz == ny*s.sy {
-		ny = hi
+		ny, nz = ny*nz, 1
 	}
-	j, k := lo, 0
-	if lo >= ny {
-		j, k = lo%ny, lo/ny
-	}
-	dk, sk := d.at+k*d.sz, s.at+k*s.sz
-	for r := lo; r < hi; j, dk, sk = 0, dk+d.sz, sk+s.sz {
-		m := min(ny-j, hi-r)
-		r += m
-		moveRun(dst, rows{at: dk + j*d.sy, sy: d.sy, alt: d.alt}, src, rows{at: sk + j*s.sy, sy: s.sy, alt: s.alt}, w, m)
+	for k := 0; k < nz; k++ {
+		moveRun(dst, rows{at: d.at + k*d.sz, sy: d.sy, alt: d.alt}, src, rows{at: s.at + k*s.sz, sy: s.sy, alt: s.alt}, n.X, ny)
 	}
 }
 

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -139,38 +138,6 @@ func TestCopyPeriodicHalosWidth2(t *testing.T) {
 				if got := f.At(i, j, k); got != want {
 					t.Fatalf("halo (%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
-			}
-		}
-	}
-}
-
-// TestPeriodicSweepsCompose: the periodic copy is three per-dimension
-// sweeps, and rows of one sweep are independent. Running each sweep as
-// random row ranges in random order, x then y then z, must give the storage
-// CopyPeriodicHalos gives, to the bit — what lets a thread team split them.
-func TestPeriodicSweepsCompose(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := Dims{7, 5, 4}
-	for halo := 1; halo <= 3; halo++ {
-		want := NewField(n, halo)
-		want.Fill(func(i, j, k int) float64 { return 1 / float64(1+i+10*j+100*k) })
-		got := want.Clone()
-		want.CopyPeriodicHalos()
-		for dim := 0; dim < 3; dim++ {
-			var cuts [][2]int
-			for lo, rows := 0, got.PeriodicRows(dim); lo < rows; {
-				hi := min(rows, lo+1+rng.Intn(4))
-				cuts = append(cuts, [2]int{lo, hi})
-				lo = hi
-			}
-			rng.Shuffle(len(cuts), func(a, b int) { cuts[a], cuts[b] = cuts[b], cuts[a] })
-			for _, c := range cuts {
-				got.PeriodicSweep(dim, c[0], c[1])
-			}
-		}
-		for i, v := range want.Data() {
-			if got.Data()[i] != v {
-				t.Fatalf("halo %d: storage index %d is %v, CopyPeriodicHalos gives %v", halo, i, got.Data()[i], v)
 			}
 		}
 	}

@@ -48,8 +48,8 @@ func randomBox(rng *rand.Rand, n Dims, h, width int) Subdomain {
 // point At/Set loop: Pack writes a box's points in storage order and
 // nothing past them, Unpack writes them back and touches no other point,
 // CopyBox lands a box of one field anywhere in another, and the
-// periodic sweeps, split into random row chunks run in random order, give
-// what copying each halo point from its periodic image gives. Boxes are
+// periodic sweeps of whole dimensions, x then y then z, give what copying
+// each halo point from its periodic image gives. Boxes are
 // random over the halo-widened range, from one value wide to n+2h, at halo
 // widths 1 to 3 and odd extents no thinner than the halo (a thinner one
 // has halo points for periodic images, which no run makes).
@@ -115,15 +115,7 @@ func TestMoverMatchesPointOracle(t *testing.T) {
 						want.Set(i, j, k, want.At(c[0], c[1], c[2]))
 					})
 				}
-				var chunks [][2]int
-				for lo, rows := 0, got.PeriodicRows(dim); lo < rows; {
-					hi := min(rows, lo+1+rng.Intn(rows))
-					chunks = append(chunks, [2]int{lo, hi})
-					lo = hi
-				}
-				for _, i := range rng.Perm(len(chunks)) {
-					got.PeriodicSweep(dim, chunks[i][0], chunks[i][1])
-				}
+				got.PeriodicSweep(dim)
 			}
 			sameStorage(t, fmt.Sprintf("%v h%d: periodic sweeps", n, h), got, want)
 		}
@@ -213,9 +205,8 @@ func BenchmarkPeriodicSweep(b *testing.B) {
 			f := NewField(Uniform(n), h)
 			for dim, name := range []string{"x", "y", "z"} {
 				b.Run(fmt.Sprintf("n%d/w%d/%s", n, h, name), func(b *testing.B) {
-					rows := f.PeriodicRows(dim)
 					for i := 0; i < b.N; i++ {
-						f.PeriodicSweep(dim, 0, rows)
+						f.PeriodicSweep(dim)
 					}
 				})
 			}

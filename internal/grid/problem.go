@@ -140,13 +140,6 @@ func (t *GaussianTable) DiffSums(f *Field, lo, hi int) (sumSq, maxAbs float64) {
 	return sumSq, maxAbs
 }
 
-// Norms returns the norms of f − wave over the whole box, equal to
-// NormsAgainst with Analytic bit for bit.
-func (t *GaussianTable) Norms(f *Field) Norms {
-	sumSq, maxAbs := t.DiffSums(f, 0, t.Rows())
-	return Norms{L2: math.Sqrt(sumSq / float64(f.N.Volume())), LInf: maxAbs}
-}
-
 // FillGaussian sets the interior of f to the initial condition.
 func FillGaussian(f *Field, g Gaussian) {
 	t := g.Table(f.N, Velocity{}, 0, Subdomain{Size: f.N})

@@ -110,7 +110,7 @@ func (e *exchanger) finish(ph phase) {
 	dim := ph.dim
 	if e.self[dim] {
 		a := e.rec.Begin(e.rank, e.step, obs.PhaseHaloUnpack, dimNames[dim])
-		e.f.PeriodicSweep(dim, 0, e.f.PeriodicRows(dim))
+		e.f.PeriodicSweep(dim)
 		a.End()
 	} else {
 		lo, hi := e.recvs[dim][0].Wait(), e.recvs[dim][1].Wait()

@@ -29,8 +29,6 @@ type goldenRun struct {
 	L2         float64 `json:"l2"`
 	LInf       float64 `json:"linf"`
 	MassDrift  float64 `json:"mass_drift"`
-	DistL2     float64 `json:"dist_l2,omitempty"`
-	DistLInf   float64 `json:"dist_linf,omitempty"`
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
 	Kernels    float64 `json:"gpu_kernels,omitempty"`
 	PCIeBytes  float64 `json:"pcie_bytes,omitempty"`
@@ -134,7 +132,6 @@ func runGolden(t *testing.T, c goldenCase) goldenRun {
 	return goldenRun{
 		Name: c.name, Hash: interiorHash(res.Final),
 		L2: res.Norms.L2, LInf: res.Norms.LInf, MassDrift: res.MassDrift,
-		DistL2: res.Stats["dist.l2"], DistLInf: res.Stats["dist.linf"],
 		SimSeconds: res.Stats["sim.seconds"],
 		Kernels:    res.Stats["gpu.kernels"], PCIeBytes: res.Stats["pcie.bytes"],
 		mass: math.Abs(res.Final.InteriorSum()),
@@ -212,7 +209,6 @@ func TestGoldenRuns(t *testing.T) {
 			t.Errorf("%s: %v kernels, %v PCIe bytes; golden %v, %v", c.name, got.Kernels, got.PCIeBytes, want.Kernels, want.PCIeBytes)
 		}
 		if !near(got.L2, want.L2, want.L2) || !near(got.LInf, want.LInf, want.LInf) ||
-			!near(got.DistL2, want.DistL2, want.DistL2) || !near(got.DistLInf, want.DistLInf, want.DistLInf) ||
 			!near(got.MassDrift, want.MassDrift, got.mass) {
 			t.Errorf("%s: verification numbers moved:\n got  %+v\n want %+v", c.name, got, want)
 		}
@@ -323,6 +319,40 @@ func TestCPUStepsAllocateNothing(t *testing.T) {
 		}
 		if extra != nil {
 			t.Errorf("%v: %d steps more allocate %v times more, want 0 in some try", c.kind, steps, extra)
+		}
+	}
+}
+
+// BenchmarkRunOverhead times a Run of no steps — set-up, gather and, when
+// verified, verification — for bench/'s reference run (single task, one
+// task of two threads, 128³) and serve_mix's job (bulk, two tasks of one
+// thread, 48³).
+func BenchmarkRunOverhead(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		kind core.Kind
+		n    int
+		o    core.Options
+	}{
+		{"single/n128", core.SingleTask, 128, core.Options{Tasks: 1, Threads: 2}},
+		{"bulk/n48", core.BulkSync, 48, core.Options{Tasks: 2, Threads: 1}},
+	} {
+		for _, verify := range []bool{false, true} {
+			o := c.o
+			o.Verify = verify
+			b.Run(fmt.Sprintf("%s/verify=%v", c.name, verify), func(b *testing.B) {
+				r, err := core.New(c.kind)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := core.DefaultProblem(c.n, 0)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Run(p, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -26,9 +26,8 @@ import "repro/internal/core"
 type schedule struct {
 	kind core.Kind
 
-	wide  bool // halos Options.HaloWidth deep instead of one point
-	cpu   bool // CPU threads compute points: a team, a next-state field, the host operator
-	norms bool // a verified run also reports the Allreduce'd norms (dist.l2, dist.linf)
+	wide bool // halos Options.HaloWidth deep instead of one point
+	cpu  bool // CPU threads compute points: a team of Options.Threads, a next-state field, the host operator
 
 	device  deviceOver // what of the rank's subdomain lives on a simulated GPU
 	streams []string   // the device streams the step issues work to, by trace name
@@ -49,10 +48,10 @@ const (
 func (s schedule) Kind() core.Kind { return s.kind }
 
 var schedules = []schedule{
-	{kind: core.SingleTask, cpu: true, prepare: prepareSingle, step: stepSingle},
-	{kind: core.BulkSync, cpu: true, norms: true, step: stepBulk},
-	{kind: core.NonblockingOverlap, cpu: true, norms: true, prepare: prepareNonblocking, step: stepNonblocking},
-	{kind: core.ThreadedOverlap, cpu: true, norms: true, prepare: prepareThreaded, step: stepThreaded},
+	{kind: core.SingleTask, cpu: true, step: stepSingle},
+	{kind: core.BulkSync, cpu: true, step: stepBulk},
+	{kind: core.NonblockingOverlap, cpu: true, prepare: prepareNonblocking, step: stepNonblocking},
+	{kind: core.ThreadedOverlap, cpu: true, prepare: prepareThreaded, step: stepThreaded},
 	{kind: core.GPUResident, device: wholeDomain, streams: []string{"compute"}, step: stepGPUResident},
 	{kind: core.GPUBulkSync, device: wholeDomain, streams: []string{"interior"},
 		prepare: prepareGPUMPI, step: stepGPUBulk},

@@ -1,6 +1,7 @@
 package impl
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -327,20 +328,46 @@ func TestHybridOverlapBeatsHybridBulkInSimTime(t *testing.T) {
 	}
 }
 
-func TestDistributedNormsMatchGathered(t *testing.T) {
-	// The distributed (Allreduce) norm computation must agree with the
-	// norms computed on the gathered global field — §IV-A's verification
-	// done the way a real MPI code does it.
-	p := core.DefaultProblem(18, 4)
-	for _, tasks := range []int{1, 3, 6} {
-		res := run(t, core.BulkSync, p, core.Options{Tasks: tasks, Threads: 2, Verify: true})
-		if math.Abs(res.Stats["dist.l2"]-res.Norms.L2) > 1e-12 {
-			t.Fatalf("tasks=%d: distributed L2 %v vs gathered %v",
-				tasks, res.Stats["dist.l2"], res.Norms.L2)
+// TestVerificationMatchesSerialOracle: every kind's norms and mass drift,
+// reduced on the ranks that own the data and Allreduce'd, are what one
+// serial pass over the gathered field gives — the maximum exactly (a max
+// has no order), the sums to roundoff — from the wave and from a restart,
+// at one task and, where the kind takes a task count, at three and six.
+func TestVerificationMatchesSerialOracle(t *testing.T) {
+	wave := core.DefaultProblem(18, 4)
+	restart := core.DefaultProblem(18, 3)
+	restart.Initial, restart.T0 = restartField(restart.N), 1.25
+	for _, p := range []core.Problem{wave, restart} {
+		p, err := p.Normalize()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(res.Stats["dist.linf"]-res.Norms.LInf) > 1e-13 {
-			t.Fatalf("tasks=%d: distributed LInf %v vs gathered %v",
-				tasks, res.Stats["dist.linf"], res.Norms.LInf)
+		start := p.Initial
+		if start == nil {
+			start = grid.NewField(p.N, 1)
+			grid.FillGaussian(start, p.Wave)
+		}
+		mass0 := start.InteriorSum()
+		tEnd := p.T0 + p.Nu*float64(p.Steps)
+		exact := func(i, j, k int) float64 { return p.Wave.Analytic(p.N, p.C, tEnd, i, j, k) }
+		for _, k := range allKinds {
+			for _, tasks := range []int{1, 3, 6} {
+				if tasks > 1 && !k.UsesMPI() {
+					continue
+				}
+				res := run(t, k, p, core.Options{Tasks: tasks, Threads: 2, BlockX: 8, BlockY: 4, Verify: true})
+				name := fmt.Sprintf("%v tasks=%d restart=%v", k, tasks, p.Initial != nil)
+				want, mass := grid.NormsAgainst(res.Final, exact), res.Final.InteriorSum()
+				if res.Norms.LInf != want.LInf {
+					t.Errorf("%s: LInf %v, serial oracle %v", name, res.Norms.LInf, want.LInf)
+				}
+				if math.Abs(res.Norms.L2-want.L2) > 1e-12*want.L2 {
+					t.Errorf("%s: L2 %v, serial oracle %v", name, res.Norms.L2, want.L2)
+				}
+				if drift := math.Abs(mass - mass0); math.Abs(res.MassDrift-drift) > 1e-12*math.Abs(mass) {
+					t.Errorf("%s: mass drift %v, serial oracle %v", name, res.MassDrift, drift)
+				}
+			}
 		}
 	}
 }
@@ -402,17 +429,16 @@ func TestTasksPerGPUHybridAgrees(t *testing.T) {
 
 // TestStatsKeys pins the one stats vocabulary the scaffold reports: what
 // every kind, every multi-task kind and every device kind carries, plus the
-// schedule's own keys — and nothing else.
+// schedule's own keys — and nothing else, verified or not.
 func TestStatsKeys(t *testing.T) {
 	common := []string{"tasks", "threads"}
 	mpi := []string{"mpi.messages", "mpi.values", "mpi.bytes", "mpi.msgs/step"}
 	device := []string{"blockx", "blocky", "gpu.kernels", "pcie.bytes", "sim.seconds", "sim.gf"}
-	dist := []string{"dist.l2", "dist.linf"} // verified runs only
 	want := map[core.Kind][][]string{
 		core.SingleTask:         {common},
-		core.BulkSync:           {common, mpi, dist},
-		core.NonblockingOverlap: {common, mpi, dist},
-		core.ThreadedOverlap:    {common, mpi, dist},
+		core.BulkSync:           {common, mpi},
+		core.NonblockingOverlap: {common, mpi},
+		core.ThreadedOverlap:    {common, mpi},
 		core.GPUResident:        {common, device},
 		core.GPUBulkSync:        {common, mpi, device},
 		core.GPUStreams:         {common, mpi, device},
@@ -422,25 +448,23 @@ func TestStatsKeys(t *testing.T) {
 	}
 	p := core.DefaultProblem(12, 2)
 	for _, k := range allKinds {
-		o := core.Options{Tasks: 2, Threads: 2, BlockX: 8, BlockY: 4, Verify: true}
-		if !k.UsesMPI() {
-			o.Tasks = 1
-		}
-		got := run(t, k, p, o).Stats
-		for _, group := range want[k] {
-			for _, key := range group {
-				if _, ok := got[key]; !ok {
-					t.Errorf("%v: stats lack %q", k, key)
-				}
-				delete(got, key)
+		for _, verify := range []bool{true, false} {
+			o := core.Options{Tasks: 2, Threads: 2, BlockX: 8, BlockY: 4, Verify: verify}
+			if !k.UsesMPI() {
+				o.Tasks = 1
 			}
-		}
-		if len(got) != 0 {
-			t.Errorf("%v: unexpected stats %v", k, got)
-		}
-		o.Verify = false
-		if _, ok := run(t, k, p, o).Stats["dist.l2"]; ok {
-			t.Errorf("%v: unverified run reports dist.l2", k)
+			got := run(t, k, p, o).Stats
+			for _, group := range want[k] {
+				for _, key := range group {
+					if _, ok := got[key]; !ok {
+						t.Errorf("%v verify=%v: stats lack %q", k, verify, key)
+					}
+					delete(got, key)
+				}
+			}
+			if len(got) != 0 {
+				t.Errorf("%v verify=%v: unexpected stats %v", k, verify, got)
+			}
 		}
 	}
 }

@@ -227,3 +227,18 @@ func TestOverlapLandsCopiesBeforeCompute(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleTaskStepOpensOneRegion: §IV-A's step copies its periodic halos
+// on the task's own goroutine, so the compute is its one parallel region;
+// the set-up's fill is the run's only other.
+func TestSingleTaskStepOpensOneRegion(t *testing.T) {
+	regions := 0
+	for _, s := range runWithRecorder(t, core.SingleTask, core.Options{Threads: 2}).Spans() {
+		if s.Phase == obs.PhaseRegion {
+			regions++
+		}
+	}
+	if want := obsProblem().Steps + 1; regions != want {
+		t.Fatalf("%d parallel regions in %d steps, want %d", regions, obsProblem().Steps, want)
+	}
+}

@@ -29,7 +29,7 @@ type rank struct {
 	cur  *grid.Field // host state over the subdomain, halos included
 	nxt  *grid.Field // cpu: the state the step computes into
 	op   *stencil.Op // cpu: Eq. 2 over cur's shape
-	team *par.Team   // cpu: the task's threads
+	team *par.Team   // the task's threads: one for the device-only kinds
 	ex   *exchanger  // multi-task kinds: the halo exchange of cur
 
 	// What the team runs, bound once so that a step allocates nothing: rows
@@ -54,17 +54,17 @@ type rank struct {
 type rankOut struct {
 	final   *grid.Field // rank 0: the gathered global state
 	elapsed time.Duration
-	sim     float64 // simulated seconds of the step loop (device kinds)
-	mass0   float64
-	norms   grid.Norms
+	sim     float64    // simulated seconds of the step loop (device kinds)
+	norms   grid.Norms // verified runs: the global error norms
+	drift   float64    // verified runs: |final mass − initial mass|
 	comm    mpi.Stats
 }
 
 // Run is the scaffold every schedule runs through: normalise, validate
 // before any goroutine starts, decompose, start a world of o.Tasks ranks
 // (one for §IV-A and §IV-E), build each rank's state, time the step loop
-// the way the paper does, gather on rank 0, and report one stats
-// vocabulary.
+// the way the paper does, verify on every rank, gather on rank 0, and
+// report one stats vocabulary.
 func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	p, err := p.Normalize()
 	if err != nil {
@@ -98,11 +98,13 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		r := &rank{p: p, o: o, id: c.Rank(), sub: d.Sub(c.Rank())}
 		n := r.sub.Size
 		r.whole = stencil.Whole(n)
+		threads := 1 // the device-only kinds' host loops run on the rank's goroutine
 		if sch.cpu {
-			r.team = par.NewTeam(o.Threads)
-			defer r.team.Close()
-			r.team.SetRecorder(o.Rec, r.id)
+			threads = o.Threads
 		}
+		r.team = par.NewTeam(threads)
+		defer r.team.Close()
+		r.team.SetRecorder(o.Rec, r.id)
 		r.cur = grid.NewField(n, halo)
 		mass0 := initField(c, r.team, r.cur, p, o, r.sub)
 		if sch.cpu {
@@ -137,13 +139,15 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		c.Barrier()
 		r.sync(r.streams...)
 		out := &outs[r.id]
-		out.elapsed, out.sim, out.mass0 = time.Since(t0), (r.host.Now() - simStart).Seconds(), mass0
+		out.elapsed, out.sim = time.Since(t0), (r.host.Now() - simStart).Seconds()
 
 		if sch.device != noDevice {
 			r.download()
 		}
-		if sch.norms && o.Verify {
-			out.norms = distributedNorms(c, r.team, p, r.sub, r.cur)
+		if o.Verify {
+			var mass float64
+			out.norms, mass = verify(c, r.team, p, r.sub, r.cur)
+			out.drift = math.Abs(mass - mass0)
 		}
 		out.final = gather(c, d, r.cur)
 		out.comm = c.Stats()
@@ -152,10 +156,14 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		return nil, cancelOr(o, runErr)
 	}
 
-	res := &core.Result{Kind: sch.kind, Final: outs[0].final, Stats: map[string]float64{
-		"tasks":   float64(o.Tasks),
-		"threads": float64(o.Threads),
-	}}
+	res := &core.Result{Kind: sch.kind, Final: outs[0].final, Elapsed: outs[0].elapsed,
+		Norms: outs[0].norms, MassDrift: outs[0].drift, Stats: map[string]float64{
+			"tasks":   float64(o.Tasks),
+			"threads": float64(o.Threads),
+		}}
+	if s := res.Elapsed.Seconds(); s > 0 {
+		res.GF = p.Flops() * float64(p.Steps) / s / 1e9
+	}
 	st := res.Stats
 	if !single {
 		var msgs, values float64
@@ -187,10 +195,6 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	if sch.device == innerBlock {
 		st["thickness"] = float64(o.BoxThickness)
 	}
-	if sch.norms && o.Verify {
-		st["dist.l2"], st["dist.linf"] = outs[0].norms.L2, outs[0].norms.LInf
-	}
-	finishResult(res, p, o, outs[0].elapsed, outs[0].mass0)
 	return res, nil
 }
 
@@ -293,8 +297,8 @@ func (r *rank) applyRows(lo, hi int) {
 }
 
 // commit ends a time step on the host: the new state becomes the current
-// state. This is the one deliberate departure from the paper's codes, which
-// copy the new state over the current one with a third threaded sweep;
+// state. This is a deliberate departure from the paper's codes (the other
+// is §IV-A's unthreaded periodic copy, see stepSingle), which copy the new state over the current one with a third threaded sweep;
 // swapping the two fields' storage costs nothing and changes no value,
 // because every point the next step reads it first rewrites: a halo point by
 // its periodic copy or exchange, an owned point by this step's computation —
@@ -311,19 +315,16 @@ func (r *rank) commit() {
 // initField is the start of every Run: it fills f, a rank's local field
 // over the box sub of the global grid, with the initial state — the rows of
 // a checkpointed field, or the Gaussian wave through its per-axis tables —
-// threaded over the team (the GPU-only schedules have none). Only a
-// verified run reads the initial mass, so only then is it computed, as the
-// Allreduce of the ranks' own sums; no run builds a global-sized temporary.
+// threaded over the team. Only a verified run reads the initial mass, so
+// only then is it computed, as the Allreduce of the ranks' own sums — the
+// sums verify takes of the final state; no run builds a global-sized
+// temporary.
 func initField(c *mpi.Comm, team *par.Team, f *grid.Field, p core.Problem, o core.Options, sub grid.Subdomain) (mass0 float64) {
 	if p.Initial != nil {
 		f.CopyBox(grid.Dims{}, p.Initial, sub)
 	} else {
 		tab := p.Wave.Table(p.N, p.C, 0, sub)
-		if team == nil {
-			tab.Fill(f, 0, tab.Rows())
-		} else {
-			team.ParallelFor(tab.Rows(), par.Static, 0, func(lo, hi int) { tab.Fill(f, lo, hi) })
-		}
+		team.ParallelFor(tab.Rows(), par.Static, 0, func(lo, hi int) { tab.Fill(f, lo, hi) })
 	}
 	if !o.Verify {
 		return 0
@@ -361,47 +362,27 @@ func gather(c *mpi.Comm, d grid.Decomp, local *grid.Field) *grid.Field {
 	return global
 }
 
-// finishResult fills the verification and throughput fields of a result.
-func finishResult(res *core.Result, p core.Problem, o core.Options, elapsed time.Duration, initialMass float64) {
-	res.Elapsed = elapsed
-	if s := elapsed.Seconds(); s > 0 {
-		res.GF = p.Flops() * float64(p.Steps) / s / 1e9
-	}
-	if o.Verify && res.Final != nil {
-		res.Norms = analyticTable(p, stencil.Whole(p.N)).Norms(res.Final)
-		res.MassDrift = math.Abs(res.Final.InteriorSum() - initialMass)
-	}
-}
-
-// analyticTable is the exact solution at the end of the run over box.
-func analyticTable(p core.Problem, box grid.Subdomain) *grid.GaussianTable {
-	return p.Wave.Table(p.N, p.C, p.T0+p.Nu*float64(p.Steps), box)
-}
-
-// distributedNorms computes the error norms against the analytic solution
-// the way a real MPI code does (paper §IV-A records norms): each rank
-// reduces its own subdomain with the thread team, in one pass, then the
-// squared sums and maxima are combined across ranks with Allreduce. Every
-// rank returns the same global norms.
-func distributedNorms(c *mpi.Comm, team *par.Team, p core.Problem, sub grid.Subdomain, local *grid.Field) grid.Norms {
-	tab := analyticTable(p, sub)
+// verify is §IV-A's verification, run on the ranks that own the data:
+// each rank reduces its own subdomain in one pass split over the team — Σd²
+// and max|d| of d = state − exact solution — and sums its mass, and one
+// Allreduce of the sums and one of the maxima combine the ranks' shares.
+// Every rank returns the global norms and final mass.
+func verify(c *mpi.Comm, team *par.Team, p core.Problem, sub grid.Subdomain, local *grid.Field) (grid.Norms, float64) {
+	tab := p.Wave.Table(p.N, p.C, p.T0+p.Nu*float64(p.Steps), sub)
 	sums := make([]float64, team.Size())
 	maxs := make([]float64, team.Size())
 	team.Run(func(tid int) {
 		lo, hi := par.StaticChunk(tab.Rows(), team.Size(), tid)
 		sums[tid], maxs[tid] = tab.DiffSums(local, lo, hi)
 	})
-	sumSq, maxAbs := []float64{0}, []float64{0}
+	sum, maxAbs := []float64{0, local.InteriorSum()}, []float64{0}
 	for tid := range sums {
-		sumSq[0] += sums[tid]
+		sum[0] += sums[tid]
 		maxAbs[0] = math.Max(maxAbs[0], maxs[tid])
 	}
-	c.Allreduce(mpi.OpSum, sumSq)
+	c.Allreduce(mpi.OpSum, sum)
 	c.Allreduce(mpi.OpMax, maxAbs)
-	return grid.Norms{
-		L2:   math.Sqrt(sumSq[0] / float64(p.N.Volume())),
-		LInf: maxAbs[0],
-	}
+	return grid.Norms{L2: math.Sqrt(sum[0] / float64(p.N.Volume())), LInf: maxAbs[0]}, sum[1]
 }
 
 // checkCancelRank polls the run's cancellation context from inside a rank
