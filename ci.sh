@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
-# build, the full test suite with the race detector, one run of every
-# root-module benchmark, vet and tests of the nested bench/ module, and
-# the nine ns_gate bounds of BENCH_guards.json
-# (each with its allocation test).
+# build, the full test suite with the race detector, repeated race runs of
+# the mpi waits, one run of every root-module benchmark, vet and tests of
+# the nested bench/ module, and the nine ns_gate bounds of
+# BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
 
@@ -51,6 +51,11 @@ go build ./...
 # (regenerate it with UPDATE_GOLDEN=1 after intentional span-set changes).
 # docs/report.md is pinned the same way: UPDATE_GOLDEN=1 go test ./cmd/report
 go test -race -timeout 5m ./...
+
+# The in-process MPI's waits (Barrier's rank-0 round, a panicking rank's
+# poison, the collectives' tags) run through many interleavings under the
+# race detector: twenty repeats take a couple of seconds.
+go test -race -count=20 -run 'Barrier|Panic|Collectives' ./internal/mpi
 
 # Every benchmark of the root module runs once (-benchtime 1x), timing
 # unjudged: a benchmark a change breaks — a renamed call, a buffer too

@@ -10,7 +10,7 @@ type envelope struct {
 }
 
 // mailbox is a rank's incoming-message queue with MPI matching: a receive
-// takes the earliest-arrived message whose (source, tag) matches, which
+// takes the earliest-arrived message from its source with its tag, which
 // preserves MPI's non-overtaking guarantee between a sender/receiver pair.
 //
 // Payloads live in slots the mailbox recycles. A copying send fills a free
@@ -92,15 +92,15 @@ func (m *mailbox) swap(src, tag int, slot []float64) []float64 {
 	return m.take(len(slot))
 }
 
-// get blocks until a message matching (src, tag) is available and removes
-// it. src may be AnySource and tag may be AnyTag. The caller owns the
-// payload until it hands it back with recycle, if ever.
+// get blocks until a message from src with tag is available and removes
+// it. The caller owns the payload until it hands it back with recycle, if
+// ever.
 func (m *mailbox) get(src, tag int) envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		for i, e := range m.q {
-			if (src == AnySource || e.src == src) && (tag == AnyTag || e.tag == tag) {
+			if e.src == src && e.tag == tag {
 				last := len(m.q) - 1
 				copy(m.q[i:], m.q[i+1:])
 				m.q[last] = envelope{} // the vacated tail must not pin a payload
@@ -130,49 +130,4 @@ func (m *mailbox) poison() {
 	m.poisoned = true
 	m.cond.Broadcast()
 	m.mu.Unlock()
-}
-
-// centralBarrier is a reusable counting barrier over all ranks of a World.
-type centralBarrier struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	parties  int
-	count    int
-	gen      uint64
-	poisoned bool
-}
-
-func newCentralBarrier(parties int) *centralBarrier {
-	b := &centralBarrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *centralBarrier) wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned {
-		panic("mpi: world poisoned by a peer rank's panic")
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.parties {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen && !b.poisoned {
-		b.cond.Wait()
-	}
-	if b.poisoned && gen == b.gen {
-		panic("mpi: world poisoned by a peer rank's panic")
-	}
-}
-
-func (b *centralBarrier) poison() {
-	b.mu.Lock()
-	b.poisoned = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

@@ -1,10 +1,11 @@
 // Package mpi is an in-process message-passing runtime with MPI semantics,
 // standing in for the Cray MPT / OpenMPI libraries of the paper. Ranks run
-// as goroutines inside one World; point-to-point messages are matched on
-// (source, tag) with MPI's non-overtaking order; nonblocking operations
-// return Requests completed by Wait; and the usual collectives (Barrier,
-// Allreduce, Gather) are built from the point-to-point layer with a binomial
-// tree, as a real MPI would build them.
+// as goroutines inside one World; a receive matches exactly one source and
+// one tag (there are no wildcards), in MPI's non-overtaking order;
+// persistent Requests are completed by Wait. The collectives use the same
+// mailboxes on tags of their own: Allreduce is a binomial-tree reduce and
+// broadcast, Gather sends straight to its root, and Barrier goes through
+// rank 0 with empty messages that Stats does not count.
 //
 // Sends are buffered (eager): Send copies the payload and returns
 // immediately, so the communication patterns of the paper — which post
@@ -34,19 +35,12 @@ import (
 	"repro/internal/obs"
 )
 
-// AnyTag matches any tag in Recv and RecvInit.
-const AnyTag = -1
-
-// AnySource matches any source rank in Recv and RecvInit.
-const AnySource = -1
-
 const collTagBase = 1 << 30 // internal tag space for collectives
 
 // World owns the mailboxes of a fixed set of ranks.
 type World struct {
-	size   int
-	boxes  []*mailbox
-	barier *centralBarrier
+	size  int
+	boxes []*mailbox
 }
 
 // NewWorld creates a world of size ranks.
@@ -54,7 +48,7 @@ func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("mpi: world size %d < 1", size))
 	}
-	w := &World{size: size, boxes: make([]*mailbox, size), barier: newCentralBarrier(size)}
+	w := &World{size: size, boxes: make([]*mailbox, size)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -86,7 +80,6 @@ func (w *World) Run(fn func(c *Comm)) {
 			defer func() {
 				if p := recover(); p != nil {
 					panics <- fmt.Errorf("mpi: rank %d: %v", rank, p)
-					w.barier.poison()
 					for _, b := range w.boxes {
 						b.poison()
 					}
@@ -115,7 +108,8 @@ type Comm struct {
 
 // Stats counts this rank's point-to-point traffic, excluding messages a
 // rank sends to itself (which the paper's implementations shortcut in
-// memory) but including collective-internal messages.
+// memory) but including the messages of Allreduce and Gather. Barrier's
+// empty messages are not counted.
 type Stats struct {
 	SentMessages int
 	SentValues   int
@@ -166,22 +160,19 @@ func (c *Comm) countSent(dst, n int) {
 	}
 }
 
-// Recv blocks until a message matching (src, tag) arrives, copies it into
-// buf, and returns the number of values received. src may be AnySource and
-// tag may be AnyTag. It panics if buf is too small, as a real MPI would
-// report MPI_ERR_TRUNCATE.
+// Recv blocks until a message from src with tag arrives, copies it into
+// buf, and returns the number of values received. It panics if buf is too
+// small, as a real MPI would report MPI_ERR_TRUNCATE.
 func (c *Comm) Recv(src, tag int, buf []float64) int {
-	if src != AnySource {
-		c.checkRank(src)
-	}
+	c.checkRank(src)
 	data := c.recv(src, tag, len(buf))
 	copy(buf, data)
 	c.world.boxes[c.rank].recycle(data)
 	return len(data)
 }
 
-// recv is the one receive path: it takes the earliest message matching
-// (src, tag) out of this rank's mailbox and returns its payload slot, which
+// recv is the one receive path: it takes the earliest message from src with
+// tag out of this rank's mailbox and returns its payload slot, which
 // the caller owns until it recycles it. A message longer than n is refused
 // with a truncation panic, and its slot goes back to the mailbox.
 func (c *Comm) recv(src, tag, n int) []float64 {
@@ -231,13 +222,11 @@ func (c *Comm) SendInit(dst, tag, n int) *Request {
 
 // RecvInit makes a persistent receive of at most n values from src with
 // tag, as MPI_Recv_init does: an inactive request that each Start posts and
-// each Wait completes. src may be AnySource and tag may be AnyTag. A
-// delivered message longer than n panics in Wait, as Recv does.
+// each Wait completes. A delivered message longer than n panics in Wait, as
+// Recv does.
 func (c *Comm) RecvInit(src, tag, n int) *Request {
-	if src != AnySource {
-		c.checkRank(src)
-	}
-	c.checkTagOrAny(tag)
+	c.checkRank(src)
+	c.checkTag(tag)
 	return &Request{c: c, box: c.world.boxes[c.rank], peer: src, tag: tag, n: n}
 }
 
@@ -280,13 +269,25 @@ func (r *Request) Wait() []float64 {
 	return r.slot
 }
 
-// Done reports whether the request is inactive: a send, a receive
-// completed by Wait, or one never started.
-func (r *Request) Done() bool { return !r.active }
-
-// Barrier blocks until every rank in the world has entered it.
+// Barrier blocks until every rank in the world has entered it. Each rank
+// but 0 sends rank 0 an empty message and waits for rank 0's release, which
+// rank 0 sends everyone once it has all of theirs. The messages go straight
+// through the mailboxes, so they are neither counted in Stats nor traced,
+// and a peer's panic reaches a waiting rank as it reaches any receive.
 func (c *Comm) Barrier() {
-	c.world.barier.wait()
+	tag := c.nextCollTag()
+	boxes := c.world.boxes
+	if c.rank != 0 {
+		boxes[0].put(c.rank, tag, nil)
+		boxes[c.rank].recycle(boxes[c.rank].get(0, tag+1).data)
+		return
+	}
+	for r := 1; r < c.Size(); r++ {
+		boxes[0].recycle(boxes[0].get(r, tag).data)
+	}
+	for r := 1; r < c.Size(); r++ {
+		boxes[r].put(0, tag+1, nil)
+	}
 }
 
 // ReduceOp names an Allreduce combining operation.
@@ -297,8 +298,6 @@ const (
 	OpSum ReduceOp = iota
 	// OpMax takes the elementwise maximum.
 	OpMax
-	// OpMin takes the elementwise minimum.
-	OpMin
 )
 
 // Allreduce combines vals elementwise across all ranks with op and leaves
@@ -379,12 +378,6 @@ func combine(op ReduceOp, dst, src []float64) {
 				dst[i] = src[i]
 			}
 		}
-	case OpMin:
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
 	default:
 		panic(fmt.Sprintf("mpi: bad reduce op %d", int(op)))
 	}
@@ -405,11 +398,5 @@ func (c *Comm) checkRank(r int) {
 func (c *Comm) checkTag(tag int) {
 	if tag < 0 || tag >= collTagBase {
 		panic(fmt.Sprintf("mpi: tag %d out of range [0,%d)", tag, collTagBase))
-	}
-}
-
-func (c *Comm) checkTagOrAny(tag int) {
-	if tag != AnyTag {
-		c.checkTag(tag)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func TestSendRecvRoundTrip(t *testing.T) {
@@ -90,25 +92,6 @@ func TestTagMatching(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(c *Comm) {
-		if c.Rank() != 0 {
-			c.Send(0, c.Rank(), []float64{float64(c.Rank())})
-			return
-		}
-		var sum float64
-		buf := make([]float64, 1)
-		for i := 0; i < 2; i++ {
-			c.Recv(AnySource, AnyTag, buf)
-			sum += buf[0]
-		}
-		if sum != 3 {
-			t.Errorf("sum = %v, want 3", sum)
-		}
-	})
-}
-
 func TestSelfSend(t *testing.T) {
 	w := NewWorld(1)
 	w.Run(func(c *Comm) {
@@ -134,16 +117,10 @@ func TestISendIRecvWait(t *testing.T) {
 			req := c.SendInit(1, 3, 1)
 			req.Wait()[0] = 7
 			req.Start()
-			if !req.Done() {
-				t.Error("eager send should be complete")
-			}
 			req.Wait()
 		} else {
 			req := c.RecvInit(0, 3, 1)
 			req.Start()
-			if req.Done() {
-				t.Error("started receive complete before Wait")
-			}
 			if got := req.Wait(); len(got) != 1 || got[0] != 7 {
 				t.Errorf("receive got %v", got)
 			}
@@ -202,6 +179,31 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
+// TestBarrierIsSilent: a barrier moves no values, so it adds nothing to
+// any rank's Stats and records no span, whatever recorder is attached.
+func TestBarrierIsSilent(t *testing.T) {
+	for _, size := range []int{1, 2, 5} {
+		w := NewWorld(size)
+		rec := obs.NewRecorder()
+		stats := make([]Stats, size)
+		w.Run(func(c *Comm) {
+			c.SetRecorder(rec)
+			for i := 0; i < 10; i++ {
+				c.Barrier()
+			}
+			stats[c.Rank()] = c.Stats()
+		})
+		for r, s := range stats {
+			if s != (Stats{}) {
+				t.Errorf("size %d rank %d: ten barriers left stats %+v", size, r, s)
+			}
+		}
+		if n := rec.Len(); n != 0 {
+			t.Errorf("size %d: ten barriers recorded %d spans", size, n)
+		}
+	}
+}
+
 func TestAllreduceSum(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16} {
 		w := NewWorld(size)
@@ -216,18 +218,13 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestAllreduceMaxMin(t *testing.T) {
+func TestAllreduceMax(t *testing.T) {
 	w := NewWorld(6)
 	w.Run(func(c *Comm) {
 		vals := []float64{float64(c.Rank())}
 		c.Allreduce(OpMax, vals)
 		if vals[0] != 5 {
 			t.Errorf("max = %v", vals[0])
-		}
-		vals[0] = float64(c.Rank())
-		c.Allreduce(OpMin, vals)
-		if vals[0] != 0 {
-			t.Errorf("min = %v", vals[0])
 		}
 	})
 }
@@ -372,6 +369,8 @@ func TestWorldSizeAndRankChecks(t *testing.T) {
 	for _, f := range []func(){
 		func() { c.Send(5, 0, nil) },
 		func() { c.Send(0, -3, nil) },
+		func() { c.Recv(-1, 0, nil) },   // there is no wildcard source
+		func() { c.RecvInit(0, -1, 1) }, // nor a wildcard tag
 		func() { w.Comm(2) },
 		func() { NewWorld(0) },
 	} {
@@ -474,7 +473,7 @@ func TestGatherKeepsWhatItReturns(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			peer := (c.Rank() + 1) % 3
 			c.Send(peer, 1, []float64{-1, -2})
-			c.Recv(AnySource, 1, buf)
+			c.Recv((c.Rank()+2)%3, 1, buf)
 		}
 		if c.Rank() != 0 {
 			return
@@ -562,9 +561,6 @@ func TestPersistentRecvRestarts(t *testing.T) {
 	w.Run(func(c *Comm) {
 		peer := 1 - c.Rank()
 		recv, send := c.RecvInit(peer, 4, 1), c.SendInit(peer, 4, 1)
-		if !recv.Done() {
-			t.Error("a request RecvInit made is active before Start")
-		}
 		for step := 0; step < 50; step++ {
 			recv.Start()
 			send.Wait()[0] = float64(step*10 + c.Rank())
@@ -650,16 +646,21 @@ func TestLentSlotsAreNotReusedEarly(t *testing.T) {
 
 // TestStatsBalanceAcrossCollectives: every message some rank counts as
 // sent, another counts as received — collective-internal ones included,
-// and at Gather's root too.
+// and at Gather's root too. The barriers between the collectives must not
+// cross-match their traffic.
 func TestStatsBalanceAcrossCollectives(t *testing.T) {
 	for _, size := range []int{2, 3, 5} {
 		w := NewWorld(size)
 		stats := make([]Stats, size)
 		w.Run(func(c *Comm) {
 			vals := []float64{float64(c.Rank()), 1}
+			c.Barrier()
 			c.Allreduce(OpSum, vals)
+			c.Barrier()
 			c.Gather(0, make([]float64, 5))
+			c.Barrier()
 			c.Gather(size-1, make([]float64, c.Rank()+1))
+			c.Barrier()
 			stats[c.Rank()] = c.Stats()
 		})
 		var sum Stats

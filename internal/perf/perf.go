@@ -200,12 +200,16 @@ func exchangeValues(sub grid.Dims) int {
 // faceValues is the per-message value count in dimension dim.
 func faceValues(sub grid.Dims, dim int) int { return grid.Layer(sub, 1, dim, 0, 1).Volume() }
 
-// commPhase returns the network time of one dimension's exchange: two
-// messages in flight, sharing the node's injection bandwidth with the
-// other tasks on the node. Tasks that are their own neighbor in the
-// dimension pay only a local copy.
+// commPhase returns the network time of one dimension's one-deep exchange.
 func commPhase(cfg Config, l layout, dim int) float64 {
-	bytes := float64(faceValues(l.sub, dim)) * 8
+	return commBytes(cfg, l, dim, float64(faceValues(l.sub, dim))*8)
+}
+
+// commBytes returns the time of one dimension's exchange of two messages
+// of bytes each: both in flight, sharing the node's injection bandwidth
+// with the other tasks on the node. Tasks that are their own neighbor in
+// the dimension pay only a local copy.
+func commBytes(cfg Config, l layout, dim int, bytes float64) float64 {
 	if l.decomp.P.Axis(dim) == 1 {
 		// Self-neighbor: periodic wrap through local memory.
 		return 2 * bytes / (cfg.M.Node.PackGBs * 1e9)
@@ -246,7 +250,7 @@ func modelSingle(cfg Config) (float64, map[string]float64, error) {
 	pts := cfg.N.Volume()
 	comp := cpuCompute(n, pts, t)
 	cp := copyStep(n, pts, t)
-	halo := 2 * float64(exchangeValues(cfg.N)) * 8 / (n.PackGBs * 1e9 * float64(t))
+	halo := packCost(n, cfg.N, t)
 	omp := ompRegions(n, 5, t)
 	total := comp + cp + halo + omp
 	return total, map[string]float64{
@@ -404,15 +408,7 @@ func modelWideHalo(cfg Config) (float64, map[string]float64, error) {
 	// same bandwidth term).
 	var comm float64
 	for dim := 0; dim < 3; dim++ {
-		bytes := float64(faceValues(l.sub, dim)) * 8 * float64(W)
-		if l.decomp.P.Axis(dim) == 1 {
-			comm += 2 * bytes / (n.PackGBs * 1e9)
-			continue
-		}
-		net := cfg.M.Net
-		bwPerTask := net.BandwidthGBs * 1e9 / float64(l.tasksPerNode)
-		comm += net.LatencySec + 2*bytes/bwPerTask + 4*net.MsgCPUSec +
-			2*float64(l.tasksPerNode)*net.InjectionSec
+		comm += commBytes(cfg, l, dim, float64(faceValues(l.sub, dim))*8*float64(W))
 	}
 	pack := packCost(n, l.sub, t) * float64(W)
 
