@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
 # build, the full test suite with the race detector, repeated race runs of
-# the mpi waits, one run of every root-module benchmark, vet and tests of
+# the mpi waits, ten seconds of fuzzing the checkpoint parser (FuzzLoad),
+# one run of every root-module benchmark, vet and tests of
 # the nested bench/ module, and the nine ns_gate bounds of
 # BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
@@ -56,6 +57,11 @@ go test -race -timeout 5m ./...
 # poison, the collectives' tags) run through many interleavings under the
 # race detector: twenty repeats take a couple of seconds.
 go test -race -count=20 -run 'Barrier|Panic|Collectives' ./internal/mpi
+
+# checkpoint.Load parses untrusted bytes: a seeded session create carries a
+# checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed
+# corpus must find no panic and no inconsistent accepted file.
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/checkpoint
 
 # Every benchmark of the root module runs once (-benchtime 1x), timing
 # unjudged: a benchmark a change breaks — a renamed call, a buffer too

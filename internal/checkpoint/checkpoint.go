@@ -5,28 +5,32 @@
 // the simulated time already integrated, and the full field, written so a
 // resumed run continues bit-for-bit where the original stopped.
 //
-// Format (little endian):
+// Format: the magic "ADVCKPT2", then a run of 64-bit little-endian words:
 //
-//	magic "ADVCKPT2" | nx ny nz int64 | cx cy cz nu t0 float64
-//	| steps-done int64 | fingerprint string | options string
-//	| nx*ny*nz float64 field values (x fastest)
-//	| xor checksum of the payload as uint64
+//	nx ny nz int64 | cx cy cz nu t0 float64 | steps-done int64
+//	| fingerprint string | options string
+//	| nx*ny*nz float64 field values, one z-plane at a time, x fastest
+//	| checksum: the xor of every word before it
 //
-// Strings are encoded as a uint64 byte length followed by the bytes
-// zero-padded to an 8-byte boundary, every word folded into the checksum.
-// Version 1 files ("ADVCKPT1", no strings) still load; their Fingerprint
-// and Options come back empty, marking a checkpoint without recorded
-// lineage.
+// A string is its byte length, then its bytes zero-padded to a whole word.
+// The field passes through one plane-sized buffer; FieldHash, a session's
+// field_hash, is the SHA-256 of its words. The xor catches one flipped bit
+// but not the same bit flipped in two words. Version 1 files ("ADVCKPT1",
+// no strings) still load with empty Fingerprint and Options, marking a
+// checkpoint without recorded lineage.
 package checkpoint
 
 import (
-	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -71,129 +75,42 @@ func Save(w io.Writer, m Meta, f *grid.Field) error {
 		return fmt.Errorf("checkpoint: lineage strings too long (%d/%d bytes)",
 			len(m.Fingerprint), len(m.Options))
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicV2); err != nil {
-		return err
+	var b []byte
+	for _, v := range []uint64{uint64(m.N.X), uint64(m.N.Y), uint64(m.N.Z),
+		math.Float64bits(m.C.X), math.Float64bits(m.C.Y), math.Float64bits(m.C.Z),
+		math.Float64bits(m.Nu), math.Float64bits(m.T0), uint64(m.StepsDone)} {
+		b = le.AppendUint64(b, v)
 	}
-	var sum uint64
-	put64 := func(v uint64) error {
-		sum ^= v
-		return binary.Write(bw, binary.LittleEndian, v)
+	for _, str := range []string{m.Fingerprint, m.Options} {
+		b = append(le.AppendUint64(b, uint64(len(str))), str...)
+		b = append(b, make([]byte, -len(b)&7)...) // zero-pad to a whole word
 	}
-	putI := func(v int64) error { return put64(uint64(v)) }
-	putF := func(v float64) error { return put64(math.Float64bits(v)) }
-	putS := func(s string) error {
-		if err := putI(int64(len(s))); err != nil {
-			return err
-		}
-		b := make([]byte, (len(s)+7)/8*8)
-		copy(b, s)
-		for i := 0; i < len(b); i += 8 {
-			if err := put64(binary.LittleEndian.Uint64(b[i:])); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for _, v := range []int64{int64(m.N.X), int64(m.N.Y), int64(m.N.Z)} {
-		if err := putI(v); err != nil {
-			return err
-		}
-	}
-	for _, v := range []float64{m.C.X, m.C.Y, m.C.Z, m.Nu, m.T0} {
-		if err := putF(v); err != nil {
-			return err
-		}
-	}
-	if err := putI(m.StepsDone); err != nil {
-		return err
-	}
-	if err := putS(m.Fingerprint); err != nil {
-		return err
-	}
-	if err := putS(m.Options); err != nil {
-		return err
-	}
-	for k := 0; k < m.N.Z; k++ {
-		for j := 0; j < m.N.Y; j++ {
-			for i := 0; i < m.N.X; i++ {
-				if err := putF(f.At(i, j, k)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, sum); err != nil {
-		return err
-	}
-	return bw.Flush()
+	s := stream{w: w}
+	_, s.err = io.WriteString(w, magicV2)
+	s.put(b)
+	s.putField(f)
+	s.put(le.AppendUint64(b[:0], s.sum))
+	return s.err
 }
 
 // Load reads a checkpoint from r, validating the magic and checksum. Both
 // format versions are accepted; version-1 files load with empty
 // Fingerprint and Options.
 func Load(r io.Reader) (Meta, *grid.Field, error) {
-	br := bufio.NewReader(r)
 	var m Meta
 	head := make([]byte, len(magicV1))
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(r, head); err != nil {
 		return m, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	version := 0
-	switch string(head) {
-	case magicV1:
-		version = 1
-	case magicV2:
-		version = 2
-	default:
+	if string(head) != magicV1 && string(head) != magicV2 {
 		return m, nil, fmt.Errorf("checkpoint: bad magic %q", head)
 	}
-	var sum uint64
-	get64 := func() (uint64, error) {
-		var v uint64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return 0, err
-		}
-		sum ^= v
-		return v, nil
-	}
-	getI := func() (int64, error) { v, err := get64(); return int64(v), err }
-	getF := func() (float64, error) { v, err := get64(); return math.Float64frombits(v), err }
-	getS := func() (string, error) {
-		n, err := getI()
-		if err != nil {
-			return "", err
-		}
-		if n < 0 || n > maxString {
-			return "", fmt.Errorf("implausible string length %d", n)
-		}
-		b := make([]byte, (n+7)/8*8)
-		for i := 0; i < len(b); i += 8 {
-			v, err := get64()
-			if err != nil {
-				return "", err
-			}
-			binary.LittleEndian.PutUint64(b[i:], v)
-		}
-		for _, pad := range b[n:] {
-			if pad != 0 {
-				return "", fmt.Errorf("non-zero string padding")
-			}
-		}
-		return string(b[:n]), nil
-	}
-
-	var err error
-	var nx, ny, nz int64
-	if nx, err = getI(); err == nil {
-		if ny, err = getI(); err == nil {
-			nz, err = getI()
-		}
-	}
+	s := stream{r: r}
+	b, err := s.get(3)
 	if err != nil {
 		return m, nil, fmt.Errorf("checkpoint: truncated header: %w", err)
 	}
+	nx, ny, nz := int64(le.Uint64(b)), int64(le.Uint64(b[8:])), int64(le.Uint64(b[16:]))
 	// Bound each dimension before multiplying, so hostile headers cannot
 	// overflow the volume check (found by FuzzLoad).
 	const maxDim = 1 << 13 // 8192 points per dimension, far above the paper's 420
@@ -204,43 +121,125 @@ func Load(r io.Reader) (Meta, *grid.Field, error) {
 		return m, nil, fmt.Errorf("checkpoint: volume %d too large", nx*ny*nz)
 	}
 	m.N = grid.Dims{X: int(nx), Y: int(ny), Z: int(nz)}
-	for _, dst := range []*float64{&m.C.X, &m.C.Y, &m.C.Z, &m.Nu, &m.T0} {
-		if *dst, err = getF(); err != nil {
-			return m, nil, fmt.Errorf("checkpoint: truncated header: %w", err)
-		}
-	}
-	if m.StepsDone, err = getI(); err != nil {
+	if b, err = s.get(6); err != nil {
 		return m, nil, fmt.Errorf("checkpoint: truncated header: %w", err)
 	}
-	if version >= 2 {
-		if m.Fingerprint, err = getS(); err != nil {
+	for i, dst := range []*float64{&m.C.X, &m.C.Y, &m.C.Z, &m.Nu, &m.T0} {
+		*dst = math.Float64frombits(le.Uint64(b[8*i:]))
+	}
+	m.StepsDone = int64(le.Uint64(b[40:]))
+	if string(head) == magicV2 {
+		if m.Fingerprint, err = s.getString(); err != nil {
 			return m, nil, fmt.Errorf("checkpoint: bad fingerprint: %w", err)
 		}
-		if m.Options, err = getS(); err != nil {
+		if m.Options, err = s.getString(); err != nil {
 			return m, nil, fmt.Errorf("checkpoint: bad options: %w", err)
 		}
 	}
-
-	f := grid.NewField(m.N, 1)
+	var f *grid.Field
+	var plane []float64
 	for k := 0; k < m.N.Z; k++ {
-		for j := 0; j < m.N.Y; j++ {
-			for i := 0; i < m.N.X; i++ {
-				v, err := getF()
-				if err != nil {
-					return m, nil, fmt.Errorf("checkpoint: truncated field: %w", err)
-				}
-				f.Set(i, j, k, v)
-			}
+		if b, err = s.get(m.N.X * m.N.Y); err != nil {
+			return m, nil, fmt.Errorf("checkpoint: truncated field: %w", err)
 		}
+		if f == nil { // a header alone, however large its claim, allocates no field
+			f, plane = grid.NewField(m.N, 1), make([]float64, m.N.X*m.N.Y)
+		}
+		for i := range plane {
+			plane[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		}
+		f.Unpack(grid.Layer(m.N, 0, 2, k, 1), plane)
 	}
-	var want uint64
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+	if _, err := s.get(1); err != nil {
 		return m, nil, fmt.Errorf("checkpoint: missing checksum: %w", err)
 	}
-	if want != sum {
+	if s.sum != 0 { // the checksum word cancels a sound payload's
 		return m, nil, fmt.Errorf("checkpoint: checksum mismatch (corrupt file)")
 	}
 	return m, f, nil
+}
+
+// FieldHash returns the hex SHA-256 of f's payload as Save writes it, the
+// bitwise identity of a checkpointed state.
+func FieldHash(f *grid.Field) string {
+	h := sha256.New()
+	(&stream{w: h}).putField(f) // a hash.Hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+var le = binary.LittleEndian
+
+// stream is the codec of everything after the magic: a run of 64-bit
+// little-endian words, each folded into the xor checksum sum on its way to
+// w or from r. Reads land in buf, reused from one get to the next and never
+// longer than a z-plane or a lineage string. A write error sticks in err.
+type stream struct {
+	w   io.Writer
+	r   io.Reader
+	buf []byte
+	sum uint64
+	err error
+}
+
+func (s *stream) fold(b []byte) {
+	for i := 0; i < len(b); i += 8 {
+		s.sum ^= le.Uint64(b[i:])
+	}
+}
+
+// put folds b's words into the checksum and writes them.
+func (s *stream) put(b []byte) {
+	if s.err == nil {
+		s.fold(b)
+		_, s.err = s.w.Write(b)
+	}
+}
+
+// putField writes the interior of f one z-plane at a time, x fastest.
+func (s *stream) putField(f *grid.Field) {
+	plane := make([]float64, f.N.X*f.N.Y)
+	b := make([]byte, 8*len(plane))
+	for k := 0; k < f.N.Z && s.err == nil; k++ {
+		f.Pack(grid.Layer(f.N, 0, 2, k, 1), plane)
+		for i, v := range plane {
+			le.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		s.put(b)
+	}
+}
+
+// get reads the next n words and folds them into the checksum; a stream
+// ending between two words reports io.EOF, inside one io.ErrUnexpectedEOF.
+func (s *stream) get(n int) ([]byte, error) {
+	s.buf = slices.Grow(s.buf[:0], 8*n)[:8*n]
+	if got, err := io.ReadFull(s.r, s.buf); err != nil {
+		if err == io.ErrUnexpectedEOF && got%8 == 0 {
+			err = io.EOF
+		}
+		return nil, err
+	}
+	s.fold(s.buf)
+	return s.buf, nil
+}
+
+// getString reads a length word and the string's bytes, zero-padded to a
+// whole word.
+func (s *stream) getString() (string, error) {
+	b, err := s.get(1)
+	if err != nil {
+		return "", err
+	}
+	n := int64(le.Uint64(b))
+	if n < 0 || n > maxString {
+		return "", fmt.Errorf("implausible string length %d", n)
+	}
+	if b, err = s.get(int(n+7) / 8); err != nil {
+		return "", err
+	}
+	if len(bytes.TrimLeft(b[n:], "\x00")) != 0 {
+		return "", fmt.Errorf("non-zero string padding")
+	}
+	return string(b[:n]), nil
 }
 
 // SaveFile writes the state to path, atomically and durably.

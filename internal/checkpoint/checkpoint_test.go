@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -301,5 +302,66 @@ func TestVerifyAcrossRestart(t *testing.T) {
 	}
 	if res2.Norms.L2 > 20*res1.Norms.L2 {
 		t.Fatalf("restart verification broken: %g -> %g", res1.Norms.L2, res2.Norms.L2)
+	}
+}
+
+// TestFieldHashIsPayloadHash: the session's field_hash is the SHA-256 of
+// exactly the field payload Save writes.
+func TestFieldHashIsPayloadHash(t *testing.T) {
+	if got := FieldHash(goldenField()); got != goldenFieldHash {
+		t.Fatalf("FieldHash = %s, want %s", got, goldenFieldHash)
+	}
+}
+
+// TestCodecAllocationsIndependentOfVolume: Save and Load move the field a
+// z-plane at a time through reused buffers, so their allocation count does
+// not grow with the field (the field Load returns is one allocation at
+// any size).
+func TestCodecAllocationsIndependentOfVolume(t *testing.T) {
+	allocs := func(n int) (save, load float64) {
+		m := Meta{N: grid.Uniform(n), Nu: 1, Fingerprint: "fp-abc123", Options: "o1;tasks=2;x"}
+		f := testField(m.N)
+		var buf bytes.Buffer
+		if err := Save(&buf, m, f); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		save = testing.AllocsPerRun(5, func() {
+			if err := Save(io.Discard, m, f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		load = testing.AllocsPerRun(5, func() {
+			if _, _, err := Load(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return save, load
+	}
+	save8, load8 := allocs(8)
+	save32, load32 := allocs(32)
+	if save8 != save32 || load8 != load32 {
+		t.Fatalf("allocations grow with volume: Save %v at 8³, %v at 32³; Load %v at 8³, %v at 32³",
+			save8, save32, load8, load32)
+	}
+}
+
+// TestLoadHeaderAloneAllocatesNoField: Load is fed untrusted bytes (a
+// seeded session create carries a checkpoint in its body), so a header
+// that claims a large field must not cost that field's memory before the
+// field's data arrives.
+func TestLoadHeaderAloneAllocatesNoField(t *testing.T) {
+	data := []byte("ADVCKPT1")
+	for _, v := range []uint64{1024, 1024, 64, 0, 0, 0, 0, 0, 0} { // 2^26 points, ≈ 0.5 GB
+		data = binary.LittleEndian.AppendUint64(data, v)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := Load(bytes.NewReader(data)); err == nil {
+		t.Fatal("a header without a field loaded")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("a %d-byte header allocated %d MB", len(data), got>>20)
 	}
 }

@@ -289,10 +289,11 @@ func (e *Engine) checkDrift(now time.Time, s JobSample) {
 	if e.model == nil || s.Kind == "" {
 		return
 	}
-	measured, ok := measuredHidden(s.Report)
-	if !ok {
+	pair := s.Report.Pair(obs.PairMPICompute)
+	if pair.CommSec <= 0 {
 		return
 	}
+	measured := pair.Fraction
 	kind, err := core.ParseKind(s.Kind)
 	if err != nil {
 		return
@@ -327,16 +328,6 @@ func (e *Engine) checkDrift(now time.Time, s JobSample) {
 		Bound:    e.rules.DriftTolerance,
 		Expected: expected,
 	})
-}
-
-// measuredHidden extracts the mpi/compute overlap fraction from a report.
-func measuredHidden(rep *obs.Report) (float64, bool) {
-	for _, p := range rep.Total {
-		if p.Name == obs.PairMPICompute && p.CommSec > 0 {
-			return p.Fraction, true
-		}
-	}
-	return 0, false
 }
 
 // Sweep evaluates the windowed rules at now against the node's own rolling

@@ -28,11 +28,9 @@ type Device struct {
 	streamSeq int
 
 	// Stats
-	Kernels   int
-	CopiesH2D int
-	CopiesD2H int
-	BytesH2D  int64
-	BytesD2H  int64
+	Kernels  int
+	BytesH2D int64
+	BytesD2H int64
 }
 
 // NewDevice creates a device with the given properties and PCIe link.
@@ -250,10 +248,8 @@ func (d *Device) copy(host vtime.Time, s *Stream, dir Direction, devBuf *Buffer,
 	}
 	d.mu.Lock()
 	if dir == HostToDevice {
-		d.CopiesH2D++
 		d.BytesH2D += int64(bytes)
 	} else {
-		d.CopiesD2H++
 		d.BytesD2H += int64(bytes)
 	}
 	d.mu.Unlock()

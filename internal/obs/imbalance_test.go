@@ -7,9 +7,9 @@ import (
 )
 
 func TestBuildImbalanceStraggler(t *testing.T) {
-	im := BuildImbalance(twoRankHybridSpans())
+	im := BuildReport(twoRankHybridSpans()).Imbalance
 	if im == nil {
-		t.Fatal("BuildImbalance returned nil")
+		t.Fatal("report has no imbalance section")
 	}
 	if len(im.Ranks) != 2 {
 		t.Fatalf("got %d ranks, want 2 (service track must be excluded)", len(im.Ranks))
@@ -58,10 +58,10 @@ func TestBuildImbalanceServiceOnly(t *testing.T) {
 	spans := []Span{
 		{Rank: RankService, Step: -1, Phase: PhaseQueueWait, Start: 0, End: 1},
 	}
-	if im := BuildImbalance(spans); im != nil {
+	if im := BuildReport(spans).Imbalance; im != nil {
 		t.Fatalf("service-only spans produced an imbalance report: %+v", im)
 	}
-	if im := BuildImbalance(nil); im != nil {
+	if im := BuildReport(nil).Imbalance; im != nil {
 		t.Fatal("empty span set produced an imbalance report")
 	}
 }

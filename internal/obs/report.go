@@ -105,7 +105,9 @@ func (r *Recorder) Report() Report {
 	return BuildReport(r.Spans())
 }
 
-// BuildReport computes per-rank and total overlap from a span set.
+// BuildReport computes per-rank and total overlap, and the imbalance
+// across simulation ranks, from a span set. Each rank's spans are grouped
+// by phase and merged once; every figure is read off those merged sets.
 func BuildReport(spans []Span) Report {
 	rep := Report{Spans: len(spans)}
 	byRank := map[int][]Span{}
@@ -122,6 +124,7 @@ func BuildReport(spans []Span) Report {
 	for i, d := range pairDefs {
 		totals[i].Name = d.name
 	}
+	merged := map[int]map[Phase][]interval{} // rank -> phase -> merged spans
 	for _, rank := range ranks {
 		rs := byRank[rank]
 		byPhase := map[Phase][]interval{}
@@ -130,8 +133,10 @@ func BuildReport(spans []Span) Report {
 		}
 		rr := RankReport{Rank: rank, Spans: len(rs), Busy: map[string]float64{}}
 		for ph, iv := range byPhase {
-			rr.Busy[ph.String()] = busySeconds(merge(iv))
+			byPhase[ph] = merge(iv)
+			rr.Busy[ph.String()] = busySeconds(byPhase[ph])
 		}
+		merged[rank] = byPhase
 		for i, d := range pairDefs {
 			comm := merge(gather(byPhase, d.comm))
 			work := merge(gather(byPhase, d.work))
@@ -157,82 +162,77 @@ func BuildReport(spans []Span) Report {
 		}
 	}
 	rep.Total = totals
-	rep.Imbalance = BuildImbalance(spans)
+	rep.Imbalance = imbalance(ranks, merged)
 	return rep
 }
 
-// BuildImbalance computes the per-rank load-imbalance/straggler report from
-// a span set. It returns nil when fewer than one simulation rank recorded
-// wall-base spans (service-only traces, disabled recorders).
-func BuildImbalance(spans []Span) *ImbalanceReport {
-	busy := map[int][]interval{}            // rank -> wall spans
-	phase := map[Phase]map[int][]interval{} // phase -> rank -> spans
-	lo, hi := math.Inf(1), math.Inf(-1)     // wall makespan window
-	for _, s := range spans {
-		if s.Rank < 0 {
+// imbalance builds the load-imbalance/straggler section from each rank's
+// merged phase sets, over the simulation ranks (>= 0) that recorded
+// wall-base spans. It returns nil when there are none (service-only
+// traces, disabled recorders).
+func imbalance(ranks []int, merged map[int]map[Phase][]interval) *ImbalanceReport {
+	rep := &ImbalanceReport{}
+	lo, hi := math.Inf(1), math.Inf(-1) // wall makespan window
+	phases := map[Phase]bool{}
+	for _, r := range ranks {
+		if r < 0 {
 			continue // service track: not a simulation rank
 		}
-		if s.Phase.Base() == BaseWall {
-			busy[s.Rank] = append(busy[s.Rank], interval{s.Start, s.End})
-			lo = math.Min(lo, s.Start)
-			hi = math.Max(hi, s.End)
+		var wall []interval
+		for ph, iv := range merged[r] {
+			if ph.Base() == BaseWall {
+				wall = append(wall, iv...)
+			}
 		}
-		pr := phase[s.Phase]
-		if pr == nil {
-			pr = map[int][]interval{}
-			phase[s.Phase] = pr
+		if wall = merge(wall); len(wall) == 0 {
+			continue
 		}
-		pr[s.Rank] = append(pr[s.Rank], interval{s.Start, s.End})
+		lo, hi = min(lo, wall[0].s), max(hi, wall[len(wall)-1].e)
+		rep.Ranks = append(rep.Ranks, RankLoad{Rank: r, BusySec: busySeconds(wall)})
+		for ph := range merged[r] {
+			phases[ph] = true
+		}
 	}
-	if len(busy) == 0 {
+	if len(rep.Ranks) == 0 {
 		return nil
 	}
-	ranks := make([]int, 0, len(busy))
-	for r := range busy {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-
-	rep := &ImbalanceReport{MakespanSec: hi - lo, Straggler: ranks[0]}
+	rep.MakespanSec, rep.Straggler = hi-lo, rep.Ranks[0].Rank
 	var sum float64
-	for _, r := range ranks {
-		b := busySeconds(merge(busy[r]))
-		load := RankLoad{Rank: r, BusySec: b}
+	for i, load := range rep.Ranks {
 		if rep.MakespanSec > 0 {
-			load.CritShare = b / rep.MakespanSec
+			rep.Ranks[i].CritShare = load.BusySec / rep.MakespanSec
 		}
-		rep.Ranks = append(rep.Ranks, load)
-		sum += b
-		if b > rep.MaxSec {
-			rep.MaxSec, rep.Straggler = b, r
+		sum += load.BusySec
+		if load.BusySec > rep.MaxSec {
+			rep.MaxSec, rep.Straggler = load.BusySec, load.Rank
 		}
 	}
-	rep.MeanSec = sum / float64(len(ranks))
+	rep.MeanSec = sum / float64(len(rep.Ranks))
 	if rep.MeanSec > 0 {
 		rep.Ratio = rep.MaxSec / rep.MeanSec
 	}
 
-	phases := make([]Phase, 0, len(phase))
-	for p := range phase {
-		phases = append(phases, p)
+	order := make([]Phase, 0, len(phases))
+	for p := range phases {
+		order = append(order, p)
 	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, p := range phases {
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	for _, p := range order {
 		pi := PhaseImbalance{Phase: p.String()}
 		var psum float64
 		// Ranks missing the phase count as zero: an absent phase on one
 		// rank IS imbalance, not a smaller denominator.
-		for i, r := range ranks {
-			b := busySeconds(merge(phase[p][r]))
+		for i, load := range rep.Ranks {
+			b := busySeconds(merged[load.Rank][p])
 			psum += b
 			if i == 0 || b > pi.MaxSec {
-				pi.MaxSec, pi.MaxRank = b, r
+				pi.MaxSec, pi.MaxRank = b, load.Rank
 			}
 		}
 		if psum == 0 {
 			continue
 		}
-		pi.MeanSec = psum / float64(len(ranks))
+		pi.MeanSec = psum / float64(len(rep.Ranks))
 		pi.Ratio = pi.MaxSec / pi.MeanSec
 		rep.Phases = append(rep.Phases, pi)
 	}

@@ -16,15 +16,12 @@ package session
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/grid"
 )
 
 // State is a session's position in its lifecycle.
@@ -133,7 +130,7 @@ type View struct {
 	Created     time.Time `json:"created"`
 	Updated     time.Time `json:"updated"`
 	// LastCheckpoint is the step of the newest durable checkpoint (0 when
-	// none has landed yet), and FieldHash the sha256 of its interior — the
+	// none has landed yet), and FieldHash its checkpoint.FieldHash — the
 	// handle e2e tests use to assert bitwise-identical recovery.
 	LastCheckpoint int64   `json:"last_checkpoint"`
 	FieldHash      string  `json:"field_hash,omitempty"`
@@ -150,20 +147,4 @@ func (sc Scenario) View(id string, done int64, now time.Time) View {
 		ParentFP: sc.ParentFP, ParentStep: sc.ParentStep, TraceID: sc.TraceID,
 		Created: now, Updated: now,
 	}
-}
-
-// fieldHash returns the hex SHA-256 of a field's interior values, the
-// bitwise identity of a checkpointed state.
-func fieldHash(f *grid.Field) string {
-	h := sha256.New()
-	var buf [8]byte
-	for k := 0; k < f.N.Z; k++ {
-		for j := 0; j < f.N.Y; j++ {
-			for i := 0; i < f.N.X; i++ {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f.At(i, j, k)))
-				h.Write(buf[:])
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -205,7 +205,7 @@ func TestLandSegment(t *testing.T) {
 	if meta.StepsDone != 20 || meta.Fingerprint != sc.Fingerprint() || meta.Options != sc.Options.Canonical() {
 		t.Fatalf("landed meta %+v lacks the session's lineage", meta)
 	}
-	if got := fieldHash(f); got != hash {
+	if got := checkpoint.FieldHash(f); got != hash {
 		t.Fatalf("landed hash %s, checkpoint on disk hashes to %s", hash, got)
 	}
 	if _, _, _, err := st.LandSegment(sc, p, &core.Result{}, 25); err == nil {

@@ -6,7 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -85,18 +85,13 @@ func (s *Store) stepsLocked(fp string) []int64 {
 	}
 	out := make([]int64, 0, len(matches))
 	for _, m := range matches {
-		base := strings.TrimSuffix(filepath.Base(m), ".ckpt")
-		idx := strings.LastIndexByte(base, '-')
-		if idx < 0 {
-			continue
+		// The glob leaves the step between the name's last '-' and ".ckpt".
+		step := strings.TrimSuffix(m[strings.LastIndexByte(m, '-')+1:], ".ckpt")
+		if n, err := strconv.ParseInt(step, 10, 64); err == nil {
+			out = append(out, n)
 		}
-		n, err := strconv.ParseInt(base[idx+1:], 10, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -138,7 +133,7 @@ func (s *Store) Own(sc Scenario, meta checkpoint.Meta, f *grid.Field) (string, e
 	if err := s.SaveCheckpoint(meta.WithLineage(sc.Fingerprint(), sc.Options.Canonical()), f); err != nil {
 		return "", err
 	}
-	return fieldHash(f), nil
+	return checkpoint.FieldHash(f), nil
 }
 
 // LandSegment makes one finished segment of a session of sc durable: the
@@ -229,7 +224,7 @@ func (s *Store) Records() (recs []Record, skipped []Skipped, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sort.Strings(matches)
+	slices.Sort(matches)
 	for _, m := range matches {
 		var r Record
 		data, err := os.ReadFile(m)

@@ -16,10 +16,9 @@ type Event struct {
 // never blocks: a subscriber whose buffer is full simply misses that event
 // (the stream is a live view, not a durable log).
 type Hub struct {
-	mu      sync.Mutex
-	subs    map[chan Event]struct{}
-	closed  bool
-	dropped uint64
+	mu     sync.Mutex
+	subs   map[chan Event]struct{}
+	closed bool
 }
 
 // NewHub returns an empty hub ready for subscribers.
@@ -57,14 +56,13 @@ func (h *Hub) Subscribe(buf int) (<-chan Event, func()) {
 }
 
 // Publish fans the event out to every subscriber without blocking. Events a
-// slow subscriber cannot accept are counted in Dropped and discarded.
+// slow subscriber cannot accept are discarded.
 func (h *Hub) Publish(ev Event) {
 	h.mu.Lock()
 	for ch := range h.subs {
 		select {
 		case ch <- ev:
 		default:
-			h.dropped++
 		}
 	}
 	h.mu.Unlock()
@@ -82,12 +80,4 @@ func (h *Hub) Close() {
 		}
 	}
 	h.mu.Unlock()
-}
-
-// Dropped returns how many events were discarded because a subscriber's
-// buffer was full.
-func (h *Hub) Dropped() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
 }

@@ -171,12 +171,26 @@ func TestHubPublishSubscribe(t *testing.T) {
 
 func TestHubDropsWhenFull(t *testing.T) {
 	h := NewHub()
-	_, cancel := h.Subscribe(1)
+	ch, cancel := h.Subscribe(1)
 	defer cancel()
-	h.Publish(Event{Name: "a"})
-	h.Publish(Event{Name: "b"}) // buffer full: dropped, not blocked
-	if h.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", h.Dropped())
+	done := make(chan struct{})
+	go func() {
+		h.Publish(Event{Name: "a"})
+		h.Publish(Event{Name: "b"}) // buffer full: dropped, not blocked
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Publish blocked on a full subscriber")
+	}
+	if ev := <-ch; ev.Name != "a" {
+		t.Fatalf("first event %q, want a", ev.Name)
+	}
+	select {
+	case ev := <-ch:
+		t.Fatalf("event %q was queued past a full buffer", ev.Name)
+	default:
 	}
 }
 
