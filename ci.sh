@@ -54,9 +54,10 @@ go build ./...
 go test -race -timeout 5m ./...
 
 # The in-process MPI's waits (Barrier's rank-0 round, a panicking rank's
-# poison, the collectives' tags) run through many interleavings under the
-# race detector: twenty repeats take a couple of seconds.
-go test -race -count=20 -run 'Barrier|Panic|Collectives' ./internal/mpi
+# poison, the collectives' tags, a receive that polls before it parks) run
+# through many interleavings under the race detector: twenty repeats take
+# a couple of seconds.
+go test -race -count=20 -run 'Barrier|Panic|Collectives|Polling' ./internal/mpi
 
 # checkpoint.Load parses untrusted bytes: a seeded session create carries a
 # checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed

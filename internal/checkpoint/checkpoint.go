@@ -13,11 +13,12 @@
 //	| checksum: the xor of every word before it
 //
 // A string is its byte length, then its bytes zero-padded to a whole word.
-// The field passes through one plane-sized buffer; FieldHash, a session's
-// field_hash, is the SHA-256 of its words. The xor catches one flipped bit
-// but not the same bit flipped in two words. Version 1 files ("ADVCKPT1",
-// no strings) still load with empty Fingerprint and Options, marking a
-// checkpoint without recorded lineage.
+// Save writes the field through one plane-sized buffer and Load reads it
+// in bounded chunks; FieldHash, a session's field_hash, is the SHA-256 of
+// its words. The xor catches one flipped bit but not the same bit flipped
+// in two words. Version 1 files ("ADVCKPT1", no strings) still load with
+// empty Fingerprint and Options, marking a checkpoint without recorded
+// lineage.
 package checkpoint
 
 import (
@@ -26,6 +27,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"os"
@@ -42,6 +44,9 @@ const (
 	// maxString bounds the fingerprint/options strings on load, so hostile
 	// headers cannot demand gigabyte allocations.
 	maxString = 1 << 12
+	// loadChunk bounds the words Load reads at once (1 MB): a whole 48³
+	// field, or 16 rows of an 8192-point-wide plane.
+	loadChunk = 1 << 17
 )
 
 // Meta describes a checkpointed run. Fingerprint and Options carry the
@@ -67,7 +72,11 @@ type Meta struct {
 }
 
 // Save writes the state to w.
-func Save(w io.Writer, m Meta, f *grid.Field) error {
+func Save(w io.Writer, m Meta, f *grid.Field) error { return save(w, m, f, nil) }
+
+// save writes the state to w and the field's words, as they go, to tee if
+// it is not nil.
+func save(w io.Writer, m Meta, f *grid.Field, tee hash.Hash) error {
 	if f.N != m.N {
 		return fmt.Errorf("checkpoint: field %v does not match meta %v", f.N, m.N)
 	}
@@ -85,7 +94,7 @@ func Save(w io.Writer, m Meta, f *grid.Field) error {
 		b = append(le.AppendUint64(b, uint64(len(str))), str...)
 		b = append(b, make([]byte, -len(b)&7)...) // zero-pad to a whole word
 	}
-	s := stream{w: w}
+	s := stream{w: w, tee: tee}
 	_, s.err = io.WriteString(w, magicV2)
 	s.put(b)
 	s.putField(f)
@@ -95,8 +104,18 @@ func Save(w io.Writer, m Meta, f *grid.Field) error {
 
 // Load reads a checkpoint from r, validating the magic and checksum. Both
 // format versions are accepted; version-1 files load with empty
-// Fingerprint and Options.
-func Load(r io.Reader) (Meta, *grid.Field, error) {
+// Fingerprint and Options. What Load allocates grows with the bytes r
+// delivers, whatever the header claims, up to the field itself.
+func Load(r io.Reader) (Meta, *grid.Field, error) { return load(r, grid.Dims{}) }
+
+// LoadSized is Load for a caller that knows the extents the state must
+// have: a header that claims other extents is refused before its field is
+// read.
+func LoadSized(r io.Reader, n grid.Dims) (Meta, *grid.Field, error) { return load(r, n) }
+
+// load reads a checkpoint whose extents are want, or any extents if want
+// is zero.
+func load(r io.Reader, want grid.Dims) (Meta, *grid.Field, error) {
 	var m Meta
 	head := make([]byte, len(magicV1))
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -121,6 +140,9 @@ func Load(r io.Reader) (Meta, *grid.Field, error) {
 		return m, nil, fmt.Errorf("checkpoint: volume %d too large", nx*ny*nz)
 	}
 	m.N = grid.Dims{X: int(nx), Y: int(ny), Z: int(nz)}
+	if want != (grid.Dims{}) && m.N != want {
+		return m, nil, fmt.Errorf("checkpoint: dims %v, want %v", m.N, want)
+	}
 	if b, err = s.get(6); err != nil {
 		return m, nil, fmt.Errorf("checkpoint: truncated header: %w", err)
 	}
@@ -136,19 +158,34 @@ func Load(r io.Reader) (Meta, *grid.Field, error) {
 			return m, nil, fmt.Errorf("checkpoint: bad options: %w", err)
 		}
 	}
+	// The field arrives a z-plane at a time, each plane in chunks of at
+	// most loadChunk words gathered in vals, which starts at one chunk and
+	// at most doubles. The field is made once the first whole plane has
+	// come: what Load allocates follows the bytes sent, not the header's
+	// claim.
+	plane := m.N.X * m.N.Y
 	var f *grid.Field
-	var plane []float64
+	var vals []float64
 	for k := 0; k < m.N.Z; k++ {
-		if b, err = s.get(m.N.X * m.N.Y); err != nil {
-			return m, nil, fmt.Errorf("checkpoint: truncated field: %w", err)
+		vals = vals[:0]
+		for left := plane; left > 0; left -= loadChunk {
+			c := min(left, loadChunk)
+			if b, err = s.get(c); err != nil {
+				return m, nil, fmt.Errorf("checkpoint: truncated field: %w", err)
+			}
+			if len(vals)+c > cap(vals) {
+				vals = slices.Grow(vals, max(c, len(vals)))
+			}
+			next := vals[len(vals) : len(vals)+c]
+			for i := range next {
+				next[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+			}
+			vals = vals[:len(vals)+c]
 		}
-		if f == nil { // a header alone, however large its claim, allocates no field
-			f, plane = grid.NewField(m.N, 1), make([]float64, m.N.X*m.N.Y)
+		if f == nil {
+			f = grid.NewField(m.N, 1)
 		}
-		for i := range plane {
-			plane[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-		}
-		f.Unpack(grid.Layer(m.N, 0, 2, k, 1), plane)
+		f.Unpack(grid.Layer(m.N, 0, 2, k, 1), vals)
 	}
 	if _, err := s.get(1); err != nil {
 		return m, nil, fmt.Errorf("checkpoint: missing checksum: %w", err)
@@ -171,10 +208,12 @@ var le = binary.LittleEndian
 
 // stream is the codec of everything after the magic: a run of 64-bit
 // little-endian words, each folded into the xor checksum sum on its way to
-// w or from r. Reads land in buf, reused from one get to the next and never
-// longer than a z-plane or a lineage string. A write error sticks in err.
+// w or from r; putField also copies the field's words to tee, if set.
+// Reads land in buf, reused from one get to the next and never longer than
+// loadChunk words or a lineage string. A write error sticks in err.
 type stream struct {
 	w   io.Writer
+	tee hash.Hash // never fails a write
 	r   io.Reader
 	buf []byte
 	sum uint64
@@ -205,6 +244,9 @@ func (s *stream) putField(f *grid.Field) {
 			le.PutUint64(b[8*i:], math.Float64bits(v))
 		}
 		s.put(b)
+		if s.tee != nil {
+			s.tee.Write(b)
+		}
 	}
 }
 
@@ -245,6 +287,16 @@ func (s *stream) getString() (string, error) {
 // SaveFile writes the state to path, atomically and durably.
 func SaveFile(path string, m Meta, f *grid.Field) error {
 	return WriteFileAtomic(path, func(w io.Writer) error { return Save(w, m, f) })
+}
+
+// SaveFileHash is SaveFile that also returns FieldHash(f), hashed from the
+// words as they are written rather than from a second encoding.
+func SaveFileHash(path string, m Meta, f *grid.Field) (string, error) {
+	h := sha256.New()
+	if err := WriteFileAtomic(path, func(w io.Writer) error { return save(w, m, f, h) }); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // WriteFileAtomic makes path hold what write produces, or leaves it as it

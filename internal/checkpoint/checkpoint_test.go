@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -363,5 +364,79 @@ func TestLoadHeaderAloneAllocatesNoField(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
 		t.Fatalf("a %d-byte header allocated %d MB", len(data), got>>20)
+	}
+}
+
+// TestLoadAllocatesWhatArrives: a header that claims 8192×8192×2 — a
+// 512 MB z-plane — followed by k MB of field values and then the end of
+// the stream costs memory in proportion to k, not to the claim.
+func TestLoadAllocatesWhatArrives(t *testing.T) {
+	for _, k := range []int{0, 1, 8} {
+		data := []byte("ADVCKPT1")
+		for _, v := range []uint64{8192, 8192, 2, 0, 0, 0, 0, 0, 0} {
+			data = binary.LittleEndian.AppendUint64(data, v)
+		}
+		data = append(data, make([]byte, k<<20)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Fatalf("k=%d: a truncated field loaded", k)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*k+4)<<20; got > limit {
+			t.Errorf("%d MB of field values allocated %d MB, want at most %d", k, got>>20, limit>>20)
+		}
+	}
+}
+
+// TestLoadSplitsWidePlanes: a plane wider than loadChunk words arrives in
+// several chunks and loads back to the field that was saved, and a stream
+// that ends inside any of those chunks is a truncated field.
+func TestLoadSplitsWidePlanes(t *testing.T) {
+	m := Meta{N: grid.Dims{X: 400, Y: 400, Z: 3}, Nu: 0.5, StepsDone: 9, Fingerprint: "fp", Options: "o"}
+	if m.N.X*m.N.Y <= loadChunk {
+		t.Fatalf("a %d-word plane fits one chunk", m.N.X*m.N.Y)
+	}
+	f := testField(m.N)
+	var buf bytes.Buffer
+	if err := Save(&buf, m, f); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	gotM, got, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotM != m || FieldHash(got) != FieldHash(f) {
+		t.Errorf("loaded %+v with hash %s, saved %+v with hash %s", gotM, FieldHash(got), m, FieldHash(f))
+	}
+	plane, start := m.N.X*m.N.Y, len(data)-8-8*m.N.Volume()
+	for _, words := range []int{loadChunk / 2, plane - 3, plane + loadChunk + 10, 3*plane - 1} {
+		_, _, err := Load(bytes.NewReader(data[:start+8*words]))
+		if err == nil || !strings.Contains(err.Error(), "truncated field") {
+			t.Errorf("cut after %d field words: %v, want a truncated field", words, err)
+		}
+	}
+}
+
+// TestSaveFileHashIsFieldHash: the hash SaveFileHash takes from the words
+// it writes is FieldHash of the field, and the file holds what Save writes.
+func TestSaveFileHashIsFieldHash(t *testing.T) {
+	m := Meta{N: grid.Dims{X: 5, Y: 4, Z: 3}, Nu: 0.5, StepsDone: 7, Fingerprint: "fp", Options: "o"}
+	f := testField(m.N)
+	path := filepath.Join(t.TempDir(), "ck")
+	hash, err := SaveFileHash(path, m, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := FieldHash(f); hash != want {
+		t.Errorf("SaveFileHash returned %s, FieldHash %s", hash, want)
+	}
+	var want bytes.Buffer
+	if err := Save(&want, m, f); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("SaveFileHash wrote %d bytes that differ from Save's %d (%v)", len(got), want.Len(), err)
 	}
 }

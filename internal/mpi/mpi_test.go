@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -702,6 +704,82 @@ func TestSteadyMessagesAllocateNothing(t *testing.T) {
 	}
 }
 
+// lockWhenWaiting returns holding m.mu once the one goroutine waiting in
+// a get of m — started by the test named test — is polling (parked false:
+// its stack is in the poll's Gosched) or has parked in cond.Wait (parked
+// true). While the lock is held a polling receiver cannot take its next
+// look, so what the caller does to the mailbox lands in the phase it asked
+// for. The caller runs on one P, so the receiver polls at most once for
+// each look this takes at its stack.
+func lockWhenWaiting(t *testing.T, m *mailbox, test string, parked bool) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for {
+		m.mu.Lock()
+		polling, inWait := false, false
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "mpi.(*mailbox).get") && strings.Contains(g, test) {
+				polling = strings.Contains(g, "runtime.Gosched")
+				inWait = strings.Contains(g, "sync.(*Cond).Wait")
+			}
+		}
+		if parked && inWait || !parked && polling {
+			return
+		}
+		m.mu.Unlock()
+		if inWait {
+			t.Fatal("the receiver parked before it was seen polling")
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestPanicReachesPollingAndParkedReceivers: a peer's panic poisons every
+// mailbox, and the poison reaches a receiver in either phase of its wait —
+// one still polling and one already parked in cond.Wait.
+func TestPanicReachesPollingAndParkedReceivers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, parked := range []bool{false, true} {
+		m := newMailbox()
+		got := make(chan any)
+		go func() {
+			defer func() { got <- recover() }()
+			m.get(1, 5)
+		}()
+		lockWhenWaiting(t, m, "TestPanicReachesPollingAndParkedReceivers", parked)
+		m.poisoned = true // what poison does, without letting go of the lock first
+		m.cond.Broadcast()
+		m.mu.Unlock()
+		if p := <-got; !strings.Contains(fmt.Sprint(p), "poisoned") {
+			t.Errorf("parked=%v: receiver ended with %v, want the poison panic", parked, p)
+		}
+	}
+}
+
+// TestPollingReceiverKeepsOrder: messages queued while a receiver polls —
+// its own tag's stream interleaved with another tag's from the same
+// source, and a third rank's on its tag — are taken in non-overtaking
+// order per (source, tag).
+func TestPollingReceiverKeepsOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := newMailbox()
+	first := make(chan envelope)
+	go func() { first <- m.get(0, 1) }()
+	lockWhenWaiting(t, m, "TestPollingReceiverKeepsOrder", false)
+	for _, e := range []envelope{{0, 2, []float64{10}}, {2, 1, []float64{30}}, {0, 1, []float64{11}},
+		{0, 2, []float64{20}}, {0, 1, []float64{12}}, {0, 2, []float64{21}}} {
+		m.enqueue(e.src, e.tag, e.data)
+	}
+	m.mu.Unlock()
+	got := []float64{(<-first).data[0]}
+	for _, st := range [][2]int{{0, 2}, {0, 1}, {0, 2}, {2, 1}, {0, 2}} {
+		got = append(got, m.get(st[0], st[1]).data[0])
+	}
+	if want := []float64{11, 10, 12, 20, 30, 21}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("taken in order %v, want %v", got, want)
+	}
+}
+
 // BenchmarkSendRecv64 is the unit of a halo exchange: a self-send of 64
 // values and its receive, through a recycled slot.
 func BenchmarkSendRecv64(b *testing.B) {
@@ -712,4 +790,24 @@ func BenchmarkSendRecv64(b *testing.B) {
 		c.Send(0, 7, data)
 		c.Recv(0, 7, buf)
 	}
+}
+
+// BenchmarkPingPong64 is a latency-bound exchange: two ranks pass 64
+// values back and forth through Send and Recv, so one op is a round trip
+// in which each rank waits for the other's message once. It times the
+// mailbox's wait policy as much as the copies.
+func BenchmarkPingPong64(b *testing.B) {
+	b.ReportAllocs()
+	NewWorld(2).Run(func(c *Comm) {
+		buf, peer := make([]float64, 64), 1-c.Rank()
+		for i := 0; i < b.N; i++ {
+			if c.Rank() == 0 {
+				c.Send(peer, 1, buf)
+				c.Recv(peer, 1, buf)
+			} else {
+				c.Recv(peer, 1, buf)
+				c.Send(peer, 1, buf)
+			}
+		}
+	})
 }

@@ -315,7 +315,7 @@ func (s *Server) create(sc session.Scenario, seed []byte) (*liveSession, error) 
 	if len(seed) == 0 {
 		return s.launch(sc, checkpoint.Meta{}, nil, "created", &s.sessCount.created)
 	}
-	meta, f, err := checkpoint.Load(bytes.NewReader(seed))
+	meta, f, err := checkpoint.LoadSized(bytes.NewReader(seed), sc.Problem.N)
 	if err != nil {
 		return nil, fmt.Errorf("session: seed checkpoint: %w", err)
 	}

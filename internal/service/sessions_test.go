@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/session"
 )
@@ -487,6 +491,38 @@ func TestRequestBodiesAreBounded(t *testing.T) {
 	} {
 		if got := post(path, body); got != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), got)
+		}
+	}
+}
+
+// TestSeedOfOtherDimsRefused: a seeded create whose checkpoint claims
+// other extents than the scenario's grid is refused with a 400 that names
+// the dims, before the field is read — a bare header that claims
+// 8192×8192×2 included.
+func TestSeedOfOtherDimsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2, SessionDir: t.TempDir()})
+	hostile := []byte("ADVCKPT2")
+	for _, v := range []uint64{8192, 8192, 2} {
+		hostile = binary.LittleEndian.AppendUint64(hostile, v)
+	}
+	var small bytes.Buffer
+	n := grid.Uniform(8)
+	if err := checkpoint.Save(&small, checkpoint.Meta{N: n, Nu: 1}, grid.NewField(n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for name, seed := range map[string][]byte{"8192x8192x2 header": hostile, "8³ checkpoint": small.Bytes()} {
+		body, err := json.Marshal(SessionRequest{Simulate: &SimulateRequest{Kind: "single", N: 16, Steps: 2}, Checkpoint: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "dims") {
+			t.Errorf("%s seeding a 16³ session: %d %s, want 400 naming the dims", name, resp.StatusCode, msg)
 		}
 	}
 }

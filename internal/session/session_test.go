@@ -47,12 +47,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	f := grid.NewField(n, 1)
 	f.Fill(func(i, j, k int) float64 { return float64(i*100 + j*10 + k) })
 	meta := checkpoint.Meta{N: n, Nu: 1, T0: 2, StepsDone: 10, Fingerprint: "fp1", Options: "o1;x=1"}
-	if err := st.SaveCheckpoint(meta, f); err != nil {
+	if _, err := st.SaveCheckpoint(meta, f); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []int64{20, 30, 40} {
 		meta.StepsDone = step
-		if err := st.SaveCheckpoint(meta, f); err != nil {
+		if _, err := st.SaveCheckpoint(meta, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("after prune: %v", steps)
 	}
 	// Checkpoints without a fingerprint are refused.
-	if err := st.SaveCheckpoint(checkpoint.Meta{N: n}, f); err == nil {
+	if _, err := st.SaveCheckpoint(checkpoint.Meta{N: n}, f); err == nil {
 		t.Fatal("fingerprint-less checkpoint accepted")
 	}
 	// Unknown fingerprints read as absent, not as errors.

@@ -45,14 +45,15 @@ func ckptFile(fp string, step int64) string {
 }
 
 // SaveCheckpoint lands one durable segment boundary: the state of m's
-// fingerprint at m.StepsDone, written atomically.
-func (s *Store) SaveCheckpoint(m checkpoint.Meta, f *grid.Field) error {
+// fingerprint at m.StepsDone, written atomically. It returns the state's
+// field hash, taken from the words as they are written.
+func (s *Store) SaveCheckpoint(m checkpoint.Meta, f *grid.Field) (string, error) {
 	if m.Fingerprint == "" {
-		return fmt.Errorf("session: checkpoint carries no fingerprint")
+		return "", fmt.Errorf("session: checkpoint carries no fingerprint")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return checkpoint.SaveFile(filepath.Join(s.dir, ckptFile(m.Fingerprint, m.StepsDone)), m, f)
+	return checkpoint.SaveFileHash(filepath.Join(s.dir, ckptFile(m.Fingerprint, m.StepsDone)), m, f)
 }
 
 // LoadCheckpoint reads the state of fingerprint fp at step.
@@ -130,10 +131,7 @@ func (s *Store) Prune(fp string, retain int) int {
 // session starts from, whoever cut it — and returns the field hash the
 // session's status reports.
 func (s *Store) Own(sc Scenario, meta checkpoint.Meta, f *grid.Field) (string, error) {
-	if err := s.SaveCheckpoint(meta.WithLineage(sc.Fingerprint(), sc.Options.Canonical()), f); err != nil {
-		return "", err
-	}
-	return checkpoint.FieldHash(f), nil
+	return s.SaveCheckpoint(meta.WithLineage(sc.Fingerprint(), sc.Options.Canonical()), f)
 }
 
 // LandSegment makes one finished segment of a session of sc durable: the
