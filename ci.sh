@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
 # build, the full test suite with the race detector, repeated race runs of
-# the mpi waits, ten seconds of fuzzing the checkpoint parser (FuzzLoad),
-# one run of every root-module benchmark, vet and tests of
-# the nested bench/ module, and the nine ns_gate bounds of
+# the mpi waits and of the gateway's ring walk, ten seconds of fuzzing the
+# checkpoint parser (FuzzLoad), one run of every root-module benchmark, vet
+# and tests of the nested bench/ module, and the nine ns_gate bounds of
 # BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
 set -eux
@@ -58,6 +58,11 @@ go test -race -timeout 5m ./...
 # through many interleavings under the race detector: twenty repeats take
 # a couple of seconds.
 go test -race -count=20 -run 'Barrier|Panic|Collectives|Polling' ./internal/mpi
+
+# The gateway's one ring walk (place) meets a shed, a long Retry-After, a
+# drain 503 and a node without sessions in these tests; twenty race runs
+# take a few seconds.
+go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRetryAfter' ./internal/cluster
 
 # checkpoint.Load parses untrusted bytes: a seeded session create carries a
 # checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed

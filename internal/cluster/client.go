@@ -22,7 +22,7 @@ import (
 // connections it left idle instead of leaving a node's graceful shutdown
 // to wait them out.
 type nodeClient struct {
-	hc     *http.Client // short requests (submit, stats, health)
+	hc     *http.Client // short requests (placements, proxies, stats, health)
 	stream *http.Client // long-lived SSE reads; no overall timeout
 }
 
@@ -97,30 +97,13 @@ func (r *nodeResponse) relay(w http.ResponseWriter) {
 	service.WriteRaw(w, r.status, r.header.Get("Content-Type"), r.body)
 }
 
-// submitResult is one node's answer to a forwarded POST /v1/jobs.
-type submitResult struct {
-	Status     int
-	RetryAfter time.Duration // parsed Retry-After on 429/503; 0 if absent
-	Body       []byte        // the node's response document as sent
-	View       service.View  // decoded body on 200/202
-}
-
-// submit forwards an already-encoded request body to a node.
-func (c *nodeClient) submit(ctx context.Context, baseURL string, body []byte) (*submitResult, error) {
-	resp, err := c.do(ctx, http.MethodPost, baseURL+"/v1/jobs", body)
-	if err != nil {
-		return nil, err
+// retryAfter is the node's Retry-After in whole seconds; 0 if absent.
+func (r *nodeResponse) retryAfter() time.Duration {
+	secs, err := strconv.Atoi(r.header.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return 0
 	}
-	res := &submitResult{Status: resp.status, Body: resp.body}
-	if secs, err := strconv.Atoi(resp.header.Get("Retry-After")); err == nil && secs >= 0 {
-		res.RetryAfter = time.Duration(secs) * time.Second
-	}
-	if resp.status == http.StatusOK || resp.status == http.StatusAccepted {
-		if err := resp.expect("submit response", resp.status, &res.View); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return time.Duration(secs) * time.Second
 }
 
 // spans fetches a job's raw span log from a node for the dead-node

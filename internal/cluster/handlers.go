@@ -67,7 +67,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		var bad *badRequest
 		switch {
 		case errors.As(err, &bad):
-			service.WriteRaw(w, http.StatusBadRequest, "application/json", bad.Body)
+			bad.resp.relay(w)
 		case errors.As(err, &shed):
 			ra := shed.RetryAfter
 			if ra < time.Second {
@@ -147,7 +147,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, t *table, los
 		service.WriteBadBody(w, err)
 		return nil, nil, false
 	}
-	url := r.members.URL(e.node) + t.prefix + e.id + strings.TrimPrefix(req.URL.Path, t.prefix+id)
+	url := r.members.URL(e.node) + t.route + "/" + e.id + strings.TrimPrefix(req.URL.Path, t.route+"/"+id)
 	if req.URL.RawQuery != "" {
 		url += "?" + req.URL.RawQuery
 	}

@@ -68,8 +68,8 @@ func (c Config) withDefaults() Config {
 type GatewayCounters struct {
 	// Submits counts client submissions accepted somewhere in the cluster.
 	Submits uint64 `json:"submits"`
-	// Failovers counts submissions that left the owner shard for a ring
-	// successor (load shed, drain, or node failure).
+	// Failovers counts placements, jobs and sessions alike, that left the
+	// owner shard for a ring successor (load shed, drain, or node failure).
 	Failovers uint64 `json:"failovers"`
 	// BriefRetries counts 429s absorbed by honoring a short Retry-After
 	// on the owner instead of failing over.
@@ -85,8 +85,8 @@ type GatewayCounters struct {
 	// already in-flight (or just rerouted) job with the same fingerprint
 	// instead of submitting again.
 	Deduped uint64 `json:"deduped"`
-	// Shed counts client submissions rejected cluster-wide (every
-	// routable shard full).
+	// Shed counts placements, jobs and sessions alike, that no routable
+	// shard took.
 	Shed uint64 `json:"shed"`
 	// SessionRoutes counts sessions placed on a shard by fingerprint.
 	SessionRoutes uint64 `json:"session_routes"`
@@ -99,13 +99,13 @@ type GatewayCounters struct {
 }
 
 // entry is the gateway's record of one routed job or session: the shard
-// that holds it, its routing fingerprint, and the encoded request (kept so
-// the work can be re-submitted elsewhere if its node dies). When that
-// happens the old entry forwards to its successor, so the id the client
-// holds keeps answering. A session entry also carries the newest
-// checkpoint the sync sweep has replicated off the owner — the bytes that
-// seed the successor. id, node, fp, body and the trace fields never change
-// after the entry is tabled; the rest is guarded by Router.mu.
+// that holds it, its routing fingerprint, its cluster-wide correlation id,
+// and the encoded request (kept so the work can be re-submitted elsewhere
+// if its node dies). When that happens the old entry forwards to its
+// successor, so the id the client holds keeps answering. A session entry
+// also carries the newest checkpoint the sync sweep has replicated off the
+// owner — the bytes that seed the successor. id, node, fp, body and trace
+// never change after the entry is tabled; the rest is guarded by Router.mu.
 type entry struct {
 	id       string // node-issued id (globally unique via the NodeID prefix)
 	node     string
@@ -115,26 +115,31 @@ type entry struct {
 	lost     string // non-empty: the node died and re-homing failed
 	replaced *entry // forwarding pointer after a reroute or resume
 
-	trace   submissionTrace // a traced job's gateway trace state, else the zero value
-	traceID string          // a session's cluster-wide correlation id
+	// trace carries the correlation id; only a traced job also records
+	// gw.* spans. A dead-node resubmission continues the same trace.
+	trace submissionTrace
 
 	ckpt     []byte // a session's newest replicated checkpoint bytes
 	ckptStep int64
 }
 
 // table holds one kind of routed entry, jobs or sessions, by the id the
-// gateway handed the client: everything the proxied routes under
-// /v1/<kind>/{id} need to find the current owner and to word an error.
+// gateway handed the client: everything place needs to put the kind on a
+// shard, and everything the proxied routes under /v1/<kind>/{id} need to
+// find the current owner and to word an error. What the kinds do
+// differently is data here, not a branch in place.
 type table struct {
 	noun    string // "job", "session"
-	prefix  string // "/v1/jobs/", "/v1/sessions/": where a node serves the kind
+	route   string // "/v1/jobs", "/v1/sessions": where a node takes and serves the kind
 	entries map[string]*entry
+	byFP    map[string]*entry // in-flight entry per fingerprint, the reroute's dedup; jobs only
+	placed  *uint64           // the kind's placement counter in Router.counters
 }
 
 // Router is the cluster gateway: it owns the hash ring, the membership
-// table, the gateway job table, and the federated telemetry hub. Construct
-// with NewRouter, start the background loops with Start, expose via
-// Handler, stop with Stop.
+// table, the gateway's job and session tables, and the federated telemetry
+// hub. Construct with NewRouter, start the background loops with Start,
+// expose via Handler, stop with Stop.
 type Router struct {
 	cfg     Config
 	log     *slog.Logger
@@ -148,7 +153,6 @@ type Router struct {
 	mu       sync.Mutex
 	jobs     *table
 	sessions *table
-	byFP     map[string]*entry // in-flight job per fingerprint (dedup)
 	counters GatewayCounters
 
 	runCtx  context.Context
@@ -162,16 +166,17 @@ type Router struct {
 func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	r := &Router{
-		cfg:      cfg,
-		log:      cfg.Logger,
-		client:   newNodeClient(),
-		members:  NewMembership(cfg.Members, cfg.FailThreshold, time.Now()),
-		hub:      telemetry.NewHub(),
-		tele:     NewGatewayTelemetry(),
-		jobs:     &table{noun: "job", prefix: "/v1/jobs/", entries: map[string]*entry{}},
-		sessions: &table{noun: "session", prefix: "/v1/sessions/", entries: map[string]*entry{}},
-		byFP:     map[string]*entry{},
+		cfg:     cfg,
+		log:     cfg.Logger,
+		client:  newNodeClient(),
+		members: NewMembership(cfg.Members, cfg.FailThreshold, time.Now()),
+		hub:     telemetry.NewHub(),
+		tele:    NewGatewayTelemetry(),
 	}
+	r.jobs = &table{noun: "job", route: "/v1/jobs", entries: map[string]*entry{},
+		byFP: map[string]*entry{}, placed: &r.counters.Submits}
+	r.sessions = &table{noun: "session", route: "/v1/sessions", entries: map[string]*entry{},
+		placed: &r.counters.SessionRoutes}
 	r.rebuildRing()
 	r.mux = service.Mount(r.routes(), cfg.EnablePprof)
 	return r
@@ -271,12 +276,12 @@ var (
 	ErrNoNodes = errors.New("cluster: no routable nodes")
 	// errShed wraps a cluster-wide 429 and carries the longest
 	// Retry-After any shard advertised.
-	errShed = errors.New("cluster: every routable shard shed the job")
+	errShed = errors.New("cluster: every routable shard shed the submission")
 )
 
-// shedError is returned when every routable shard rejected the submit. It
-// carries the nodes tried and the dispatch count so the 429 body tells the
-// client exactly which shards turned the job away.
+// shedError is returned when every routable shard rejected the submission.
+// It carries the nodes tried and the dispatch count so the answer tells the
+// client exactly which shards turned the work away.
 type shedError struct {
 	RetryAfter time.Duration
 	Nodes      []string
@@ -286,20 +291,18 @@ type shedError struct {
 func (e *shedError) Error() string { return errShed.Error() }
 func (e *shedError) Unwrap() error { return errShed }
 
-// badRequest carries a node's 400 response straight back to the client.
+// badRequest carries a node's 4xx answer straight back to the client.
 type badRequest struct {
-	Body []byte
+	resp *nodeResponse
 }
 
 func (e *badRequest) Error() string { return "cluster: node rejected request" }
 
-// Submit routes one client submission: consistent-hash owner first,
-// Retry-After-honoring brief retry on a shedding owner, then failover around
-// the ring. On success the returned view names the node that accepted the
-// job. A traced request gets a trace id minted here and sent in its
-// trace_id field: the gateway records its own routing spans and joins the
-// owner's spans to them when the trace is read, so the job's Chrome trace
-// starts at the gateway, not at the node.
+// Submit routes one client submission through place. A traced request
+// gets a trace id minted here and sent in its trace_id field: the gateway
+// records its own routing spans and joins the owner's spans to them when the
+// trace is read, so the job's Chrome trace starts at the gateway, not at the
+// node.
 func (r *Router) Submit(ctx context.Context, req service.Request) (service.View, string, error) {
 	var tr submissionTrace
 	if req.Traced() {
@@ -310,25 +313,31 @@ func (r *Router) Submit(ctx context.Context, req service.Request) (service.View,
 	if err != nil {
 		return service.View{}, "", fmt.Errorf("encode request: %w", err)
 	}
-	res, nodeID, err := r.routeBody(ctx, req.CacheKey(), body, tr)
+	e, resp, err := r.place(ctx, r.jobs, req.CacheKey(), body, tr)
 	if err != nil {
 		return service.View{}, "", err
 	}
-	return res.View, nodeID, nil
+	var v service.View
+	err = resp.expect("submit response", resp.status, &v)
+	return v, e.node, err
 }
 
-// routeBody is the routing core shared by client submits and death
-// reroutes: pick the owner by fingerprint, walk ring successors on
-// rejection, honor brief Retry-After hints in place, and record the
-// accepted job in the gateway table. Each dispatch attempt is one request:
-// the owner's own cache answers a repeat. With a traced submission every
-// routing decision lands as a gw.* span: the route lookup, each dispatch,
-// each brief retry wait, and each failover.
-func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submissionTrace) (*submitResult, string, error) {
+// place is the one ring walk that puts work on a shard: client submits,
+// session creates, dead-node reroutes and session resumes all make it.
+// It POSTs body to the table's route on the fingerprint's owner, honors a
+// brief Retry-After there in place, and fails over to the ring successor
+// on a transport error, a shed, a 503 or a 5xx; any other 4xx stops the
+// walk with the shard's answer as a *badRequest. Each dispatch attempt is
+// one request: the owner's own cache answers a repeat. The accepted entry
+// is tabled, with the submission's trace, and returned with the shard's
+// answer. With a traced submission every routing decision lands as a gw.*
+// span: the route lookup, each dispatch, each brief retry wait, and each
+// failover.
+func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr submissionTrace) (*entry, *nodeResponse, error) {
 	ring := r.ring.Load()
 	n := len(ring.Nodes())
 	if n == 0 {
-		return nil, "", ErrNoNodes
+		return nil, nil, ErrNoNodes
 	}
 	started := time.Now()
 	var maxRetryAfter time.Duration
@@ -342,7 +351,7 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submi
 		}
 		tried = append(tried, nodeID)
 		tr.add(obs.PhaseGWRoute, nodeID, routeStart, tr.clock())
-		baseURL := r.members.URL(nodeID)
+		url := r.members.URL(nodeID) + t.route
 		retried := false
 		dispatchFrom := tr.clock()
 		for {
@@ -351,91 +360,85 @@ func (r *Router) routeBody(ctx context.Context, fp string, body []byte, tr submi
 			// itself is the gw.handoff span the joined trace adds.
 			preSend := tr.clock()
 			tr.add(obs.PhaseGWSubmit, nodeID, dispatchFrom, preSend)
-			res, err := r.client.submit(ctx, baseURL, body)
-			if err != nil {
+			resp, err := r.client.do(ctx, http.MethodPost, url, body)
+			var placed struct {
+				ID    string        `json:"id"`
+				State service.State `json:"state"`
+			}
+			if err == nil && (resp.status == http.StatusOK || resp.status == http.StatusAccepted) {
+				err = resp.expect(t.noun, resp.status, &placed)
+			}
+			switch {
+			case err != nil:
 				if ctx.Err() != nil {
-					return nil, "", ctx.Err()
+					return nil, nil, ctx.Err()
 				}
-				r.log.Warn("submit forward failed", traceArgs(tr, "node", nodeID,
+				r.log.Warn("forward failed", traceArgs(tr, "kind", t.noun, "node", nodeID,
 					"attempt", attempts, "error", err)...)
 				r.nodeFailed(nodeID, err)
-				tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
-				r.tele.RecordFailover(time.Now())
-				break // next ring successor
-			}
-			switch res.Status {
-			case http.StatusOK, http.StatusAccepted:
-				r.recordAccepted(res, nodeID, fp, body, attempt > 0, tr)
+			case resp.status == http.StatusOK || resp.status == http.StatusAccepted:
+				// A job cache hit arrives already done.
+				e := &entry{id: placed.ID, node: nodeID, fp: fp, body: body, terminal: placed.State.Terminal(), trace: tr}
+				r.mu.Lock()
+				t.entries[e.id] = e
+				if t.byFP != nil && !e.terminal {
+					t.byFP[fp] = e
+				}
+				*t.placed++
+				if attempt > 0 {
+					r.counters.Failovers++
+				}
+				r.mu.Unlock()
 				now := time.Now()
 				r.tele.RecordRoute(now, nodeID, now.Sub(started), attempts)
-				r.log.Info("job routed", traceArgs(tr, "node", nodeID, "attempt", attempts,
-					"job", res.View.ID, "failover", attempt > 0)...)
-				return res, nodeID, nil
-			case http.StatusBadRequest:
-				return nil, "", &badRequest{Body: res.Body}
-			case http.StatusTooManyRequests:
-				if res.RetryAfter > maxRetryAfter {
-					maxRetryAfter = res.RetryAfter
-				}
+				r.log.Info("routed", traceArgs(tr, "kind", t.noun, "node", nodeID, "attempt", attempts,
+					"id", e.id, "fingerprint", fp, "failover", attempt > 0)...)
+				return e, resp, nil
+			case resp.status == http.StatusTooManyRequests:
+				ra := resp.retryAfter()
+				maxRetryAfter = max(maxRetryAfter, ra)
 				// Honor a brief Retry-After in place: the owner keeps its
 				// cache affinity and the wait is bounded; a longer wait
 				// means the shard is genuinely backed up, so move on.
-				if !retried && res.RetryAfter > 0 && res.RetryAfter <= r.cfg.RetryWait {
+				if !retried && ra > 0 && ra <= r.cfg.RetryWait {
 					retried = true
 					waitStart := tr.clock()
-					if !sleepCtx(ctx, res.RetryAfter) {
-						return nil, "", ctx.Err()
+					if !sleepCtx(ctx, ra) {
+						return nil, nil, ctx.Err()
 					}
 					r.tele.RecordRetry(time.Now())
 					dispatchFrom = tr.clock()
 					tr.add(obs.PhaseGWRetry, nodeID, waitStart, dispatchFrom)
 					continue
 				}
-				r.log.Info("shard shed, failing over", traceArgs(tr, "node", nodeID,
-					"attempt", attempts, "retry_after", res.RetryAfter)...)
-				tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
-				r.tele.RecordFailover(time.Now())
-			case http.StatusServiceUnavailable:
-				// The node started draining between health sweeps; adopt
-				// the state now so the ring reroutes its range.
-				if r.members.ReportDraining(nodeID, time.Now()) {
+				r.log.Info("shard shed, failing over", traceArgs(tr, "kind", t.noun, "node", nodeID,
+					"attempt", attempts, "retry_after", ra)...)
+			case resp.status == http.StatusServiceUnavailable:
+				// A node that started draining between health sweeps says
+				// so; adopt the state now so the ring reroutes its range. A
+				// node without a session store answers 503 too, and is up.
+				var doc service.ErrorDoc
+				if json.Unmarshal(resp.body, &doc) == nil && doc.Error == service.ErrDraining.Error() &&
+					r.members.ReportDraining(nodeID, time.Now()) {
 					r.rebuildRing()
 					r.log.Info("node draining (learned from 503)",
 						traceArgs(tr, "node", nodeID, "attempt", attempts)...)
 				}
-				tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
-				r.tele.RecordFailover(time.Now())
+			case resp.status >= 400 && resp.status < 500:
+				return nil, nil, &badRequest{resp}
 			default:
-				r.log.Warn("unexpected submit status", traceArgs(tr, "node", nodeID,
-					"attempt", attempts, "status", res.Status)...)
-				tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
-				r.tele.RecordFailover(time.Now())
+				r.log.Warn("unexpected status", traceArgs(tr, "kind", t.noun, "node", nodeID,
+					"attempt", attempts, "status", resp.status)...)
 			}
+			tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
+			r.tele.RecordFailover(time.Now())
 			break // next ring successor
 		}
 	}
 	r.tele.RecordShed(time.Now())
-	r.log.Warn("submission shed cluster-wide", traceArgs(tr, "nodes", tried,
+	r.log.Warn("submission shed cluster-wide", traceArgs(tr, "kind", t.noun, "nodes", tried,
 		"attempts", attempts, "retry_after", maxRetryAfter)...)
-	return nil, "", &shedError{RetryAfter: maxRetryAfter, Nodes: tried, Attempts: attempts}
-}
-
-// recordAccepted lands an accepted job in the gateway table. The trace
-// state is kept with the entry so a dead-node resubmission continues the
-// same trace instead of starting a fresh one.
-func (r *Router) recordAccepted(res *submitResult, nodeID, fp string, body []byte, failover bool, tr submissionTrace) {
-	terminal := res.View.State.Terminal() // cache hits arrive already done
-	e := &entry{id: res.View.ID, node: nodeID, fp: fp, body: body, terminal: terminal, trace: tr}
-	r.mu.Lock()
-	r.jobs.entries[e.id] = e
-	if !terminal {
-		r.byFP[fp] = e
-	}
-	r.counters.Submits++
-	if failover {
-		r.counters.Failovers++
-	}
-	r.mu.Unlock()
+	return nil, nil, &shedError{RetryAfter: maxRetryAfter, Nodes: tried, Attempts: attempts}
 }
 
 // resolve follows an id through any forwarding chain to the entry that
@@ -459,8 +462,8 @@ func (r *Router) resolve(t *table, id string) (e *entry, lost string, ok bool) {
 func (r *Router) finish(e *entry) {
 	r.mu.Lock()
 	e.terminal = true
-	if r.byFP[e.fp] == e {
-		delete(r.byFP, e.fp)
+	if r.jobs.byFP[e.fp] == e {
+		delete(r.jobs.byFP, e.fp)
 	}
 	r.mu.Unlock()
 }
@@ -537,9 +540,9 @@ func (r *Router) sweepHealth(ctx context.Context) {
 // rerouteDead re-homes the dead node's in-flight jobs. Jobs are grouped by
 // fingerprint and each fingerprint is submitted at most once: if an
 // equivalent job is already in flight on a live shard the dead jobs simply
-// alias onto it, otherwise one re-submission goes through the normal
-// routing path. Accepted jobs are therefore never lost, and no fingerprint
-// executes twice because of the reroute.
+// alias onto it, otherwise one re-submission goes through place. Accepted
+// jobs are therefore never lost, and no fingerprint executes twice because
+// of the reroute.
 func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 	groups := map[string][]*entry{}
 	for _, e := range r.unfinished(r.jobs, deadID) {
@@ -548,7 +551,7 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 	r.mu.Lock()
 	alive := map[string]*entry{}
 	for fp := range groups {
-		if cur, ok := r.byFP[fp]; ok && cur.node != deadID && !cur.terminal && cur.replaced == nil {
+		if cur, ok := r.jobs.byFP[fp]; ok && cur.node != deadID && !cur.terminal && cur.replaced == nil {
 			alive[fp] = cur
 		}
 	}
@@ -579,7 +582,7 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 			}
 			tr.add(obs.PhaseGWResubmit, deadID, start, tr.clock())
 		}
-		res, nodeID, err := r.routeBody(ctx, fp, entries[0].body, tr)
+		tgt, _, err := r.place(ctx, r.jobs, fp, entries[0].body, tr)
 		if err != nil {
 			r.lose(entries, fmt.Sprintf("node %s died and re-submit failed: %v", deadID, err))
 			r.log.Error("reroute failed", traceArgs(tr, "node", deadID,
@@ -587,15 +590,14 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 			continue
 		}
 		r.mu.Lock()
-		tgt := r.jobs.entries[res.View.ID]
 		for _, e := range entries {
 			e.replaced = tgt
 		}
 		r.counters.Deduped += uint64(len(entries) - 1)
 		r.mu.Unlock()
 		r.tele.RecordReroute(time.Now())
-		r.log.Info("jobs rerouted", traceArgs(tr, "from", deadID, "to", nodeID,
-			"fingerprint", fp, "jobs", len(entries), "new_job", res.View.ID)...)
+		r.log.Info("jobs rerouted", traceArgs(tr, "from", deadID, "to", tgt.node,
+			"fingerprint", fp, "jobs", len(entries), "new_job", tgt.id)...)
 	}
 }
 
@@ -638,9 +640,9 @@ func (r *Router) DrainNode(ctx context.Context, id string) error {
 	return nil
 }
 
-// traceArgs appends the submission's trace id to a routing log line's
-// attributes when the job is traced, so gateway log records correlate
-// with the distributed trace they belong to.
+// traceArgs appends the submission's correlation id to a routing log
+// line's attributes when it has one (a traced job, every session), so
+// gateway log records correlate with the trace they belong to.
 func traceArgs(tr submissionTrace, args ...any) []any {
 	if tr.id != "" {
 		return append(args, "trace_id", tr.id)

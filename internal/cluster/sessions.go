@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"repro/internal/obs"
@@ -17,12 +18,12 @@ type labelledSession struct {
 	Node string `json:"node"`
 }
 
-// handleSessionCreate routes a new session to the shard that owns its
-// fingerprint. A session with no trace id gets one minted here, so the
+// handleSessionCreate places a new session through place, as a job is
+// placed. A session with no trace id gets one minted here, so the
 // trajectory stays one logical trace however many owners it passes
-// through. Shards that cannot take the session (draining, sessions
-// disabled) fail over to the next ring successor. The body bound is the
-// default node limit's: the gateway does not know its members' -maxn.
+// through. A shard's 4xx is relayed; a create no shard takes answers 503.
+// The body bound is the default node limit's: the gateway does not know
+// its members' -maxn.
 func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	var sreq service.SessionRequest
 	if err := service.DecodeBody(w, req, service.DefaultLimits().SessionBodyBytes(), &sreq); err != nil {
@@ -42,63 +43,21 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 		service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
 		return
 	}
-	e, resp, err := r.routeSession(req.Context(), fp, sreq.TraceID, body)
-	if err != nil {
+	e, resp, err := r.place(req.Context(), r.sessions, fp, body, submissionTrace{id: sreq.TraceID})
+	var bad *badRequest
+	switch {
+	case errors.As(err, &bad):
+		bad.resp.relay(w)
+	case err != nil:
 		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
-		return
-	}
-	var v session.View
-	if e == nil || json.Unmarshal(resp.body, &v) != nil {
-		resp.relay(w) // a shard answered with a client error; pass it through
-		return
-	}
-	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
-}
-
-// routeSession walks the ring from the fingerprint's owner until a shard
-// accepts the session. 4xx answers are the client's problem and stop the
-// walk (nil entry, the shard's answer); 503 (draining or sessions
-// disabled) and transport errors move to the next successor. On acceptance
-// the session lands in the gateway table so status polls, the checkpoint
-// sync sweep, and dead-owner resumes can find it.
-func (r *Router) routeSession(ctx context.Context, fp, traceID string, body []byte) (*entry, *nodeResponse, error) {
-	ring := r.ring.Load()
-	n := len(ring.Nodes())
-	for attempt := 0; attempt < n; attempt++ {
-		nodeID := ring.LookupOffset(fp, attempt)
-		if r.members.State(nodeID) != NodeUp {
-			continue
+	default:
+		var v session.View
+		if json.Unmarshal(resp.body, &v) != nil {
+			resp.relay(w)
+			return
 		}
-		resp, err := r.client.do(ctx, http.MethodPost, r.members.URL(nodeID)+"/v1/sessions", body)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			r.log.Warn("session forward failed", "node", nodeID, "error", err, "trace_id", traceID)
-			r.nodeFailed(nodeID, err)
-			continue
-		}
-		switch resp.status {
-		case http.StatusAccepted, http.StatusOK:
-			var v session.View
-			if err := json.Unmarshal(resp.body, &v); err != nil {
-				return nil, nil, err
-			}
-			e := &entry{id: v.ID, node: nodeID, fp: fp, body: body, traceID: traceID}
-			r.mu.Lock()
-			r.sessions.entries[e.id] = e
-			r.counters.SessionRoutes++
-			r.mu.Unlock()
-			r.log.Info("session routed", "node", nodeID, "session", v.ID,
-				"fingerprint", fp, "trace_id", traceID, "failover", attempt > 0)
-			return e, resp, nil
-		case http.StatusServiceUnavailable:
-			r.log.Info("shard cannot host session, failing over", "node", nodeID, "trace_id", traceID)
-		default:
-			return nil, resp, nil
-		}
+		service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
 	}
-	return nil, nil, ErrNoNodes
 }
 
 // handleSessionStatus proxies a session poll to its current owner and
@@ -135,7 +94,7 @@ func (r *Router) handleSessionFork(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	r.sessions.entries[v.ID] = &entry{id: v.ID, node: e.node, fp: v.Fingerprint, traceID: v.TraceID}
+	r.sessions.entries[v.ID] = &entry{id: v.ID, node: e.node, fp: v.Fingerprint, trace: submissionTrace{id: v.TraceID}}
 	r.mu.Unlock()
 	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
 }
@@ -191,23 +150,18 @@ func (r *Router) resumeDeadSessions(ctx context.Context, deadID string) {
 		if err != nil {
 			continue
 		}
-		succ, _, err := r.routeSession(ctx, e.fp, e.traceID, body)
-		if err != nil || succ == nil {
-			msg := "node " + deadID + " died and the session resume failed"
-			if err != nil {
-				msg += ": " + err.Error()
-			}
-			r.lose([]*entry{e}, msg)
-			r.log.Error("session resume failed", "session", e.id, "node", deadID,
-				"trace_id", e.traceID, "error", err)
+		succ, _, err := r.place(ctx, r.sessions, e.fp, body, e.trace)
+		if err != nil {
+			r.lose([]*entry{e}, "node "+deadID+" died and the session resume failed: "+err.Error())
+			r.log.Error("session resume failed", traceArgs(e.trace, "session", e.id, "node", deadID,
+				"error", err)...)
 			continue
 		}
 		r.mu.Lock()
 		e.replaced = succ
 		r.counters.SessionResumes++
 		r.mu.Unlock()
-		r.log.Info("session resumed on survivor", "session", e.id, "from", deadID,
-			"to", succ.node, "successor", succ.id, "checkpoint_step", ckptStep,
-			"trace_id", e.traceID)
+		r.log.Info("session resumed on survivor", traceArgs(e.trace, "session", e.id, "from", deadID,
+			"to", succ.node, "successor", succ.id, "checkpoint_step", ckptStep)...)
 	}
 }

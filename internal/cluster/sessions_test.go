@@ -368,3 +368,86 @@ func TestGatewayBodiesAreBounded(t *testing.T) {
 		}
 	}
 }
+
+// sessionOwner is the ring owner of a session create body's fingerprint
+// among nodes n1 and n2, and the other node.
+func sessionOwner(t *testing.T, body string) (string, string) {
+	t.Helper()
+	var sreq service.SessionRequest
+	if err := json.Unmarshal([]byte(body), &sreq); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := service.SessionFingerprint(sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if NewRing([]string{"n1", "n2"}, DefaultVNodes).Lookup(fp) == "n1" {
+		return "n1", "n2"
+	}
+	return "n2", "n1"
+}
+
+// postDrain starts a node's own graceful drain, behind the gateway's back.
+func postDrain(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	resp, err := testClient.Post(ts.URL+"/v1/drain", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("drain: status %d", resp.StatusCode)
+	}
+}
+
+const placedSession = `{"simulate":{"kind":"bulk","n":8,"steps":40},"segment":10}`
+
+// TestClusterSessionCreateLearnsDrainingOwner: a session create whose
+// owner drained between health sweeps fails over like a job submit, and
+// the owner's drain 503 marks it draining on the gateway. No health sweep
+// runs, so only the create can have taught the gateway the drain.
+func TestClusterSessionCreateLearnsDrainingOwner(t *testing.T) {
+	owner, other := sessionOwner(t, placedSession)
+	tc := startSessionCluster(t, Config{HealthInterval: time.Hour, SessionSyncInterval: time.Hour}, "n1", "n2")
+	postDrain(t, tc.nodes[owner])
+
+	status, v := tc.createSession(t, placedSession)
+	if status != http.StatusAccepted || v.Node != other {
+		t.Fatalf("create: status %d on %q, want 202 on %s", status, v.Node, other)
+	}
+	if st := tc.router.Members().State(owner); st != NodeDraining {
+		t.Errorf("owner %s is %s after its drain 503, want %s", owner, st, NodeDraining)
+	}
+	if c := tc.router.Counters(); c.SessionRoutes != 1 || c.Failovers != 1 || c.Submits != 0 {
+		t.Errorf("counters = %+v, want 1 session route, 1 failover, 0 submits", c)
+	}
+}
+
+// TestClusterSessionCreateSkipsShardWithoutSessions: a node without a
+// session store answers a create 503 too, but it is not draining: the
+// create fails over and the owner stays up. Once the other node drains as
+// well, no shard takes the create and the gateway answers 503.
+func TestClusterSessionCreateSkipsShardWithoutSessions(t *testing.T) {
+	owner, other := sessionOwner(t, placedSession)
+	mOwner, tsOwner := startNode(t, owner)
+	t.Cleanup(tsOwner.Close) // runs after the cluster's teardown
+	tc := startSessionCluster(t, Config{Members: []Member{mOwner},
+		HealthInterval: time.Hour, SessionSyncInterval: time.Hour}, other)
+
+	status, v := tc.createSession(t, placedSession)
+	if status != http.StatusAccepted || v.Node != other {
+		t.Fatalf("create: status %d on %q, want 202 on %s", status, v.Node, other)
+	}
+	if st := tc.router.Members().State(owner); st != NodeUp {
+		t.Errorf("owner %s without sessions is %s, want %s", owner, st, NodeUp)
+	}
+
+	postDrain(t, tc.nodes[other])
+	if status, _ := tc.createSession(t, placedSession); status != http.StatusServiceUnavailable {
+		t.Errorf("create refused by every shard: status %d, want 503", status)
+	}
+	if st := tc.router.Members().State(owner); st != NodeUp {
+		t.Errorf("owner %s without sessions is %s, want %s", owner, st, NodeUp)
+	}
+}

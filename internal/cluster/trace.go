@@ -8,12 +8,14 @@ import (
 // id minted at admission, which the owning node receives in the request's
 // trace_id field, and the gw.* span recorder the gateway keeps. One
 // submissionTrace follows a submission through every routing attempt, any
-// failover, and — via the gateway job table — a dead-node resubmission, so
-// the trace the gateway serves holds the full routing history.
+// failover, and — via the gateway table — a dead-node resubmission, so
+// the trace the gateway serves holds the full routing history. A session
+// carries an id and a nil recorder: its log lines correlate, and it records
+// no gw.* spans.
 //
-// The zero value is an untraced request: no id and a nil *obs.Recorder,
+// The zero value is an untraced job: no id and a nil *obs.Recorder,
 // which is nil-safe by contract, so every method below no-ops and
-// allocates nothing and routeBody never branches on an "enabled" flag. The
+// allocates nothing and place never branches on an "enabled" flag. The
 // ci.sh gateway bench gate (BENCH_guards.json) holds that path to
 // allocation-free.
 type submissionTrace struct {
