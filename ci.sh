@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
 # build, the full test suite with the race detector, repeated race runs of
-# the mpi waits and of the gateway's ring walk, ten seconds of fuzzing the
-# checkpoint parser (FuzzLoad), one run of every root-module benchmark, vet
+# the mpi waits and of the gateway's ring walk, ten seconds each of fuzzing
+# the checkpoint parser (FuzzLoad) and the Gaussian's exp row against
+# math.Exp (FuzzGaussRow), one run of every root-module benchmark, vet
 # and tests of the nested bench/ module, and the nine ns_gate bounds of
 # BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
@@ -26,9 +27,10 @@ if [ "$prose_bytes" -gt 45000 ]; then
 fi
 
 go vet ./...
-# The stencil's Go row loop is the only one off amd64 (kernel_other.go):
-# vetting that build keeps it compiling.
-GOARCH=arm64 go vet ./internal/stencil
+# The stencil's Go row loop and the Gaussian's scalar exp loop are the only
+# ones off amd64 (kernel_other.go, exp_other.go): vetting that build keeps
+# them compiling.
+GOARCH=arm64 go vet ./internal/stencil ./internal/grid
 
 # advectlint gate: the project-invariant static analyzer suite
 # (internal/lint + cmd/advectlint) must report nothing; its findings are
@@ -68,6 +70,10 @@ go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRe
 # checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed
 # corpus must find no panic and no inconsistent accepted file.
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/checkpoint
+
+# The Gaussian's vector exp row must equal math.Exp bit for bit on every
+# input, tame or not: ten seconds of FuzzGaussRow beyond its seed corpus.
+go test -run '^$' -fuzz '^FuzzGaussRow$' -fuzztime 10s ./internal/grid
 
 # Every benchmark of the root module runs once (-benchtime 1x), timing
 # unjudged: a benchmark a change breaks — a renamed call, a buffer too

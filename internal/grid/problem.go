@@ -63,16 +63,22 @@ func (g Gaussian) Analytic(n Dims, c Velocity, t float64, i, j, k int) float64 {
 
 // GaussianTable evaluates the wave translated by c·t over a box of global
 // grid indices from per-axis tables of the squared minimal-image offsets:
-// three math.Mod per table entry instead of three per point, and one
-// math.Exp per point. The three squares are summed in Analytic's order, so
-// every value is Analytic's (at t = 0, Eval's) bit for bit. Fill and
-// DiffSums take a range of the box's x-rows, flattened as (k, j) like
-// stencil.Rows, so a thread team splits one box and a rank set splits the
-// grid.
+// three math.Mod per table entry instead of three per point, and one exp
+// per point, taken four at a time by expRow where it can. The three squares
+// are summed in Analytic's order, so every value is Analytic's (at t = 0,
+// Eval's) bit for bit. Fill and DiffSums take a range of the box's x-rows,
+// flattened as (k, j) like stencil.Rows, so a thread team splits one box
+// and a rank set splits the grid.
 type GaussianTable struct {
 	x2, y2, z2 []float64
 	den        float64 // 2σ²
+	tame       bool    // every exp argument lies in [-expTame, 0]
 }
+
+// expTame bounds the exp arguments of a table whose rows the vector body
+// may take: far inside the ±708 beyond which math.Exp leaves its normal
+// branch for its denormal or overflow one, which the body does not copy.
+const expTame = 512
 
 // Table builds the tables of the wave at time t (t = 0: the initial
 // condition, whatever c) over box, which is in global indices of the
@@ -86,12 +92,34 @@ func (g Gaussian) Table(n Dims, c Velocity, t float64, box Subdomain) *GaussianT
 		}
 		return sq
 	}
-	return &GaussianTable{
-		x2:  axis(box.Lo.X, box.Size.X, c.X*t, g.Center[0], float64(n.X)),
-		y2:  axis(box.Lo.Y, box.Size.Y, c.Y*t, g.Center[1], float64(n.Y)),
-		z2:  axis(box.Lo.Z, box.Size.Z, c.Z*t, g.Center[2], float64(n.Z)),
-		den: 2 * g.Sigma * g.Sigma,
+	return newGaussianTable(
+		axis(box.Lo.X, box.Size.X, c.X*t, g.Center[0], float64(n.X)),
+		axis(box.Lo.Y, box.Size.Y, c.Y*t, g.Center[1], float64(n.Y)),
+		axis(box.Lo.Z, box.Size.Z, c.Z*t, g.Center[2], float64(n.Z)),
+		2*g.Sigma*g.Sigma)
+}
+
+// newGaussianTable wraps the axis tables and bounds the table's exp
+// arguments once, from the axis maxima: rounding is monotone, so no point's
+// -((x2+y2)+z2)/den lies below the same expression of the maxima, nor above
+// -0 when every entry is a square and den > 0.
+func newGaussianTable(x2, y2, z2 []float64, den float64) *GaussianTable {
+	t := &GaussianTable{x2: x2, y2: y2, z2: z2, den: den}
+	t.tame = den > 0 && (maxSquare(x2)+maxSquare(y2)+maxSquare(z2))/den <= expTame
+	return t
+}
+
+// maxSquare returns the largest entry of sq, or +Inf if one is negative or
+// NaN; 0 if sq is empty.
+func maxSquare(sq []float64) float64 {
+	m := 0.0
+	for _, v := range sq {
+		if !(v >= 0) {
+			return math.Inf(1)
+		}
+		m = math.Max(m, v)
 	}
+	return m
 }
 
 // Rows returns the number of x-rows of the table's box.
@@ -111,26 +139,42 @@ func (t *GaussianTable) check(f *Field) {
 	}
 }
 
+// expRow sets dst[i] to math.Exp(-(x2[i]+y2+z2)/den) for each entry x2[i]
+// of the x table, bit for bit: four at a time by the vector body where the
+// CPU has it and the table is tame, and the last len%4 — or every one —
+// by math.Exp itself.
+func (t *GaussianTable) expRow(dst []float64, y2, z2 float64) {
+	x2, done := t.x2, 0
+	dst = dst[:len(x2)]
+	if useExpAVX && t.tame && len(x2) >= 4 {
+		done = len(x2) &^ 3
+		expRowAVX(&dst[0], &x2[0], done/4, y2, z2, t.den)
+	}
+	for i := done; i < len(x2); i++ {
+		dst[i] = math.Exp(-(x2[i] + y2 + z2) / t.den)
+	}
+}
+
 // Fill sets the x-rows [lo, hi) of f's interior to the wave.
 func (t *GaussianTable) Fill(f *Field, lo, hi int) {
 	t.check(f)
 	for r := lo; r < hi; r++ {
 		y2, z2, row := t.row(f, r)
-		for i, x2 := range t.x2 {
-			row[i] = math.Exp(-(x2 + y2 + z2) / t.den)
-		}
+		t.expRow(row, y2, z2)
 	}
 }
 
 // DiffSums returns Σd² and max|d| of d = f − wave over the x-rows [lo, hi)
-// of f's interior, in one pass. Over all rows it accumulates in
-// NormsAgainst's order.
+// of f's interior, in one pass: each row's wave goes into a buffer of the
+// call's own first. Over all rows it accumulates in NormsAgainst's order.
 func (t *GaussianTable) DiffSums(f *Field, lo, hi int) (sumSq, maxAbs float64) {
 	t.check(f)
+	wave := make([]float64, len(t.x2))
 	for r := lo; r < hi; r++ {
 		y2, z2, row := t.row(f, r)
-		for i, x2 := range t.x2 {
-			d := row[i] - math.Exp(-(x2+y2+z2)/t.den)
+		t.expRow(wave, y2, z2)
+		for i, w := range wave {
+			d := row[i] - w
 			sumSq += float64(d * d)
 			if ad := math.Abs(d); ad > maxAbs {
 				maxAbs = ad

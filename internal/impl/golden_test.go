@@ -13,6 +13,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -236,10 +237,11 @@ func TestVerifyDoesNotChangeTheField(t *testing.T) {
 
 // TestRunAllocatesItsFieldsAndTheGather bounds the bytes one unverified Run
 // allocates at 48³ by what the answer needs: the two state fields per rank,
-// and for the MPI scaffold the global field with the gather's two copies of
-// every non-root rank's interior, plus 15 % for exchange buffers, messages
-// and bookkeeping. A global-sized temporary (the cloned final field, a
-// throw-away field for the initial mass) does not fit under it.
+// and for the MPI scaffold the global field with the gather's one copy of
+// every non-root rank's interior (the message slot it packs into), plus
+// 15 % for exchange buffers, messages and bookkeeping. A global-sized
+// temporary (the cloned final field, a throw-away field for the initial
+// mass) or a staging copy of an interior does not fit under it.
 func TestRunAllocatesItsFieldsAndTheGather(t *testing.T) {
 	p := core.DefaultProblem(48, 1)
 	fieldBytes := func(n grid.Dims) float64 { return float64(8 * (n.X + 2) * (n.Y + 2) * (n.Z + 2)) }
@@ -248,7 +250,7 @@ func TestRunAllocatesItsFieldsAndTheGather(t *testing.T) {
 	for r := 0; r < d.Tasks(); r++ {
 		bulk += 2 * fieldBytes(d.Sub(r).Size)
 		if r != 0 {
-			bulk += 2 * 8 * float64(d.Sub(r).Size.Volume())
+			bulk += 8 * float64(d.Sub(r).Size.Volume())
 		}
 	}
 	for _, c := range []struct {
@@ -354,5 +356,39 @@ func BenchmarkRunOverhead(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRunFixedCost times what a Run pays outside its barrier-bracketed
+// step loop — field allocation, initialisation, gather and the world's
+// start and end — at bench/'s steady_large size (128³, one step, for bulk
+// on two tasks of one thread and single on one task of two), and reports
+// it as fixed-ms/op: wall time less Result.Elapsed.
+func BenchmarkRunFixedCost(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		kind core.Kind
+		o    core.Options
+	}{
+		{"bulk/2x1", core.BulkSync, core.Options{Tasks: 2, Threads: 1}},
+		{"single/1x2", core.SingleTask, core.Options{Tasks: 1, Threads: 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r, err := core.New(c.kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := core.DefaultProblem(128, 1)
+			var fixed time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				res, err := r.Run(p, c.o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fixed += time.Since(t0) - res.Elapsed
+			}
+			b.ReportMetric(float64(fixed)/1e6/float64(b.N), "fixed-ms/op")
+		})
 	}
 }

@@ -334,30 +334,32 @@ func initField(c *mpi.Comm, team *par.Team, f *grid.Field, p core.Problem, o cor
 	return mass[0]
 }
 
+// tagGather is the tag of the gather's messages, past the exchanger's.
+const tagGather = 6
+
 // gather assembles the global field on rank 0 from each rank's local
-// interior, row by row; other ranks return nil. Rank 0 copies its own rows
-// straight from local, and a world of one rank has nothing to assemble: its
-// local field is the global one.
+// interior; other ranks return nil. A rank other than 0 packs its interior
+// straight into the slot of rank 0's mailbox its one-shot send borrows, and
+// sends it as it is. Rank 0 allocates the global field and copies its own
+// box while they pack, then unpacks each delivered slot in place. A world of
+// one rank has nothing to assemble: its local field is the global one.
 func gather(c *mpi.Comm, d grid.Decomp, local *grid.Field) *grid.Field {
 	if c.Size() == 1 {
 		return local
 	}
-	var flat []float64
 	if c.Rank() != 0 {
-		flat = make([]float64, local.N.Volume())
-		grid.NewFieldOn(local.N, 0, flat).CopyInteriorFrom(local)
-	}
-	parts := c.Gather(0, flat)
-	if c.Rank() != 0 {
+		send := c.SendInit(0, tagGather, local.N.Volume())
+		grid.NewFieldOn(local.N, 0, send.Wait()).CopyInteriorFrom(local)
+		send.Start()
 		return nil
 	}
 	global := grid.NewField(d.N, 1)
-	for r, part := range parts {
-		sub, src := d.Sub(r), local
-		if r != 0 {
-			src = grid.NewFieldOn(sub.Size, 0, part)
-		}
-		global.CopyBox(sub.Lo, src, stencil.Whole(sub.Size))
+	global.CopyBox(d.Sub(0).Lo, local, stencil.Whole(local.N))
+	for r := 1; r < c.Size(); r++ {
+		sub := d.Sub(r)
+		recv := c.RecvInit(r, tagGather, sub.Size.Volume())
+		recv.Start()
+		global.CopyBox(sub.Lo, grid.NewFieldOn(sub.Size, 0, recv.Wait()), stencil.Whole(sub.Size))
 	}
 	return global
 }

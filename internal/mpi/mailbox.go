@@ -29,13 +29,17 @@ const waitPolls = 200
 // Payloads live in slots the mailbox recycles. A copying send fills a free
 // slot; a persistent send is lent one to fill and queues it as it is. A
 // receiver hands the slot back once it is done with it, so a steady
-// exchange allocates nothing once its first messages have.
+// exchange allocates nothing once its first messages have. The free slots
+// have a lock of their own: a sender borrowing one never waits on a
+// receiver that is scanning the queue.
 type mailbox struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        []envelope
-	free     [][]float64 // slots received messages left behind
 	poisoned bool
+
+	slots sync.Mutex
+	free  [][]float64 // slots received messages left behind
 }
 
 func newMailbox() *mailbox {
@@ -47,7 +51,7 @@ func newMailbox() *mailbox {
 // take removes a slot of n values from the free list: the smallest free
 // slot that holds n, or else a new slot that takes the place of a free one
 // too small for it, so a mailbox never holds more slots than it once had
-// messages in flight or lent at the same time. The caller holds m.mu.
+// messages in flight or lent at the same time. The caller holds m.slots.
 func (m *mailbox) take(n int) []float64 {
 	best := -1
 	for i, s := range m.free {
@@ -82,27 +86,23 @@ func (m *mailbox) enqueue(src, tag int, slot []float64) {
 
 // put queues a copy of data from src with tag.
 func (m *mailbox) put(src, tag int, data []float64) {
-	m.mu.Lock()
-	slot := m.take(len(data))
+	slot := m.lend(len(data))
 	copy(slot, data)
-	m.enqueue(src, tag, slot)
-	m.mu.Unlock()
+	m.post(src, tag, slot)
 }
 
-// lend hands a sender a slot of n values to fill and later queue with swap.
+// lend hands a sender a slot of n values to fill and later queue with post.
 func (m *mailbox) lend(n int) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.slots.Lock()
+	defer m.slots.Unlock()
 	return m.take(n)
 }
 
-// swap queues a lent slot, filled, as a message from src with tag, and
-// lends the sender a slot of the same length for its next message.
-func (m *mailbox) swap(src, tag int, slot []float64) []float64 {
+// post queues a lent slot, filled, as a message from src with tag.
+func (m *mailbox) post(src, tag int, slot []float64) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.enqueue(src, tag, slot)
-	return m.take(len(slot))
+	m.mu.Unlock()
 }
 
 // get blocks until a message from src with tag is available and removes
@@ -138,9 +138,9 @@ func (m *mailbox) get(src, tag int) envelope {
 // recycle hands a payload get returned back to the mailbox for a later
 // message or loan. The caller must not touch it afterwards.
 func (m *mailbox) recycle(slot []float64) {
-	m.mu.Lock()
+	m.slots.Lock()
 	m.free = append(m.free, slot)
-	m.mu.Unlock()
+	m.slots.Unlock()
 }
 
 // poison wakes all blocked receivers with a panic so a rank failure cannot

@@ -16,10 +16,11 @@
 //
 // Requests are persistent, as MPI_Send_init and MPI_Recv_init make them,
 // and lend slots instead of copying. SendInit binds a destination, tag and
-// count once; its Wait returns a slot of the destination's mailbox to fill,
-// and Start enqueues that slot as it is and lends the request the next one.
-// RecvInit binds a source, tag and count; Start posts it, and Wait returns
-// the delivered slot itself, which the request keeps until its next Start
+// count once; its Wait borrows a free slot of the destination's mailbox for
+// the caller to fill, and Start enqueues that slot as it is. The next Wait
+// borrows the next slot, so a one-shot send takes exactly one. RecvInit
+// binds a source, tag and count; Start posts it, and Wait returns the
+// delivered slot itself, which the request keeps until its next Start
 // hands it back to the mailbox. A message between two ranks thus costs the
 // caller's pack into the lent slot and its unpack out of the delivered one,
 // and nothing is allocated per message.
@@ -195,9 +196,9 @@ func (c *Comm) recv(src, tag, n int) []float64 {
 // Request is a persistent operation, as MPI_Send_init and MPI_Recv_init
 // make one: SendInit or RecvInit makes it inactive, and each Start and
 // Wait after that is one message, with nothing copied by the request and
-// nothing allocated. A request holds one payload slot at a time: the buffer
-// a send's Wait returns, and the payload a receive's Wait returns, are the
-// caller's to use until the request's next Start.
+// nothing allocated. A request holds at most one payload slot at a time:
+// the buffer a send's Wait returns, and the payload a receive's Wait
+// returns, are the caller's to use until the request's next Start.
 type Request struct {
 	c         *Comm
 	box       *mailbox // the destination's mailbox for a send, this rank's for a receive
@@ -209,15 +210,14 @@ type Request struct {
 }
 
 // SendInit makes a persistent send of n values to dst with tag, as
-// MPI_Send_init does. Wait returns the buffer to fill — a free slot of
-// dst's mailbox the request borrows — and Start enqueues it without a copy
-// and borrows the next. Under the eager protocol the send is complete when
-// Start returns, so Wait never blocks.
+// MPI_Send_init does. It borrows nothing yet: Wait returns the buffer to
+// fill — a free slot of dst's mailbox the request borrows — and Start
+// enqueues it without a copy. Under the eager protocol the send is complete
+// when Start returns, so Wait never blocks.
 func (c *Comm) SendInit(dst, tag, n int) *Request {
 	c.checkRank(dst)
 	c.checkTag(tag)
-	box := c.world.boxes[dst]
-	return &Request{c: c, box: box, peer: dst, tag: tag, n: n, send: true, slot: box.lend(n)}
+	return &Request{c: c, box: c.world.boxes[dst], peer: dst, tag: tag, n: n, send: true}
 }
 
 // RecvInit makes a persistent receive of at most n values from src with
@@ -231,10 +231,11 @@ func (c *Comm) RecvInit(src, tag, n int) *Request {
 }
 
 // Start begins one operation of the request. A send enqueues the buffer
-// Wait returned, as it is, and borrows a fresh one from the destination.
-// A receive first hands its last payload back to the mailbox, then posts
-// the receive; the match is performed when Wait is called. Start panics on
-// an active receive, or on a request neither SendInit nor RecvInit made.
+// Wait returned, as it is (borrowing one first if no Wait did), and holds
+// no slot until its next Wait. A receive first hands its last payload back
+// to the mailbox, then posts the receive; the match is performed when Wait
+// is called. Start panics on an active receive, or on a request neither
+// SendInit nor RecvInit made.
 func (r *Request) Start() {
 	c := r.c
 	switch {
@@ -242,7 +243,8 @@ func (r *Request) Start() {
 		panic("mpi: Start needs an inactive request made by SendInit or RecvInit")
 	case r.send:
 		a := c.rec.Begin(c.rank, c.step, obs.PhaseMPISend, "send")
-		r.slot = r.box.swap(c.rank, r.tag, r.slot)
+		r.box.post(c.rank, r.tag, r.Wait())
+		r.slot = nil
 		a.End()
 		c.countSent(r.peer, r.n)
 	default:
@@ -255,10 +257,14 @@ func (r *Request) Start() {
 }
 
 // Wait completes the request and returns its slot: for a send, the buffer
-// of n values the next Start sends; for a receive, the delivered payload,
-// blocking until it arrives. Wait is idempotent: on an inactive receive it
-// returns the last payload again (nil before the first).
+// of n values the next Start sends, borrowed from the destination unless an
+// earlier Wait since the last Start did; for a receive, the delivered
+// payload, blocking until it arrives. Wait is idempotent: on an inactive
+// receive it returns the last payload again (nil before the first).
 func (r *Request) Wait() []float64 {
+	if r.send && r.slot == nil {
+		r.slot = r.box.lend(r.n)
+	}
 	if r.active {
 		c := r.c
 		a := c.rec.Begin(c.rank, c.step, obs.PhaseMPIWait, "irecv")

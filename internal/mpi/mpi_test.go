@@ -646,6 +646,26 @@ func TestLentSlotsAreNotReusedEarly(t *testing.T) {
 	check("next sent payload", buf, 400)
 }
 
+// TestOneShotSendTakesOneSlot: a persistent send borrows its slot at Wait,
+// not at SendInit or Start, so a send made, filled and started once leaves
+// the destination's mailbox with exactly the one slot its message came in,
+// and the request holding none.
+func TestOneShotSendTakesOneSlot(t *testing.T) {
+	c := NewWorld(1).Comm(0)
+	box := c.world.boxes[0]
+	send := c.SendInit(0, 1, 8)
+	if send.slot != nil || len(box.free) != 0 {
+		t.Fatalf("SendInit borrowed a slot: request %v, %d free", send.slot, len(box.free))
+	}
+	copy(send.Wait(), []float64{1, 2, 3})
+	send.Start()
+	buf := make([]float64, 8)
+	c.Recv(0, 1, buf)
+	if buf[2] != 3 || send.slot != nil || len(box.free) != 1 {
+		t.Fatalf("after one send: received %v, request holds %v, %d free slots; want 1", buf, send.slot, len(box.free))
+	}
+}
+
 // TestStatsBalanceAcrossCollectives: every message some rank counts as
 // sent, another counts as received — collective-internal ones included,
 // and at Gather's root too. The barriers between the collectives must not
