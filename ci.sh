@@ -62,9 +62,12 @@ go test -race -timeout 5m ./...
 go test -race -count=20 -run 'Barrier|Panic|Collectives|Polling' ./internal/mpi
 
 # The gateway's one ring walk (place) meets a shed, a long Retry-After, a
-# drain 503 and a node without sessions in these tests; twenty race runs
-# take a few seconds.
-go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRetryAfter' ./internal/cluster
+# drain 503 and a node without sessions in these tests; its relayed stream
+# names each node once (StreamNamesEachNodeOnce), its replica sweep stops
+# at a finished session and pulls only a newer checkpoint (SessionSync),
+# and a member answering under another id goes down
+# (HealthProbeChecksNodeName). Twenty race runs take some fifteen seconds.
+go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRetryAfter|StreamNamesEachNodeOnce|SessionSync|HealthProbeChecksNodeName' ./internal/cluster
 
 # checkpoint.Load parses untrusted bytes: a seeded session create carries a
 # checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed

@@ -18,7 +18,7 @@
 // POST /v1/jobs, poll /v1/jobs/{id}, fetch the result — and additionally
 // get the cluster surface: federated GET /v1/stats (per-node snapshots
 // plus a merged view), federated GET /v1/stream (every node's SSE events,
-// node-labelled, plus periodic merged cluster stats), GET /v1/cluster
+// each naming its node, plus periodic merged cluster stats), GET /v1/cluster
 // (membership, ring, routing counters), POST /v1/nodes to join a node and
 // POST /v1/nodes/{id}/drain to rebalance one away gracefully. The gateway
 // exports its own observability on GET /metrics (routing counters, rolling

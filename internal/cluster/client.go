@@ -123,21 +123,26 @@ func (c *nodeClient) spans(ctx context.Context, baseURL, id string) (*obs.TraceC
 	return &doc, nil
 }
 
-// health probes a node: state is NodeUp or NodeDraining on a parseable
-// answer; an error means the probe failed (connection refused, timeout,
-// garbage) and counts toward the down threshold.
-func (c *nodeClient) health(ctx context.Context, baseURL string) (NodeState, error) {
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/healthz", nil)
+// health probes a member: state is NodeUp or NodeDraining on a parseable
+// answer from the node the member says it is; an error means the probe
+// failed (connection refused, timeout, garbage, or a node answering under
+// another id) and counts toward the down threshold.
+func (c *nodeClient) health(ctx context.Context, m Member) (NodeState, error) {
+	resp, err := c.do(ctx, http.MethodGet, m.URL+"/healthz", nil)
 	if err != nil {
 		return "", err
 	}
 	var doc struct {
 		Status string `json:"status"`
+		Node   string `json:"node"`
 	}
 	// A draining node answers 503 with the same document, so any status
 	// is read.
 	if err := resp.expect("healthz", resp.status, &doc); err != nil {
 		return "", err
+	}
+	if doc.Node != m.ID {
+		return "", fmt.Errorf("healthz names node %q, member is %q", doc.Node, m.ID)
 	}
 	switch doc.Status {
 	case "ok":
@@ -155,22 +160,4 @@ func (c *nodeClient) drain(ctx context.Context, baseURL string) error {
 		return err
 	}
 	return resp.expect("drain", http.StatusAccepted, nil)
-}
-
-// checkpoint pulls a session's newest durable checkpoint from its owner:
-// the raw bytes plus the step it stands at (from the response header).
-// (nil, 0, nil) means the session exists but has no durable checkpoint yet.
-func (c *nodeClient) checkpoint(ctx context.Context, baseURL, id string) ([]byte, int64, error) {
-	resp, err := c.do(ctx, http.MethodGet, baseURL+"/v1/sessions/"+id+"/checkpoint", nil)
-	if err != nil || resp.status == http.StatusNotFound {
-		return nil, 0, err
-	}
-	if err := resp.expect("checkpoint", http.StatusOK, nil); err != nil {
-		return nil, 0, err
-	}
-	step, err := strconv.ParseInt(resp.header.Get(service.SessionStepHeader), 10, 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: bad %s header: %w", service.SessionStepHeader, err)
-	}
-	return resp.body, step, nil
 }

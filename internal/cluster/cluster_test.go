@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -452,6 +453,25 @@ func startStub(t *testing.T, id string, onSubmit func(n int64, w http.ResponseWr
 	return Member{ID: id, URL: ts.URL}, submits
 }
 
+// submitVia posts req to the gateway's handler and decodes the view it
+// relays.
+func submitVia(t *testing.T, r *Router, req service.Request) (int, gwView) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	var v gwView
+	if rec.Code == http.StatusOK || rec.Code == http.StatusAccepted {
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("decode submit response: %v", err)
+		}
+	}
+	return rec.Code, v
+}
+
 func acceptQueued(id string) func(n int64, w http.ResponseWriter) {
 	return func(n int64, w http.ResponseWriter) {
 		w.WriteHeader(http.StatusAccepted)
@@ -500,15 +520,12 @@ func TestClusterHonorsBriefRetryAfter(t *testing.T) {
 	mOther, otherSubmits := startStub(t, otherID, acceptQueued(otherID))
 	r := NewRouter(Config{Members: []Member{mOwner, mOther}, RetryWait: 2 * time.Second})
 
-	view, nodeID, err := r.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if nodeID != ownerID {
-		t.Errorf("accepted by %s, want the owner %s (brief retry, not failover)", nodeID, ownerID)
+	status, view := submitVia(t, r, req)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", status)
 	}
 	if !strings.HasPrefix(view.ID, ownerID+"-job-") {
-		t.Errorf("job id %q not from the owner", view.ID)
+		t.Errorf("job id %q not from the owner %s (brief retry, not failover)", view.ID, ownerID)
 	}
 	if got := ownerSubmits.Load(); got != 2 {
 		t.Errorf("owner saw %d submits, want 2 (shed then retry)", got)
@@ -533,12 +550,12 @@ func TestClusterFailsOverOnLongRetryAfter(t *testing.T) {
 	r := NewRouter(Config{Members: []Member{mOwner, mOther}, RetryWait: time.Second})
 
 	start := time.Now()
-	_, nodeID, err := r.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	status, view := submitVia(t, r, req)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", status)
 	}
-	if nodeID != otherID {
-		t.Errorf("accepted by %s, want failover to %s", nodeID, otherID)
+	if !strings.HasPrefix(view.ID, otherID+"-job-") {
+		t.Errorf("job id %q not from %s, want failover there", view.ID, otherID)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("failover took %v; a 30s Retry-After must not be slept on", elapsed)
@@ -608,9 +625,9 @@ func TestRouterStopClosesNodeConnections(t *testing.T) {
 	defer ts.Close()
 	router := NewRouter(Config{Members: []Member{{ID: "n1", URL: ts.URL}}, HealthInterval: time.Hour})
 	router.Start(context.Background())
-	if _, _, err := router.Submit(context.Background(), service.Request{Type: service.TypePredict,
-		Predict: &service.PredictRequest{Machine: "Yona", Kind: "bulk", Cores: 12}}); err != nil {
-		t.Fatal(err)
+	if status, _ := submitVia(t, router, service.Request{Type: service.TypePredict,
+		Predict: &service.PredictRequest{Machine: "Yona", Kind: "bulk", Cores: 12}}); status != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", status)
 	}
 	router.Stop()
 	waitFor(t, 2*time.Second, "the gateway's node connections to close", func() bool { return open.Load() == 0 })

@@ -22,11 +22,9 @@ import (
 // (its shard died and the re-submit or resume failed).
 type proxiedRoute struct {
 	name, method, kind, suffix, body string
-	// okStatus is what the echo shard answers; labelled marks the routes
-	// whose answer the gateway re-emits with the owning shard attached, and
-	// joined the trace, which the gateway builds from the owner's /spans.
+	// okStatus is what the echo shard answers; joined marks the trace,
+	// which the gateway builds from the owner's /spans.
 	okStatus int
-	labelled bool
 	joined   bool
 	// lostStatus and lostDoc are the gateway's own answer for a lost entry;
 	// lostDoc receives the entry id and the recorded loss message.
@@ -43,7 +41,7 @@ func failedView(id, lost string) map[string]any {
 }
 
 var proxiedRoutes = []proxiedRoute{
-	{name: "job status", method: "GET", kind: "jobs", okStatus: 200, labelled: true,
+	{name: "job status", method: "GET", kind: "jobs", okStatus: 200,
 		lostStatus: 200, lostDoc: failedView},
 	{name: "job result", method: "GET", kind: "jobs", suffix: "/result", okStatus: 200,
 		lostStatus: 500, lostDoc: errDoc("")},
@@ -53,16 +51,16 @@ var proxiedRoutes = []proxiedRoute{
 		lostStatus: 404, lostDoc: func(_, lost string) map[string]any {
 			return map[string]any{"error": lost, "node": "n1"}
 		}},
-	{name: "job cancel", method: "DELETE", kind: "jobs", okStatus: 200, labelled: true,
+	{name: "job cancel", method: "DELETE", kind: "jobs", okStatus: 200,
 		lostStatus: 409, lostDoc: errDoc("job already failed: ")},
-	{name: "session status", method: "GET", kind: "sessions", okStatus: 200, labelled: true,
+	{name: "session status", method: "GET", kind: "sessions", okStatus: 200,
 		lostStatus: 200, lostDoc: failedView},
 	{name: "session pause", method: "POST", kind: "sessions", suffix: "/pause", okStatus: 200,
 		lostStatus: 409, lostDoc: errDoc("session lost: ")},
 	{name: "session resume", method: "POST", kind: "sessions", suffix: "/resume", okStatus: 200,
 		lostStatus: 409, lostDoc: errDoc("session lost: ")},
 	{name: "session fork", method: "POST", kind: "sessions", suffix: "/fork",
-		body: `{"at_step":20,"total_steps":60}`, okStatus: 202, labelled: true,
+		body: `{"at_step":20,"total_steps":60}`, okStatus: 202,
 		lostStatus: 409, lostDoc: errDoc("session lost: ")},
 	{name: "session checkpoint", method: "GET", kind: "sessions", suffix: "/checkpoint", okStatus: 200,
 		lostStatus: 404, lostDoc: errDoc("session lost: ")},
@@ -70,8 +68,9 @@ var proxiedRoutes = []proxiedRoute{
 
 // echoShard is a stub advectd node that accepts one job and one session and
 // answers every per-id request with the session checkpoint headers and a
-// minimal view document — a span log on /spans — recording what the
-// gateway sent it.
+// minimal view document naming its node, as a real node's views do — a
+// span log on /spans — recording what the gateway sent it and what it
+// answered.
 type echoShard struct {
 	ts *httptest.Server
 
@@ -79,7 +78,7 @@ type echoShard struct {
 	seen map[string]echoed // "METHOD path" -> the last request there
 }
 
-type echoed struct{ query, body string }
+type echoed struct{ query, body, answer string }
 
 func startEchoShard(t *testing.T) *echoShard {
 	t.Helper()
@@ -90,17 +89,14 @@ func startEchoShard(t *testing.T) *echoShard {
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write([]byte(`{"id":"n1-job-000001","state":"queued"}`))
+		_, _ = w.Write([]byte(`{"id":"n1-job-000001","node":"n1","state":"queued"}`))
 	})
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write([]byte(`{"id":"n1-sess-000001","state":"running"}`))
+		_, _ = w.Write([]byte(`{"id":"n1-sess-000001","node":"n1","state":"running"}`))
 	})
 	echo := func(w http.ResponseWriter, req *http.Request) {
 		body, _ := io.ReadAll(req.Body)
-		sh.mu.Lock()
-		sh.seen[req.Method+" "+req.URL.Path] = echoed{query: req.URL.RawQuery, body: string(body)}
-		sh.mu.Unlock()
 		status, id := http.StatusOK, req.PathValue("id")
 		if strings.HasSuffix(req.URL.Path, "/fork") {
 			status, id = http.StatusAccepted, "n1-sess-child"
@@ -108,15 +104,19 @@ func startEchoShard(t *testing.T) *echoShard {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(service.SessionStepHeader, "7")
 		w.Header().Set(service.SessionFPHeader, "echo-fp")
-		w.WriteHeader(status)
+		answer := fmt.Sprintf(`{"id":%q,"node":"n1","state":"running"}`, id)
 		if strings.HasSuffix(req.URL.Path, "/spans") {
-			_ = json.NewEncoder(w).Encode(obs.TraceContext{TraceID: "t", EpochNS: time.Now().UnixNano(), Spans: []obs.Span{
+			spans, _ := json.Marshal(obs.TraceContext{TraceID: "t", EpochNS: time.Now().UnixNano(), Spans: []obs.Span{
 				{Rank: obs.RankService, Step: -1, Phase: obs.PhaseWorkerExec, End: 0.001},
 				{Rank: 0, Phase: obs.PhaseInterior, End: 0.001},
 			}})
-			return
+			answer = string(spans)
 		}
-		_, _ = fmt.Fprintf(w, `{"id":%q,"state":"running"}`, id)
+		sh.mu.Lock()
+		sh.seen[req.Method+" "+req.URL.Path] = echoed{query: req.URL.RawQuery, body: string(body), answer: answer}
+		sh.mu.Unlock()
+		w.WriteHeader(status)
+		_, _ = w.Write([]byte(answer))
 	}
 	for _, pattern := range []string{
 		"/v1/jobs/{id}", "/v1/jobs/{id}/{verb}", "/v1/sessions/{id}", "/v1/sessions/{id}/{verb}",
@@ -175,8 +175,9 @@ func startContractCluster(t *testing.T, cfg Config) (*httptest.Server, *echoShar
 	return gw, sh, ids
 }
 
-// call issues one proxied-route request and decodes the JSON answer.
-func (pr proxiedRoute) call(t *testing.T, gwURL, id, query string) (*http.Response, map[string]any) {
+// call issues one proxied-route request and decodes the JSON answer,
+// handing back its bytes too.
+func (pr proxiedRoute) call(t *testing.T, gwURL, id, query string) (*http.Response, map[string]any, []byte) {
 	t.Helper()
 	url := gwURL + "/v1/" + pr.kind + "/" + id + pr.suffix + query
 	req, err := http.NewRequest(pr.method, url, strings.NewReader(pr.body))
@@ -188,11 +189,15 @@ func (pr proxiedRoute) call(t *testing.T, gwURL, id, query string) (*http.Respon
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("%s %s: answer is not a JSON document: %v", pr.method, url, err)
 	}
-	return resp, doc
+	return resp, doc, raw
 }
 
 // TestGatewayProxyContract pins what the gateway's single forwarding path
@@ -200,15 +205,15 @@ func (pr proxiedRoute) call(t *testing.T, gwURL, id, query string) (*http.Respon
 // routed, the per-route answer for a lost entry, a shard-attributed 502 when
 // the owner does not answer, and on the happy path the client's method,
 // query string and body relayed to the owner under the owner's id, with the
-// shard's status relayed back — and its checkpoint headers, wherever the
-// gateway relays the owner's answer rather than relabelling a view or, for
-// the trace, joining the owner's span log to its own.
+// shard's status, bytes and checkpoint headers relayed back — on every
+// route but the trace, which joins the owner's span log to the gateway's
+// own.
 func TestGatewayProxyContract(t *testing.T) {
 	t.Run("relayed", func(t *testing.T) {
 		gw, sh, ids := startContractCluster(t, Config{HealthInterval: time.Hour})
 		for _, pr := range proxiedRoutes {
 			t.Run(pr.name, func(t *testing.T) {
-				resp, doc := pr.call(t, gw.URL, ids[pr.kind], "?probe=1&step=7")
+				resp, _, raw := pr.call(t, gw.URL, ids[pr.kind], "?probe=1&step=7")
 				if resp.StatusCode != pr.okStatus {
 					t.Errorf("status %d, want the shard's %d", resp.StatusCode, pr.okStatus)
 				}
@@ -226,8 +231,8 @@ func TestGatewayProxyContract(t *testing.T) {
 				if got.body != pr.body {
 					t.Errorf("body relayed as %q, want %q", got.body, pr.body)
 				}
-				// A view is re-emitted with its shard attached; every other
-				// answer is the owner's, checkpoint headers included.
+				// Every answer but the joined trace is the owner's, byte for
+				// byte, checkpoint headers included.
 				step, fp := resp.Header.Get(service.SessionStepHeader), resp.Header.Get(service.SessionFPHeader)
 				switch {
 				case pr.joined:
@@ -235,10 +240,8 @@ func TestGatewayProxyContract(t *testing.T) {
 					if want := []string{"gateway", "n1 rank 0", "n1 service"}; !reflect.DeepEqual(got, want) {
 						t.Errorf("joined trace processes %v, want %v", got, want)
 					}
-				case pr.labelled:
-					if doc["node"] != "n1" {
-						t.Errorf("view not labelled with its shard: %v", doc)
-					}
+				case string(raw) != got.answer:
+					t.Errorf("answer relayed as %s, want the shard's %s", raw, got.answer)
 				case step != "7" || fp != "echo-fp":
 					t.Errorf("checkpoint headers relayed as step %q fp %q, want 7 and echo-fp", step, fp)
 				}
@@ -250,7 +253,7 @@ func TestGatewayProxyContract(t *testing.T) {
 		gw, _, _ := startContractCluster(t, Config{HealthInterval: time.Hour})
 		for _, pr := range proxiedRoutes {
 			t.Run(pr.name, func(t *testing.T) {
-				resp, doc := pr.call(t, gw.URL, "nope", "")
+				resp, doc, _ := pr.call(t, gw.URL, "nope", "")
 				want := map[string]any{"error": "unknown " + strings.TrimSuffix(pr.kind, "s")}
 				if resp.StatusCode != http.StatusNotFound || !reflect.DeepEqual(doc, want) {
 					t.Errorf("status %d doc %v, want 404 %v", resp.StatusCode, doc, want)
@@ -266,7 +269,7 @@ func TestGatewayProxyContract(t *testing.T) {
 		sh.ts.Close()
 		for _, pr := range proxiedRoutes {
 			t.Run(pr.name, func(t *testing.T) {
-				resp, doc := pr.call(t, gw.URL, ids[pr.kind], "")
+				resp, doc, _ := pr.call(t, gw.URL, ids[pr.kind], "")
 				msg, _ := doc["error"].(string)
 				if resp.StatusCode != http.StatusBadGateway || !strings.HasPrefix(msg, "shard unreachable: ") ||
 					doc["node"] != "n1" || len(doc) != 2 {
@@ -299,7 +302,7 @@ func TestGatewayProxyContract(t *testing.T) {
 		}
 		for _, pr := range proxiedRoutes {
 			t.Run(pr.name, func(t *testing.T) {
-				resp, doc := pr.call(t, gw.URL, ids[pr.kind], "")
+				resp, doc, _ := pr.call(t, gw.URL, ids[pr.kind], "")
 				want := pr.lostDoc(ids[pr.kind], lost[pr.kind])
 				if resp.StatusCode != pr.lostStatus || !reflect.DeepEqual(doc, want) {
 					t.Errorf("status %d doc %v, want %d %v", resp.StatusCode, doc, pr.lostStatus, want)

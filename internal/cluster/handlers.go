@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/session"
 )
 
 // routes is the gateway's HTTP surface, one entry per route: the API
@@ -17,33 +17,36 @@ import (
 // session surface mirrors a single advectd node — clients talk to the
 // cluster exactly as they would to one process — plus cluster-level
 // membership and drain controls. Every /{id} route under /v1/jobs and
-// /v1/sessions goes through forward; what is written here per route is
-// its answer for a lost entry and, in its handler, what it adds to the
-// owner's answer.
+// /v1/sessions relays the owner's answer through proxy; what is written
+// here per route is its answer for a lost entry and what the gateway
+// learns from the owner's answer.
 func (r *Router) routes() []service.Route {
 	return []service.Route{
 		{Pattern: "POST /v1/jobs", Doc: "submit (routed to the owner shard)", Handler: r.handleSubmit},
-		{Pattern: "GET /v1/jobs", Doc: "merged job list across nodes", Handler: handleList(r, "jobs", labelView)},
-		{Pattern: "GET /v1/jobs/{id}", Doc: "job status (proxied, node-labelled)",
-			Handler: r.handleJobView(lostAnswer{status: http.StatusOK})},
-		{Pattern: "GET /v1/jobs/{id}/result", Doc: "result document (proxied)", Handler: r.handleResult},
+		{Pattern: "GET /v1/jobs", Doc: "merged job list across nodes", Handler: r.handleList("jobs")},
+		{Pattern: "GET /v1/jobs/{id}", Doc: "job status (proxied)",
+			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusOK}, r.learnState)},
+		{Pattern: "GET /v1/jobs/{id}/result", Doc: "result document (proxied)",
+			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusInternalServerError}, r.learnResult)},
 		{Pattern: "GET /v1/jobs/{id}/trace", Doc: "cluster Chrome trace (gateway spans joined to the owner's)", Handler: r.handleTrace},
 		{Pattern: "GET /v1/jobs/{id}/spans", Doc: "the owner's raw span log (proxied)",
-			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusNotFound, node: true})},
-		{Pattern: "DELETE /v1/jobs/{id}", Doc: "cancel (proxied, node-labelled)",
-			Handler: r.handleJobView(lostAnswer{status: http.StatusConflict, prefix: "job already failed: "})},
+			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusNotFound, node: true}, nil)},
+		{Pattern: "DELETE /v1/jobs/{id}", Doc: "cancel (proxied)",
+			Handler: r.proxy(r.jobs, lostAnswer{status: http.StatusConflict, prefix: "job already failed: "}, r.learnState)},
 		{Pattern: "POST /v1/sessions", Doc: "create a resumable session (routed by fingerprint)", Handler: r.handleSessionCreate},
-		{Pattern: "GET /v1/sessions", Doc: "merged session list across nodes", Handler: handleList(r, "sessions", labelSession)},
-		{Pattern: "GET /v1/sessions/{id}", Doc: "session status (proxied, follows failover)", Handler: r.handleSessionStatus},
+		{Pattern: "GET /v1/sessions", Doc: "merged session list across nodes", Handler: r.handleList("sessions")},
+		{Pattern: "GET /v1/sessions/{id}", Doc: "session status (proxied, follows failover)",
+			Handler: r.proxy(r.sessions, lostAnswer{status: http.StatusOK}, r.learnState)},
 		{Pattern: "POST /v1/sessions/{id}/pause", Doc: "pause (proxied)",
-			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict))},
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict), nil)},
 		{Pattern: "POST /v1/sessions/{id}/resume", Doc: "resume (proxied)",
-			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict))},
-		{Pattern: "POST /v1/sessions/{id}/fork", Doc: "fork from a retained checkpoint (proxied, child recorded)", Handler: r.handleSessionFork},
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict), nil)},
+		{Pattern: "POST /v1/sessions/{id}/fork", Doc: "fork from a retained checkpoint (proxied, child recorded)",
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict), r.learnFork)},
 		{Pattern: "GET /v1/sessions/{id}/checkpoint", Doc: "raw checkpoint bytes, the replication surface (proxied)",
-			Handler: r.proxy(r.sessions, sessionLost(http.StatusNotFound))},
+			Handler: r.proxy(r.sessions, sessionLost(http.StatusNotFound), nil)},
 		{Pattern: "GET /v1/stats", Doc: "federated rolling-window telemetry", Handler: r.handleStats},
-		{Pattern: "GET /v1/stream", Doc: "federated SSE stream (node-labelled)", Handler: r.handleStream},
+		{Pattern: "GET /v1/stream", Doc: "federated SSE stream (every node's events as it sent them)", Handler: r.handleStream},
 		{Pattern: "GET /v1/kinds", Doc: "implementation catalogue (any up node)", Handler: r.handleCatalogue("/v1/kinds")},
 		{Pattern: "GET /v1/experiments", Doc: "experiment catalogue (any up node)", Handler: r.handleCatalogue("/v1/experiments")},
 		{Pattern: "GET /v1/cluster", Doc: "membership, ring, and routing counters", Handler: r.handleCluster},
@@ -55,50 +58,48 @@ func (r *Router) routes() []service.Route {
 	}
 }
 
+// handleSubmit places a job through place and relays the owner's answer:
+// its status (202 admitted, 200 from its cache), its view, which names
+// the node. A traced request gets a trace id minted here and sent in its
+// trace_id field: the gateway records its own routing spans and joins the
+// owner's spans to them when the trace is read, so the job's Chrome trace
+// starts at the gateway, not at the node.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var jobReq service.Request
 	if err := service.DecodeBody(w, req, service.MaxDocBytes, &jobReq); err != nil {
 		service.WriteBadBody(w, err)
 		return
 	}
-	view, nodeID, err := r.Submit(req.Context(), jobReq)
+	var tr submissionTrace
+	if jobReq.Traced() {
+		tr = newSubmissionTrace()
+		jobReq.TraceID = tr.id
+	}
+	body, err := json.Marshal(jobReq)
 	if err != nil {
-		var shed *shedError
-		var bad *badRequest
-		switch {
-		case errors.As(err, &bad):
-			bad.resp.relay(w)
-		case errors.As(err, &shed):
-			ra := shed.RetryAfter
-			if ra < time.Second {
-				ra = time.Second
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds()+0.5)))
-			service.WriteJSON(w, http.StatusTooManyRequests, service.ErrorDoc{
-				Error: err.Error(), Nodes: shed.Nodes, Attempts: shed.Attempts,
-			})
-		case errors.Is(err, ErrNoNodes):
-			service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
-		default:
-			service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
-		}
+		service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
 		return
 	}
-	status := http.StatusAccepted
-	if view.CacheHit { // owner answered from its cache; a job it finished since admitting it is still a 202
-		status = http.StatusOK
+	_, resp, err := r.place(req.Context(), r.jobs, jobReq.CacheKey(), body, tr)
+	var shed *shedError
+	switch {
+	case resp != nil: // the owner's answer: accepted, or its 4xx
+		resp.relay(w)
+	case errors.As(err, &shed):
+		ra := shed.RetryAfter
+		if ra < time.Second {
+			ra = time.Second
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds()+0.5)))
+		service.WriteJSON(w, http.StatusTooManyRequests, service.ErrorDoc{
+			Error: err.Error(), Nodes: shed.Nodes, Attempts: shed.Attempts,
+		})
+	case errors.Is(err, ErrNoNodes):
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
+	default:
+		service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
 	}
-	service.WriteJSON(w, status, labelledView{View: view, Node: nodeID})
 }
-
-// labelledView decorates a node's job view with the shard that holds it.
-type labelledView struct {
-	service.View
-	Node string `json:"node"`
-}
-
-func labelView(v service.View, node string) any    { return labelledView{View: v, Node: node} }
-func labelSession(v session.View, node string) any { return labelledSession{View: v, Node: node} }
 
 // lostAnswer is what a proxied route says for an entry whose shard died
 // and could not be re-homed; each route keeps the status and wording it
@@ -119,8 +120,7 @@ func sessionLost(status int) lostAnswer {
 // (404) or an entry that is lost, relay the client's method, query string
 // and body to the entry's current owner under the owner's id, and map a
 // transport failure to a shard-attributed 502. ok is false once it has
-// answered; otherwise the caller adds what the route adds and relays the
-// owner's answer.
+// answered; otherwise the caller has the owner's answer to give.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, t *table, lost lostAnswer) (*entry, *nodeResponse, bool) {
 	id := req.PathValue("id")
 	e, why, ok := r.resolve(t, id)
@@ -163,48 +163,60 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, t *table, los
 	return e, resp, true
 }
 
-// proxy serves a route that adds nothing to the owner's answer.
-func (r *Router) proxy(t *table, lost lostAnswer) http.HandlerFunc {
+// proxy serves a per-id route: the owner's answer is relayed to the client
+// unchanged — status, headers, bytes — after learn, when the route has
+// one, has read from it what the gateway's table needs.
+func (r *Router) proxy(t *table, lost lostAnswer, learn func(*entry, *nodeResponse)) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		if _, resp, ok := r.forward(w, req, t, lost); ok {
-			resp.relay(w)
-		}
-	}
-}
-
-// handleJobView serves job status and cancel, whose 200 answer is the
-// job's view: it is re-emitted with the shard attached, and a terminal
-// state releases the entry.
-func (r *Router) handleJobView(lost lostAnswer) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		e, resp, ok := r.forward(w, req, r.jobs, lost)
+		e, resp, ok := r.forward(w, req, t, lost)
 		if !ok {
 			return
 		}
-		var v service.View
-		if resp.expect("job", http.StatusOK, &v) != nil {
-			resp.relay(w)
-			return
+		if learn != nil {
+			learn(e, resp)
 		}
-		if v.State.Terminal() {
-			r.finish(e)
-		}
-		service.WriteJSON(w, resp.status, labelledView{View: v, Node: e.node})
+		resp.relay(w)
 	}
 }
 
-func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
-	e, resp, ok := r.forward(w, req, r.jobs, lostAnswer{status: http.StatusInternalServerError})
-	if !ok {
-		return
+// learnState releases an entry whose status or cancel answer is a view in
+// a terminal state. Both tiers' views spell their terminal states as the
+// job states do.
+func (r *Router) learnState(e *entry, resp *nodeResponse) {
+	var v struct {
+		State service.State `json:"state"`
 	}
-	// The node's result handler encodes the job state in its status code:
-	// 200 done, 500 failed, 410 cancelled, 202 still pending.
+	if resp.expect("view", http.StatusOK, &v) == nil && v.State.Terminal() {
+		r.finish(e)
+	}
+}
+
+// learnResult releases a job whose result answer shows it finished: the
+// node's result route encodes the state in its status code — 200 done,
+// 500 failed, 410 cancelled, 202 still pending.
+func (r *Router) learnResult(e *entry, resp *nodeResponse) {
 	switch resp.status {
 	case http.StatusOK, http.StatusInternalServerError, http.StatusGone:
 		r.finish(e)
 	}
-	resp.relay(w)
+}
+
+// learnFork tables a fork's child: forks inherit the parent's shard (they
+// read its retained checkpoints), so the child is tracked and replicated
+// like any other session on that node.
+func (r *Router) learnFork(e *entry, resp *nodeResponse) {
+	var child struct {
+		ID          string `json:"id"`
+		Fingerprint string `json:"fingerprint"`
+		TraceID     string `json:"trace_id"`
+	}
+	if resp.expect("fork", http.StatusAccepted, &child) != nil {
+		return
+	}
+	r.mu.Lock()
+	r.sessions.entries[child.ID] = &entry{id: child.ID, node: e.node, fp: child.Fingerprint,
+		trace: submissionTrace{id: child.TraceID}}
+	r.mu.Unlock()
 }
 
 // handleTrace serves a job's cluster trace, assembled here and nowhere
@@ -229,17 +241,15 @@ func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleList merges every reachable shard's list document (GET /v1/<kind>
-// answers {"<kind>": [...]}), each element labelled with its shard.
-func handleList[V any](r *Router, kind string, label func(V, string) any) http.HandlerFunc {
+// answers {"<kind>": [...]}): the nodes' elements, each naming its node,
+// concatenated as they were sent.
+func (r *Router) handleList(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		out := []any{}
+		out := []json.RawMessage{}
 		for _, a := range r.getEach(req.Context(), r.members.Snapshot(), "/v1/"+kind) {
-			var doc map[string][]V
-			if a.resp == nil || a.resp.expect(kind, http.StatusOK, &doc) != nil {
-				continue
-			}
-			for _, v := range doc[kind] {
-				out = append(out, label(v, a.ID))
+			var doc map[string][]json.RawMessage
+			if a.resp != nil && a.resp.expect(kind, http.StatusOK, &doc) == nil {
+				out = append(out, doc[kind]...)
 			}
 		}
 		service.WriteJSON(w, http.StatusOK, map[string]any{kind: out})
@@ -250,8 +260,8 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	service.WriteJSON(w, http.StatusOK, r.FederatedStats(req.Context()))
 }
 
-// handleStream is the federated live feed: every node's SSE events,
-// node-labelled, multiplexed through the gateway hub, plus a periodic
+// handleStream is the federated live feed: every node's SSE events, each
+// naming its node, multiplexed through the gateway hub, plus a periodic
 // merged cluster-stats event the per-node streams cannot provide.
 func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 	service.ServeStream(w, req, r.hub, service.StreamInterval, service.HeartbeatInterval, "cluster",

@@ -20,8 +20,10 @@ import (
 // Config sizes the gateway. The zero value (plus a member list) selects
 // the defaults.
 type Config struct {
-	// Members are the advectd nodes this gateway fronts. Each node should
-	// run with Config.NodeID = Member.ID so job ids stay globally unique.
+	// Members are the advectd nodes this gateway fronts. Each node must run
+	// with Config.NodeID = Member.ID: ids stay globally unique, every answer
+	// the gateway relays names its node, and a member whose /healthz names
+	// another node fails its probes.
 	Members []Member
 	// HealthInterval is the health-check sweep cadence. Default 1s.
 	HealthInterval time.Duration
@@ -103,8 +105,8 @@ type GatewayCounters struct {
 // and the encoded request (kept so the work can be re-submitted elsewhere
 // if its node dies). When that happens the old entry forwards to its
 // successor, so the id the client holds keeps answering. A session entry
-// also carries the newest checkpoint the sync sweep has replicated off the
-// owner — the bytes that seed the successor. id, node, fp, body and trace
+// also carries, while the session runs, the newest checkpoint the sync
+// sweep has replicated off the owner — the bytes that seed the successor. id, node, fp, body and trace
 // never change after the entry is tabled; the rest is guarded by Router.mu.
 type entry struct {
 	id       string // node-issued id (globally unique via the NodeID prefix)
@@ -277,6 +279,9 @@ var (
 	// errShed wraps a cluster-wide 429 and carries the longest
 	// Retry-After any shard advertised.
 	errShed = errors.New("cluster: every routable shard shed the submission")
+	// errRejected is a shard's 4xx; place returns it with the shard's
+	// answer, which goes back to the client as it is.
+	errRejected = errors.New("cluster: node rejected request")
 )
 
 // shedError is returned when every routable shard rejected the submission.
@@ -291,46 +296,15 @@ type shedError struct {
 func (e *shedError) Error() string { return errShed.Error() }
 func (e *shedError) Unwrap() error { return errShed }
 
-// badRequest carries a node's 4xx answer straight back to the client.
-type badRequest struct {
-	resp *nodeResponse
-}
-
-func (e *badRequest) Error() string { return "cluster: node rejected request" }
-
-// Submit routes one client submission through place. A traced request
-// gets a trace id minted here and sent in its trace_id field: the gateway
-// records its own routing spans and joins the owner's spans to them when the
-// trace is read, so the job's Chrome trace starts at the gateway, not at the
-// node.
-func (r *Router) Submit(ctx context.Context, req service.Request) (service.View, string, error) {
-	var tr submissionTrace
-	if req.Traced() {
-		tr = newSubmissionTrace()
-		req.TraceID = tr.id
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return service.View{}, "", fmt.Errorf("encode request: %w", err)
-	}
-	e, resp, err := r.place(ctx, r.jobs, req.CacheKey(), body, tr)
-	if err != nil {
-		return service.View{}, "", err
-	}
-	var v service.View
-	err = resp.expect("submit response", resp.status, &v)
-	return v, e.node, err
-}
-
 // place is the one ring walk that puts work on a shard: client submits,
 // session creates, dead-node reroutes and session resumes all make it.
 // It POSTs body to the table's route on the fingerprint's owner, honors a
 // brief Retry-After there in place, and fails over to the ring successor
 // on a transport error, a shed, a 503 or a 5xx; any other 4xx stops the
-// walk with the shard's answer as a *badRequest. Each dispatch attempt is
+// walk with errRejected and the shard's answer. Each dispatch attempt is
 // one request: the owner's own cache answers a repeat. The accepted entry
 // is tabled, with the submission's trace, and returned with the shard's
-// answer. With a traced submission every routing decision lands as a gw.*
+// answer. A non-nil answer is the one to relay to the client. With a traced submission every routing decision lands as a gw.*
 // span: the route lookup, each dispatch, each brief retry wait, and each
 // failover.
 func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr submissionTrace) (*entry, *nodeResponse, error) {
@@ -425,7 +399,7 @@ func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr
 						traceArgs(tr, "node", nodeID, "attempt", attempts)...)
 				}
 			case resp.status >= 400 && resp.status < 500:
-				return nil, nil, &badRequest{resp}
+				return nil, resp, errRejected
 			default:
 				r.log.Warn("unexpected status", traceArgs(tr, "kind", t.noun, "node", nodeID,
 					"attempt", attempts, "status", resp.status)...)
@@ -456,12 +430,12 @@ func (r *Router) resolve(t *table, id string) (e *entry, lost string, ok bool) {
 	return e, e.lost, true
 }
 
-// finish marks an entry terminal once a proxied answer shows the work
-// finished: the sync sweep stops replicating it, and a job releases its
-// fingerprint from the in-flight dedup table.
+// finish marks an entry terminal once an owner's answer shows the work
+// finished: the sync sweep stops replicating it and drops its replica, and
+// a job releases its fingerprint from the in-flight dedup table.
 func (r *Router) finish(e *entry) {
 	r.mu.Lock()
-	e.terminal = true
+	e.terminal, e.ckpt = true, nil
 	if r.jobs.byFP[e.fp] == e {
 		delete(r.jobs.byFP, e.fp)
 	}
@@ -491,8 +465,7 @@ func (r *Router) live(t *table) int { return len(r.unfinished(t, "")) }
 func (r *Router) lose(entries []*entry, why string) {
 	r.mu.Lock()
 	for _, e := range entries {
-		e.lost = why
-		e.terminal = true
+		e.lost, e.terminal, e.ckpt = why, true, nil
 	}
 	r.mu.Unlock()
 }
@@ -511,7 +484,7 @@ func (r *Router) lose(entries []*entry, why string) {
 func (r *Router) sweepHealth(ctx context.Context) {
 	for _, m := range r.members.Snapshot() {
 		gen := r.members.generation(m.ID)
-		st, err := r.client.health(ctx, m.URL)
+		st, err := r.client.health(ctx, m.Member)
 		if ctx.Err() != nil {
 			return
 		}

@@ -3,20 +3,12 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/session"
 )
-
-// labelledSession decorates a node's session view with the shard that
-// owns it.
-type labelledSession struct {
-	session.View
-	Node string `json:"node"`
-}
 
 // handleSessionCreate places a new session through place, as a job is
 // placed. A session with no trace id gets one minted here, so the
@@ -43,81 +35,56 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 		service.WriteJSON(w, http.StatusInternalServerError, service.ErrorDoc{Error: err.Error()})
 		return
 	}
-	e, resp, err := r.place(req.Context(), r.sessions, fp, body, submissionTrace{id: sreq.TraceID})
-	var bad *badRequest
-	switch {
-	case errors.As(err, &bad):
-		bad.resp.relay(w)
-	case err != nil:
-		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
-	default:
-		var v session.View
-		if json.Unmarshal(resp.body, &v) != nil {
-			resp.relay(w)
-			return
-		}
-		service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
-	}
-}
-
-// handleSessionStatus proxies a session poll to its current owner and
-// marks the entry terminal once the owner reports it finished, so the sync
-// sweep stops replicating it.
-func (r *Router) handleSessionStatus(w http.ResponseWriter, req *http.Request) {
-	e, resp, ok := r.forward(w, req, r.sessions, lostAnswer{status: http.StatusOK})
-	if !ok {
-		return
-	}
-	var v session.View
-	if resp.expect("session", http.StatusOK, &v) != nil {
+	_, resp, err := r.place(req.Context(), r.sessions, fp, body, submissionTrace{id: sreq.TraceID})
+	if resp != nil { // the owner's answer: accepted, or its 4xx
 		resp.relay(w)
 		return
 	}
-	if v.State.Terminal() {
-		r.finish(e)
-	}
-	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
-}
-
-// handleSessionFork proxies a fork to the parent's owner and records the
-// child in the gateway table — forks inherit the parent's shard (they
-// read its retained checkpoints), so the child is tracked and replicated
-// like any other session on that node.
-func (r *Router) handleSessionFork(w http.ResponseWriter, req *http.Request) {
-	e, resp, ok := r.forward(w, req, r.sessions, sessionLost(http.StatusConflict))
-	if !ok {
-		return
-	}
-	var v session.View
-	if resp.expect("fork", http.StatusAccepted, &v) != nil {
-		resp.relay(w)
-		return
-	}
-	r.mu.Lock()
-	r.sessions.entries[v.ID] = &entry{id: v.ID, node: e.node, fp: v.Fingerprint, trace: submissionTrace{id: v.TraceID}}
-	r.mu.Unlock()
-	service.WriteJSON(w, resp.status, labelledSession{View: v, Node: e.node})
+	service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorDoc{Error: err.Error()})
 }
 
 // syncSessions replicates every live session's newest checkpoint off its
-// owner into the gateway table, one pull per session. The replica is what
-// makes a dead owner's sessions resumable elsewhere: advectd nodes do not
-// talk to each other, so the gateway is the transport. Fetch errors are
-// left alone — the health sweep owns declaring nodes dead, and a stale
-// replica still resumes the session, just further back.
+// owner into the gateway table. The replica is what makes a dead owner's
+// sessions resumable elsewhere: advectd nodes do not talk to each other, so
+// the gateway is the transport. Each sweep reads the owner's view of the
+// session first: a finished session is released (and its replica dropped),
+// and a checkpoint is pulled only when the view's last checkpoint is newer
+// than the replica. Fetch errors are left alone — the health sweep owns
+// declaring nodes dead, and a stale replica still resumes the session, just
+// further back.
 func (r *Router) syncSessions(ctx context.Context) {
 	for _, e := range r.unfinished(r.sessions, "") {
 		if r.members.State(e.node) != NodeUp {
 			continue
 		}
-		data, step, err := r.client.checkpoint(ctx, r.members.URL(e.node), e.id)
-		if err != nil || data == nil {
+		url := r.members.URL(e.node) + "/v1/sessions/" + e.id
+		resp, err := r.client.do(ctx, http.MethodGet, url, nil)
+		var v struct {
+			State          service.State `json:"state"`
+			LastCheckpoint int64         `json:"last_checkpoint"`
+		}
+		if err != nil || resp.expect("session", http.StatusOK, &v) != nil {
+			continue
+		}
+		if v.State.Terminal() {
+			r.finish(e)
 			continue
 		}
 		r.mu.Lock()
-		if step > e.ckptStep || e.ckpt == nil {
-			e.ckpt = data
-			e.ckptStep = step
+		stale := v.LastCheckpoint > e.ckptStep
+		r.mu.Unlock()
+		if !stale {
+			continue
+		}
+		resp, err = r.client.do(ctx, http.MethodGet, url+"/checkpoint?step="+strconv.FormatInt(v.LastCheckpoint, 10), nil)
+		if err != nil || resp.expect("checkpoint", http.StatusOK, nil) != nil {
+			continue
+		}
+		r.mu.Lock()
+		// A poll may have seen the session finish while the bytes were in
+		// flight: a terminal entry keeps no replica.
+		if !e.terminal && v.LastCheckpoint > e.ckptStep {
+			e.ckpt, e.ckptStep = resp.body, v.LastCheckpoint
 			r.counters.CheckpointSyncs++
 		}
 		r.mu.Unlock()
@@ -158,7 +125,7 @@ func (r *Router) resumeDeadSessions(ctx context.Context, deadID string) {
 			continue
 		}
 		r.mu.Lock()
-		e.replaced = succ
+		e.replaced, e.ckpt = succ, nil // the successor gets replicas of its own
 		r.counters.SessionResumes++
 		r.mu.Unlock()
 		r.log.Info("session resumed on survivor", traceArgs(e.trace, "session", e.id, "from", deadID,

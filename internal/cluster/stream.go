@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"time"
@@ -13,12 +11,13 @@ import (
 )
 
 // streamReader is one member's leg of the federated SSE stream: it holds a
-// GET /v1/stream open against the node, relabels every event with the node
-// id, and republishes it on the gateway hub. The read runs concurrently
-// with everything else the gateway does — a slow or silent node never
-// stalls routing or the other nodes' events, the same non-blocking
-// discipline as the per-node Hub itself. While the node is down the reader
-// idles and retries, so a recovered node rejoins the stream by itself.
+// GET /v1/stream open against the node and republishes every event on the
+// gateway hub as the node sent it, naming its node. The read runs
+// concurrently with everything else the gateway does — a slow or silent
+// node never stalls routing or the other nodes' events, the same
+// non-blocking discipline as the per-node Hub itself. While the node is
+// down the reader idles and retries, so a recovered node rejoins the
+// stream by itself.
 func (r *Router) streamReader(ctx context.Context, m Member) {
 	backoff := 250 * time.Millisecond
 	for {
@@ -67,7 +66,7 @@ func (r *Router) readNodeStream(ctx context.Context, m Member) error {
 		switch {
 		case line == "":
 			if name != "" && len(data) > 0 {
-				r.publishNodeEvent(m.ID, name, data)
+				r.hub.Publish(telemetry.Event{Name: name, Data: data})
 			}
 			name, data = "", nil
 		case strings.HasPrefix(line, "event: "):
@@ -77,37 +76,4 @@ func (r *Router) readNodeStream(ctx context.Context, m Member) error {
 		}
 	}
 	return sc.Err()
-}
-
-// publishNodeEvent republishes one node event on the gateway hub with the
-// node id injected into the payload (object payloads gain a leading
-// "node" field; anything else is wrapped).
-func (r *Router) publishNodeEvent(nodeID, name string, data []byte) {
-	r.hub.Publish(telemetry.Event{Name: name, Data: labelJSON(nodeID, data)})
-}
-
-// labelJSON injects "node": id into a JSON object payload without
-// re-marshalling the rest of the document; non-object payloads are wrapped
-// as {"node": id, "data": ...}.
-func labelJSON(nodeID string, data []byte) json.RawMessage {
-	trimmed := bytes.TrimSpace(data)
-	idTag, _ := json.Marshal(nodeID)
-	if len(trimmed) >= 2 && trimmed[0] == '{' && json.Valid(trimmed) {
-		var buf bytes.Buffer
-		buf.Grow(len(trimmed) + len(idTag) + 10)
-		buf.WriteString(`{"node":`)
-		buf.Write(idTag)
-		if !bytes.Equal(trimmed, []byte("{}")) {
-			buf.WriteByte(',')
-		}
-		buf.Write(trimmed[1:])
-		return buf.Bytes()
-	}
-	var buf bytes.Buffer
-	buf.WriteString(`{"node":`)
-	buf.Write(idTag)
-	buf.WriteString(`,"data":`)
-	buf.Write(trimmed)
-	buf.WriteByte('}')
-	return buf.Bytes()
 }

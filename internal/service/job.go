@@ -306,6 +306,7 @@ type Job struct {
 	mu sync.Mutex
 
 	id        string
+	node      string // the node that admitted it (Config.NodeID); set once, before the job is shared
 	req       Request
 	state     State
 	submitted time.Time
@@ -430,6 +431,7 @@ func (j *Job) Result() (json.RawMessage, bool) {
 // View is the JSON representation of a job's status.
 type View struct {
 	ID        string     `json:"id"`
+	Node      string     `json:"node,omitempty"`
 	Type      string     `json:"type"`
 	State     State      `json:"state"`
 	Submitted time.Time  `json:"submitted"`
@@ -447,7 +449,7 @@ func (j *Job) View() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := View{
-		ID: j.id, Type: j.req.Type, State: j.state,
+		ID: j.id, Node: j.node, Type: j.req.Type, State: j.state,
 		Submitted: j.submitted, CacheKey: j.cacheKey, CacheHit: j.cacheHit,
 		TraceID: j.req.TraceID, Error: j.errMsg, Request: j.req,
 	}

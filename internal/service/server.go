@@ -40,10 +40,12 @@ type Config struct {
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// NodeID names this instance inside a cluster. When set, job IDs are
-	// prefixed with it (so IDs stay globally unique across shards) and it
-	// is reported by /healthz and /v1/stats so a gateway can label
-	// federated telemetry. Empty means standalone (no prefix, no label).
+	// NodeID names this instance inside a cluster. When set, job and
+	// session ids are prefixed with it (so ids stay globally unique across
+	// shards), and the node names itself with it in /healthz, /v1/stats,
+	// its job and session views and every event it streams, so a gateway
+	// relays its answers as they are. Empty means standalone (no prefix,
+	// no node field).
 	NodeID string
 	// FlightRules configures the anomaly engine; the zero value selects
 	// the defaults documented on flight.Rules.
@@ -168,7 +170,10 @@ func (s *Server) publishAnomaly(a flight.Anomaly) {
 	s.log.Warn("anomaly detected", "rule", a.Rule, "job", a.JobID,
 		"trace_id", a.TraceID, "value", a.Value, "bound", a.Bound,
 		"detail", a.Message)
-	data, err := json.Marshal(a)
+	data, err := json.Marshal(struct {
+		Node string `json:"node,omitempty"`
+		flight.Anomaly
+	}{s.cfg.NodeID, a})
 	if err != nil {
 		return
 	}
@@ -244,6 +249,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		return nil, ErrDraining
 	}
 	j := newJob(s.store.NewID(), req, s.baseCtx, now)
+	j.node = s.cfg.NodeID
 	lookup := j.rec.Begin(obs.RankService, -1, obs.PhaseCacheLookup, "")
 	doc, hit := s.cache.Get(j.cacheKey)
 	lookup.End()
@@ -277,13 +283,17 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	return j, nil
 }
 
-// publishJob emits a job lifecycle event on the live stream. The flight
-// ring's record of the transition is the log line its caller writes.
+// publishJob emits a job lifecycle event on the live stream, led by the
+// node's name as every event this node publishes is. The flight ring's
+// record of the transition is the log line its caller writes.
 func (s *Server) publishJob(j *Job) {
 	v := j.View()
-	data, err := json.Marshal(map[string]any{
-		"id": v.ID, "type": v.Type, "state": v.State,
-	})
+	data, err := json.Marshal(struct {
+		Node  string `json:"node,omitempty"`
+		ID    string `json:"id"`
+		Type  string `json:"type"`
+		State State  `json:"state"`
+	}{v.Node, v.ID, v.Type, v.State})
 	if err != nil {
 		return
 	}

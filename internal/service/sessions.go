@@ -152,6 +152,14 @@ type liveSession struct {
 	cancel   context.CancelFunc // ends the current run loop's context; nil before the first start
 }
 
+// newLiveSession is the one constructor of a session this node runs: its
+// status names this node, whatever a recovered record says — the store may
+// have been written under another node id.
+func (s *Server) newLiveSession(sc session.Scenario, v session.View) *liveSession {
+	v.Node = s.cfg.NodeID
+	return &liveSession{sc: sc, v: v}
+}
+
 // ID returns the session's identifier.
 func (ls *liveSession) ID() string { return ls.v.ID }
 
@@ -256,7 +264,7 @@ func (s *Server) openSessions(dir string) {
 			s.log.Warn("session record skipped", "id", rec.ID, "error", err)
 			continue
 		}
-		ls := &liveSession{sc: sc, v: rec.View}
+		ls := s.newLiveSession(sc, rec.View)
 		ls.v.TotalSteps = int64(sc.Problem.Steps) // absent from an older record
 		running := ls.v.State == session.StateRunning
 		if running {
@@ -284,7 +292,7 @@ func (s *Server) openSessions(dir string) {
 // node. Then: persist, register, count, announce, start. A seeded launch
 // ("recovered") is a resume of a session that ran elsewhere.
 func (s *Server) launch(sc session.Scenario, meta checkpoint.Meta, f *grid.Field, event string, count *atomic.Int64) (*liveSession, error) {
-	ls := &liveSession{sc: sc, v: sc.View(s.sessions.NewID(), meta.StepsDone, time.Now())}
+	ls := s.newLiveSession(sc, sc.View(s.sessions.NewID(), meta.StepsDone, time.Now()))
 	if event == "recovered" {
 		ls.v.Resumes = 1
 	}
@@ -551,9 +559,10 @@ func (s *Server) sessionEvent(event string, v session.View, extra ...any) {
 		s.engine.ObserveResume(time.Now(), v.ID, v.DoneSteps)
 	}
 	data, err := json.Marshal(struct {
+		Node    string       `json:"node,omitempty"`
 		Type    string       `json:"type"`
 		Session session.View `json:"session"`
-	}{"session-" + event, v})
+	}{v.Node, "session-" + event, v})
 	if err != nil {
 		return
 	}

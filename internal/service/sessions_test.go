@@ -526,3 +526,49 @@ func TestSeedOfOtherDimsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestViewsNameTheNode: a cluster node names itself in its job and session
+// views; a session recovered from its record answers with the id of the
+// node that recovered it, not the one that wrote the record; a standalone
+// node's views carry no node at all.
+func TestViewsNameTheNode(t *testing.T) {
+	const predict = `{"type":"predict","predict":{"machine":"Yona","kind":"bulk","cores":12}}`
+	const short = `{"simulate":{"kind":"bulk","n":8,"steps":4},"segment":2}`
+	dir := t.TempDir()
+	s1 := New(Config{NodeID: "n1", SessionDir: dir})
+	ts1 := httptest.NewServer(s1.Handler())
+	if _, job := postJob(t, ts1, predict); job.Node != "n1" {
+		t.Errorf("job view names node %q, want n1", job.Node)
+	}
+	_, sv := postSession(t, ts1, short)
+	if done := waitSessionState(t, ts1, sv.ID, session.StateDone); done.Node != "n1" {
+		t.Errorf("session view names node %q, want n1", done.Node)
+	}
+	if err := s1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	s2, ts2 := newTestServer(t, Config{NodeID: "n2", SessionDir: dir})
+	t.Cleanup(func() { _ = s2.Shutdown() })
+	if got := getSession(t, ts2, sv.ID); got.Node != "n2" {
+		t.Errorf("recovered session names node %q, want n2", got.Node)
+	}
+
+	s3, alone := newTestServer(t, Config{SessionDir: t.TempDir()})
+	t.Cleanup(func() { _ = s3.Shutdown() }) // before the directory goes: the session may still be running
+	_, job := postJob(t, alone, predict)
+	_, sv = postSession(t, alone, short)
+	for _, path := range []string{"/v1/jobs/" + job.ID, "/v1/sessions/" + sv.ID} {
+		resp, err := http.Get(alone.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if _, named := doc["node"]; err != nil || named {
+			t.Errorf("standalone %s: %v, err %v; want no node", path, doc, err)
+		}
+	}
+}

@@ -161,9 +161,10 @@ type OverlapWindow struct {
 // TelemetryStats is the GET /v1/stats document: live gauges plus the
 // rolling windows.
 type TelemetryStats struct {
-	Now time.Time `json:"now"`
 	// Node is the cluster node identity (Config.NodeID); empty standalone.
+	// It leads the document, as it leads every event the node streams.
 	Node       string                     `json:"node,omitempty"`
+	Now        time.Time                  `json:"now"`
 	WindowSec  float64                    `json:"window_sec"`
 	Queue      QueueGauges                `json:"queue"`
 	Workers    WorkerGauges               `json:"workers"`

@@ -114,6 +114,7 @@ func (sc Scenario) Normalize() (Scenario, error) {
 // what its Record keeps on disk.
 type View struct {
 	ID          string    `json:"id"`
+	Node        string    `json:"node,omitempty"` // the running node's Config.NodeID; empty standalone
 	State       State     `json:"state"`
 	Kind        string    `json:"kind"`
 	Fingerprint string    `json:"fingerprint"`
