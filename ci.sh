@@ -32,10 +32,10 @@ go vet ./...
 # them compiling.
 GOARCH=arm64 go vet ./internal/stencil ./internal/grid
 
-# advectlint gate: the project-invariant static analyzer suite
-# (internal/lint + cmd/advectlint) must report nothing; its findings are
-# file:line:col text on stdout. Audited exceptions need an
-# "//advect:nolint <analyzer> <reason>" directive.
+# advectlint gate: the three project-invariant analyzers (ctxflow,
+# lockheld, goroutinelife; internal/lint + cmd/advectlint) must report
+# nothing; their findings are file:line:col text on stdout. Audited
+# exceptions need an "//advect:nolint <analyzer> <reason>" directive.
 go run ./cmd/advectlint ./...
 
 # Self-check: the analyzer test fixtures live under internal/lint/testdata

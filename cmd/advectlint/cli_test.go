@@ -70,10 +70,12 @@ func TestAdvectlintList(t *testing.T) {
 	if err != nil {
 		t.Fatalf("advectlint -list: %v\n%s", err, out)
 	}
-	for _, name := range []string{"nilsafe", "clockdiscipline", "ctxflow", "lockheld", "lockorder", "goroutinelife"} {
-		if !strings.Contains(string(out), name) {
-			t.Errorf("-list output missing %q:\n%s", name, out)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "ctxflow lockheld goroutinelife"; got != want {
+		t.Errorf("-list names %q, want %q:\n%s", got, want, out)
 	}
 }
 
@@ -99,69 +101,6 @@ func Root() context.Context { return context.Background() }
 	s := string(out)
 	if !strings.Contains(s, "[ctxflow]") || !strings.Contains(s, "lib.go:5") {
 		t.Fatalf("diagnostic missing or misplaced:\n%s", s)
-	}
-}
-
-// TestAdvectlintFlagsLockOrderInversion seeds a scratch module with a
-// cross-package lock-order inversion — pkga orders A before B, pkgb
-// reaches A under B through a helper — and expects exit 1 with the cycle
-// and both acquisition chains named.
-func TestAdvectlintFlagsLockOrderInversion(t *testing.T) {
-	bin := buildLint(t)
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module scratch\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "locks", "locks.go"), `package locks
-
-import "sync"
-
-var (
-	MuA sync.Mutex
-	MuB sync.Mutex
-)
-
-// GrabA is the helper the inverted path goes through.
-func GrabA() {
-	MuA.Lock()
-	MuA.Unlock()
-}
-`)
-	writeFile(t, filepath.Join(dir, "pkga", "pkga.go"), `package pkga
-
-import "scratch/locks"
-
-func AB() {
-	locks.MuA.Lock()
-	defer locks.MuA.Unlock()
-	locks.MuB.Lock()
-	locks.MuB.Unlock()
-}
-`)
-	writeFile(t, filepath.Join(dir, "pkgb", "pkgb.go"), `package pkgb
-
-import "scratch/locks"
-
-func BA() {
-	locks.MuB.Lock()
-	defer locks.MuB.Unlock()
-	locks.GrabA()
-}
-`)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("expected non-zero exit on lock-order inversion, output:\n%s", out)
-	}
-	s := string(out)
-	for _, want := range []string{
-		"[lockorder]",
-		"potential deadlock: lock-order cycle locks.MuA → locks.MuB → locks.MuA",
-		"in pkga.AB",
-		"via pkgb.BA → locks.GrabA",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("diagnostic missing %q:\n%s", want, s)
-		}
 	}
 }
 

@@ -3,16 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// pathMatches reports whether an import path equals suffix or ends with
-// "/"+suffix — so "internal/obs" matches "repro/internal/obs" without
-// hard-coding the module path, and fixture packages can opt in by ending
-// their declared path the same way.
-func pathMatches(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
 
 // callee resolves a call expression to the *types.Func it invokes (method
 // or function), or nil for builtins, conversions, and indirect calls
@@ -85,30 +76,6 @@ func isContextType(t types.Type) bool {
 func signatureAcceptsContext(sig *types.Signature) bool {
 	for i := 0; i < sig.Params().Len(); i++ {
 		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// typeSuffixMatches reports whether the fully-qualified name of t (after
-// stripping one pointer) ends in one of the suffixes, each of the form
-// "pkg/path.Type" (suffix-matched on the package path part).
-func typeSuffixMatches(t types.Type, suffixes []string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	full := obj.Pkg().Path() + "." + obj.Name()
-	for _, s := range suffixes {
-		if full == s || strings.HasSuffix(full, "/"+s) {
 			return true
 		}
 	}

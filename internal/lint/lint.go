@@ -1,19 +1,10 @@
 // Package lint is the project's static-analysis framework: a stdlib-only
 // analogue of go/analysis (go/parser + go/ast + go/types + go/importer,
 // no x/tools) that loads every package of the module, runs a registry of
-// analyzers encoding project invariants — nil-safe recorder methods,
-// wall-vs-virtual clock discipline, context threading, lock-held blocking,
-// module-wide lock ordering and goroutine lifecycles: the bug classes no
-// test in the tree measures — and reports findings as
-// file:line:col: [analyzer] message diagnostics.
-//
-// Analyzers come in two halves. Run inspects one type-checked package at
-// a time; packages are presented in topological dependency order, so
-// callees' packages are visited before their callers'. Finish, when set,
-// runs once after every package with the whole module in view
-// (ModulePass). An inter-procedural analyzer like lockorder keeps its own
-// per-function summaries between the two: Run fills them, and Finish
-// resolves them into one cross-package graph.
+// analyzers encoding project invariants — context threading, lock-held
+// blocking and goroutine lifecycles: the bug classes no test in the tree
+// catches — and reports findings as file:line:col: [analyzer] message
+// diagnostics. An analyzer inspects one type-checked package at a time.
 //
 // One directive comment steers the analyzers:
 //
@@ -48,15 +39,11 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one named invariant checker. Run inspects a single
-// type-checked package and reports findings through the pass; packages
-// arrive in topological dependency order. Finish, when non-nil, runs once
-// after the last package with the whole module in view — the
-// inter-procedural half.
+// type-checked package and reports findings through the pass.
 type Analyzer struct {
-	Name   string
-	Doc    string
-	Run    func(*Pass)
-	Finish func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Pass carries one (package, analyzer) pairing through a Run call.
@@ -73,30 +60,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ModulePass is the Finish-stage view: every package of the load. All
-// packages of one Run share a FileSet, so positions from any package
-// resolve here.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Pkgs     []*Package
-	fset     *token.FileSet
-	diags    *[]Diagnostic
-}
-
-// Reportf records a module-level finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Position resolves a token.Pos against the load's shared FileSet.
-func (p *ModulePass) Position(pos token.Pos) token.Position {
-	return p.fset.Position(pos)
 }
 
 // nolintDirective is one parsed //advect:nolint comment.
@@ -180,11 +143,9 @@ type suppressKey struct {
 	analyzer string
 }
 
-// Run executes every analyzer over every package (in the order given —
-// the module loader's topological order, so callees come first), then every Finish pass over the whole load, applies the nolint
+// Run executes every analyzer over every package, applies the nolint
 // directives, validates the directives themselves, and returns the
-// surviving diagnostics sorted by position. All packages must share one
-// FileSet (LoadModule guarantees this).
+// surviving diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -197,24 +158,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-	if len(pkgs) > 0 {
-		for _, a := range analyzers {
-			if a.Finish == nil {
-				continue
-			}
-			mp := &ModulePass{Analyzer: a, Pkgs: pkgs, fset: pkgs[0].Fset, diags: &raw}
-			a.Finish(mp)
-		}
-	}
 
 	// A directive covers its own line and the line below it, so both
 	//   stmt // advect:nolint a r
 	// and
 	//   // advect:nolint a r
 	//   stmt
-	// work. Malformed or unknown directives become findings. Suppression
-	// is keyed by file so module-level (Finish) diagnostics land on the
-	// same audit trail as per-package ones.
+	// work. Malformed or unknown directives become findings.
 	suppress := map[suppressKey]bool{}
 	for _, pkg := range pkgs {
 		for _, d := range parseNolints(pkg) {

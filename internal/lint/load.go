@@ -10,7 +10,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,10 +30,9 @@ type Package struct {
 // newInfo allocates the types.Info maps the analyzers rely on.
 func newInfo() *types.Info {
 	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 }
 
@@ -69,9 +67,7 @@ func (s *sourceImporter) Import(path string) (*types.Package, error) {
 }
 
 // moduleImporter resolves module-internal paths from the packages already
-// type-checked this load and everything else via std. The done map is
-// written only between topo levels (never while checks are in flight) so
-// concurrent same-level type-checking reads it without locks.
+// type-checked this load and everything else via std.
 type moduleImporter struct {
 	done map[string]*types.Package
 }
@@ -152,10 +148,8 @@ func parseDir(dir string) ([]*ast.File, error) {
 }
 
 // LoadModule parses and type-checks every non-test package under root (the
-// module root) and returns them in topological dependency order (imports
-// before importers — the order the inter-procedural passes rely on).
-// Packages that don't depend on each other type-check concurrently,
-// level by level. testdata, hidden, and underscore-prefixed directories
+// module root) and returns them in topological dependency order, imports
+// before importers. testdata, hidden, and underscore-prefixed directories
 // are skipped, exactly as the go tool skips them.
 func LoadModule(root string) ([]*Package, error) {
 	modPath, err := ModulePath(root)
@@ -221,28 +215,25 @@ func LoadModule(root string) ([]*Package, error) {
 		return nil, err
 	}
 
-	// Topologically order the module-internal dependency graph.
+	// Type-check in topological order, depth first: every module-internal
+	// import of a package is in the done map before the package is checked.
 	paths := make([]string, 0, len(raw))
 	for p := range raw {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := map[string]int{}
-	var order []string
+	imp := &moduleImporter{done: map[string]*types.Package{}}
+	visiting := map[string]bool{}
+	var pkgs []*Package
 	var visit func(p string) error
 	visit = func(p string) error {
-		switch state[p] {
-		case done:
+		if _, ok := imp.done[p]; ok {
 			return nil
-		case visiting:
+		}
+		if visiting[p] {
 			return fmt.Errorf("lint: import cycle through %s", p)
 		}
-		state[p] = visiting
+		visiting[p] = true
 		deps := append([]string(nil), raw[p].imports...)
 		sort.Strings(deps)
 		for _, d := range deps {
@@ -252,8 +243,14 @@ func LoadModule(root string) ([]*Package, error) {
 				}
 			}
 		}
-		state[p] = done
-		order = append(order, p)
+		files, info := raw[p].files, newInfo()
+		conf := types.Config{Importer: imp}
+		tpkg, err := conf.Check(p, fset, files, info)
+		if err != nil {
+			return fmt.Errorf("lint: type-checking %s: %w", p, err)
+		}
+		imp.done[p] = tpkg
+		pkgs = append(pkgs, &Package{Path: p, Fset: fset, Files: files, Types: tpkg, Info: info})
 		return nil
 	}
 	for _, p := range paths {
@@ -261,86 +258,5 @@ func LoadModule(root string) ([]*Package, error) {
 			return nil, err
 		}
 	}
-
-	// Group the topological order into levels: a package's level is one
-	// past its deepest module-internal dependency, so every package in a
-	// level depends only on lower levels and the whole level can
-	// type-check concurrently.
-	level := map[string]int{}
-	maxLevel := 0
-	for _, p := range order {
-		lv := 0
-		for _, d := range raw[p].imports {
-			if _, ok := raw[d]; ok && level[d]+1 > lv {
-				lv = level[d] + 1
-			}
-		}
-		level[p] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	buckets := make([][]string, maxLevel+1)
-	for _, p := range order { // keeps the deterministic topo order within a level
-		buckets[level[p]] = append(buckets[level[p]], p)
-	}
-
-	// Type-check level by level, packages within a level in parallel. The
-	// FileSet is concurrency-safe; module-internal imports hit the done
-	// map (complete for all lower levels), and stdlib imports serialize
-	// through std. Workers are capped at GOMAXPROCS: on a single-core host
-	// the level degenerates to the sequential walk with no goroutine or
-	// lock overhead.
-	imp := &moduleImporter{done: map[string]*types.Package{}}
-	var pkgs []*Package
-	for _, bucket := range buckets {
-		checked := make([]*Package, len(bucket))
-		errs := make([]error, len(bucket))
-		checkOne := func(i int) {
-			p := bucket[i]
-			rp := raw[p]
-			info := newInfo()
-			conf := types.Config{Importer: imp}
-			tpkg, err := conf.Check(p, fset, rp.files, info)
-			if err != nil {
-				errs[i] = fmt.Errorf("lint: type-checking %s: %w", p, err)
-				return
-			}
-			checked[i] = &Package{Path: p, Fset: fset, Files: rp.files, Types: tpkg, Info: info}
-		}
-		if workers := min(runtime.GOMAXPROCS(0), len(bucket)); workers <= 1 {
-			for i := range bucket {
-				checkOne(i)
-			}
-		} else {
-			next := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range next {
-						checkOne(i)
-					}
-				}()
-			}
-			for i := range bucket {
-				next <- i
-			}
-			close(next)
-			wg.Wait()
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, pkg := range checked {
-			imp.done[pkg.Path] = pkg.Types
-			pkgs = append(pkgs, pkg)
-		}
-	}
-	// pkgs is in topological dependency order — the order Run's analyzers
-	// rely on to see callees before their callers.
 	return pkgs, nil
 }

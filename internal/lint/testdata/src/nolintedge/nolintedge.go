@@ -1,24 +1,26 @@
 // Package nolintedge exercises the corners of the //advect:nolint escape
-// hatch under the default registry. The fixture loads under an import path
-// ending in internal/gpusim so clockdiscipline's sim-package ban applies,
-// which lets one line trip two analyzers at once.
+// hatch under the default registry. A library package minting a root
+// context and sending it under a lock lets one line trip two analyzers at
+// once.
 package nolintedge
 
 import (
+	"context"
 	"sync"
 	"time"
 )
 
 type box struct {
 	mu sync.Mutex
+	ch chan context.Context
 }
 
-// chained: one line trips lockheld (Sleep under the lock) and
-// clockdiscipline (wall read in a sim package); one comment carries both
-// directives back to back.
-func chained(b *box, deadline time.Time) {
+// chained: one line trips lockheld (a send under the lock) and ctxflow (a
+// root context in library code); one comment carries both directives back
+// to back.
+func chained(b *box) {
 	b.mu.Lock()
-	time.Sleep(time.Until(deadline)) //advect:nolint lockheld fixture: chained directive, first half advect:nolint clockdiscipline fixture: chained directive, second half
+	b.ch <- context.Background() //advect:nolint lockheld fixture: chained directive, first half advect:nolint ctxflow fixture: chained directive, second half
 	b.mu.Unlock()
 }
 
@@ -46,10 +48,10 @@ func lineAbove(b *box) {
 }
 
 // unsuppressed pins that the analyzers really fire here: without a
-// directive the same shape is a finding (and the wall read a second one).
+// directive the same shape is two findings.
 func unsuppressed(b *box) {
 	b.mu.Lock()
-	time.Sleep(time.Until(time.Now())) // want `call to time.Sleep while holding b.mu` `time.Until in a simulated-time package` `time.Now in a simulated-time package`
+	b.ch <- context.Background() // want `channel send while holding b.mu` `context.Background outside cmd/`
 	b.mu.Unlock()
 }
 

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +38,35 @@ func TestDisabledRecorderIsInert(t *testing.T) {
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("empty trace does not parse: %v", err)
+	}
+
+	// An untraced job carries a nil recorder, so every exported method,
+	// present or future, must be safe on it. A pointer argument is a fresh
+	// zero value, not nil, so a method may not lean on its argument's nil
+	// check to cover a missing receiver guard.
+	writer := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	rt := reflect.TypeOf(r)
+	for i := 0; i < rt.NumMethod(); i++ {
+		m := rt.Method(i)
+		args := []reflect.Value{reflect.ValueOf(r)}
+		for j := 1; j < m.Type.NumIn(); j++ {
+			switch in := m.Type.In(j); {
+			case in == writer:
+				args = append(args, reflect.ValueOf(io.Discard))
+			case in.Kind() == reflect.Pointer:
+				args = append(args, reflect.New(in.Elem()))
+			default:
+				args = append(args, reflect.Zero(in))
+			}
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("(*Recorder)(nil).%s panics: %v", m.Name, p)
+				}
+			}()
+			m.Func.Call(args)
+		}()
 	}
 }
 
