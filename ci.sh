@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
 # build, the full test suite with the race detector, repeated race runs of
-# the mpi waits and of the gateway's ring walk, ten seconds each of fuzzing
-# the checkpoint parser (FuzzLoad) and the Gaussian's exp row against
-# math.Exp (FuzzGaussRow), one run of every root-module benchmark, vet
+# the mpi waits and of the gateway's ring walk, stream and federated
+# documents, ten seconds each of fuzzing the checkpoint parser (FuzzLoad)
+# and the Gaussian's exp row against math.Exp (FuzzGaussRow), one run of
+# every root-module benchmark, vet
 # and tests of the nested bench/ module, and the nine ns_gate bounds of
 # BENCH_guards.json (each with its allocation test).
 # Stdlib-only repo; requires only a Go >= 1.22 toolchain.
@@ -66,8 +67,13 @@ go test -race -count=20 -run 'Barrier|Panic|Collectives|Polling' ./internal/mpi
 # names each node once (StreamNamesEachNodeOnce), its replica sweep stops
 # at a finished session and pulls only a newer checkpoint (SessionSync),
 # and a member answering under another id goes down
-# (HealthProbeChecksNodeName). Twenty race runs take some fifteen seconds.
-go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRetryAfter|StreamNamesEachNodeOnce|SessionSync|HealthProbeChecksNodeName' ./internal/cluster
+# (HealthProbeChecksNodeName). Its federated stats and bundle relay each
+# member's document as served and name a down member with its error
+# (FederatedStats, BundlePartialOnNodeDown), and its stream relays the
+# nodes' events and sends its own state without asking a node anything
+# per tick (FederatedStream, StreamAsksNoNode). Twenty race runs take
+# about a minute, most of it the one-second stream hold and health waits.
+go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRetryAfter|StreamNamesEachNodeOnce|SessionSync|HealthProbeChecksNodeName|FederatedStats|FederatedStream|BundlePartialOnNodeDown|StreamAsksNoNode' ./internal/cluster
 
 # checkpoint.Load parses untrusted bytes: a seeded session create carries a
 # checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed

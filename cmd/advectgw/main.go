@@ -16,10 +16,12 @@
 //
 // Clients talk to the gateway exactly as they would to one advectd —
 // POST /v1/jobs, poll /v1/jobs/{id}, fetch the result — and additionally
-// get the cluster surface: federated GET /v1/stats (per-node snapshots
-// plus a merged view), federated GET /v1/stream (every node's SSE events,
-// each naming its node, plus periodic merged cluster stats), GET /v1/cluster
-// (membership, ring, routing counters), POST /v1/nodes to join a node and
+// get the cluster surface: GET /v1/cluster (the gateway's own state:
+// membership, ring, routing counters and windows), federated GET /v1/stats
+// (that state beside every node's snapshot as the node served it, a down
+// node named with its error), federated GET /v1/stream (every node's SSE
+// events as it sent them, each naming its node, plus a periodic "gateway"
+// event carrying the gateway's state), POST /v1/nodes to join a node and
 // POST /v1/nodes/{id}/drain to rebalance one away gracefully. The gateway
 // exports its own observability on GET /metrics (routing counters, rolling
 // route/retry/failover windows, process health; Prometheus text or

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +19,7 @@ import (
 // use thresholds the defaults would never trip.
 func startFlightCluster(t *testing.T, cfg Config, rules flight.Rules, ids ...string) *testCluster {
 	t.Helper()
-	tc := &testCluster{nodes: map[string]*httptest.Server{}}
+	nodes := map[string]*httptest.Server{}
 	for _, id := range ids {
 		s := service.New(service.Config{
 			NodeID:       id,
@@ -29,49 +28,9 @@ func startFlightCluster(t *testing.T, cfg Config, rules flight.Rules, ids ...str
 		})
 		ts := httptest.NewServer(s.Handler())
 		cfg.Members = append(cfg.Members, Member{ID: id, URL: ts.URL})
-		tc.nodes[id] = ts
+		nodes[id] = ts
 	}
-	tc.router = NewRouter(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	tc.router.Start(ctx)
-	tc.gw = httptest.NewServer(tc.router.Handler())
-	t.Cleanup(func() {
-		tc.gw.Close()
-		cancel()
-		tc.router.Stop()
-		for _, ts := range tc.nodes {
-			ts.Close()
-		}
-	})
-	return tc
-}
-
-func fetchClusterBundle(t *testing.T, tc *testCluster) ClusterBundle {
-	t.Helper()
-	resp, err := testClient.Get(tc.gw.URL + "/v1/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster bundle: want 200, got %v", resp.Status)
-	}
-	var b ClusterBundle
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
-		t.Fatalf("decode cluster bundle: %v", err)
-	}
-	return b
-}
-
-func (b ClusterBundle) node(t *testing.T, id string) NodeBundle {
-	t.Helper()
-	for _, nb := range b.Nodes {
-		if nb.ID == id {
-			return nb
-		}
-	}
-	t.Fatalf("no bundle entry for node %s", id)
-	return NodeBundle{}
+	return startGateway(t, cfg, nodes)
 }
 
 // TestClusterBundlePartialOnNodeDown: a node lost mid-collection yields a
@@ -89,12 +48,12 @@ func TestClusterBundlePartialOnNodeDown(t *testing.T) {
 
 	// Immediately after the kill the member is still listed up, so the
 	// gateway actually dials it and must fold the refusal into the entry.
-	b := fetchClusterBundle(t, tc)
+	b := tc.federated(t, "/v1/debug/bundle")
 	if len(b.Nodes) != 2 {
 		t.Fatalf("bundle lists %d nodes, want 2", len(b.Nodes))
 	}
 	dead := b.node(t, "n2")
-	if dead.Error == "" || dead.Bundle != nil {
+	if dead.Error == "" || dead.Doc != nil {
 		t.Fatalf("dead node entry not an explicit error: %+v", dead)
 	}
 
@@ -102,19 +61,19 @@ func TestClusterBundlePartialOnNodeDown(t *testing.T) {
 	waitFor(t, 30*time.Second, "n2 declared down", func() bool {
 		return tc.router.members.State("n2") == NodeDown
 	})
-	b = fetchClusterBundle(t, tc)
+	b = tc.federated(t, "/v1/debug/bundle")
 	dead = b.node(t, "n2")
-	if !strings.HasPrefix(dead.Error, "node down") || dead.Bundle != nil {
+	if !strings.HasPrefix(dead.Error, "node down") || dead.Doc != nil {
 		t.Fatalf("down node entry = %+v, want explicit node-down error", dead)
 	}
 
 	// The survivor's bundle is intact and node-stamped.
 	alive := b.node(t, "n1")
-	if alive.Error != "" || alive.Bundle == nil {
-		t.Fatalf("survivor entry incomplete: error %q, bundle present %v", alive.Error, alive.Bundle != nil)
+	if alive.Error != "" || alive.Doc == nil {
+		t.Fatalf("survivor entry incomplete: error %q, bundle present %v", alive.Error, alive.Doc != nil)
 	}
 	var doc service.BundleDoc
-	if err := json.Unmarshal(alive.Bundle, &doc); err != nil {
+	if err := json.Unmarshal(alive.Doc, &doc); err != nil {
 		t.Fatalf("survivor bundle not a bundle doc: %v", err)
 	}
 	if doc.Node != "n1" {
@@ -177,9 +136,10 @@ outer:
 // TestClusterDriftAnomalyEndToEnd is the postmortem pipeline end to end: a
 // hybrid-overlap job whose measured overlap is judged against a drift band
 // far tighter than any real run meets (the README's -drift walkthrough)
-// runs through a 2-node cluster; the owner's drift rule fires; the anomaly shows up in the gateway's federated stats and on its
-// SSE stream node-labelled; and the gateway's cluster bundle carries the
-// owner's frozen flight snapshot holding the triggering job's trace id.
+// runs through a 2-node cluster; the owner's drift rule fires; the anomaly
+// shows up in the owner's document in the gateway's federated stats and on
+// its SSE stream node-labelled; and the gateway's cluster bundle carries
+// the owner's frozen flight snapshot holding the triggering job's trace id.
 func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
 	rules := flight.Rules{DriftTolerance: 0.01}
 	tc := startFlightCluster(t, Config{
@@ -212,21 +172,21 @@ func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
 	done := tc.waitDone(t, v.ID)
 	owner := done.Node
 
-	// The drift firing reaches the federated stats with the job's identity.
-	waitFor(t, 30*time.Second, "drift anomaly in gateway stats", func() bool {
-		st := tc.clusterStats(t)
-		return st.Cluster.Anomalies != nil && st.Cluster.Anomalies.ByRule[flight.RuleModelDrift] >= 1
-	})
-	st := tc.clusterStats(t)
+	// The drift firing reaches the owner's document in the federated
+	// stats with the job's identity.
 	var fired *flight.Anomaly
-	for i, a := range st.Cluster.Anomalies.Recent {
-		if a.Rule == flight.RuleModelDrift && a.TraceID == v.TraceID {
-			fired = &st.Cluster.Anomalies.Recent[i]
+	waitFor(t, 30*time.Second, "drift anomaly in the owner's stats", func() bool {
+		st := tc.federated(t, "/v1/stats").nodeStats(t)[owner]
+		if st == nil || st.Anomalies == nil {
+			return false
 		}
-	}
-	if fired == nil {
-		t.Fatalf("no model-drift anomaly with trace %s in %+v", v.TraceID, st.Cluster.Anomalies.Recent)
-	}
+		for i, a := range st.Anomalies.Recent {
+			if a.Rule == flight.RuleModelDrift && a.TraceID == v.TraceID {
+				fired = &st.Anomalies.Recent[i]
+			}
+		}
+		return fired != nil
+	})
 	if fired.JobID != v.ID || fired.Expected <= fired.Value {
 		t.Fatalf("anomaly misattributed: %+v (job %s)", fired, v.ID)
 	}
@@ -244,13 +204,13 @@ func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
 	}
 
 	// The cluster postmortem holds the owner's frozen flight snapshot.
-	b := fetchClusterBundle(t, tc)
+	b := tc.federated(t, "/v1/debug/bundle")
 	var doc service.BundleDoc
 	nb := b.node(t, owner)
-	if nb.Error != "" || nb.Bundle == nil {
+	if nb.Error != "" || nb.Doc == nil {
 		t.Fatalf("owner bundle entry incomplete: %+v", nb)
 	}
-	if err := json.Unmarshal(nb.Bundle, &doc); err != nil {
+	if err := json.Unmarshal(nb.Doc, &doc); err != nil {
 		t.Fatalf("decode owner bundle: %v", err)
 	}
 	if doc.Node != owner {
@@ -279,7 +239,7 @@ func TestClusterDriftAnomalyEndToEnd(t *testing.T) {
 	if owner == "n1" {
 		other = "n2"
 	}
-	if nb := b.node(t, other); nb.Error != "" || nb.Bundle == nil {
+	if nb := b.node(t, other); nb.Error != "" || nb.Doc == nil {
 		t.Fatalf("bystander bundle entry incomplete: %+v", nb)
 	}
 

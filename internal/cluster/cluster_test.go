@@ -49,18 +49,25 @@ type testCluster struct {
 	nodes  map[string]*httptest.Server
 }
 
-// startCluster boots n real advectd nodes, a gateway over them, and the
-// gateway's background loops. Teardown runs in dependency order: gateway
-// first, then the router's loops (releasing the SSE connections), then the
-// node servers.
+// startCluster boots n real advectd nodes and a gateway over them.
 func startCluster(t *testing.T, cfg Config, ids ...string) *testCluster {
 	t.Helper()
-	tc := &testCluster{nodes: map[string]*httptest.Server{}}
+	nodes := map[string]*httptest.Server{}
 	for _, id := range ids {
 		m, ts := startNode(t, id)
 		cfg.Members = append(cfg.Members, m)
-		tc.nodes[id] = ts
+		nodes[id] = ts
 	}
+	return startGateway(t, cfg, nodes)
+}
+
+// startGateway fronts node servers, which cfg.Members lists, with a
+// gateway and starts its background loops. Teardown runs in dependency
+// order: gateway first, then the router's loops (releasing the SSE
+// connections), then the node servers.
+func startGateway(t *testing.T, cfg Config, nodes map[string]*httptest.Server) *testCluster {
+	t.Helper()
+	tc := &testCluster{nodes: nodes}
 	tc.router = NewRouter(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	tc.router.Start(ctx)
@@ -154,18 +161,52 @@ func (tc *testCluster) waitDone(t *testing.T, id string) gwView {
 	}
 }
 
-func (tc *testCluster) clusterStats(t *testing.T) ClusterStats {
+// federated GETs one of the gateway's federated documents (path is
+// /v1/stats or /v1/debug/bundle), which always answer 200.
+func (tc *testCluster) federated(t *testing.T, path string) FederatedDoc {
 	t.Helper()
-	resp, err := testClient.Get(tc.gw.URL + "/v1/stats")
+	resp, err := testClient.Get(tc.gw.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st ClusterStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode cluster stats: %v", err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: want 200, got %v", path, resp.Status)
 	}
-	return st
+	var d FederatedDoc
+	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		t.Fatalf("decode %s: %v", path, err)
+	}
+	return d
+}
+
+func (d FederatedDoc) node(t *testing.T, id string) NodeDoc {
+	t.Helper()
+	for _, nd := range d.Nodes {
+		if nd.ID == id {
+			return nd
+		}
+	}
+	t.Fatalf("no entry for node %s", id)
+	return NodeDoc{}
+}
+
+// nodeStats decodes each member's relayed stats document, by id; a member
+// whose entry carries an error instead has none.
+func (d FederatedDoc) nodeStats(t *testing.T) map[string]*service.TelemetryStats {
+	t.Helper()
+	out := map[string]*service.TelemetryStats{}
+	for _, nd := range d.Nodes {
+		if nd.Doc == nil {
+			continue
+		}
+		var st service.TelemetryStats
+		if err := json.Unmarshal(nd.Doc, &st); err != nil {
+			t.Fatalf("node %s stats: %v", nd.ID, err)
+		}
+		out[nd.ID] = &st
+	}
+	return out
 }
 
 func nodeJobCount(t *testing.T, ts *httptest.Server) int {

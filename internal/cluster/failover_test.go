@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,33 +82,37 @@ func TestClusterKillNodeMidRun(t *testing.T) {
 	}
 
 	// Federated stats converge on the surviving shards: the dead node is
-	// reported down without a snapshot, and the merged execution count is
-	// exactly the batch (every job executed once, all on survivors).
-	stats := tc.clusterStats(t)
-	if len(stats.Nodes) != 3 {
-		t.Fatalf("federated stats cover %d nodes, want 3", len(stats.Nodes))
+	// named down without a document, and the survivors' simulate exec
+	// counts add up to exactly the batch (every job executed once, all on
+	// survivors).
+	fed := tc.federated(t, "/v1/stats")
+	if len(fed.Nodes) != 3 {
+		t.Fatalf("federated stats cover %d nodes, want 3", len(fed.Nodes))
 	}
-	for _, ns := range stats.Nodes {
-		if ns.ID == victim {
-			if ns.State != NodeDown {
-				t.Errorf("victim reported %s, want down", ns.State)
+	stats := fed.nodeStats(t)
+	var execs uint64
+	for _, nd := range fed.Nodes {
+		if nd.ID == victim {
+			if nd.State != NodeDown || !strings.HasPrefix(nd.Error, "node down") || nd.Doc != nil {
+				t.Errorf("victim entry %+v, want down with a node-down error and no document", nd)
 			}
-			if ns.Stats != nil {
-				t.Errorf("victim contributed a snapshot after death")
-			}
-		} else {
-			if ns.Stats == nil {
-				t.Errorf("survivor %s missing from federated stats: %s", ns.ID, ns.Error)
-			} else if ns.Stats.Node != ns.ID {
-				t.Errorf("survivor %s snapshot labelled %q", ns.ID, ns.Stats.Node)
-			}
+			continue
 		}
+		st := stats[nd.ID]
+		if st == nil {
+			t.Errorf("survivor %s missing from federated stats: %s", nd.ID, nd.Error)
+			continue
+		}
+		if st.Node != nd.ID {
+			t.Errorf("survivor %s snapshot labelled %q", nd.ID, st.Node)
+		}
+		execs += st.Exec["simulate"].Count
 	}
-	if got := stats.Cluster.Exec["simulate"].Count; got != jobs {
-		t.Errorf("merged exec count = %d, want %d (each job exactly once)", got, jobs)
+	if execs != jobs {
+		t.Errorf("survivors' simulate exec counts add up to %d, want %d (each job exactly once)", execs, jobs)
 	}
-	if stats.InFlight != 0 {
-		t.Errorf("gateway still counts %d in flight after all polls", stats.InFlight)
+	if fed.Gateway.InFlight != 0 {
+		t.Errorf("gateway still counts %d in flight after all polls", fed.Gateway.InFlight)
 	}
 
 	// Cache hit-rate preserved: resubmitting the batch hits the surviving

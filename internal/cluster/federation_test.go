@@ -2,17 +2,21 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestClusterFederatedStats: GET /v1/stats on the gateway reports every
-// node's snapshot side by side, labelled, and a merged cluster view whose
-// counts are the exact sum of the per-node counts.
+// TestClusterFederatedStats: GET /v1/stats on the gateway relays every
+// node's snapshot side by side, each labelled with its own id, beside the
+// gateway's state.
 func TestClusterFederatedStats(t *testing.T) {
 	tc := startCluster(t, Config{}, "n1", "n2")
 
@@ -31,51 +35,40 @@ func TestClusterFederatedStats(t *testing.T) {
 		t.Fatalf("could not land a job on every node: %v", needed)
 	}
 
-	stats := tc.clusterStats(t)
-	if len(stats.Nodes) != 2 {
-		t.Fatalf("stats cover %d nodes, want 2", len(stats.Nodes))
+	fed := tc.federated(t, "/v1/stats")
+	if len(fed.Nodes) != 2 {
+		t.Fatalf("stats cover %d nodes, want 2", len(fed.Nodes))
 	}
-	var sum uint64
-	for _, ns := range stats.Nodes {
-		if ns.Stats == nil {
-			t.Fatalf("node %s missing snapshot: %s", ns.ID, ns.Error)
+	stats := fed.nodeStats(t)
+	for _, nd := range fed.Nodes {
+		st := stats[nd.ID]
+		if st == nil {
+			t.Fatalf("node %s missing snapshot: %s", nd.ID, nd.Error)
 		}
-		if ns.Stats.Node != ns.ID {
-			t.Errorf("node %s snapshot labelled %q", ns.ID, ns.Stats.Node)
+		if st.Node != nd.ID {
+			t.Errorf("node %s snapshot labelled %q", nd.ID, st.Node)
 		}
-		if ns.Stats.Exec["simulate"].Count == 0 {
-			t.Errorf("node %s reports no executions", ns.ID)
+		if st.Exec["simulate"].Count == 0 {
+			t.Errorf("node %s reports no executions", nd.ID)
 		}
-		sum += ns.Stats.Exec["simulate"].Count
 	}
-	if got := stats.Cluster.Exec["simulate"].Count; got != sum {
-		t.Errorf("merged exec count = %d, want the per-node sum %d", got, sum)
-	}
-	if stats.Cluster.Node != "" {
-		t.Errorf("merged view labelled %q, want no node", stats.Cluster.Node)
-	}
-	if stats.Gateway.Submits == 0 {
-		t.Errorf("gateway counters missing from federated stats")
+	if fed.Gateway.Gateway.Submits == 0 || len(fed.Gateway.Members) != 2 {
+		t.Errorf("gateway state incomplete in federated stats: %+v", fed.Gateway)
 	}
 
-	// A running job shows in the worker gauges of its node and of the merged
-	// view, whose utilization is re-derived from the summed workers (two
-	// nodes of two), not copied from one node.
+	// A running job shows in the worker gauges of the node that runs it,
+	// whose utilization is its own busy workers over its own two.
 	status, slow := tc.submit(t, `{"type":"simulate","simulate":{"kind":"bulk","n":64,"steps":4000,"tasks":2}}`)
 	if status != http.StatusAccepted {
 		t.Fatalf("slow submit: status %d", status)
 	}
-	waitFor(t, 60*time.Second, "a busy worker in the merged view", func() bool {
-		stats = tc.clusterStats(t)
-		return stats.Cluster.Workers.Busy > 0
+	waitFor(t, 60*time.Second, "a busy worker on the slow job's node", func() bool {
+		stats = tc.federated(t, "/v1/stats").nodeStats(t)
+		return stats[slow.Node] != nil && stats[slow.Node].Workers.Busy > 0
 	})
-	w := stats.Cluster.Workers
-	if w.Total != 4 || w.Utilization != float64(w.Busy)/4 {
-		t.Errorf("merged worker gauges %+v, want utilization busy/4", w)
-	}
-	for _, ns := range stats.Nodes {
-		if nw := ns.Stats.Workers; nw.Utilization != float64(nw.Busy)/2 {
-			t.Errorf("node %s worker gauges %+v, want utilization busy/2", ns.ID, nw)
+	for id, st := range stats {
+		if w := st.Workers; w.Total != 2 || w.Utilization != float64(w.Busy)/2 {
+			t.Errorf("node %s worker gauges %+v, want utilization busy/2", id, w)
 		}
 	}
 	req, _ := http.NewRequest(http.MethodDelete, tc.gw.URL+"/v1/jobs/"+slow.ID, nil)
@@ -87,8 +80,8 @@ func TestClusterFederatedStats(t *testing.T) {
 }
 
 // TestClusterFederatedStream: the gateway SSE stream multiplexes every
-// node's events with a leading "node" label, plus periodic merged cluster
-// events no single node could emit.
+// node's events with a leading "node" label, plus periodic "gateway"
+// events carrying the gateway's state.
 func TestClusterFederatedStream(t *testing.T) {
 	tc := startCluster(t, Config{}, "n1", "n2")
 
@@ -107,7 +100,7 @@ func TestClusterFederatedStream(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 
-	want := map[string]bool{"cluster": false, "n1": false, "n2": false}
+	want := map[string]bool{"gateway": false, "n1": false, "n2": false}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var event string
@@ -118,8 +111,8 @@ func TestClusterFederatedStream(t *testing.T) {
 			event = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
 			data := strings.TrimPrefix(line, "data: ")
-			if event == "cluster" {
-				want["cluster"] = true
+			if event == "gateway" {
+				want["gateway"] = true
 			}
 			// Node events are relabelled with a leading "node" field.
 			for _, id := range []string{"n1", "n2"} {
@@ -137,6 +130,104 @@ func TestClusterFederatedStream(t *testing.T) {
 		}
 	}
 	t.Fatalf("stream ended before seeing every source: %v (scan err %v)", want, sc.Err())
+}
+
+// startStatsStub is a member that answers its probes under id and GET
+// /v1/stats with doc, counting the stats reads in reads; it serves nothing
+// else.
+func startStatsStub(t *testing.T, id, doc string, reads *atomic.Int64) (Member, *httptest.Server) {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
+		_, _ = fmt.Fprintf(w, `{"status":"ok","node":%q}`, id)
+	})
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, req *http.Request) {
+		reads.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(doc))
+	})
+	ts := httptest.NewServer(mux)
+	return Member{ID: id, URL: ts.URL}, ts
+}
+
+// TestGatewayStreamAsksNoNodePerTick: the gateway stream's periodic event
+// is the gateway's own state, so a subscriber held open for a second at
+// the 100ms cadence costs the nodes no stats read; their stats reach the
+// stream as their own events.
+func TestGatewayStreamAsksNoNodePerTick(t *testing.T) {
+	var reads atomic.Int64
+	var cfg Config
+	for _, id := range []string{"n1", "n2"} {
+		m, ts := startStatsStub(t, id, `{"node":"`+id+`"}`, &reads)
+		t.Cleanup(ts.Close)
+		cfg.Members = append(cfg.Members, m)
+	}
+	r := NewRouter(cfg)
+	t.Cleanup(r.Stop)
+	gw := httptest.NewServer(r.Handler())
+	t.Cleanup(gw.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, gw.URL+"/v1/stream?interval=100ms", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := testClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := 0
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "event: ") {
+			events++
+		}
+	}
+	if events < 5 {
+		t.Fatalf("%d events in a second at a 100ms interval, want about 10", events)
+	}
+	if n := reads.Load(); n != 0 {
+		t.Errorf("the nodes served %d stats reads to %d stream events, want 0", n, events)
+	}
+}
+
+// TestClusterFederatedStatsNamesDownMember: once a member is down, the
+// federated stats name it with its node-down error, and carry the
+// survivor's document exactly as the survivor serves it, up to the
+// indentation of the gateway's answer — here with a key no stats type has
+// and a number spelled 1.50, which a decode and re-encode would drop and
+// respell.
+func TestClusterFederatedStatsNamesDownMember(t *testing.T) {
+	const survivorDoc = `{"node":"n1","unknown_to_the_gateway":[3,1,2],"exec":{"simulate":{"p50":1.50}}}`
+	var reads atomic.Int64
+	cfg := Config{HealthInterval: 50 * time.Millisecond, FailThreshold: 2}
+	nodes := map[string]*httptest.Server{}
+	for id, doc := range map[string]string{"n1": survivorDoc, "n2": `{"node":"n2"}`} {
+		m, ts := startStatsStub(t, id, doc, &reads)
+		cfg.Members = append(cfg.Members, m)
+		nodes[id] = ts
+	}
+	tc := startGateway(t, cfg, nodes)
+	tc.killNode("n2")
+	waitFor(t, 30*time.Second, "n2 declared down", func() bool {
+		return tc.router.Members().State("n2") == NodeDown
+	})
+
+	fed := tc.federated(t, "/v1/stats")
+	if len(fed.Nodes) != 2 {
+		t.Fatalf("stats cover %d nodes, want 2", len(fed.Nodes))
+	}
+	if dead := fed.node(t, "n2"); dead.State != NodeDown || !strings.HasPrefix(dead.Error, "node down: ") || dead.Doc != nil {
+		t.Errorf("down member entry %+v, want state down, a \"node down: …\" error and no document", dead)
+	}
+	alive := fed.node(t, "n1")
+	var relayed bytes.Buffer
+	if alive.Error != "" || json.Compact(&relayed, alive.Doc) != nil || relayed.String() != survivorDoc {
+		t.Errorf("survivor entry %+v relays %s, want the survivor's document %s", alive, relayed.String(), survivorDoc)
+	}
 }
 
 // TestMembershipTransitions covers the up → draining → down lifecycle and

@@ -45,14 +45,16 @@ func (r *Router) routes() []service.Route {
 			Handler: r.proxy(r.sessions, sessionLost(http.StatusConflict), r.learnFork)},
 		{Pattern: "GET /v1/sessions/{id}/checkpoint", Doc: "raw checkpoint bytes, the replication surface (proxied)",
 			Handler: r.proxy(r.sessions, sessionLost(http.StatusNotFound), nil)},
-		{Pattern: "GET /v1/stats", Doc: "federated rolling-window telemetry", Handler: r.handleStats},
-		{Pattern: "GET /v1/stream", Doc: "federated SSE stream (every node's events as it sent them)", Handler: r.handleStream},
+		{Pattern: "GET /v1/stats", Doc: "every node's rolling-window telemetry as it served it, beside the gateway's state",
+			Handler: r.handleFederated("/v1/stats")},
+		{Pattern: "GET /v1/stream", Doc: "federated SSE stream (every node's events as it sent them, the gateway's state)", Handler: r.handleStream},
 		{Pattern: "GET /v1/kinds", Doc: "implementation catalogue (any up node)", Handler: r.handleCatalogue("/v1/kinds")},
 		{Pattern: "GET /v1/experiments", Doc: "experiment catalogue (any up node)", Handler: r.handleCatalogue("/v1/experiments")},
-		{Pattern: "GET /v1/cluster", Doc: "membership, ring, and routing counters", Handler: r.handleCluster},
+		{Pattern: "GET /v1/cluster", Doc: "the gateway's state: membership, ring, routing counters and windows", Handler: r.handleCluster},
 		{Pattern: "POST /v1/nodes", Doc: `join a new node ({"id": ..., "url": ...})`, Handler: r.handleNodeJoin},
 		{Pattern: "POST /v1/nodes/{id}/drain", Doc: "drain one node and rebalance its shard", Handler: r.handleNodeDrain},
-		{Pattern: "GET /v1/debug/bundle", Doc: "cluster postmortem (every node's bundle, node-stamped)", Handler: r.handleBundle},
+		{Pattern: "GET /v1/debug/bundle", Doc: "cluster postmortem (every node's bundle as it served it, beside the gateway's state)",
+			Handler: r.handleFederated("/v1/debug/bundle")},
 		{Pattern: "GET /metrics", Doc: "gateway Prometheus exposition (?format=json)", Handler: r.handleMetrics},
 		{Pattern: "GET /healthz", Doc: "gateway liveness (503 with no routable nodes)", Handler: r.handleHealthz},
 	}
@@ -256,16 +258,14 @@ func (r *Router) handleList(kind string) http.HandlerFunc {
 	}
 }
 
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	service.WriteJSON(w, http.StatusOK, r.FederatedStats(req.Context()))
-}
-
 // handleStream is the federated live feed: every node's SSE events, each
-// naming its node, multiplexed through the gateway hub, plus a periodic
-// merged cluster-stats event the per-node streams cannot provide.
+// naming its node, multiplexed through the gateway hub as the nodes sent
+// them, plus a periodic "gateway" event carrying the gateway's state. A
+// node's stats already arrive as its own "stats" events, so a tick asks no
+// node anything.
 func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
-	service.ServeStream(w, req, r.hub, service.StreamInterval, service.HeartbeatInterval, "cluster",
-		func() any { return r.FederatedStats(req.Context()) })
+	service.ServeStream(w, req, r.hub, service.StreamInterval, service.HeartbeatInterval, "gateway",
+		func() any { return r.state() })
 }
 
 // handleCatalogue proxies a static catalogue endpoint (identical on every
@@ -283,14 +283,7 @@ func (r *Router) handleCatalogue(path string) http.HandlerFunc {
 }
 
 func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
-	ring := r.ring.Load()
-	service.WriteJSON(w, http.StatusOK, map[string]any{
-		"members":       r.members.Snapshot(),
-		"ring":          map[string]any{"nodes": ring.Nodes(), "vnodes": ring.VNodes()},
-		"gateway":       r.Counters(),
-		"in_flight":     r.live(r.jobs),
-		"live_sessions": r.live(r.sessions),
-	})
+	service.WriteJSON(w, http.StatusOK, r.state())
 }
 
 func (r *Router) handleNodeJoin(w http.ResponseWriter, req *http.Request) {

@@ -81,7 +81,7 @@ func frameSource(t *testing.T, event, data string, poolOwner map[int]string) str
 func TestGatewayStreamNamesEachNodeOnce(t *testing.T) {
 	pools := map[string]int{"n1": 1, "n2": 3}
 	poolOwner := map[int]string{1: "n1", 3: "n2"}
-	tc := &testCluster{nodes: map[string]*httptest.Server{}}
+	nodes := map[string]*httptest.Server{}
 	var cfg Config
 	for _, id := range []string{"n1", "n2"} {
 		s := service.New(service.Config{NodeID: id, Workers: pools[id],
@@ -89,20 +89,9 @@ func TestGatewayStreamNamesEachNodeOnce(t *testing.T) {
 		t.Cleanup(func() { _ = s.Shutdown() })
 		ts := httptest.NewServer(s.Handler())
 		cfg.Members = append(cfg.Members, Member{ID: id, URL: ts.URL})
-		tc.nodes[id] = ts
+		nodes[id] = ts
 	}
-	tc.router = NewRouter(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	tc.router.Start(ctx)
-	tc.gw = httptest.NewServer(tc.router.Handler())
-	t.Cleanup(func() {
-		tc.gw.Close()
-		cancel()
-		tc.router.Stop()
-		for _, ts := range tc.nodes {
-			ts.Close()
-		}
-	})
+	tc := startGateway(t, cfg, nodes)
 
 	resp, err := http.Get(tc.gw.URL + "/v1/stream?interval=1h") // open for the whole test: no request timeout fits an event stream
 	if err != nil {
@@ -117,7 +106,7 @@ func TestGatewayStreamNamesEachNodeOnce(t *testing.T) {
 		defer frames.mu.Unlock()
 		out := map[string]int{}
 		for _, fr := range frames.frames {
-			if fr[0] != "cluster" {
+			if fr[0] != "gateway" {
 				out[fr[0]+" "+frameSource(t, fr[0], fr[1], poolOwner)]++
 			}
 		}
@@ -149,7 +138,7 @@ func TestGatewayStreamNamesEachNodeOnce(t *testing.T) {
 	got := append([][2]string(nil), frames.frames...)
 	frames.mu.Unlock()
 	for _, fr := range got {
-		if fr[0] == "cluster" {
+		if fr[0] == "gateway" {
 			continue
 		}
 		nodes := frameNodes(t, fr[1])

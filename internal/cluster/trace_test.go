@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -56,27 +55,15 @@ func startZombieNode(t *testing.T, id string) (Member, *httptest.Server, *atomic
 // returned switches zombify a node by id.
 func startZombieCluster(t *testing.T, cfg Config, ids ...string) (*testCluster, map[string]*atomic.Bool) {
 	t.Helper()
-	tc := &testCluster{nodes: map[string]*httptest.Server{}}
+	nodes := map[string]*httptest.Server{}
 	switches := map[string]*atomic.Bool{}
 	for _, id := range ids {
 		m, ts, z := startZombieNode(t, id)
 		cfg.Members = append(cfg.Members, m)
-		tc.nodes[id] = ts
+		nodes[id] = ts
 		switches[id] = z
 	}
-	tc.router = NewRouter(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	tc.router.Start(ctx)
-	tc.gw = httptest.NewServer(tc.router.Handler())
-	t.Cleanup(func() {
-		tc.gw.Close()
-		cancel()
-		tc.router.Stop()
-		for _, ts := range tc.nodes {
-			ts.Close()
-		}
-	})
-	return tc, switches
+	return startGateway(t, cfg, nodes), switches
 }
 
 // tracedBody is one fixed traced bulk problem, shaped for the failover

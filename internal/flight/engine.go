@@ -2,7 +2,6 @@ package flight
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,8 +35,8 @@ type Rules struct {
 
 // The thresholds no deployment sets.
 const (
-	// maxAnomalies bounds the retained anomaly history, a node's and the
-	// cluster's merged one alike (oldest evicted first).
+	// maxAnomalies bounds the node's retained anomaly history (oldest
+	// evicted first).
 	maxAnomalies = 64
 	// cooldown suppresses refiring a rule while one firing is still fresh.
 	cooldown = 30 * time.Second
@@ -85,7 +84,7 @@ type Anomaly struct {
 	Expected float64 `json:"expected,omitempty"`
 }
 
-// AnomalyStats summarizes an engine for /v1/stats and federated merging.
+// AnomalyStats summarizes an engine for /v1/stats.
 type AnomalyStats struct {
 	Total  uint64         `json:"total"`
 	ByRule map[string]int `json:"by_rule,omitempty"`
@@ -94,32 +93,6 @@ type AnomalyStats struct {
 	// Recent is the retained anomaly history, oldest first, bounded by
 	// maxAnomalies.
 	Recent []Anomaly `json:"recent,omitempty"`
-}
-
-// Merge folds another node's summary into the cluster view: counts add,
-// and the recent histories interleave by time (newest kept when over the
-// cap).
-func (a AnomalyStats) Merge(b AnomalyStats) AnomalyStats {
-	out := AnomalyStats{Total: a.Total + b.Total, Frozen: a.Frozen + b.Frozen}
-	if len(a.ByRule)+len(b.ByRule) > 0 {
-		out.ByRule = make(map[string]int, len(a.ByRule)+len(b.ByRule))
-		for k, v := range a.ByRule {
-			out.ByRule[k] += v
-		}
-		for k, v := range b.ByRule {
-			out.ByRule[k] += v
-		}
-	}
-	out.Recent = make([]Anomaly, 0, len(a.Recent)+len(b.Recent))
-	out.Recent = append(out.Recent, a.Recent...)
-	out.Recent = append(out.Recent, b.Recent...)
-	sort.SliceStable(out.Recent, func(i, j int) bool {
-		return out.Recent[i].Time.Before(out.Recent[j].Time)
-	})
-	if len(out.Recent) > maxAnomalies {
-		out.Recent = out.Recent[len(out.Recent)-maxAnomalies:]
-	}
-	return out
 }
 
 // JobSample is one finished traced job as the engine sees it.

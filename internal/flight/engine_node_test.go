@@ -109,4 +109,11 @@ func TestEngineShedBurstAndCooldown(t *testing.T) {
 	if st.Shed.TotalCount != 10 {
 		t.Errorf("shed total = %d, want 10", st.Shed.TotalCount)
 	}
+	if st.Shed.WindowSec != 60 || st.Shed.PerSec != 10.0/60 || st.Shed.Mean != 1 {
+		t.Errorf("shed window %+v, want 60 s, 10/60 per second, mean 1", st.Shed)
+	}
+	// Once the window has rolled past every shed, the lifetime total stays.
+	if st := n.sweep(at(200)); st.Shed.Count != 0 || st.Shed.PerSec != 0 || st.Shed.TotalCount != 10 {
+		t.Errorf("shed window after it rolled %+v, want count 0, 0 per second, total 10", st.Shed)
+	}
 }

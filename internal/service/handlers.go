@@ -188,9 +188,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // running jobs keep executing and stay pollable on this node until they
 // finish. A cluster gateway uses this to rebalance a shard away — in-flight
 // work lands normally, new traffic reroutes — before the process exits.
-// Idempotent: repeated drains report the current state.
+// The node is marked draining before the 202 is written, so the next
+// request to it already sees the drain; of concurrent drains only the one
+// that marked it starts Shutdown, and the rest report already_draining.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	already := s.Draining()
+	already := s.draining.Swap(true)
 	if !already {
 		// The drain deliberately outlives this request: it is the process
 		// shutdown path and ends when the worker pool does, so it cannot be

@@ -81,16 +81,6 @@ type WorkerGauges struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// workerGauges derives the utilization from the two counts, for one pool or
-// for the summed pools of a cluster.
-func workerGauges(busy, total int) WorkerGauges {
-	w := WorkerGauges{Busy: busy, Total: total}
-	if total > 0 {
-		w.Utilization = float64(busy) / float64(total)
-	}
-	return w
-}
-
 // Snapshot is the full metrics document served by /metrics: live gauges
 // plus the lifetime halves of the node's windows (Telemetry.Snapshot), so a
 // counter here and a rate in /v1/stats are one series.

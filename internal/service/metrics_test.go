@@ -18,7 +18,7 @@ func testTelemetry(start time.Time) *Telemetry {
 func testSnapshot(m *Telemetry, at time.Time) Snapshot {
 	return m.Snapshot(at,
 		QueueGauges{Depth: 1, Capacity: 4},
-		workerGauges(1, 2),
+		WorkerGauges{Busy: 1, Total: 2, Utilization: 0.5},
 		CacheStats{Size: 3, Capacity: 8, Hits: 5, Misses: 7, Evictions: 1})
 }
 

@@ -428,8 +428,11 @@ func (s *Server) RetryAfter() time.Duration {
 
 // gauges reads the live queue and pool state behind both snapshots.
 func (s *Server) gauges() (QueueGauges, WorkerGauges) {
-	return QueueGauges{Depth: s.queue.Depth(), Capacity: s.queue.Cap()},
-		workerGauges(s.pool.Busy(), s.pool.Workers())
+	w := WorkerGauges{Busy: s.pool.Busy(), Total: s.pool.Workers()}
+	if w.Total > 0 {
+		w.Utilization = float64(w.Busy) / float64(w.Total)
+	}
+	return QueueGauges{Depth: s.queue.Depth(), Capacity: s.queue.Cap()}, w
 }
 
 // MetricsSnapshot assembles the current metrics document, including a
@@ -484,7 +487,7 @@ func (s *Server) Shutdown() error {
 	}
 }
 
-// Draining reports whether Shutdown has begun.
+// Draining reports whether a drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ErrQueueFull is returned by Submit when the admission queue is full; the

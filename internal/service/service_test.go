@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -404,6 +405,64 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	j, _ := s.store.Get(v.ID)
 	if st := j.State(); st != StateCancelled {
 		t.Fatalf("stuck job state %v, want cancelled", st)
+	}
+}
+
+// TestDrainIsVisibleWithIts202: once POST /v1/drain has answered, with no
+// wait, the node refuses a submit and a session create with 503 and its
+// /healthz answers 503; of two concurrent drains exactly one starts the
+// drain and the other reports it already draining. Ten nodes, because a
+// late drain shows only now and then.
+func TestDrainIsVisibleWithIts202(t *testing.T) {
+	drain := func(ts *httptest.Server) bool {
+		resp, err := http.Post(ts.URL+"/v1/drain", "", nil)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Already bool `json:"already_draining"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Errorf("drain: status %d, decode error %v", resp.StatusCode, err)
+		}
+		return !doc.Already
+	}
+	for i := 0; i < 10; i++ {
+		_, ts := newTestServer(t, Config{Workers: 1, SessionDir: t.TempDir(), DrainTimeout: 10 * time.Second})
+		drain(ts)
+		if resp, _ := postJob(t, ts, predictBody); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("node %d: submit after the drain's 202: %v, want 503", i, resp.Status)
+		}
+		if resp, _ := postSession(t, ts, `{"simulate":{"kind":"bulk","n":8,"steps":4},"segment":2}`); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("node %d: session create after the drain's 202: %v, want 503", i, resp.Status)
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("node %d: /healthz after the drain's 202: %v, want 503", i, resp.Status)
+		}
+
+		_, ts = newTestServer(t, Config{Workers: 1, DrainTimeout: 10 * time.Second})
+		var started atomic.Int32
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if drain(ts) {
+					started.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := started.Load(); n != 1 {
+			t.Fatalf("node %d: two concurrent drains started %d drains, want 1", i, n)
+		}
 	}
 }
 

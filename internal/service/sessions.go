@@ -195,18 +195,6 @@ type SessionStats struct {
 	Segments  int64 `json:"segments"`
 }
 
-// Merge folds another node's summary into the cluster view; every field
-// is a count, so the view is the sum.
-func (a SessionStats) Merge(b SessionStats) SessionStats {
-	return SessionStats{
-		Active: a.Active + b.Active, Paused: a.Paused + b.Paused,
-		Done: a.Done + b.Done, Failed: a.Failed + b.Failed,
-		Created: a.Created + b.Created, Recovered: a.Recovered + b.Recovered,
-		Resumes: a.Resumes + b.Resumes, Forks: a.Forks + b.Forks,
-		Segments: a.Segments + b.Segments,
-	}
-}
-
 // sessionStats counts the node's sessions by state, beside the lifetime
 // counters.
 func (s *Server) sessionStats() *SessionStats {

@@ -22,8 +22,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // at least 100ms). The stream ends when the client disconnects or the hub
 // closes (the server is draining) — SSE clients reconnect by default, and
 // on a drained instance the reconnect fails fast against the closed
-// listener. A node streams its own stats this way and a gateway the
-// federated view of its members.
+// listener. A node streams its own stats this way, and a gateway its own
+// state beside the members' events its hub relays.
 func ServeStream(w http.ResponseWriter, r *http.Request, hub *telemetry.Hub,
 	interval, heartbeat time.Duration, name string, snapshot func() any) {
 	fl, ok := w.(http.Flusher)

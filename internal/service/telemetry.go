@@ -194,9 +194,22 @@ func (t *Telemetry) Stats(now time.Time, q QueueGauges, w WorkerGauges) Telemetr
 		QueueDepth: t.depth.Stats(now), QueueWait: t.queueWait.Stats(now),
 		Exec: map[string]telemetry.Stats{}, Points: t.points.Stats(now),
 	}
+	// Shed sums the per-type rejected counters; its rates re-derive from
+	// the summed counts.
 	for typ, w := range t.exec {
 		s.Exec[typ] = w.Stats(now)
-		s.Shed = telemetry.Merge(s.Shed, t.outcomes[typ][outcomeRejected].Stats(now))
+		r := t.outcomes[typ][outcomeRejected].Stats(now)
+		s.Shed.WindowSec = r.WindowSec
+		s.Shed.Count += r.Count
+		s.Shed.Sum += r.Sum
+		s.Shed.Max = max(s.Shed.Max, r.Max)
+		s.Shed.TotalCount += r.TotalCount
+		s.Shed.TotalSum += r.TotalSum
+	}
+	if s.Shed.Count > 0 {
+		s.Shed.Mean = s.Shed.Sum / float64(s.Shed.Count)
+		s.Shed.PerSec = float64(s.Shed.Count) / s.Shed.WindowSec
+		s.Shed.SumPerSec = s.Shed.Sum / s.Shed.WindowSec
 	}
 	comm := t.comm.Stats(now)
 	s.Overlap = OverlapWindow{
@@ -208,62 +221,4 @@ func (t *Telemetry) Stats(now time.Time, q QueueGauges, w WorkerGauges) Telemetr
 	}
 	s.PointsPerSec = s.Points.SumPerSec
 	return s
-}
-
-// Merge folds another node's document into the cluster view, and is what a
-// gateway's federated stats are a fold of: gauges add (cluster queue depth
-// is the sum of shard depths) and the utilization re-derives from the
-// summed workers, rolling windows merge via telemetry.Merge, the overlap
-// window re-derives its fleet-level fraction from the summed comm/hidden
-// seconds so it stays consistent with the per-job reports, exactly as each
-// node's own window does, and the subsystem summaries merge as their own
-// types define. The merged view keeps the receiver's Node label.
-func (a TelemetryStats) Merge(b TelemetryStats) TelemetryStats {
-	out := a
-	if b.Now.After(out.Now) {
-		out.Now = b.Now
-	}
-	if b.WindowSec > out.WindowSec {
-		out.WindowSec = b.WindowSec
-	}
-	out.Queue.Depth += b.Queue.Depth
-	out.Queue.Capacity += b.Queue.Capacity
-	out.Workers = workerGauges(a.Workers.Busy+b.Workers.Busy, a.Workers.Total+b.Workers.Total)
-	out.QueueDepth = telemetry.Merge(a.QueueDepth, b.QueueDepth)
-	out.QueueWait = telemetry.Merge(a.QueueWait, b.QueueWait)
-	out.Exec = make(map[string]telemetry.Stats, len(a.Exec))
-	for typ, s := range a.Exec {
-		out.Exec[typ] = s
-	}
-	for typ, s := range b.Exec {
-		out.Exec[typ] = telemetry.Merge(out.Exec[typ], s)
-	}
-	out.Shed = telemetry.Merge(a.Shed, b.Shed)
-	out.Overlap = OverlapWindow{
-		Jobs:      a.Overlap.Jobs + b.Overlap.Jobs,
-		CommSec:   a.Overlap.CommSec + b.Overlap.CommSec,
-		HiddenSec: a.Overlap.HiddenSec + b.Overlap.HiddenSec,
-		PerJob:    telemetry.Merge(a.Overlap.PerJob, b.Overlap.PerJob),
-	}
-	if out.Overlap.CommSec > 0 {
-		out.Overlap.Fraction = out.Overlap.HiddenSec / out.Overlap.CommSec
-	}
-	out.Points = telemetry.Merge(a.Points, b.Points)
-	out.PointsPerSec = out.Points.SumPerSec
-	out.Anomalies = mergeOptional(a.Anomalies, b.Anomalies)
-	out.Sessions = mergeOptional(a.Sessions, b.Sessions)
-	return out
-}
-
-// mergeOptional merges two summaries of a subsystem a node may run
-// without (nil): one side missing leaves the other.
-func mergeOptional[T interface{ Merge(T) T }](a, b *T) *T {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	m := (*a).Merge(*b)
-	return &m
 }

@@ -2,15 +2,11 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/flight"
 )
 
 // tracedBody is a hybrid run whose recorder produces both MPI/compute and
@@ -227,53 +223,4 @@ func TestHealthzDrainTransition(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	check(http.StatusServiceUnavailable, "draining")
-}
-
-// eachNumericField calls f on every integer and float field of the struct
-// behind p.
-func eachNumericField(p any, f func(name string, field reflect.Value)) {
-	v := reflect.ValueOf(p).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if field := v.Field(i); field.CanInt() || field.CanUint() || field.CanFloat() {
-			f(v.Type().Name()+"."+v.Type().Field(i).Name, field)
-		}
-	}
-}
-
-// TestMergeSumsEveryCounter guards the cluster view against a counter that
-// is added to a node's session or anomaly summary and not to that
-// summary's Merge: it sets every numeric field of the two to 1 on two node
-// documents, by reflection, and requires 2 everywhere in their fold — the
-// fold a gateway's federated stats are.
-func TestMergeSumsEveryCounter(t *testing.T) {
-	node := func() TelemetryStats {
-		st := TelemetryStats{
-			Sessions:  &SessionStats{},
-			Anomalies: &flight.AnomalyStats{ByRule: map[string]int{"straggler": 1}},
-		}
-		for _, p := range []any{st.Sessions, st.Anomalies} {
-			eachNumericField(p, func(_ string, field reflect.Value) {
-				switch {
-				case field.CanInt():
-					field.SetInt(1)
-				case field.CanUint():
-					field.SetUint(1)
-				default:
-					field.SetFloat(1)
-				}
-			})
-		}
-		return st
-	}
-	merged := TelemetryStats{}.Merge(node()).Merge(node())
-	for _, p := range []any{merged.Sessions, merged.Anomalies} {
-		eachNumericField(p, func(name string, field reflect.Value) {
-			if got := fmt.Sprint(field.Interface()); got != "2" {
-				t.Errorf("%s = %s after merging two nodes that each report 1; its Merge drops the field", name, got)
-			}
-		})
-	}
-	if got := merged.Anomalies.ByRule["straggler"]; got != 2 {
-		t.Errorf("AnomalyStats.ByRule[straggler] = %d after merging two nodes that each report 1", got)
-	}
 }
