@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: formatting, the README + DESIGN size bar, vet, advectlint,
 # build, the full test suite with the race detector, repeated race runs of
-# the mpi waits and of the gateway's ring walk, stream and federated
-# documents, ten seconds each of fuzzing the checkpoint parser (FuzzLoad)
+# the mpi waits and of the gateway's rendezvous-hash walk, stream and
+# federated documents, forty runs of the cluster trace golden, ten seconds
+# each of fuzzing the checkpoint parser (FuzzLoad)
 # and the Gaussian's exp row against math.Exp (FuzzGaussRow), one run of
 # every root-module benchmark, vet
 # and tests of the nested bench/ module, and the nine ns_gate bounds of
@@ -62,7 +63,7 @@ go test -race -timeout 5m ./...
 # a couple of seconds.
 go test -race -count=20 -run 'Barrier|Panic|Collectives|Polling' ./internal/mpi
 
-# The gateway's one ring walk (place) meets a shed, a long Retry-After, a
+# The gateway's one walk of a key's members (place) meets a shed, a long Retry-After, a
 # drain 503 and a node without sessions in these tests; its relayed stream
 # names each node once (StreamNamesEachNodeOnce), its replica sweep stops
 # at a finished session and pulls only a newer checkpoint (SessionSync),
@@ -74,6 +75,12 @@ go test -race -count=20 -run 'Barrier|Panic|Collectives|Polling' ./internal/mpi
 # per tick (FederatedStream, StreamAsksNoNode). Twenty race runs take
 # about a minute, most of it the one-second stream hold and health waits.
 go test -race -count=20 -run 'SessionCreate|ShedsWhenAllReject|FailsOverOnLongRetryAfter|StreamNamesEachNodeOnce|SessionSync|HealthProbeChecksNodeName|FederatedStats|FederatedStream|BundlePartialOnNodeDown|StreamAsksNoNode' ./internal/cluster
+
+# The cluster trace golden pins the span set of a failover: the owner's run
+# is held inside Run until the reroute has harvested its span log, so the
+# skeleton is the same every run. Forty runs, about 12 s, keep it from
+# drifting back into a flake.
+go test -count=40 -run TraceFailoverGolden ./internal/cluster
 
 # checkpoint.Load parses untrusted bytes: a seeded session create carries a
 # checkpoint in its request body. Ten seconds of FuzzLoad beyond its seed
@@ -140,8 +147,8 @@ ns_gate ./internal/cluster TestGatewayTraceDisabledAllocatesNothing BenchmarkGat
 ns_gate ./internal/service TestSessionStatusAllocationBounded BenchmarkSessionStatus \
     BENCH_guards.json session_status_max_ns_per_op "session status path"
 
-# Ring hot-path guard: consistent-hash Lookup runs on every gateway
-# submission.
+# Ring hot-path guard: the rendezvous-hash Lookup (one score per member,
+# no allocation at any failover skip) runs on every gateway submission.
 ns_gate ./internal/cluster TestRingLookupAllocationFree BenchmarkRingLookup \
     BENCH_guards.json ring_lookup_max_ns_per_op "ring lookup"
 

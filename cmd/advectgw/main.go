@@ -1,7 +1,7 @@
 // Command advectgw is the cluster gateway: it fronts N advectd nodes,
-// shards submissions across them by request fingerprint on a
-// consistent-hash ring, and presents the whole cluster behind the same
-// HTTP surface a single node serves.
+// shards submissions across them by request fingerprint with rendezvous
+// (highest-random-weight) hashing, and presents the whole cluster behind
+// the same HTTP surface a single node serves.
 //
 // Point it at running nodes (start each advectd with -node so job ids are
 // globally unique):
@@ -17,12 +17,13 @@
 // Clients talk to the gateway exactly as they would to one advectd —
 // POST /v1/jobs, poll /v1/jobs/{id}, fetch the result — and additionally
 // get the cluster surface: GET /v1/cluster (the gateway's own state:
-// membership, ring, routing counters and windows), federated GET /v1/stats
-// (that state beside every node's snapshot as the node served it, a down
-// node named with its error), federated GET /v1/stream (every node's SSE
-// events as it sent them, each naming its node, plus a periodic "gateway"
-// event carrying the gateway's state), POST /v1/nodes to join a node and
-// POST /v1/nodes/{id}/drain to rebalance one away gracefully. The gateway
+// membership, routable nodes, routing counters and windows), federated
+// GET /v1/stats (that state beside every node's snapshot as the node
+// served it, a down node named with its error), federated GET /v1/stream
+// (every node's SSE events as it sent them, each naming its node, plus a
+// periodic "gateway" event carrying the gateway's state), POST /v1/nodes
+// to join a node and POST /v1/nodes/{id}/drain to rebalance one away
+// gracefully. The gateway
 // exports its own observability on GET /metrics (routing counters, rolling
 // route/retry/failover windows, process health; Prometheus text or
 // ?format=json) and, with -pprof, net/http/pprof under /debug/pprof.
@@ -36,7 +37,7 @@
 //
 // Routing honors the nodes' backpressure contract: a 429 with a short
 // Retry-After is absorbed by briefly retrying the owner shard (keeping its
-// cache affinity), a long one fails over to the next ring node, a draining
+// cache affinity), a long one fails over to the key's next node, a draining
 // 503 reroutes immediately, and a dead node's in-flight jobs are
 // re-submitted to the survivors exactly once per fingerprint.
 //

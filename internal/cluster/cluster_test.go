@@ -262,7 +262,7 @@ func TestClusterRoutesToOwner(t *testing.T) {
 		if status != http.StatusAccepted && status != http.StatusOK {
 			t.Fatalf("submit %d: status %d", i, status)
 		}
-		if owner := tc.router.Ring().Lookup(v.CacheKey); v.Node != owner {
+		if owner := tc.router.Members().Ring().Lookup(v.CacheKey); v.Node != owner {
 			t.Errorf("submit %d landed on %s, ring owner is %s", i, v.Node, owner)
 		}
 		if !strings.HasPrefix(v.ID, v.Node+"-job-") {
@@ -309,7 +309,7 @@ func TestClusterCacheAffinityAcrossJoin(t *testing.T) {
 		}
 	}
 
-	before := tc.router.Ring()
+	before := tc.router.Members().Ring()
 	m3, ts3 := startNode(t, "n3")
 	tc.nodes["n3"] = ts3 // owned by the cluster teardown from here on
 	memberDoc, err := json.Marshal(m3)
@@ -325,7 +325,7 @@ func TestClusterCacheAffinityAcrossJoin(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("join: status %d", resp.StatusCode)
 	}
-	after := tc.router.Ring()
+	after := tc.router.Members().Ring()
 	if len(after.Nodes()) != 3 {
 		t.Fatalf("ring after join has nodes %v, want 3", after.Nodes())
 	}
@@ -538,7 +538,7 @@ func stubRequest() service.Request {
 // stubOwner orders the two stub ids so the first is the ring owner of the
 // stub request's fingerprint.
 func stubOwner(fp string) (string, string) {
-	ring := NewRing([]string{"s1", "s2"}, 0)
+	ring := NewRing([]string{"s1", "s2"})
 	if ring.Lookup(fp) == "s1" {
 		return "s1", "s2"
 	}

@@ -157,7 +157,7 @@ func TestClusterDrainGraceful(t *testing.T) {
 	if st := tc.router.Members().State(victim); st != NodeDraining {
 		t.Fatalf("victim state %s immediately after drain, want draining", st)
 	}
-	for _, n := range tc.router.Ring().Nodes() {
+	for _, n := range tc.router.Members().Ring().Nodes() {
 		if n == victim {
 			t.Fatalf("ring still routes to the draining node")
 		}
@@ -292,7 +292,7 @@ func TestForwardFailuresCountTowardDown(t *testing.T) {
 	if st := tc.router.Members().State(v.Node); st != NodeDown {
 		t.Fatalf("owner %s after two unreachable polls, want down", st)
 	}
-	for _, n := range tc.router.Ring().Nodes() {
+	for _, n := range tc.router.Members().Ring().Nodes() {
 		if n == v.Node {
 			t.Fatal("ring still routes to the downed owner")
 		}

@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -196,10 +195,9 @@ func TestGatewayStreamAsksNoNodePerTick(t *testing.T) {
 
 // TestClusterFederatedStatsNamesDownMember: once a member is down, the
 // federated stats name it with its node-down error, and carry the
-// survivor's document exactly as the survivor serves it, up to the
-// indentation of the gateway's answer — here with a key no stats type has
-// and a number spelled 1.50, which a decode and re-encode would drop and
-// respell.
+// survivor's document byte for byte as the survivor serves it — here with
+// a key no stats type has and a number spelled 1.50, which a decode and
+// re-encode would drop and respell.
 func TestClusterFederatedStatsNamesDownMember(t *testing.T) {
 	const survivorDoc = `{"node":"n1","unknown_to_the_gateway":[3,1,2],"exec":{"simulate":{"p50":1.50}}}`
 	var reads atomic.Int64
@@ -224,9 +222,8 @@ func TestClusterFederatedStatsNamesDownMember(t *testing.T) {
 		t.Errorf("down member entry %+v, want state down, a \"node down: …\" error and no document", dead)
 	}
 	alive := fed.node(t, "n1")
-	var relayed bytes.Buffer
-	if alive.Error != "" || json.Compact(&relayed, alive.Doc) != nil || relayed.String() != survivorDoc {
-		t.Errorf("survivor entry %+v relays %s, want the survivor's document %s", alive, relayed.String(), survivorDoc)
+	if alive.Error != "" || string(alive.Doc) != survivorDoc {
+		t.Errorf("survivor entry (error %q) relays %s, want the survivor's document %s", alive.Error, alive.Doc, survivorDoc)
 	}
 }
 
@@ -236,8 +233,8 @@ func TestMembershipTransitions(t *testing.T) {
 	now := time.Now()
 	m := NewMembership([]Member{{ID: "a", URL: "ua"}, {ID: "b", URL: "ub"}}, 2, now)
 
-	if got := m.Routable(); len(got) != 2 {
-		t.Fatalf("Routable = %v, want both members up", got)
+	if got := m.Ring().Nodes(); len(got) != 2 {
+		t.Fatalf("routable = %v, want both members up", got)
 	}
 	if m.ReportFailure("a", "boom", now) {
 		t.Fatalf("first failure below the threshold must not take the node down")
@@ -251,8 +248,8 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.ReportFailure("a", "boom", now) {
 		t.Fatalf("already-down node must not report the transition again")
 	}
-	if got := m.Routable(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("Routable = %v, want [b]", got)
+	if got := m.Ring().Nodes(); len(got) != 1 || got[0] != "b" {
+		t.Errorf("routable = %v, want [b]", got)
 	}
 
 	// A healthy probe resurrects the node and clears the failure count.
@@ -270,8 +267,8 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.ReportDraining("b", now) {
 		t.Fatalf("repeated drain report must be a no-op")
 	}
-	if got := m.Routable(); len(got) != 1 || got[0] != "a" {
-		t.Errorf("Routable = %v, want [a]", got)
+	if got := m.Ring().Nodes(); len(got) != 1 || got[0] != "a" {
+		t.Errorf("routable = %v, want [a]", got)
 	}
 
 	// Unknown ids are inert; Add refuses duplicates and admits new members.
@@ -287,6 +284,30 @@ func TestMembershipTransitions(t *testing.T) {
 	if st := m.State("c"); st != NodeUp {
 		t.Errorf("new member state = %s, want up", st)
 	}
+}
+
+// TestMembershipPublishesRouting: each transition Membership decides — an
+// Add, a drain, a probe verdict, the failure that takes a node down —
+// publishes the next routing snapshot itself, so nothing a caller forgets
+// can leave routing stale.
+func TestMembershipPublishesRouting(t *testing.T) {
+	now := time.Now()
+	m := NewMembership([]Member{{ID: "a", URL: "ua"}, {ID: "b", URL: "ub"}}, 1, now)
+	routes := func(step string, want ...string) {
+		t.Helper()
+		if got := m.Ring().Nodes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("after %s: routing snapshot %v, want %v", step, got, want)
+		}
+	}
+	routes("start", "a", "b")
+	m.Add(Member{ID: "c", URL: "uc"}, now)
+	routes("Add c", "a", "b", "c")
+	m.ReportDraining("b", now)
+	routes("ReportDraining b", "a", "c")
+	m.reportIf("b", m.generation("b"), NodeUp, now)
+	routes("reportIf b up", "a", "b", "c")
+	m.ReportFailure("a", "gone", now)
+	routes("ReportFailure a", "b", "c")
 }
 
 // TestGatewayHealthzDegraded: with no routable member left, the gateway's
@@ -306,7 +327,6 @@ func TestGatewayHealthzDegraded(t *testing.T) {
 	}
 
 	r.Members().ReportFailure("a", "gone", time.Now())
-	r.rebuildRing()
 
 	resp, err = testClient.Get(gw.URL + "/healthz")
 	if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,7 +19,7 @@ const (
 	// finish where they are while new submissions route elsewhere.
 	NodeDraining NodeState = "draining"
 	// NodeDown members failed health checks; their in-flight jobs are
-	// re-submitted (deduplicated by fingerprint) to the surviving ring.
+	// re-submitted (deduplicated by fingerprint) to the surviving members.
 	NodeDown NodeState = "down"
 )
 
@@ -41,14 +42,15 @@ type MemberStatus struct {
 	Since time.Time `json:"since"`
 }
 
-// Membership tracks node states and drives the up/draining/down
-// transitions from health-check results. It is pure bookkeeping: the
-// router registers an onChange hook to rebuild the ring and reroute jobs,
-// and that hook runs outside the membership lock so it may do network IO.
+// Membership tracks node states, drives the up/draining/down transitions
+// from health-check results, and owns the routing snapshot: every
+// transition it decides publishes a new Ring over the up members under the
+// same lock, so routing never trails a state change.
 type Membership struct {
 	mu            sync.Mutex
 	members       map[string]*memberState
 	failThreshold int
+	ring          atomic.Pointer[Ring]
 }
 
 type memberState struct {
@@ -79,6 +81,7 @@ func NewMembership(members []Member, failThreshold int, now time.Time) *Membersh
 	for _, mem := range members {
 		m.members[mem.ID] = &memberState{Member: mem, state: NodeUp, since: now}
 	}
+	m.publish()
 	return m
 }
 
@@ -92,6 +95,7 @@ func (m *Membership) Add(mem Member, now time.Time) bool {
 		return false
 	}
 	m.members[mem.ID] = &memberState{Member: mem, state: NodeUp, since: now}
+	m.publish()
 	return true
 }
 
@@ -130,18 +134,21 @@ func (m *Membership) URL(id string) string {
 	return ""
 }
 
-// Routable returns the ids of members that may receive new traffic (up).
-func (m *Membership) Routable() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
+// Ring returns the routing snapshot over the members that may receive new
+// traffic (up), as of the latest transition.
+func (m *Membership) Ring() *Ring { return m.ring.Load() }
+
+// publish rebuilds the routing snapshot from the up members. The caller
+// holds the membership lock, so snapshots are published in transition
+// order.
+func (m *Membership) publish() {
+	var up []string
 	for id, ms := range m.members {
 		if ms.state == NodeUp {
-			out = append(out, id)
+			up = append(up, id)
 		}
 	}
-	sort.Strings(out)
-	return out
+	m.ring.Store(NewRing(up))
 }
 
 // ReportDraining records a draining probe (healthz 503 {"status":
@@ -150,7 +157,7 @@ func (m *Membership) ReportDraining(id string, now time.Time) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ms, ok := m.members[id]
-	return ok && ms.enter(NodeDraining, now)
+	return ok && m.enter(ms, NodeDraining, now)
 }
 
 // generation returns the member's transition counter, read before a probe
@@ -173,7 +180,7 @@ func (m *Membership) reportIf(id string, gen uint64, state NodeState, now time.T
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ms, ok := m.members[id]
-	return ok && ms.gen == gen && ms.enter(state, now)
+	return ok && ms.gen == gen && m.enter(ms, state, now)
 }
 
 // ReportFailure records a failed probe; after failThreshold consecutive
@@ -192,15 +199,17 @@ func (m *Membership) ReportFailure(id string, errMsg string, now time.Time) bool
 		ms.state = NodeDown
 		ms.since = now
 		ms.gen++
+		m.publish()
 		return true
 	}
 	return false
 }
 
 // enter puts the member in state on the evidence of an answered probe —
-// the failure streak resets — and reports whether the state changed. The
-// caller holds the membership lock.
-func (ms *memberState) enter(state NodeState, now time.Time) bool {
+// the failure streak resets — and reports whether the state changed,
+// publishing the routing snapshot if it did. The caller holds the
+// membership lock.
+func (m *Membership) enter(ms *memberState, state NodeState, now time.Time) bool {
 	ms.fails = 0
 	ms.lastErr = ""
 	if ms.state == state {
@@ -209,5 +218,6 @@ func (ms *memberState) enter(state NodeState, now time.Time) bool {
 	ms.state = state
 	ms.since = now
 	ms.gen++
+	m.publish()
 	return true
 }

@@ -32,7 +32,7 @@ type Config struct {
 	FailThreshold int
 	// RetryWait is the largest Retry-After the gateway will honor by
 	// briefly retrying the owner shard in place; a larger advertised wait
-	// fails over to the next ring node instead. Default 1s.
+	// fails over to the key's next member instead. Default 1s.
 	RetryWait time.Duration
 	// SessionSyncInterval is the cadence of the checkpoint replication
 	// sweep: how often the gateway pulls each live session's newest durable
@@ -71,7 +71,7 @@ type GatewayCounters struct {
 	// Submits counts client submissions accepted somewhere in the cluster.
 	Submits uint64 `json:"submits"`
 	// Failovers counts placements, jobs and sessions alike, that left the
-	// owner shard for a ring successor (load shed, drain, or node failure).
+	// owner shard for a successor (load shed, drain, or node failure).
 	Failovers uint64 `json:"failovers"`
 	// BriefRetries counts 429s absorbed by honoring a short Retry-After
 	// on the owner instead of failing over.
@@ -138,16 +138,15 @@ type table struct {
 	placed  *uint64           // the kind's placement counter in Router.counters
 }
 
-// Router is the cluster gateway: it owns the hash ring, the membership
-// table, the gateway's job and session tables, and the federated telemetry
-// hub. Construct with NewRouter, start the background loops with Start,
-// expose via Handler, stop with Stop.
+// Router is the cluster gateway: it owns the membership table (and with
+// it the routing snapshot), the gateway's job and session tables, and the
+// federated telemetry hub. Construct with NewRouter, start the background
+// loops with Start, expose via Handler, stop with Stop.
 type Router struct {
 	cfg     Config
 	log     *slog.Logger
 	client  *nodeClient
 	members *Membership
-	ring    atomic.Pointer[Ring]
 	hub     *telemetry.Hub
 	tele    *GatewayTelemetry
 	mux     *http.ServeMux
@@ -179,7 +178,6 @@ func NewRouter(cfg Config) *Router {
 		byFP: map[string]*entry{}, placed: &r.counters.Submits}
 	r.sessions = &table{noun: "session", route: "/v1/sessions", entries: map[string]*entry{},
 		placed: &r.counters.SessionRoutes}
-	r.rebuildRing()
 	r.mux = service.Mount(r.routes(), cfg.EnablePprof)
 	return r
 }
@@ -237,9 +235,6 @@ func (r *Router) Stop() {
 // Handler returns the gateway HTTP API.
 func (r *Router) Handler() http.Handler { return r.mux }
 
-// Ring returns the current routing ring (an immutable snapshot).
-func (r *Router) Ring() *Ring { return r.ring.Load() }
-
 // Members returns the membership table.
 func (r *Router) Members() *Membership { return r.members }
 
@@ -257,19 +252,12 @@ func (r *Router) Counters() GatewayCounters {
 
 // nodeFailed counts one failed request against a member, whoever made it —
 // a routed submit, a proxied poll, a health probe. The report that crosses
-// FailThreshold turns the member down and takes it off the ring; the health
-// sweep re-homes what a down member still holds.
+// FailThreshold turns the member down and takes it off the routing
+// snapshot; the health sweep re-homes what a down member still holds.
 func (r *Router) nodeFailed(nodeID string, err error) {
 	if r.members.ReportFailure(nodeID, err.Error(), time.Now()) {
 		r.log.Warn("node down", "node", nodeID, "error", err)
-		r.rebuildRing()
 	}
-}
-
-// rebuildRing derives a fresh ring from the currently routable members and
-// publishes it atomically; Lookup callers never see a partial update.
-func (r *Router) rebuildRing() {
-	r.ring.Store(NewRing(r.members.Routable(), DefaultVNodes))
 }
 
 // Errors the routing core reports to the HTTP layer.
@@ -296,10 +284,11 @@ type shedError struct {
 func (e *shedError) Error() string { return errShed.Error() }
 func (e *shedError) Unwrap() error { return errShed }
 
-// place is the one ring walk that puts work on a shard: client submits,
-// session creates, dead-node reroutes and session resumes all make it.
+// place is the one walk of a key's members that puts work on a shard:
+// client submits, session creates, dead-node reroutes and session resumes
+// all make it.
 // It POSTs body to the table's route on the fingerprint's owner, honors a
-// brief Retry-After there in place, and fails over to the ring successor
+// brief Retry-After there in place, and fails over to the key's successor
 // on a transport error, a shed, a 503 or a 5xx; any other 4xx stops the
 // walk with errRejected and the shard's answer. Each dispatch attempt is
 // one request: the owner's own cache answers a repeat. The accepted entry
@@ -308,7 +297,7 @@ func (e *shedError) Unwrap() error { return errShed }
 // span: the route lookup, each dispatch, each brief retry wait, and each
 // failover.
 func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr submissionTrace) (*entry, *nodeResponse, error) {
-	ring := r.ring.Load()
+	ring := r.members.Ring()
 	n := len(ring.Nodes())
 	if n == 0 {
 		return nil, nil, ErrNoNodes
@@ -321,7 +310,7 @@ func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr
 		routeStart := tr.clock()
 		nodeID := ring.LookupOffset(fp, attempt)
 		if r.members.State(nodeID) != NodeUp {
-			continue // the ring is swapped atomically but may trail by a beat
+			continue // a transition since the walk took its snapshot
 		}
 		tried = append(tried, nodeID)
 		tr.add(obs.PhaseGWRoute, nodeID, routeStart, tr.clock())
@@ -389,12 +378,11 @@ func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr
 					"attempt", attempts, "retry_after", ra)...)
 			case resp.status == http.StatusServiceUnavailable:
 				// A node that started draining between health sweeps says
-				// so; adopt the state now so the ring reroutes its range. A
+				// so; adopt the state now so routing moves its keys. A
 				// node without a session store answers 503 too, and is up.
 				var doc service.ErrorDoc
 				if json.Unmarshal(resp.body, &doc) == nil && doc.Error == service.ErrDraining.Error() &&
 					r.members.ReportDraining(nodeID, time.Now()) {
-					r.rebuildRing()
 					r.log.Info("node draining (learned from 503)",
 						traceArgs(tr, "node", nodeID, "attempt", attempts)...)
 				}
@@ -406,7 +394,7 @@ func (r *Router) place(ctx context.Context, t *table, fp string, body []byte, tr
 			}
 			tr.add(obs.PhaseGWFailover, nodeID, preSend, tr.clock())
 			r.tele.RecordFailover(time.Now())
-			break // next ring successor
+			break // next successor
 		}
 	}
 	r.tele.RecordShed(time.Now())
@@ -475,7 +463,8 @@ func (r *Router) lose(entries []*entry, why string) {
 // consecutive failures (probe errors and failed forwards count alike). A
 // member that fails its probe while down — whoever's report took it down —
 // has whatever it still holds re-homed, which is idempotent: re-homed
-// entries are no longer its. Any transition rebuilds the ring. Rebalancing is
+// entries are no longer its. Any transition republishes the routing
+// snapshot (Membership does it under its lock). Rebalancing is
 // deliberately asynchronous to job execution — jobs on healthy shards
 // never pause while membership changes. Probe verdicts apply CAS-style
 // against the generation read before the probe, so a transition that
@@ -499,12 +488,10 @@ func (r *Router) sweepHealth(ctx context.Context) {
 		case st == NodeUp:
 			if r.members.reportIf(m.ID, gen, NodeUp, now) {
 				r.log.Info("node up", "node", m.ID)
-				r.rebuildRing()
 			}
 		case st == NodeDraining:
 			if r.members.reportIf(m.ID, gen, NodeDraining, now) {
 				r.log.Info("node draining", "node", m.ID)
-				r.rebuildRing()
 			}
 		}
 	}
@@ -575,7 +562,7 @@ func (r *Router) rerouteDead(ctx context.Context, deadID string) {
 }
 
 // AddMember joins a new node to the cluster at runtime: it enters the
-// membership up, takes over its consistent-hash share of the key space
+// membership up, takes over its rendezvous share of the key space
 // (≈K/N keys move, all of them to the newcomer — see Ring), and gains a
 // stream reader so its events join the federated stream. A re-homed key is
 // recomputed once on the newcomer, the first time it is submitted there,
@@ -587,7 +574,6 @@ func (r *Router) AddMember(mem Member) error {
 	if !r.members.Add(mem, time.Now()) {
 		return fmt.Errorf("cluster: member %q already present", mem.ID)
 	}
-	r.rebuildRing()
 	if r.started.Load() && r.runCtx != nil && r.runCtx.Err() == nil {
 		r.spawn(func() { r.streamReader(r.runCtx, mem) })
 	}
@@ -607,7 +593,6 @@ func (r *Router) DrainNode(ctx context.Context, id string) error {
 		return err
 	}
 	if r.members.ReportDraining(id, time.Now()) {
-		r.rebuildRing()
 		r.log.Info("node draining (gateway initiated)", "node", id)
 	}
 	return nil

@@ -372,7 +372,7 @@ func sessionOwner(t *testing.T, body string) (string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if NewRing([]string{"n1", "n2"}, DefaultVNodes).Lookup(fp) == "n1" {
+	if NewRing([]string{"n1", "n2"}).Lookup(fp) == "n1" {
 		return "n1", "n2"
 	}
 	return "n2", "n1"

@@ -33,18 +33,16 @@ type GatewayState struct {
 }
 
 type ringDoc struct {
-	Nodes  []string `json:"nodes"`
-	VNodes int      `json:"vnodes"`
+	Nodes []string `json:"nodes"`
 }
 
 // state snapshots the gateway's own state.
 func (r *Router) state() GatewayState {
 	now := time.Now()
-	ring := r.ring.Load()
 	return GatewayState{
 		Now:           now,
 		Members:       r.members.Snapshot(),
-		Ring:          ringDoc{Nodes: ring.Nodes(), VNodes: ring.VNodes()},
+		Ring:          ringDoc{Nodes: r.members.Ring().Nodes()},
 		Gateway:       r.Counters(),
 		GatewayWindow: r.tele.Stats(now),
 		InFlight:      r.live(r.jobs),

@@ -12,10 +12,12 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -66,13 +68,58 @@ func startZombieCluster(t *testing.T, cfg Config, ids ...string) (*testCluster, 
 	return startGateway(t, cfg, nodes), switches
 }
 
-// tracedBody is one fixed traced bulk problem, shaped for the failover
-// test's timing needs: a large grid makes each step expensive (the whole
-// run takes seconds, so a zombified owner is reliably still mid-run when
-// the gateway harvests its spans — the dead-node process in the golden is
-// always a partial run with no svc.exec / svc.encode), while the modest
-// step count keeps the span log small enough that mid-run /spans polls
-// and the bounded harvest stay fast even on a starved single-core host.
+// heldRunner is a registered runner whose every Run, once its steps are
+// computed, calls hold before it returns.
+type heldRunner struct {
+	core.Runner
+	hold func(o core.Options)
+}
+
+func (h heldRunner) Run(p core.Problem, o core.Options) (*core.Result, error) {
+	res, err := h.Runner.Run(p, o)
+	h.hold(o)
+	return res, err
+}
+
+// holdFirstBulkRun makes the first bulk Run of the test compute every step
+// and then stay inside Run until release is called or its context ends.
+// Its node therefore never finishes that job — never records svc.exec or
+// svc.encode — while the test retires the node. computed is closed once
+// the held run's steps are done. Call it after the cluster has started, so
+// its cleanup releases the run before the nodes shut down.
+func holdFirstBulkRun(t *testing.T) (computed <-chan struct{}, release func()) {
+	t.Helper()
+	real, err := core.New(core.BulkSync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, gate := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	core.Register(core.BulkSync, func() core.Runner {
+		return heldRunner{real, func(o core.Options) {
+			if first.Swap(true) {
+				return
+			}
+			close(done)
+			select {
+			case <-gate:
+			case <-o.Context().Done():
+			}
+		}}
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		core.Register(core.BulkSync, func() core.Runner { return real })
+	})
+	return done, release
+}
+
+// tracedBody is one fixed traced bulk problem: the failover test holds the
+// owner's run inside Run once its steps are done (holdFirstBulkRun), so the
+// dead-node process in the golden is always a full rank span set with no
+// svc.exec / svc.encode.
 const tracedBody = `{"type":"simulate","simulate":{"kind":"bulk","n":128,"steps":40,"tasks":2,"trace":true}}`
 
 // chromeDoc is the decoded shape of a /trace export the tests care about.
@@ -101,6 +148,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		HealthInterval: 50 * time.Millisecond,
 		FailThreshold:  2,
 	}, "n1", "n2")
+	computed, release := holdFirstBulkRun(t)
 
 	status, v := tc.submit(t, tracedBody)
 	if status != http.StatusAccepted {
@@ -115,8 +163,8 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		survivor = "n2"
 	}
 
-	spansAt := func(base string) *obs.TraceContext {
-		resp, err := testClient.Get(base + "/v1/jobs/" + v.ID + "/spans")
+	spansOf := func() *obs.TraceContext {
+		resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + v.ID + "/spans")
 		if err != nil {
 			return nil
 		}
@@ -131,29 +179,15 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		}
 		return &c
 	}
-	spansOf := func() *obs.TraceContext { return spansAt(tc.gw.URL) }
 
-	// Let the owner record real work before it goes dark: once both ranks
-	// have closed a step (a copy span each) the span log carries the full
-	// bulk phase vocabulary, so the harvested partial run and the
-	// survivor's full run expose identical phase sets. Poll the owner
-	// directly — the gateway proxy hop roughly doubles per-poll latency,
-	// and on a starved single-core host that slack is enough for the
-	// zombie to finish the whole run before it is declared dead.
-	waitFor(t, 60*time.Second, "both ranks past one step", func() bool {
-		c := spansAt(tc.nodes[owner].URL)
-		if c == nil {
-			return false
-		}
-		var r0, r1 bool
-		for _, s := range c.Spans {
-			if s.Phase == obs.PhaseCopy {
-				r0 = r0 || s.Rank == 0
-				r1 = r1 || s.Rank == 1
-			}
-		}
-		return r0 && r1
-	})
+	// Let the owner record every step before it goes dark, so the
+	// harvested run and the survivor's expose identical rank phase sets;
+	// its run stays inside Run, unfinished, until released below.
+	select {
+	case <-computed:
+	case <-time.After(60 * time.Second):
+		t.Fatal("timed out waiting for the owner's run to compute its steps")
+	}
 
 	switches[owner].Store(true)
 	waitFor(t, 30*time.Second, "owner declared down", func() bool {
@@ -162,9 +196,9 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 
 	// The zombie no longer answers client reads, so the gateway can only
 	// ever report this job done from the survivor — once the reroute has
-	// re-homed the fingerprint. Wait for that, then cancel the zombie's
-	// abandoned copy directly so it stops competing for CPU with the
-	// survivor's re-run (this host may have a single core).
+	// re-homed the fingerprint, after the harvest of the dead node's span
+	// log. Wait for that, then let the zombie's abandoned run return: what
+	// it records from then on is not in the harvest.
 	waitFor(t, 60*time.Second, "fingerprint re-homed", func() bool {
 		resp, err := testClient.Get(tc.gw.URL + "/v1/jobs/" + v.ID)
 		if err != nil {
@@ -181,12 +215,7 @@ func TestClusterTraceFailoverGolden(t *testing.T) {
 		}
 		return cur.Node == survivor
 	})
-	if req, err := http.NewRequest(http.MethodDelete, tc.nodes[owner].URL+"/v1/jobs/"+v.ID, nil); err == nil {
-		if resp, err := testClient.Do(req); err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}
+	release()
 
 	done := tc.waitDone(t, v.ID)
 	if done.Node != survivor {

@@ -51,13 +51,13 @@ type ErrorDoc struct {
 	Attempts int      `json:"attempts,omitempty"`
 }
 
-// WriteJSON serializes a response document (indented).
+// WriteJSON serializes a response document compactly, the way stream
+// frames are, so a node's body a gateway embeds as a json.RawMessage comes
+// out as the node served it.
 func WriteJSON(w http.ResponseWriter, status int, doc any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	_ = json.NewEncoder(w).Encode(doc)
 }
 
 // WriteRaw sends an already-encoded body: a cached result document, or a
