@@ -3,8 +3,9 @@
 # build, the full test suite with the race detector, repeated race runs of
 # the mpi waits and of the gateway's rendezvous-hash walk, stream and
 # federated documents, forty runs of the cluster trace golden, ten seconds
-# each of fuzzing the checkpoint parser (FuzzLoad)
-# and the Gaussian's exp row against math.Exp (FuzzGaussRow), one run of
+# each of fuzzing the checkpoint parser (FuzzLoad), the Gaussian's exp row
+# against math.Exp (FuzzGaussRow) and the schedules against single-task
+# (FuzzSchedulesAgree), one run of
 # every root-module benchmark, vet
 # and tests of the nested bench/ module, and the nine ns_gate bounds of
 # BENCH_guards.json (each with its allocation test).
@@ -90,6 +91,13 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/checkpoint
 # The Gaussian's vector exp row must equal math.Exp bit for bit on every
 # input, tame or not: ten seconds of FuzzGaussRow beyond its seed corpus.
 go test -run '^$' -fuzz '^FuzzGaussRow$' -fuzztime 10s ./internal/grid
+
+# Every schedule must reproduce single-task at one thread bit for bit on
+# every configuration, on either side of the region size below which a
+# rank's team of threads gives way to a team of one: ten seconds of
+# FuzzSchedulesAgree over extents up to 36, tasks, threads, halo depth, box,
+# block and steps.
+go test -run '^$' -fuzz '^FuzzSchedulesAgree$' -fuzztime 10s ./internal/impl
 
 # Every benchmark of the root module runs once (-benchtime 1x), timing
 # unjudged: a benchmark a change breaks — a renamed call, a buffer too

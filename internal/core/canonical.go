@@ -53,10 +53,10 @@ func (p Problem) Canonical() string {
 }
 
 // Canonical returns a deterministic, versioned encoding of the options.
-// The cancellation context and span recorder are excluded: two runs that
-// differ only in Ctx or Rec are the same computation. The GPU model is
-// encoded by name, so
-// GPUDefault and GPUC2050 (the same device) collapse to one form.
+// The cancellation context, span recorder and SkipGather are excluded: two
+// runs that differ only in Ctx, Rec or SkipGather are the same computation.
+// The GPU model is encoded by name, so GPUDefault and GPUC2050 (the same
+// device) collapse to one form.
 func (o Options) Canonical() string {
 	return strings.Join([]string{
 		"o1",

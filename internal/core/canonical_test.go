@@ -97,6 +97,21 @@ func TestCanonicalExcludesContext(t *testing.T) {
 	}
 }
 
+// TestCanonicalExcludesSkipGather: asking a run not to gather its final
+// field changes what it returns, not what it computes.
+func TestCanonicalExcludesSkipGather(t *testing.T) {
+	p := DefaultProblem(16, 5)
+	o := Options{Tasks: 2}
+	skip := o
+	skip.SkipGather = true
+	if o.Canonical() != skip.Canonical() || Fingerprint(BulkSync, p, o) != Fingerprint(BulkSync, p, skip) {
+		t.Errorf("SkipGather leaked into the canonical form or the fingerprint")
+	}
+	if b, err := json.Marshal(skip); err != nil || strings.Contains(string(b), "SkipGather") {
+		t.Errorf("SkipGather leaked into JSON: %s (%v)", b, err)
+	}
+}
+
 // TestCanonicalGPUDefaultCollapses checks that GPUDefault and GPUC2050 —
 // the same physical device — share one canonical form.
 func TestCanonicalGPUDefaultCollapses(t *testing.T) {

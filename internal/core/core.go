@@ -261,6 +261,14 @@ type Options struct {
 	// participate in Canonical or Fingerprint — two runs that differ only
 	// in their context are the same computation.
 	Ctx context.Context `json:"-"`
+
+	// SkipGather, when set, leaves Result.Final nil: no rank sends its
+	// interior to rank 0 and no global field is allocated. A caller that
+	// reads only the timings, stats and norms (a daemon's simulate job)
+	// sets it. Like Ctx and Rec, SkipGather does not participate in
+	// Canonical or Fingerprint: it changes what a run returns, not what it
+	// computes.
+	SkipGather bool `json:"-"`
 }
 
 // Context returns the run's cancellation context, never nil.
@@ -341,7 +349,7 @@ func (o Options) Normalize() Options {
 // Result reports a completed run.
 type Result struct {
 	Kind  Kind
-	Final *grid.Field // gathered global final state
+	Final *grid.Field // gathered global final state; nil when Options.SkipGather is set
 
 	// Norms is the error against the analytic solution (Verify only).
 	Norms grid.Norms

@@ -1,11 +1,13 @@
 package impl
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -117,4 +119,114 @@ func TestSchedulesAgreeOnRandomConfigurations(t *testing.T) {
 		table.WriteByte('\n')
 	}
 	t.Log("\n" + table.String())
+}
+
+// agreeWithOneThread runs each of kinds on p with o (one task for §IV-A and
+// §IV-E; the hybrids only where a box fits, T > 0) and requires its field to
+// be single-task's at one thread to the bit and its mass to be conserved.
+func agreeWithOneThread(t *testing.T, name string, p core.Problem, o core.Options, kinds []core.Kind) {
+	t.Helper()
+	want := run(t, core.SingleTask, p, core.Options{Threads: 1, Verify: true, Ctx: o.Ctx})
+	mass := want.Final.InteriorSum()
+	for _, k := range kinds {
+		if o.BoxThickness == 0 && (k == core.HybridBulkSync || k == core.HybridOverlap) {
+			continue
+		}
+		ko := o
+		if !k.UsesMPI() {
+			ko.Tasks = 1
+		}
+		res := run(t, k, p, ko)
+		if linf := grid.DiffNorms(res.Final, want.Final).LInf; linf != 0 {
+			t.Errorf("%s: %v at %d tasks × %d threads differs from single-task at one thread by %g", name, k, ko.Tasks, ko.Threads, linf)
+		}
+		if res.MassDrift > 1e-11*(1+math.Abs(mass)) {
+			t.Errorf("%s: %v drifts in mass by %g of %g", name, k, res.MassDrift, mass)
+		}
+	}
+}
+
+// TestSchedulesAgreeAboveTheThreshold holds the CPU schedules against
+// single-task at one thread where their regions are big enough for a team
+// of more than one (minParallelPoints): TestSchedulesAgreeOnRandomConfigurations
+// draws grids whose every region runs on a team of one. Every rank's local
+// domain here is above the threshold; on the 1×2×1 task grid threaded's
+// interior part (32×22×28) is too, so its master exchanges y while a worker
+// computes, and nonblocking's halves fall below it.
+func TestSchedulesAgreeAboveTheThreshold(t *testing.T) {
+	cpu := []core.Kind{core.BulkSync, core.NonblockingOverlap, core.ThreadedOverlap, core.WideHaloExt}
+	for _, c := range []struct {
+		n              grid.Dims
+		tasks, threads int
+		p              grid.Dims
+		kinds          []core.Kind
+	}{
+		{grid.Dims{X: 30, Y: 28, Z: 26}, 1, 2, grid.Dims{X: 1, Y: 1, Z: 1}, []core.Kind{core.SingleTask, core.ThreadedOverlap}},
+		{grid.Dims{X: 30, Y: 28, Z: 26}, 1, 3, grid.Dims{X: 1, Y: 1, Z: 1}, []core.Kind{core.SingleTask, core.ThreadedOverlap}},
+		{grid.Dims{X: 48, Y: 28, Z: 26}, 2, 2, grid.Dims{X: 2, Y: 1, Z: 1}, cpu},
+		{grid.Dims{X: 32, Y: 48, Z: 30}, 2, 2, grid.Dims{X: 1, Y: 2, Z: 1}, cpu},
+	} {
+		d := grid.NewDecomp(c.n, c.tasks)
+		if d.P != c.p {
+			t.Fatalf("%v in %d tasks is a %v task grid, want %v", c.n, c.tasks, d.P, c.p)
+		}
+		for r := 0; r < c.tasks; r++ {
+			if v := d.Sub(r).Size.Volume(); v < minParallelPoints {
+				t.Fatalf("%v in %d tasks: rank %d has %d points, under the %d of a threaded region", c.n, c.tasks, r, v, minParallelPoints)
+			}
+		}
+		p := core.Problem{
+			N: c.n, C: grid.Velocity{X: 0.9, Y: -0.6, Z: 0.35}, Steps: 5,
+			Wave: grid.Gaussian{Center: [3]float64{0.3 * float64(c.n.X), 0.6 * float64(c.n.Y), 0.45 * float64(c.n.Z)}, Sigma: 2.5},
+		}
+		o := core.Options{Tasks: c.tasks, Threads: c.threads, HaloWidth: 3, Verify: true}
+		agreeWithOneThread(t, fmt.Sprintf("%v %d×%d", c.n, c.tasks, c.threads), p, o, c.kinds)
+	}
+}
+
+// FuzzSchedulesAgree is the differential test over inputs the fuzzer
+// chooses: extents of 5 to 36, so that some regions cross minParallelPoints,
+// task counts up to 8, 1 to 3 threads, halo depth, box thickness, block and
+// step count, clamped as TestSchedulesAgreeOnRandomConfigurations clamps its
+// draws. Every kind must reproduce single-task at one thread to the bit
+// within a deadline. The seeds are that test's six pinned configurations and
+// one whose ranks' regions run on a team of two.
+func FuzzSchedulesAgree(f *testing.F) {
+	f.Add(uint8(6), uint8(7), uint8(7), uint8(3), uint8(2), uint8(2), uint8(1), uint8(0), uint8(5), int64(1))
+	f.Add(uint8(6), uint8(7), uint8(7), uint8(6), uint8(2), uint8(3), uint8(1), uint8(1), uint8(5), int64(2))
+	f.Add(uint8(9), uint8(11), uint8(9), uint8(8), uint8(3), uint8(2), uint8(2), uint8(2), uint8(4), int64(3))
+	f.Add(uint8(12), uint8(5), uint8(5), uint8(2), uint8(2), uint8(4), uint8(2), uint8(3), uint8(5), int64(4))
+	f.Add(uint8(8), uint8(8), uint8(8), uint8(4), uint8(2), uint8(2), uint8(1), uint8(4), uint8(5), int64(5))
+	f.Add(uint8(5), uint8(12), uint8(5), uint8(2), uint8(2), uint8(3), uint8(1), uint8(0), uint8(5), int64(6))
+	f.Add(uint8(32), uint8(36), uint8(30), uint8(2), uint8(2), uint8(3), uint8(2), uint8(1), uint8(3), int64(7))
+	blocks := [][2]int{{4, 4}, {8, 4}, {5, 3}, {16, 8}, {32, 8}}
+	f.Fuzz(func(t *testing.T, nx, ny, nz, tasks, threads, w, box, block, steps uint8, seed int64) {
+		extent := func(v uint8) int { return 5 + int(v-5)%32 }
+		n := grid.Dims{X: extent(nx), Y: extent(ny), Z: extent(nz)}
+		o := core.Options{Tasks: min(1+int(tasks-1)%8, n.X, n.Y, n.Z), Threads: 1 + int(threads-1)%3, Verify: true}
+		d, err := grid.Decompose(n, o.Tasks)
+		if err != nil {
+			t.Skip(err) // no factorisation fits the grid
+		}
+		thin := min(n.X, n.Y, n.Z)
+		for r := 0; r < o.Tasks; r++ {
+			s := d.Sub(r).Size
+			thin = min(thin, s.X, s.Y, s.Z)
+		}
+		blk := blocks[int(block)%len(blocks)]
+		o.BlockX, o.BlockY = blk[0], blk[1]
+		o.BoxThickness = min(1+int(box-1)%3, (thin-1)/2)
+		o.HaloWidth = min(1+int(w-1)%4, thin)
+		rng := rand.New(rand.NewSource(seed))
+		p := core.Problem{
+			N:     n,
+			C:     grid.Velocity{X: 1 - 2*rng.Float64(), Y: 1 - 2*rng.Float64(), Z: 1 - 2*rng.Float64()},
+			Steps: int(steps) % 8,
+			Wave:  grid.Gaussian{Center: [3]float64{rng.Float64() * float64(n.X), rng.Float64() * float64(n.Y), rng.Float64() * float64(n.Z)}, Sigma: 1.5 + rng.Float64()},
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		o.Ctx = ctx
+		agreeWithOneThread(t, fmt.Sprintf("%v %d×%d T=%d W=%d block %v steps %d", n, o.Tasks, o.Threads, o.BoxThickness, o.HaloWidth, blk, p.Steps), p, o, allKinds[1:])
+	})
 }

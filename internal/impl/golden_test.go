@@ -276,6 +276,36 @@ func TestRunAllocatesItsFieldsAndTheGather(t *testing.T) {
 	}
 }
 
+// TestRunWithoutGatherAllocatesNoGlobalField: an unverified bulk Run on two
+// tasks of one thread at 48³ that skips the gather allocates the two state
+// fields of each rank, plus 15 % for exchange buffers, messages and
+// bookkeeping, and returns no field. The global field and the slot a rank
+// packs its interior into (together 0.7 of the ranks' fields) do not fit
+// under it.
+func TestRunWithoutGatherAllocatesNoGlobalField(t *testing.T) {
+	p := core.DefaultProblem(48, 1)
+	o := core.Options{Tasks: 2, SkipGather: true}
+	d := grid.NewDecomp(p.N, o.Tasks)
+	var fields float64
+	for r := 0; r < d.Tasks(); r++ {
+		n := d.Sub(r).Size
+		fields += 2 * float64(8*(n.X+2)*(n.Y+2)*(n.Z+2))
+	}
+	if res := run(t, core.BulkSync, p, o); res.Final != nil {
+		t.Fatal("a run that skips the gather returned a field")
+	}
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run(t, core.BulkSync, p, o)
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1.15*fields {
+		t.Errorf("%.2f MB per run, the ranks' fields are %.2f MB", got/1e6, fields/1e6)
+	}
+}
+
 // TestCPUStepsAllocateNothing is the allocation ratchet on the five CPU
 // schedules at 16³ with the benchmark's tasks × threads, and on threaded at
 // 2 tasks × 1 thread, whose master exchanges z: a run of 2S steps

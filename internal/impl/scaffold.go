@@ -30,6 +30,7 @@ type rank struct {
 	nxt  *grid.Field // cpu: the state the step computes into
 	op   *stencil.Op // cpu: Eq. 2 over cur's shape
 	team *par.Team   // the task's threads: one for the device-only kinds
+	solo *par.Team   // a team of one for regions under minParallelPoints: team itself at one thread
 	ex   *exchanger  // multi-task kinds: the halo exchange of cur
 
 	// What the team runs, bound once so that a step allocates nothing: rows
@@ -63,8 +64,8 @@ type rankOut struct {
 // Run is the scaffold every schedule runs through: normalise, validate
 // before any goroutine starts, decompose, start a world of o.Tasks ranks
 // (one for §IV-A and §IV-E), build each rank's state, time the step loop
-// the way the paper does, verify on every rank, gather on rank 0, and
-// report one stats vocabulary.
+// the way the paper does, verify on every rank, gather on rank 0 unless
+// the caller skips it, and report one stats vocabulary.
 func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 	p, err := p.Normalize()
 	if err != nil {
@@ -102,9 +103,8 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 		if sch.cpu {
 			threads = o.Threads
 		}
-		r.team = par.NewTeam(threads)
+		r.setTeams(threads)
 		defer r.team.Close()
-		r.team.SetRecorder(o.Rec, r.id)
 		r.cur = grid.NewField(n, halo)
 		mass0 := initField(c, r.team, r.cur, p, o, r.sub)
 		if sch.cpu {
@@ -149,7 +149,9 @@ func (sch schedule) Run(p core.Problem, o core.Options) (*core.Result, error) {
 			out.norms, mass = verify(c, r.team, p, r.sub, r.cur)
 			out.drift = math.Abs(mass - mass0)
 		}
-		out.final = gather(c, d, r.cur)
+		if !o.SkipGather {
+			out.final = gather(c, d, r.cur)
+		}
 		out.comm = c.Stats()
 	})
 	if runErr != nil {
@@ -247,28 +249,64 @@ func (r *rank) setStep(s int) {
 	}
 }
 
+// minParallelPoints is the smallest region a team of more than one thread
+// computes. A region with fewer points runs as OpenMP's parallel for
+// if(false) does: on a team of one, on the rank's own goroutine, with no
+// worker woken. Below it, waking the team and waiting for it costs more than
+// the second thread saves (EXPERIMENTS.md, "When a region pays for its
+// team": one thread wins up to about 26³, two from 32³ on).
+const minParallelPoints = 1 << 14
+
+// setTeams starts the rank's team of threads and, when that is more than
+// one, the team of one a region under minParallelPoints runs on, which
+// starts no goroutine.
+func (r *rank) setTeams(threads int) {
+	r.team = par.NewTeam(threads)
+	r.team.SetRecorder(r.o.Rec, r.id)
+	r.solo = r.team
+	if threads > 1 {
+		r.solo = par.NewTeam(1)
+		r.solo.SetRecorder(r.o.Rec, r.id)
+	}
+}
+
 // compute applies Eq. 2 from cur into nxt over the non-empty subs under one
 // span, in one parallel region over their collapsed (k, j) rows laid end to
-// end — the paper's collapse(2) with a static schedule. A point's value does
-// not depend on which thread computes its row.
+// end — the paper's collapse(2) with a static schedule. A region of fewer
+// than minParallelPoints points runs on the team of one (see regionTeam);
+// either way a point's value does not depend on which thread computes its
+// row.
 func (r *rank) compute(ph obs.Phase, label string, subs ...grid.Subdomain) {
 	sp := r.span(ph, label)
-	r.team.ParallelFor(r.setRegion(subs...), par.Static, 0, r.rows)
+	rows, points := r.setRegion(subs...)
+	r.regionTeam(points).ParallelFor(rows, par.Static, 0, r.rows)
 	sp.End()
 }
 
+// regionTeam returns the team a region of points points runs on: the
+// rank's team, or its team of one below minParallelPoints. This is the third
+// departure from the paper's codes (after commit's swap and stepSingle's
+// unthreaded periodic copy), which thread every region; internal/perf still
+// charges the threaded region.
+func (r *rank) regionTeam(points int) *par.Team {
+	if points < minParallelPoints {
+		return r.solo
+	}
+	return r.team
+}
+
 // setRegion makes the non-empty subs the region r.rows computes and returns
-// its row count.
-func (r *rank) setRegion(subs ...grid.Subdomain) int {
+// its row and point counts.
+func (r *rank) setRegion(subs ...grid.Subdomain) (rows, points int) {
 	r.parts, r.ends = r.parts[:0], r.ends[:0]
-	total := 0
 	for _, sub := range subs {
 		if !sub.Empty() {
-			total += stencil.Rows(sub)
-			r.parts, r.ends = append(r.parts, sub), append(r.ends, total)
+			rows += stencil.Rows(sub)
+			points += sub.Size.Volume()
+			r.parts, r.ends = append(r.parts, sub), append(r.ends, rows)
 		}
 	}
-	return total
+	return rows, points
 }
 
 // appendOnce appends to region each of subs it does not hold yet. A
@@ -297,8 +335,10 @@ func (r *rank) applyRows(lo, hi int) {
 }
 
 // commit ends a time step on the host: the new state becomes the current
-// state. This is a deliberate departure from the paper's codes (the other
-// is §IV-A's unthreaded periodic copy, see stepSingle), which copy the new state over the current one with a third threaded sweep;
+// state. This is a deliberate departure from the paper's codes (the others
+// are §IV-A's unthreaded periodic copy, see stepSingle, and a small region's
+// team of one, see regionTeam), which copy the new state over the current
+// one with a third threaded sweep;
 // swapping the two fields' storage costs nothing and changes no value,
 // because every point the next step reads it first rewrites: a halo point by
 // its periodic copy or exchange, an owned point by this step's computation —

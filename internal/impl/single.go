@@ -11,10 +11,10 @@ import "repro/internal/obs"
 //  3. make the new state the current state (see commit).
 //
 // The periodic copy is the second departure from the paper's codes (commit
-// is the first), which thread the copy's outer loop: it runs the three
-// whole-dimension sweeps of the exchanger's self-neighbour phases on the
-// task's own goroutine, so a step opens one parallel region, the compute,
-// instead of four. A sweep moves only the halo shell, and on a small grid a
+// is the first, regionTeam the third), which thread the copy's outer loop:
+// it runs the three whole-dimension sweeps of the exchanger's self-neighbour
+// phases on the task's own goroutine, so a step opens one parallel region,
+// the compute, instead of four. A sweep moves only the halo shell, and on a small grid a
 // region's fork and join cost as much as the sweep they would split.
 // internal/perf still charges the threaded copy: it models the paper's
 // codes.

@@ -17,14 +17,18 @@ func prepareThreaded(r *rank) {
 // work. A barrier (implicit at the end of the parallel region) ensures
 // communication has completed before the boundary points are computed.
 // Here the master exchanges only the phases that do not land first (see
-// newCut), and with none left there is no region. The values are the same bits.
+// newCut), and with none left there is no region. A part smaller than
+// minParallelPoints runs on the team of one, as compute's regions do: the
+// master exchanges, then computes the part alone. The values are the same
+// bits.
 func stepThreaded(r *rank, _ int) {
 	cut := r.geom.(*overlapCut)
 	r.ex.exchange(0, cut.landed)
 	if len(cut.parts) > 0 {
 		// The master's exchange spans land inside this one: the overlap.
 		sp := r.span(obs.PhaseInterior, "master+workers")
-		r.team.RunWithMaster(cut.master, r.setRegion(cut.parts[0]), 1, r.rows)
+		rows, points := r.setRegion(cut.parts[0])
+		r.regionTeam(points).RunWithMaster(cut.master, rows, 1, r.rows)
 		sp.End()
 	}
 	cut.finish(r)

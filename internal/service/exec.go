@@ -101,7 +101,7 @@ func executeSimulate(ctx context.Context, sr *SimulateRequest, rec *obs.Recorder
 		return nil, nil, err
 	}
 	o := sr.options()
-	o.Rec = rec
+	o.Rec, o.SkipGather = rec, true // the result document carries no field
 	res, err := run(ctx, kind, sr.problem(), o)
 	if err != nil {
 		return nil, nil, err
